@@ -16,14 +16,14 @@ from .polys import (
     AlgebraicCoeffPoly,
     DerivativeZeroError,
     DuplicateRootError,
-    ExpCoeffPoly,
     FactoredPoly,
     Family,
     Polynomial,
-    TrigCoeffPoly,
+    TrigExpCoeffPoly,
     UnsupportedFamilyError,
     eval_with_derivative,
     expand_algebraic,
+    log_derivative,
     newton_ratio,
 )
 from .solver import (

@@ -14,7 +14,6 @@ variable ``SIMULROOT_DIGITS`` overrides it when ``--digits`` is absent.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import Decimal
@@ -31,7 +30,7 @@ from .ingest import (
     render_trace,
 )
 from .numeric import ParseError, PoleError, PrecisionConfig, make_real
-from .polys import DuplicateRootError
+from .polys import DuplicateRootError, Family, mults_degree
 from .solver import (
     CollisionError,
     EstimateVector,
@@ -59,6 +58,8 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFICATION = 3
 
+_THEOREM_FAMILY = {1: Family.ALGEBRAIC, 2: Family.TRIGONOMETRIC, 3: Family.EXPONENTIAL}
+
 _INPUT_ERRORS = (
     ParseError,
     PoleError,
@@ -82,7 +83,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_digits() -> int:
+def _resolve_digits(value: int | None) -> int:
+    if value is not None:
+        return value
     env = os.environ.get("SIMULROOT_DIGITS")
     if env is None:
         return 64
@@ -179,13 +182,6 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _resolve_digits(value: int | None) -> int:
-    digits = value if value is not None else _default_digits()
-    if digits < 30:
-        raise UsageError(f"--digits must be >= 30, got {digits}")
-    return digits
-
-
 def _solve_exit_code(report: SolveReport) -> int:
     if report.stop_reason is StopReason.TOLERANCE:
         return EXIT_OK
@@ -202,15 +198,7 @@ def cmd_solve(args) -> int:
     if (args.input is None) == (args.expr is None):
         raise UsageError("provide exactly one of --input or --expr")
     if args.input is not None:
-        raw = Path(args.input).read_bytes()
-        if args.digits is not None:
-            # re-declare the precision before parsing so every parsed
-            # numeral carries the overridden precision
-            payload = json.loads(raw.decode("utf-8"), parse_float=str)
-            if isinstance(payload, dict):
-                payload["digits"] = args.digits
-            raw = json.dumps(payload).encode("utf-8")
-        spec = parse_problem(raw)
+        spec = parse_problem(Path(args.input).read_bytes(), digits=args.digits)
         digits = spec.digits
         cfg_prec = PrecisionConfig(digits=digits)
         poly = spec.poly
@@ -303,30 +291,23 @@ def cmd_verify(args) -> int:
         d = make_real(args.d, cfg)
         max_sep = make_real(args.max_sep, cfg) if args.max_sep else None
 
-    total = sum(mults)
+    family = _THEOREM_FAMILY[args.theorem]
+    n = args.n if args.n is not None else mults_degree(family, sum(mults))
+    if n is None:
+        raise UsageError(
+            f"multiplicities sum to {sum(mults)}; the {family.value} degree needs an even sum "
+            "(or pass --n)"
+        )
     if args.theorem == 1:
-        n = args.n if args.n is not None else total
         report = check_theorem1(n, mults, d, c, q)
     elif args.theorem == 2:
         if args.xi is None:
             raise UsageError("--theorem 2 requires --xi")
         if max_sep is None:
             raise UsageError("--theorem 2 requires --max-sep when --d is used")
-        if args.n is None and total % 2:
-            raise UsageError(
-                f"multiplicities sum to {total}; a trigonometric degree needs an even sum "
-                "(or pass --n)"
-            )
-        n = args.n if args.n is not None else total // 2
         xi = make_real(args.xi, cfg)
         report = check_theorem2(n, mults, d, max_sep, c, q, xi)
     else:
-        if args.n is None and total % 2:
-            raise UsageError(
-                f"multiplicities sum to {total}; an exponential degree needs an even sum "
-                "(or pass --n)"
-            )
-        n = args.n if args.n is not None else total // 2
         report = check_theorem3(n, mults, d, c, q)
 
     if args.json:

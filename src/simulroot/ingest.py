@@ -23,12 +23,12 @@ from typing import Any
 from .numeric import PrecisionConfig, Real, format_fixed, make_real
 from .polys import (
     AlgebraicCoeffPoly,
-    ExpCoeffPoly,
     Family,
     FactoredPoly,
     Polynomial,
-    TrigCoeffPoly,
+    TrigExpCoeffPoly,
     degree_of,
+    mults_degree,
 )
 from .solver import (
     EstimateVector,
@@ -266,6 +266,13 @@ def _as_decimal_string(value: Any, path: str) -> str:
     return value
 
 
+def _precision(digits: int) -> PrecisionConfig:
+    try:
+        return PrecisionConfig(digits=digits)
+    except ValueError as exc:
+        raise SchemaError("$.digits", str(exc)) from exc
+
+
 def _string_list(value: Any, path: str) -> list[str]:
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a non-empty array")
@@ -289,12 +296,15 @@ def _parse_coefficients(
     b = [make_real(s, cfg) for s in _string_list(_get(obj, "b", path), f"{path}.b")]
     if len(a) != len(b):
         raise SchemaError(f"{path}.b", f"length {len(b)} does not match a (length {len(a)})")
-    cls = TrigCoeffPoly if family is Family.TRIGONOMETRIC else ExpCoeffPoly
-    return cls(a0, tuple(a), tuple(b))
+    return TrigExpCoeffPoly(family, a0, tuple(a), tuple(b))
 
 
-def parse_problem(data: bytes | str) -> ProblemSpec:
-    """Parse and validate a problem file (JSON, numerics as decimal strings)."""
+def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
+    """Parse and validate a problem file (JSON, numerics as decimal strings).
+
+    ``digits``, when given, replaces the file's precision before any
+    numeral is parsed.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -315,10 +325,9 @@ def parse_problem(data: bytes | str) -> ProblemSpec:
             f"expected one of {[f.value for f in Family]}, got {family_name!r}",
         )
 
-    digits = _as_int(_get(raw, "digits", "$", required=False, default=64), "$.digits")
-    if digits < 30:
-        raise SchemaError("$.digits", f"must be >= 30, got {digits}")
-    cfg = PrecisionConfig(digits=digits)
+    if digits is None:
+        digits = _as_int(_get(raw, "digits", "$", required=False, default=64), "$.digits")
+    cfg = _precision(digits)
 
     has_expr = "expr" in raw
     has_coeffs = "coefficients" in raw
@@ -359,11 +368,10 @@ def parse_problem(data: bytes | str) -> ProblemSpec:
         poly = _parse_coefficients(family, raw["coefficients"], "$.coefficients", cfg)
 
     total = sum(mults)
-    expected = degree_of(poly) if family is Family.ALGEBRAIC else 2 * degree_of(poly)
-    if total != expected:
+    if mults_degree(family, total) != degree_of(poly):
         raise SchemaError(
             "$.mults",
-            f"multiplicities sum to {total}, expected {expected} for this "
+            f"multiplicities sum to {total}, which does not fit this "
             f"{family.value} polynomial of degree {degree_of(poly)}",
         )
 
@@ -459,12 +467,12 @@ def parse_trace(data: bytes | str) -> SolveReport:
         raw = json.loads(data, parse_float=str)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    digits = _as_int(_get(raw, "digits", "$"), "$.digits")
-    cfg = PrecisionConfig(digits=digits)
+    cfg = _precision(_as_int(_get(raw, "digits", "$"), "$.digits"))
     snapshots = []
     for i, snap in enumerate(_get(raw, "snapshots", "$")):
-        xs = tuple(make_real(s, cfg) for s in _string_list(snap["x"], f"$.snapshots[{i}].x"))
-        snapshots.append(EstimateVector(xs, k=_as_int(snap["k"], f"$.snapshots[{i}].k")))
+        path = f"$.snapshots[{i}]"
+        xs = tuple(make_real(s, cfg) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
+        snapshots.append(EstimateVector(xs, k=_as_int(_get(snap, "k", path), f"{path}.k")))
     step_sizes = tuple(
         tuple(make_real(s, cfg) for s in row) for row in _get(raw, "step_sizes", "$")
     )

@@ -230,19 +230,6 @@ def make_real(text: str, cfg: PrecisionConfig | None = None) -> Real:
         raise ParseError(text, len(text), "magnitude out of range") from exc
 
 
-def as_real(value, digits: int = DEFAULT_DIGITS) -> Real:
-    """Coerce int/str/Decimal/Real to a Real (strings are parsed exactly then rounded)."""
-    if isinstance(value, Real):
-        return value
-    if isinstance(value, int):
-        return Real(_context(digits).plus(Decimal(value)), digits)
-    if isinstance(value, Decimal):
-        return Real(_context(digits).plus(value), digits)
-    if isinstance(value, str):
-        return make_real(value, PrecisionConfig(digits=digits))
-    raise TypeError(f"cannot convert {type(value).__name__} to Real")
-
-
 def zero(digits: int = DEFAULT_DIGITS) -> Real:
     return Real(_D0, digits)
 
@@ -301,44 +288,18 @@ def _reduce_two_pi(x: Decimal, ctx: Context) -> Decimal:
     return ctx.fma(n.copy_negate(), two_pi, x)
 
 
-def _sin_series(t: Decimal, ctx: Context) -> Decimal:
+def _series(t: Decimal, first: Decimal, offset: int, alternate: bool, ctx: Context) -> Decimal:
+    # sum of term_0 = first, term_i = (+/-) term_{i-1} t^2 / ((2i+offset-1)(2i+offset));
+    # offset 1 gives sin/sinh (first = t), offset 0 gives cos (first = 1).
     eps = _D1.scaleb(-(ctx.prec + 2))
     t2 = ctx.multiply(t, t)
-    term = t
-    total = t
+    term = first
+    total = first
     i = 1
     while True:
-        term = ctx.divide(ctx.multiply(term, t2), Decimal((2 * i) * (2 * i + 1)))
-        term = term.copy_negate()
-        total = ctx.add(total, term)
-        if term.copy_abs() <= eps:
-            return total
-        i += 1
-
-
-def _cos_series(t: Decimal, ctx: Context) -> Decimal:
-    eps = _D1.scaleb(-(ctx.prec + 2))
-    t2 = ctx.multiply(t, t)
-    term = _D1
-    total = _D1
-    i = 1
-    while True:
-        term = ctx.divide(ctx.multiply(term, t2), Decimal((2 * i - 1) * (2 * i)))
-        term = term.copy_negate()
-        total = ctx.add(total, term)
-        if term.copy_abs() <= eps:
-            return total
-        i += 1
-
-
-def _sinh_series(x: Decimal, ctx: Context) -> Decimal:
-    eps = _D1.scaleb(-(ctx.prec + 2))
-    x2 = ctx.multiply(x, x)
-    term = x
-    total = x
-    i = 1
-    while True:
-        term = ctx.divide(ctx.multiply(term, x2), Decimal((2 * i) * (2 * i + 1)))
+        term = ctx.divide(ctx.multiply(term, t2), Decimal((2 * i + offset - 1) * (2 * i + offset)))
+        if alternate:
+            term = term.copy_negate()
         total = ctx.add(total, term)
         if term.copy_abs() <= eps:
             return total
@@ -348,13 +309,13 @@ def _sinh_series(x: Decimal, ctx: Context) -> Decimal:
 def _sin_cos_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
     ctx = _context(prec)
     t = _reduce_two_pi(x, ctx) if x.copy_abs() > _pi_decimal(prec) else x
-    return _sin_series(t, ctx), _cos_series(t, ctx)
+    return _series(t, t, 1, True, ctx), _series(t, _D1, 0, True, ctx)
 
 
 def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
     ctx = _context(prec)
     if x.copy_abs() < Decimal("0.5"):
-        sh = _sinh_series(x, ctx)
+        sh = _series(x, x, 1, False, ctx)
         # cosh = sqrt(1 + sinh^2) would need sqrt; series-free identity via exp
         # is fine here because the sum has no cancellation.
         e = ctx.exp(x)
@@ -401,6 +362,11 @@ def coth(x: Real, guard_digits: int | None = None) -> Real:
     if x.is_zero():
         raise PoleError("coth", x)
     prec = _working_prec(x, guard_digits)
+    # coth x = sign(x) (1 + 2 e^(-2|x|) + ...); once 2 e^(-2|x|) is below half
+    # an ulp at prec digits (|x| > (prec ln 10 + ln 4)/2) that is exactly +/-1,
+    # and exp(x) would only overflow or underflow.
+    if x.dec.copy_abs() > (prec * 11513) // 10000 + 2:
+        return Real(_D1.copy_sign(x.dec), x.digits)
     ch, sh = _cosh_sinh_decimal(x.dec, prec)
     return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
 

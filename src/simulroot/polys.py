@@ -7,18 +7,21 @@ Three coefficient families are supported:
 * exponential: a_0/2 + sum_k (a_k cosh(kx) + b_k sinh(kx))
 
 plus a factored form whose factors are (x - r), sin((x - r)/2) or
-sinh((x - r)/2) raised to known multiplicities.  The factored form is
-how worked fixtures are written down; evaluation uses the product rule,
-so value and derivative are exactly zero at a root of multiplicity >= 2.
+sinh((x - r)/2) raised to known multiplicities.  Every numeric rule that
+depends on the family lives in one table, ``_RULES``.  The Newton ratio of a
+factored form is the reciprocal of its logarithmic derivative
+``sum_j m_j K(x - r_j)``, with K(d) = 1/d, cot(d/2)/2 or coth(d/2)/2;
+:func:`log_derivative` is that kernel, and the solver's correction sum
+is the same call over the other estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Sequence, Union
 
-from .numeric import Real, cos, cosh, one, sin, sinh, zero
+from .numeric import Real, cos, cosh, cot, coth, one, sin, sinh, zero
 
 
 class Family(str, Enum):
@@ -46,11 +49,76 @@ class DerivativeZeroError(ArithmeticError):
         super().__init__(f"derivative is zero at x = {x} while the value is not")
 
 
+class CoincidentPointError(ArithmeticError):
+    """x equals point ``index`` of a log-derivative sum, where K has its pole."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"x coincides with point {index}")
+
+
+@dataclass(frozen=True)
+class _Rule:
+    # Half-angle families have factors s((x - r)/2): multiplicities sum
+    # to 2n and the kernel is halved.
+    half_angle: bool
+    # (m, d) -> m * K(d), before halving
+    kernel: Callable[[int, Real], Real]
+    # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic
+    pair: Callable[[Real], tuple[Real, Real]] | None = None
+    sign: int = 0
+
+
+# The lambdas look cot, sin, ... up in this module at call time, so
+# rebinding those names (as perfbench's tracer does) reaches every call.
+_RULES = {
+    Family.ALGEBRAIC: _Rule(False, lambda m, d: m / d),
+    Family.TRIGONOMETRIC: _Rule(True, lambda m, d: m * cot(d / 2), lambda t: (cos(t), sin(t)), -1),
+    Family.EXPONENTIAL: _Rule(True, lambda m, d: m * coth(d / 2), lambda t: (cosh(t), sinh(t)), 1),
+}
+
+
+def mults_degree(family: Family, total: int) -> int | None:
+    """Degree n of a ``family`` polynomial whose multiplicities sum to ``total``.
+
+    Algebraic: n = total.  Half-angle families: the multiplicities sum to
+    2n, so n = total/2, and an odd total fits no degree (None).
+    """
+    if not _RULES[family].half_angle:
+        return total
+    return None if total % 2 else total // 2
+
+
+def log_derivative(
+    family: Family,
+    x: Real,
+    points: Sequence[Real],
+    mults: Sequence[int],
+    skip: int | None = None,
+) -> Real:
+    """sum_{j != skip} m_j K(x - p_j) with the family kernel K.
+
+    A point equal to x raises :class:`CoincidentPointError`.
+    """
+    rule = _RULES[family]
+    kernel = rule.kernel
+    total = zero(x.digits)
+    for j, (p, m) in enumerate(zip(points, mults)):
+        if j == skip:
+            continue
+        d = x - p
+        if d.is_zero():
+            raise CoincidentPointError(j)
+        total = total + kernel(m, d)
+    return total / 2 if rule.half_angle else total
+
+
 @dataclass(frozen=True)
 class AlgebraicCoeffPoly:
     """Monic algebraic polynomial; coeffs are a_1..a_n (leading 1 implicit)."""
 
     coeffs: tuple[Real, ...]
+    family = Family.ALGEBRAIC
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
@@ -62,31 +130,19 @@ class AlgebraicCoeffPoly:
 
 
 @dataclass(frozen=True)
-class TrigCoeffPoly:
+class TrigExpCoeffPoly:
+    """a0/2 + sum_k (a_k c(kx) + b_k s(kx)) with (c, s) = (cos, sin) or (cosh, sinh)."""
+
+    family: Family
     a0: Real
     a: tuple[Real, ...]
     b: tuple[Real, ...]
 
     def __post_init__(self):
+        if not _RULES[self.family].half_angle:
+            raise UnsupportedFamilyError(f"{self.family.value} has no (a0, a, b) coefficient form")
         if len(self.a) < 1 or len(self.a) != len(self.b):
-            raise ValueError("trigonometric polynomial needs equal-length a, b with degree >= 1")
-        if self.a[-1].is_zero() and self.b[-1].is_zero():
-            raise ValueError("leading coefficients a_n, b_n must not both be zero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.a)
-
-
-@dataclass(frozen=True)
-class ExpCoeffPoly:
-    a0: Real
-    a: tuple[Real, ...]
-    b: tuple[Real, ...]
-
-    def __post_init__(self):
-        if len(self.a) < 1 or len(self.a) != len(self.b):
-            raise ValueError("exponential polynomial needs equal-length a, b with degree >= 1")
+            raise ValueError(f"{self.family.value} polynomial needs equal-length a, b with degree >= 1")
         if self.a[-1].is_zero() and self.b[-1].is_zero():
             raise ValueError("leading coefficients a_n, b_n must not both be zero")
 
@@ -112,59 +168,42 @@ class FactoredPoly:
             for j in range(i + 1, len(self.roots)):
                 if self.roots[i] == self.roots[j]:
                     raise DuplicateRootError(self.roots[i], i, j)
-        if self.family is not Family.ALGEBRAIC and sum(self.mults) % 2:
+        if mults_degree(self.family, sum(self.mults)) is None:
             raise ValueError(
                 "trigonometric/exponential multiplicities must sum to an even number 2n"
             )
 
     @property
     def degree(self) -> int:
-        total = sum(self.mults)
-        return total if self.family is Family.ALGEBRAIC else total // 2
+        return mults_degree(self.family, sum(self.mults))
 
 
-Polynomial = Union[AlgebraicCoeffPoly, TrigCoeffPoly, ExpCoeffPoly, FactoredPoly]
+Polynomial = Union[AlgebraicCoeffPoly, TrigExpCoeffPoly, FactoredPoly]
 
 
 def family_of(p: Polynomial) -> Family:
-    if isinstance(p, AlgebraicCoeffPoly):
-        return Family.ALGEBRAIC
-    if isinstance(p, TrigCoeffPoly):
-        return Family.TRIGONOMETRIC
-    if isinstance(p, ExpCoeffPoly):
-        return Family.EXPONENTIAL
-    if isinstance(p, FactoredPoly):
-        return p.family
-    raise UnsupportedFamilyError(f"not a polynomial: {type(p).__name__}")
+    family = getattr(p, "family", None)
+    if not isinstance(family, Family):
+        raise UnsupportedFamilyError(f"not a polynomial: {type(p).__name__}")
+    return family
 
 
 def degree_of(p: Polynomial) -> int:
     return p.degree
 
 
-def _factor_value_derivative(family: Family, x: Real, r: Real) -> tuple[Real, Real]:
-    if family is Family.ALGEBRAIC:
-        return x - r, one(x.digits)
-    t = (x - r) / 2
-    if family is Family.TRIGONOMETRIC:
-        return sin(t), cos(t) / 2
-    return sinh(t), cosh(t) / 2
-
-
 def _eval_factored(p: FactoredPoly, x: Real) -> tuple[Real, Real]:
-    pairs = [_factor_value_derivative(p.family, x, r) for r in p.roots]
-    value = one(x.digits)
-    for (g, _), m in zip(pairs, p.mults):
-        value = value * g ** m
-    derivative = zero(x.digits)
-    for j, ((g, dg), m) in enumerate(zip(pairs, p.mults)):
-        term = m * dg
-        if m > 1:
-            term = term * g ** (m - 1)
-        for l, ((h, _), mh) in enumerate(zip(pairs, p.mults)):
-            if l != j:
-                term = term * h ** mh
-        derivative = derivative + term
+    # One pass of the product rule: (v, d) <- (v h, d h + v h'), h = g^m.
+    pair = _RULES[p.family].pair
+    value, derivative = one(x.digits), zero(x.digits)
+    for r, m in zip(p.roots, p.mults):
+        if pair is None:
+            g, dg = x - r, one(x.digits)
+        else:
+            c, g = pair((x - r) / 2)
+            dg = c / 2
+        h, dh = g ** m, m * g ** (m - 1) * dg
+        value, derivative = value * h, derivative * h + value * dh
     return value, derivative
 
 
@@ -177,23 +216,14 @@ def eval_with_derivative(p: Polynomial, x: Real) -> tuple[Real, Real]:
             derivative = derivative * x + value
             value = value * x + a
         return value, derivative
-    if isinstance(p, TrigCoeffPoly):
+    if isinstance(p, TrigExpCoeffPoly):
+        rule = _RULES[p.family]
         value = p.a0 / 2
         derivative = zero(x.digits)
         for k, (a, b) in enumerate(zip(p.a, p.b), start=1):
-            kx = k * x
-            s, c = sin(kx), cos(kx)
+            c, s = rule.pair(k * x)
             value = value + a * c + b * s
-            derivative = derivative + k * (b * c - a * s)
-        return value, derivative
-    if isinstance(p, ExpCoeffPoly):
-        value = p.a0 / 2
-        derivative = zero(x.digits)
-        for k, (a, b) in enumerate(zip(p.a, p.b), start=1):
-            kx = k * x
-            sh, ch = sinh(kx), cosh(kx)
-            value = value + a * ch + b * sh
-            derivative = derivative + k * (a * sh + b * ch)
+            derivative = derivative + k * (b * c + rule.sign * a * s)
         return value, derivative
     if isinstance(p, FactoredPoly):
         return _eval_factored(p, x)
@@ -206,8 +236,17 @@ def newton_ratio(p: Polynomial, x: Real) -> Real:
     At an exact root the ratio is zero regardless of the derivative (a
     root is a fixed point of the Newton map even when p' vanishes with
     p at a multiple root).  A zero derivative elsewhere is a genuine
-    stationary point and raises :class:`DerivativeZeroError`.
+    stationary point and raises :class:`DerivativeZeroError`.  A
+    factored form takes the reciprocal of its logarithmic derivative.
     """
+    if isinstance(p, FactoredPoly):
+        try:
+            total = log_derivative(p.family, x, p.roots, p.mults)
+        except CoincidentPointError:
+            return zero(x.digits)
+        if total.is_zero():
+            raise DerivativeZeroError(x)
+        return 1 / total
     value, derivative = eval_with_derivative(p, x)
     if value.is_zero():
         return zero(x.digits)

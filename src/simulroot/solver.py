@@ -20,13 +20,15 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import PrecisionConfig, Real, cot, coth, ln, pi, ten_power, zero
+from .numeric import PrecisionConfig, Real, ln, pi, ten_power
 from .polys import (
-    DerivativeZeroError,
+    CoincidentPointError,
     Family,
     Polynomial,
     degree_of,
     family_of,
+    log_derivative,
+    mults_degree,
     newton_ratio,
 )
 
@@ -78,20 +80,18 @@ class MultiplicityProfile:
     @classmethod
     def for_family(cls, family: Family, mults: Sequence[int]) -> "MultiplicityProfile":
         total = sum(mults)
-        if family is Family.ALGEBRAIC:
-            return cls(tuple(mults), total)
-        if total % 2:
+        degree = mults_degree(family, total)
+        if degree is None:
             raise ValueError(
                 f"{family.value} multiplicities must sum to 2n, got odd total {total}"
             )
-        return cls(tuple(mults), total // 2)
+        return cls(tuple(mults), degree)
 
     def check_family(self, family: Family) -> None:
         total = sum(self.mults)
-        expected = self.family_degree if family is Family.ALGEBRAIC else 2 * self.family_degree
-        if total != expected:
+        if mults_degree(family, total) != self.family_degree:
             raise ValueError(
-                f"multiplicities sum to {total}, expected {expected} for a "
+                f"multiplicities sum to {total}, which does not fit a "
                 f"{family.value} polynomial of degree {self.family_degree}"
             )
 
@@ -152,11 +152,6 @@ class IterationTrace:
             return None
         return tuple(max(row) for row in self.errors)
 
-    def root_errors(self, i: int) -> tuple[Real, ...] | None:
-        if self.errors is None:
-            return None
-        return tuple(row[i] for row in self.errors)
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -179,22 +174,10 @@ def correction_sum(
     if estimates.m != profile.m:
         raise ValueError("estimate vector and multiplicity profile disagree on m")
     xi = estimates.x[i]
-    total = zero(xi.digits)
-    for j, (xj, mult) in enumerate(zip(estimates.x, profile.mults)):
-        if j == i:
-            continue
-        dx = xi - xj
-        if dx.is_zero():
-            raise CollisionError(i, j, xi)
-        if family is Family.ALGEBRAIC:
-            total = total + mult / dx
-        elif family is Family.TRIGONOMETRIC:
-            total = total + mult * cot(dx / 2)
-        else:
-            total = total + mult * coth(dx / 2)
-    if family is Family.ALGEBRAIC:
-        return total
-    return total / 2
+    try:
+        return log_derivative(family, xi, estimates.x, profile.mults, skip=i)
+    except CoincidentPointError as exc:
+        raise CollisionError(i, exc.index, xi) from exc
 
 
 def _advance(
@@ -215,7 +198,7 @@ def _advance(
             else:
                 bracket = 1
             new.append(xi - mult * ratio * bracket)
-        except (DerivativeZeroError, CollisionError) as exc:
+        except (ArithmeticError, CollisionError) as exc:
             raise StepFailure(i, exc) from exc
     try:
         return EstimateVector(tuple(new), estimates.k + 1)
@@ -252,9 +235,10 @@ def solve(
 ) -> SolveReport:
     """Iterate until the largest per-root step falls below tolerance.
 
-    Step failures (estimate collisions, stationary points) abort the run
-    and are reported, never patched around.  When ``true_roots`` is given
-    the trace also records |x_i^[k] - x_i| per iteration.
+    Step failures (estimate collisions, stationary points, poles and any
+    other arithmetic error) abort the run and are reported, never thrown
+    or patched around.  When ``true_roots`` is given the trace also
+    records |x_i^[k] - x_i| per iteration.
     """
     cfg = cfg or SolveConfig()
     family = family_of(p)

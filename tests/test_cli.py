@@ -247,3 +247,46 @@ def test_digits_env_override(capsys, monkeypatch):
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run(capsys, "solve", "--frobnicate")
     assert code == 1
+
+
+def test_solve_far_start_exits_2_without_a_traceback(capsys):
+    code, _, err = run(capsys, "solve", "--expr", "sinh((x-1)/2)^2", "--init", "1e25")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "snapshot,path", [({"k": 0}, "$.snapshots[0].x"), ({"x": ["1"]}, "$.snapshots[0].k")]
+)
+def test_order_on_snapshot_missing_a_field_exits_1(capsys, tmp_path, snapshot, path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 64, "snapshots": [snapshot], "step_sizes": []}))
+    code, _, err = run(capsys, "order", "--input", str(trace), "--true-roots", "1")
+    assert code == 1
+    assert path in err and "missing required field" in err
+
+
+def test_solve_input_digits_override(capsys, tmp_path):
+    problem = {
+        "family": "algebraic",
+        "expr": "(x+2)^2*(x-1)*(x-3)^3",
+        "init": ["-3", "0.1", "4"],
+        "digits": 64,
+        "max_iters": 4,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--digits", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["digits"] == 40
+
+    path.write_text("{not json")
+    code, _, err = run(capsys, "solve", "--input", str(path), "--digits", "40")
+    assert code == 1
+    assert "$: invalid JSON" in err
+
+
+def test_digits_below_minimum_exits_1(capsys):
+    code, _, err = run(capsys, "reproduce", "--table", "3", "--digits", "20")
+    assert code == 1
+    assert "digits must be >= 30" in err

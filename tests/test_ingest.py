@@ -167,6 +167,18 @@ def test_parse_problem_multiplicity_sum_mismatch():
     assert "sum to 5" in str(excinfo.value)
 
 
+def test_parse_problem_digits_minimum_and_override():
+    with pytest.raises(SchemaError) as excinfo:
+        parse_problem(json.dumps(dict(EXAMPLE_PROBLEM, digits=20)))
+    assert "$.digits" in str(excinfo.value)
+    spec = parse_problem(json.dumps(dict(EXAMPLE_PROBLEM, digits=20)), digits=40)
+    assert spec.digits == 40
+    assert spec.init[0].digits == 40
+    with pytest.raises(SchemaError) as excinfo:
+        parse_problem(json.dumps(EXAMPLE_PROBLEM), digits=29)
+    assert "$.digits" in str(excinfo.value)
+
+
 def test_parse_problem_duplicate_initial_estimates():
     bad = dict(EXAMPLE_PROBLEM, init=["-3", "-3", "4"])
     with pytest.raises(CollisionError):

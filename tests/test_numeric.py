@@ -23,6 +23,7 @@ from simulroot.numeric import (
     ten_power,
     transcendental,
 )
+from simulroot.numeric import _context, _cosh_sinh_decimal
 from oracles import frac_cosh, frac_sinh
 
 PI_80 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862"
@@ -207,3 +208,50 @@ def test_value_equality_ignores_representation():
     assert make_real("3") == make_real("3.0")
     assert hash(make_real("3")) == hash(make_real("3.00"))
     assert make_real("3", PrecisionConfig(digits=40)) == make_real("3")
+
+
+# Digits produced before sin, cos and sinh shared one series loop; the
+# loop must perform the same operations in the same order.
+SERIES_PINS = [
+    (sin, "0.7", "0.6442176872376910536726143513987201830658138445736896447439630881"),
+    (cos, "0.7", "0.7648421872844884262558599901918649092682105503737033560729324583"),
+    (sin, "-2.5", "-0.5984721441039564940518547021861622717035971715772235733026270326"),
+    (cos, "-2.5", "-0.8011436155469337148335027904673516644285678487678201350745979917"),
+    (sin, "100.25", "-0.2772828564548513033536720570194358868442559899385790390607974705"),
+    (cos, "100.25", "0.9607883312760612034423445613620499861238010886101317061129058251"),
+    (sinh, "0.3", "0.3045202934471426189584352670050952290980242326801797273773039616"),
+    (sinh, "-0.45", "-0.4653420169341977590179281681904962356982548556967802400717314468"),
+]
+
+
+@pytest.mark.parametrize("fn,x,digits", SERIES_PINS)
+def test_series_results_are_pinned(fn, x, digits):
+    assert str(fn(make_real(x))) == digits
+
+
+def _coth_by_exp(x: Real) -> Real:
+    # the exp route that coth takes below its far-tail cut-off
+    prec = x.digits + 10
+    ch, sh = _cosh_sinh_decimal(x.dec, prec)
+    return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
+
+
+@pytest.mark.parametrize(
+    "digits,points",
+    [
+        (64, ["40", "73", "-73.5", "86", "87.5", "88", "-88", "150"]),
+        (256, ["290", "-290", "308.5", "-400", "600"]),
+    ],
+)
+def test_coth_far_tail_matches_the_exp_formula(digits, points):
+    # below ~digits*ln(10)/2 the result is not +/-1; the cut-off sits above that
+    cfg = PrecisionConfig(digits=digits)
+    for text in points:
+        x = make_real(text, cfg)
+        assert coth(x) == _coth_by_exp(x)
+
+
+def test_coth_of_huge_arguments_is_exact_unit_without_overflow():
+    assert coth(make_real("1e30")) == 1
+    assert coth(make_real("-1e30")) == -1
+    assert coth(make_real("1e30", PrecisionConfig(digits=256))).digits == 256

@@ -9,15 +9,14 @@ from simulroot.polys import (
     AlgebraicCoeffPoly,
     DerivativeZeroError,
     DuplicateRootError,
-    ExpCoeffPoly,
     FactoredPoly,
     Family,
-    TrigCoeffPoly,
+    TrigExpCoeffPoly,
     eval_with_derivative,
     expand_algebraic,
     newton_ratio,
 )
-from oracles import frac_cos, frac_cosh, frac_sin, frac_sinh
+from oracles import frac_cos, frac_cosh, frac_cot, frac_coth, frac_sin, frac_sinh
 
 R = make_real
 
@@ -73,7 +72,7 @@ def test_exp_fixture_value_at_zero():
 
 def test_trig_coefficient_evaluation_matches_series_oracle():
     # 0.5/2 + 2 cos(x) - sin(x) + 0.25 cos(2x) + 3 sin(2x) at x = 0.7
-    poly = TrigCoeffPoly(R("0.5"), (R("2"), R("0.25")), (R("-1"), R("3")))
+    poly = TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("0.5"), (R("2"), R("0.25")), (R("-1"), R("3")))
     x = Fraction(7, 10)
     value, derivative = eval_with_derivative(poly, R("0.7"))
     expected_value = (
@@ -94,7 +93,7 @@ def test_trig_coefficient_evaluation_matches_series_oracle():
 
 def test_exp_coefficient_evaluation_matches_series_oracle():
     # frequencies scale with the term index: k-th term uses cosh(kx), sinh(kx)
-    poly = ExpCoeffPoly(R("-1"), (R("1"), R("0.5")), (R("0"), R("-2")))
+    poly = TrigExpCoeffPoly(Family.EXPONENTIAL, R("-1"), (R("1"), R("0.5")), (R("0"), R("-2")))
     x = Fraction(3, 8)
     value, derivative = eval_with_derivative(poly, R("0.375"))
     expected_value = (
@@ -135,6 +134,32 @@ def test_newton_ratio_raises_at_stationary_point():
     with pytest.raises(DerivativeZeroError) as excinfo:
         newton_ratio(poly, R("0"))
     assert excinfo.value.x == 0
+
+
+def test_trig_newton_ratio_matches_fraction_oracle():
+    # p'/p = sum_j m_j cot((x - r_j)/2) / 2 at x = 0.5, which is not a root
+    x = Fraction(1, 2)
+    roots = (Fraction(1), Fraction(2), Fraction(5, 2))
+    log_derivative = sum(
+        Fraction(m, 2) * frac_cot((x - r) / 2) for r, m in zip(roots, (3, 2, 1))
+    )
+    ratio = newton_ratio(EXAMPLE_2, R("0.5"))
+    assert abs(as_fraction(ratio) - 1 / log_derivative) < Fraction(1, 10**60)
+
+
+def test_exp_newton_ratio_matches_fraction_oracle():
+    # p'/p = sum_j m_j coth((x - r_j)/2) / 2 at x = 0, which is not a root
+    log_derivative = frac_coth(Fraction(1)) + frac_coth(Fraction(-3, 2))
+    ratio = newton_ratio(EXAMPLE_3, R("0"))
+    assert abs(as_fraction(ratio) - 1 / log_derivative) < Fraction(1, 10**60)
+
+
+def test_factored_newton_ratio_raises_where_log_derivative_vanishes():
+    # roots -1 and 1: the kernel terms at x = 0 cancel exactly
+    for family in ("algebraic", "trigonometric"):
+        with pytest.raises(DerivativeZeroError) as excinfo:
+            newton_ratio(factored(family, ["-1", "1"], [1, 1]), R("0"))
+        assert excinfo.value.x == 0
 
 
 def test_expand_single_linear_factor():
@@ -184,7 +209,7 @@ def test_odd_multiplicity_sum_rejected_for_half_angle_families():
 
 def test_leading_trig_coefficients_must_not_vanish():
     with pytest.raises(ValueError):
-        TrigCoeffPoly(R("1"), (R("1"), R("0")), (R("0"), R("0")))
+        TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("1"), (R("1"), R("0")), (R("0"), R("0")))
 
 
 grid_roots = st.lists(

@@ -11,11 +11,16 @@ grid arithmetic for the trigonometric one) and pin down that:
   1e-14 at every cell, and
 * exactly the two annotated cells of the reference tables are
   transcription slips (a digit inserted or dropped), not engine errors.
+
+A last check bounds the engine's own rounding: every snapshot of the
+three worked examples lies within 2 ulp of a rerun at 2*digits+20 digits.
 """
 
 from fractions import Fraction
 
-from simulroot.fixtures import EXAMPLE_1, EXAMPLE_2, run_example
+import pytest
+
+from simulroot.fixtures import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, run_example
 from simulroot.numeric import Real, make_real
 
 from oracles import algebraic_chebyshev_run, frac_to_str, trig_chebyshev_run
@@ -82,3 +87,14 @@ def test_trigonometric_reference_table_against_rational_grid_replay():
 
     assert frac_to_str(replay[4][1], 19) == "1.9999999999999897755"
     assert EXAMPLE_2.table[4][1] == "1.99999999999989780"
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+@pytest.mark.parametrize("example", [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], ids=["alg", "trig", "exp"])
+def test_worked_examples_within_two_ulp_of_high_precision_replay(example, digits):
+    report = run_example(example, digits=digits, track_errors=False)
+    replay = run_example(example, digits=2 * digits + 20, track_errors=False)
+    for snap, exact in zip(report.trace.snapshots, replay.trace.snapshots):
+        for computed, truth in zip(snap.x, exact.x):
+            ulp = Fraction(10) ** (computed.dec.adjusted() - digits + 1)
+            assert abs(as_fraction(computed) - as_fraction(truth)) <= 2 * ulp

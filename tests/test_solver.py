@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulroot.numeric import Real, make_real, pi, ten_power
-from simulroot.polys import AlgebraicCoeffPoly, FactoredPoly, Family
+from simulroot.polys import AlgebraicCoeffPoly, FactoredPoly, Family, TrigExpCoeffPoly
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
@@ -26,6 +26,7 @@ from oracles import (
     algebraic_chebyshev_step,
     algebraic_newton_step,
     frac_cot,
+    frac_coth,
 )
 
 R = make_real
@@ -78,6 +79,13 @@ def test_correction_sum_trigonometric_fixture():
     vec = estimates("0.2", "1.7", "3")
     total = correction_sum(Family.TRIGONOMETRIC, vec, PROFILE_2, 0)
     expected = (2 * frac_cot(Fraction(-3, 4)) + frac_cot(Fraction(-7, 5))) / 2
+    assert abs(as_fraction(total) - expected) < Fraction(1, 10**60)
+
+
+def test_correction_sum_exponential_fixture():
+    vec = estimates("-1.5", "3.4")
+    total = correction_sum(Family.EXPONENTIAL, vec, PROFILE_3, 0)
+    expected = 2 * frac_coth(Fraction(-49, 20)) / 2
     assert abs(as_fraction(total) - expected) < Fraction(1, 10**60)
 
 
@@ -198,6 +206,22 @@ def test_solve_reports_step_failure():
     profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (1, 1))
     report = solve(poly, profile, estimates("0", "5"), SolveConfig(max_iters=5))
     assert not report.converged
+    assert report.stop_reason is StopReason.STEP_FAILURE
+    assert "index 0" in report.failure
+
+
+def test_solve_far_from_the_roots_returns_a_report():
+    # coth of the 1e20 separation is +/-1 to working precision; no decimal
+    # signal escapes, the run simply does not converge
+    report = solve(EXAMPLE_3, PROFILE_3, estimates("-1e20", "1e20"), SolveConfig(max_iters=5))
+    assert not report.converged
+
+
+def test_solve_reports_arithmetic_errors_as_step_failures():
+    # cosh(kx), sinh(kx) at |x| = 1e25 overflow / underflow the decimal context
+    poly = TrigExpCoeffPoly(Family.EXPONENTIAL, R("-1"), (R("1"),), (R("0"),))
+    profile = MultiplicityProfile.for_family(Family.EXPONENTIAL, (1, 1))
+    report = solve(poly, profile, estimates("-1e25", "1e25"), SolveConfig(max_iters=5))
     assert report.stop_reason is StopReason.STEP_FAILURE
     assert "index 0" in report.failure
 
