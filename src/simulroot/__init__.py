@@ -25,6 +25,7 @@ from .polys import (
     expand_algebraic,
     log_derivative,
     newton_ratio,
+    pairwise_log_derivatives,
 )
 from .solver import (
     CollisionError,

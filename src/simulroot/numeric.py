@@ -8,11 +8,14 @@ mutate and values are safe to share between threads.
 
 The elementary functions required by the iteration families (sin, cos,
 cot, sinh, cosh, coth) are evaluated with ``guard_digits`` extra digits
-and rounded back to the argument's precision.  sin/cos use Taylor series
-after range reduction by 2*pi (pi via Machin's formula, cached per
-precision); sinh/cosh use the context's correctly rounded exp, with a
-direct series for small arguments to avoid cancellation.  cot and coth
-are quotients of the above.
+and rounded back to the argument's precision.  One argument-halving
+kernel per family gives both functions of a pair: it sums the odd
+Taylor series (sin or sinh) at x / 2^k, doubles back k times and takes
+one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
+formula, cached per precision) carrying extra digits for large
+arguments.  sinh/cosh use the context's exp only past coth's far-tail
+cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
+return a whole pair from one kernel run.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from decimal import (
 )
 from decimal import MAX_EMAX, MIN_EMIN
 from functools import lru_cache
+from math import frexp, isqrt
 
 MIN_DIGITS = 30
 DEFAULT_DIGITS = 64
@@ -279,93 +283,141 @@ def pi(digits: int = DEFAULT_DIGITS) -> Real:
     return Real(_pi_decimal(digits), digits)
 
 
-def _reduce_two_pi(x: Decimal, ctx: Context) -> Decimal:
+def _reduce_two_pi(x: Decimal, prec: int) -> Decimal:
     # x minus the nearest multiple of 2*pi; fma keeps the cancellation exact.
-    two_pi = _context(ctx.prec).multiply(_D2, _pi_decimal(ctx.prec))
+    # Beyond |x| >= 10, pi carries x.adjusted() + 2 more digits, so that
+    # n*2*pi is known to ~prec digits after the point (Ng 1992).
+    extra = x.adjusted() + 2 if x.adjusted() > 0 else 0
+    ctx = _context(prec + extra)
+    two_pi = ctx.multiply(_D2, _pi_decimal(prec + extra))
     n = ctx.to_integral_value(ctx.divide(x, two_pi))
     if n.is_zero():
         return x
     return ctx.fma(n.copy_negate(), two_pi, x)
 
 
-def _series(t: Decimal, first: Decimal, offset: int, alternate: bool, ctx: Context) -> Decimal:
-    # sum of term_0 = first, term_i = (+/-) term_{i-1} t^2 / ((2i+offset-1)(2i+offset));
-    # offset 1 gives sin/sinh (first = t), offset 0 gives cos (first = 1).
-    eps = _D1.scaleb(-(ctx.prec + 2))
+def _odd_series(t: Decimal, alternate: bool, ctx: Context) -> Decimal:
+    # sin t (alternate) or sinh t: term_i = term_{i-1} (+/-t^2) / ((2i)(2i+1))
+    stop = -(ctx.prec + 2)
     t2 = ctx.multiply(t, t)
-    term = first
-    total = first
+    if alternate:
+        t2 = t2.copy_negate()
+    term = total = t
     i = 1
     while True:
-        term = ctx.divide(ctx.multiply(term, t2), Decimal((2 * i + offset - 1) * (2 * i + offset)))
-        if alternate:
-            term = term.copy_negate()
+        term = ctx.divide(ctx.multiply(term, t2), (2 * i) * (2 * i + 1))
         total = ctx.add(total, term)
-        if term.copy_abs() <= eps:
+        if term.adjusted() < stop:
             return total
         i += 1
 
 
-def _sin_cos_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    ctx = _context(prec)
-    t = _reduce_two_pi(x, ctx) if x.copy_abs() > _pi_decimal(prec) else x
-    return _series(t, t, 1, True, ctx), _series(t, _D1, 0, True, ctx)
+def _halving_steps(x: Decimal, prec: int) -> tuple[int, Context]:
+    # k = k0 + the binary exponent of x, so that |x / 2^k| < 2^-k0, with
+    # k0 ~ sqrt(prec)/1.5 balancing series terms against doublings.  The
+    # doublings amplify rounding errors by up to 2^k, which the
+    # 3k/10 + 3 extra digits absorb.
+    k = max(1, isqrt(prec) * 2 // 3 + frexp(float(x))[1])
+    return k, _context(prec + (3 * k) // 10 + 3)
+
+
+def _cos_sin_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
+    # Argument halving (Brent 1976): sin a from its series at a = t / 2^k,
+    # cos a = sqrt(1 - sin^2 a), then k doublings cos 2a = 1 - 2 sin^2 a,
+    # sin 2a = 2 sin a cos a.  Every step is odd in sin and even in cos,
+    # so sin(-x) = -sin(x) and cos(-x) = cos(x) exactly.
+    t = _reduce_two_pi(x, prec) if x.copy_abs() > _pi_decimal(prec) else x
+    if t.is_zero():
+        return _D1, t
+    k, ctx = _halving_steps(t, prec)
+    s = _odd_series(ctx.divide(t, 1 << k), True, ctx)
+    c = ctx.sqrt(ctx.subtract(1, ctx.multiply(s, s)))
+    for _ in range(k):
+        s, c = ctx.multiply(2, ctx.multiply(s, c)), ctx.fma(-2, ctx.multiply(s, s), 1)
+    return c, s
+
+
+def _far_tail(x: Decimal, prec: int) -> bool:
+    # e^(-2|x|) is below half an ulp at prec digits once
+    # |x| > (prec ln 10 + ln 4)/2, i.e. coth x = +/-1 exactly.
+    return x.copy_abs() > (prec * 11513) // 10000 + 2
 
 
 def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    ctx = _context(prec)
-    if x.copy_abs() < Decimal("0.5"):
-        sh = _series(x, x, 1, False, ctx)
-        # cosh = sqrt(1 + sinh^2) would need sqrt; series-free identity via exp
-        # is fine here because the sum has no cancellation.
+    if _far_tail(x, prec):
+        # past coth's cut-off, which only the theorem checks reach
+        ctx = _context(prec)
         e = ctx.exp(x)
-        ch = ctx.divide(ctx.add(e, ctx.divide(_D1, e)), _D2)
-        return ch, sh
-    e = ctx.exp(x)
-    einv = ctx.divide(_D1, e)
-    return ctx.divide(ctx.add(e, einv), _D2), ctx.divide(ctx.subtract(e, einv), _D2)
+        einv = ctx.divide(_D1, e)
+        return ctx.divide(ctx.add(e, einv), _D2), ctx.divide(ctx.subtract(e, einv), _D2)
+    if x.is_zero():
+        return _D1, x
+    # Argument halving on q = sinh^2, which has no cancellation to guard
+    # against: q(a) from the sinh series at a = x / 2^k, k - 1 doublings
+    # q(2a) = 4 q (1 + q) up to q = sinh^2(x/2), then cosh x = 1 + 2q and
+    # sinh x = sign(x) sqrt(4q(1 + q)).  A doubling costs one
+    # multiplication fewer than the (cosh, sinh) form, and q is even, so
+    # sinh(-x) = -sinh(x) and cosh(-x) = cosh(x) exactly.
+    k, ctx = _halving_steps(x, prec)
+    s = _odd_series(ctx.divide(x, 1 << k), False, ctx)
+    q = ctx.multiply(s, s)
+    for _ in range(k - 1):
+        q4 = ctx.multiply(4, q)
+        q = ctx.fma(q4, q, q4)
+    q4 = ctx.multiply(4, q)
+    return ctx.fma(2, q, 1), ctx.sqrt(ctx.fma(q4, q, q4)).copy_sign(x)
 
 
 def _working_prec(x: Real, guard: int | None) -> int:
     return x.digits + (DEFAULT_GUARD_DIGITS if guard is None else guard)
 
 
+def _rounded_pair(pair: tuple[Decimal, Decimal], digits: int) -> tuple[Real, Real]:
+    ctx = _context(digits)
+    return Real(ctx.plus(pair[0]), digits), Real(ctx.plus(pair[1]), digits)
+
+
+def cos_sin(x: Real, guard_digits: int | None = None) -> tuple[Real, Real]:
+    """(cos x, sin x) from one kernel run, each rounded to x's precision."""
+    return _rounded_pair(_cos_sin_decimal(x.dec, _working_prec(x, guard_digits)), x.digits)
+
+
+def cosh_sinh(x: Real, guard_digits: int | None = None) -> tuple[Real, Real]:
+    """(cosh x, sinh x) from one kernel run, each rounded to x's precision."""
+    return _rounded_pair(_cosh_sinh_decimal(x.dec, _working_prec(x, guard_digits)), x.digits)
+
+
 def sin(x: Real, guard_digits: int | None = None) -> Real:
-    s, _ = _sin_cos_decimal(x.dec, _working_prec(x, guard_digits))
-    return Real(_context(x.digits).plus(s), x.digits)
+    return cos_sin(x, guard_digits)[1]
 
 
 def cos(x: Real, guard_digits: int | None = None) -> Real:
-    _, c = _sin_cos_decimal(x.dec, _working_prec(x, guard_digits))
-    return Real(_context(x.digits).plus(c), x.digits)
+    return cos_sin(x, guard_digits)[0]
 
 
 def cot(x: Real, guard_digits: int | None = None) -> Real:
     prec = _working_prec(x, guard_digits)
-    s, c = _sin_cos_decimal(x.dec, prec)
+    c, s = _cos_sin_decimal(x.dec, prec)
     if s.is_zero():
         raise PoleError("cot", x)
     return Real(_context(x.digits).plus(_context(prec).divide(c, s)), x.digits)
 
 
 def sinh(x: Real, guard_digits: int | None = None) -> Real:
-    _, sh = _cosh_sinh_decimal(x.dec, _working_prec(x, guard_digits))
-    return Real(_context(x.digits).plus(sh), x.digits)
+    return cosh_sinh(x, guard_digits)[1]
 
 
 def cosh(x: Real, guard_digits: int | None = None) -> Real:
-    ch, _ = _cosh_sinh_decimal(x.dec, _working_prec(x, guard_digits))
-    return Real(_context(x.digits).plus(ch), x.digits)
+    return cosh_sinh(x, guard_digits)[0]
 
 
 def coth(x: Real, guard_digits: int | None = None) -> Real:
     if x.is_zero():
         raise PoleError("coth", x)
     prec = _working_prec(x, guard_digits)
-    # coth x = sign(x) (1 + 2 e^(-2|x|) + ...); once 2 e^(-2|x|) is below half
-    # an ulp at prec digits (|x| > (prec ln 10 + ln 4)/2) that is exactly +/-1,
-    # and exp(x) would only overflow or underflow.
-    if x.dec.copy_abs() > (prec * 11513) // 10000 + 2:
+    # coth x = sign(x) (1 + 2 e^(-2|x|) + ...), and exp(x) would only
+    # overflow or underflow here.
+    if _far_tail(x.dec, prec):
         return Real(_D1.copy_sign(x.dec), x.digits)
     ch, sh = _cosh_sinh_decimal(x.dec, prec)
     return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)

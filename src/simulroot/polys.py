@@ -11,17 +11,19 @@ sinh((x - r)/2) raised to known multiplicities.  Every numeric rule that
 depends on the family lives in one table, ``_RULES``.  The Newton ratio of a
 factored form is the reciprocal of its logarithmic derivative
 ``sum_j m_j K(x - r_j)``, with K(d) = 1/d, cot(d/2)/2 or coth(d/2)/2;
-:func:`log_derivative` is that kernel, and the solver's correction sum
-is the same call over the other estimates.
+:func:`log_derivative` is that kernel.  The solver's correction sums are
+the same sums over the other estimates, all of them from one pairwise
+pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, truediv
 from typing import Callable, Sequence, Union
 
-from .numeric import Real, cos, cosh, cot, coth, one, sin, sinh, zero
+from .numeric import Real, cos_sin, cosh_sinh, cot, coth, one, zero
 
 
 class Family(str, Enum):
@@ -50,10 +52,14 @@ class DerivativeZeroError(ArithmeticError):
 
 
 class CoincidentPointError(ArithmeticError):
-    """x equals point ``index`` of a log-derivative sum, where K has its pole."""
+    """x equals point ``index`` of a log-derivative sum, where K has its pole.
 
-    def __init__(self, index: int):
+    In :func:`pairwise_log_derivatives`, x is point ``at``.
+    """
+
+    def __init__(self, index: int, at: int | None = None):
         self.index = index
+        self.at = at
         super().__init__(f"x coincides with point {index}")
 
 
@@ -62,19 +68,21 @@ class _Rule:
     # Half-angle families have factors s((x - r)/2): multiplicities sum
     # to 2n and the kernel is halved.
     half_angle: bool
-    # (m, d) -> m * K(d), before halving
-    kernel: Callable[[int, Real], Real]
+    # d -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
+    odd: Callable[[Real], Real]
+    # (m, odd(d)) -> m * K(d), before halving; weigh(m, -k) == -weigh(m, k)
+    weigh: Callable[[int, Real], Real]
     # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic
     pair: Callable[[Real], tuple[Real, Real]] | None = None
     sign: int = 0
 
 
-# The lambdas look cot, sin, ... up in this module at call time, so
+# The lambdas look cot and coth up in this module at call time, so
 # rebinding those names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(False, lambda m, d: m / d),
-    Family.TRIGONOMETRIC: _Rule(True, lambda m, d: m * cot(d / 2), lambda t: (cos(t), sin(t)), -1),
-    Family.EXPONENTIAL: _Rule(True, lambda m, d: m * coth(d / 2), lambda t: (cosh(t), sinh(t)), 1),
+    Family.ALGEBRAIC: _Rule(False, lambda d: d, truediv),
+    Family.TRIGONOMETRIC: _Rule(True, lambda d: cot(d / 2), mul, cos_sin, -1),
+    Family.EXPONENTIAL: _Rule(True, lambda d: coth(d / 2), mul, cosh_sinh, 1),
 }
 
 
@@ -101,7 +109,6 @@ def log_derivative(
     A point equal to x raises :class:`CoincidentPointError`.
     """
     rule = _RULES[family]
-    kernel = rule.kernel
     total = zero(x.digits)
     for j, (p, m) in enumerate(zip(points, mults)):
         if j == skip:
@@ -109,8 +116,32 @@ def log_derivative(
         d = x - p
         if d.is_zero():
             raise CoincidentPointError(j)
-        total = total + kernel(m, d)
+        total = total + rule.weigh(m, rule.odd(d))
     return total / 2 if rule.half_angle else total
+
+
+def pairwise_log_derivatives(
+    family: Family, points: Sequence[Real], mults: Sequence[int]
+) -> list[Real]:
+    """``log_derivative(family, p_i, points, mults, skip=i)`` for every i.
+
+    K is odd, so each unordered pair {i, j} evaluates odd(p_i - p_j) once:
+    it adds m_j K to sum i and subtracts m_i K from sum j.  Every sum
+    takes its terms in ascending order of the other index, as
+    :func:`log_derivative` does, so the results are the same bit for bit.
+    A coincident pair raises :class:`CoincidentPointError` with ``at=i``.
+    """
+    rule = _RULES[family]
+    sums = [zero(p.digits) for p in points]
+    for i, (p, m) in enumerate(zip(points, mults)):
+        for j in range(i + 1, len(points)):
+            d = p - points[j]
+            if d.is_zero():
+                raise CoincidentPointError(j, at=i)
+            k = rule.odd(d)
+            sums[i] = sums[i] + rule.weigh(mults[j], k)
+            sums[j] = sums[j] - rule.weigh(m, k)
+    return [total / 2 for total in sums] if rule.half_angle else sums
 
 
 @dataclass(frozen=True)

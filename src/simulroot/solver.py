@@ -27,9 +27,9 @@ from .polys import (
     Polynomial,
     degree_of,
     family_of,
-    log_derivative,
     mults_degree,
     newton_ratio,
+    pairwise_log_derivatives,
 )
 
 
@@ -165,19 +165,28 @@ class SolveReport:
             raise ValueError("a converged report must stop on tolerance")
 
 
+def correction_sums(
+    family: Family, estimates: EstimateVector, profile: MultiplicityProfile
+) -> list[Real]:
+    """Q_i'(x_i)/Q_i(x_i) over the other estimates' factors, for every i.
+
+    One pairwise pass evaluates each pair's kernel once.
+    """
+    if estimates.m != profile.m:
+        raise ValueError("estimate vector and multiplicity profile disagree on m")
+    try:
+        return pairwise_log_derivatives(family, estimates.x, profile.mults)
+    except CoincidentPointError as exc:
+        raise CollisionError(exc.at, exc.index, estimates.x[exc.at]) from exc
+
+
 def correction_sum(
     family: Family, estimates: EstimateVector, profile: MultiplicityProfile, i: int
 ) -> Real:
     """Q_i'(x_i)/Q_i(x_i) over the other estimates' factors (0-based i)."""
     if not 0 <= i < estimates.m:
         raise IndexError(f"root index {i} out of range for m = {estimates.m}")
-    if estimates.m != profile.m:
-        raise ValueError("estimate vector and multiplicity profile disagree on m")
-    xi = estimates.x[i]
-    try:
-        return log_derivative(family, xi, estimates.x, profile.mults, skip=i)
-    except CoincidentPointError as exc:
-        raise CollisionError(i, exc.index, xi) from exc
+    return correction_sums(family, estimates, profile)[i]
 
 
 def _advance(
@@ -190,11 +199,13 @@ def _advance(
     if family_of(p) is not family:
         raise ValueError(f"polynomial family {family_of(p).value} does not match {family.value}")
     new = []
+    corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
         try:
             ratio = newton_ratio(p, xi)
             if chebyshev:
-                bracket = 1 + ratio * correction_sum(family, estimates, profile, i)
+                corrections = corrections or correction_sums(family, estimates, profile)
+                bracket = 1 + ratio * corrections[i]
             else:
                 bracket = 1
             new.append(xi - mult * ratio * bracket)

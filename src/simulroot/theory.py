@@ -3,7 +3,9 @@
 Each check evaluates the printed hypotheses of one convergence theorem
 (one per polynomial family) for given separation constants and reports
 every inequality's sides per root index.  Checks report failures, they
-never raise: a failed hypothesis is a result, not an error.
+never raise: a failed hypothesis is a result, not an error.  The one
+exception is a quantity too large for the decimal exponent range, which
+is an input error (a ValueError naming the quantity).
 
 The guaranteed error envelope is c * q^(3^k); :func:`error_bound`
 evaluates it, underflowing to zero when the exponent exhausts the
@@ -13,7 +15,8 @@ representable range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from decimal import Overflow
+from typing import Callable, Sequence
 
 from .numeric import Real, cosh, one, pi, sin, sinh, zero
 
@@ -218,6 +221,13 @@ def check_theorem2(
     )
 
 
+def _evaluate(quantity: str, compute: Callable[[], Real]) -> Real:
+    try:
+        return compute()
+    except Overflow as exc:
+        raise ValueError(f"{quantity} overflows the decimal exponent range") from exc
+
+
 def check_theorem3(
     n: int, mults: Sequence[int], d: Real, c: Real, q: Real
 ) -> TheoremReport:
@@ -226,16 +236,21 @@ def check_theorem3(
     S = sinh((d - 2c)/2).  The ambiguous "S cosh^-1 c" term is read as
     S / cosh(c): the inverse function is undefined for c < 1.
     """
-    sinh_c = abs(sinh(c))
-    cosh_c = cosh(c)
+    sinh_c = abs(_evaluate("sinh(c)", lambda: sinh(c)))
+    cosh_c = _evaluate("cosh(c)", lambda: cosh(c))
     globals_ = (
         _q_in_unit_interval(q),
         _check("c > 0", c, ">", zero(c.digits)),
         _check("d - 2c > 0", d - 2 * c, ">", zero(d.digits)),
-        _check("c |sinh c| + cosh c < 12", c * sinh_c + cosh_c, "<", 12 * one(c.digits)),
+        _check(
+            "c |sinh c| + cosh c < 12",
+            _evaluate("c |sinh c| + cosh c", lambda: c * sinh_c + cosh_c),
+            "<",
+            12 * one(c.digits),
+        ),
     )
     half_gap = (d - 2 * c) / 2
-    s_const = sinh(half_gap)
+    s_const = _evaluate("S = sinh((d - 2c)/2)", lambda: sinh(half_gap))
     per_index = []
     for i, mult in enumerate(mults):
         if not s_const > 0:
@@ -256,10 +271,11 @@ def check_theorem3(
                 )
             )
             continue
-        lhs = (
-            mult * mult * one(c.digits)
+        lhs = _evaluate(
+            f"the main inequality's left side for i={i + 1}",
+            lambda: mult * mult * one(c.digits)
             + (n / s_const) * (mult * c + sinh_c / s_const ** 3) * sinh_c
-            + (2 * n / (s_const * s_const)) * cosh_c
+            + (2 * n / (s_const * s_const)) * cosh_c,
         )
         rhs = mult + s_const / cosh_c
         per_index.append(

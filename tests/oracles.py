@@ -1,8 +1,9 @@
 """Independent reference computations used by the tests.
 
-Everything here is exact rational arithmetic on ``fractions.Fraction``:
-Taylor series with enough terms for the requested precision, and an
-exact-rational replay of the algebraic iteration.  None of it touches
+Everything here is rational arithmetic on ``fractions.Fraction``: exact
+Taylor series with enough terms for the requested precision, series
+rounded to a fixed fine grid for large arguments and high precision, and
+an exact-rational replay of the algebraic iteration.  None of it touches
 the package's decimal machinery, so these values are genuinely
 independent of the code under test.
 """
@@ -73,7 +74,7 @@ def frac_coth(x: Fraction, digits: int = 80) -> Fraction:
 
 
 def round_to_grid(x: Fraction, places: int) -> Fraction:
-    """Round to the nearest multiple of 10^-places (ties away from zero)."""
+    """Round to the nearest multiple of 10^-places (ties upward)."""
     scale = 10 ** places
     scaled = x * scale
     whole = scaled.numerator // scaled.denominator
@@ -127,26 +128,64 @@ def algebraic_chebyshev_run(roots, mults, init, iterations):
     return snapshots
 
 
-# -- half-angle sine iteration replay at fixed grid precision ----------
+# -- fixed-grid series: large arguments at high precision --------------
 
 
-def _grid_sin_cos(x: Fraction, places: int) -> tuple[Fraction, Fraction]:
-    # Taylor series with every term snapped to the grid; keeps the
-    # fractions' denominators bounded by 10^places.
-    x = round_to_grid(x, places)
-    x2 = round_to_grid(x * x, places)
-    s_term, s_total = x, x
-    c_term, c_total = Fraction(1), Fraction(1)
+def grid_sin_cos(x: Fraction, places: int, sign: int = -1) -> tuple[Fraction, Fraction]:
+    """(sin x, cos x), or (sinh x, cosh x) with ``sign=1``, on a 10^-places grid.
+
+    Taylor series with x, x^2 and every term rounded to the grid as
+    :func:`round_to_grid` does, so the values stay bounded integers
+    where the exact series of :func:`frac_sin` grows its denominators
+    without bound.  The absolute error is about (number of terms) *
+    10^-places, relative to the largest term.
+    """
+    scale = 10 ** places
+
+    def rnd(n: int, d: int) -> int:
+        # n/d to the nearest integer, ties upward (as round_to_grid)
+        return (2 * n + d) // (2 * d)
+
+    xs = rnd(x.numerator * scale, x.denominator)
+    x2 = rnd(xs * xs, scale)
+    s_term = s_total = xs
+    c_term = c_total = scale
     i = 1
     while s_term or c_term:
-        s_term = round_to_grid(-s_term * x2, places) / ((2 * i) * (2 * i + 1))
-        s_term = round_to_grid(s_term, places)
+        s_term = rnd(rnd(sign * s_term * x2, scale), (2 * i) * (2 * i + 1))
         s_total += s_term
-        c_term = round_to_grid(-c_term * x2, places) / ((2 * i - 1) * (2 * i))
-        c_term = round_to_grid(c_term, places)
+        c_term = rnd(rnd(sign * c_term * x2, scale), (2 * i - 1) * (2 * i))
         c_total += c_term
         i += 1
-    return round_to_grid(s_total, places), round_to_grid(c_total, places)
+    return Fraction(s_total, scale), Fraction(c_total, scale)
+
+
+def grid_pi(places: int) -> Fraction:
+    """pi to about 10^-places by Gauss's formula
+    pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239), in integer fixed
+    point (a different formula from the package's Machin series)."""
+    scale = 10 ** (places + 5)
+
+    def atan_inverse(k: int) -> int:
+        total, power, i = 0, scale // k, 0
+        while power:
+            term = power // (2 * i + 1)
+            total += -term if i % 2 else term
+            power //= k * k
+            i += 1
+        return total
+
+    return Fraction(48 * atan_inverse(18) + 32 * atan_inverse(57) - 20 * atan_inverse(239), scale)
+
+
+def reduce_two_pi(x: Fraction, places: int) -> Fraction:
+    """x minus the nearest multiple of 2*pi, to about 10^-places."""
+    magnitude = len(str(abs(x.numerator) // x.denominator))
+    two_pi = 2 * grid_pi(places + magnitude + 2)
+    return x - round(x / two_pi) * two_pi
+
+
+# -- half-angle sine iteration replay at fixed grid precision ----------
 
 
 def trig_chebyshev_run(roots, mults, init, iterations, places: int = 50):
@@ -159,7 +198,7 @@ def trig_chebyshev_run(roots, mults, init, iterations, places: int = 50):
     work = places + 15
 
     def half_cot(u: Fraction) -> Fraction:
-        s, c = _grid_sin_cos(u, work)
+        s, c = grid_sin_cos(u, work)
         return round_to_grid(c / s, work)
 
     snapshots = [list(init)]

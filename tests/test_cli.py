@@ -158,6 +158,21 @@ def test_verify_theorem2_requires_xi(capsys):
     assert "--xi" in err
 
 
+def test_verify_theorem3_overflow_exits_1_without_a_traceback(capsys):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--theorem", "3",
+        "--d", "1e30",
+        "--c", "1e20",
+        "--q", "0.5",
+        "--mults", "1,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: sinh(c) overflows the decimal exponent range\n"
+
+
 def test_verify_theorem3_json_output(capsys):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,7 +25,15 @@ from simulroot.numeric import (
     transcendental,
 )
 from simulroot.numeric import _context, _cosh_sinh_decimal
-from oracles import frac_cosh, frac_sinh
+from oracles import (
+    frac_cos,
+    frac_cosh,
+    frac_sin,
+    frac_sinh,
+    grid_sin_cos,
+    reduce_two_pi,
+    round_to_grid,
+)
 
 PI_80 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862"
 
@@ -210,8 +219,9 @@ def test_value_equality_ignores_representation():
     assert make_real("3", PrecisionConfig(digits=40)) == make_real("3")
 
 
-# Digits produced before sin, cos and sinh shared one series loop; the
-# loop must perform the same operations in the same order.
+# Digits produced by the earlier kernels (two full Taylor series per
+# call, then one shared series loop).  The argument-halving kernels take
+# different steps, but the rounded results must not move.
 SERIES_PINS = [
     (sin, "0.7", "0.6442176872376910536726143513987201830658138445736896447439630881"),
     (cos, "0.7", "0.7648421872844884262558599901918649092682105503737033560729324583"),
@@ -230,7 +240,8 @@ def test_series_results_are_pinned(fn, x, digits):
 
 
 def _coth_by_exp(x: Real) -> Real:
-    # the exp route that coth takes below its far-tail cut-off
+    # cosh/sinh from the kernel: exp past coth's far-tail cut-off, argument
+    # halving below it
     prec = x.digits + 10
     ch, sh = _cosh_sinh_decimal(x.dec, prec)
     return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
@@ -255,3 +266,83 @@ def test_coth_of_huge_arguments_is_exact_unit_without_overflow():
     assert coth(make_real("1e30")) == 1
     assert coth(make_real("-1e30")) == -1
     assert coth(make_real("1e30", PrecisionConfig(digits=256))).digits == 256
+
+
+# -- kernels against independent oracles -------------------------------
+
+
+def _ulp(v: Real) -> Fraction:
+    return Fraction(10) ** (v.dec.adjusted() - v.digits + 1)
+
+
+def _common_points(digits: int) -> list[Real]:
+    # seeded: tiny arguments 1e-40..1e-1 and uniform ones in [-pi, pi]
+    cfg = PrecisionConfig(digits=digits)
+    rng = random.Random(digits)
+    tiny = [
+        f"{rng.choice('-+')}{rng.randint(1, 9)}.{rng.randint(0, 999999):06d}e-{e}"
+        for e in (1, 3, 10, 20, 40)
+    ]
+    uniform = [repr(rng.uniform(-3.14159, 3.14159)) for _ in range(6)]
+    return [make_real(text, cfg) for text in tiny + uniform]
+
+
+def _trig_points(digits: int) -> list[Real]:
+    half_pi, whole_pi = pi(digits) / 2, pi(digits)
+    near = [half_pi + sign * ten_power(-j, digits) for sign in (1, -1) for j in (4, 10, 12)]
+    near += [whole_pi - ten_power(-j, digits) for j in (1, 10, 12)]
+    near += [ten_power(-j, digits) - whole_pi for j in (4, 10)]
+    return _common_points(digits) + near
+
+
+# Up to +/-700, and on both sides of coth's far-tail cut-off (87 at 64
+# digits, 308 at 256).
+_HYPERBOLIC = {
+    64: ["-699.25", "411.5", "86", "-87.5", "88", "150"],
+    256: ["-640.75", "290", "308.5", "-400"],
+}
+
+
+def _assert_within_one_ulp(fns, x, truths):
+    for fn, truth in zip(fns, truths):
+        value = fn(x)
+        assert abs(Fraction(value.dec) - truth) <= _ulp(value), (fn.__name__, str(x))
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_trigonometric_kernels_within_one_ulp_of_the_oracle(digits):
+    # The grid series at digits + 70 places is good to ~1e-(digits+67),
+    # at least digits + 20 significant digits on every point here.
+    for x in _trig_points(digits):
+        s, c = grid_sin_cos(Fraction(x.dec), digits + 70)
+        _assert_within_one_ulp((sin, cos, cot), x, (s, c, c / s))
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_hyperbolic_kernels_within_one_ulp_of_the_oracle(digits):
+    cfg = PrecisionConfig(digits=digits)
+    points = _common_points(digits) + [make_real(t, cfg) for t in _HYPERBOLIC[digits]]
+    for x in points:
+        sh, ch = grid_sin_cos(Fraction(x.dec), digits + 70, sign=1)
+        _assert_within_one_ulp((sinh, cosh, coth), x, (sh, ch, ch / sh))
+
+
+@pytest.mark.parametrize("text", ["1e6", "-3.75e10", "1e20", "1e30", "-2.5e33", "1e40"])
+def test_large_arguments_reduce_with_enough_digits_of_pi(text):
+    # With pi at working precision, sin(1e30) was off by 4.4e-45 at 64 digits.
+    digits = 64
+    x = make_real(text)
+    places = digits + 25
+    r = round_to_grid(reduce_two_pi(Fraction(x.dec), places), places)
+    _assert_within_one_ulp((sin, cos), x, (frac_sin(r, digits + 20), frac_cos(r, digits + 20)))
+
+
+def test_kernels_are_odd_and_even_bit_for_bit():
+    # The pairwise correction pass relies on cot(-t) == -cot(t) exactly.
+    for digits in (64, 256):
+        for x in _trig_points(digits) + [make_real("-3.5e7", PrecisionConfig(digits=digits))]:
+            assert str(cot(-x)) == str(-cot(x))
+            assert str(sin(-x)) == str(-sin(x)) and str(cos(-x)) == str(cos(x))
+        for x in _common_points(digits):
+            assert str(coth(-x)) == str(-coth(x))
+            assert str(sinh(-x)) == str(-sinh(x)) and str(cosh(-x)) == str(cosh(x))

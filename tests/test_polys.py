@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulroot import numeric
 from simulroot.numeric import Real, make_real, ten_power
 from simulroot.polys import (
     AlgebraicCoeffPoly,
+    CoincidentPointError,
     DerivativeZeroError,
     DuplicateRootError,
     FactoredPoly,
@@ -14,7 +17,9 @@ from simulroot.polys import (
     TrigExpCoeffPoly,
     eval_with_derivative,
     expand_algebraic,
+    log_derivative,
     newton_ratio,
+    pairwise_log_derivatives,
 )
 from oracles import frac_cos, frac_cosh, frac_cot, frac_coth, frac_sin, frac_sinh
 
@@ -252,3 +257,40 @@ def test_central_difference_matches_derivative(family, point):
     central = (plus - minus) / (2 * h)
     scale = abs(derivative) + abs(value) + 1
     assert abs(central - derivative) <= ten_power(-17) * scale
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_coefficient_form_runs_one_kernel_per_term(family, monkeypatch):
+    # each term k needs (c(kx), s(kx)) and gets both from one kernel run,
+    # which sums one odd series
+    runs = []
+    series = numeric._odd_series
+    monkeypatch.setattr(numeric, "_odd_series", lambda *a: runs.append(a) or series(*a))
+    if family is Family.ALGEBRAIC:
+        p = AlgebraicCoeffPoly((R("1"), R("-2")))
+        expected = 0
+    else:
+        p = TrigExpCoeffPoly(family, R("1"), (R("0.5"), R("2")), (R("-1"), R("0.25")))
+        expected = 2
+    eval_with_derivative(p, R("0.3"))
+    assert len(runs) == expected
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_pairwise_sums_equal_per_point_sums_bit_for_bit(family, m):
+    rng = random.Random(m)
+    points = [R(repr(rng.uniform(-3, 3))) for _ in range(m)]
+    mults = [2] + [rng.randint(1, 3) for _ in range(m - 1)]
+    sums = pairwise_log_derivatives(family, points, mults)
+    assert len(sums) == m
+    for i, total in enumerate(sums):
+        alone = log_derivative(family, points[i], points, mults, skip=i)
+        assert total.dec.compare_total(alone.dec) == 0
+        assert total.digits == alone.digits
+
+
+def test_pairwise_sums_report_a_coincident_pair():
+    with pytest.raises(CoincidentPointError) as excinfo:
+        pairwise_log_derivatives(Family.ALGEBRAIC, [R("1"), R("2"), R("1")], [1, 1, 1])
+    assert (excinfo.value.at, excinfo.value.index) == (0, 2)

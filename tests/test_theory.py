@@ -199,3 +199,17 @@ def test_error_bound_monotone_and_underflows_to_zero():
             assert bound < previous
         previous = bound
     assert error_bound(c, q, 50).is_zero()
+
+
+@pytest.mark.parametrize(
+    "d,c,quantity",
+    [
+        ("1e30", "1e20", "sinh(c)"),
+        ("1e30", "1", "S = sinh((d - 2c)/2)"),
+        ("2e18", "1", "the main inequality's left side for i=1"),
+    ],
+)
+def test_theorem3_overflow_names_the_quantity(d, c, quantity):
+    with pytest.raises(ValueError) as excinfo:
+        check_theorem3(1, (1, 1), R(d), R(c), R("0.5"))
+    assert str(excinfo.value) == f"{quantity} overflows the decimal exponent range"
