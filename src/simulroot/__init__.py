@@ -59,10 +59,10 @@ from .theory import (
     min_separation,
 )
 from .ingest import (
-    ExpressionAST,
     ExpressionError,
     ProblemSpec,
     SchemaError,
+    expression_problem,
     parse_expression,
     parse_problem,
     parse_trace,

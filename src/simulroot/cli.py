@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -23,21 +24,18 @@ from .fixtures import EXAMPLES, TABLE_TOLERANCE, diff_against_table, run_example
 from .ingest import (
     ExpressionError,
     SchemaError,
-    parse_expression,
+    expression_problem,
     parse_problem,
     parse_trace,
     render_theorem_report,
     render_trace,
 )
-from .numeric import ParseError, PoleError, PrecisionConfig, make_real
+from .numeric import DEFAULT_DIGITS, ParseError, PoleError, PrecisionConfig, make_real
 from .polys import DuplicateRootError, Family, mults_degree
 from .solver import (
     CollisionError,
-    EstimateVector,
     InsufficientDataError,
     Method,
-    MultiplicityProfile,
-    SolveConfig,
     SolveReport,
     StopReason,
     empirical_order,
@@ -88,7 +86,7 @@ def _resolve_digits(value: int | None) -> int:
         return value
     env = os.environ.get("SIMULROOT_DIGITS")
     if env is None:
-        return 64
+        return DEFAULT_DIGITS
     try:
         digits = int(env)
     except ValueError:
@@ -199,43 +197,26 @@ def cmd_solve(args) -> int:
         raise UsageError("provide exactly one of --input or --expr")
     if args.input is not None:
         spec = parse_problem(Path(args.input).read_bytes(), digits=args.digits)
-        digits = spec.digits
-        cfg_prec = PrecisionConfig(digits=digits)
-        poly = spec.poly
-        profile = spec.profile()
-        init = spec.initial_vector()
-        tolerance = make_real(args.tolerance, cfg_prec) if args.tolerance else spec.tolerance
-        solve_cfg = SolveConfig(
-            max_iters=args.max_iters if args.max_iters is not None else spec.max_iters,
-            step_tolerance=tolerance,
-            precision=cfg_prec,
-            method=Method(args.method) if args.method else spec.method,
-        )
+    elif args.init is None:
+        raise UsageError("--expr requires --init")
     else:
-        if args.init is None:
-            raise UsageError("--expr requires --init")
-        digits = _resolve_digits(args.digits)
-        cfg_prec = PrecisionConfig(digits=digits)
-        poly = parse_expression(args.expr, cfg_prec)
-        mults = _csv_ints(args.mults) if args.mults else list(poly.mults)
-        if len(mults) != len(poly.mults):
-            raise UsageError(
-                f"--mults has {len(mults)} entries but the expression has "
-                f"{len(poly.mults)} factors"
-            )
-        profile = MultiplicityProfile.for_family(poly.family, mults)
-        init = EstimateVector(
-            tuple(make_real(s, cfg_prec) for s in _csv_strings(args.init))
+        spec = expression_problem(
+            args.expr,
+            _csv_strings(args.init),
+            _csv_ints(args.mults) if args.mults else None,
+            _resolve_digits(args.digits),
         )
-        tolerance = make_real(args.tolerance, cfg_prec) if args.tolerance else None
-        solve_cfg = SolveConfig(
-            max_iters=args.max_iters if args.max_iters is not None else 50,
-            step_tolerance=tolerance,
-            precision=cfg_prec,
-            method=Method(args.method) if args.method else Method.CHEBYSHEV,
-        )
+    overrides = {}
+    if args.max_iters is not None:
+        overrides["max_iters"] = args.max_iters
+    if args.tolerance is not None:
+        cfg = PrecisionConfig(spec.init[0].digits)
+        overrides["step_tolerance"] = make_real(args.tolerance, cfg)
+    if args.method is not None:
+        overrides["method"] = Method(args.method)
+    config = replace(spec.config, **overrides)
 
-    report = solve(poly, profile, init, solve_cfg)
+    report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
     sys.stdout.write(render_trace(report, args.format).decode())
     if report.failure:
         print(f"step failure: {report.failure}", file=sys.stderr)
@@ -353,7 +334,7 @@ def cmd_reproduce(args) -> int:
 
     cfg = PrecisionConfig(digits=digits)
     tolerance = make_real(TABLE_TOLERANCE, cfg)
-    diffs = diff_against_table(report, example, digits=digits)
+    diffs = diff_against_table(report, example)
     worst = max(diffs, key=lambda cell: cell.discrepancy)
     failures = [cell for cell in diffs if cell.discrepancy > tolerance]
     print(f"entries compared: {len(diffs)}")

@@ -13,17 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numeric import PrecisionConfig, Real, make_real
-from .polys import Family
-from .solver import (
-    EstimateVector,
-    Method,
-    MultiplicityProfile,
-    SolveConfig,
-    SolveReport,
-    solve,
-)
-from .ingest import parse_expression
+from .numeric import DEFAULT_DIGITS, PrecisionConfig, Real, make_real
+from .solver import Method, SolveConfig, SolveReport, solve
+from .ingest import expression_problem
 
 # Every reference entry is within this of an exact re-run, except the two
 # annotated transcription slips.
@@ -33,7 +25,6 @@ TABLE_TOLERANCE = "1e-14"
 @dataclass(frozen=True)
 class WorkedExample:
     name: str
-    family: Family
     expression: str
     roots: tuple[str, ...]
     mults: tuple[int, ...]
@@ -47,7 +38,6 @@ class WorkedExample:
 
 EXAMPLE_1 = WorkedExample(
     name="algebraic degree 6",
-    family=Family.ALGEBRAIC,
     expression="(x+2)^2*(x-1)*(x-3)^3",
     roots=("-2", "1", "3"),
     mults=(2, 1, 3),
@@ -71,7 +61,6 @@ EXAMPLE_1 = WorkedExample(
 
 EXAMPLE_2 = WorkedExample(
     name="trigonometric degree 3",
-    family=Family.TRIGONOMETRIC,
     expression="sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)",
     roots=("1", "2", "2.5"),
     mults=(3, 2, 1),
@@ -96,7 +85,6 @@ EXAMPLE_2 = WorkedExample(
 
 EXAMPLE_3 = WorkedExample(
     name="exponential degree 2",
-    family=Family.EXPONENTIAL,
     expression="sinh((x+2)/2)^2*sinh((x-3)/2)^2",
     roots=("-2", "3"),
     mults=(2, 2),
@@ -116,25 +104,24 @@ EXAMPLES = {1: EXAMPLE_1, 2: EXAMPLE_2, 3: EXAMPLE_3}
 
 def run_example(
     example: WorkedExample,
-    digits: int = 64,
+    digits: int = DEFAULT_DIGITS,
     method: Method = Method.CHEBYSHEV,
     max_iters: int | None = None,
     track_errors: bool = True,
 ) -> SolveReport:
     """Solve a worked example exactly as published."""
+    spec = expression_problem(example.expression, example.init, example.mults, digits)
     cfg = PrecisionConfig(digits=digits)
-    poly = parse_expression(example.expression, cfg)
-    profile = MultiplicityProfile.for_family(example.family, example.mults)
-    init = EstimateVector(tuple(make_real(s, cfg) for s in example.init))
     true_roots = (
         tuple(make_real(s, cfg) for s in example.roots) if track_errors else None
     )
     solve_cfg = SolveConfig(
         max_iters=max_iters if max_iters is not None else example.iterations,
-        precision=cfg,
         method=method,
     )
-    return solve(poly, profile, init, solve_cfg, true_roots=true_roots)
+    return solve(
+        spec.poly, spec.profile(), spec.initial_vector(), solve_cfg, true_roots=true_roots
+    )
 
 
 @dataclass(frozen=True)
@@ -147,11 +134,10 @@ class CellDiff:
     note: str | None = None
 
 
-def diff_against_table(
-    report: SolveReport, example: WorkedExample, digits: int = 64
-) -> list[CellDiff]:
-    """Absolute discrepancy of every computed entry against the reference."""
-    cfg = PrecisionConfig(digits=digits)
+def diff_against_table(report: SolveReport, example: WorkedExample) -> list[CellDiff]:
+    """Absolute discrepancy of every computed entry against the reference,
+    read at the precision the report's estimates carry."""
+    cfg = PrecisionConfig(max(x.digits for x in report.trace.snapshots[0].x))
     diffs = []
     for k, row in enumerate(example.table):
         snap = report.trace.snapshots[k]

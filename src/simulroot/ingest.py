@@ -17,10 +17,10 @@ at the same precision is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Sequence
 
-from .numeric import PrecisionConfig, Real, format_fixed, make_real
+from .numeric import DEFAULT_DIGITS, PrecisionConfig, Real, format_fixed, make_real
 from .polys import (
     AlgebraicCoeffPoly,
     Family,
@@ -54,24 +54,14 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_BASE_FAMILY = {
-    "linear": Family.ALGEBRAIC,
-    "sin-half": Family.TRIGONOMETRIC,
-    "sinh-half": Family.EXPONENTIAL,
+# The function that wraps each family's factor, f((x - r)/2), or none for
+# (x - r).  Parsing tries the names in this order, so "sinh" comes
+# before its prefix "sin", and the empty name matches last.
+_FACTOR_FUNCTION = {
+    Family.EXPONENTIAL: "sinh",
+    Family.TRIGONOMETRIC: "sin",
+    Family.ALGEBRAIC: "",
 }
-
-
-@dataclass(frozen=True)
-class ExpressionFactor:
-    kind: str  # linear | sin-half | sinh-half
-    shift: str  # decimal numeral with sign, as written
-    power: int
-    position: int  # where the factor started, for diagnostics
-
-
-@dataclass(frozen=True)
-class ExpressionAST:
-    factors: tuple[ExpressionFactor, ...]
 
 
 class _Scanner:
@@ -146,26 +136,19 @@ def _parse_shifted_x(sc: _Scanner) -> str:
     return sign + num
 
 
-def _parse_factor(sc: _Scanner) -> ExpressionFactor:
+def _parse_factor(sc: _Scanner) -> tuple[Family, int, str, int]:
+    # (family, position where the factor starts, signed shift, power)
     sc.skip_ws()
     position = sc.pos
-    if sc.match("sinh"):
+    family = next(f for f, name in _FACTOR_FUNCTION.items() if sc.match(name))
+    if _FACTOR_FUNCTION[family]:
         sc.expect("(")
         shift = _parse_shifted_x(sc)
         sc.expect("/")
         sc.expect("2")
         sc.expect(")")
-        kind = "sinh-half"
-    elif sc.match("sin"):
-        sc.expect("(")
-        shift = _parse_shifted_x(sc)
-        sc.expect("/")
-        sc.expect("2")
-        sc.expect(")")
-        kind = "sin-half"
     else:
         shift = _parse_shifted_x(sc)
-        kind = "linear"
     power = 1
     if sc.match("^"):
         sc.skip_ws()
@@ -173,16 +156,7 @@ def _parse_factor(sc: _Scanner) -> ExpressionFactor:
         power = sc.integer()
         if power < 1:
             raise ExpressionError(sc.text, power_position, "factor power must be >= 1")
-    return ExpressionFactor(kind=kind, shift=shift, power=power, position=position)
-
-
-def parse_expression_ast(text: str) -> ExpressionAST:
-    sc = _Scanner(text)
-    factors = [_parse_factor(sc)]
-    while not sc.done():
-        sc.expect("*")
-        factors.append(_parse_factor(sc))
-    return ExpressionAST(tuple(factors))
+    return family, position, shift, power
 
 
 def _negate_numeral(signed: str) -> str:
@@ -192,58 +166,89 @@ def _negate_numeral(signed: str) -> str:
 def parse_expression(text: str, cfg: PrecisionConfig | None = None) -> FactoredPoly:
     """Parse a factored product into a FactoredPoly (root r = -shift)."""
     cfg = cfg or PrecisionConfig()
-    ast = parse_expression_ast(text)
-    kinds = {f.kind for f in ast.factors}
-    if len(kinds) > 1:
-        offender = next(f for f in ast.factors if f.kind != ast.factors[0].kind)
-        raise ExpressionError(
-            text, offender.position, "mixed factor families in one product"
-        )
-    family = _BASE_FAMILY[ast.factors[0].kind]
-    roots = tuple(make_real(_negate_numeral(f.shift), cfg) for f in ast.factors)
-    mults = tuple(f.power for f in ast.factors)
-    return FactoredPoly(family=family, roots=roots, mults=mults)
+    sc = _Scanner(text)
+    factors = [_parse_factor(sc)]
+    while not sc.done():
+        sc.expect("*")
+        factors.append(_parse_factor(sc))
+    family = factors[0][0]
+    for other, position, _, _ in factors:
+        if other is not family:
+            raise ExpressionError(text, position, "mixed factor families in one product")
+    return FactoredPoly(
+        family=family,
+        roots=tuple(make_real(_negate_numeral(shift), cfg) for _, _, shift, _ in factors),
+        mults=tuple(power for _, _, _, power in factors),
+    )
 
 
 def render_expression(f: FactoredPoly) -> str:
     """Canonical print; parse_expression of the result round-trips."""
-    wrap = {
-        Family.ALGEBRAIC: "(x{})",
-        Family.TRIGONOMETRIC: "sin((x{})/2)",
-        Family.EXPONENTIAL: "sinh((x{})/2)",
-    }[f.family]
+    name = _FACTOR_FUNCTION[f.family]
     parts = []
     for root, mult in zip(f.roots, f.mults):
         shift = ("+" + str(-root)) if root < 0 else ("-" + str(root))
-        base = wrap.format(shift)
+        base = f"{name}((x{shift})/2)" if name else f"(x{shift})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     return "*".join(parts)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    family: Family
+    """A polynomial, its known multiplicities, the initial estimates and how to iterate."""
+
     poly: Polynomial
     mults: tuple[int, ...]
     init: tuple[Real, ...]
-    digits: int
-    max_iters: int
-    tolerance: Real | None
-    method: Method
+    config: SolveConfig = SolveConfig()
 
     def profile(self) -> MultiplicityProfile:
-        return MultiplicityProfile.for_family(self.family, self.mults)
+        return MultiplicityProfile(self.mults)
 
     def initial_vector(self) -> EstimateVector:
         return EstimateVector(self.init, k=0)
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iters=self.max_iters,
-            step_tolerance=self.tolerance,
-            precision=PrecisionConfig(digits=self.digits),
-            method=self.method,
+        return self.config
+
+
+def _problem(
+    poly: Polynomial, mults: Sequence[int] | None, init: Sequence[str], cfg: PrecisionConfig
+) -> ProblemSpec:
+    # Multiplicities default to a factored form's powers.
+    if mults is None:
+        mults = poly.mults
+    elif isinstance(poly, FactoredPoly) and len(mults) != len(poly.mults):
+        raise SchemaError(
+            "$.mults",
+            f"length {len(mults)} does not match the expression's {len(poly.mults)} factors",
         )
+    for i, v in enumerate(mults):
+        if v < 1:
+            raise SchemaError(f"$.mults[{i}]", f"must be positive, got {v}")
+    total = sum(mults)
+    if mults_degree(poly.family, total) != degree_of(poly):
+        raise SchemaError(
+            "$.mults",
+            f"multiplicities sum to {total}, which does not fit this "
+            f"{poly.family.value} polynomial of degree {degree_of(poly)}",
+        )
+    if len(init) != len(mults):
+        raise SchemaError("$.init", f"expected {len(mults)} initial estimates, got {len(init)}")
+    estimates = tuple(make_real(s, cfg) for s in init)
+    EstimateVector(estimates, k=0)  # raises CollisionError on duplicates
+    return ProblemSpec(poly, tuple(mults), estimates)
+
+
+def expression_problem(
+    expr: str,
+    init: Sequence[str],
+    mults: Sequence[int] | None = None,
+    digits: int = DEFAULT_DIGITS,
+) -> ProblemSpec:
+    """The problem of a factored expression, checked as :func:`parse_problem` checks a file."""
+    cfg = PrecisionConfig(digits)
+    return _problem(parse_expression(expr, cfg), mults, init, cfg)
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
@@ -326,7 +331,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
         )
 
     if digits is None:
-        digits = _as_int(_get(raw, "digits", "$", required=False, default=64), "$.digits")
+        digits = _as_int(raw.get("digits", DEFAULT_DIGITS), "$.digits")
     cfg = _precision(digits)
 
     has_expr = "expr" in raw
@@ -340,9 +345,6 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
         if not isinstance(mults_raw, list) or not mults_raw:
             raise SchemaError("$.mults", "expected a non-empty array of integers")
         mults = [_as_int(v, f"$.mults[{i}]") for i, v in enumerate(mults_raw)]
-        for i, v in enumerate(mults):
-            if v < 1:
-                raise SchemaError(f"$.mults[{i}]", f"must be positive, got {v}")
 
     if has_expr:
         expr = _get(raw, "expr", "$")
@@ -357,34 +359,12 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
                 "$.family",
                 f"declared {family.value} but the expression is {poly.family.value}",
             )
-        if mults is None:
-            mults = list(poly.mults)
-        elif len(mults) != len(poly.mults):
-            raise SchemaError(
-                "$.mults",
-                f"length {len(mults)} does not match the expression's {len(poly.mults)} factors",
-            )
     else:
         poly = _parse_coefficients(family, raw["coefficients"], "$.coefficients", cfg)
 
-    total = sum(mults)
-    if mults_degree(family, total) != degree_of(poly):
-        raise SchemaError(
-            "$.mults",
-            f"multiplicities sum to {total}, which does not fit this "
-            f"{family.value} polynomial of degree {degree_of(poly)}",
-        )
+    spec = _problem(poly, mults, _string_list(_get(raw, "init", "$"), "$.init"), cfg)
 
-    init_raw = _get(raw, "init", "$")
-    init_strings = _string_list(init_raw, "$.init")
-    if len(init_strings) != len(mults):
-        raise SchemaError(
-            "$.init", f"expected {len(mults)} initial estimates, got {len(init_strings)}"
-        )
-    init = tuple(make_real(s, cfg) for s in init_strings)
-    EstimateVector(init, k=0)  # raises CollisionError on duplicates
-
-    max_iters = _as_int(_get(raw, "max_iters", "$", required=False, default=50), "$.max_iters")
+    max_iters = _as_int(raw.get("max_iters", SolveConfig.max_iters), "$.max_iters")
     if max_iters < 1:
         raise SchemaError("$.max_iters", f"must be >= 1, got {max_iters}")
 
@@ -394,7 +374,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
         if not tolerance > 0:
             raise SchemaError("$.tolerance", "must be positive")
 
-    method_name = _get(raw, "method", "$", required=False, default=Method.CHEBYSHEV.value)
+    method_name = raw.get("method", SolveConfig.method.value)
     try:
         method = Method(method_name)
     except ValueError:
@@ -403,16 +383,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
             f"expected one of {[m.value for m in Method]}, got {method_name!r}",
         )
 
-    return ProblemSpec(
-        family=family,
-        poly=poly,
-        mults=tuple(mults),
-        init=init,
-        digits=digits,
-        max_iters=max_iters,
-        tolerance=tolerance,
-        method=method,
-    )
+    return replace(spec, config=SolveConfig(max_iters, tolerance, method))
 
 
 # -- trace rendering ----------------------------------------------------

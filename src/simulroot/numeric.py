@@ -7,8 +7,10 @@ operands' precision, so there is no process-wide precision setting to
 mutate and values are safe to share between threads.
 
 The elementary functions required by the iteration families (sin, cos,
-cot, sinh, cosh, coth) are evaluated with ``guard_digits`` extra digits
-and rounded back to the argument's precision.  One argument-halving
+cot, sinh, cosh, coth) are evaluated with ``DEFAULT_GUARD_DIGITS`` extra
+digits, a constant, and rounded back to the argument's precision; near
+a zero of sin or cos, where cancellation eats the guard, the evaluation
+reruns with more digits (Ziv's strategy).  One argument-halving
 kernel per family gives both functions of a pair: it sums the odd
 Taylor series (sin or sinh) at x / 2^k, doubles back k times and takes
 one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
@@ -67,16 +69,13 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision: ``digits`` carried by values, ``guard_digits`` used internally."""
+    """Working precision: the ``digits`` that parsed values carry."""
 
     digits: int = DEFAULT_DIGITS
-    guard_digits: int = DEFAULT_GUARD_DIGITS
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.guard_digits < 0:
-            raise ValueError(f"guard_digits must be >= 0, got {self.guard_digits}")
 
 
 @lru_cache(maxsize=None)
@@ -322,6 +321,27 @@ def _halving_steps(x: Decimal, prec: int) -> tuple[int, Context]:
 
 
 def _cos_sin_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
+    # Ziv's strategy.  Near a zero of sin or cos other than x = 0, the
+    # reduction and the doublings keep an absolute error, so the result
+    # loses as many digits as its exponent lies below the argument's
+    # scale (1 for cos, min(|x|, 1) for sin).  A pass absorbs half the
+    # guard digits and leaves the other half for rounding; when more were
+    # lost, the pass runs again with that many more digits, pi included.
+    # The test reads only exponents, so it is the same for x and -x.
+    if x.is_zero():
+        return _D1, x
+    scale = min(x.adjusted(), 0)
+    absorbed = DEFAULT_GUARD_DIGITS // 2
+    while True:
+        c, s = _cos_sin_pass(x, prec)
+        lost = max(scale - s.adjusted(), -c.adjusted())
+        if lost <= absorbed:
+            return c, s
+        prec += lost
+        absorbed += lost
+
+
+def _cos_sin_pass(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
     # Argument halving (Brent 1976): sin a from its series at a = t / 2^k,
     # cos a = sqrt(1 - sin^2 a), then k doublings cos 2a = 1 - 2 sin^2 a,
     # sin 2a = 2 sin a cos a.  Every step is odd in sin and even in cos,
@@ -368,8 +388,8 @@ def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
     return ctx.fma(2, q, 1), ctx.sqrt(ctx.fma(q4, q, q4)).copy_sign(x)
 
 
-def _working_prec(x: Real, guard: int | None) -> int:
-    return x.digits + (DEFAULT_GUARD_DIGITS if guard is None else guard)
+def _working_prec(x: Real) -> int:
+    return x.digits + DEFAULT_GUARD_DIGITS
 
 
 def _rounded_pair(pair: tuple[Decimal, Decimal], digits: int) -> tuple[Real, Real]:
@@ -377,44 +397,44 @@ def _rounded_pair(pair: tuple[Decimal, Decimal], digits: int) -> tuple[Real, Rea
     return Real(ctx.plus(pair[0]), digits), Real(ctx.plus(pair[1]), digits)
 
 
-def cos_sin(x: Real, guard_digits: int | None = None) -> tuple[Real, Real]:
+def cos_sin(x: Real) -> tuple[Real, Real]:
     """(cos x, sin x) from one kernel run, each rounded to x's precision."""
-    return _rounded_pair(_cos_sin_decimal(x.dec, _working_prec(x, guard_digits)), x.digits)
+    return _rounded_pair(_cos_sin_decimal(x.dec, _working_prec(x)), x.digits)
 
 
-def cosh_sinh(x: Real, guard_digits: int | None = None) -> tuple[Real, Real]:
+def cosh_sinh(x: Real) -> tuple[Real, Real]:
     """(cosh x, sinh x) from one kernel run, each rounded to x's precision."""
-    return _rounded_pair(_cosh_sinh_decimal(x.dec, _working_prec(x, guard_digits)), x.digits)
+    return _rounded_pair(_cosh_sinh_decimal(x.dec, _working_prec(x)), x.digits)
 
 
-def sin(x: Real, guard_digits: int | None = None) -> Real:
-    return cos_sin(x, guard_digits)[1]
+def sin(x: Real) -> Real:
+    return cos_sin(x)[1]
 
 
-def cos(x: Real, guard_digits: int | None = None) -> Real:
-    return cos_sin(x, guard_digits)[0]
+def cos(x: Real) -> Real:
+    return cos_sin(x)[0]
 
 
-def cot(x: Real, guard_digits: int | None = None) -> Real:
-    prec = _working_prec(x, guard_digits)
+def cot(x: Real) -> Real:
+    prec = _working_prec(x)
     c, s = _cos_sin_decimal(x.dec, prec)
     if s.is_zero():
         raise PoleError("cot", x)
     return Real(_context(x.digits).plus(_context(prec).divide(c, s)), x.digits)
 
 
-def sinh(x: Real, guard_digits: int | None = None) -> Real:
-    return cosh_sinh(x, guard_digits)[1]
+def sinh(x: Real) -> Real:
+    return cosh_sinh(x)[1]
 
 
-def cosh(x: Real, guard_digits: int | None = None) -> Real:
-    return cosh_sinh(x, guard_digits)[0]
+def cosh(x: Real) -> Real:
+    return cosh_sinh(x)[0]
 
 
-def coth(x: Real, guard_digits: int | None = None) -> Real:
+def coth(x: Real) -> Real:
     if x.is_zero():
         raise PoleError("coth", x)
-    prec = _working_prec(x, guard_digits)
+    prec = _working_prec(x)
     # coth x = sign(x) (1 + 2 e^(-2|x|) + ...), and exp(x) would only
     # overflow or underflow here.
     if _far_tail(x.dec, prec):
@@ -442,10 +462,10 @@ def transcendental(fn: str, x: Real) -> Real:
     return impl(x)
 
 
-def ln(x: Real, guard_digits: int | None = None) -> Real:
+def ln(x: Real) -> Real:
     if x <= 0:
         raise DomainError(f"ln requires a positive argument, got {x}")
-    prec = _working_prec(x, guard_digits)
+    prec = _working_prec(x)
     return Real(_context(x.digits).plus(_context(prec).ln(x.dec)), x.digits)
 
 

@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import PrecisionConfig, Real, ln, pi, ten_power
+from .numeric import Real, ln, pi, ten_power
 from .polys import (
     CoincidentPointError,
     Family,
@@ -66,34 +66,23 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Known multiplicities m_1..m_m and the family degree they sum to."""
+    """Known multiplicities m_1..m_m."""
 
     mults: tuple[int, ...]
-    family_degree: int
 
     def __post_init__(self):
         if not self.mults or any(m < 1 for m in self.mults):
             raise ValueError("multiplicities must be a non-empty tuple of positive integers")
-        if self.family_degree < 1:
-            raise ValueError("family degree must be >= 1")
 
     @classmethod
     def for_family(cls, family: Family, mults: Sequence[int]) -> "MultiplicityProfile":
+        """The profile of a ``family`` polynomial; an odd total fits no half-angle degree."""
         total = sum(mults)
-        degree = mults_degree(family, total)
-        if degree is None:
+        if mults_degree(family, total) is None:
             raise ValueError(
                 f"{family.value} multiplicities must sum to 2n, got odd total {total}"
             )
-        return cls(tuple(mults), degree)
-
-    def check_family(self, family: Family) -> None:
-        total = sum(self.mults)
-        if mults_degree(family, total) != self.family_degree:
-            raise ValueError(
-                f"multiplicities sum to {total}, which does not fit a "
-                f"{family.value} polynomial of degree {self.family_degree}"
-            )
+        return cls(tuple(mults))
 
     @property
     def m(self) -> int:
@@ -121,8 +110,8 @@ class EstimateVector:
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 50
-    step_tolerance: Real | None = None  # None -> 10^(-digits+6)
-    precision: PrecisionConfig = PrecisionConfig()
+    # None -> 10^(6 - d), d the digits the initial estimates carry
+    step_tolerance: Real | None = None
     method: Method = Method.CHEBYSHEV
 
     def __post_init__(self):
@@ -130,11 +119,6 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.step_tolerance is not None and not self.step_tolerance > 0:
             raise ValueError("step_tolerance must be positive")
-
-    def resolved_tolerance(self) -> Real:
-        if self.step_tolerance is not None:
-            return self.step_tolerance
-        return ten_power(-self.precision.digits + 6, self.precision.digits)
 
 
 @dataclass(frozen=True)
@@ -190,14 +174,12 @@ def correction_sum(
 
 
 def _advance(
-    family: Family,
     p: Polynomial,
     estimates: EstimateVector,
     profile: MultiplicityProfile,
     chebyshev: bool,
 ) -> EstimateVector:
-    if family_of(p) is not family:
-        raise ValueError(f"polynomial family {family_of(p).value} does not match {family.value}")
+    family = family_of(p)
     new = []
     corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
@@ -218,23 +200,17 @@ def _advance(
 
 
 def step(
-    family: Family,
-    p: Polynomial,
-    estimates: EstimateVector,
-    profile: MultiplicityProfile,
+    p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
 ) -> EstimateVector:
     """One total-step update of every estimate (third-order method)."""
-    return _advance(family, p, estimates, profile, chebyshev=True)
+    return _advance(p, estimates, profile, chebyshev=True)
 
 
 def newton_baseline_step(
-    family: Family,
-    p: Polynomial,
-    estimates: EstimateVector,
-    profile: MultiplicityProfile,
+    p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
 ) -> EstimateVector:
     """One multiplicity-Newton update (second-order baseline)."""
-    return _advance(family, p, estimates, profile, chebyshev=False)
+    return _advance(p, estimates, profile, chebyshev=False)
 
 
 def solve(
@@ -246,24 +222,30 @@ def solve(
 ) -> SolveReport:
     """Iterate until the largest per-root step falls below tolerance.
 
-    Step failures (estimate collisions, stationary points, poles and any
-    other arithmetic error) abort the run and are reported, never thrown
-    or patched around.  When ``true_roots`` is given the trace also
-    records |x_i^[k] - x_i| per iteration.
+    The default tolerance is 10^(6 - d), where d is the largest number of
+    digits the initial estimates carry.  Step failures (estimate
+    collisions, stationary points, poles and any other arithmetic error)
+    abort the run and are reported, never thrown or patched around.
+    When ``true_roots`` is given the trace also records |x_i^[k] - x_i|
+    per iteration.
     """
     cfg = cfg or SolveConfig()
     family = family_of(p)
-    profile.check_family(family)
-    if profile.family_degree != degree_of(p):
+    total = sum(profile.mults)
+    if mults_degree(family, total) != degree_of(p):
         raise ValueError(
-            f"profile degree {profile.family_degree} does not match polynomial degree {degree_of(p)}"
+            f"multiplicities sum to {total}, which does not fit a "
+            f"{family.value} polynomial of degree {degree_of(p)}"
         )
     if init.m != profile.m:
         raise ValueError("initial vector and multiplicity profile disagree on m")
     if true_roots is not None and len(true_roots) != profile.m:
         raise ValueError("true_roots length must equal m")
 
-    tolerance = cfg.resolved_tolerance()
+    tolerance = cfg.step_tolerance
+    if tolerance is None:
+        digits = max(x.digits for x in init.x)
+        tolerance = ten_power(6 - digits, digits)
     chebyshev = cfg.method is Method.CHEBYSHEV
 
     def error_row(vec: EstimateVector):
@@ -279,7 +261,7 @@ def solve(
     failure = None
     for _ in range(cfg.max_iters):
         try:
-            nxt = _advance(family, p, current, profile, chebyshev)
+            nxt = _advance(p, current, profile, chebyshev)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)

@@ -14,6 +14,7 @@ representable range.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Overflow
 from typing import Callable, Sequence
@@ -76,38 +77,47 @@ class TheoremReport:
         )
 
 
-def min_separation(roots: Sequence[Real]) -> Real:
-    """Minimum pairwise distance between the given roots."""
+def _pairwise_distances(roots: Sequence[Real]) -> list[Real]:
     if len(roots) < 2:
         raise UndefinedSeparationError(
             f"separation needs at least 2 roots, got {len(roots)}"
         )
-    best = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            dist = abs(roots[i] - roots[j])
-            if best is None or dist < best:
-                best = dist
-    return best
+    return [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+
+
+def min_separation(roots: Sequence[Real]) -> Real:
+    """Minimum pairwise distance between the given roots."""
+    return min(_pairwise_distances(roots))
 
 
 def max_separation(roots: Sequence[Real]) -> Real:
-    if len(roots) < 2:
-        raise UndefinedSeparationError(
-            f"separation needs at least 2 roots, got {len(roots)}"
-        )
-    worst = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            dist = abs(roots[i] - roots[j])
-            if worst is None or dist > worst:
-                worst = dist
-    return worst
+    return max(_pairwise_distances(roots))
+
+
+_RELATIONS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 def _check(name: str, lhs: Real, relation: str, rhs: Real) -> ConditionCheck:
-    ops = {"<": lhs < rhs, ">": lhs > rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}
-    return ConditionCheck(name=name, lhs=lhs, rhs=rhs, relation=relation, passed=ops[relation])
+    return ConditionCheck(
+        name=name, lhs=lhs, rhs=rhs, relation=relation, passed=_RELATIONS[relation](lhs, rhs)
+    )
+
+
+def _main_inequality_undefined(index: int, mult: int, reason: str) -> IndexChecks:
+    return IndexChecks(
+        index=index,
+        mult=mult,
+        checks=(
+            ConditionCheck(
+                name="main inequality",
+                lhs=None,
+                rhs=None,
+                relation="<",
+                passed=False,
+                reason=reason,
+            ),
+        ),
+    )
 
 
 def _q_in_unit_interval(q: Real) -> ConditionCheck:
@@ -180,20 +190,7 @@ def check_theorem2(
     for i, mult in enumerate(mults):
         if a_const.is_zero():
             per_index.append(
-                IndexChecks(
-                    index=i,
-                    mult=mult,
-                    checks=(
-                        ConditionCheck(
-                            name="main inequality",
-                            lhs=None,
-                            rhs=None,
-                            relation="<",
-                            passed=False,
-                            reason="A = 0 makes the 1/A terms undefined",
-                        ),
-                    ),
-                )
+                _main_inequality_undefined(i, mult, "A = 0 makes the 1/A terms undefined")
             )
             continue
         rest = n * 2 - mult
@@ -255,19 +252,8 @@ def check_theorem3(
     for i, mult in enumerate(mults):
         if not s_const > 0:
             per_index.append(
-                IndexChecks(
-                    index=i,
-                    mult=mult,
-                    checks=(
-                        ConditionCheck(
-                            name="main inequality",
-                            lhs=None,
-                            rhs=None,
-                            relation="<",
-                            passed=False,
-                            reason=f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined",
-                        ),
-                    ),
+                _main_inequality_undefined(
+                    i, mult, f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined"
                 )
             )
             continue

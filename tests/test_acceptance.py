@@ -16,7 +16,7 @@ import pytest
 
 from simulroot.fixtures import EXAMPLES, TABLE_TOLERANCE, diff_against_table, run_example
 from simulroot.ingest import parse_expression, parse_trace, render_expression, render_trace
-from simulroot.numeric import PrecisionConfig, make_real, ten_power
+from simulroot.numeric import make_real, ten_power
 from simulroot.polys import FactoredPoly, Family, expand_algebraic
 from simulroot.solver import (
     EstimateVector,
@@ -39,7 +39,6 @@ from simulroot.theory import (
 
 R = make_real
 DIGITS = 64
-CFG = PrecisionConfig(digits=DIGITS)
 
 
 def verdict(name: str, ok: bool, detail: str = ""):
@@ -57,7 +56,7 @@ def reproduce_table(index: int):
     elapsed = time.perf_counter() - start
 
     tolerance = R(TABLE_TOLERANCE)
-    diffs = diff_against_table(report, example, digits=DIGITS)
+    diffs = diff_against_table(report, example)
     bad = [cell for cell in diffs if cell.discrepancy > tolerance]
 
     final = report.trace.final()
@@ -198,7 +197,7 @@ def test_theorem_bound_envelope_randomized():
                 poly,
                 profile,
                 EstimateVector(init),
-                SolveConfig(max_iters=8, precision=CFG),
+                SolveConfig(max_iters=8),
                 true_roots=rroots,
             )
             for k, row in enumerate(report.trace.errors):
@@ -230,7 +229,7 @@ def test_single_root_one_step_landing():
         poly = FactoredPoly(Family.ALGEBRAIC, (root,), (n,))
         profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (n,))
         offset = R(f"{rng.choice([-1, 1]) * rng.uniform(0.05, 2.0):.3f}")
-        nxt = step(Family.ALGEBRAIC, poly, EstimateVector((root + offset,)), profile)
+        nxt = step(poly, EstimateVector((root + offset,)), profile)
         assert abs(nxt.x[0] - root) <= tolerance
         checks += 1
     # Half-angle families contract one step to -(x0-r)^3/12 + O((x0-r)^5),
@@ -243,7 +242,7 @@ def test_single_root_one_step_landing():
             poly = FactoredPoly(family, (root,), (2 * n,))
             profile = MultiplicityProfile.for_family(family, (2 * n,))
             offset = basin * R(f"{rng.uniform(0.1, 0.99):.2f}") * rng.choice([1, -1])
-            nxt = step(family, poly, EstimateVector((root + offset,)), profile)
+            nxt = step(poly, EstimateVector((root + offset,)), profile)
             assert abs(nxt.x[0] - root) <= tolerance, (family, str(root), n)
             checks += 1
     verdict("single-root one-step landing", True, f"{checks} starts across families")
@@ -259,7 +258,7 @@ def test_factored_and_coefficient_solves_agree():
         poly = FactoredPoly(Family.ALGEBRAIC, rroots, tuple(mults))
         profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, tuple(mults))
         init = EstimateVector(tuple(r + R(o) for r, o in zip(rroots, offsets)))
-        sc = SolveConfig(max_iters=iters, precision=CFG)
+        sc = SolveConfig(max_iters=iters)
         factored_run = solve(poly, profile, init, sc, true_roots=rroots)
         coefficient_run = solve(expand_algebraic(poly), profile, init, sc, true_roots=rroots)
         return factored_run, coefficient_run

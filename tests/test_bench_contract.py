@@ -1,0 +1,50 @@
+"""The interface the benchmark in perfbench/ calls.
+
+perfbench/ is versioned with the benchmark, not with the package, so a
+rename here would break it without any other test noticing.  These
+tests pin what it reads: every name its tracer wraps, and the calls and
+fields of its solve op (perfbench/run.py, ``solve_op`` and the layer
+metrics).
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import simulroot
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _traced() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+@pytest.mark.parametrize("span,target", sorted(_traced().items()))
+def test_every_traced_name_resolves_to_a_callable(span, target):
+    module_name, attr = target
+    assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+
+def test_solve_op_calls_resolve():
+    problem = {
+        "family": "trigonometric",
+        "expr": "sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)",
+        "mults": [3, 2, 1],
+        "init": ["0.2", "1.7", "3"],
+        "digits": 64,
+    }
+    spec = simulroot.parse_problem(json.dumps(problem, sort_keys=True).encode())
+    args = (spec.poly, spec.profile(), spec.initial_vector(), spec.solve_config())
+    report = simulroot.solve(*args)
+    assert report.converged and report.stop_reason.value == "tolerance"
+    # the op checks the final estimates as decimal strings
+    assert [round(float(str(x)), 12) for x in report.trace.final().x] == [1.0, 2.0, 2.5]
+    assert len(report.trace.step_sizes) == len(report.trace.snapshots) - 1
+    assert callable(getattr(importlib.import_module("simulroot.cli"), "main"))

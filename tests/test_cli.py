@@ -305,3 +305,24 @@ def test_digits_below_minimum_exits_1(capsys):
     code, _, err = run(capsys, "reproduce", "--table", "3", "--digits", "20")
     assert code == 1
     assert "digits must be >= 30" in err
+
+
+def test_solve_expr_and_input_build_the_same_problem(capsys, tmp_path):
+    overrides = ["--max-iters", "3", "--tolerance", "1e-20", "--method", "newton_baseline"]
+    problem = {
+        "family": "trigonometric",
+        "expr": "sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)",
+        "init": ["0.2", "1.7", "3"],
+        "digits": 40,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, from_file, _ = run(capsys, "solve", "--input", str(path), "--format", "json", *overrides)
+    assert code == 0
+    code, from_expr, _ = run(
+        capsys, "solve", "--expr", problem["expr"], "--init", "0.2,1.7,3",
+        "--digits", "40", "--format", "json", *overrides,
+    )
+    assert code == 0
+    assert from_expr == from_file
+    assert len(json.loads(from_file)["snapshots"]) == 4

@@ -149,14 +149,14 @@ EXAMPLE_PROBLEM = {
 
 def test_parse_problem_minimal_fixture():
     spec = parse_problem(json.dumps(EXAMPLE_PROBLEM).encode())
-    assert spec.family is Family.ALGEBRAIC
+    assert spec.poly.family is Family.ALGEBRAIC
     assert spec.mults == (2, 1, 3)
     assert spec.init == (R("-3"), R("0.1"), R("4"))
-    assert spec.digits == 64
-    assert spec.max_iters == 4
-    assert spec.method is Method.CHEBYSHEV
+    assert spec.init[0].digits == 64
+    assert spec.config.max_iters == 4
+    assert spec.config.method is Method.CHEBYSHEV
     profile = spec.profile()
-    assert profile.family_degree == 6
+    assert profile.mults == (2, 1, 3)
 
 
 def test_parse_problem_multiplicity_sum_mismatch():
@@ -172,7 +172,6 @@ def test_parse_problem_digits_minimum_and_override():
         parse_problem(json.dumps(dict(EXAMPLE_PROBLEM, digits=20)))
     assert "$.digits" in str(excinfo.value)
     spec = parse_problem(json.dumps(dict(EXAMPLE_PROBLEM, digits=20)), digits=40)
-    assert spec.digits == 40
     assert spec.init[0].digits == 40
     with pytest.raises(SchemaError) as excinfo:
         parse_problem(json.dumps(EXAMPLE_PROBLEM), digits=29)
@@ -214,8 +213,8 @@ def test_parse_problem_algebraic_coefficients():
         )
     )
     assert spec.poly.coeffs == (R("-1"),)
-    assert spec.max_iters == 50  # default
-    assert spec.digits == 64  # default
+    assert spec.config.max_iters == 50  # default
+    assert spec.init[0].digits == 64  # default
 
 
 def test_parse_problem_trig_coefficients_need_a0_and_b():
@@ -251,8 +250,8 @@ def test_parse_problem_tolerance_and_method():
             )
         )
     )
-    assert spec.tolerance == R("1e-30")
-    assert spec.method is Method.NEWTON_BASELINE
+    assert spec.config.step_tolerance == R("1e-30")
+    assert spec.config.method is Method.NEWTON_BASELINE
 
 
 def example_report(max_iters=4, with_errors=False):

@@ -72,8 +72,6 @@ def test_make_real_rejects_malformed_numerals(text, position):
 def test_precision_config_bounds():
     with pytest.raises(ValueError):
         PrecisionConfig(digits=29)
-    with pytest.raises(ValueError):
-        PrecisionConfig(guard_digits=-1)
 
 
 def test_string_round_trip_is_identity_within_precision():
@@ -292,6 +290,11 @@ def _trig_points(digits: int) -> list[Real]:
     near = [half_pi + sign * ten_power(-j, digits) for sign in (1, -1) for j in (4, 10, 12)]
     near += [whole_pi - ten_power(-j, digits) for j in (1, 10, 12)]
     near += [ten_power(-j, digits) - whole_pi for j in (4, 10)]
+    # near zeros other than 0, where the reduction and the doublings cancel
+    tiny = ten_power(-12, digits)
+    near += [whole_pi + ten_power(-10, digits), whole_pi + tiny, -whole_pi - tiny]
+    near += [3 * half_pi + tiny, 2 * whole_pi + tiny, 2 * whole_pi - tiny, 3 * whole_pi - tiny]
+    near += [whole_pi - ten_power(-20, digits)]
     return _common_points(digits) + near
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot.numeric import Real, make_real, pi, ten_power
+from simulroot.numeric import PrecisionConfig, Real, make_real, pi, ten_power
 from simulroot.polys import AlgebraicCoeffPoly, FactoredPoly, Family, TrigExpCoeffPoly
 from simulroot.solver import (
     CollisionError,
@@ -113,7 +113,7 @@ def test_estimate_vector_rejects_duplicates():
     ],
 )
 def test_step_matches_published_first_iteration(poly, profile, init, table):
-    nxt = step(poly.family, poly, estimates(*init), profile)
+    nxt = step(poly, estimates(*init), profile)
     assert nxt.k == 1
     for computed, printed in zip(nxt.x, table):
         assert abs(computed - R(printed)) <= ten_power(-17)
@@ -122,26 +122,21 @@ def test_step_matches_published_first_iteration(poly, profile, init, table):
 def test_step_single_root_algebraic_is_exact_in_one_iteration():
     poly = factored("algebraic", ["1.25"], [5])
     profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (5,))
-    nxt = step(Family.ALGEBRAIC, poly, EstimateVector((R("7"),)), profile)
+    nxt = step(poly, EstimateVector((R("7"),)), profile)
     assert abs(nxt.x[0] - R("1.25")) <= ten_power(-58)
-
-
-def test_step_family_mismatch_rejected():
-    with pytest.raises(ValueError):
-        step(Family.TRIGONOMETRIC, EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
 
 
 def test_newton_baseline_single_root_exact():
     poly = factored("algebraic", ["2"], [4])
     profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (4,))
-    nxt = newton_baseline_step(Family.ALGEBRAIC, poly, EstimateVector((R("3.7"),)), profile)
+    nxt = newton_baseline_step(poly, EstimateVector((R("3.7"),)), profile)
     assert abs(nxt.x[0] - R("2")) <= ten_power(-58)
 
 
 def test_newton_baseline_matches_rational_oracle():
     roots = [Fraction(-2), Fraction(1), Fraction(3)]
     expected = algebraic_newton_step(roots, [2, 1, 3], [Fraction(-3), Fraction(1, 10), Fraction(4)])
-    nxt = newton_baseline_step(Family.ALGEBRAIC, EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
+    nxt = newton_baseline_step(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
     for computed, exact in zip(nxt.x, expected):
         assert abs(as_fraction(computed) - exact) < Fraction(1, 10**60)
 
@@ -151,7 +146,7 @@ def test_chebyshev_step_matches_rational_oracle():
     expected = algebraic_chebyshev_step(
         roots, [2, 1, 3], [Fraction(-3), Fraction(1, 10), Fraction(4)]
     )
-    nxt = step(Family.ALGEBRAIC, EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
+    nxt = step(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
     for computed, exact in zip(nxt.x, expected):
         assert abs(as_fraction(computed) - exact) < Fraction(1, 10**58)
 
@@ -167,12 +162,12 @@ def test_chebyshev_step_matches_rational_oracle():
 def test_exact_roots_are_a_fixed_point(poly, profile, roots):
     vec = estimates(*roots)
     for advance in (step, newton_baseline_step):
-        nxt = advance(poly.family, poly, vec, profile)
+        nxt = advance(poly, vec, profile)
         assert all(a == b for a, b in zip(nxt.x, vec.x))
 
 
 def test_baseline_estimates_already_exact_stay_put():
-    nxt = newton_baseline_step(Family.EXPONENTIAL, EXAMPLE_3, estimates("-2", "3"), PROFILE_3)
+    nxt = newton_baseline_step(EXAMPLE_3, estimates("-2", "3"), PROFILE_3)
     assert nxt.x == estimates("-2", "3").x
 
 
@@ -249,16 +244,39 @@ def test_solve_validates_profile_against_polynomial():
         )
 
 
+def test_default_tolerance_follows_the_estimates_digits():
+    # From 100-digit estimates the tolerance is 1e-94, so the step of
+    # ~2e-60, which a 1e-58 tolerance would accept, is not the last one.
+    cfg = PrecisionConfig(digits=100)
+    roots = tuple(make_real(r, cfg) for r in ("1", "2", "2.5"))
+    poly = FactoredPoly(Family.TRIGONOMETRIC, roots, (3, 2, 1))
+    init = EstimateVector(tuple(make_real(v, cfg) for v in ("0.2", "1.7", "3")))
+    report = solve(poly, PROFILE_2, init, SolveConfig())
+    steps = [max(row) for row in report.trace.step_sizes]
+    assert report.converged
+    assert steps[-1] <= ten_power(-94, 100) < min(steps[:-1])
+    assert steps[-2] < ten_power(-58)
+
+
+@pytest.mark.parametrize(
+    "poly,mults",
+    [(EXAMPLE_1, (2, 1, 2)), (EXAMPLE_2, (3, 2, 2)), (EXAMPLE_3, (2, 1))],
+)
+def test_solve_rejects_multiplicities_that_do_not_fit_the_degree(poly, mults):
+    init = EstimateVector(tuple(R(str(i)) for i in range(len(mults))))
+    with pytest.raises(ValueError, match=f"sum to {sum(mults)}, which does not fit a"):
+        solve(poly, MultiplicityProfile(mults), init)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.permutations([0, 1, 2]))
 def test_step_is_equivariant_under_index_permutation(perm):
     vec = ("-3", "0.1", "4")
-    base = step(Family.ALGEBRAIC, EXAMPLE_1, estimates(*vec), PROFILE_1)
+    base = step(EXAMPLE_1, estimates(*vec), PROFILE_1)
     permuted_profile = MultiplicityProfile.for_family(
         Family.ALGEBRAIC, tuple(PROFILE_1.mults[p] for p in perm)
     )
     permuted = step(
-        Family.ALGEBRAIC,
         EXAMPLE_1,
         estimates(*(vec[p] for p in perm)),
         permuted_profile,
