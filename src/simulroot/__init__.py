@@ -6,11 +6,9 @@ from .numeric import (
     DEFAULT_DIGITS,
     ParseError,
     PoleError,
-    PrecisionConfig,
     Real,
     make_real,
     pi,
-    transcendental,
 )
 from .polys import (
     AlgebraicCoeffPoly,

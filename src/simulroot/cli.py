@@ -7,8 +7,9 @@ Exit codes are a stable contract:
 * 2 non-convergence / insufficient data
 * 3 verification or reproduction failure
 
-The default working precision is 64 decimal digits; the environment
-variable ``SIMULROOT_DIGITS`` overrides it when ``--digits`` is absent.
+The working precision is resolved once, in this order: ``--digits``, the
+environment variable ``SIMULROOT_DIGITS``, a problem file's own
+``digits`` (``solve --input``), and 64 decimal digits.
 """
 
 from __future__ import annotations
@@ -22,18 +23,15 @@ from pathlib import Path
 
 from .fixtures import EXAMPLES, TABLE_TOLERANCE, diff_against_table, run_example
 from .ingest import (
-    ExpressionError,
-    SchemaError,
     expression_problem,
     parse_problem,
     parse_trace,
     render_theorem_report,
     render_trace,
 )
-from .numeric import DEFAULT_DIGITS, ParseError, PoleError, PrecisionConfig, make_real
-from .polys import DuplicateRootError, Family, mults_degree
+from .numeric import DEFAULT_DIGITS, PoleError, make_real
+from .polys import Family, mults_degree
 from .solver import (
-    CollisionError,
     InsufficientDataError,
     Method,
     SolveReport,
@@ -43,7 +41,6 @@ from .solver import (
     solve,
 )
 from .theory import (
-    UndefinedSeparationError,
     check_theorem1,
     check_theorem2,
     check_theorem3,
@@ -58,17 +55,8 @@ EXIT_VERIFICATION = 3
 
 _THEOREM_FAMILY = {1: Family.ALGEBRAIC, 2: Family.TRIGONOMETRIC, 3: Family.EXPONENTIAL}
 
-_INPUT_ERRORS = (
-    ParseError,
-    PoleError,
-    ExpressionError,
-    SchemaError,
-    DuplicateRootError,
-    CollisionError,
-    UndefinedSeparationError,
-    ValueError,
-    OSError,
-)
+# Every parse, schema, collision and separation error is a ValueError.
+_INPUT_ERRORS = (ValueError, PoleError, OSError)
 
 
 class UsageError(Exception):
@@ -81,17 +69,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_digits(value: int | None) -> int:
-    if value is not None:
-        return value
+def _resolve_digits(flag: int | None) -> int | None:
+    """``--digits``, else ``SIMULROOT_DIGITS``, else None."""
+    if flag is not None:
+        return flag
     env = os.environ.get("SIMULROOT_DIGITS")
     if env is None:
-        return DEFAULT_DIGITS
+        return None
     try:
-        digits = int(env)
+        return int(env)
     except ValueError:
         raise UsageError(f"SIMULROOT_DIGITS must be an integer, got {env!r}")
-    return digits
 
 
 def _csv_strings(text: str) -> list[str]:
@@ -204,14 +192,13 @@ def cmd_solve(args) -> int:
             args.expr,
             _csv_strings(args.init),
             _csv_ints(args.mults) if args.mults else None,
-            _resolve_digits(args.digits),
+            args.digits,
         )
     overrides = {}
     if args.max_iters is not None:
         overrides["max_iters"] = args.max_iters
     if args.tolerance is not None:
-        cfg = PrecisionConfig(spec.init[0].digits)
-        overrides["step_tolerance"] = make_real(args.tolerance, cfg)
+        overrides["step_tolerance"] = make_real(args.tolerance, spec.initial_vector().digits)
     if args.method is not None:
         overrides["method"] = Method(args.method)
     config = replace(spec.config, **overrides)
@@ -256,21 +243,20 @@ def _print_theorem_report(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    digits = _resolve_digits(args.digits)
-    cfg = PrecisionConfig(digits=digits)
+    digits = args.digits
     mults = _csv_ints(args.mults)
-    c = make_real(args.c, cfg)
-    q = make_real(args.q, cfg)
+    c = make_real(args.c, digits)
+    q = make_real(args.q, digits)
 
     if (args.roots is None) == (args.d is None):
         raise UsageError("provide exactly one of --roots or --d")
     if args.roots is not None:
-        roots = [make_real(s, cfg) for s in _csv_strings(args.roots)]
+        roots = [make_real(s, digits) for s in _csv_strings(args.roots)]
         d = min_separation(roots)
         max_sep = max_separation(roots)
     else:
-        d = make_real(args.d, cfg)
-        max_sep = make_real(args.max_sep, cfg) if args.max_sep else None
+        d = make_real(args.d, digits)
+        max_sep = make_real(args.max_sep, digits) if args.max_sep else None
 
     family = _THEOREM_FAMILY[args.theorem]
     n = args.n if args.n is not None else mults_degree(family, sum(mults))
@@ -286,7 +272,7 @@ def cmd_verify(args) -> int:
             raise UsageError("--theorem 2 requires --xi")
         if max_sep is None:
             raise UsageError("--theorem 2 requires --max-sep when --d is used")
-        xi = make_real(args.xi, cfg)
+        xi = make_real(args.xi, digits)
         report = check_theorem2(n, mults, d, max_sep, c, q, xi)
     else:
         report = check_theorem3(n, mults, d, c, q)
@@ -300,9 +286,8 @@ def cmd_verify(args) -> int:
 
 def cmd_order(args) -> int:
     report = parse_trace(Path(args.input).read_bytes())
-    digits = max(x.digits for x in report.trace.snapshots[0].x)
-    cfg = PrecisionConfig(digits=digits)
-    true_roots = [make_real(s, cfg) for s in _csv_strings(args.true_roots)]
+    digits = report.trace.snapshots[0].digits
+    true_roots = [make_real(s, digits) for s in _csv_strings(args.true_roots)]
     m = report.trace.snapshots[0].m
     if len(true_roots) != m:
         raise UsageError(f"expected {m} true roots, got {len(true_roots)}")
@@ -327,13 +312,11 @@ def _round_for_display(x) -> str:
 
 
 def cmd_reproduce(args) -> int:
-    digits = _resolve_digits(args.digits)
     example = EXAMPLES[args.table]
-    report = run_example(example, digits=digits)
+    report = run_example(example, digits=args.digits)
     sys.stdout.write(render_trace(report, "table", places=19).decode())
 
-    cfg = PrecisionConfig(digits=digits)
-    tolerance = make_real(TABLE_TOLERANCE, cfg)
+    tolerance = make_real(TABLE_TOLERANCE, args.digits)
     diffs = diff_against_table(report, example)
     worst = max(diffs, key=lambda cell: cell.discrepancy)
     failures = [cell for cell in diffs if cell.discrepancy > tolerance]
@@ -359,6 +342,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_normalize_argv(list(argv)))
+        if "digits" in args:
+            args.digits = _resolve_digits(args.digits)
+            # only a problem file carries digits of its own
+            if args.digits is None and getattr(args, "input", None) is None:
+                args.digits = DEFAULT_DIGITS
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "verify":

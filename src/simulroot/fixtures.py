@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numeric import DEFAULT_DIGITS, PrecisionConfig, Real, make_real
+from .numeric import DEFAULT_DIGITS, Real, make_real
 from .solver import Method, SolveConfig, SolveReport, solve
 from .ingest import expression_problem
 
@@ -107,14 +107,10 @@ def run_example(
     digits: int = DEFAULT_DIGITS,
     method: Method = Method.CHEBYSHEV,
     max_iters: int | None = None,
-    track_errors: bool = True,
 ) -> SolveReport:
-    """Solve a worked example exactly as published."""
+    """Solve a worked example exactly as published, tracking the errors."""
     spec = expression_problem(example.expression, example.init, example.mults, digits)
-    cfg = PrecisionConfig(digits=digits)
-    true_roots = (
-        tuple(make_real(s, cfg) for s in example.roots) if track_errors else None
-    )
+    true_roots = tuple(make_real(s, digits) for s in example.roots)
     solve_cfg = SolveConfig(
         max_iters=max_iters if max_iters is not None else example.iterations,
         method=method,
@@ -137,12 +133,12 @@ class CellDiff:
 def diff_against_table(report: SolveReport, example: WorkedExample) -> list[CellDiff]:
     """Absolute discrepancy of every computed entry against the reference,
     read at the precision the report's estimates carry."""
-    cfg = PrecisionConfig(max(x.digits for x in report.trace.snapshots[0].x))
+    digits = report.trace.snapshots[0].digits
     diffs = []
     for k, row in enumerate(example.table):
         snap = report.trace.snapshots[k]
         for i, printed in enumerate(row):
-            ref = make_real(printed, cfg)
+            ref = make_real(printed, digits)
             diffs.append(
                 CellDiff(
                     row=k,

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from .numeric import DEFAULT_DIGITS, PrecisionConfig, Real, format_fixed, make_real
+from .numeric import DEFAULT_DIGITS, Real, format_fixed, make_real, zero
 from .polys import (
     AlgebraicCoeffPoly,
     Family,
@@ -163,9 +163,8 @@ def _negate_numeral(signed: str) -> str:
     return signed[1:] if signed[0] == "-" else "-" + signed[1:]
 
 
-def parse_expression(text: str, cfg: PrecisionConfig | None = None) -> FactoredPoly:
+def parse_expression(text: str, digits: int = DEFAULT_DIGITS) -> FactoredPoly:
     """Parse a factored product into a FactoredPoly (root r = -shift)."""
-    cfg = cfg or PrecisionConfig()
     sc = _Scanner(text)
     factors = [_parse_factor(sc)]
     while not sc.done():
@@ -177,7 +176,7 @@ def parse_expression(text: str, cfg: PrecisionConfig | None = None) -> FactoredP
             raise ExpressionError(text, position, "mixed factor families in one product")
     return FactoredPoly(
         family=family,
-        roots=tuple(make_real(_negate_numeral(shift), cfg) for _, _, shift, _ in factors),
+        roots=tuple(make_real(_negate_numeral(shift), digits) for _, _, shift, _ in factors),
         mults=tuple(power for _, _, _, power in factors),
     )
 
@@ -213,7 +212,7 @@ class ProblemSpec:
 
 
 def _problem(
-    poly: Polynomial, mults: Sequence[int] | None, init: Sequence[str], cfg: PrecisionConfig
+    poly: Polynomial, mults: Sequence[int] | None, init: Sequence[str], digits: int
 ) -> ProblemSpec:
     # Multiplicities default to a factored form's powers.
     if mults is None:
@@ -235,7 +234,7 @@ def _problem(
         )
     if len(init) != len(mults):
         raise SchemaError("$.init", f"expected {len(mults)} initial estimates, got {len(init)}")
-    estimates = tuple(make_real(s, cfg) for s in init)
+    estimates = tuple(make_real(s, digits) for s in init)
     EstimateVector(estimates, k=0)  # raises CollisionError on duplicates
     return ProblemSpec(poly, tuple(mults), estimates)
 
@@ -247,8 +246,7 @@ def expression_problem(
     digits: int = DEFAULT_DIGITS,
 ) -> ProblemSpec:
     """The problem of a factored expression, checked as :func:`parse_problem` checks a file."""
-    cfg = PrecisionConfig(digits)
-    return _problem(parse_expression(expr, cfg), mults, init, cfg)
+    return _problem(parse_expression(expr, digits), mults, init, digits)
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
@@ -271,11 +269,13 @@ def _as_decimal_string(value: Any, path: str) -> str:
     return value
 
 
-def _precision(digits: int) -> PrecisionConfig:
+def _digits(value: Any) -> int:
+    digits = _as_int(value, "$.digits")
     try:
-        return PrecisionConfig(digits=digits)
+        zero(digits)  # Real rejects a precision below the floor
     except ValueError as exc:
         raise SchemaError("$.digits", str(exc)) from exc
+    return digits
 
 
 def _string_list(value: Any, path: str) -> list[str]:
@@ -284,12 +284,10 @@ def _string_list(value: Any, path: str) -> list[str]:
     return [_as_decimal_string(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_coefficients(
-    family: Family, obj: Any, path: str, cfg: PrecisionConfig
-) -> Polynomial:
+def _parse_coefficients(family: Family, obj: Any, path: str, digits: int) -> Polynomial:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    a = [make_real(s, cfg) for s in _string_list(_get(obj, "a", path), f"{path}.a")]
+    a = [make_real(s, digits) for s in _string_list(_get(obj, "a", path), f"{path}.a")]
     if family is Family.ALGEBRAIC:
         for forbidden in ("a0", "b"):
             if forbidden in obj:
@@ -297,8 +295,8 @@ def _parse_coefficients(
                     f"{path}.{forbidden}", "not used by algebraic coefficients"
                 )
         return AlgebraicCoeffPoly(tuple(a))
-    a0 = make_real(_as_decimal_string(_get(obj, "a0", path), f"{path}.a0"), cfg)
-    b = [make_real(s, cfg) for s in _string_list(_get(obj, "b", path), f"{path}.b")]
+    a0 = make_real(_as_decimal_string(_get(obj, "a0", path), f"{path}.a0"), digits)
+    b = [make_real(s, digits) for s in _string_list(_get(obj, "b", path), f"{path}.b")]
     if len(a) != len(b):
         raise SchemaError(f"{path}.b", f"length {len(b)} does not match a (length {len(a)})")
     return TrigExpCoeffPoly(family, a0, tuple(a), tuple(b))
@@ -307,8 +305,8 @@ def _parse_coefficients(
 def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
     """Parse and validate a problem file (JSON, numerics as decimal strings).
 
-    ``digits``, when given, replaces the file's precision before any
-    numeral is parsed.
+    ``digits``, when given, replaces the file's precision (``"digits"``,
+    else ``DEFAULT_DIGITS``) before any numeral is parsed.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -330,9 +328,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
             f"expected one of {[f.value for f in Family]}, got {family_name!r}",
         )
 
-    if digits is None:
-        digits = _as_int(raw.get("digits", DEFAULT_DIGITS), "$.digits")
-    cfg = _precision(digits)
+    digits = _digits(raw.get("digits", DEFAULT_DIGITS) if digits is None else digits)
 
     has_expr = "expr" in raw
     has_coeffs = "coefficients" in raw
@@ -351,7 +347,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
         if not isinstance(expr, str):
             raise SchemaError("$.expr", "expected a string")
         try:
-            poly = parse_expression(expr, cfg)
+            poly = parse_expression(expr, digits)
         except ExpressionError as exc:
             raise SchemaError("$.expr", str(exc)) from exc
         if poly.family is not family:
@@ -360,9 +356,9 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
                 f"declared {family.value} but the expression is {poly.family.value}",
             )
     else:
-        poly = _parse_coefficients(family, raw["coefficients"], "$.coefficients", cfg)
+        poly = _parse_coefficients(family, raw["coefficients"], "$.coefficients", digits)
 
-    spec = _problem(poly, mults, _string_list(_get(raw, "init", "$"), "$.init"), cfg)
+    spec = _problem(poly, mults, _string_list(_get(raw, "init", "$"), "$.init"), digits)
 
     max_iters = _as_int(raw.get("max_iters", SolveConfig.max_iters), "$.max_iters")
     if max_iters < 1:
@@ -370,7 +366,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
 
     tolerance = None
     if "tolerance" in raw:
-        tolerance = make_real(_as_decimal_string(raw["tolerance"], "$.tolerance"), cfg)
+        tolerance = make_real(_as_decimal_string(raw["tolerance"], "$.tolerance"), digits)
         if not tolerance > 0:
             raise SchemaError("$.tolerance", "must be positive")
 
@@ -425,7 +421,7 @@ def render_trace(report: SolveReport, format: str = "table", places: int = 18) -
             lines.append(f"{snap.k}," + ",".join(str(x) for x in snap.x))
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
-        digits = max(x.digits for x in trace.snapshots[0].x)
+        digits = trace.snapshots[0].digits
         return (json.dumps(_report_to_dict(report, digits), indent=2) + "\n").encode()
     raise ValueError(f"unknown trace format {format!r}; expected table, csv or json")
 
@@ -438,20 +434,20 @@ def parse_trace(data: bytes | str) -> SolveReport:
         raw = json.loads(data, parse_float=str)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    cfg = _precision(_as_int(_get(raw, "digits", "$"), "$.digits"))
+    digits = _digits(_get(raw, "digits", "$"))
     snapshots = []
     for i, snap in enumerate(_get(raw, "snapshots", "$")):
         path = f"$.snapshots[{i}]"
-        xs = tuple(make_real(s, cfg) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
+        xs = tuple(make_real(s, digits) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
         snapshots.append(EstimateVector(xs, k=_as_int(_get(snap, "k", path), f"{path}.k")))
     step_sizes = tuple(
-        tuple(make_real(s, cfg) for s in row) for row in _get(raw, "step_sizes", "$")
+        tuple(make_real(s, digits) for s in row) for row in _get(raw, "step_sizes", "$")
     )
     errors_raw = raw.get("errors")
     errors = (
         None
         if errors_raw is None
-        else tuple(tuple(make_real(s, cfg) for s in row) for row in errors_raw)
+        else tuple(tuple(make_real(s, digits) for s in row) for row in errors_raw)
     )
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=step_sizes, errors=errors)
     return SolveReport(

@@ -4,7 +4,10 @@ Every scalar in this package is a :class:`Real`: an immutable decimal
 floating-point number that carries its own working precision in decimal
 digits.  All arithmetic goes through a ``decimal.Context`` built for the
 operands' precision, so there is no process-wide precision setting to
-mutate and values are safe to share between threads.
+mutate and values are safe to share between threads.  A precision is a
+plain ``int`` of decimal digits: ``Real`` rejects one below
+``MIN_DIGITS`` (30), the one place that floor is checked, and
+``make_real`` parses at ``DEFAULT_DIGITS`` (64) unless told otherwise.
 
 The elementary functions required by the iteration families (sin, cos,
 cot, sinh, cosh, coth) are evaluated with ``DEFAULT_GUARD_DIGITS`` extra
@@ -67,17 +70,6 @@ class DomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision: the ``digits`` that parsed values carry."""
-
-    digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-
-
 @lru_cache(maxsize=None)
 def _context(prec: int) -> Context:
     # Contexts are cached per precision and never mutated after creation.
@@ -104,7 +96,7 @@ class Real:
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
-            raise ValueError(f"Real precision must be >= {MIN_DIGITS} digits")
+            raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
 
     # -- arithmetic ---------------------------------------------------
 
@@ -221,14 +213,14 @@ def _numeral_error_position(text: str) -> tuple[int, str]:
     return len(text), "incomplete numeral"
 
 
-def make_real(text: str, cfg: PrecisionConfig | None = None) -> Real:
-    """Parse a signed decimal numeral, correctly rounded to ``cfg.digits``."""
-    cfg = cfg or PrecisionConfig()
+def make_real(text: str, digits: int = DEFAULT_DIGITS) -> Real:
+    """Parse a signed decimal numeral, correctly rounded to ``digits``."""
     if not isinstance(text, str) or _NUMERAL.fullmatch(text) is None:
         pos, msg = _numeral_error_position(text if isinstance(text, str) else str(text))
         raise ParseError(str(text), pos, msg)
     try:
-        return Real(_context(cfg.digits).plus(Decimal(text)), cfg.digits)
+        # Real checks digits before a context of that precision is built.
+        return Real(Decimal(text), digits).with_digits(digits)
     except Overflow as exc:
         raise ParseError(text, len(text), "magnitude out of range") from exc
 
@@ -441,25 +433,6 @@ def coth(x: Real) -> Real:
         return Real(_D1.copy_sign(x.dec), x.digits)
     ch, sh = _cosh_sinh_decimal(x.dec, prec)
     return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
-
-
-_TRANSCENDENTALS = {
-    "sin": sin,
-    "cos": cos,
-    "cot": cot,
-    "sinh": sinh,
-    "cosh": cosh,
-    "coth": coth,
-}
-
-
-def transcendental(fn: str, x: Real) -> Real:
-    """Evaluate one of sin/cos/cot/sinh/cosh/coth at x, rounded to x's precision."""
-    try:
-        impl = _TRANSCENDENTALS[fn]
-    except KeyError:
-        raise DomainError(f"unknown function {fn!r}; expected one of {sorted(_TRANSCENDENTALS)}")
-    return impl(x)
 
 
 def ln(x: Real) -> Real:

@@ -102,17 +102,14 @@ def log_derivative(
     x: Real,
     points: Sequence[Real],
     mults: Sequence[int],
-    skip: int | None = None,
 ) -> Real:
-    """sum_{j != skip} m_j K(x - p_j) with the family kernel K.
+    """sum_j m_j K(x - p_j) with the family kernel K.
 
     A point equal to x raises :class:`CoincidentPointError`.
     """
     rule = _RULES[family]
     total = zero(x.digits)
     for j, (p, m) in enumerate(zip(points, mults)):
-        if j == skip:
-            continue
         d = x - p
         if d.is_zero():
             raise CoincidentPointError(j)
@@ -123,7 +120,7 @@ def log_derivative(
 def pairwise_log_derivatives(
     family: Family, points: Sequence[Real], mults: Sequence[int]
 ) -> list[Real]:
-    """``log_derivative(family, p_i, points, mults, skip=i)`` for every i.
+    """``log_derivative(family, p_i, ...)`` over the points other than p_i, for every i.
 
     K is odd, so each unordered pair {i, j} evaluates odd(p_i - p_j) once:
     it adds m_j K to sum i and subtracts m_i K from sum j.  Every sum

@@ -74,16 +74,6 @@ class MultiplicityProfile:
         if not self.mults or any(m < 1 for m in self.mults):
             raise ValueError("multiplicities must be a non-empty tuple of positive integers")
 
-    @classmethod
-    def for_family(cls, family: Family, mults: Sequence[int]) -> "MultiplicityProfile":
-        """The profile of a ``family`` polynomial; an odd total fits no half-angle degree."""
-        total = sum(mults)
-        if mults_degree(family, total) is None:
-            raise ValueError(
-                f"{family.value} multiplicities must sum to 2n, got odd total {total}"
-            )
-        return cls(tuple(mults))
-
     @property
     def m(self) -> int:
         return len(self.mults)
@@ -105,6 +95,11 @@ class EstimateVector:
     @property
     def m(self) -> int:
         return len(self.x)
+
+    @property
+    def digits(self) -> int:
+        """The working precision: the most digits any estimate carries."""
+        return max(x.digits for x in self.x)
 
 
 @dataclass(frozen=True)
@@ -244,8 +239,7 @@ def solve(
 
     tolerance = cfg.step_tolerance
     if tolerance is None:
-        digits = max(x.digits for x in init.x)
-        tolerance = ten_power(6 - digits, digits)
+        tolerance = _precision_floor(init.digits)
     chebyshev = cfg.method is Method.CHEBYSHEV
 
     def error_row(vec: EstimateVector):
@@ -285,6 +279,12 @@ def solve(
     return SolveReport(trace=trace, converged=converged, stop_reason=stop, failure=failure)
 
 
+def _precision_floor(digits: int) -> Real:
+    # 10^(6 - digits): below this, steps and errors at ``digits`` digits
+    # are rounding noise.
+    return ten_power(6 - digits, digits)
+
+
 def empirical_order(errors: Sequence[Real]) -> Real:
     """log(e_{k+1}/e_k) / log(e_k/e_{k-1}) over the last three errors.
 
@@ -306,8 +306,8 @@ def empirical_order(errors: Sequence[Real]) -> Real:
 
 
 def pre_floor_errors(errors: Sequence[Real], digits: int) -> list[Real]:
-    """Strictly decreasing prefix of positive errors above 10^(-digits+6)."""
-    floor = ten_power(-digits + 6, digits)
+    """Strictly decreasing prefix of positive errors above 10^(6 - digits)."""
+    floor = _precision_floor(digits)
     out: list[Real] = []
     for e in errors:
         if not e > floor:

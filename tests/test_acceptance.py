@@ -192,7 +192,7 @@ def test_theorem_bound_envelope_randomized():
                 r + cq * R(f"{rng.uniform(0.2, 0.99):.2f}") * rng.choice([1, -1])
                 for r in rroots
             )
-            profile = MultiplicityProfile.for_family(family, tuple(mults))
+            profile = MultiplicityProfile(tuple(mults))
             report = solve(
                 poly,
                 profile,
@@ -227,7 +227,7 @@ def test_single_root_one_step_landing():
         n = rng.randint(1, 6)
         # algebraic: exact for any start (the ratio is (x - r)/n exactly)
         poly = FactoredPoly(Family.ALGEBRAIC, (root,), (n,))
-        profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (n,))
+        profile = MultiplicityProfile((n,))
         offset = R(f"{rng.choice([-1, 1]) * rng.uniform(0.05, 2.0):.3f}")
         nxt = step(poly, EstimateVector((root + offset,)), profile)
         assert abs(nxt.x[0] - root) <= tolerance
@@ -240,7 +240,7 @@ def test_single_root_one_step_landing():
             root = R(f"{rng.uniform(-1.5, 1.5):.3f}")
             n = rng.randint(1, 4)
             poly = FactoredPoly(family, (root,), (2 * n,))
-            profile = MultiplicityProfile.for_family(family, (2 * n,))
+            profile = MultiplicityProfile((2 * n,))
             offset = basin * R(f"{rng.uniform(0.1, 0.99):.2f}") * rng.choice([1, -1])
             nxt = step(poly, EstimateVector((root + offset,)), profile)
             assert abs(nxt.x[0] - root) <= tolerance, (family, str(root), n)
@@ -256,7 +256,7 @@ def test_factored_and_coefficient_solves_agree():
     def run_pair(roots, mults, offsets, iters):
         rroots = tuple(R(r) for r in roots)
         poly = FactoredPoly(Family.ALGEBRAIC, rroots, tuple(mults))
-        profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, tuple(mults))
+        profile = MultiplicityProfile(tuple(mults))
         init = EstimateVector(tuple(r + R(o) for r, o in zip(rroots, offsets)))
         sc = SolveConfig(max_iters=iters)
         factored_run = solve(poly, profile, init, sc, true_roots=rroots)

@@ -5,7 +5,7 @@ import pytest
 from simulroot.cli import main
 from simulroot.fixtures import EXAMPLE_1
 from simulroot.ingest import parse_trace, render_trace
-from simulroot.numeric import PrecisionConfig, make_real
+from simulroot.numeric import make_real
 from simulroot.solver import (
     EstimateVector,
     IterationTrace,
@@ -191,9 +191,8 @@ def test_verify_theorem3_json_output(capsys):
 
 def test_order_on_reference_trace(capsys, tmp_path):
     # Build a trace file from the published table digits themselves.
-    cfg = PrecisionConfig(digits=64)
     snapshots = tuple(
-        EstimateVector(tuple(make_real(v, cfg) for v in row), k=k)
+        EstimateVector(tuple(make_real(v, 64) for v in row), k=k)
         for k, row in enumerate(EXAMPLE_1.table)
     )
     steps = tuple(
@@ -305,6 +304,54 @@ def test_digits_below_minimum_exits_1(capsys):
     code, _, err = run(capsys, "reproduce", "--table", "3", "--digits", "20")
     assert code == 1
     assert "digits must be >= 30" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", "--expr", "(x-1)", "--init", "5"], "error: digits must be >= 30, got 20"),
+        (
+            ["verify", "--theorem", "1", "--roots", "-2,1,3", "--mults", "2,1,3",
+             "--c", "0.05", "--q", "0.5"],
+            "error: digits must be >= 30, got 20",
+        ),
+        (["solve", "--input", "{problem}"], "error: $.digits: digits must be >= 30, got 20"),
+    ],
+)
+def test_digits_below_minimum_exits_1_on_every_route(capsys, tmp_path, argv, message):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"family": "algebraic", "expr": "(x-1)", "init": ["5"]}))
+    argv = [arg.format(problem=problem) for arg in argv]
+    code, _, err = run(capsys, *argv, "--digits", "20")
+    assert code == 1
+    assert message in err
+
+
+def test_order_on_trace_below_minimum_digits_exits_1(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 20, "snapshots": [{"k": 0, "x": ["1"]}],
+                                 "step_sizes": []}))
+    code, _, err = run(capsys, "order", "--input", str(trace), "--true-roots", "1")
+    assert code == 1
+    assert "$.digits: digits must be >= 30, got 20" in err
+
+
+def test_solve_input_digits_from_environment(capsys, monkeypatch, tmp_path):
+    # A problem file without "digits" takes SIMULROOT_DIGITS, as --expr does.
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"family": "algebraic", "expr": "(x-1)", "init": ["5"]}))
+    argv = ["solve", "--input", str(path), "--format", "json"]
+    monkeypatch.setenv("SIMULROOT_DIGITS", "40")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["digits"] == 40
+    code, out, _ = run(capsys, *argv, "--digits", "80")
+    assert code == 0
+    assert json.loads(out)["digits"] == 80
+    monkeypatch.setenv("SIMULROOT_DIGITS", "not-a-number")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "SIMULROOT_DIGITS" in err
 
 
 def test_solve_expr_and_input_build_the_same_problem(capsys, tmp_path):

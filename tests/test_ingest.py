@@ -256,7 +256,7 @@ def test_parse_problem_tolerance_and_method():
 
 def example_report(max_iters=4, with_errors=False):
     poly = parse_expression("(x+2)^2*(x-1)*(x-3)^3")
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (2, 1, 3))
+    profile = MultiplicityProfile((2, 1, 3))
     init = EstimateVector((R("-3"), R("0.1"), R("4")))
     true_roots = (R("-2"), R("1"), R("3")) if with_errors else None
     return solve(poly, profile, init, SolveConfig(max_iters=max_iters), true_roots=true_roots)

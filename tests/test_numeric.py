@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from simulroot.numeric import (
     ParseError,
     PoleError,
-    PrecisionConfig,
     Real,
     cos,
     cosh,
@@ -22,8 +21,8 @@ from simulroot.numeric import (
     sin,
     sinh,
     ten_power,
-    transcendental,
 )
+from simulroot import numeric
 from simulroot.numeric import _context, _cosh_sinh_decimal
 from oracles import (
     frac_cos,
@@ -55,7 +54,7 @@ def test_make_real_tenth_matches_exact_rational():
 
 def test_make_real_rounds_to_requested_digits():
     long = "1." + "7" * 80
-    x = make_real(long, PrecisionConfig(digits=32))
+    x = make_real(long, 32)
     assert len(x.dec.as_tuple().digits) <= 32
 
 
@@ -69,9 +68,11 @@ def test_make_real_rejects_malformed_numerals(text, position):
     assert excinfo.value.position == position
 
 
-def test_precision_config_bounds():
-    with pytest.raises(ValueError):
-        PrecisionConfig(digits=29)
+def test_digits_below_the_floor_are_rejected():
+    with pytest.raises(ValueError, match="digits must be >= 30, got 29"):
+        make_real("1", 29)
+    with pytest.raises(ValueError, match="digits must be >= 30, got 0"):
+        make_real("1", 0)
 
 
 def test_string_round_trip_is_identity_within_precision():
@@ -81,7 +82,7 @@ def test_string_round_trip_is_identity_within_precision():
 
 def test_arithmetic_uses_max_precision():
     a = make_real("0.1")
-    b = make_real("0.2", PrecisionConfig(digits=96))
+    b = make_real("0.2", 96)
     assert (a + b).digits == 96
     assert (a * b).digits == 96
     assert (3 * a).digits == a.digits
@@ -104,15 +105,15 @@ def test_integer_powers():
 
 
 def test_sin_zero_is_exact_zero():
-    assert transcendental("sin", make_real("0")).is_zero()
+    assert sin(make_real("0")).is_zero()
 
 
 def test_cosh_zero_is_one():
-    assert transcendental("cosh", make_real("0")) == 1
+    assert cosh(make_real("0")) == 1
 
 
 def test_sinh_one_matches_series_oracle():
-    mine = transcendental("sinh", make_real("1"))
+    mine = sinh(make_real("1"))
     assert str(mine).startswith("1.1752011936438014568")
     oracle = frac_sinh(Fraction(1), digits=80)
     assert abs(as_fraction(mine) - oracle) < Fraction(1, 10**62)
@@ -134,11 +135,6 @@ def test_cot_pole_carries_argument():
     assert excinfo.value.argument == 0
     with pytest.raises(PoleError):
         coth(make_real("0"))
-
-
-def test_unknown_transcendental_name():
-    with pytest.raises(ValueError):
-        transcendental("tan", make_real("1"))
 
 
 def test_ln_domain():
@@ -191,9 +187,9 @@ def test_cot_times_sin_is_cos(d):
 @given(decimals_in_range, st.sampled_from(["sin", "cos", "sinh", "cosh"]))
 def test_precision_bump_is_stable(d, fn):
     x64 = make_real(str(d))
-    x96 = make_real(str(d), PrecisionConfig(digits=96))
-    v64 = transcendental(fn, x64)
-    v96 = transcendental(fn, x96)
+    x96 = make_real(str(d), 96)
+    v64 = getattr(numeric, fn)(x64)
+    v96 = getattr(numeric, fn)(x96)
     scale = abs(v96) if not v96.is_zero() else make_real("1")
     assert abs(v64 - v96.with_digits(64)) <= ten_power(-60) * scale
 
@@ -214,7 +210,7 @@ def test_ten_power_is_exact():
 def test_value_equality_ignores_representation():
     assert make_real("3") == make_real("3.0")
     assert hash(make_real("3")) == hash(make_real("3.00"))
-    assert make_real("3", PrecisionConfig(digits=40)) == make_real("3")
+    assert make_real("3", 40) == make_real("3")
 
 
 # Digits produced by the earlier kernels (two full Taylor series per
@@ -254,16 +250,15 @@ def _coth_by_exp(x: Real) -> Real:
 )
 def test_coth_far_tail_matches_the_exp_formula(digits, points):
     # below ~digits*ln(10)/2 the result is not +/-1; the cut-off sits above that
-    cfg = PrecisionConfig(digits=digits)
     for text in points:
-        x = make_real(text, cfg)
+        x = make_real(text, digits)
         assert coth(x) == _coth_by_exp(x)
 
 
 def test_coth_of_huge_arguments_is_exact_unit_without_overflow():
     assert coth(make_real("1e30")) == 1
     assert coth(make_real("-1e30")) == -1
-    assert coth(make_real("1e30", PrecisionConfig(digits=256))).digits == 256
+    assert coth(make_real("1e30", 256)).digits == 256
 
 
 # -- kernels against independent oracles -------------------------------
@@ -275,14 +270,13 @@ def _ulp(v: Real) -> Fraction:
 
 def _common_points(digits: int) -> list[Real]:
     # seeded: tiny arguments 1e-40..1e-1 and uniform ones in [-pi, pi]
-    cfg = PrecisionConfig(digits=digits)
     rng = random.Random(digits)
     tiny = [
         f"{rng.choice('-+')}{rng.randint(1, 9)}.{rng.randint(0, 999999):06d}e-{e}"
         for e in (1, 3, 10, 20, 40)
     ]
     uniform = [repr(rng.uniform(-3.14159, 3.14159)) for _ in range(6)]
-    return [make_real(text, cfg) for text in tiny + uniform]
+    return [make_real(text, digits) for text in tiny + uniform]
 
 
 def _trig_points(digits: int) -> list[Real]:
@@ -323,8 +317,7 @@ def test_trigonometric_kernels_within_one_ulp_of_the_oracle(digits):
 
 @pytest.mark.parametrize("digits", [64, 256])
 def test_hyperbolic_kernels_within_one_ulp_of_the_oracle(digits):
-    cfg = PrecisionConfig(digits=digits)
-    points = _common_points(digits) + [make_real(t, cfg) for t in _HYPERBOLIC[digits]]
+    points = _common_points(digits) + [make_real(t, digits) for t in _HYPERBOLIC[digits]]
     for x in points:
         sh, ch = grid_sin_cos(Fraction(x.dec), digits + 70, sign=1)
         _assert_within_one_ulp((sinh, cosh, coth), x, (sh, ch, ch / sh))
@@ -343,7 +336,7 @@ def test_large_arguments_reduce_with_enough_digits_of_pi(text):
 def test_kernels_are_odd_and_even_bit_for_bit():
     # The pairwise correction pass relies on cot(-t) == -cot(t) exactly.
     for digits in (64, 256):
-        for x in _trig_points(digits) + [make_real("-3.5e7", PrecisionConfig(digits=digits))]:
+        for x in _trig_points(digits) + [make_real("-3.5e7", digits)]:
             assert str(cot(-x)) == str(-cot(x))
             assert str(sin(-x)) == str(-sin(x)) and str(cos(-x)) == str(cos(x))
         for x in _common_points(digits):

@@ -92,8 +92,8 @@ def test_trigonometric_reference_table_against_rational_grid_replay():
 @pytest.mark.parametrize("digits", [64, 256])
 @pytest.mark.parametrize("example", [EXAMPLE_1, EXAMPLE_2, EXAMPLE_3], ids=["alg", "trig", "exp"])
 def test_worked_examples_within_two_ulp_of_high_precision_replay(example, digits):
-    report = run_example(example, digits=digits, track_errors=False)
-    replay = run_example(example, digits=2 * digits + 20, track_errors=False)
+    report = run_example(example, digits=digits)
+    replay = run_example(example, digits=2 * digits + 20)
     for snap, exact in zip(report.trace.snapshots, replay.trace.snapshots):
         for computed, truth in zip(snap.x, exact.x):
             ulp = Fraction(10) ** (computed.dec.adjusted() - digits + 1)

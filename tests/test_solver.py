@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot.numeric import PrecisionConfig, Real, make_real, pi, ten_power
+from simulroot.numeric import Real, make_real, pi, ten_power
 from simulroot.polys import AlgebraicCoeffPoly, FactoredPoly, Family, TrigExpCoeffPoly
 from simulroot.solver import (
     CollisionError,
@@ -48,9 +48,9 @@ EXAMPLE_1 = factored("algebraic", ["-2", "1", "3"], [2, 1, 3])
 EXAMPLE_2 = factored("trigonometric", ["1", "2", "2.5"], [3, 2, 1])
 EXAMPLE_3 = factored("exponential", ["-2", "3"], [2, 2])
 
-PROFILE_1 = MultiplicityProfile.for_family(Family.ALGEBRAIC, (2, 1, 3))
-PROFILE_2 = MultiplicityProfile.for_family(Family.TRIGONOMETRIC, (3, 2, 1))
-PROFILE_3 = MultiplicityProfile.for_family(Family.EXPONENTIAL, (2, 2))
+PROFILE_1 = MultiplicityProfile((2, 1, 3))
+PROFILE_2 = MultiplicityProfile((3, 2, 1))
+PROFILE_3 = MultiplicityProfile((2, 2))
 
 # First iteration of each worked example, as published (verified digits).
 TABLE_ROW_1 = {
@@ -61,7 +61,7 @@ TABLE_ROW_1 = {
 
 
 def test_correction_sum_single_root_is_zero():
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (3,))
+    profile = MultiplicityProfile((3,))
     vec = EstimateVector((R("1.5"),))
     assert correction_sum(Family.ALGEBRAIC, vec, profile, 0).is_zero()
 
@@ -91,7 +91,7 @@ def test_correction_sum_exponential_fixture():
 
 def test_correction_sum_collision_and_bounds():
     vec = EstimateVector((R("1"), R("2")))
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (1, 1))
+    profile = MultiplicityProfile((1, 1))
     with pytest.raises(CollisionError):
         correction_sum(Family.ALGEBRAIC, EstimateVector((R("2"), R("2"))), profile, 0)
     with pytest.raises(IndexError):
@@ -121,14 +121,14 @@ def test_step_matches_published_first_iteration(poly, profile, init, table):
 
 def test_step_single_root_algebraic_is_exact_in_one_iteration():
     poly = factored("algebraic", ["1.25"], [5])
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (5,))
+    profile = MultiplicityProfile((5,))
     nxt = step(poly, EstimateVector((R("7"),)), profile)
     assert abs(nxt.x[0] - R("1.25")) <= ten_power(-58)
 
 
 def test_newton_baseline_single_root_exact():
     poly = factored("algebraic", ["2"], [4])
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (4,))
+    profile = MultiplicityProfile((4,))
     nxt = newton_baseline_step(poly, EstimateVector((R("3.7"),)), profile)
     assert abs(nxt.x[0] - R("2")) <= ten_power(-58)
 
@@ -189,7 +189,7 @@ def test_solve_reaches_published_accuracy(poly, profile, init, iters, roots):
 
 def test_solve_converges_on_tolerance():
     poly = factored("algebraic", ["1"], [1])
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (1,))
+    profile = MultiplicityProfile((1,))
     report = solve(poly, profile, EstimateVector((R("5"),)), SolveConfig(max_iters=10))
     assert report.converged
     assert report.stop_reason is StopReason.TOLERANCE
@@ -198,7 +198,7 @@ def test_solve_converges_on_tolerance():
 
 def test_solve_reports_step_failure():
     poly = AlgebraicCoeffPoly((R("0"), R("-1")))  # x^2 - 1, stationary point at 0
-    profile = MultiplicityProfile.for_family(Family.ALGEBRAIC, (1, 1))
+    profile = MultiplicityProfile((1, 1))
     report = solve(poly, profile, estimates("0", "5"), SolveConfig(max_iters=5))
     assert not report.converged
     assert report.stop_reason is StopReason.STEP_FAILURE
@@ -215,7 +215,7 @@ def test_solve_far_from_the_roots_returns_a_report():
 def test_solve_reports_arithmetic_errors_as_step_failures():
     # cosh(kx), sinh(kx) at |x| = 1e25 overflow / underflow the decimal context
     poly = TrigExpCoeffPoly(Family.EXPONENTIAL, R("-1"), (R("1"),), (R("0"),))
-    profile = MultiplicityProfile.for_family(Family.EXPONENTIAL, (1, 1))
+    profile = MultiplicityProfile((1, 1))
     report = solve(poly, profile, estimates("-1e25", "1e25"), SolveConfig(max_iters=5))
     assert report.stop_reason is StopReason.STEP_FAILURE
     assert "index 0" in report.failure
@@ -239,7 +239,7 @@ def test_solve_validates_profile_against_polynomial():
     with pytest.raises(ValueError):
         solve(
             EXAMPLE_1,
-            MultiplicityProfile.for_family(Family.ALGEBRAIC, (2, 1, 2)),
+            MultiplicityProfile((2, 1, 2)),
             estimates("-3", "0.1", "4"),
         )
 
@@ -247,10 +247,9 @@ def test_solve_validates_profile_against_polynomial():
 def test_default_tolerance_follows_the_estimates_digits():
     # From 100-digit estimates the tolerance is 1e-94, so the step of
     # ~2e-60, which a 1e-58 tolerance would accept, is not the last one.
-    cfg = PrecisionConfig(digits=100)
-    roots = tuple(make_real(r, cfg) for r in ("1", "2", "2.5"))
+    roots = tuple(make_real(r, 100) for r in ("1", "2", "2.5"))
     poly = FactoredPoly(Family.TRIGONOMETRIC, roots, (3, 2, 1))
-    init = EstimateVector(tuple(make_real(v, cfg) for v in ("0.2", "1.7", "3")))
+    init = EstimateVector(tuple(make_real(v, 100) for v in ("0.2", "1.7", "3")))
     report = solve(poly, PROFILE_2, init, SolveConfig())
     steps = [max(row) for row in report.trace.step_sizes]
     assert report.converged
@@ -273,9 +272,7 @@ def test_solve_rejects_multiplicities_that_do_not_fit_the_degree(poly, mults):
 def test_step_is_equivariant_under_index_permutation(perm):
     vec = ("-3", "0.1", "4")
     base = step(EXAMPLE_1, estimates(*vec), PROFILE_1)
-    permuted_profile = MultiplicityProfile.for_family(
-        Family.ALGEBRAIC, tuple(PROFILE_1.mults[p] for p in perm)
-    )
+    permuted_profile = MultiplicityProfile(tuple(PROFILE_1.mults[p] for p in perm))
     permuted = step(
         EXAMPLE_1,
         estimates(*(vec[p] for p in perm)),
