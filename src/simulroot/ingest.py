@@ -27,7 +27,6 @@ from .polys import (
     FactoredPoly,
     Polynomial,
     TrigExpCoeffPoly,
-    degree_of,
     mults_degree,
 )
 from .solver import (
@@ -226,11 +225,11 @@ def _problem(
         if v < 1:
             raise SchemaError(f"$.mults[{i}]", f"must be positive, got {v}")
     total = sum(mults)
-    if mults_degree(poly.family, total) != degree_of(poly):
+    if mults_degree(poly.family, total) != poly.degree:
         raise SchemaError(
             "$.mults",
             f"multiplicities sum to {total}, which does not fit this "
-            f"{poly.family.value} polynomial of degree {degree_of(poly)}",
+            f"{poly.family.value} polynomial of degree {poly.degree}",
         )
     if len(init) != len(mults):
         raise SchemaError("$.init", f"expected {len(mults)} initial estimates, got {len(init)}")
@@ -440,6 +439,8 @@ def parse_trace(data: bytes | str) -> SolveReport:
         path = f"$.snapshots[{i}]"
         xs = tuple(make_real(s, digits) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
         snapshots.append(EstimateVector(xs, k=_as_int(_get(snap, "k", path), f"{path}.k")))
+    if not snapshots:
+        raise SchemaError("$.snapshots", "expected a non-empty array")
     step_sizes = tuple(
         tuple(make_real(s, digits) for s in row) for row in _get(raw, "step_sizes", "$")
     )

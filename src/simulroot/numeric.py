@@ -1,12 +1,12 @@
 """Configurable-precision real arithmetic and elementary functions.
 
-Every scalar in this package is a :class:`Real`: an immutable decimal
-floating-point number that carries its own working precision in decimal
-digits.  All arithmetic goes through a ``decimal.Context`` built for the
-operands' precision, so there is no process-wide precision setting to
-mutate and values are safe to share between threads.  A precision is a
-plain ``int`` of decimal digits: ``Real`` rejects one below
-``MIN_DIGITS`` (30), the one place that floor is checked, and
+Every scalar a public function takes or returns is a :class:`Real`: an
+immutable decimal number that carries its working precision in decimal
+digits.  Inner loops (the kernels here, the sums in ``polys``) run on the
+``Decimal`` inside, under one cached ``decimal.Context`` per precision,
+so no process-wide precision is ever mutated and values are safe to
+share between threads.  A precision is a plain ``int``: ``Real`` rejects
+one below ``MIN_DIGITS`` (30), the one place that floor is checked, and
 ``make_real`` parses at ``DEFAULT_DIGITS`` (64) unless told otherwise.
 
 The elementary functions required by the iteration families (sin, cos,
@@ -36,7 +36,7 @@ from decimal import (
     Overflow,
 )
 from decimal import MAX_EMAX, MIN_EMIN
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import frexp, isqrt
 
 MIN_DIGITS = 30
@@ -82,6 +82,7 @@ def _context(prec: int) -> Context:
     )
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class Real:
     """An arbitrary-precision real number with its working precision in decimal digits.
@@ -144,13 +145,10 @@ class Real:
     def __neg__(self):
         return Real(self.dec.copy_negate(), self.digits)
 
-    def __pos__(self):
-        return self
-
     def __abs__(self):
         return Real(self.dec.copy_abs(), self.digits)
 
-    # -- comparisons (by value, exact) --------------------------------
+    # -- comparisons (by value, exact; total_ordering adds <=, >, >=) --
 
     @staticmethod
     def _cmp_operand(other):
@@ -167,18 +165,6 @@ class Real:
     def __lt__(self, other):
         o = self._cmp_operand(other)
         return NotImplemented if o is None else self.dec < o
-
-    def __le__(self, other):
-        o = self._cmp_operand(other)
-        return NotImplemented if o is None else self.dec <= o
-
-    def __gt__(self, other):
-        o = self._cmp_operand(other)
-        return NotImplemented if o is None else self.dec > o
-
-    def __ge__(self, other):
-        o = self._cmp_operand(other)
-        return NotImplemented if o is None else self.dec >= o
 
     def __hash__(self):
         return hash(self.dec)

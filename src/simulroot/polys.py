@@ -14,16 +14,20 @@ factored form is the reciprocal of its logarithmic derivative
 :func:`log_derivative` is that kernel.  The solver's correction sums are
 the same sums over the other estimates, all of them from one pairwise
 pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
+
+The log-derivative sums, Horner and the coefficient sums take and return
+Reals but run on their ``Decimal`` values, under one context at the most
+digits any operand carries; cot, coth and the function pairs stay numeric's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from enum import Enum
-from operator import mul, truediv
 from typing import Callable, Sequence, Union
 
-from .numeric import Real, cos_sin, cosh_sinh, cot, coth, one, zero
+from .numeric import Real, _context, cos_sin, cosh_sinh, cot, coth, one, zero
 
 
 class Family(str, Enum):
@@ -68,10 +72,10 @@ class _Rule:
     # Half-angle families have factors s((x - r)/2): multiplicities sum
     # to 2n and the kernel is halved.
     half_angle: bool
-    # d -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
-    odd: Callable[[Real], Real]
-    # (m, odd(d)) -> m * K(d), before halving; weigh(m, -k) == -weigh(m, k)
-    weigh: Callable[[int, Real], Real]
+    # (ctx, d) -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
+    odd: Callable[[Context, Decimal], Decimal]
+    # (ctx, m, odd(d)) -> m * K(d), before halving; odd in its last argument
+    weigh: Callable[[Context, int, Decimal], Decimal]
     # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic
     pair: Callable[[Real], tuple[Real, Real]] | None = None
     sign: int = 0
@@ -80,9 +84,11 @@ class _Rule:
 # The lambdas look cot and coth up in this module at call time, so
 # rebinding those names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(False, lambda d: d, truediv),
-    Family.TRIGONOMETRIC: _Rule(True, lambda d: cot(d / 2), mul, cos_sin, -1),
-    Family.EXPONENTIAL: _Rule(True, lambda d: coth(d / 2), mul, cosh_sinh, 1),
+    Family.ALGEBRAIC: _Rule(False, lambda ctx, d: d, Context.divide),
+    Family.TRIGONOMETRIC: _Rule(True, lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
+                                Context.multiply, cos_sin, -1),
+    Family.EXPONENTIAL: _Rule(True, lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
+                              Context.multiply, cosh_sinh, 1),
 }
 
 
@@ -108,13 +114,14 @@ def log_derivative(
     A point equal to x raises :class:`CoincidentPointError`.
     """
     rule = _RULES[family]
-    total = zero(x.digits)
+    ctx = _context(max(x.digits, *(p.digits for p in points)))
+    total = Decimal(0)
     for j, (p, m) in enumerate(zip(points, mults)):
-        d = x - p
+        d = ctx.subtract(x.dec, p.dec)
         if d.is_zero():
             raise CoincidentPointError(j)
-        total = total + rule.weigh(m, rule.odd(d))
-    return total / 2 if rule.half_angle else total
+        total = ctx.add(total, rule.weigh(ctx, m, rule.odd(ctx, d)))
+    return Real(ctx.divide(total, 2) if rule.half_angle else total, ctx.prec)
 
 
 def pairwise_log_derivatives(
@@ -129,16 +136,17 @@ def pairwise_log_derivatives(
     A coincident pair raises :class:`CoincidentPointError` with ``at=i``.
     """
     rule = _RULES[family]
-    sums = [zero(p.digits) for p in points]
+    ctx = _context(max(p.digits for p in points))
+    sums = [Decimal(0)] * len(points)
     for i, (p, m) in enumerate(zip(points, mults)):
         for j in range(i + 1, len(points)):
-            d = p - points[j]
+            d = ctx.subtract(p.dec, points[j].dec)
             if d.is_zero():
                 raise CoincidentPointError(j, at=i)
-            k = rule.odd(d)
-            sums[i] = sums[i] + rule.weigh(mults[j], k)
-            sums[j] = sums[j] - rule.weigh(m, k)
-    return [total / 2 for total in sums] if rule.half_angle else sums
+            k = rule.odd(ctx, d)
+            sums[i] = ctx.add(sums[i], rule.weigh(ctx, mults[j], k))
+            sums[j] = ctx.subtract(sums[j], rule.weigh(ctx, m, k))
+    return [Real(ctx.divide(t, 2) if rule.half_angle else t, ctx.prec) for t in sums]
 
 
 @dataclass(frozen=True)
@@ -216,10 +224,6 @@ def family_of(p: Polynomial) -> Family:
     return family
 
 
-def degree_of(p: Polynomial) -> int:
-    return p.degree
-
-
 def _eval_factored(p: FactoredPoly, x: Real) -> tuple[Real, Real]:
     # One pass of the product rule: (v, d) <- (v h, d h + v h'), h = g^m.
     pair = _RULES[p.family].pair
@@ -238,21 +242,22 @@ def _eval_factored(p: FactoredPoly, x: Real) -> tuple[Real, Real]:
 def eval_with_derivative(p: Polynomial, x: Real) -> tuple[Real, Real]:
     """Return (p(x), p'(x))."""
     if isinstance(p, AlgebraicCoeffPoly):
-        value = one(x.digits)
-        derivative = zero(x.digits)
+        ctx = _context(max(x.digits, *(a.digits for a in p.coeffs)))
+        value, derivative = Decimal(1), Decimal(0)
         for a in p.coeffs:
-            derivative = derivative * x + value
-            value = value * x + a
-        return value, derivative
+            derivative = ctx.add(ctx.multiply(derivative, x.dec), value)
+            value = ctx.add(ctx.multiply(value, x.dec), a.dec)
+        return Real(value, ctx.prec), Real(derivative, ctx.prec)
     if isinstance(p, TrigExpCoeffPoly):
         rule = _RULES[p.family]
-        value = p.a0 / 2
-        derivative = zero(x.digits)
+        ctx = _context(max(x.digits, p.a0.digits, *(c.digits for c in p.a + p.b)))
+        value, derivative = ctx.divide(p.a0.dec, 2), Decimal(0)
         for k, (a, b) in enumerate(zip(p.a, p.b), start=1):
-            c, s = rule.pair(k * x)
-            value = value + a * c + b * s
-            derivative = derivative + k * (b * c + rule.sign * a * s)
-        return value, derivative
+            c, s = (t.dec for t in rule.pair(k * x))
+            value = ctx.add(ctx.add(value, ctx.multiply(a.dec, c)), ctx.multiply(b.dec, s))
+            slope = ctx.add(ctx.multiply(b.dec, c), ctx.multiply(ctx.multiply(rule.sign, a.dec), s))
+            derivative = ctx.add(derivative, ctx.multiply(k, slope))
+        return Real(value, ctx.prec), Real(derivative, ctx.prec)
     if isinstance(p, FactoredPoly):
         return _eval_factored(p, x)
     raise UnsupportedFamilyError(f"not a polynomial: {type(p).__name__}")
@@ -269,13 +274,11 @@ def newton_ratio(p: Polynomial, x: Real) -> Real:
     """
     if isinstance(p, FactoredPoly):
         try:
-            total = log_derivative(p.family, x, p.roots, p.mults)
+            value, derivative = one(x.digits), log_derivative(p.family, x, p.roots, p.mults)
         except CoincidentPointError:
             return zero(x.digits)
-        if total.is_zero():
-            raise DerivativeZeroError(x)
-        return 1 / total
-    value, derivative = eval_with_derivative(p, x)
+    else:
+        value, derivative = eval_with_derivative(p, x)
     if value.is_zero():
         return zero(x.digits)
     if derivative.is_zero():

@@ -25,7 +25,6 @@ from .polys import (
     CoincidentPointError,
     Family,
     Polynomial,
-    degree_of,
     family_of,
     mults_degree,
     newton_ratio,
@@ -227,15 +226,18 @@ def solve(
     cfg = cfg or SolveConfig()
     family = family_of(p)
     total = sum(profile.mults)
-    if mults_degree(family, total) != degree_of(p):
+    if mults_degree(family, total) != p.degree:
         raise ValueError(
             f"multiplicities sum to {total}, which does not fit a "
-            f"{family.value} polynomial of degree {degree_of(p)}"
+            f"{family.value} polynomial of degree {p.degree}"
         )
     if init.m != profile.m:
         raise ValueError("initial vector and multiplicity profile disagree on m")
     if true_roots is not None and len(true_roots) != profile.m:
         raise ValueError("true_roots length must equal m")
+    if family is Family.TRIGONOMETRIC:
+        # Estimates 2*pi apart are one point of the circle: a collision.
+        EstimateVector(tuple(wrap_to_standard_period(x) for x in init.x))
 
     tolerance = cfg.step_tolerance
     if tolerance is None:
@@ -319,7 +321,9 @@ def pre_floor_errors(errors: Sequence[Real], digits: int) -> list[Real]:
 
 
 def wrap_to_standard_period(x: Real) -> Real:
-    """Map a trigonometric root into [-pi, pi)."""
+    """Map a trigonometric root into [-pi, pi); ValueError once no digit of its phase is left."""
+    if x.dec.adjusted() >= x.digits:
+        raise ValueError(f"{x} has no digit of its phase left at {x.digits} digits")
     half_period = pi(x.digits)
     two_pi = 2 * half_period
     n = int((x / two_pi).dec.to_integral_value(rounding=ROUND_HALF_EVEN))

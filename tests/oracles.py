@@ -6,11 +6,19 @@ rounded to a fixed fine grid for large arguments and high precision, and
 an exact-rational replay of the algebraic iteration.  None of it touches
 the package's decimal machinery, so these values are genuinely
 independent of the code under test.
+
+The one exception is the last section: the inner loops of ``polys``
+written as chains of ``Real`` operations, one operation per step.  The
+package runs the same operations on ``Decimal`` under one context, so
+the tests hold the two equal bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul, truediv
+
+from simulroot.numeric import cos_sin, cosh_sinh, cot, coth, one, zero
 
 
 def frac_sin(x: Fraction, digits: int = 80) -> Fraction:
@@ -220,3 +228,56 @@ def trig_chebyshev_run(roots, mults, init, iterations, places: int = 50):
         current = nxt
         snapshots.append(current)
     return snapshots
+
+
+# -- the polys loops on Real arithmetic --------------------------------
+
+# family -> (odd part of the kernel, m * K before halving, (c, s) pair, c' = sign * s)
+_REAL_RULES = {
+    "algebraic": (lambda d: d, truediv, None, 0),
+    "trigonometric": (lambda d: cot(d / 2), mul, cos_sin, -1),
+    "exponential": (lambda d: coth(d / 2), mul, cosh_sinh, 1),
+}
+
+
+def real_log_derivative(family, x, points, mults):
+    """sum_j m_j K(x - p_j); a coincident point raises ZeroDivisionError."""
+    odd, weigh, _, _ = _REAL_RULES[family]
+    total = zero(x.digits)
+    for p, m in zip(points, mults):
+        d = x - p
+        if d.is_zero():
+            raise ZeroDivisionError("x coincides with a point")
+        total = total + weigh(m, odd(d))
+    return total if family == "algebraic" else total / 2
+
+
+def real_pairwise_log_derivatives(family, points, mults):
+    odd, weigh, _, _ = _REAL_RULES[family]
+    sums = [zero(p.digits) for p in points]
+    for i, (p, m) in enumerate(zip(points, mults)):
+        for j in range(i + 1, len(points)):
+            k = odd(p - points[j])
+            sums[i] = sums[i] + weigh(mults[j], k)
+            sums[j] = sums[j] - weigh(m, k)
+    return sums if family == "algebraic" else [total / 2 for total in sums]
+
+
+def real_horner(coeffs, x):
+    """(p(x), p'(x)) of the monic x^n + a_1 x^(n-1) + ... + a_n."""
+    value, derivative = one(x.digits), zero(x.digits)
+    for a in coeffs:
+        derivative = derivative * x + value
+        value = value * x + a
+    return value, derivative
+
+
+def real_trig_exp_sum(family, a0, a, b, x):
+    """(p(x), p'(x)) of a0/2 + sum_k (a_k c(kx) + b_k s(kx))."""
+    _, _, pair, sign = _REAL_RULES[family]
+    value, derivative = a0 / 2, zero(x.digits)
+    for k, (ak, bk) in enumerate(zip(a, b), start=1):
+        c, s = pair(k * x)
+        value = value + ak * c + bk * s
+        derivative = derivative + k * (bk * c + sign * ak * s)
+    return value, derivative

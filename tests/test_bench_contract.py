@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import simulroot
+from simulroot import polys
+from simulroot.numeric import make_real
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +50,19 @@ def test_solve_op_calls_resolve():
     assert [round(float(str(x)), 12) for x in report.trace.final().x] == [1.0, 2.0, 2.5]
     assert len(report.trace.step_sizes) == len(report.trace.snapshots) - 1
     assert callable(getattr(importlib.import_module("simulroot.cli"), "main"))
+
+
+@pytest.mark.parametrize("family,kernel", [("trigonometric", "cot"), ("exponential", "coth")])
+def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, monkeypatch):
+    # The tracer counts numeric.cot/coth by rebinding them in every module
+    # that holds them; polys must call them through its own module names.
+    calls = []
+    original = getattr(polys, kernel)
+    monkeypatch.setattr(polys, kernel, lambda x: calls.append(x) or original(x))
+    m = 5
+    points = [make_real(str(j)) for j in range(m)]
+    polys.log_derivative(polys.Family(family), make_real("0.5"), points, [1] * m)
+    assert len(calls) == m
+    calls.clear()
+    polys.pairwise_log_derivatives(polys.Family(family), points, [1] * m)
+    assert len(calls) == m * (m - 1) // 2

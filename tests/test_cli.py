@@ -5,7 +5,7 @@ import pytest
 from simulroot.cli import main
 from simulroot.fixtures import EXAMPLE_1
 from simulroot.ingest import parse_trace, render_trace
-from simulroot.numeric import make_real
+from simulroot.numeric import make_real, pi
 from simulroot.solver import (
     EstimateVector,
     IterationTrace,
@@ -373,3 +373,30 @@ def test_solve_expr_and_input_build_the_same_problem(capsys, tmp_path):
     assert code == 0
     assert from_expr == from_file
     assert len(json.loads(from_file)["snapshots"]) == 4
+
+
+def test_order_on_a_trace_without_snapshots_exits_1(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 64, "snapshots": [], "step_sizes": []}))
+    code, _, err = run(capsys, "order", "--input", str(trace), "--true-roots", "1")
+    assert code == 1
+    assert "$.snapshots: expected a non-empty array" in err
+
+
+TRIG_PAIR = "sin((x-1)/2)*sin((x+1)/2)"
+
+
+def test_solve_trigonometric_estimate_without_a_phase_exits_1(capsys):
+    code, out, err = run(capsys, "solve", "--expr", TRIG_PAIR, "--init", "1e20000,2",
+                         "--max-iters", "2")
+    assert code == 1
+    assert out == ""
+    assert "no digit of its phase" in err
+
+
+def test_solve_trigonometric_estimates_a_period_apart_exit_1(capsys):
+    one_period_on = str(R("1.1") + 2 * pi(64))
+    code, out, err = run(capsys, "solve", "--expr", TRIG_PAIR, "--init", f"1.1,{one_period_on}")
+    assert code == 1
+    assert out == ""
+    assert "estimates 0 and 1 coincide" in err

@@ -21,7 +21,18 @@ from simulroot.polys import (
     newton_ratio,
     pairwise_log_derivatives,
 )
-from oracles import frac_cos, frac_cosh, frac_cot, frac_coth, frac_sin, frac_sinh
+from oracles import (
+    frac_cos,
+    frac_cosh,
+    frac_cot,
+    frac_coth,
+    frac_sin,
+    frac_sinh,
+    real_horner,
+    real_log_derivative,
+    real_pairwise_log_derivatives,
+    real_trig_exp_sum,
+)
 
 R = make_real
 
@@ -297,3 +308,62 @@ def test_pairwise_sums_report_a_coincident_pair():
     with pytest.raises(CoincidentPointError) as excinfo:
         pairwise_log_derivatives(Family.ALGEBRAIC, [R("1"), R("2"), R("1")], [1, 1, 1])
     assert (excinfo.value.at, excinfo.value.index) == (0, 2)
+
+
+def full_numeral(rng: random.Random, digits: int) -> Real:
+    # every digit significant, so every operation on it rounds
+    fraction = rng.randrange(10 ** (digits - 1))
+    return R(f"{rng.choice('+-')}{rng.randint(1, 3)}.{fraction:0{digits - 1}d}", digits)
+
+
+def same(got: Real, want: Real) -> bool:
+    """Equal bit for bit: the same coefficient, exponent and precision."""
+    return got.dec.compare_total(want.dec) == 0 and got.digits == want.digits
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("digits", [64, 256])
+def test_log_derivative_loops_match_the_real_arithmetic_reference(family, digits):
+    rng = random.Random(digits)
+    points = [full_numeral(rng, digits) for _ in range(6)]
+    mults = [rng.randint(1, 3) for _ in points]
+    assert 3 in mults
+    for x in [full_numeral(rng, digits) for _ in range(3)]:
+        want = real_log_derivative(family, x, points, mults)
+        assert same(log_derivative(family, x, points, mults), want)
+    sums = pairwise_log_derivatives(family, points, mults)
+    want = real_pairwise_log_derivatives(family, points, mults)
+    assert len(sums) == len(want) == len(points)
+    assert all(same(got, w) for got, w in zip(sums, want))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("digits", [64, 256])
+def test_coefficient_loops_match_the_real_arithmetic_reference(family, digits):
+    rng = random.Random(digits + 1)
+    xs = [full_numeral(rng, digits) for _ in range(3)]
+    if family is Family.ALGEBRAIC:
+        roots = tuple(full_numeral(rng, digits) for _ in range(4))
+        p = expand_algebraic(FactoredPoly(family, roots, (1, 3, 2, 3)))
+        xs.append(roots[1])  # a triple root: the sums cancel
+    else:
+        a0, *ab = (full_numeral(rng, digits) for _ in range(9))
+        p = TrigExpCoeffPoly(family, a0, tuple(ab[:4]), tuple(ab[4:]))
+    for x in xs:
+        if family is Family.ALGEBRAIC:
+            want = real_horner(p.coeffs, x)
+        else:
+            want = real_trig_exp_sum(family, p.a0, p.a, p.b, x)
+        got = eval_with_derivative(p, x)
+        assert same(got[0], want[0]) and same(got[1], want[1])
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_mixed_precision_call_runs_at_the_most_digits(family):
+    rng = random.Random(100)
+    points = [full_numeral(rng, 100) for _ in range(4)]
+    mults = [1, 2, 3, 2]
+    x = full_numeral(rng, 64)
+    got = log_derivative(family, x, points, mults)
+    assert got.digits == 100
+    assert same(got, real_log_derivative(family, x, points, mults))

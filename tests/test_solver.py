@@ -325,3 +325,28 @@ def test_wrap_to_standard_period():
     assert wrap_to_standard_period(R("1")) == 1
     at_pi = wrap_to_standard_period(pi(64))
     assert abs(at_pi + pi(64)) <= ten_power(-60)
+
+
+def test_wrap_to_standard_period_needs_a_digit_of_phase():
+    assert -pi(64) <= wrap_to_standard_period(R("9.999e63")) < pi(64)
+    for x in ("1e64", "-1e64", "1e20000"):
+        with pytest.raises(ValueError, match="no digit of its phase"):
+            wrap_to_standard_period(R(x))
+
+
+@pytest.mark.parametrize("family", ["algebraic", "exponential"])
+def test_solve_leaves_huge_algebraic_and_exponential_estimates_alone(family):
+    poly = factored(family, ["1", "-1"], [1, 1])
+    init = EstimateVector((R("1e20000"), R("2")))
+    report = solve(poly, MultiplicityProfile((1, 1)), init, SolveConfig(max_iters=2))
+    assert report.stop_reason is StopReason.MAX_ITERS
+    assert len(report.trace.snapshots) == 3
+
+
+@pytest.mark.parametrize("periods", [1, -3])
+def test_solve_rejects_trigonometric_estimates_whole_periods_apart(periods):
+    poly = factored("trigonometric", ["1", "-1"], [1, 1])
+    init = EstimateVector((R("1.1"), R("1.1") + periods * 2 * pi(64)))
+    with pytest.raises(CollisionError) as excinfo:
+        solve(poly, MultiplicityProfile((1, 1)), init)
+    assert excinfo.value.indices == (0, 1)
