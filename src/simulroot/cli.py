@@ -9,13 +9,16 @@ Exit codes are a stable contract:
 
 The working precision is resolved once, in this order: ``--digits``, the
 environment variable ``SIMULROOT_DIGITS``, a problem file's own
-``digits`` (``solve --input``), and 64 decimal digits.
+``digits`` (``solve --input``), and 64 decimal digits.  ``verify`` takes
+the degree from ``--mults``.  Any flag's value may start with a minus
+sign (``--init -3,0.1,4``).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -104,6 +107,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a root-finding problem")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("--input", help="problem file (JSON)")
     p_solve.add_argument("--expr", help="factored expression, e.g. '(x+2)^2*(x-1)'")
     p_solve.add_argument("--init", help="comma-separated initial estimates")
@@ -115,6 +119,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     p_verify = sub.add_parser("verify", help="check a convergence guarantee's hypotheses")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--theorem", type=int, choices=[1, 2, 3], required=True)
     p_verify.add_argument("--roots", help="comma-separated true roots")
     p_verify.add_argument("--d", help="minimum pairwise root distance (alternative to --roots)")
@@ -123,48 +128,31 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--c", required=True)
     p_verify.add_argument("--q", required=True)
     p_verify.add_argument("--xi", help="separation angle (theorem 2)")
-    p_verify.add_argument("--n", type=int, default=None, help="degree (default: from mults)")
     p_verify.add_argument("--digits", type=int, default=None)
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p_order = sub.add_parser("order", help="estimate empirical convergence order")
+    p_order.set_defaults(run=cmd_order)
     p_order.add_argument("--input", required=True, help="trace file (JSON from solve)")
     p_order.add_argument("--true-roots", required=True)
 
     p_rep = sub.add_parser("reproduce", help="re-run a built-in example against its reference table")
+    p_rep.set_defaults(run=cmd_reproduce)
     p_rep.add_argument("--table", type=int, choices=[1, 2, 3], required=True)
     p_rep.add_argument("--digits", type=int, default=None)
 
     return parser
 
 
-_VALUE_FLAGS = {
-    "--init",
-    "--mults",
-    "--roots",
-    "--true-roots",
-    "--d",
-    "--max-sep",
-    "--c",
-    "--q",
-    "--xi",
-    "--tolerance",
-}
-
-
 def _normalize_argv(argv: list[str]) -> list[str]:
-    # Merge "--flag value" into "--flag=value" so values that start with
-    # a minus sign (negative roots, csv lists) survive argparse.
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    # Merge "--flag -1,2" into "--flag=-1,2": argparse takes a token that
+    # starts with a minus sign for a flag unless it is one plain number.
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
         else:
             out.append(token)
-            i += 1
     return out
 
 
@@ -259,11 +247,10 @@ def cmd_verify(args) -> int:
         max_sep = make_real(args.max_sep, digits) if args.max_sep else None
 
     family = _THEOREM_FAMILY[args.theorem]
-    n = args.n if args.n is not None else mults_degree(family, sum(mults))
+    n = mults_degree(family, sum(mults))
     if n is None:
         raise UsageError(
-            f"multiplicities sum to {sum(mults)}; the {family.value} degree needs an even sum "
-            "(or pass --n)"
+            f"multiplicities sum to {sum(mults)}; the {family.value} degree needs an even sum"
         )
     if args.theorem == 1:
         report = check_theorem1(n, mults, d, c, q)
@@ -347,15 +334,7 @@ def main(argv=None) -> int:
             # only a problem file carries digits of its own
             if args.digits is None and getattr(args, "input", None) is None:
                 args.digits = DEFAULT_DIGITS
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "order":
-            return cmd_order(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT

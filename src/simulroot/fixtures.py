@@ -26,10 +26,7 @@ TABLE_TOLERANCE = "1e-14"
 class WorkedExample:
     name: str
     expression: str
-    roots: tuple[str, ...]
-    mults: tuple[int, ...]
     init: tuple[str, ...]
-    iterations: int
     # table[k][i] is the printed value of root i at iteration k, verbatim
     table: tuple[tuple[str, ...], ...]
     # (row, col) -> provenance note for anomalous printed digits
@@ -39,10 +36,7 @@ class WorkedExample:
 EXAMPLE_1 = WorkedExample(
     name="algebraic degree 6",
     expression="(x+2)^2*(x-1)*(x-3)^3",
-    roots=("-2", "1", "3"),
-    mults=(2, 1, 3),
     init=("-3", "0.1", "4"),
-    iterations=4,
     table=(
         ("-3.000000000000000000", "0.100000000000000000", "4.000000000000000000"),
         ("-2.074075484632669380", "1.025215703994304140", "3.060848242666424480"),
@@ -62,10 +56,7 @@ EXAMPLE_1 = WorkedExample(
 EXAMPLE_2 = WorkedExample(
     name="trigonometric degree 3",
     expression="sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)",
-    roots=("1", "2", "2.5"),
-    mults=(3, 2, 1),
     init=("0.2", "1.7", "3"),
-    iterations=5,
     table=(
         ("0.20000000000000000000", "1.70000000000000000000", "3.00000000000000000000"),
         ("1.024086327992702930", "2.102113721613658320", "2.719836743505084910"),
@@ -86,10 +77,7 @@ EXAMPLE_2 = WorkedExample(
 EXAMPLE_3 = WorkedExample(
     name="exponential degree 2",
     expression="sinh((x+2)/2)^2*sinh((x-3)/2)^2",
-    roots=("-2", "3"),
-    mults=(2, 2),
     init=("-1.5", "3.4"),
-    iterations=4,
     table=(
         ("-1.50000000000000000000", "3.40000000000000000000"),
         ("-1.936759338912996590", "3.015817214722672100"),
@@ -108,15 +96,15 @@ def run_example(
     method: Method = Method.CHEBYSHEV,
     max_iters: int | None = None,
 ) -> SolveReport:
-    """Solve a worked example exactly as published, tracking the errors."""
-    spec = expression_problem(example.expression, example.init, example.mults, digits)
-    true_roots = tuple(make_real(s, digits) for s in example.roots)
+    """Solve a worked example as published, one iteration per table row
+    after the first, tracking the errors against the expression's roots."""
+    spec = expression_problem(example.expression, example.init, digits=digits)
     solve_cfg = SolveConfig(
-        max_iters=max_iters if max_iters is not None else example.iterations,
+        max_iters=max_iters if max_iters is not None else len(example.table) - 1,
         method=method,
     )
     return solve(
-        spec.poly, spec.profile(), spec.initial_vector(), solve_cfg, true_roots=true_roots
+        spec.poly, spec.profile(), spec.initial_vector(), solve_cfg, true_roots=spec.poly.roots
     )
 
 

@@ -27,7 +27,7 @@ from .polys import (
     FactoredPoly,
     Polynomial,
     TrigExpCoeffPoly,
-    mults_degree,
+    check_mults_fit,
 )
 from .solver import (
     EstimateVector,
@@ -224,13 +224,10 @@ def _problem(
     for i, v in enumerate(mults):
         if v < 1:
             raise SchemaError(f"$.mults[{i}]", f"must be positive, got {v}")
-    total = sum(mults)
-    if mults_degree(poly.family, total) != poly.degree:
-        raise SchemaError(
-            "$.mults",
-            f"multiplicities sum to {total}, which does not fit this "
-            f"{poly.family.value} polynomial of degree {poly.degree}",
-        )
+    try:
+        check_mults_fit(poly, mults)
+    except ValueError as exc:
+        raise SchemaError("$.mults", str(exc)) from exc
     if len(init) != len(mults):
         raise SchemaError("$.init", f"expected {len(mults)} initial estimates, got {len(init)}")
     estimates = tuple(make_real(s, digits) for s in init)
@@ -248,7 +245,23 @@ def expression_problem(
     return _problem(parse_expression(expr, digits), mults, init, digits)
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
+def _json_object(data: bytes | str) -> dict:
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        # parse_float=str keeps any bare JSON reals exact instead of
+        # rounding them through binary floats.
+        raw = json.loads(data, parse_float=str)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError("$", "expected a JSON object")
+    return raw
+
+
+def _get(obj: Any, key: str, path: str, required: bool = True, default=None):
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
     if key not in obj:
         if required:
             raise SchemaError(f"{path}.{key}", "missing required field")
@@ -277,15 +290,26 @@ def _digits(value: Any) -> int:
     return digits
 
 
-def _string_list(value: Any, path: str) -> list[str]:
+def _array(value: Any, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a non-empty array")
-    return [_as_decimal_string(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _string_list(value: Any, path: str) -> list[str]:
+    return [_as_decimal_string(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
+
+
+def _real_rows(value: Any, path: str, digits: int) -> tuple[tuple[Real, ...], ...]:
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected an array")
+    return tuple(
+        tuple(make_real(s, digits) for s in _string_list(row, f"{path}[{k}]"))
+        for k, row in enumerate(value)
+    )
 
 
 def _parse_coefficients(family: Family, obj: Any, path: str, digits: int) -> Polynomial:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
     a = [make_real(s, digits) for s in _string_list(_get(obj, "a", path), f"{path}.a")]
     if family is Family.ALGEBRAIC:
         for forbidden in ("a0", "b"):
@@ -307,17 +331,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
     ``digits``, when given, replaces the file's precision (``"digits"``,
     else ``DEFAULT_DIGITS``) before any numeral is parsed.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        # parse_float=str keeps any bare JSON reals exact instead of
-        # rounding them through binary floats.
-        raw = json.loads(data, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError("$", "expected a JSON object")
-
+    raw = _json_object(data)
     family_name = _get(raw, "family", "$")
     try:
         family = Family(family_name)
@@ -336,7 +350,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
 
     mults_raw = _get(raw, "mults", "$", required=not has_expr, default=None)
     mults = None
-    if mults_raw is not None:
+    if mults_raw is not None or not has_expr:
         if not isinstance(mults_raw, list) or not mults_raw:
             raise SchemaError("$.mults", "expected a non-empty array of integers")
         mults = [_as_int(v, f"$.mults[{i}]") for i, v in enumerate(mults_raw)]
@@ -427,36 +441,25 @@ def render_trace(report: SolveReport, format: str = "table", places: int = 18) -
 
 def parse_trace(data: bytes | str) -> SolveReport:
     """Re-parse the JSON produced by :func:`render_trace`."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    raw = _json_object(data)
     digits = _digits(_get(raw, "digits", "$"))
     snapshots = []
-    for i, snap in enumerate(_get(raw, "snapshots", "$")):
+    for i, snap in enumerate(_array(_get(raw, "snapshots", "$"), "$.snapshots")):
         path = f"$.snapshots[{i}]"
         xs = tuple(make_real(s, digits) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
+        if snapshots and len(xs) != snapshots[0].m:
+            raise SchemaError(f"{path}.x", f"expected {snapshots[0].m} estimates, got {len(xs)}")
         snapshots.append(EstimateVector(xs, k=_as_int(_get(snap, "k", path), f"{path}.k")))
-    if not snapshots:
-        raise SchemaError("$.snapshots", "expected a non-empty array")
-    step_sizes = tuple(
-        tuple(make_real(s, digits) for s in row) for row in _get(raw, "step_sizes", "$")
-    )
+    step_sizes = _real_rows(_get(raw, "step_sizes", "$"), "$.step_sizes", digits)
     errors_raw = raw.get("errors")
-    errors = (
-        None
-        if errors_raw is None
-        else tuple(tuple(make_real(s, digits) for s in row) for row in errors_raw)
-    )
+    errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits)
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=step_sizes, errors=errors)
-    return SolveReport(
-        trace=trace,
-        converged=bool(raw.get("converged", False)),
-        stop_reason=StopReason(raw.get("stop_reason", StopReason.MAX_ITERS.value)),
-        failure=raw.get("failure"),
-    )
+    stop = StopReason(raw.get("stop_reason", StopReason.MAX_ITERS.value))
+    report = SolveReport(trace=trace, stop_reason=stop, failure=raw.get("failure"))
+    if raw.get("converged", report.converged) is not report.converged:
+        expected = json.dumps(report.converged)
+        raise SchemaError("$.converged", f"expected {expected} for stop_reason {stop.value!r}")
+    return report
 
 
 def render_theorem_report(report) -> bytes:

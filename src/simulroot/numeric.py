@@ -70,6 +70,10 @@ class DomainError(ValueError):
     pass
 
 
+class PhaseError(ValueError, ArithmeticError):
+    """No digit of a value's phase (its residue mod 2*pi) is left."""
+
+
 @lru_cache(maxsize=None)
 def _context(prec: int) -> Context:
     # Contexts are cached per precision and never mutated after creation.
@@ -219,6 +223,15 @@ def one(digits: int = DEFAULT_DIGITS) -> Real:
     return Real(_D1, digits)
 
 
+def check_phase(x: Real, name: str) -> Real:
+    """x itself, or a PhaseError naming it ``name`` once |x| >= 10^digits:
+    x's last digit then lies above its units place, so no digit of x mod
+    2*pi is left."""
+    if x.dec.adjusted() >= x.digits:
+        raise PhaseError(f"{name} has no digit of its phase left at {x.digits} digits")
+    return x
+
+
 def ten_power(exponent: int, digits: int = DEFAULT_DIGITS) -> Real:
     """Exact power of ten, e.g. the default step tolerance 10**(-digits+6)."""
     return Real(_D1.scaleb(exponent, _context(digits + 4)), digits)
@@ -343,11 +356,12 @@ def _far_tail(x: Decimal, prec: int) -> bool:
 
 def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
     if _far_tail(x, prec):
-        # past coth's cut-off, which only the theorem checks reach
+        # past coth's cut-off; e^|x|, so that a huge x of either sign overflows
         ctx = _context(prec)
-        e = ctx.exp(x)
+        e = ctx.exp(x.copy_abs())
         einv = ctx.divide(_D1, e)
-        return ctx.divide(ctx.add(e, einv), _D2), ctx.divide(ctx.subtract(e, einv), _D2)
+        sh = ctx.divide(ctx.subtract(e, einv), _D2).copy_sign(x)
+        return ctx.divide(ctx.add(e, einv), _D2), sh
     if x.is_zero():
         return _D1, x
     # Argument halving on q = sinh^2, which has no cancellation to guard
@@ -429,16 +443,16 @@ def ln(x: Real) -> Real:
 
 
 def format_fixed(x: Real, places: int) -> str:
-    """Render with exactly ``places`` digits after the decimal point."""
+    """Render with exactly ``places`` digits after the decimal point.
+
+    A value whose integer part needs more digits than it carries
+    (|x| >= 10^digits) prints as ``str(x)``, in scientific form; ``-0``
+    prints as ``0``.
+    """
     if places < 0:
         raise ValueError("places must be >= 0")
-    quantum = _D1.scaleb(-places)
+    if x.dec.adjusted() >= x.digits:
+        return str(x)
     needed = max(x.dec.adjusted(), 0) + places + 4
-    q = x.dec.quantize(quantum, context=_context(needed))
-    if q.is_zero():
-        q = q.copy_abs()
-    sign, digits_, exponent = q.as_tuple()
-    coeff = "".join(map(str, digits_)).rjust(places + 1, "0")
-    head, tail = coeff[: len(coeff) - places], coeff[len(coeff) - places:]
-    body = head + ("." + tail if places else "")
-    return ("-" if sign else "") + body
+    q = x.dec.quantize(_D1.scaleb(-places), context=_context(needed))
+    return f"{q.copy_abs() if q.is_zero() else q:f}"

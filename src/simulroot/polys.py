@@ -103,6 +103,15 @@ def mults_degree(family: Family, total: int) -> int | None:
     return None if total % 2 else total // 2
 
 
+def check_mults_fit(p: Polynomial, mults: Sequence[int]) -> None:
+    """ValueError unless multiplicities ``mults`` fit p's degree."""
+    if mults_degree(p.family, sum(mults)) != p.degree:
+        raise ValueError(
+            f"multiplicities sum to {sum(mults)}, which does not fit a "
+            f"{p.family.value} polynomial of degree {p.degree}"
+        )
+
+
 def log_derivative(
     family: Family,
     x: Real,

@@ -20,13 +20,12 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import Real, ln, pi, ten_power
+from .numeric import Real, check_phase, ln, pi, ten_power
 from .polys import (
-    CoincidentPointError,
     Family,
     Polynomial,
+    check_mults_fit,
     family_of,
-    mults_degree,
     newton_ratio,
     pairwise_log_derivatives,
 )
@@ -134,13 +133,12 @@ class IterationTrace:
 @dataclass(frozen=True)
 class SolveReport:
     trace: IterationTrace
-    converged: bool
     stop_reason: StopReason
     failure: str | None = None
 
-    def __post_init__(self):
-        if self.converged and self.stop_reason is not StopReason.TOLERANCE:
-            raise ValueError("a converged report must stop on tolerance")
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason is StopReason.TOLERANCE
 
 
 def correction_sums(
@@ -152,10 +150,7 @@ def correction_sums(
     """
     if estimates.m != profile.m:
         raise ValueError("estimate vector and multiplicity profile disagree on m")
-    try:
-        return pairwise_log_derivatives(family, estimates.x, profile.mults)
-    except CoincidentPointError as exc:
-        raise CollisionError(exc.at, exc.index, estimates.x[exc.at]) from exc
+    return pairwise_log_derivatives(family, estimates.x, profile.mults)
 
 
 def correction_sum(
@@ -185,7 +180,9 @@ def _advance(
             else:
                 bracket = 1
             new.append(xi - mult * ratio * bracket)
-        except (ArithmeticError, CollisionError) as exc:
+            if family is Family.TRIGONOMETRIC:
+                check_phase(new[-1], "the new estimate")
+        except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
     try:
         return EstimateVector(tuple(new), estimates.k + 1)
@@ -225,12 +222,7 @@ def solve(
     """
     cfg = cfg or SolveConfig()
     family = family_of(p)
-    total = sum(profile.mults)
-    if mults_degree(family, total) != p.degree:
-        raise ValueError(
-            f"multiplicities sum to {total}, which does not fit a "
-            f"{family.value} polynomial of degree {p.degree}"
-        )
+    check_mults_fit(p, profile.mults)
     if init.m != profile.m:
         raise ValueError("initial vector and multiplicity profile disagree on m")
     if true_roots is not None and len(true_roots) != profile.m:
@@ -252,7 +244,6 @@ def solve(
     errors = [error_row(init)] if true_roots is not None else None
 
     current = init
-    converged = False
     stop = StopReason.MAX_ITERS
     failure = None
     for _ in range(cfg.max_iters):
@@ -269,7 +260,6 @@ def solve(
             errors.append(error_row(nxt))
         current = nxt
         if max(deltas) <= tolerance:
-            converged = True
             stop = StopReason.TOLERANCE
             break
 
@@ -278,7 +268,7 @@ def solve(
         step_sizes=tuple(steps),
         errors=tuple(errors) if errors is not None else None,
     )
-    return SolveReport(trace=trace, converged=converged, stop_reason=stop, failure=failure)
+    return SolveReport(trace=trace, stop_reason=stop, failure=failure)
 
 
 def _precision_floor(digits: int) -> Real:
@@ -322,8 +312,7 @@ def pre_floor_errors(errors: Sequence[Real], digits: int) -> list[Real]:
 
 def wrap_to_standard_period(x: Real) -> Real:
     """Map a trigonometric root into [-pi, pi); ValueError once no digit of its phase is left."""
-    if x.dec.adjusted() >= x.digits:
-        raise ValueError(f"{x} has no digit of its phase left at {x.digits} digits")
+    check_phase(x, str(x))
     half_period = pi(x.digits)
     two_pi = 2 * half_period
     n = int((x / two_pi).dec.to_integral_value(rounding=ROUND_HALF_EVEN))

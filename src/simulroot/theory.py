@@ -4,8 +4,9 @@ Each check evaluates the printed hypotheses of one convergence theorem
 (one per polynomial family) for given separation constants and reports
 every inequality's sides per root index.  Checks report failures, they
 never raise: a failed hypothesis is a result, not an error.  The one
-exception is a quantity too large for the decimal exponent range, which
-is an input error (a ValueError naming the quantity).
+exception is an input error, a ValueError naming the quantity: one that
+leaves the decimal exponent range (it overflows, or a divisor underflows
+to zero), or a sine argument with no digit of its phase left.
 
 The guaranteed error envelope is c * q^(3^k); :func:`error_bound`
 evaluates it, underflowing to zero when the exponent exhausts the
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from decimal import Overflow
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from typing import Callable, Sequence
 
-from .numeric import Real, cosh, one, pi, sin, sinh, zero
+from .numeric import Real, check_phase, cosh, one, pi, sin, sinh, zero
 
 
 class UndefinedSeparationError(ValueError):
@@ -82,7 +83,10 @@ def _pairwise_distances(roots: Sequence[Real]) -> list[Real]:
         raise UndefinedSeparationError(
             f"separation needs at least 2 roots, got {len(roots)}"
         )
-    return [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+    return _evaluate(
+        "a root separation",
+        lambda: [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]],
+    )
 
 
 def min_separation(roots: Sequence[Real]) -> Real:
@@ -103,21 +107,39 @@ def _check(name: str, lhs: Real, relation: str, rhs: Real) -> ConditionCheck:
     )
 
 
-def _main_inequality_undefined(index: int, mult: int, reason: str) -> IndexChecks:
-    return IndexChecks(
-        index=index,
-        mult=mult,
-        checks=(
-            ConditionCheck(
-                name="main inequality",
-                lhs=None,
-                rhs=None,
-                relation="<",
-                passed=False,
-                reason=reason,
-            ),
-        ),
-    )
+def _evaluate(quantity: str, compute: Callable[[], Real]) -> Real:
+    try:
+        return compute()
+    except Overflow as exc:
+        raise ValueError(f"{quantity} overflows the decimal exponent range") from exc
+    except (DivisionByZero, InvalidOperation) as exc:
+        # every divisor is checked nonzero, so one underflowed to zero
+        raise ValueError(f"{quantity} divides by a term that underflows to zero") from exc
+
+
+def _main_inequality(
+    index: int,
+    mult: int,
+    lhs: Callable[[], Real],
+    rhs: Callable[[], Real],
+    undefined: str | None = None,
+    name: str = "main inequality",
+) -> IndexChecks:
+    """Root ``index``'s check ``lhs() < rhs()``, each side through :func:`_evaluate`;
+    a failed check with reason ``undefined`` instead, when that is given."""
+    if undefined:
+        check = ConditionCheck(
+            name=name, lhs=None, rhs=None, relation="<", passed=False, reason=undefined
+        )
+    else:
+        where = f"for i={index + 1}"
+        check = _check(
+            name,
+            _evaluate(f"the main inequality's left side {where}", lhs),
+            "<",
+            _evaluate(f"the main inequality's right side {where}", rhs),
+        )
+    return IndexChecks(index=index, mult=mult, checks=(check,))
 
 
 def _q_in_unit_interval(q: Real) -> ConditionCheck:
@@ -138,26 +160,26 @@ def check_theorem1(
     Per root index i: c^2 (n - m_i) < (m_i d - 2 n c)(d - 2c), alongside
     0 < q < 1, c > 0 and d - 2c > 0.
     """
+    gap = _evaluate("d - 2c", lambda: d - 2 * c)
     globals_ = (
         _q_in_unit_interval(q),
         _check("c > 0", c, ">", zero(c.digits)),
-        _check("d - 2c > 0", d - 2 * c, ">", zero(d.digits)),
+        _check("d - 2c > 0", gap, ">", zero(d.digits)),
     )
-    per_index = []
-    for i, mult in enumerate(mults):
-        lhs = c * c * (n - mult)
-        rhs = (mult * d - 2 * n * c) * (d - 2 * c)
-        per_index.append(
-            IndexChecks(
-                index=i,
-                mult=mult,
-                checks=(_check("c^2 (n - m) < (m d - 2 n c)(d - 2c)", lhs, "<", rhs),),
-            )
+    per_index = tuple(
+        _main_inequality(
+            i,
+            mult,
+            lambda: c * c * (n - mult),
+            lambda: (mult * d - 2 * n * c) * gap,
+            name="c^2 (n - m) < (m d - 2 n c)(d - 2c)",
         )
+        for i, mult in enumerate(mults)
+    )
     return TheoremReport(
         theorem=1,
         global_checks=globals_,
-        per_index=tuple(per_index),
+        per_index=per_index,
         params=SeparationParams(d=d, c=c, q=q),
     )
 
@@ -176,39 +198,42 @@ def check_theorem2(
     A = min(|sin(xi/2)|, |sin(d/2 - c)|).  The main inequality is kept
     verbatim, including the suspicious (c/4)(m_i/4) fragment; see notes.
     """
+    gap = _evaluate("d - 2c", lambda: d - 2 * c)
+    a_const = min(
+        abs(sin(check_phase(xi / 2, "xi/2"))), abs(sin(check_phase(d / 2 - c, "d/2 - c")))
+    )
     two_pi = 2 * pi(d.digits)
     globals_ = (
         _q_in_unit_interval(q),
         _check("c > 0", c, ">", zero(c.digits)),
         _check("xi > 0", xi, ">", zero(xi.digits)),
         _check("2c < xi", 2 * c, "<", xi),
-        _check("d - 2c > 0", d - 2 * c, ">", zero(d.digits)),
+        _check("d - 2c > 0", gap, ">", zero(d.digits)),
         _check("max separation < 2 pi - 2 xi", max_sep, "<", two_pi - 2 * xi),
     )
-    a_const = min(abs(sin(xi / 2)), abs(sin(d / 2 - c)))
-    per_index = []
-    for i, mult in enumerate(mults):
-        if a_const.is_zero():
-            per_index.append(
-                _main_inequality_undefined(i, mult, "A = 0 makes the 1/A terms undefined")
-            )
-            continue
+
+    def lhs(mult):
         rest = n * 2 - mult
-        lhs = (c * c) * (
+        return (c * c) * (
             mult * mult * one(c.digits)
             + (rest * rest) / (4 * a_const * a_const)
             + (c / 4) * (mult * one(c.digits) / 4) * rest
             + mult * (rest / (2 * a_const * a_const) + (c / (6 * a_const)) * rest)
         )
-        root_rhs = mult * (1 - (c * c) / 8) + (c / (2 * a_const)) * rest
-        rhs = root_rhs * root_rhs
-        per_index.append(
-            IndexChecks(index=i, mult=mult, checks=(_check("main inequality", lhs, "<", rhs),))
-        )
+
+    def rhs(mult):
+        root_rhs = mult * (1 - (c * c) / 8) + (c / (2 * a_const)) * (n * 2 - mult)
+        return root_rhs * root_rhs
+
+    undefined = "A = 0 makes the 1/A terms undefined" if a_const.is_zero() else None
+    per_index = tuple(
+        _main_inequality(i, mult, lambda: lhs(mult), lambda: rhs(mult), undefined)
+        for i, mult in enumerate(mults)
+    )
     return TheoremReport(
         theorem=2,
         global_checks=globals_,
-        per_index=tuple(per_index),
+        per_index=per_index,
         notes=(
             "main inequality implemented verbatim as printed, including the "
             "(c/4)(m/4)(2n-m) fragment and the + sign in the squared bracket; "
@@ -216,13 +241,6 @@ def check_theorem2(
         ),
         params=SeparationParams(d=d, c=c, q=q, max_sep=max_sep, xi=xi, a_const=a_const),
     )
-
-
-def _evaluate(quantity: str, compute: Callable[[], Real]) -> Real:
-    try:
-        return compute()
-    except Overflow as exc:
-        raise ValueError(f"{quantity} overflows the decimal exponent range") from exc
 
 
 def check_theorem3(
@@ -235,10 +253,11 @@ def check_theorem3(
     """
     sinh_c = abs(_evaluate("sinh(c)", lambda: sinh(c)))
     cosh_c = _evaluate("cosh(c)", lambda: cosh(c))
+    gap = _evaluate("d - 2c", lambda: d - 2 * c)
     globals_ = (
         _q_in_unit_interval(q),
         _check("c > 0", c, ">", zero(c.digits)),
-        _check("d - 2c > 0", d - 2 * c, ">", zero(d.digits)),
+        _check("d - 2c > 0", gap, ">", zero(d.digits)),
         _check(
             "c |sinh c| + cosh c < 12",
             _evaluate("c |sinh c| + cosh c", lambda: c * sinh_c + cosh_c),
@@ -246,31 +265,26 @@ def check_theorem3(
             12 * one(c.digits),
         ),
     )
-    half_gap = (d - 2 * c) / 2
-    s_const = _evaluate("S = sinh((d - 2c)/2)", lambda: sinh(half_gap))
-    per_index = []
-    for i, mult in enumerate(mults):
-        if not s_const > 0:
-            per_index.append(
-                _main_inequality_undefined(
-                    i, mult, f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined"
-                )
-            )
-            continue
-        lhs = _evaluate(
-            f"the main inequality's left side for i={i + 1}",
+    s_const = _evaluate("S = sinh((d - 2c)/2)", lambda: sinh(gap / 2))
+    undefined = None
+    if not s_const > 0:
+        undefined = f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined"
+    per_index = tuple(
+        _main_inequality(
+            i,
+            mult,
             lambda: mult * mult * one(c.digits)
             + (n / s_const) * (mult * c + sinh_c / s_const ** 3) * sinh_c
             + (2 * n / (s_const * s_const)) * cosh_c,
+            lambda: mult + s_const / cosh_c,
+            undefined,
         )
-        rhs = mult + s_const / cosh_c
-        per_index.append(
-            IndexChecks(index=i, mult=mult, checks=(_check("main inequality", lhs, "<", rhs),))
-        )
+        for i, mult in enumerate(mults)
+    )
     return TheoremReport(
         theorem=3,
         global_checks=globals_,
-        per_index=tuple(per_index),
+        per_index=per_index,
         notes=("the ambiguous 'S cosh^-1 c' term is evaluated as S / cosh(c)",),
         params=SeparationParams(d=d, c=c, q=q, s_const=s_const),
     )

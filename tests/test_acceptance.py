@@ -62,7 +62,8 @@ def reproduce_table(index: int):
     final = report.trace.final()
     final_tolerance = R("1e-18")
     final_ok = all(
-        abs(x - R(r)) <= final_tolerance for x, r in zip(final.x, example.roots)
+        abs(x - r) <= final_tolerance
+        for x, r in zip(final.x, parse_expression(example.expression).roots)
     )
 
     details = []

@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -101,7 +103,6 @@ def test_solve_exit_codes_from_stop_reasons():
         )
         return SolveReport(
             trace=trace,
-            converged=stop is StopReason.TOLERANCE,
             stop_reason=stop,
             failure="boom" if stop is StopReason.STEP_FAILURE else None,
         )
@@ -201,7 +202,6 @@ def test_order_on_reference_trace(capsys, tmp_path):
     )
     report = SolveReport(
         trace=IterationTrace(snapshots=snapshots, step_sizes=steps),
-        converged=False,
         stop_reason=StopReason.MAX_ITERS,
     )
     path = tmp_path / "trace.json"
@@ -222,7 +222,6 @@ def test_order_insufficient_data_exits_2(capsys, tmp_path):
     )
     report = SolveReport(
         trace=IterationTrace(snapshots=vecs, step_sizes=((R("0.25"),),)),
-        converged=False,
         stop_reason=StopReason.MAX_ITERS,
     )
     path = tmp_path / "short.json"
@@ -400,3 +399,67 @@ def test_solve_trigonometric_estimates_a_period_apart_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert "estimates 0 and 1 coincide" in err
+
+
+def test_verify_theorem1_overflow_exits_1_naming_the_side(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--d", "1", "--mults", "1,1",
+                         "--c", "1e999999999999999990", "--q", "0.5")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the main inequality's left side for i=1 overflows the decimal exponent range\n"
+    )
+
+
+def test_verify_theorem2_underflowed_divisor_exits_1_naming_the_side(capsys):
+    # A = sin(xi/2) is not 0, but A^2 underflows to 0
+    code, out, err = run(capsys, "verify", "--theorem", "2", "--d", "1", "--max-sep", "2",
+                         "--mults", "1,1", "--c", "0.05", "--q", "0.5",
+                         "--xi", "1e-999999999999999990")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the main inequality's left side for i=1 divides by a term that "
+        "underflows to zero\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag,value,quantity",
+    [("--xi", "1e30000", "xi/2"), ("--c", "1e999999999999999990", "d/2 - c")],
+)
+def test_verify_theorem2_phase_without_a_digit_exits_1(capsys, flag, value, quantity):
+    argv = {"--d": "1", "--max-sep": "2", "--mults": "1,1", "--c": "0.05", "--q": "0.5",
+            "--xi": "1", flag: value}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--theorem", "2", *itertools.chain(*argv.items()))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == f"error: {quantity} has no digit of its phase left at 64 digits\n"
+
+
+def test_solve_exit_code_does_not_depend_on_the_format(capsys):
+    argv = ["solve", "--expr", "(x-1)*(x-2)", "--init", "1e999999999999999990,2",
+            "--max-iters", "3"]
+    codes = {fmt: run(capsys, *argv, "--format", fmt)[0] for fmt in ("table", "csv", "json")}
+    assert codes == {"table": 0, "csv": 0, "json": 0}
+    _, table, _ = run(capsys, *argv)
+    assert table.splitlines()[1].split() == ["0", "1E+999999999999999990,", "2.000000000000000000"]
+
+
+def test_negative_values_merge_with_any_flag(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "1", "--roots", "-2,1,3",
+                       "--mults", "2,1,3", "--c", "0.05", "--q", "0.5", "--digits", "-40")
+    assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "solve", "--expr", "(x+0.5)*(x-1)", "--init", "-.6,1.2",
+                       "--tolerance", "-1e-5")
+    assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "solve", "--expr", "(x+0.5)*(x-1)", "--init", "-.6,1.2",
+                       "--tolerance", "1e-50")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["0", "-0.600000000000000000,", "1.200000000000000000"]
+
+
+def test_verify_takes_the_degree_from_the_multiplicities_only(capsys):
+    code, _, err = run(capsys, "verify", "--theorem", "2", "--roots", "1,2", "--mults", "1,2",
+                       "--c", "0.05", "--q", "0.5", "--xi", "1", "--n", "3")
+    assert code == 1
+    assert "unrecognized arguments: --n" in err

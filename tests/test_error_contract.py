@@ -1,0 +1,156 @@
+"""The CLI's error contract as one property.
+
+Whatever the arguments, problem files and traces hold, ``cli.main``
+returns an exit code in {0, 1, 2, 3} and lets no exception escape.  Each
+input is a well-formed one with hostile leaves mixed in: exponents at the
+edge of the decimal range, NaN and Infinity, empty arrays, values of the
+wrong JSON type, duplicate estimates and estimates a period 2*pi apart,
+and the digits floor.  Runs stay small (at most 70 digits, at most 5
+iterations), and the examples are derandomized so the test is a stable
+gate.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from simulroot.cli import main
+from simulroot.numeric import make_real, pi
+
+ONE_PERIOD_ON = str(make_real("1.1", 70) + 2 * pi(70))
+ORDINARY = ("0", "1", "-2", "2.5", "3.4", "-1.5", "0.05", "0.5", "0.2", "1.1", "1e-40")
+HOSTILE = (
+    "1e999999999999999990", "-1e999999999999999990", "1e-999999999999999990",
+    "1e30000", "-1e30000", "NaN", "Infinity", "-Infinity", "", ONE_PERIOD_ON,
+)
+# (family, two-factor expression)
+PROBLEMS = (
+    ("algebraic", "(x-1)*(x-2)"),
+    ("algebraic", "(x+2)^2*(x-1)"),
+    ("trigonometric", "sin((x-1)/2)*sin((x-1.1)/2)"),
+    ("trigonometric", "sin((x-1)/2)^3*sin((x-2)/2)"),
+    ("exponential", "sinh((x+2)/2)^2*sinh((x-3)/2)^2"),
+)
+DIGITS = (30, 40, 64, 70)
+METHODS = ("chebyshev", "newton_baseline")
+
+numerals = st.sampled_from(ORDINARY * 3 + HOSTILE)
+multiplicities = st.sampled_from((1, 2, 3) * 4 + (0, -1))
+iterations = st.sampled_from((1, 2, 3, 4, 5) * 3 + (0,))
+# a leaf of the wrong type for any key, or a hostile numeral
+leaves = st.one_of(
+    st.sampled_from(HOSTILE), st.integers(-2, 70), st.none(), st.booleans(), st.just([]),
+    st.just({}), st.lists(numerals, max_size=3),
+)
+
+
+def pair_of(items):
+    # two distinct entries, as the problems have two roots; or any up to three
+    return st.one_of(st.lists(items, min_size=2, max_size=2, unique=True),
+                     st.lists(items, max_size=3))
+
+
+def csv(items):
+    return items.map(lambda values: ",".join(map(str, values)))
+
+
+def spoiled(documents):
+    """The document itself, or with one key's value replaced by a leaf."""
+    return documents.flatmap(lambda doc: st.one_of(
+        st.just(doc), st.tuples(st.sampled_from(sorted(doc)), leaves).map(
+            lambda kv: {**doc, kv[0]: kv[1]})))
+
+
+def flags(**options):
+    """Each optional flag present or not, in a fixed order."""
+    return st.tuples(*(
+        st.one_of(st.just([]), values.map(lambda v, name=name: [name, str(v)]))
+        for name, values in options.items()
+    )).map(lambda parts: [token for part in parts for token in part])
+
+
+problem_files = spoiled(st.sampled_from(PROBLEMS).flatmap(lambda problem: st.fixed_dictionaries(
+    {"family": st.just(problem[0]), "expr": st.just(problem[1]), "init": pair_of(numerals)},
+    optional={
+        "mults": pair_of(multiplicities),
+        "digits": st.sampled_from(DIGITS),
+        "max_iters": st.integers(1, 5),
+        "tolerance": numerals,
+        "method": st.sampled_from(METHODS),
+    },
+)))
+coefficient_files = spoiled(st.sampled_from(["algebraic", "trigonometric", "exponential"]).flatmap(
+    lambda family: st.fixed_dictionaries({
+        "family": st.just(family),
+        "coefficients": st.fixed_dictionaries(
+            {"a": pair_of(numerals)} if family == "algebraic"
+            else {"a0": numerals, "a": pair_of(numerals), "b": pair_of(numerals)}
+        ),
+        "mults": st.just([1, 1] if family == "algebraic" else [2, 2]),
+        "init": pair_of(numerals),
+    })
+))
+# estimates 10^-e of the true root 0, converging as e grows, or any numerals
+snapshots = st.one_of(
+    st.lists(st.integers(0, 69), min_size=1, max_size=5, unique=True).map(
+        lambda es: [{"k": k, "x": [f"1e-{e}"]} for k, e in enumerate(sorted(es))]),
+    st.lists(st.fixed_dictionaries({"k": st.integers(0, 5), "x": st.lists(
+        numerals, min_size=1, max_size=1)}), min_size=1, max_size=5),
+)
+traces = spoiled(st.fixed_dictionaries(
+    {
+        "digits": st.sampled_from(DIGITS),
+        "snapshots": snapshots,
+        "step_sizes": st.lists(st.lists(numerals, min_size=1, max_size=1), max_size=4),
+    },
+    optional={
+        "errors": st.lists(st.lists(numerals, min_size=1, max_size=1), max_size=4),
+        "converged": st.booleans(),
+        "stop_reason": st.sampled_from(["tolerance", "max_iters", "step_failure"]),
+        "failure": st.none(),
+    },
+))
+
+solve_flags = flags(**{
+    "--digits": st.sampled_from(DIGITS), "--tolerance": numerals,
+    "--method": st.sampled_from(METHODS), "--format": st.sampled_from(["table", "csv", "json"]),
+})
+solve_expr = st.tuples(
+    st.sampled_from([expr for _, expr in PROBLEMS]), csv(pair_of(numerals)),
+    flags(**{"--mults": csv(pair_of(multiplicities))}), iterations, solve_flags,
+).map(lambda t: (["solve", "--expr", t[0], "--init", t[1], *t[2], "--max-iters", str(t[3]),
+                  *t[4]], None))
+solve_file = st.tuples(st.one_of(problem_files, coefficient_files), iterations, solve_flags).map(
+    lambda t: (["solve", "--input", "{path}", "--max-iters", str(t[1]), *t[2]], t[0])
+)
+verify = st.tuples(
+    st.sampled_from(["1", "2", "3"]),
+    st.one_of(csv(pair_of(numerals)).map(lambda v: ["--roots", v]),
+              numerals.map(lambda v: ["--d", v])),
+    csv(pair_of(multiplicities)), numerals, numerals,
+    flags(**{"--max-sep": numerals, "--xi": numerals, "--digits": st.sampled_from(DIGITS)}),
+).map(lambda t: (["verify", "--theorem", t[0], *t[1], "--mults", t[2], "--c", t[3],
+                  "--q", t[4], *t[5]], None))
+order = st.tuples(traces, st.one_of(st.just("0"), csv(pair_of(numerals)))).map(
+    lambda t: (["order", "--input", "{path}", "--true-roots", t[1]], t[0])
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=2000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(st.one_of(solve_expr, solve_file, verify, order))
+def test_every_run_exits_with_a_contract_code(tmp_path, case):
+    argv, document = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    argv = [token.replace("{path}", str(path)) for token in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from simulroot.ingest import (
     ExpressionError,
     SchemaError,
+    expression_problem,
     parse_expression,
     parse_problem,
     parse_trace,
@@ -273,7 +274,7 @@ def test_render_trace_single_snapshot():
     vec = EstimateVector((R("1"), R("2")))
     trace = IterationTrace(snapshots=(vec,), step_sizes=())
     report = SolveReport(
-        trace=trace, converged=False, stop_reason=StopReason.MAX_ITERS
+        trace=trace, stop_reason=StopReason.MAX_ITERS
     )
     out = render_trace(report, "table").decode()
     assert len(out.strip().splitlines()) == 2  # header plus one row
@@ -314,3 +315,60 @@ def test_render_theorem_report_is_json():
     assert payload["theorem"] == 1
     assert payload["passed"] is True
     assert payload["per_index"][1]["checks"][0]["lhs"] == "0.0125"
+
+
+ONE_SNAPSHOT = {"digits": 64, "snapshots": [{"k": 0, "x": ["1"]}], "step_sizes": []}
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        (5, "$"),
+        ({**ONE_SNAPSHOT, "snapshots": 5}, "$.snapshots"),
+        ({**ONE_SNAPSHOT, "snapshots": [5]}, "$.snapshots[0]"),
+        ({**ONE_SNAPSHOT, "step_sizes": 5}, "$.step_sizes"),
+        ({**ONE_SNAPSHOT, "errors": 3}, "$.errors"),
+        ({**ONE_SNAPSHOT, "step_sizes": ["12"]}, "$.step_sizes[0]"),
+        (
+            {**ONE_SNAPSHOT, "snapshots": [{"k": 0, "x": ["1", "2"]}, {"k": 1, "x": ["1"]}]},
+            "$.snapshots[1].x",
+        ),
+    ],
+)
+def test_parse_trace_rejects_values_of_the_wrong_type_with_a_path(doc, path):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
+@pytest.mark.parametrize(
+    "stop_reason,converged",
+    [("tolerance", False), ("max_iters", True), ("tolerance", 1), ("step_failure", "false")],
+)
+def test_parse_trace_rejects_a_converged_flag_that_contradicts_the_stop(stop_reason, converged):
+    doc = {**ONE_SNAPSHOT, "stop_reason": stop_reason, "converged": converged}
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps(doc))
+    assert excinfo.value.path == "$.converged"
+
+
+def test_parse_trace_derives_converged_from_the_stop_reason():
+    assert parse_trace(json.dumps({**ONE_SNAPSHOT, "stop_reason": "tolerance"})).converged
+    assert not parse_trace(json.dumps(ONE_SNAPSHOT)).converged
+
+
+def test_a_problem_and_solve_reject_misfit_multiplicities_in_the_same_words():
+    poly = parse_expression("(x+2)^2*(x-1)")
+    with pytest.raises(ValueError) as from_solve:
+        solve(poly, MultiplicityProfile((1, 1)), EstimateVector((R("-3"), R("0.1"))))
+    with pytest.raises(SchemaError) as from_file:
+        expression_problem("(x+2)^2*(x-1)", ["-3", "0.1"], [1, 1])
+    assert str(from_file.value) == f"$.mults: {from_solve.value}"
+
+
+def test_parse_problem_coefficient_form_needs_multiplicities_not_null():
+    doc = {"family": "algebraic", "coefficients": {"a": ["0", "1"]}, "mults": None,
+           "init": ["0", "1"]}
+    with pytest.raises(SchemaError) as excinfo:
+        parse_problem(json.dumps(doc))
+    assert excinfo.value.path == "$.mults"

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -350,3 +351,20 @@ def test_solve_rejects_trigonometric_estimates_whole_periods_apart(periods):
     with pytest.raises(CollisionError) as excinfo:
         solve(poly, MultiplicityProfile((1, 1)), init)
     assert excinfo.value.indices == (0, 1)
+
+
+def test_a_sweep_that_leaves_the_phase_behind_is_a_step_failure():
+    # a0 = -1e30000 throws the first sweep to |x| ~ 1e59998, where sin(kx)
+    # would cost seconds and mean nothing
+    poly = TrigExpCoeffPoly(
+        Family.TRIGONOMETRIC, R("-1e30000", 40), (R("0.05", 40), R("1e-40", 40)),
+        (R("7.4", 40), R("2.5", 40)),
+    )
+    start = time.perf_counter()
+    report = solve(poly, MultiplicityProfile((2, 2)),
+                   EstimateVector((R("0.5", 40), R("1", 40))), SolveConfig(max_iters=2))
+    assert time.perf_counter() - start < 1
+    assert report.stop_reason is StopReason.STEP_FAILURE
+    assert report.failure == (
+        "step failed for root index 0: the new estimate has no digit of its phase left at 40 digits"
+    )
