@@ -66,10 +66,18 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract wants 1.
     def error(self, message):
         raise UsageError(message)
+
+    # It also exits 0 once -h/--help has printed the help; main returns 0.
+    def exit(self, status=0, message=None):
+        raise _HelpShown()
 
 
 def _resolve_digits(flag: int | None) -> int | None:
@@ -335,6 +343,8 @@ def main(argv=None) -> int:
             if args.digits is None and getattr(args, "input", None) is None:
                 args.digits = DEFAULT_DIGITS
         return args.run(args)
+    except _HelpShown:
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Any, Sequence
 
 from .numeric import DEFAULT_DIGITS, Real, format_fixed, make_real, zero
@@ -269,6 +270,14 @@ def _get(obj: Any, key: str, path: str, required: bool = True, default=None):
     return obj[key]
 
 
+def _member(kind: type[Enum], value: Any, path: str):
+    try:
+        return kind(value)
+    except ValueError:
+        choices = [m.value for m in kind]
+        raise SchemaError(path, f"expected one of {choices}, got {value!r}") from None
+
+
 def _as_int(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(path, f"expected an integer, got {value!r}")
@@ -332,14 +341,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
     else ``DEFAULT_DIGITS``) before any numeral is parsed.
     """
     raw = _json_object(data)
-    family_name = _get(raw, "family", "$")
-    try:
-        family = Family(family_name)
-    except ValueError:
-        raise SchemaError(
-            "$.family",
-            f"expected one of {[f.value for f in Family]}, got {family_name!r}",
-        )
+    family = _member(Family, _get(raw, "family", "$"), "$.family")
 
     digits = _digits(raw.get("digits", DEFAULT_DIGITS) if digits is None else digits)
 
@@ -383,14 +385,7 @@ def parse_problem(data: bytes | str, digits: int | None = None) -> ProblemSpec:
         if not tolerance > 0:
             raise SchemaError("$.tolerance", "must be positive")
 
-    method_name = raw.get("method", SolveConfig.method.value)
-    try:
-        method = Method(method_name)
-    except ValueError:
-        raise SchemaError(
-            "$.method",
-            f"expected one of {[m.value for m in Method]}, got {method_name!r}",
-        )
+    method = _member(Method, raw.get("method", SolveConfig.method.value), "$.method")
 
     return replace(spec, config=SolveConfig(max_iters, tolerance, method))
 
@@ -454,7 +449,7 @@ def parse_trace(data: bytes | str) -> SolveReport:
     errors_raw = raw.get("errors")
     errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits)
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=step_sizes, errors=errors)
-    stop = StopReason(raw.get("stop_reason", StopReason.MAX_ITERS.value))
+    stop = _member(StopReason, raw.get("stop_reason", StopReason.MAX_ITERS.value), "$.stop_reason")
     report = SolveReport(trace=trace, stop_reason=stop, failure=raw.get("failure"))
     if raw.get("converged", report.converged) is not report.converged:
         expected = json.dumps(report.converged)

@@ -20,7 +20,10 @@ one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
 formula, cached per precision) carrying extra digits for large
 arguments.  sinh/cosh use the context's exp only past coth's far-tail
 cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
-return a whole pair from one kernel run.
+return a whole pair from one kernel run.  ``polys`` takes every cot and
+coth of a factored form's log-derivative sums from such pairs, one per
+point, and calls cot or coth itself only for a term the pairs cannot
+give to full precision.
 """
 
 from __future__ import annotations

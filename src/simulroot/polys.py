@@ -15,6 +15,28 @@ factored form is the reciprocal of its logarithmic derivative
 the same sums over the other estimates, all of them from one pairwise
 pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 
+A factored half-angle form runs no kernel per term.  Each point gets its
+phase, the pair (c, s) at half the point, once (:func:`phases`), at
+``PHASE_GUARD_DIGITS`` more digits than the sums; the solver keeps the
+roots' phases for a whole solve and the estimates' for one sweep.  A term
+comes from two phases by angle subtraction,
+
+    cot((a - b)/2) = (C_a C_b + S_a S_b) / (S_a C_b - C_a S_b)
+    coth((a - b)/2) = (Ch_a Ch_b - Sh_a Sh_b) / (Sh_a Ch_b - Ch_a Sh_b),
+
+and is then moved to the argument the direct kernel sees, u =
+round(round(a - b)/2), to first order: K(u) = K(v) + (u - v)(sign -
+K(v)^2) with v = (a - b)/2.  Ziv's strategy makes the rounded term the
+direct kernel's result bit for bit: a term whose subtraction cancels
+more than half the guard digits, whose step to u is not accurate to the
+other half, whose digits past the working precision lie within its
+error bound of a half unit (where rounding could go either way), that
+saturates at +/-1, or one of whose points has no phase (its kernel
+overflows) takes the direct kernel, numeric's cot or coth at u.  A
+coefficient form's estimates get no phases: it sums only their m(m - 1)/2
+pair terms, and for the small m of a coefficient form the direct
+kernels measured faster.
+
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
 digits any operand carries; cot, coth and the function pairs stay numeric's.
@@ -23,11 +45,27 @@ digits any operand carries; cot, coth and the function pairs stay numeric's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context, Decimal, Overflow
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .numeric import Real, _context, cos_sin, cosh_sinh, cot, coth, one, zero
+
+# Digits a phase carries beyond the sums it serves.  A pair term may lose
+# half of them to cancellation; the other half keep its rounding exact.
+PHASE_GUARD_DIGITS = 20
+
+# An accepted pair term, before its last rounding, is within
+# 10**-TIE_MARGIN_DIGITS of a unit in its last working digit of the true
+# term.  The phases' rounding, magnified by at most
+# 10**(PHASE_GUARD_DIGITS // 2) of cancellation, gives a few 1e-9 of a
+# unit; the step to u and the division each add at most 1e-9.  The worst
+# seen on 6000 seeded pairs at 64 and 256 digits was 7e-10.
+TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
+
+_HALF = Decimal("0.5")
+_MINUS_HALF = Decimal("-0.5")
+_NEAR_HALF = _HALF - Decimal(1).scaleb(-TIE_MARGIN_DIGITS)
 
 
 class Family(str, Enum):
@@ -76,20 +114,117 @@ class _Rule:
     odd: Callable[[Context, Decimal], Decimal]
     # (ctx, m, odd(d)) -> m * K(d), before halving; odd in its last argument
     weigh: Callable[[Context, int, Decimal], Decimal]
-    # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic
+    # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic.
+    # c(a - b) = c(a) c(b) - sign s(a) s(b) and s(a - b) = s(a) c(b) - c(a) s(b).
     pair: Callable[[Real], tuple[Real, Real]] | None = None
     sign: int = 0
 
 
-# The lambdas look cot and coth up in this module at call time, so
-# rebinding those names (as perfbench's tracer does) reaches every call.
+# The lambdas look the kernels up in this module at call time, so
+# rebinding their names (as perfbench's tracer does) reaches every call.
 _RULES = {
     Family.ALGEBRAIC: _Rule(False, lambda ctx, d: d, Context.divide),
     Family.TRIGONOMETRIC: _Rule(True, lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                                Context.multiply, cos_sin, -1),
+                                Context.multiply, lambda t: cos_sin(t), -1),
     Family.EXPONENTIAL: _Rule(True, lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                              Context.multiply, cosh_sinh, 1),
+                              Context.multiply, lambda t: cosh_sinh(t), 1),
 }
+
+
+class Phase(NamedTuple):
+    """(c, s) at half a point, rounded to ``digits + PHASE_GUARD_DIGITS``.
+
+    It serves sums at ``digits`` digits only.
+    """
+
+    c: Decimal
+    s: Decimal
+    digits: int
+
+
+def phases(family: Family, points: Sequence[Real], digits: int) -> list[Phase | None]:
+    """The phase of every point, for sums at ``digits`` digits.
+
+    None for the algebraic family, which has no phases, and for a point
+    whose kernel overflows.
+    """
+    pair = _RULES[family].pair
+    if pair is None:
+        return [None] * len(points)
+    prec = digits + PHASE_GUARD_DIGITS
+    ctx = _context(prec)
+    out: list[Phase | None] = []
+    for p in points:
+        try:
+            c, s = pair(Real(ctx.divide(p.dec, 2), prec))
+        except Overflow:
+            out.append(None)
+        else:
+            out.append(Phase(c.dec, s.dec, digits))
+    return out
+
+
+def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal) -> Decimal | None:
+    """k rounded to ctx, or None where an error of 10**-TIE_MARGIN_DIGITS
+    of a unit in k's last working digit could round it the other way.
+
+    Rounding to nearest splits only at half a unit, so the part of k that
+    the rounding drops must stay that far from half a unit.
+    """
+    r = ctx.plus(k)
+    dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted())
+    return None if dropped.copy_abs() >= _NEAR_HALF else r
+
+
+def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
+    """term(d, a, b, pa, pb) = ``rule.odd(ctx, d)`` for d = a - b rounded to ctx,
+    from the phases pa and pb of a and b where they carry enough digits."""
+    odd, sign, prec = rule.odd, rule.sign, ctx.prec
+    half_guard = PHASE_GUARD_DIGITS // 2
+    w = _context(prec + PHASE_GUARD_DIGITS)
+
+    def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
+        if pb is None or not pa.digits == pb.digits == prec:
+            return odd(ctx, d)
+        ca, sa, _ = pa
+        cb, sb, _ = pb
+        try:
+            cc = w.multiply(ca, cb)
+            num = w.fma(sa, sb if sign < 0 else sb.copy_negate(), cc)  # c((a - b)/2)
+            den = w.fma(sa, cb, w.multiply(ca, sb).copy_negate())  # s((a - b)/2)
+        except Overflow:
+            return odd(ctx, d)
+        # The phases are good to a unit in their last digit on the scale
+        # of C_a C_b, which is 1 for trig; num and den keep that error.
+        if num.is_zero() or den.is_zero():
+            return odd(ctx, d)
+        if max(cc.adjusted(), 0) - min(num.adjusted(), den.adjusted()) > half_guard:
+            return odd(ctx, d)
+        k = w.divide(num, den)
+        # The term moves to u, the argument the direct kernel sees, along
+        # K' = sign - K^2 by delta = u - v, with v = t/2.  The rounding of
+        # t enters K scaled by |K| + 1/|K|, and the step drops (1 + K^2)
+        # delta^2: each must stay within half the guard digits.
+        t = w.subtract(a, b)
+        delta = w.fma(t, _MINUS_HALF, ctx.multiply(d, _HALF))
+        scale = k.adjusted()
+        if max(scale + 1, -scale) + t.adjusted() + 1 > half_guard:
+            return odd(ctx, d)
+        if not delta.is_zero():
+            if 2 * (max(scale, 0) + delta.adjusted() + 2) > -(prec + half_guard):
+                return odd(ctx, d)
+            k = w.fma(delta, w.subtract(sign, w.multiply(k, k)), k)
+        # Ziv's test: k is within 10**-TIE_MARGIN_DIGITS of a unit in the
+        # last working digit of the true term, so round it only where that
+        # interval holds no rounding boundary.
+        k = _round_clear_of_ties(ctx, w, k)
+        if k is None:
+            return odd(ctx, d)
+        # +/-1 is where coth saturates: the direct kernel decides its
+        # exponent, and past the far tail it runs no kernel.
+        return odd(ctx, d) if k.copy_abs() == 1 else k
+
+    return term
 
 
 def mults_degree(family: Family, total: int) -> int | None:
@@ -122,14 +257,29 @@ def log_derivative(
 
     A point equal to x raises :class:`CoincidentPointError`.
     """
+    digits = max(x.digits, *(p.digits for p in points))
+    (phase,) = phases(family, [x], digits)
+    return _log_derivative(family, x, phase, points, phases(family, points, digits), mults)
+
+
+def _log_derivative(
+    family: Family,
+    x: Real,
+    phase: Phase | None,
+    points: Sequence[Real],
+    point_phases: Sequence[Phase | None],
+    mults: Sequence[int],
+) -> Real:
     rule = _RULES[family]
     ctx = _context(max(x.digits, *(p.digits for p in points)))
+    term = None if phase is None else _pair_term(rule, ctx)
     total = Decimal(0)
     for j, (p, m) in enumerate(zip(points, mults)):
         d = ctx.subtract(x.dec, p.dec)
         if d.is_zero():
             raise CoincidentPointError(j)
-        total = ctx.add(total, rule.weigh(ctx, m, rule.odd(ctx, d)))
+        k = rule.odd(ctx, d) if term is None else term(d, x.dec, p.dec, phase, point_phases[j])
+        total = ctx.add(total, rule.weigh(ctx, m, k))
     return Real(ctx.divide(total, 2) if rule.half_angle else total, ctx.prec)
 
 
@@ -144,15 +294,29 @@ def pairwise_log_derivatives(
     :func:`log_derivative` does, so the results are the same bit for bit.
     A coincident pair raises :class:`CoincidentPointError` with ``at=i``.
     """
+    point_phases = phases(family, points, max(p.digits for p in points))
+    return phased_pairwise_log_derivatives(family, points, point_phases, mults)
+
+
+def phased_pairwise_log_derivatives(
+    family: Family,
+    points: Sequence[Real],
+    point_phases: Sequence[Phase | None],
+    mults: Sequence[int],
+) -> list[Real]:
+    """:func:`pairwise_log_derivatives` from the points' :func:`phases`."""
     rule = _RULES[family]
     ctx = _context(max(p.digits for p in points))
+    term = _pair_term(rule, ctx)
     sums = [Decimal(0)] * len(points)
     for i, (p, m) in enumerate(zip(points, mults)):
+        pa = point_phases[i]
         for j in range(i + 1, len(points)):
             d = ctx.subtract(p.dec, points[j].dec)
             if d.is_zero():
                 raise CoincidentPointError(j, at=i)
-            k = rule.odd(ctx, d)
+            pb = point_phases[j]
+            k = rule.odd(ctx, d) if pa is None else term(d, p.dec, points[j].dec, pa, pb)
             sums[i] = ctx.add(sums[i], rule.weigh(ctx, mults[j], k))
             sums[j] = ctx.subtract(sums[j], rule.weigh(ctx, m, k))
     return [Real(ctx.divide(t, 2) if rule.half_angle else t, ctx.prec) for t in sums]
@@ -281,9 +445,29 @@ def newton_ratio(p: Polynomial, x: Real) -> Real:
     stationary point and raises :class:`DerivativeZeroError`.  A
     factored form takes the reciprocal of its logarithmic derivative.
     """
+    if not isinstance(p, FactoredPoly):
+        return phased_newton_ratio(p, x, None, [])
+    digits = max(x.digits, *(r.digits for r in p.roots))
+    (phase,) = phases(p.family, [x], digits)
+    return phased_newton_ratio(p, x, phase, phases(p.family, p.roots, digits))
+
+
+def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
+    """The :func:`phases` of a factored form's roots, for the Newton ratios
+    of estimates that carry ``digits`` digits; [] for other forms."""
+    if not isinstance(p, FactoredPoly):
+        return []
+    return phases(p.family, p.roots, max(digits, *(r.digits for r in p.roots)))
+
+
+def phased_newton_ratio(
+    p: Polynomial, x: Real, phase: Phase | None, roots: Sequence[Phase | None]
+) -> Real:
+    """:func:`newton_ratio` from x's phase and the :func:`root_phases` of p."""
     if isinstance(p, FactoredPoly):
         try:
-            value, derivative = one(x.digits), log_derivative(p.family, x, p.roots, p.mults)
+            value = one(x.digits)
+            derivative = _log_derivative(p.family, x, phase, p.roots, roots, p.mults)
         except CoincidentPointError:
             return zero(x.digits)
     else:

@@ -23,11 +23,14 @@ from typing import Sequence
 from .numeric import Real, check_phase, ln, pi, ten_power
 from .polys import (
     Family,
+    Phase,
     Polynomial,
     check_mults_fit,
     family_of,
-    newton_ratio,
-    pairwise_log_derivatives,
+    phased_newton_ratio,
+    phased_pairwise_log_derivatives,
+    phases,
+    root_phases,
 )
 
 
@@ -146,11 +149,21 @@ def correction_sums(
 ) -> list[Real]:
     """Q_i'(x_i)/Q_i(x_i) over the other estimates' factors, for every i.
 
-    One pairwise pass evaluates each pair's kernel once.
+    One pairwise pass evaluates each pair's term once.
     """
+    estimate_phases = phases(family, estimates.x, estimates.digits)
+    return _correction_sums(family, estimates, profile, estimate_phases)
+
+
+def _correction_sums(
+    family: Family,
+    estimates: EstimateVector,
+    profile: MultiplicityProfile,
+    estimate_phases: Sequence[Phase | None],
+) -> list[Real]:
     if estimates.m != profile.m:
         raise ValueError("estimate vector and multiplicity profile disagree on m")
-    return pairwise_log_derivatives(family, estimates.x, profile.mults)
+    return phased_pairwise_log_derivatives(family, estimates.x, estimate_phases, profile.mults)
 
 
 def correction_sum(
@@ -167,15 +180,26 @@ def _advance(
     estimates: EstimateVector,
     profile: MultiplicityProfile,
     chebyshev: bool,
+    roots: Sequence[Phase | None] | None = None,
 ) -> EstimateVector:
+    # ``roots`` are p's root_phases, which a solve computes once.
     family = family_of(p)
+    if roots is None:
+        roots = root_phases(p, estimates.digits)
+    # A factored form's estimate phases serve m Newton-ratio terms each
+    # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
+    # terms, and there direct kernels are faster: one phase, at the
+    # phase's guard digits, costs more than one term's kernel.  Even
+    # 64-digit exponential solves with m = 4 (4 phases against 6 terms a
+    # sweep) took about 7% longer with phases on a 2-vCPU Xeon.
+    own = phases(family, estimates.x, estimates.digits) if roots else [None] * estimates.m
     new = []
     corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
         try:
-            ratio = newton_ratio(p, xi)
+            ratio = phased_newton_ratio(p, xi, own[i], roots)
             if chebyshev:
-                corrections = corrections or correction_sums(family, estimates, profile)
+                corrections = corrections or _correction_sums(family, estimates, profile, own)
                 bracket = 1 + ratio * corrections[i]
             else:
                 bracket = 1
@@ -235,6 +259,7 @@ def solve(
     if tolerance is None:
         tolerance = _precision_floor(init.digits)
     chebyshev = cfg.method is Method.CHEBYSHEV
+    roots = root_phases(p, init.digits)
 
     def error_row(vec: EstimateVector):
         return tuple(abs(x - r) for x, r in zip(vec.x, true_roots))
@@ -248,7 +273,7 @@ def solve(
     failure = None
     for _ in range(cfg.max_iters):
         try:
-            nxt = _advance(p, current, profile, chebyshev)
+            nxt = _advance(p, current, profile, chebyshev, roots)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)

@@ -54,15 +54,27 @@ def test_solve_op_calls_resolve():
 
 @pytest.mark.parametrize("family,kernel", [("trigonometric", "cot"), ("exponential", "coth")])
 def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, monkeypatch):
-    # The tracer counts numeric.cot/coth by rebinding them in every module
-    # that holds them; polys must call them through its own module names.
-    calls = []
-    original = getattr(polys, kernel)
-    monkeypatch.setattr(polys, kernel, lambda x: calls.append(x) or original(x))
+    # The tracer counts numeric's functions by rebinding them in every
+    # module that holds them, so polys calls its kernels through its own
+    # module names: the phase kernel once per point, and cot/coth only for
+    # a pair term that falls back to the direct kernel.
+    pair = {"cot": "cos_sin", "coth": "cosh_sinh"}[kernel]
+    calls = {pair: [], kernel: []}
+    for name, seen in calls.items():
+        original = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda x, seen=seen, f=original: seen.append(x) or f(x))
+
+    def counted(run):
+        for seen in calls.values():
+            seen.clear()
+        run()
+        return len(calls[pair]), len(calls[kernel])
+
+    family = polys.Family(family)
     m = 5
     points = [make_real(str(j)) for j in range(m)]
-    polys.log_derivative(polys.Family(family), make_real("0.5"), points, [1] * m)
-    assert len(calls) == m
-    calls.clear()
-    polys.pairwise_log_derivatives(polys.Family(family), points, [1] * m)
-    assert len(calls) == m * (m - 1) // 2
+    x = make_real("0.5")
+    assert counted(lambda: polys.log_derivative(family, x, points, [1] * m)) == (m + 1, 0)
+    assert counted(lambda: polys.pairwise_log_derivatives(family, points, [1] * m)) == (m, 0)
+    near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
+    assert counted(lambda: polys.pairwise_log_derivatives(family, near, [1, 1])) == (2, 1)

@@ -262,6 +262,13 @@ def test_unknown_flag_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"], ["order", "--help"]])
+def test_help_returns_0_with_the_usage_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: simulroot") and err == ""
+
+
 def test_solve_far_start_exits_2_without_a_traceback(capsys):
     code, _, err = run(capsys, "solve", "--expr", "sinh((x-1)/2)^2", "--init", "1e25")
     assert code == 2

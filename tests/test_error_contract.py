@@ -5,7 +5,8 @@ returns an exit code in {0, 1, 2, 3} and lets no exception escape.  Each
 input is a well-formed one with hostile leaves mixed in: exponents at the
 edge of the decimal range, NaN and Infinity, empty arrays, values of the
 wrong JSON type, duplicate estimates and estimates a period 2*pi apart,
-and the digits floor.  Runs stay small (at most 70 digits, at most 5
+estimates whose pair terms fall back to the direct kernel, and the
+digits floor.  Runs stay small (at most 70 digits, at most 5
 iterations), and the examples are derandomized so the test is a stable
 gate.
 """
@@ -35,6 +36,14 @@ PROBLEMS = (
     ("exponential", "sinh((x+2)/2)^2*sinh((x-3)/2)^2"),
 )
 DIGITS = (30, 40, 64, 70)
+# Estimates whose pair terms take the direct kernel: within 1e-30 of
+# +/-pi, where a pair straddles the period, and exponential ones whose
+# phase is huge or overflows.
+NEAR_PI = str(pi(70) - make_real("1e-31", 70))
+EDGE_ESTIMATES = {
+    "trigonometric": (NEAR_PI, "-" + NEAR_PI),
+    "exponential": ("1e5", "-1e5", "-1e20000"),
+}
 METHODS = ("chebyshev", "newton_baseline")
 
 numerals = st.sampled_from(ORDINARY * 3 + HOSTILE)
@@ -123,6 +132,12 @@ solve_expr = st.tuples(
     flags(**{"--mults": csv(pair_of(multiplicities))}), iterations, solve_flags,
 ).map(lambda t: (["solve", "--expr", t[0], "--init", t[1], *t[2], "--max-iters", str(t[3]),
                   *t[4]], None))
+solve_edge = st.sampled_from([p for p in PROBLEMS if p[0] in EDGE_ESTIMATES]).flatmap(
+    lambda problem: st.tuples(
+        st.just(problem[1]), csv(pair_of(st.sampled_from(EDGE_ESTIMATES[problem[0]] + ORDINARY))),
+        iterations, solve_flags,
+    )
+).map(lambda t: (["solve", "--expr", t[0], "--init", t[1], "--max-iters", str(t[2]), *t[3]], None))
 solve_file = st.tuples(st.one_of(problem_files, coefficient_files), iterations, solve_flags).map(
     lambda t: (["solve", "--input", "{path}", "--max-iters", str(t[1]), *t[2]], t[0])
 )
@@ -145,7 +160,7 @@ order = st.tuples(traces, st.one_of(st.just("0"), csv(pair_of(numerals)))).map(
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(st.one_of(solve_expr, solve_file, verify, order))
+@given(st.one_of(solve_expr, solve_edge, solve_file, verify, order))
 def test_every_run_exits_with_a_contract_code(tmp_path, case):
     argv, document = case
     path = tmp_path / "input.json"

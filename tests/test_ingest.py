@@ -352,6 +352,13 @@ def test_parse_trace_rejects_a_converged_flag_that_contradicts_the_stop(stop_rea
     assert excinfo.value.path == "$.converged"
 
 
+@pytest.mark.parametrize("stop_reason", [[], "nope", 5])
+def test_parse_trace_rejects_an_unknown_stop_reason_with_a_path(stop_reason):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps({**ONE_SNAPSHOT, "stop_reason": stop_reason}))
+    assert excinfo.value.path == "$.stop_reason"
+
+
 def test_parse_trace_derives_converged_from_the_stop_reason():
     assert parse_trace(json.dumps({**ONE_SNAPSHOT, "stop_reason": "tolerance"})).converged
     assert not parse_trace(json.dumps(ONE_SNAPSHOT)).converged

@@ -1,11 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot import numeric
+from simulroot import numeric, polys
 from simulroot.numeric import Real, make_real, ten_power
 from simulroot.polys import (
     AlgebraicCoeffPoly,
@@ -367,3 +368,189 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
     got = log_derivative(family, x, points, mults)
     assert got.digits == 100
     assert same(got, real_log_derivative(family, x, points, mults))
+
+
+# -- the phase kernel ----------------------------------------------------
+
+HALF_ANGLE = [Family.TRIGONOMETRIC, Family.EXPONENTIAL]
+
+
+def pair_terms(family, digits, pairs, monkeypatch):
+    """(phase-kernel term, direct-kernel term, fell back) for each pair (a, b).
+
+    The direct kernel is the family's odd(round(a - b)), and a term falls
+    back when the phase kernel calls it.
+    """
+    rule = polys._RULES[family]
+    ctx = numeric._context(digits)
+    points = [p for pair in pairs for p in pair]
+    ph = polys.phases(family, points, digits)
+    name = "cot" if family is Family.TRIGONOMETRIC else "coth"
+    kernel = getattr(polys, name)
+    calls = []
+    monkeypatch.setattr(polys, name, lambda x: calls.append(x) or kernel(x))
+    term = polys._pair_term(rule, ctx)
+    out = []
+    for i, (a, b) in enumerate(pairs):
+        d = ctx.subtract(a.dec, b.dec)
+        calls.clear()
+        got = term(d, a.dec, b.dec, ph[2 * i], ph[2 * i + 1])
+        fell_back = len(calls)
+        out.append((got, rule.odd(ctx, d), fell_back))
+    return out
+
+
+def bit_for_bit(results) -> bool:
+    return all(got.compare_total(want) == 0 for got, want, _ in results)
+
+
+def near(rng, a: Real, exponent: int) -> Real:
+    """A full-length numeral about 10^exponent from a, on either side."""
+    gap = Decimal(repr(rng.uniform(1, 9))).scaleb(exponent)
+    return R(str(a.dec + gap if rng.random() < 0.5 else a.dec - gap), a.digits)
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_equals_the_direct_kernel_on_seeded_pairs(family, digits, monkeypatch):
+    # every pair of 64 full-length points: 2016 pairs, 30% of the points
+    # 1e-1 to 1e-40 from another one
+    rng = random.Random(digits + len(family.value))
+    points = [full_numeral(rng, digits) for _ in range(45)]
+    points += [near(rng, points[i], -rng.randint(1, 40)) for i in range(19)]
+    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+    results = pair_terms(family, digits, pairs, monkeypatch)
+    assert len(results) == 2016 and bit_for_bit(results)
+    assert sum(fell for *_, fell in results) < len(results) // 10
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
+    # a term cancels about as many digits as the pair's separation has
+    # leading zeros, and takes the direct kernel once that is more than
+    # half the guard digits
+    rng = random.Random(digits)
+    exponents = [e for e in range(5, 61) for _ in range(2)]
+    pairs = [(a, near(rng, a, -e)) for a, e in
+             ((full_numeral(rng, digits), e) for e in exponents)]
+    results = pair_terms(family, digits, pairs, monkeypatch)
+    assert bit_for_bit(results)
+    half_guard = polys.PHASE_GUARD_DIGITS // 2
+    for e, (*_, fell) in zip(exponents, results):
+        if e <= half_guard - 2:
+            assert fell == 0, e
+        elif e >= half_guard + 2:
+            assert fell == 1, e
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_across_the_period_boundary(digits, monkeypatch):
+    # a just below pi and b just above -pi: a - b is 2*pi less a little,
+    # where cot((a - b)/2) has a pole
+    rng = random.Random(digits)
+    pi_ = numeric.pi(digits + 10).dec
+    pairs = []
+    for _ in range(40):
+        a = R(str(pi_ - Decimal(repr(rng.random())).scaleb(-rng.randint(1, 30))), digits)
+        b = R(str(-pi_ + Decimal(repr(rng.random())).scaleb(-rng.randint(1, 30))), digits)
+        pairs += [(a, b), (b, a)]
+    results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
+    assert bit_for_bit(results)
+    assert 0 < sum(fell for *_, fell in results) < len(results)
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_past_the_far_tail(digits, monkeypatch):
+    # coth((a - b)/2) rounds to +/-1 from about 1.15 digits on and is
+    # exactly +/-1 past the far tail; the exponents must agree too
+    rng = random.Random(digits)
+    prec = digits + numeric.DEFAULT_GUARD_DIGITS
+    tail = next(h for h in range(1000) if numeric._far_tail(Decimal(h), prec))
+    pairs = []
+    for _ in range(40):
+        b = full_numeral(rng, digits)
+        half = Decimal(rng.randint(tail - 20 - digits // 8, tail + 20))
+        a = R(str(b.dec + 2 * half + Decimal(repr(rng.random()))), digits)
+        pairs += [(a, b), (b, a)]
+    results = pair_terms(Family.EXPONENTIAL, digits, pairs, monkeypatch)
+    assert bit_for_bit(results)
+    assert any(got.compare_total(Decimal(1)) == 0 for got, *_ in results)
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
+    # full-length points from 1e-40 to 1e30: far apart, the rounding of
+    # a - b at the phases' digits moves the term by many ulps
+    rng = random.Random(digits)
+
+    def point():
+        fraction = rng.randrange(10 ** (digits - 1))
+        return R(f"{rng.choice('+-')}{rng.randint(1, 9)}.{fraction:0{digits - 1}d}"
+                 f"e{rng.randint(-40, 30)}", digits)
+
+    pairs = [(point(), point()) for _ in range(150)]
+    results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
+    assert bit_for_bit(results)
+    assert 0 < sum(fell for *_, fell in results) < len(results)
+
+
+def test_a_point_whose_phase_overflows_takes_the_direct_kernel():
+    family = Family.EXPONENTIAL
+    points = [R("1e20000"), R("-1e20000"), R("1"), R("-2.5")]
+    mults = [2, 1, 1, 2]
+    assert [p is None for p in polys.phases(family, points, 64)] == [True, True, False, False]
+    got = pairwise_log_derivatives(family, points, mults)
+    want = real_pairwise_log_derivatives(family, points, mults)
+    assert all(same(g, w) for g, w in zip(got, want))
+    x = R("-3e20000")
+    assert same(log_derivative(family, x, points, mults),
+                real_log_derivative(family, x, points, mults))
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_coincident_pair_is_reported_with_the_phase_kernel(family):
+    with pytest.raises(CoincidentPointError) as excinfo:
+        pairwise_log_derivatives(family, [R("1"), R("2"), R("1")], [1, 1, 1])
+    assert (excinfo.value.at, excinfo.value.index) == (0, 2)
+    with pytest.raises(CoincidentPointError) as excinfo:
+        log_derivative(family, R("2"), [R("1"), R("2")], [1, 1])
+    assert (excinfo.value.at, excinfo.value.index) == (None, 1)
+
+
+def test_a_pair_1e_40_apart_reaches_cot_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(polys, "cot", lambda x, f=polys.cot: calls.append(x) or f(x))
+    a = full_numeral(random.Random(40), 64)
+    b = R(str(a.dec + Decimal("1e-40")), 64)
+    pairwise_log_derivatives(Family.TRIGONOMETRIC, [a, b], [1, 1])
+    assert len(calls) == 1
+
+
+def test_a_term_within_its_error_bound_of_a_tie_is_not_rounded():
+    # 8 digits kept: the part rounding drops must stay more than
+    # 10**-TIE_MARGIN_DIGITS of a unit away from half a unit
+    ctx, w = numeric._context(8), numeric._context(8 + polys.PHASE_GUARD_DIGITS)
+
+    def rounded(k):
+        return polys._round_clear_of_ties(ctx, w, Decimal(k))
+
+    for k in ["1.2345678500000000000", "1.2345678499999999999",
+              "-1.2345678500000000099", "1.23456785E+40", "9.99999995"]:
+        assert rounded(k) is None, k
+    assert rounded("1.2345678499999") == Decimal("1.2345678")
+    assert rounded("1.2345678500001") == Decimal("1.2345679")
+    assert rounded("9.9999999700000") == Decimal("10.000000")
+    assert str(rounded("1.2345678")) == "1.2345678"
+    assert str(rounded("-2.5E-3")) == "-0.0025"
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_term_whose_rounding_is_in_doubt_takes_the_direct_kernel(family, monkeypatch):
+    # with no margin left, every rounding is in doubt
+    monkeypatch.setattr(polys, "_NEAR_HALF", Decimal(0))
+    rng = random.Random(7)
+    pairs = [(full_numeral(rng, 64), full_numeral(rng, 64)) for _ in range(20)]
+    results = pair_terms(family, 64, pairs, monkeypatch)
+    assert bit_for_bit(results)
+    assert all(fell == 1 for *_, fell in results)
