@@ -32,6 +32,7 @@ from .solver import (
     IterationTrace,
     Method,
     MultiplicityProfile,
+    RootStatus,
     SolveConfig,
     SolveReport,
     StopReason,

@@ -165,7 +165,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _solve_exit_code(report: SolveReport) -> int:
-    if report.stop_reason is StopReason.TOLERANCE:
+    # Every root converged, or froze at the accuracy its form allows.
+    if report.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR):
         return EXIT_OK
     if report.stop_reason is StopReason.STEP_FAILURE:
         return EXIT_NO_CONVERGENCE

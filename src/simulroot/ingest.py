@@ -35,6 +35,7 @@ from .solver import (
     IterationTrace,
     Method,
     MultiplicityProfile,
+    RootStatus,
     SolveConfig,
     SolveReport,
     StopReason,
@@ -400,6 +401,7 @@ def _report_to_dict(report: SolveReport, digits: int) -> dict:
         "converged": report.converged,
         "stop_reason": report.stop_reason.value,
         "failure": report.failure,
+        **_status_entry(report),
         "snapshots": [
             {"k": snap.k, "x": [str(x) for x in snap.x]} for snap in trace.snapshots
         ],
@@ -410,10 +412,20 @@ def _report_to_dict(report: SolveReport, digits: int) -> dict:
     }
 
 
+def _status_entry(report: SolveReport) -> dict:
+    # Only a solve in which a root froze records each root's status; for
+    # any other the stop reason alone gives it.
+    if not report.frozen:
+        return {}
+    return {"root_status": [status.value for status in report.root_status]}
+
+
 def render_trace(report: SolveReport, format: str = "table", places: int = 18) -> bytes:
     """Render a solve report; table mirrors the reference layout, csv and
-    json are lossless decimal strings."""
+    json are lossless decimal strings.  Where a root froze, every format
+    also gives each root's status (a last ``status`` row in table and csv)."""
     trace = report.trace
+    statuses = _status_entry(report).get("root_status")
     if format == "table":
         m = trace.snapshots[0].m
         header = f"{'k':>4}  " + ", ".join(f"x{i+1}" for i in range(m))
@@ -421,12 +433,16 @@ def render_trace(report: SolveReport, format: str = "table", places: int = 18) -
         for snap in trace.snapshots:
             row = ", ".join(format_fixed(x, places) for x in snap.x)
             lines.append(f"{snap.k:>4}  {row}")
+        if statuses:
+            lines.append("status  " + ", ".join(statuses))
         return ("\n".join(lines) + "\n").encode()
     if format == "csv":
         m = trace.snapshots[0].m
         lines = ["k," + ",".join(f"x{i+1}" for i in range(m))]
         for snap in trace.snapshots:
             lines.append(f"{snap.k}," + ",".join(str(x) for x in snap.x))
+        if statuses:
+            lines.append("status," + ",".join(statuses))
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
         digits = trace.snapshots[0].digits
@@ -450,11 +466,31 @@ def parse_trace(data: bytes | str) -> SolveReport:
     errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits)
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=step_sizes, errors=errors)
     stop = _member(StopReason, raw.get("stop_reason", StopReason.MAX_ITERS.value), "$.stop_reason")
-    report = SolveReport(trace=trace, stop_reason=stop, failure=raw.get("failure"))
+    statuses = _root_statuses(raw.get("root_status"), snapshots[0].m)
+    frozen = frozenset(i for i, status in enumerate(statuses) if status is RootStatus.FROZEN)
+    report = SolveReport(trace=trace, stop_reason=stop, failure=raw.get("failure"), frozen=frozen)
     if raw.get("converged", report.converged) is not report.converged:
         expected = json.dumps(report.converged)
         raise SchemaError("$.converged", f"expected {expected} for stop_reason {stop.value!r}")
+    settled = (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
+    if stop in settled and (stop is StopReason.ACCURACY_FLOOR) != bool(frozen):
+        expected = settled[bool(frozen)].value
+        raise SchemaError("$.stop_reason", f"expected {expected!r}: root_status has {len(frozen)} frozen")
+    for i, (status, derived) in enumerate(zip(statuses, report.root_status)):
+        if status is not None and status is not derived:
+            raise SchemaError(
+                f"$.root_status[{i}]", f"expected {derived.value!r} for stop_reason {stop.value!r}"
+            )
     return report
+
+
+def _root_statuses(value: Any, m: int) -> list[RootStatus | None]:
+    # A trace without the key froze no root; None leaves each status to the stop reason.
+    if value is None:
+        return [None] * m
+    if not isinstance(value, list) or len(value) != m:
+        raise SchemaError("$.root_status", f"expected an array of {m} root statuses")
+    return [_member(RootStatus, v, f"$.root_status[{i}]") for i, v in enumerate(value)]
 
 
 def render_theorem_report(report) -> bytes:

@@ -40,12 +40,30 @@ kernels measured faster.
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
 digits any operand carries; cot, coth and the function pairs stay numeric's.
+
+A coefficient form cancels: near a root of multiplicity m its value is
+rounding noise once the point lies within about 10^(-digits/m) of the
+root.  Horner and the coefficient sums therefore carry a running bound on
+their own rounding error in the same loop (Higham, *Accuracy and
+Stability of Numerical Algorithms*, Alg. 5.1), at a few digits rounded
+upward, and :func:`phased_newton_ratio` says whether |p(x)| lies within
+it.  A factored form's log-derivative has no such cancellation and gets
+no bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, Overflow
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_CEILING,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -66,6 +84,17 @@ TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
 _HALF = Decimal("0.5")
 _MINUS_HALF = Decimal("-0.5")
 _NEAR_HALF = _HALF - Decimal(1).scaleb(-TIE_MARGIN_DIGITS)
+
+# Running error bounds are sums of magnitudes.  They need a few digits
+# only, and rounding every operation upward keeps each computed sum
+# above its exact value.
+_BOUND = Context(
+    prec=4,
+    rounding=ROUND_CEILING,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
 
 class Family(str, Enum):
@@ -414,26 +443,58 @@ def _eval_factored(p: FactoredPoly, x: Real) -> tuple[Real, Real]:
 
 def eval_with_derivative(p: Polynomial, x: Real) -> tuple[Real, Real]:
     """Return (p(x), p'(x))."""
+    if isinstance(p, FactoredPoly):
+        return _eval_factored(p, x)
+    value, derivative, _ = eval_with_bound(p, x)
+    return value, derivative
+
+
+def eval_with_bound(p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real) -> tuple[Real, Real, Real]:
+    """(p(x), p'(x), e) for a coefficient form, with e a bound on the
+    rounding error of the computed p(x).
+
+    p(x) is the form's exact value at its stored coefficients and x.
+    Horner's bound is Higham's running one, 2u * mu with mu_k = |x| mu_(k-1)
+    + |y_k| over the computed partial values y_k, at the unit roundoff u of
+    the working precision.  A coefficient sum's covers, for each term, the
+    rounding of k x (moving c(kx) by up to |s(kx)| |kx| u, and s(kx) by
+    |c(kx)| |kx| u), of each function value (1 ulp, 2u), of each product
+    and of each addition; it is twice that first-order sum.
+    """
     if isinstance(p, AlgebraicCoeffPoly):
         ctx = _context(max(x.digits, *(a.digits for a in p.coeffs)))
-        value, derivative = Decimal(1), Decimal(0)
+        size = _BOUND.plus(x.dec.copy_abs())
+        value, derivative, mu = Decimal(1), Decimal(0), _HALF
         for a in p.coeffs:
             derivative = ctx.add(ctx.multiply(derivative, x.dec), value)
             value = ctx.add(ctx.multiply(value, x.dec), a.dec)
-        return Real(value, ctx.prec), Real(derivative, ctx.prec)
+            mu = _BOUND.fma(size, mu, value.copy_abs())
+        return Real(value, ctx.prec), Real(derivative, ctx.prec), _error_bound(mu, ctx.prec)
     if isinstance(p, TrigExpCoeffPoly):
         rule = _RULES[p.family]
         ctx = _context(max(x.digits, p.a0.digits, *(c.digits for c in p.a + p.b)))
+        size = _BOUND.plus(x.dec.copy_abs())
         value, derivative = ctx.divide(p.a0.dec, 2), Decimal(0)
+        mu = value.copy_abs()
         for k, (a, b) in enumerate(zip(p.a, p.b), start=1):
             c, s = (t.dec for t in rule.pair(k * x))
-            value = ctx.add(ctx.add(value, ctx.multiply(a.dec, c)), ctx.multiply(b.dec, s))
+            partial = ctx.add(value, ctx.multiply(a.dec, c))
+            value = ctx.add(partial, ctx.multiply(b.dec, s))
             slope = ctx.add(ctx.multiply(b.dec, c), ctx.multiply(ctx.multiply(rule.sign, a.dec), s))
             derivative = ctx.add(derivative, ctx.multiply(k, slope))
-        return Real(value, ctx.prec), Real(derivative, ctx.prec)
-    if isinstance(p, FactoredPoly):
-        return _eval_factored(p, x)
+            # |a| (3|c| + |kx| |s|) + |b| (3|s| + |kx| |c|) <= (|a| + |b|) (3 + |kx|) (|c| + |s|)
+            weight = _BOUND.add(a.dec.copy_abs(), b.dec.copy_abs())
+            pair = _BOUND.add(c.copy_abs(), s.copy_abs())
+            mu = _BOUND.fma(_BOUND.fma(k, size, 3), _BOUND.multiply(weight, pair), mu)
+            mu = _BOUND.add(_BOUND.add(mu, partial.copy_abs()), value.copy_abs())
+        # c(kx) and s(kx) carry x's digits, so u is x's unit roundoff or larger
+        return Real(value, ctx.prec), Real(derivative, ctx.prec), _error_bound(mu, x.digits)
     raise UnsupportedFamilyError(f"not a polynomial: {type(p).__name__}")
+
+
+def _error_bound(mu: Decimal, digits: int) -> Real:
+    # 2u * mu, with u = 10^(1 - digits) / 2 the unit roundoff at ``digits``
+    return Real(_BOUND.scaleb(mu, 1 - digits), digits)
 
 
 def newton_ratio(p: Polynomial, x: Real) -> Real:
@@ -441,15 +502,19 @@ def newton_ratio(p: Polynomial, x: Real) -> Real:
 
     At an exact root the ratio is zero regardless of the derivative (a
     root is a fixed point of the Newton map even when p' vanishes with
-    p at a multiple root).  A zero derivative elsewhere is a genuine
-    stationary point and raises :class:`DerivativeZeroError`.  A
-    factored form takes the reciprocal of its logarithmic derivative.
+    p at a multiple root).  A zero derivative elsewhere raises
+    :class:`DerivativeZeroError`.  A factored form takes the reciprocal of
+    its logarithmic derivative.
     """
-    if not isinstance(p, FactoredPoly):
-        return phased_newton_ratio(p, x, None, [])
-    digits = max(x.digits, *(r.digits for r in p.roots))
-    (phase,) = phases(p.family, [x], digits)
-    return phased_newton_ratio(p, x, phase, phases(p.family, p.roots, digits))
+    if isinstance(p, FactoredPoly):
+        digits = max(x.digits, *(r.digits for r in p.roots))
+        (phase,) = phases(p.family, [x], digits)
+        ratio, _ = phased_newton_ratio(p, x, phase, phases(p.family, p.roots, digits))
+    else:
+        ratio, _ = phased_newton_ratio(p, x, None, [])
+    if ratio is None:
+        raise DerivativeZeroError(x)
+    return ratio
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
@@ -462,21 +527,32 @@ def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
 
 def phased_newton_ratio(
     p: Polynomial, x: Real, phase: Phase | None, roots: Sequence[Phase | None]
-) -> Real:
-    """:func:`newton_ratio` from x's phase and the :func:`root_phases` of p."""
+) -> tuple[Real | None, bool]:
+    """(:func:`newton_ratio`, at_floor) from x's phase and the :func:`root_phases` of p.
+
+    ``at_floor`` says that |p(x)| lies within the bound of
+    :func:`eval_with_bound`, so the computed value may be pure rounding
+    noise; it is always False for a factored form.  Where p'(x) rounds to
+    zero at the floor the ratio is None; off the floor that raises
+    :class:`DerivativeZeroError`.
+    """
     if isinstance(p, FactoredPoly):
         try:
             value = one(x.digits)
             derivative = _log_derivative(p.family, x, phase, p.roots, roots, p.mults)
         except CoincidentPointError:
-            return zero(x.digits)
+            return zero(x.digits), False
+        at_floor = False
     else:
-        value, derivative = eval_with_derivative(p, x)
+        value, derivative, bound = eval_with_bound(p, x)
+        at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
-        return zero(x.digits)
+        return zero(x.digits), at_floor
     if derivative.is_zero():
+        if at_floor:
+            return None, True
         raise DerivativeZeroError(x)
-    return value / derivative
+    return value / derivative, at_floor
 
 
 def expand_algebraic(f: FactoredPoly) -> AlgebraicCoeffPoly:

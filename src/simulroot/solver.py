@@ -11,6 +11,17 @@ a rational sum for algebraic polynomials, a half cotangent sum for
 trigonometric ones and a half hyperbolic-cotangent sum for exponential
 ones.  The second-order baseline drops the bracket, i.e. multiplicity
 Newton, and is kept around as a foil for order measurements.
+
+A solve stops once every root has converged or is frozen.  A root
+converges when its step meets the tolerance.  In coefficient form a root
+of multiplicity m_i can be resolved only to about 10^(-digits/m_i), and
+below that the computed p(x_i) is rounding noise that can throw the
+estimate far off.  So a root whose |p(x_i)| lies within the running
+bound of its rounding error freezes, as in MPSolve (Bini & Fiorentino
+2000), unless its step already meets the tolerance: it keeps its
+estimate and gets no further Newton ratio, but still enters the other
+roots' corrections.  A factored form has no such floor and never
+freezes.
 """
 
 from __future__ import annotations
@@ -41,8 +52,18 @@ class Method(str, Enum):
 
 class StopReason(str, Enum):
     TOLERANCE = "tolerance"
+    # every root converged or froze at its attainable accuracy, and one froze
+    ACCURACY_FLOOR = "accuracy_floor"
     MAX_ITERS = "max_iters"
     STEP_FAILURE = "step_failure"
+
+
+class RootStatus(str, Enum):
+    CONVERGED = "converged"
+    # stopped at its attainable accuracy: |p(x_i)| within its rounding-error bound
+    FROZEN = "frozen"
+    # the solve ran out of sweeps or failed before the root converged
+    UNCONVERGED = "unconverged"
 
 
 class CollisionError(ValueError):
@@ -138,10 +159,21 @@ class SolveReport:
     trace: IterationTrace
     stop_reason: StopReason
     failure: str | None = None
+    # indices of the roots that froze at their attainable accuracy
+    frozen: frozenset[int] = frozenset()
 
     @property
     def converged(self) -> bool:
         return self.stop_reason is StopReason.TOLERANCE
+
+    @property
+    def root_status(self) -> tuple[RootStatus, ...]:
+        """Each root's status: frozen, else converged when the solve stopped
+        on its tolerance or at the floor, else unconverged."""
+        settled = self.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
+        rest = RootStatus.CONVERGED if settled else RootStatus.UNCONVERGED
+        m = self.trace.snapshots[0].m
+        return tuple(RootStatus.FROZEN if i in self.frozen else rest for i in range(m))
 
 
 def correction_sums(
@@ -181,11 +213,16 @@ def _advance(
     profile: MultiplicityProfile,
     chebyshev: bool,
     roots: Sequence[Phase | None] | None = None,
-) -> EstimateVector:
-    # ``roots`` are p's root_phases, which a solve computes once.
+    tolerance: Real | None = None,
+    frozen: frozenset[int] = frozenset(),
+) -> tuple[EstimateVector, frozenset[int]]:
+    # ``roots`` are p's root_phases, which a solve computes once.  Returns
+    # the new estimates and the roots frozen after this sweep.
     family = family_of(p)
     if roots is None:
         roots = root_phases(p, estimates.digits)
+    if tolerance is None:
+        tolerance = _precision_floor(estimates.digits)
     # A factored form's estimate phases serve m Newton-ratio terms each
     # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
     # terms, and there direct kernels are faster: one phase, at the
@@ -193,23 +230,33 @@ def _advance(
     # 64-digit exponential solves with m = 4 (4 phases against 6 terms a
     # sweep) took about 7% longer with phases on a 2-vCPU Xeon.
     own = phases(family, estimates.x, estimates.digits) if roots else [None] * estimates.m
-    new = []
+    new = list(estimates.x)
+    froze = set(frozen)
     corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
+        if i in frozen:
+            continue
         try:
-            ratio = phased_newton_ratio(p, xi, own[i], roots)
+            ratio, at_floor = phased_newton_ratio(p, xi, own[i], roots)
+            if ratio is None:  # p'(x_i) rounded to 0 at the floor
+                froze.add(i)
+                continue
             if chebyshev:
                 corrections = corrections or _correction_sums(family, estimates, profile, own)
                 bracket = 1 + ratio * corrections[i]
             else:
                 bracket = 1
-            new.append(xi - mult * ratio * bracket)
+            xn = xi - mult * ratio * bracket
+            if at_floor and not abs(xn - xi) <= tolerance:
+                froze.add(i)
+                continue
             if family is Family.TRIGONOMETRIC:
-                check_phase(new[-1], "the new estimate")
+                check_phase(xn, "the new estimate")
+            new[i] = xn
         except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
     try:
-        return EstimateVector(tuple(new), estimates.k + 1)
+        return EstimateVector(tuple(new), estimates.k + 1), frozenset(froze)
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
 
@@ -217,15 +264,19 @@ def _advance(
 def step(
     p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
 ) -> EstimateVector:
-    """One total-step update of every estimate (third-order method)."""
-    return _advance(p, estimates, profile, chebyshev=True)
+    """One total-step update of every estimate (third-order method).
+
+    A root at its attainable accuracy (see :func:`solve`, at the default
+    tolerance) keeps its estimate.
+    """
+    return _advance(p, estimates, profile, chebyshev=True)[0]
 
 
 def newton_baseline_step(
     p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
 ) -> EstimateVector:
     """One multiplicity-Newton update (second-order baseline)."""
-    return _advance(p, estimates, profile, chebyshev=False)
+    return _advance(p, estimates, profile, chebyshev=False)[0]
 
 
 def solve(
@@ -235,14 +286,20 @@ def solve(
     cfg: SolveConfig | None = None,
     true_roots: Sequence[Real] | None = None,
 ) -> SolveReport:
-    """Iterate until the largest per-root step falls below tolerance.
+    """Iterate until every root has converged or is frozen.
 
-    The default tolerance is 10^(6 - d), where d is the largest number of
-    digits the initial estimates carry.  Step failures (estimate
-    collisions, stationary points, poles and any other arithmetic error)
-    abort the run and are reported, never thrown or patched around.
-    When ``true_roots`` is given the trace also records |x_i^[k] - x_i|
-    per iteration.
+    A root converges when its step falls below the tolerance.  The default
+    tolerance is 10^(6 - d), where d is the largest number of digits the
+    initial estimates carry.  In coefficient form a root also freezes when
+    |p(x_i)| lies within the rounding-error bound of its evaluation and
+    its step would not meet the tolerance, or when p'(x_i) rounds to zero
+    there: it keeps its estimate from then on.  The stop is ``TOLERANCE``
+    when no root froze and ``ACCURACY_FLOOR`` otherwise; the report names
+    the frozen roots.  Step failures (estimate collisions, stationary
+    points off the floor, poles and any other arithmetic error) abort the
+    run and are reported, never thrown or patched around.  When
+    ``true_roots`` is given the trace also records |x_i^[k] - x_i| per
+    iteration.
     """
     cfg = cfg or SolveConfig()
     family = family_of(p)
@@ -269,11 +326,12 @@ def solve(
     errors = [error_row(init)] if true_roots is not None else None
 
     current = init
+    frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
     for _ in range(cfg.max_iters):
         try:
-            nxt = _advance(p, current, profile, chebyshev, roots)
+            nxt, frozen = _advance(p, current, profile, chebyshev, roots, tolerance, frozen)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)
@@ -284,8 +342,9 @@ def solve(
         if errors is not None:
             errors.append(error_row(nxt))
         current = nxt
+        # a frozen root's step is 0
         if max(deltas) <= tolerance:
-            stop = StopReason.TOLERANCE
+            stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 
     trace = IterationTrace(
@@ -293,7 +352,7 @@ def solve(
         step_sizes=tuple(steps),
         errors=tuple(errors) if errors is not None else None,
     )
-    return SolveReport(trace=trace, stop_reason=stop, failure=failure)
+    return SolveReport(trace=trace, stop_reason=stop, failure=failure, frozen=frozen)
 
 
 def _precision_floor(digits: int) -> Real:

@@ -7,10 +7,12 @@ an exact-rational replay of the algebraic iteration.  None of it touches
 the package's decimal machinery, so these values are genuinely
 independent of the code under test.
 
-The one exception is the last section: the inner loops of ``polys``
-written as chains of ``Real`` operations, one operation per step.  The
-package runs the same operations on ``Decimal`` under one context, so
-the tests hold the two equal bit for bit.
+The one exception is the section on the ``polys`` loops: the inner
+loops of ``polys`` written as chains of ``Real`` operations, one
+operation per step.  The package runs the same operations on ``Decimal``
+under one context, so the tests hold the two equal bit for bit.  The
+last section expands planted roots into coefficient forms, again in
+Fractions.
 """
 
 from __future__ import annotations
@@ -281,3 +283,74 @@ def real_trig_exp_sum(family, a0, a, b, x):
         value = value + ak * c + bk * s
         derivative = derivative + k * (bk * c + sign * ak * s)
     return value, derivative
+
+
+# -- coefficient forms from planted roots -------------------------------
+
+
+def _complex_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _complex_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _laurent_product(factors, one, mul, add):
+    """Product of Laurent polynomials, each a dict exponent -> coefficient."""
+    out = {0: one}
+    for factor in factors:
+        nxt = {}
+        for e, c in out.items():
+            for f, d in factor.items():
+                term = mul(c, d)
+                nxt[e + f] = add(nxt[e + f], term) if e + f in nxt else term
+        out = nxt
+    return out
+
+
+def planted_coefficients(family, roots, mults, places: int):
+    """Coefficients of prod (x - r)^m, or of prod s((x - r)/2)^m with s = sin
+    or sinh, as fixed-point decimal strings with ``places`` digits after the
+    point: ``[a_1..a_n]`` (monic algebraic) or ``(a0, [a_k], [b_k])``.
+
+    A half-angle factor is a Laurent polynomial in z = e^(ix/2) (trig, with
+    complex coefficients as (re, im) pairs of Fractions) or y = e^(x/2)
+    (exp), and the z^(2k) or y^(2k) coefficient c_k of the product gives
+    a_0 = 2 c_0 and a_k, b_k.  The sines and cosines of r/2 come from the
+    Fraction series, rounded to a grid 20 digits finer than ``places``.
+    """
+    roots = [Fraction(r) for r in roots]
+    expand = [r for r, m in zip(roots, mults) for _ in range(m)]
+    if family == "algebraic":
+        c = _laurent_product([{1: 1, 0: -r} for r in expand], 1, mul, lambda p, q: p + q)
+        n = len(expand)
+        return [frac_to_str(c[n - k], places) for k in range(1, n + 1)]
+    grid = places + 20
+    n = len(expand) // 2
+    if family == "exponential":
+        # sinh((x - r)/2) = (e^(-r/2) y - e^(r/2) / y) / 2
+        factors = []
+        for r in expand:
+            ch = round_to_grid(frac_cosh(r / 2, grid), grid)
+            sh = round_to_grid(frac_sinh(r / 2, grid), grid)
+            factors.append({1: (ch - sh) / 2, -1: -(ch + sh) / 2})
+        c = _laurent_product(factors, 1, mul, lambda p, q: p + q)
+        a0 = 2 * c[0]
+        a = [c[2 * k] + c[-2 * k] for k in range(1, n + 1)]
+        b = [c[2 * k] - c[-2 * k] for k in range(1, n + 1)]
+    else:
+        # sin((x - r)/2) = (conj(w) z - w / z) / (2i) with w = e^(ir/2)
+        factors = []
+        for r in expand:
+            co = round_to_grid(frac_cos(r / 2, grid), grid)
+            si = round_to_grid(frac_sin(r / 2, grid), grid)
+            factors.append({1: (-si / 2, -co / 2), -1: (-si / 2, co / 2)})
+        c = _laurent_product(factors, (1, 0), _complex_mul, _complex_add)
+        # c_-k = conj(c_k), so a_k = 2 Re c_k and b_k = -2 Im c_k
+        a0 = 2 * c[0][0]
+        a = [2 * c[2 * k][0] for k in range(1, n + 1)]
+        b = [-2 * c[2 * k][1] for k in range(1, n + 1)]
+    return frac_to_str(a0, places), [frac_to_str(v, places) for v in a], [
+        frac_to_str(v, places) for v in b
+    ]

@@ -52,6 +52,26 @@ def test_solve_op_calls_resolve():
     assert callable(getattr(importlib.import_module("simulroot.cli"), "main"))
 
 
+def test_solve_op_reads_a_frozen_root_solve_as_not_converged():
+    # The op counts `converged and not within` as a wrong result and reads
+    # the stop reason by its string value, so a solve whose roots froze at
+    # their attainable accuracy must report converged False.
+    problem = {
+        "family": "algebraic",
+        "coefficients": {"a": ["-8", "25", "-38", "28", "-8", "0"]},  # x (x-1)^2 (x-2)^3
+        "mults": [1, 2, 3],
+        "init": ["0.05", "1.04", "1.96"],
+        "digits": 64,
+    }
+    spec = simulroot.parse_problem(json.dumps(problem, sort_keys=True).encode())
+    report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.solve_config())
+    assert report.converged is False
+    assert isinstance(report.stop_reason.value, str)
+    assert report.stop_reason.value == "accuracy_floor"
+    errors = [abs(float(str(x)) - r) for x, r in zip(report.trace.final().x, (0, 1, 2))]
+    assert max(errors) < 1e-9
+
+
 @pytest.mark.parametrize("family,kernel", [("trigonometric", "cot"), ("exponential", "coth")])
 def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, monkeypatch):
     # The tracer counts numeric's functions by rebinding them in every

@@ -114,6 +114,40 @@ def test_solve_exit_codes_from_stop_reasons():
     # budget exhausted while stalled or growing: non-convergence
     assert _solve_exit_code(report(StopReason.MAX_ITERS, ["0.5", "0.5"])) == 2
     assert _solve_exit_code(report(StopReason.MAX_ITERS, ["0.5", "2"])) == 2
+    # every root converged or froze: success, whatever the last steps did
+    floor = report(StopReason.ACCURACY_FLOOR, ["0.5", "2"])
+    assert _solve_exit_code(SolveReport(floor.trace, floor.stop_reason, frozen=frozenset({0}))) == 0
+
+
+# x (x - 1)^2 (x - 2)^3: the double and triple roots freeze at their floor
+FROZEN_PROBLEM = {
+    "family": "algebraic",
+    "coefficients": {"a": ["-8", "25", "-38", "28", "-8", "0"]},
+    "mults": [1, 2, 3],
+    "init": ["0.05", "1.04", "1.96"],
+}
+
+
+@pytest.mark.parametrize(
+    "fmt,last", [("table", "status  converged, frozen, frozen"), ("csv", "status,converged,frozen,frozen")]
+)
+def test_solve_shows_each_root_status_once_a_root_froze(capsys, tmp_path, fmt, last):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(FROZEN_PROBLEM))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--format", fmt)
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
+def test_solve_json_records_the_floor_and_reads_back(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(FROZEN_PROBLEM))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["stop_reason"], doc["converged"]) == ("accuracy_floor", False)
+    assert doc["root_status"] == ["converged", "frozen", "frozen"]
+    assert render_trace(parse_trace(out), "json").decode() == out
 
 
 def test_verify_theorem1_passes(capsys):

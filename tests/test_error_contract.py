@@ -6,7 +6,8 @@ input is a well-formed one with hostile leaves mixed in: exponents at the
 edge of the decimal range, NaN and Infinity, empty arrays, values of the
 wrong JSON type, duplicate estimates and estimates a period 2*pi apart,
 estimates whose pair terms fall back to the direct kernel, and the
-digits floor.  Runs stay small (at most 70 digits, at most 5
+digits floor.  Coefficient forms of planted multiple roots, started near
+them, reach the attainable-accuracy floor within the few sweeps allowed.  Runs stay small (at most 70 digits, at most 5
 iterations), and the examples are derandomized so the test is a stable
 gate.
 """
@@ -18,6 +19,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import planted_coefficients
 from simulroot.cli import main
 from simulroot.numeric import make_real, pi
 
@@ -45,6 +47,20 @@ EDGE_ESTIMATES = {
     "exponential": ("1e5", "-1e5", "-1e20000"),
 }
 METHODS = ("chebyshev", "newton_baseline")
+# (family, roots, multiplicities) of coefficient forms with multiple roots
+PLANTED = (
+    ("algebraic", ("-1", "0.5", "2"), (1, 2, 3)),
+    ("algebraic", ("0", "1.5"), (3, 2)),
+    ("trigonometric", ("-1", "1"), (1, 3)),
+    ("trigonometric", ("0.5", "2"), (2, 2)),
+    ("exponential", ("-1", "1"), (3, 1)),
+    ("exponential", ("0", "1.5", "3"), (2, 1, 1)),
+)
+PLANTED_COEFFICIENTS = {
+    problem: planted_coefficients(*problem, max(DIGITS) + 20) for problem in PLANTED
+}
+# how far each start lies from its root
+OFFSETS = ("0.05", "-0.02", "0.001", "-1e-6", "1e-12", "0")
 
 numerals = st.sampled_from(ORDINARY * 3 + HOSTILE)
 multiplicities = st.sampled_from((1, 2, 3) * 4 + (0, -1))
@@ -102,6 +118,24 @@ coefficient_files = spoiled(st.sampled_from(["algebraic", "trigonometric", "expo
         "init": pair_of(numerals),
     })
 ))
+
+
+def planted_file(problem, offsets):
+    family, roots, mults = problem
+    coefficients = PLANTED_COEFFICIENTS[problem]
+    if family != "algebraic":
+        a0, a, b = coefficients
+        coefficients = {"a0": a0, "a": a, "b": b}
+    else:
+        coefficients = {"a": coefficients}
+    init = [str(make_real(r, 80) + make_real(o, 80)) for r, o in zip(roots, offsets)]
+    return {"family": family, "coefficients": coefficients, "mults": list(mults), "init": init}
+
+
+planted_files = spoiled(st.sampled_from(PLANTED).flatmap(lambda problem: st.tuples(
+    st.just(problem), st.lists(st.sampled_from(OFFSETS), min_size=3, max_size=3),
+    st.sampled_from(DIGITS),
+).map(lambda t: {**planted_file(t[0], t[1]), "digits": t[2]})))
 # estimates 10^-e of the true root 0, converging as e grows, or any numerals
 snapshots = st.one_of(
     st.lists(st.integers(0, 69), min_size=1, max_size=5, unique=True).map(
@@ -118,7 +152,10 @@ traces = spoiled(st.fixed_dictionaries(
     optional={
         "errors": st.lists(st.lists(numerals, min_size=1, max_size=1), max_size=4),
         "converged": st.booleans(),
-        "stop_reason": st.sampled_from(["tolerance", "max_iters", "step_failure"]),
+        "stop_reason": st.sampled_from(
+            ["tolerance", "accuracy_floor", "max_iters", "step_failure"]),
+        "root_status": st.lists(
+            st.sampled_from(["converged", "frozen", "unconverged"]), min_size=1, max_size=1),
         "failure": st.none(),
     },
 ))
@@ -138,7 +175,9 @@ solve_edge = st.sampled_from([p for p in PROBLEMS if p[0] in EDGE_ESTIMATES]).fl
         iterations, solve_flags,
     )
 ).map(lambda t: (["solve", "--expr", t[0], "--init", t[1], "--max-iters", str(t[2]), *t[3]], None))
-solve_file = st.tuples(st.one_of(problem_files, coefficient_files), iterations, solve_flags).map(
+solve_file = st.tuples(
+    st.one_of(problem_files, coefficient_files, planted_files), iterations, solve_flags
+).map(
     lambda t: (["solve", "--input", "{path}", "--max-iters", str(t[1]), *t[2]], t[0])
 )
 verify = st.tuples(

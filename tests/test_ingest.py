@@ -23,6 +23,7 @@ from simulroot.solver import (
     IterationTrace,
     Method,
     MultiplicityProfile,
+    RootStatus,
     SolveConfig,
     SolveReport,
     StopReason,
@@ -362,6 +363,52 @@ def test_parse_trace_rejects_an_unknown_stop_reason_with_a_path(stop_reason):
 def test_parse_trace_derives_converged_from_the_stop_reason():
     assert parse_trace(json.dumps({**ONE_SNAPSHOT, "stop_reason": "tolerance"})).converged
     assert not parse_trace(json.dumps(ONE_SNAPSHOT)).converged
+
+
+TWO_ROOTS = {"digits": 64, "snapshots": [{"k": 0, "x": ["1", "2"]}], "step_sizes": []}
+
+
+def test_parse_trace_reads_a_trace_without_root_status_as_no_root_frozen():
+    report = parse_trace(json.dumps({**TWO_ROOTS, "stop_reason": "tolerance"}))
+    assert not report.frozen
+    assert report.root_status == (RootStatus.CONVERGED, RootStatus.CONVERGED)
+    assert "root_status" not in json.loads(render_trace(report, "json"))
+
+
+def test_parse_trace_reads_the_floor_stop_and_the_root_status():
+    doc = {**TWO_ROOTS, "stop_reason": "accuracy_floor", "converged": False,
+           "root_status": ["frozen", "converged"]}
+    report = parse_trace(json.dumps(doc))
+    assert report.stop_reason is StopReason.ACCURACY_FLOOR and not report.converged
+    assert report.frozen == {0}
+    assert json.loads(render_trace(report, "json"))["root_status"] == ["frozen", "converged"]
+
+
+@pytest.mark.parametrize(
+    "status,path",
+    [
+        (["frozen", 5], "$.root_status[1]"),
+        (["frozen", "thawed"], "$.root_status[1]"),
+        ([["frozen"], "converged"], "$.root_status[0]"),
+        ("frozen", "$.root_status"),
+        (["frozen"], "$.root_status"),
+        # statuses the stop reason contradicts
+        (["frozen", "unconverged"], "$.root_status[1]"),
+        (["converged", "converged"], "$.stop_reason"),
+    ],
+)
+def test_parse_trace_rejects_a_wrong_root_status_with_a_path(status, path):
+    doc = {**TWO_ROOTS, "stop_reason": "accuracy_floor", "root_status": status}
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
+def test_parse_trace_rejects_a_tolerance_stop_with_a_frozen_root():
+    doc = {**TWO_ROOTS, "stop_reason": "tolerance", "root_status": ["frozen", "converged"]}
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps(doc))
+    assert excinfo.value.path == "$.stop_reason"
 
 
 def test_a_problem_and_solve_reject_misfit_multiplicities_in_the_same_words():

@@ -16,6 +16,7 @@ from simulroot.polys import (
     FactoredPoly,
     Family,
     TrigExpCoeffPoly,
+    eval_with_bound,
     eval_with_derivative,
     expand_algebraic,
     log_derivative,
@@ -29,6 +30,7 @@ from oracles import (
     frac_coth,
     frac_sin,
     frac_sinh,
+    planted_coefficients,
     real_horner,
     real_log_derivative,
     real_pairwise_log_derivatives,
@@ -357,6 +359,56 @@ def test_coefficient_loops_match_the_real_arithmetic_reference(family, digits):
             want = real_trig_exp_sum(family, p.a0, p.a, p.b, x)
         got = eval_with_derivative(p, x)
         assert same(got[0], want[0]) and same(got[1], want[1])
+
+
+def planted_form(family: Family, roots, mults, digits: int):
+    """The coefficient form of the planted roots, its coefficients rounded to ``digits``."""
+    coeffs = planted_coefficients(family.value, roots, mults, digits + 10)
+    if family is Family.ALGEBRAIC:
+        return AlgebraicCoeffPoly(tuple(R(a, digits) for a in coeffs))
+    a0, a, b = coeffs
+    return TrigExpCoeffPoly(
+        family, R(a0, digits), tuple(R(v, digits) for v in a), tuple(R(v, digits) for v in b)
+    )
+
+
+def exact_value(p, x: Real) -> Real:
+    """p(x) at p's stored coefficients, replayed at 2 * digits + 20 digits."""
+    wide = 2 * x.digits + 20
+    if isinstance(p, AlgebraicCoeffPoly):
+        return real_horner([a.with_digits(wide) for a in p.coeffs], x.with_digits(wide))[0]
+    a0, a, b = (
+        [v.with_digits(wide) for v in part] for part in ((p.a0,), p.a, p.b)
+    )
+    return real_trig_exp_sum(p.family.value, a0[0], a, b, x.with_digits(wide))[0]
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("digits", [64, 256])
+def test_the_running_error_bound_holds(family, digits):
+    rng = random.Random(digits * 7 + len(family.value))
+    for _ in range(3):
+        roots = [f"{v / 4:.2f}" for v in rng.sample(range(-12, 13), 3)]
+        mults = [rng.randint(1, 3) for _ in roots]
+        if family is not Family.ALGEBRAIC and sum(mults) % 2:
+            i = mults.index(min(mults))
+            mults[i] += 1 if mults[i] < 3 else -1
+        p = planted_form(family, roots, mults, digits)
+        near = [
+            R(r, digits) + sign * ten_power(-e, digits)
+            for r, m in zip(roots, mults)
+            for e in (3, digits // m - 2, digits // m + 5, digits - 5)
+            for sign in (1, -1)
+        ]
+        far = [full_numeral(rng, digits) for _ in range(4)]
+        far = [x for x in far if min(abs(x - R(r)) for r in roots) > R("0.1")]
+        for x in near + [R(r, digits) for r in roots] + far:
+            value, _, bound = eval_with_bound(p, x)
+            assert abs(value - exact_value(p, x)) <= bound, (roots, mults, x)
+        for x in far:
+            # away from the roots the value is far above its rounding noise
+            value, _, bound = eval_with_bound(p, x)
+            assert abs(value) > 1000 * bound
 
 
 @pytest.mark.parametrize("family", list(Family))

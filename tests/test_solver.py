@@ -7,13 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulroot.numeric import Real, make_real, pi, ten_power
-from simulroot.polys import AlgebraicCoeffPoly, FactoredPoly, Family, TrigExpCoeffPoly
+from simulroot.polys import (
+    AlgebraicCoeffPoly,
+    FactoredPoly,
+    Family,
+    TrigExpCoeffPoly,
+    eval_with_bound,
+    expand_algebraic,
+)
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
     InsufficientDataError,
+    IterationTrace,
     MultiplicityProfile,
+    RootStatus,
     SolveConfig,
+    SolveReport,
     StopReason,
     correction_sum,
     empirical_order,
@@ -368,3 +378,83 @@ def test_a_sweep_that_leaves_the_phase_behind_is_a_step_failure():
     assert report.failure == (
         "step failed for root index 0: the new estimate has no digit of its phase left at 40 digits"
     )
+
+
+# -- the attainable-accuracy floor ----------------------------------------
+
+
+def test_multiple_roots_of_a_coefficient_form_freeze_at_their_floor():
+    # roots 0..5 with multiplicities 1,2,3,1,2,3 at 256 digits: without
+    # freezing the triple roots reach steps of ~1e-45, and the next sweep
+    # throws them 3.0 off until max_iters
+    mults = (1, 2, 3, 1, 2, 3)
+    roots = tuple(make_real(str(r), 256) for r in range(6))
+    poly = expand_algebraic(FactoredPoly(Family.ALGEBRAIC, roots, mults))
+    init = EstimateVector(
+        tuple(make_real(v, 256) for v in ("0.05", "1.04", "1.96", "3.03", "4.05", "4.96"))
+    )
+    report = solve(poly, MultiplicityProfile(mults), init)
+    assert report.stop_reason is StopReason.ACCURACY_FLOOR and not report.converged
+    assert len(report.trace.step_sizes) <= 10
+    for x, r, m in zip(report.trace.final().x, roots, mults):
+        # (1e10 * 10^-256)^(1/m), as perfbench's planted-root check
+        assert abs(x - r) ** m <= ten_power(10 - 256, 256)
+    assert {RootStatus.FROZEN} <= set(report.root_status) <= {
+        RootStatus.FROZEN, RootStatus.CONVERGED}
+    assert report.frozen >= {1, 2, 4, 5}
+    # a frozen root keeps its estimate, so its last step is 0
+    assert all(report.trace.step_sizes[-1][i].is_zero() for i in report.frozen)
+
+
+CUBE = AlgebraicCoeffPoly((R("-3"), R("3"), R("-1")))  # (x - 1)^3
+
+
+def test_a_derivative_that_rounds_to_zero_at_the_floor_freezes_the_root():
+    x = R("1") - ten_power(-32)
+    value, derivative, bound = eval_with_bound(CUBE, x)
+    assert derivative.is_zero() and not value.is_zero() and abs(value) <= bound
+    report = solve(CUBE, MultiplicityProfile((3,)), EstimateVector((x,)))
+    assert report.stop_reason is StopReason.ACCURACY_FLOOR
+    assert report.root_status == (RootStatus.FROZEN,)
+    assert report.trace.final().x == (x,) and len(report.trace.step_sizes) == 1
+
+
+def test_a_derivative_zero_above_the_floor_is_still_a_step_failure():
+    poly = AlgebraicCoeffPoly((R("0"), R("1")))  # x^2 + 1, stationary at 0
+    value, derivative, bound = eval_with_bound(poly, R("0"))
+    assert derivative.is_zero() and abs(value) > bound
+    report = solve(poly, MultiplicityProfile((1, 1)), estimates("0", "5"))
+    assert report.stop_reason is StopReason.STEP_FAILURE
+    assert "derivative is zero" in report.failure and not report.frozen
+
+
+def test_a_step_that_meets_the_tolerance_is_taken_at_the_floor():
+    # at the exact triple root p = 0: the zero step is a converged one
+    report = solve(CUBE, MultiplicityProfile((3,)), estimates("1"))
+    assert report.stop_reason is StopReason.TOLERANCE and report.converged
+    assert report.root_status == (RootStatus.CONVERGED,)
+    # simple roots end within the tolerance, with |p| at its floor on the way
+    roots = tuple(R(str(r)) for r in range(5))
+    poly = expand_algebraic(FactoredPoly(Family.ALGEBRAIC, roots, (1,) * 5))
+    report = solve(poly, MultiplicityProfile((1,) * 5), estimates("0.1", "1.1", "2.1", "2.9", "3.9"))
+    assert report.stop_reason is StopReason.TOLERANCE and not report.frozen
+
+
+def test_factored_forms_never_freeze():
+    report = solve(EXAMPLE_1, PROFILE_1, estimates("-3", "0.1", "4"))
+    assert report.stop_reason is StopReason.TOLERANCE and not report.frozen
+
+
+@pytest.mark.parametrize(
+    "stop,frozen,statuses",
+    [
+        (StopReason.TOLERANCE, frozenset(), ("converged", "converged")),
+        (StopReason.ACCURACY_FLOOR, frozenset({1}), ("converged", "frozen")),
+        (StopReason.MAX_ITERS, frozenset({0}), ("frozen", "unconverged")),
+        (StopReason.STEP_FAILURE, frozenset(), ("unconverged", "unconverged")),
+    ],
+)
+def test_root_status_follows_the_frozen_roots_and_the_stop(stop, frozen, statuses):
+    trace = IterationTrace(snapshots=(estimates("1", "2"),), step_sizes=())
+    report = SolveReport(trace=trace, stop_reason=stop, frozen=frozen)
+    assert [status.value for status in report.root_status] == list(statuses)
