@@ -12,6 +12,15 @@ environment variable ``SIMULROOT_DIGITS``, a problem file's own
 ``digits`` (``solve --input``), and 64 decimal digits.  ``verify`` takes
 the degree from ``--mults``.  Any flag's value may start with a minus
 sign (``--init -3,0.1,4``).
+
+``main`` may be called any number of times in one process.  It builds
+its parser on first use and shares it with every later call; nothing
+else is kept between calls (no results, files or solves, and
+``SIMULROOT_DIGITS`` is read on each call).  Sharing is thread safe:
+argparse's ``parse_args`` writes only to the namespace it returns, never
+to the parser, and no default is mutable, so no call sees another's
+values.  Two threads racing on the first call each build a parser, and
+one of them is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import re
 import sys
 from dataclasses import replace
 from decimal import Decimal
+from functools import lru_cache
 from pathlib import Path
 
 from .fixtures import EXAMPLES, TABLE_TOLERANCE, diff_against_table, run_example
@@ -152,12 +162,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    # Built once per process; parse_args leaves it unchanged.
+    return build_parser()
+
+
+_BARE_FLAG = re.compile(r"--[^=]+")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
 def _normalize_argv(argv: list[str]) -> list[str]:
     # Merge "--flag -1,2" into "--flag=-1,2": argparse takes a token that
     # starts with a minus sign for a flag unless it is one plain number.
     out: list[str] = []
     for token in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[0-9.]", token):
+        if out and _BARE_FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -191,16 +211,17 @@ def cmd_solve(args) -> int:
             _csv_ints(args.mults) if args.mults else None,
             args.digits,
         )
+    init = spec.initial_vector()
     overrides = {}
     if args.max_iters is not None:
         overrides["max_iters"] = args.max_iters
     if args.tolerance is not None:
-        overrides["step_tolerance"] = make_real(args.tolerance, spec.initial_vector().digits)
+        overrides["step_tolerance"] = make_real(args.tolerance, init.digits)
     if args.method is not None:
         overrides["method"] = Method(args.method)
     config = replace(spec.config, **overrides)
 
-    report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
+    report = solve(spec.poly, spec.profile(), init, config)
     sys.stdout.write(render_trace(report, args.format).decode())
     if report.failure:
         print(f"step failure: {report.failure}", file=sys.stderr)
@@ -333,11 +354,10 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+        args = _parser().parse_args(_normalize_argv(list(argv)))
         if "digits" in args:
             args.digits = _resolve_digits(args.digits)
             # only a problem file carries digits of its own

@@ -31,6 +31,7 @@ from .polys import (
     check_mults_fit,
 )
 from .solver import (
+    CollisionError,
     EstimateVector,
     IterationTrace,
     Method,
@@ -460,7 +461,11 @@ def parse_trace(data: bytes | str) -> SolveReport:
         xs = tuple(make_real(s, digits) for s in _string_list(_get(snap, "x", path), f"{path}.x"))
         if snapshots and len(xs) != snapshots[0].m:
             raise SchemaError(f"{path}.x", f"expected {snapshots[0].m} estimates, got {len(xs)}")
-        snapshots.append(EstimateVector(xs, k=_as_int(_get(snap, "k", path), f"{path}.k")))
+        k = _as_int(_get(snap, "k", path), f"{path}.k")
+        try:
+            snapshots.append(EstimateVector(xs, k=k))
+        except CollisionError as exc:
+            raise SchemaError(f"{path}.x", str(exc)) from exc
     step_sizes = _real_rows(_get(raw, "step_sizes", "$"), "$.step_sizes", digits)
     errors_raw = raw.get("errors")
     errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits)

@@ -41,6 +41,7 @@ from decimal import (
 from decimal import MAX_EMAX, MIN_EMIN
 from functools import lru_cache, total_ordering
 from math import frexp, isqrt
+from typing import Sequence
 
 MIN_DIGITS = 30
 DEFAULT_DIGITS = 64
@@ -224,6 +225,22 @@ def zero(digits: int = DEFAULT_DIGITS) -> Real:
 
 def one(digits: int = DEFAULT_DIGITS) -> Real:
     return Real(_D1, digits)
+
+
+def first_equal_pair(values: Sequence[Real]) -> tuple[int, int] | None:
+    """The lexicographically first (i, j), i < j, with values[i] == values[j].
+
+    One pass keyed on the Decimal (equal Decimals hash equal, -0 and 0
+    too); the smallest i wins, not the first repeat seen: [a, b, b, a]
+    gives (0, 3).
+    """
+    first: dict[Decimal, int] = {}
+    found = None
+    for j, x in enumerate(values):
+        i = first.setdefault(x.dec, j)
+        if i != j and (found is None or i < found[0]):
+            found = (i, j)
+    return found
 
 
 def check_phase(x: Real, name: str) -> Real:
@@ -441,8 +458,8 @@ def coth(x: Real) -> Real:
 def ln(x: Real) -> Real:
     if x <= 0:
         raise DomainError(f"ln requires a positive argument, got {x}")
-    prec = _working_prec(x)
-    return Real(_context(x.digits).plus(_context(prec).ln(x.dec)), x.digits)
+    # libmpdec's ln is correctly rounded, so it needs no guard digits.
+    return Real(_context(x.digits).ln(x.dec), x.digits)
 
 
 def format_fixed(x: Real, places: int) -> str:

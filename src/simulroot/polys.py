@@ -67,7 +67,17 @@ from decimal import (
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .numeric import Real, _context, cos_sin, cosh_sinh, cot, coth, one, zero
+from .numeric import (
+    Real,
+    _context,
+    cos_sin,
+    cosh_sinh,
+    cot,
+    coth,
+    first_equal_pair,
+    one,
+    zero,
+)
 
 # Digits a phase carries beyond the sums it serves.  A pair term may lose
 # half of them to cancellation; the other half keep its rounding exact.
@@ -402,10 +412,9 @@ class FactoredPoly:
             raise ValueError("factored polynomial needs matching roots and multiplicities")
         if any(m < 1 for m in self.mults):
             raise ValueError("multiplicities must be positive integers")
-        for i in range(len(self.roots)):
-            for j in range(i + 1, len(self.roots)):
-                if self.roots[i] == self.roots[j]:
-                    raise DuplicateRootError(self.roots[i], i, j)
+        pair = first_equal_pair(self.roots)
+        if pair is not None:
+            raise DuplicateRootError(self.roots[pair[0]], *pair)
         if mults_degree(self.family, sum(self.mults)) is None:
             raise ValueError(
                 "trigonometric/exponential multiplicities must sum to an even number 2n"

@@ -31,7 +31,7 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import Real, check_phase, ln, pi, ten_power
+from .numeric import Real, check_phase, first_equal_pair, ln, pi, ten_power
 from .polys import (
     Family,
     Phase,
@@ -109,10 +109,9 @@ class EstimateVector:
     k: int = 0
 
     def __post_init__(self):
-        for i in range(len(self.x)):
-            for j in range(i + 1, len(self.x)):
-                if self.x[i] == self.x[j]:
-                    raise CollisionError(i, j, self.x[i])
+        pair = first_equal_pair(self.x)
+        if pair is not None:
+            raise CollisionError(*pair, self.x[pair[0]])
 
     @property
     def m(self) -> int:

@@ -2,30 +2,37 @@
 
 perfbench/ is versioned with the benchmark, not with the package, so a
 rename here would break it without any other test noticing.  These
-tests pin what it reads: every name its tracer wraps, and the calls and
+tests pin what it reads: every name its tracer wraps, the calls and
 fields of its solve op (perfbench/run.py, ``solve_op`` and the layer
-metrics).
+metrics), and that its CLI op may call ``cli.main`` again and again in
+one process.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 import simulroot
-from simulroot import polys
+from simulroot import cli, polys
 from simulroot.numeric import make_real
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _traced() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced() -> dict:
+    return _perfbench("tracing").TRACED
 
 
 @pytest.mark.parametrize("span,target", sorted(_traced().items()))
@@ -98,3 +105,32 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     assert counted(lambda: polys.pairwise_log_derivatives(family, points, [1] * m)) == (m, 0)
     near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
     assert counted(lambda: polys.pairwise_log_derivatives(family, near, [1, 1])) == (2, 1)
+
+
+def test_cli_session_calls_are_independent_in_one_process(tmp_path):
+    # The CLI op calls cli.main(argv) under redirected stdout, over and
+    # over in one process; a round run twice must answer the same twice.
+    workloads = _perfbench("workloads")
+    pool = workloads.cli_pool(1)
+    paths = []
+    for i, problem in enumerate(pool):
+        path = tmp_path / f"problem-{i}.json"
+        path.write_bytes(problem["json"])
+        paths.append(path.as_posix())
+    ops = workloads.cli_round(1, 0, paths, pool, tmp_path.as_posix())
+    assert len(ops) == 11
+
+    def run_round():
+        results = []
+        for op in ops:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(op["argv"])
+            if "writes" in op:  # order reads the traces the round's json solves wrote
+                Path(op["writes"]).write_text(out.getvalue())
+            results.append((code, out.getvalue()))
+        return results
+
+    first, second = run_round(), run_round()
+    assert [code for code, _ in first] == [op["expect"]["exit"] for op in ops]
+    assert first == second

@@ -1,9 +1,14 @@
 import itertools
 import json
+import sys
+import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from simulroot import cli
 from simulroot.cli import main
 from simulroot.fixtures import EXAMPLE_1
 from simulroot.ingest import parse_trace, render_trace
@@ -15,6 +20,7 @@ from simulroot.solver import (
     StopReason,
 )
 from simulroot.cli import _solve_exit_code
+from test_error_contract import cases, run_case
 
 R = make_real
 
@@ -504,3 +510,100 @@ def test_verify_takes_the_degree_from_the_multiplicities_only(capsys):
                        "--c", "0.05", "--q", "0.5", "--xi", "1", "--n", "3")
     assert code == 1
     assert "unrecognized arguments: --n" in err
+
+
+# -- one parser per process ---------------------------------------------
+
+LINEAR = ["solve", "--expr", "(x-1)", "--init", "5", "--format", "json"]
+
+
+def test_main_builds_one_parser_for_every_call(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert run(capsys, *LINEAR)[0] == 0
+    assert run(capsys, "-h")[0] == 0
+    assert run(capsys, "solve", "--frobnicate")[0] == 1
+    assert run(capsys, "reproduce", "--table", "3")[0] == 0
+    assert len(built) == 1
+    # build_parser itself still gives a new parser on every call
+    assert build() is not build()
+
+
+@pytest.mark.parametrize("file_digits,expected", [({"digits": 70}, 70), ({}, 64)])
+def test_digits_of_one_call_do_not_carry_to_the_next(
+    capsys, monkeypatch, tmp_path, file_digits, expected
+):
+    monkeypatch.delenv("SIMULROOT_DIGITS", raising=False)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"family": "algebraic", "expr": "(x-1)", "init": ["5"],
+                                **file_digits}))
+    argv = ["solve", "--input", str(path), "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--digits", "40")
+    assert code == 0 and json.loads(out)["digits"] == 40
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["digits"] == expected
+
+
+def test_digits_from_the_environment_are_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("SIMULROOT_DIGITS", "40")
+    assert json.loads(run(capsys, *LINEAR)[1])["digits"] == 40
+    monkeypatch.setenv("SIMULROOT_DIGITS", "80")
+    assert json.loads(run(capsys, *LINEAR)[1])["digits"] == 80
+    monkeypatch.delenv("SIMULROOT_DIGITS")
+    assert json.loads(run(capsys, *LINEAR)[1])["digits"] == 64
+
+
+def test_help_then_a_usage_error_then_a_run_each_give_their_own_output(capsys):
+    code, out, err = run(capsys, "-h")
+    assert code == 0 and out.startswith("usage: simulroot") and err == ""
+    code, out, err = run(capsys, "solve", "--frobnicate")
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --frobnicate\n"
+    code, out, err = run(capsys, *LINEAR[:-1], "csv")
+    assert (code, out.splitlines()[0], err) == (0, "k,x1", "")
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cases)
+def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, case):
+    shared = run_case(tmp_path, case)
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = run_case(tmp_path, case)
+    assert shared == fresh
+
+
+def test_threads_parsing_at_once_each_get_their_own_namespace():
+    # parse_args writes only to the namespace it returns, so threads that
+    # share the parser cannot see each other's values.
+    argvs = [
+        ["solve", "--expr", "(x-1)", "--init", f"{k}", "--digits", f"{40 + k}"]
+        for k in range(6)
+    ] + [["reproduce", "--table", f"{1 + k % 3}"] for k in range(6)]
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+    failures = []
+
+    def parse(offset):
+        for n in range(300):
+            k = (offset + n) % len(argvs)
+            if vars(cli._parser().parse_args(argvs[k])) != expected[k]:
+                failures.append(argvs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

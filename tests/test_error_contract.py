@@ -191,6 +191,20 @@ verify = st.tuples(
 order = st.tuples(traces, st.one_of(st.just("0"), csv(pair_of(numerals)))).map(
     lambda t: (["order", "--input", "{path}", "--true-roots", t[1]], t[0])
 )
+# (argv, the document its "{path}" names)
+cases = st.one_of(solve_expr, solve_edge, solve_file, verify, order)
+
+
+def run_case(tmp_path, case) -> tuple[int, str, str]:
+    """Write the case's document and run ``main`` on its argv: (code, stdout, stderr)."""
+    argv, document = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    argv = [token.replace("{path}", str(path)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(
@@ -199,12 +213,7 @@ order = st.tuples(traces, st.one_of(st.just("0"), csv(pair_of(numerals)))).map(
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(st.one_of(solve_expr, solve_edge, solve_file, verify, order))
+@given(cases)
 def test_every_run_exits_with_a_contract_code(tmp_path, case):
-    argv, document = case
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(document))
-    argv = [token.replace("{path}", str(path)) for token in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    code, _, _ = run_case(tmp_path, case)
     assert code in {0, 1, 2, 3}

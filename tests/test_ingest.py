@@ -343,6 +343,24 @@ def test_parse_trace_rejects_values_of_the_wrong_type_with_a_path(doc, path):
 
 
 @pytest.mark.parametrize(
+    "snapshots,path,message",
+    [
+        ([{"k": 0, "x": ["1", "1"]}], "$.snapshots[0].x", "estimates 0 and 1 coincide at 1"),
+        (
+            [{"k": 0, "x": ["1", "2", "3"]}, {"k": 1, "x": ["2", "-0", "0.0"]}],
+            "$.snapshots[1].x",
+            "estimates 1 and 2 coincide at 0",
+        ),
+    ],
+)
+def test_parse_trace_rejects_coinciding_estimates_with_a_path(snapshots, path, message):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps({**ONE_SNAPSHOT, "snapshots": snapshots}))
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
     "stop_reason,converged",
     [("tolerance", False), ("max_iters", True), ("tolerance", 1), ("step_failure", "false")],
 )

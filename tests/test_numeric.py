@@ -143,6 +143,30 @@ def test_ln_domain():
     assert str(ln(make_real("2"))).startswith("0.693147180559945309417232121458")
 
 
+@pytest.mark.parametrize("digits", [40, 64, 128, 256])
+def test_ln_is_correctly_rounded(digits):
+    # ln at the argument's own precision against a 2*digits+20 reference
+    # rounded once to digits, on seeded arguments from 1e-300 to 1e300.
+    rng = random.Random(digits)
+    reference = _context(2 * digits + 20)
+    for _ in range(60):
+        mantissa = "".join(rng.choice("0123456789") for _ in range(digits))
+        x = make_real(f"{rng.randint(1, 9)}.{mantissa}e{rng.randint(-300, 300)}", digits)
+        expected = _context(digits).plus(reference.ln(x.dec))
+        assert ln(x).dec == expected and ln(x).digits == digits, x
+
+
+def test_first_equal_pair_is_the_first_pair_by_i_then_j():
+    rng = random.Random(7)
+    for _ in range(300):
+        # Real(Decimal("-0")) keeps its sign, which make_real drops
+        values = [Real(Decimal(rng.choice(["0", "-0", "1", "1.0", "2", "-2", "3"])), 64)
+                  for _ in range(rng.randint(0, 7))]
+        naive = next(((i, j) for i in range(len(values)) for j in range(i + 1, len(values))
+                      if values[i] == values[j]), None)
+        assert numeric.first_equal_pair(values) == naive, values
+
+
 decimals_in_range = st.decimals(
     min_value=Decimal("-10"),
     max_value=Decimal("10"),

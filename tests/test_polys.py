@@ -219,6 +219,14 @@ def test_duplicate_roots_rejected():
         factored("algebraic", ["1", "1.0"], [1, 1])
 
 
+def test_a_duplicate_root_names_the_first_pair_in_order():
+    # (1, 2) is the first repeat a scan meets; (0, 3) comes first by i
+    with pytest.raises(DuplicateRootError) as excinfo:
+        factored("algebraic", ["1", "2", "2.0", "1.00"], [1, 1, 1, 1])
+    assert excinfo.value.indices == (0, 3)
+    assert str(excinfo.value) == "duplicate root 1 at factor positions 0 and 3"
+
+
 def test_odd_multiplicity_sum_rejected_for_half_angle_families():
     with pytest.raises(ValueError):
         factored("trigonometric", ["1"], [1])

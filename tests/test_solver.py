@@ -116,6 +116,24 @@ def test_estimate_vector_rejects_duplicates():
 
 
 @pytest.mark.parametrize(
+    "values,indices,message",
+    [
+        # the first pair by i, then j; not the first repeat a scan meets (1, 2)
+        (("1", "2", "2", "1"), (0, 3), "estimates 0 and 3 coincide at 1"),
+        (("1", "2", "1", "2"), (0, 2), "estimates 0 and 2 coincide at 1"),
+        (("3", "2", "5", "2.0", "2", "3.00"), (0, 5), "estimates 0 and 5 coincide at 3"),
+        (("4", "-0", "7", "0"), (1, 3), "estimates 1 and 3 coincide at 0"),
+    ],
+)
+def test_a_collision_names_the_first_pair_in_order(values, indices, message):
+    with pytest.raises(CollisionError) as excinfo:
+        EstimateVector(tuple(R(v) for v in values))
+    assert excinfo.value.indices == indices
+    assert excinfo.value.value == R(values[indices[0]])
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     "poly,profile,init,table",
     [
         (EXAMPLE_1, PROFILE_1, ("-3", "0.1", "4"), TABLE_ROW_1[1]),
