@@ -19,11 +19,7 @@ from .polys import (
     Polynomial,
     TrigExpCoeffPoly,
     UnsupportedFamilyError,
-    eval_with_derivative,
     expand_algebraic,
-    log_derivative,
-    newton_ratio,
-    pairwise_log_derivatives,
 )
 from .solver import (
     CollisionError,
@@ -36,12 +32,9 @@ from .solver import (
     SolveConfig,
     SolveReport,
     StopReason,
-    correction_sum,
     empirical_order,
-    newton_baseline_step,
     pre_floor_errors,
     solve,
-    step,
     wrap_to_standard_period,
 )
 from .theory import (

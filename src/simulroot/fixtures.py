@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .numeric import DEFAULT_DIGITS, Real, make_real
-from .solver import Method, SolveConfig, SolveReport, solve
+from .solver import SolveConfig, SolveReport, solve
 from .ingest import expression_problem
 
 # Every reference entry is within this of an exact re-run, except the two
@@ -90,19 +90,11 @@ EXAMPLE_3 = WorkedExample(
 EXAMPLES = {1: EXAMPLE_1, 2: EXAMPLE_2, 3: EXAMPLE_3}
 
 
-def run_example(
-    example: WorkedExample,
-    digits: int = DEFAULT_DIGITS,
-    method: Method = Method.CHEBYSHEV,
-    max_iters: int | None = None,
-) -> SolveReport:
+def run_example(example: WorkedExample, digits: int = DEFAULT_DIGITS) -> SolveReport:
     """Solve a worked example as published, one iteration per table row
     after the first, tracking the errors against the expression's roots."""
     spec = expression_problem(example.expression, example.init, digits=digits)
-    solve_cfg = SolveConfig(
-        max_iters=max_iters if max_iters is not None else len(example.table) - 1,
-        method=method,
-    )
+    solve_cfg = SolveConfig(max_iters=len(example.table) - 1)
     return solve(
         spec.poly, spec.profile(), spec.initial_vector(), solve_cfg, true_roots=spec.poly.roots
     )

@@ -46,7 +46,7 @@ rounding noise once the point lies within about 10^(-digits/m) of the
 root.  Horner and the coefficient sums therefore carry a running bound on
 their own rounding error in the same loop (Higham, *Accuracy and
 Stability of Numerical Algorithms*, Alg. 5.1), at a few digits rounded
-upward, and :func:`phased_newton_ratio` says whether |p(x)| lies within
+upward, and :func:`newton_ratio` says whether |p(x)| lies within
 it.  A factored form's log-derivative has no such cancellation and gets
 no bound.
 """
@@ -289,26 +289,16 @@ def check_mults_fit(p: Polynomial, mults: Sequence[int]) -> None:
 def log_derivative(
     family: Family,
     x: Real,
-    points: Sequence[Real],
-    mults: Sequence[int],
-) -> Real:
-    """sum_j m_j K(x - p_j) with the family kernel K.
-
-    A point equal to x raises :class:`CoincidentPointError`.
-    """
-    digits = max(x.digits, *(p.digits for p in points))
-    (phase,) = phases(family, [x], digits)
-    return _log_derivative(family, x, phase, points, phases(family, points, digits), mults)
-
-
-def _log_derivative(
-    family: Family,
-    x: Real,
     phase: Phase | None,
     points: Sequence[Real],
     point_phases: Sequence[Phase | None],
     mults: Sequence[int],
 ) -> Real:
+    """sum_j m_j K(x - p_j) with the family kernel K, from the :func:`phases`
+    of x and of the points.
+
+    A point equal to x raises :class:`CoincidentPointError`.
+    """
     rule = _RULES[family]
     ctx = _context(max(x.digits, *(p.digits for p in points)))
     term = None if phase is None else _pair_term(rule, ctx)
@@ -323,9 +313,13 @@ def _log_derivative(
 
 
 def pairwise_log_derivatives(
-    family: Family, points: Sequence[Real], mults: Sequence[int]
+    family: Family,
+    points: Sequence[Real],
+    point_phases: Sequence[Phase | None],
+    mults: Sequence[int],
 ) -> list[Real]:
-    """``log_derivative(family, p_i, ...)`` over the points other than p_i, for every i.
+    """:func:`log_derivative` at p_i over the points other than p_i, for
+    every i, from the points' :func:`phases`.
 
     K is odd, so each unordered pair {i, j} evaluates odd(p_i - p_j) once:
     it adds m_j K to sum i and subtracts m_i K from sum j.  Every sum
@@ -333,17 +327,6 @@ def pairwise_log_derivatives(
     :func:`log_derivative` does, so the results are the same bit for bit.
     A coincident pair raises :class:`CoincidentPointError` with ``at=i``.
     """
-    point_phases = phases(family, points, max(p.digits for p in points))
-    return phased_pairwise_log_derivatives(family, points, point_phases, mults)
-
-
-def phased_pairwise_log_derivatives(
-    family: Family,
-    points: Sequence[Real],
-    point_phases: Sequence[Phase | None],
-    mults: Sequence[int],
-) -> list[Real]:
-    """:func:`pairwise_log_derivatives` from the points' :func:`phases`."""
     rule = _RULES[family]
     ctx = _context(max(p.digits for p in points))
     term = _pair_term(rule, ctx)
@@ -435,30 +418,9 @@ def family_of(p: Polynomial) -> Family:
     return family
 
 
-def _eval_factored(p: FactoredPoly, x: Real) -> tuple[Real, Real]:
-    # One pass of the product rule: (v, d) <- (v h, d h + v h'), h = g^m.
-    pair = _RULES[p.family].pair
-    value, derivative = one(x.digits), zero(x.digits)
-    for r, m in zip(p.roots, p.mults):
-        if pair is None:
-            g, dg = x - r, one(x.digits)
-        else:
-            c, g = pair((x - r) / 2)
-            dg = c / 2
-        h, dh = g ** m, m * g ** (m - 1) * dg
-        value, derivative = value * h, derivative * h + value * dh
-    return value, derivative
-
-
-def eval_with_derivative(p: Polynomial, x: Real) -> tuple[Real, Real]:
-    """Return (p(x), p'(x))."""
-    if isinstance(p, FactoredPoly):
-        return _eval_factored(p, x)
-    value, derivative, _ = eval_with_bound(p, x)
-    return value, derivative
-
-
-def eval_with_bound(p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real) -> tuple[Real, Real, Real]:
+def eval_with_derivative(
+    p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real
+) -> tuple[Real, Real, Real]:
     """(p(x), p'(x), e) for a coefficient form, with e a bound on the
     rounding error of the computed p(x).
 
@@ -498,32 +460,12 @@ def eval_with_bound(p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real) -> tuple[
             mu = _BOUND.add(_BOUND.add(mu, partial.copy_abs()), value.copy_abs())
         # c(kx) and s(kx) carry x's digits, so u is x's unit roundoff or larger
         return Real(value, ctx.prec), Real(derivative, ctx.prec), _error_bound(mu, x.digits)
-    raise UnsupportedFamilyError(f"not a polynomial: {type(p).__name__}")
+    raise UnsupportedFamilyError(f"not a coefficient form: {type(p).__name__}")
 
 
 def _error_bound(mu: Decimal, digits: int) -> Real:
     # 2u * mu, with u = 10^(1 - digits) / 2 the unit roundoff at ``digits``
     return Real(_BOUND.scaleb(mu, 1 - digits), digits)
-
-
-def newton_ratio(p: Polynomial, x: Real) -> Real:
-    """p(x)/p'(x).
-
-    At an exact root the ratio is zero regardless of the derivative (a
-    root is a fixed point of the Newton map even when p' vanishes with
-    p at a multiple root).  A zero derivative elsewhere raises
-    :class:`DerivativeZeroError`.  A factored form takes the reciprocal of
-    its logarithmic derivative.
-    """
-    if isinstance(p, FactoredPoly):
-        digits = max(x.digits, *(r.digits for r in p.roots))
-        (phase,) = phases(p.family, [x], digits)
-        ratio, _ = phased_newton_ratio(p, x, phase, phases(p.family, p.roots, digits))
-    else:
-        ratio, _ = phased_newton_ratio(p, x, None, [])
-    if ratio is None:
-        raise DerivativeZeroError(x)
-    return ratio
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
@@ -534,26 +476,27 @@ def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
     return phases(p.family, p.roots, max(digits, *(r.digits for r in p.roots)))
 
 
-def phased_newton_ratio(
+def newton_ratio(
     p: Polynomial, x: Real, phase: Phase | None, roots: Sequence[Phase | None]
 ) -> tuple[Real | None, bool]:
-    """(:func:`newton_ratio`, at_floor) from x's phase and the :func:`root_phases` of p.
+    """(p(x)/p'(x), at_floor) from x's :func:`phases` and the :func:`root_phases` of p.
 
-    ``at_floor`` says that |p(x)| lies within the bound of
-    :func:`eval_with_bound`, so the computed value may be pure rounding
-    noise; it is always False for a factored form.  Where p'(x) rounds to
-    zero at the floor the ratio is None; off the floor that raises
-    :class:`DerivativeZeroError`.
+    The ratio is zero at an exact root, even a multiple one.  A factored
+    form takes the reciprocal of its logarithmic derivative.  ``at_floor``
+    says that |p(x)| lies within the bound of :func:`eval_with_derivative`,
+    so the value may be rounding noise; it is always False for a factored
+    form.  Where p'(x) rounds to zero at the floor the ratio is None; off
+    the floor that raises :class:`DerivativeZeroError`.
     """
     if isinstance(p, FactoredPoly):
         try:
             value = one(x.digits)
-            derivative = _log_derivative(p.family, x, phase, p.roots, roots, p.mults)
+            derivative = log_derivative(p.family, x, phase, p.roots, roots, p.mults)
         except CoincidentPointError:
             return zero(x.digits), False
         at_floor = False
     else:
-        value, derivative, bound = eval_with_bound(p, x)
+        value, derivative, bound = eval_with_derivative(p, x)
         at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
         return zero(x.digits), at_floor

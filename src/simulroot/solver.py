@@ -38,8 +38,8 @@ from .polys import (
     Polynomial,
     check_mults_fit,
     family_of,
-    phased_newton_ratio,
-    phased_pairwise_log_derivatives,
+    newton_ratio,
+    pairwise_log_derivatives,
     phases,
     root_phases,
 )
@@ -175,35 +175,15 @@ class SolveReport:
         return tuple(RootStatus.FROZEN if i in self.frozen else rest for i in range(m))
 
 
-def correction_sums(
-    family: Family, estimates: EstimateVector, profile: MultiplicityProfile
-) -> list[Real]:
-    """Q_i'(x_i)/Q_i(x_i) over the other estimates' factors, for every i.
-
-    One pairwise pass evaluates each pair's term once.
-    """
-    estimate_phases = phases(family, estimates.x, estimates.digits)
-    return _correction_sums(family, estimates, profile, estimate_phases)
-
-
-def _correction_sums(
+def correction_sum(
     family: Family,
     estimates: EstimateVector,
     profile: MultiplicityProfile,
     estimate_phases: Sequence[Phase | None],
 ) -> list[Real]:
-    if estimates.m != profile.m:
-        raise ValueError("estimate vector and multiplicity profile disagree on m")
-    return phased_pairwise_log_derivatives(family, estimates.x, estimate_phases, profile.mults)
-
-
-def correction_sum(
-    family: Family, estimates: EstimateVector, profile: MultiplicityProfile, i: int
-) -> Real:
-    """Q_i'(x_i)/Q_i(x_i) over the other estimates' factors (0-based i)."""
-    if not 0 <= i < estimates.m:
-        raise IndexError(f"root index {i} out of range for m = {estimates.m}")
-    return correction_sums(family, estimates, profile)[i]
+    """Every Q_i'(x_i)/Q_i(x_i) over the other estimates' factors, in one
+    pairwise pass over the estimates' :func:`phases`."""
+    return pairwise_log_derivatives(family, estimates.x, estimate_phases, profile.mults)
 
 
 def _advance(
@@ -211,17 +191,13 @@ def _advance(
     estimates: EstimateVector,
     profile: MultiplicityProfile,
     chebyshev: bool,
-    roots: Sequence[Phase | None] | None = None,
-    tolerance: Real | None = None,
-    frozen: frozenset[int] = frozenset(),
+    roots: Sequence[Phase | None],
+    tolerance: Real,
+    frozen: frozenset[int],
 ) -> tuple[EstimateVector, frozenset[int]]:
     # ``roots`` are p's root_phases, which a solve computes once.  Returns
     # the new estimates and the roots frozen after this sweep.
     family = family_of(p)
-    if roots is None:
-        roots = root_phases(p, estimates.digits)
-    if tolerance is None:
-        tolerance = _precision_floor(estimates.digits)
     # A factored form's estimate phases serve m Newton-ratio terms each
     # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
     # terms, and there direct kernels are faster: one phase, at the
@@ -236,12 +212,12 @@ def _advance(
         if i in frozen:
             continue
         try:
-            ratio, at_floor = phased_newton_ratio(p, xi, own[i], roots)
+            ratio, at_floor = newton_ratio(p, xi, own[i], roots)
             if ratio is None:  # p'(x_i) rounded to 0 at the floor
                 froze.add(i)
                 continue
             if chebyshev:
-                corrections = corrections or _correction_sums(family, estimates, profile, own)
+                corrections = corrections or correction_sum(family, estimates, profile, own)
                 bracket = 1 + ratio * corrections[i]
             else:
                 bracket = 1
@@ -258,24 +234,6 @@ def _advance(
         return EstimateVector(tuple(new), estimates.k + 1), frozenset(froze)
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
-
-
-def step(
-    p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
-) -> EstimateVector:
-    """One total-step update of every estimate (third-order method).
-
-    A root at its attainable accuracy (see :func:`solve`, at the default
-    tolerance) keeps its estimate.
-    """
-    return _advance(p, estimates, profile, chebyshev=True)[0]
-
-
-def newton_baseline_step(
-    p: Polynomial, estimates: EstimateVector, profile: MultiplicityProfile
-) -> EstimateVector:
-    """One multiplicity-Newton update (second-order baseline)."""
-    return _advance(p, estimates, profile, chebyshev=False)[0]
 
 
 def solve(

@@ -11,6 +11,8 @@ The one exception is the section on the ``polys`` loops: the inner
 loops of ``polys`` written as chains of ``Real`` operations, one
 operation per step.  The package runs the same operations on ``Decimal``
 under one context, so the tests hold the two equal bit for bit.  The
+same section holds the product rule on ``Real``, a reference value and
+derivative of a factored form, which the package never evaluates.  The
 last section expands planted roots into coefficient forms, again in
 Fractions.
 """
@@ -263,6 +265,22 @@ def real_pairwise_log_derivatives(family, points, mults):
             sums[i] = sums[i] + weigh(mults[j], k)
             sums[j] = sums[j] - weigh(m, k)
     return sums if family == "algebraic" else [total / 2 for total in sums]
+
+
+def real_eval_factored(p, x):
+    """(p(x), p'(x)) of a factored form by one pass of the product rule:
+    (v, d) <- (v h, d h + v h') with h = g^m for each factor g."""
+    _, _, pair, _ = _REAL_RULES[p.family]
+    value, derivative = one(x.digits), zero(x.digits)
+    for r, m in zip(p.roots, p.mults):
+        if pair is None:
+            g, dg = x - r, one(x.digits)
+        else:
+            c, g = pair((x - r) / 2)
+            dg = c / 2
+        h, dh = g ** m, m * g ** (m - 1) * dg
+        value, derivative = value * h, derivative * h + value * dh
+    return value, derivative
 
 
 def real_horner(coeffs, x):

@@ -15,7 +15,13 @@ import time
 import pytest
 
 from simulroot.fixtures import EXAMPLES, TABLE_TOLERANCE, diff_against_table, run_example
-from simulroot.ingest import parse_expression, parse_trace, render_expression, render_trace
+from simulroot.ingest import (
+    expression_problem,
+    parse_expression,
+    parse_trace,
+    render_expression,
+    render_trace,
+)
 from simulroot.numeric import make_real, ten_power
 from simulroot.polys import FactoredPoly, Family, expand_algebraic
 from simulroot.solver import (
@@ -26,7 +32,6 @@ from simulroot.solver import (
     empirical_order,
     pre_floor_errors,
     solve,
-    step,
 )
 from simulroot.theory import (
     check_theorem1,
@@ -116,7 +121,14 @@ def test_cubic_order_against_second_order_baseline():
             (Method.CHEBYSHEV, 9, R("2.5"), R("3.6")),
             (Method.NEWTON_BASELINE, 40, R("1.7"), R("2.3")),
         ]:
-            report = run_example(example, digits=DIGITS, method=method, max_iters=iters)
+            spec = expression_problem(example.expression, example.init, digits=DIGITS)
+            report = solve(
+                spec.poly,
+                spec.profile(),
+                spec.initial_vector(),
+                SolveConfig(max_iters=iters, method=method),
+                true_roots=spec.poly.roots,
+            )
             usable = pre_floor_errors(report.trace.max_errors(), DIGITS)
             order = empirical_order(usable)
             details.append(f"table {index} {method.value}: {str(order)[:5]}")
@@ -124,6 +136,13 @@ def test_cubic_order_against_second_order_baseline():
                 ok = False
                 details[-1] += f" OUTSIDE [{lo}, {hi}]"
     verdict("empirical convergence orders", ok, "; ".join(details))
+
+
+def one_sweep(poly, root, offset, profile):
+    """The estimate after one sweep of solve from root + offset."""
+    report = solve(poly, profile, EstimateVector((root + offset,)), SolveConfig(max_iters=1))
+    assert report.failure is None, report.failure
+    return report.trace.snapshots[1]
 
 
 def _sample_separated(rng, m, gap_lo, gap_hi, start_lo, start_hi):
@@ -230,7 +249,7 @@ def test_single_root_one_step_landing():
         poly = FactoredPoly(Family.ALGEBRAIC, (root,), (n,))
         profile = MultiplicityProfile((n,))
         offset = R(f"{rng.choice([-1, 1]) * rng.uniform(0.05, 2.0):.3f}")
-        nxt = step(poly, EstimateVector((root + offset,)), profile)
+        nxt = one_sweep(poly, root, offset, profile)
         assert abs(nxt.x[0] - root) <= tolerance
         checks += 1
     # Half-angle families contract one step to -(x0-r)^3/12 + O((x0-r)^5),
@@ -243,7 +262,7 @@ def test_single_root_one_step_landing():
             poly = FactoredPoly(family, (root,), (2 * n,))
             profile = MultiplicityProfile((2 * n,))
             offset = basin * R(f"{rng.uniform(0.1, 0.99):.2f}") * rng.choice([1, -1])
-            nxt = step(poly, EstimateVector((root + offset,)), profile)
+            nxt = one_sweep(poly, root, offset, profile)
             assert abs(nxt.x[0] - root) <= tolerance, (family, str(root), n)
             checks += 1
     verdict("single-root one-step landing", True, f"{checks} starts across families")

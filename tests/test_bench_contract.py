@@ -2,10 +2,10 @@
 
 perfbench/ is versioned with the benchmark, not with the package, so a
 rename here would break it without any other test noticing.  These
-tests pin what it reads: every name its tracer wraps, the calls and
-fields of its solve op (perfbench/run.py, ``solve_op`` and the layer
-metrics), and that its CLI op may call ``cli.main`` again and again in
-one process.
+tests pin what it reads: every name its tracer wraps, that those names
+are the functions a solve runs, the calls and fields of its solve op
+(perfbench/run.py, ``solve_op`` and the layer metrics), and that its CLI
+op may call ``cli.main`` again and again in one process.
 """
 
 import contextlib
@@ -101,10 +101,58 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     m = 5
     points = [make_real(str(j)) for j in range(m)]
     x = make_real("0.5")
-    assert counted(lambda: polys.log_derivative(family, x, points, [1] * m)) == (m + 1, 0)
-    assert counted(lambda: polys.pairwise_log_derivatives(family, points, [1] * m)) == (m, 0)
+
+    def log_derivative():
+        (phase,) = polys.phases(family, [x], 64)
+        polys.log_derivative(family, x, phase, points, polys.phases(family, points, 64), [1] * m)
+
+    def pairwise(points):
+        point_phases = polys.phases(family, points, 64)
+        polys.pairwise_log_derivatives(family, points, point_phases, [1] * len(points))
+
+    assert counted(log_derivative) == (m + 1, 0)
+    assert counted(lambda: pairwise(points)) == (m, 0)
     near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
-    assert counted(lambda: polys.pairwise_log_derivatives(family, near, [1, 1])) == (2, 1)
+    assert counted(lambda: pairwise(near)) == (2, 1)
+
+
+def test_the_traced_names_count_the_work_of_a_solve():
+    # The layer metrics count calls of the traced names, so each must be
+    # the function a solve runs: a kernel that moved to another name
+    # would leave its metrics reading 0 calls.
+    coefficient_form = {
+        "family": "algebraic",
+        "coefficients": {"a": ["-7", "14", "-8"]},  # (x - 1)(x - 2)(x - 4)
+        "mults": [1, 1, 1],
+        "init": ["0.8", "2.3", "3.7"],
+    }
+    specs = [
+        simulroot.expression_problem("(x+2)^2*(x-1)*(x-3)^3", ("-3", "0.1", "4")),
+        simulroot.expression_problem(
+            "sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3")
+        ),
+        simulroot.parse_problem(json.dumps(coefficient_form).encode()),
+    ]
+    tracer = _perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        for op, spec in enumerate(specs):
+            span = tracer.begin_op(op, "solve")
+            try:
+                simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
+            finally:
+                tracer.end_op(span)
+    finally:
+        tracer.uninstall()
+
+    def calls(name, op):
+        return sum(tracer.op[i] == op for i in tracer.spans_named(name))
+
+    for op in range(len(specs)):
+        assert calls("solver.solve", op) == 1
+        assert calls("polys.newton_ratio", op) >= 1, op
+        assert calls("solver.correction_sum", op) >= 1, op
+    assert calls("polys.eval_with_derivative", 2) >= 1
 
 
 def test_cli_session_calls_are_independent_in_one_process(tmp_path):

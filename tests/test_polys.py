@@ -16,7 +16,6 @@ from simulroot.polys import (
     FactoredPoly,
     Family,
     TrigExpCoeffPoly,
-    eval_with_bound,
     eval_with_derivative,
     expand_algebraic,
     log_derivative,
@@ -31,6 +30,7 @@ from oracles import (
     frac_sin,
     frac_sinh,
     planted_coefficients,
+    real_eval_factored,
     real_horner,
     real_log_derivative,
     real_pairwise_log_derivatives,
@@ -53,26 +53,47 @@ EXAMPLE_2 = factored("trigonometric", ["1", "2", "2.5"], [3, 2, 1])
 EXAMPLE_3 = factored("exponential", ["-2", "3"], [2, 2])
 
 
+def ratio_at(p, x: Real) -> Real | None:
+    """The Newton ratio at x, from the phases a solve gives x and p's roots."""
+    roots = polys.root_phases(p, x.digits)
+    phase = polys.phases(p.family, [x], x.digits)[0] if roots else None
+    ratio, _ = newton_ratio(p, x, phase, roots)
+    return ratio
+
+
+def log_derivative_at(family, x: Real, points, mults) -> Real:
+    """log_derivative with the phases of x and the points made for the call's digits."""
+    digits = max(x.digits, *(p.digits for p in points))
+    (phase,) = polys.phases(family, [x], digits)
+    return log_derivative(family, x, phase, points, polys.phases(family, points, digits), mults)
+
+
+def pairwise_at(family, points, mults) -> list[Real]:
+    """pairwise_log_derivatives with the points' phases made for the call's digits."""
+    point_phases = polys.phases(family, points, max(p.digits for p in points))
+    return pairwise_log_derivatives(family, points, point_phases, mults)
+
+
 def test_algebraic_fixture_value_at_zero():
-    value, _ = eval_with_derivative(EXAMPLE_1, R("0"))
+    value, _, _ = eval_with_derivative(expand_algebraic(EXAMPLE_1), R("0"))
     assert value == 108  # (2)^2 * (-1) * (-3)^3, exact in decimal arithmetic
 
 
 def test_algebraic_fixture_value_at_root():
-    value, derivative = eval_with_derivative(EXAMPLE_1, R("1"))
+    value, derivative, _ = eval_with_derivative(expand_algebraic(EXAMPLE_1), R("1"))
     assert value.is_zero()
     assert not derivative.is_zero()  # simple root
 
 
 def test_value_and_derivative_vanish_at_multiple_root():
-    value, derivative = eval_with_derivative(EXAMPLE_1, R("-2"))
+    value, derivative, _ = eval_with_derivative(expand_algebraic(EXAMPLE_1), R("-2"))
     assert value.is_zero() and derivative.is_zero()
-    value, derivative = eval_with_derivative(EXAMPLE_3, R("3"))
+    value, derivative = real_eval_factored(EXAMPLE_3, R("3"))
     assert value.is_zero() and derivative.is_zero()
 
 
 def test_trig_fixture_value_at_zero():
-    value, _ = eval_with_derivative(EXAMPLE_2, R("0"))
+    value, _ = real_eval_factored(EXAMPLE_2, R("0"))
     oracle = (
         frac_sin(Fraction(-1, 2)) ** 3
         * frac_sin(Fraction(-1)) ** 2
@@ -83,7 +104,7 @@ def test_trig_fixture_value_at_zero():
 
 
 def test_exp_fixture_value_at_zero():
-    value, _ = eval_with_derivative(EXAMPLE_3, R("0"))
+    value, _ = real_eval_factored(EXAMPLE_3, R("0"))
     oracle = frac_sinh(Fraction(1)) ** 2 * frac_sinh(Fraction(-3, 2)) ** 2
     assert str(value).startswith("6.2616642232350367")
     assert abs(as_fraction(value) - oracle) < Fraction(1, 10**58)
@@ -93,7 +114,7 @@ def test_trig_coefficient_evaluation_matches_series_oracle():
     # 0.5/2 + 2 cos(x) - sin(x) + 0.25 cos(2x) + 3 sin(2x) at x = 0.7
     poly = TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("0.5"), (R("2"), R("0.25")), (R("-1"), R("3")))
     x = Fraction(7, 10)
-    value, derivative = eval_with_derivative(poly, R("0.7"))
+    value, derivative, _ = eval_with_derivative(poly, R("0.7"))
     expected_value = (
         Fraction(1, 4)
         + 2 * frac_cos(x)
@@ -114,7 +135,7 @@ def test_exp_coefficient_evaluation_matches_series_oracle():
     # frequencies scale with the term index: k-th term uses cosh(kx), sinh(kx)
     poly = TrigExpCoeffPoly(Family.EXPONENTIAL, R("-1"), (R("1"), R("0.5")), (R("0"), R("-2")))
     x = Fraction(3, 8)
-    value, derivative = eval_with_derivative(poly, R("0.375"))
+    value, derivative, _ = eval_with_derivative(poly, R("0.375"))
     expected_value = (
         -Fraction(1, 2)
         + frac_cosh(x)
@@ -130,28 +151,28 @@ def test_exp_coefficient_evaluation_matches_series_oracle():
 
 def test_newton_ratio_linear_monic():
     poly = AlgebraicCoeffPoly((R("-1"),))  # x - 1
-    assert newton_ratio(poly, R("3")) == 2
+    assert ratio_at(poly, R("3")) == 2
 
 
 def test_newton_ratio_equals_reciprocal_log_derivative():
-    ratio = newton_ratio(EXAMPLE_1, R("-3"))
+    ratio = ratio_at(EXAMPLE_1, R("-3"))
     assert abs(as_fraction(ratio) - Fraction(-4, 11)) < Fraction(1, 10**60)
 
 
 def test_newton_ratio_cubed_factor():
     poly = factored("algebraic", ["2"], [3])
-    assert newton_ratio(poly, R("2.3")) == R("0.1")
+    assert ratio_at(poly, R("2.3")) == R("0.1")
 
 
 def test_newton_ratio_is_zero_at_exact_roots():
-    assert newton_ratio(EXAMPLE_1, R("-2")).is_zero()  # multiple root: 0/0 case
-    assert newton_ratio(EXAMPLE_2, R("2.5")).is_zero()  # simple root
+    assert ratio_at(EXAMPLE_1, R("-2")).is_zero()  # multiple root: 0/0 case
+    assert ratio_at(EXAMPLE_2, R("2.5")).is_zero()  # simple root
 
 
 def test_newton_ratio_raises_at_stationary_point():
     poly = AlgebraicCoeffPoly((R("0"), R("-1")))  # x^2 - 1, stationary at 0
     with pytest.raises(DerivativeZeroError) as excinfo:
-        newton_ratio(poly, R("0"))
+        ratio_at(poly, R("0"))
     assert excinfo.value.x == 0
 
 
@@ -162,14 +183,14 @@ def test_trig_newton_ratio_matches_fraction_oracle():
     log_derivative = sum(
         Fraction(m, 2) * frac_cot((x - r) / 2) for r, m in zip(roots, (3, 2, 1))
     )
-    ratio = newton_ratio(EXAMPLE_2, R("0.5"))
+    ratio = ratio_at(EXAMPLE_2, R("0.5"))
     assert abs(as_fraction(ratio) - 1 / log_derivative) < Fraction(1, 10**60)
 
 
 def test_exp_newton_ratio_matches_fraction_oracle():
     # p'/p = sum_j m_j coth((x - r_j)/2) / 2 at x = 0, which is not a root
     log_derivative = frac_coth(Fraction(1)) + frac_coth(Fraction(-3, 2))
-    ratio = newton_ratio(EXAMPLE_3, R("0"))
+    ratio = ratio_at(EXAMPLE_3, R("0"))
     assert abs(as_fraction(ratio) - 1 / log_derivative) < Fraction(1, 10**60)
 
 
@@ -177,7 +198,7 @@ def test_factored_newton_ratio_raises_where_log_derivative_vanishes():
     # roots -1 and 1: the kernel terms at x = 0 cancel exactly
     for family in ("algebraic", "trigonometric"):
         with pytest.raises(DerivativeZeroError) as excinfo:
-            newton_ratio(factored(family, ["-1", "1"], [1, 1]), R("0"))
+            ratio_at(factored(family, ["-1", "1"], [1, 1]), R("0"))
         assert excinfo.value.x == 0
 
 
@@ -254,8 +275,8 @@ def test_factored_and_expanded_forms_agree(roots, mults, point):
     poly = factored("algebraic", roots, mults[: len(roots)])
     expanded = expand_algebraic(poly)
     x = R(str(point))
-    v1, d1 = eval_with_derivative(poly, x)
-    v2, d2 = eval_with_derivative(expanded, x)
+    v1, d1 = real_eval_factored(poly, x)
+    v2, d2, _ = eval_with_derivative(expanded, x)
     scale = abs(v1) + abs(d1) + 1
     assert abs(v1 - v2) <= ten_power(-58) * scale
     assert abs(d1 - d2) <= ten_power(-58) * scale
@@ -272,10 +293,10 @@ def test_central_difference_matches_derivative(family, point):
     x = R(str(point))
     if any(x == r for r in poly.roots):
         return
-    value, derivative = eval_with_derivative(poly, x)
+    value, derivative = real_eval_factored(poly, x)
     h = ten_power(-21)  # digits/3 for the default 64
-    plus, _ = eval_with_derivative(poly, x + h)
-    minus, _ = eval_with_derivative(poly, x - h)
+    plus, _ = real_eval_factored(poly, x + h)
+    minus, _ = real_eval_factored(poly, x - h)
     central = (plus - minus) / (2 * h)
     scale = abs(derivative) + abs(value) + 1
     assert abs(central - derivative) <= ten_power(-17) * scale
@@ -304,12 +325,14 @@ def test_pairwise_sums_equal_per_point_sums_bit_for_bit(family, m):
     rng = random.Random(m)
     points = [R(repr(rng.uniform(-3, 3))) for _ in range(m)]
     mults = [2] + [rng.randint(1, 3) for _ in range(m - 1)]
-    sums = pairwise_log_derivatives(family, points, mults)
+    point_phases = polys.phases(family, points, 64)
+    sums = pairwise_log_derivatives(family, points, point_phases, mults)
     assert len(sums) == m
     for i, total in enumerate(sums):
         others = [j for j in range(m) if j != i]
         alone = log_derivative(
-            family, points[i], [points[j] for j in others], [mults[j] for j in others]
+            family, points[i], point_phases[i], [points[j] for j in others],
+            [point_phases[j] for j in others], [mults[j] for j in others]
         )
         assert total.dec.compare_total(alone.dec) == 0
         assert total.digits == alone.digits
@@ -317,7 +340,7 @@ def test_pairwise_sums_equal_per_point_sums_bit_for_bit(family, m):
 
 def test_pairwise_sums_report_a_coincident_pair():
     with pytest.raises(CoincidentPointError) as excinfo:
-        pairwise_log_derivatives(Family.ALGEBRAIC, [R("1"), R("2"), R("1")], [1, 1, 1])
+        pairwise_at(Family.ALGEBRAIC, [R("1"), R("2"), R("1")], [1, 1, 1])
     assert (excinfo.value.at, excinfo.value.index) == (0, 2)
 
 
@@ -341,8 +364,8 @@ def test_log_derivative_loops_match_the_real_arithmetic_reference(family, digits
     assert 3 in mults
     for x in [full_numeral(rng, digits) for _ in range(3)]:
         want = real_log_derivative(family, x, points, mults)
-        assert same(log_derivative(family, x, points, mults), want)
-    sums = pairwise_log_derivatives(family, points, mults)
+        assert same(log_derivative_at(family, x, points, mults), want)
+    sums = pairwise_at(family, points, mults)
     want = real_pairwise_log_derivatives(family, points, mults)
     assert len(sums) == len(want) == len(points)
     assert all(same(got, w) for got, w in zip(sums, want))
@@ -411,11 +434,11 @@ def test_the_running_error_bound_holds(family, digits):
         far = [full_numeral(rng, digits) for _ in range(4)]
         far = [x for x in far if min(abs(x - R(r)) for r in roots) > R("0.1")]
         for x in near + [R(r, digits) for r in roots] + far:
-            value, _, bound = eval_with_bound(p, x)
+            value, _, bound = eval_with_derivative(p, x)
             assert abs(value - exact_value(p, x)) <= bound, (roots, mults, x)
         for x in far:
             # away from the roots the value is far above its rounding noise
-            value, _, bound = eval_with_bound(p, x)
+            value, _, bound = eval_with_derivative(p, x)
             assert abs(value) > 1000 * bound
 
 
@@ -425,7 +448,7 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
     points = [full_numeral(rng, 100) for _ in range(4)]
     mults = [1, 2, 3, 2]
     x = full_numeral(rng, 64)
-    got = log_derivative(family, x, points, mults)
+    got = log_derivative_at(family, x, points, mults)
     assert got.digits == 100
     assert same(got, real_log_derivative(family, x, points, mults))
 
@@ -560,21 +583,21 @@ def test_a_point_whose_phase_overflows_takes_the_direct_kernel():
     points = [R("1e20000"), R("-1e20000"), R("1"), R("-2.5")]
     mults = [2, 1, 1, 2]
     assert [p is None for p in polys.phases(family, points, 64)] == [True, True, False, False]
-    got = pairwise_log_derivatives(family, points, mults)
+    got = pairwise_at(family, points, mults)
     want = real_pairwise_log_derivatives(family, points, mults)
     assert all(same(g, w) for g, w in zip(got, want))
     x = R("-3e20000")
-    assert same(log_derivative(family, x, points, mults),
+    assert same(log_derivative_at(family, x, points, mults),
                 real_log_derivative(family, x, points, mults))
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 def test_a_coincident_pair_is_reported_with_the_phase_kernel(family):
     with pytest.raises(CoincidentPointError) as excinfo:
-        pairwise_log_derivatives(family, [R("1"), R("2"), R("1")], [1, 1, 1])
+        pairwise_at(family, [R("1"), R("2"), R("1")], [1, 1, 1])
     assert (excinfo.value.at, excinfo.value.index) == (0, 2)
     with pytest.raises(CoincidentPointError) as excinfo:
-        log_derivative(family, R("2"), [R("1"), R("2")], [1, 1])
+        log_derivative_at(family, R("2"), [R("1"), R("2")], [1, 1])
     assert (excinfo.value.at, excinfo.value.index) == (None, 1)
 
 
@@ -583,7 +606,7 @@ def test_a_pair_1e_40_apart_reaches_cot_once(monkeypatch):
     monkeypatch.setattr(polys, "cot", lambda x, f=polys.cot: calls.append(x) or f(x))
     a = full_numeral(random.Random(40), 64)
     b = R(str(a.dec + Decimal("1e-40")), 64)
-    pairwise_log_derivatives(Family.TRIGONOMETRIC, [a, b], [1, 1])
+    pairwise_at(Family.TRIGONOMETRIC, [a, b], [1, 1])
     assert len(calls) == 1
 
 

@@ -12,14 +12,16 @@ from simulroot.polys import (
     FactoredPoly,
     Family,
     TrigExpCoeffPoly,
-    eval_with_bound,
+    eval_with_derivative,
     expand_algebraic,
+    phases,
 )
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
     InsufficientDataError,
     IterationTrace,
+    Method,
     MultiplicityProfile,
     RootStatus,
     SolveConfig,
@@ -27,10 +29,8 @@ from simulroot.solver import (
     StopReason,
     correction_sum,
     empirical_order,
-    newton_baseline_step,
     pre_floor_errors,
     solve,
-    step,
     wrap_to_standard_period,
 )
 from oracles import (
@@ -55,6 +55,18 @@ def estimates(*values):
     return EstimateVector(tuple(R(v) for v in values))
 
 
+def sweep(poly, vec, profile, method=Method.CHEBYSHEV):
+    """The estimates after one sweep of solve."""
+    report = solve(poly, profile, vec, SolveConfig(max_iters=1, method=method))
+    assert report.failure is None, report.failure
+    return report.trace.snapshots[1]
+
+
+def corrections(family, vec, profile):
+    """Every correction sum, from the phases a sweep gives the estimates."""
+    return correction_sum(family, vec, profile, phases(family, vec.x, vec.digits))
+
+
 EXAMPLE_1 = factored("algebraic", ["-2", "1", "3"], [2, 1, 3])
 EXAMPLE_2 = factored("trigonometric", ["1", "2", "2.5"], [3, 2, 1])
 EXAMPLE_3 = factored("exponential", ["-2", "3"], [2, 2])
@@ -74,12 +86,12 @@ TABLE_ROW_1 = {
 def test_correction_sum_single_root_is_zero():
     profile = MultiplicityProfile((3,))
     vec = EstimateVector((R("1.5"),))
-    assert correction_sum(Family.ALGEBRAIC, vec, profile, 0).is_zero()
+    assert corrections(Family.ALGEBRAIC, vec, profile)[0].is_zero()
 
 
 def test_correction_sum_algebraic_fixture():
     vec = estimates("-3", "0.1", "4")
-    total = correction_sum(Family.ALGEBRAIC, vec, PROFILE_1, 0)
+    total = corrections(Family.ALGEBRAIC, vec, PROFILE_1)[0]
     # 1/(-3.1) + 3/(-7) as an exact rational
     expected = Fraction(-163, 217)
     assert str(total).startswith("-0.7511520737")
@@ -88,25 +100,22 @@ def test_correction_sum_algebraic_fixture():
 
 def test_correction_sum_trigonometric_fixture():
     vec = estimates("0.2", "1.7", "3")
-    total = correction_sum(Family.TRIGONOMETRIC, vec, PROFILE_2, 0)
+    total = corrections(Family.TRIGONOMETRIC, vec, PROFILE_2)[0]
     expected = (2 * frac_cot(Fraction(-3, 4)) + frac_cot(Fraction(-7, 5))) / 2
     assert abs(as_fraction(total) - expected) < Fraction(1, 10**60)
 
 
 def test_correction_sum_exponential_fixture():
     vec = estimates("-1.5", "3.4")
-    total = correction_sum(Family.EXPONENTIAL, vec, PROFILE_3, 0)
+    total = corrections(Family.EXPONENTIAL, vec, PROFILE_3)[0]
     expected = 2 * frac_coth(Fraction(-49, 20)) / 2
     assert abs(as_fraction(total) - expected) < Fraction(1, 10**60)
 
 
 def test_correction_sum_collision_and_bounds():
-    vec = EstimateVector((R("1"), R("2")))
     profile = MultiplicityProfile((1, 1))
     with pytest.raises(CollisionError):
-        correction_sum(Family.ALGEBRAIC, EstimateVector((R("2"), R("2"))), profile, 0)
-    with pytest.raises(IndexError):
-        correction_sum(Family.ALGEBRAIC, vec, profile, 2)
+        corrections(Family.ALGEBRAIC, EstimateVector((R("2"), R("2"))), profile)
 
 
 def test_estimate_vector_rejects_duplicates():
@@ -142,7 +151,7 @@ def test_a_collision_names_the_first_pair_in_order(values, indices, message):
     ],
 )
 def test_step_matches_published_first_iteration(poly, profile, init, table):
-    nxt = step(poly, estimates(*init), profile)
+    nxt = sweep(poly, estimates(*init), profile)
     assert nxt.k == 1
     for computed, printed in zip(nxt.x, table):
         assert abs(computed - R(printed)) <= ten_power(-17)
@@ -151,21 +160,21 @@ def test_step_matches_published_first_iteration(poly, profile, init, table):
 def test_step_single_root_algebraic_is_exact_in_one_iteration():
     poly = factored("algebraic", ["1.25"], [5])
     profile = MultiplicityProfile((5,))
-    nxt = step(poly, EstimateVector((R("7"),)), profile)
+    nxt = sweep(poly, EstimateVector((R("7"),)), profile)
     assert abs(nxt.x[0] - R("1.25")) <= ten_power(-58)
 
 
 def test_newton_baseline_single_root_exact():
     poly = factored("algebraic", ["2"], [4])
     profile = MultiplicityProfile((4,))
-    nxt = newton_baseline_step(poly, EstimateVector((R("3.7"),)), profile)
+    nxt = sweep(poly, EstimateVector((R("3.7"),)), profile, Method.NEWTON_BASELINE)
     assert abs(nxt.x[0] - R("2")) <= ten_power(-58)
 
 
 def test_newton_baseline_matches_rational_oracle():
     roots = [Fraction(-2), Fraction(1), Fraction(3)]
     expected = algebraic_newton_step(roots, [2, 1, 3], [Fraction(-3), Fraction(1, 10), Fraction(4)])
-    nxt = newton_baseline_step(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
+    nxt = sweep(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1, Method.NEWTON_BASELINE)
     for computed, exact in zip(nxt.x, expected):
         assert abs(as_fraction(computed) - exact) < Fraction(1, 10**60)
 
@@ -175,7 +184,7 @@ def test_chebyshev_step_matches_rational_oracle():
     expected = algebraic_chebyshev_step(
         roots, [2, 1, 3], [Fraction(-3), Fraction(1, 10), Fraction(4)]
     )
-    nxt = step(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
+    nxt = sweep(EXAMPLE_1, estimates("-3", "0.1", "4"), PROFILE_1)
     for computed, exact in zip(nxt.x, expected):
         assert abs(as_fraction(computed) - exact) < Fraction(1, 10**58)
 
@@ -190,13 +199,13 @@ def test_chebyshev_step_matches_rational_oracle():
 )
 def test_exact_roots_are_a_fixed_point(poly, profile, roots):
     vec = estimates(*roots)
-    for advance in (step, newton_baseline_step):
-        nxt = advance(poly, vec, profile)
+    for method in Method:
+        nxt = sweep(poly, vec, profile, method)
         assert all(a == b for a, b in zip(nxt.x, vec.x))
 
 
 def test_baseline_estimates_already_exact_stay_put():
-    nxt = newton_baseline_step(EXAMPLE_3, estimates("-2", "3"), PROFILE_3)
+    nxt = sweep(EXAMPLE_3, estimates("-2", "3"), PROFILE_3, Method.NEWTON_BASELINE)
     assert nxt.x == estimates("-2", "3").x
 
 
@@ -300,9 +309,9 @@ def test_solve_rejects_multiplicities_that_do_not_fit_the_degree(poly, mults):
 @given(st.permutations([0, 1, 2]))
 def test_step_is_equivariant_under_index_permutation(perm):
     vec = ("-3", "0.1", "4")
-    base = step(EXAMPLE_1, estimates(*vec), PROFILE_1)
+    base = sweep(EXAMPLE_1, estimates(*vec), PROFILE_1)
     permuted_profile = MultiplicityProfile(tuple(PROFILE_1.mults[p] for p in perm))
-    permuted = step(
+    permuted = sweep(
         EXAMPLE_1,
         estimates(*(vec[p] for p in perm)),
         permuted_profile,
@@ -429,7 +438,7 @@ CUBE = AlgebraicCoeffPoly((R("-3"), R("3"), R("-1")))  # (x - 1)^3
 
 def test_a_derivative_that_rounds_to_zero_at_the_floor_freezes_the_root():
     x = R("1") - ten_power(-32)
-    value, derivative, bound = eval_with_bound(CUBE, x)
+    value, derivative, bound = eval_with_derivative(CUBE, x)
     assert derivative.is_zero() and not value.is_zero() and abs(value) <= bound
     report = solve(CUBE, MultiplicityProfile((3,)), EstimateVector((x,)))
     assert report.stop_reason is StopReason.ACCURACY_FLOOR
@@ -439,7 +448,7 @@ def test_a_derivative_that_rounds_to_zero_at_the_floor_freezes_the_root():
 
 def test_a_derivative_zero_above_the_floor_is_still_a_step_failure():
     poly = AlgebraicCoeffPoly((R("0"), R("1")))  # x^2 + 1, stationary at 0
-    value, derivative, bound = eval_with_bound(poly, R("0"))
+    value, derivative, bound = eval_with_derivative(poly, R("0"))
     assert derivative.is_zero() and abs(value) > bound
     report = solve(poly, MultiplicityProfile((1, 1)), estimates("0", "5"))
     assert report.stop_reason is StopReason.STEP_FAILURE
