@@ -376,3 +376,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -23,7 +23,9 @@ cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
 return a whole pair from one kernel run.  ``polys`` takes every cot and
 coth of a factored form's log-derivative sums from such pairs, one per
 point, and calls cot or coth itself only for a term the pairs cannot
-give to full precision.
+give to full precision.  When a point moves by a small step, ``polys``
+turns its pair by the pair at half the step, which one short loop over
+both Taylor series gives without halving.
 """
 
 from __future__ import annotations
@@ -319,6 +321,29 @@ def _odd_series(t: Decimal, alternate: bool, ctx: Context) -> Decimal:
         total = ctx.add(total, term)
         if term.adjusted() < stop:
             return total
+        i += 1
+
+
+def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decimal, Decimal]:
+    # (cos t, sin t) (alternate) or (cosh t, sinh t) for a nonzero |t| below
+    # 1e-3 only, from both Taylor series in one loop and no halving:
+    # even_i = even_(i-1) (+/-t^2) / ((2i - 1)(2i)) and odd_i = even_i t / (2i + 1).
+    # The tails are summed apart from the leading 1 and t, so each result
+    # takes one rounding of its own size (0.5 ulp) plus the tails' rounding,
+    # a few 1e-6 of that at most.  odd_i < even_i |t|, so the stop on the
+    # even terms stops the odd ones relative to t.
+    stop = -(ctx.prec + 2)
+    t2 = ctx.multiply(t, t)
+    if alternate:
+        t2 = t2.copy_negate()
+    even, even_tail, odd_tail = _D1, _D0, _D0
+    i = 1
+    while True:
+        even = ctx.divide(ctx.multiply(even, t2), (2 * i - 1) * (2 * i))
+        even_tail = ctx.add(even_tail, even)
+        odd_tail = ctx.add(odd_tail, ctx.divide(ctx.multiply(even, t), 2 * i + 1))
+        if even.adjusted() < stop:
+            return ctx.add(_D1, even_tail), ctx.add(t, odd_tail)
         i += 1
 
 

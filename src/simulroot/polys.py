@@ -16,10 +16,16 @@ the same sums over the other estimates, all of them from one pairwise
 pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 
 A factored half-angle form runs no kernel per term.  Each point gets its
-phase, the pair (c, s) at half the point, once (:func:`phases`), at
-``PHASE_GUARD_DIGITS`` more digits than the sums; the solver keeps the
-roots' phases for a whole solve and the estimates' for one sweep.  A term
-comes from two phases by angle subtraction,
+phase, the pair (c, s) at half the point, from the kernel once
+(:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits than the sums; the
+solver keeps the roots' phases for a whole solve.  It keeps the
+estimates' phases too: after a step below ``MAX_TURN_STEP`` an estimate's
+phase is turned by the step, by angle subtraction with the pair at half
+the step from a short series (:func:`turned_phases`).  A turned phase
+carries ``TURN_GUARD_DIGITS`` more digits, so that after up to
+``TURN_LIMIT`` turns its error stays within the one that the pair terms
+below allow a direct phase.  A term comes from two phases by angle
+subtraction,
 
     cot((a - b)/2) = (C_a C_b + S_a S_b) / (S_a C_b - C_a S_b)
     coth((a - b)/2) = (Ch_a Ch_b - Sh_a Sh_b) / (Sh_a Ch_b - Ch_a Sh_b),
@@ -70,6 +76,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 from .numeric import (
     Real,
     _context,
+    _small_pair_series,
     cos_sin,
     cosh_sinh,
     cot,
@@ -90,6 +97,38 @@ PHASE_GUARD_DIGITS = 20
 # unit; the step to u and the division each add at most 1e-9.  The worst
 # seen on 6000 seeded pairs at 64 and 256 digits was 7e-10.
 TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
+
+# Turned phases (:func:`turned_phases`).  A turn moves a phase (c, s) at
+# x/2 to (x - delta)/2 by
+#
+#     c' = c C - sign s S,    s' = s C - c S,
+#
+# with (C, S) the pair at h = delta/2 from numeric's short series, all at
+# TURN_GUARD_DIGITS more digits than a direct phase.  Count errors in units
+# of 10**(1 - digits - PHASE_GUARD_DIGITS) times the phase's scale, which
+# bounds |c| and |s|: 1 for trig, cosh(x/2) for the hyperbolic pair.  A
+# direct phase is within 0.5 unit, plus below 1e-8 unit of its kernel's own
+# error, and one rounding at the turn's digits is at most 0.001 unit.  For
+# |delta| < MAX_TURN_STEP a turn
+#
+# * multiplies the errors E already in c and s by at most 1 + eps: by
+#   |C| + |S| <= 1 + |h| for trig, and by (C + |S|) e^|h| = e^|delta| for
+#   the hyperbolic pair, whose scale may shrink by e^-|h|; eps <= 1.001e-3;
+# * adds the rounding of c' and s' (0.0005 unit each), of C times |c| or
+#   |s| <= scale (0.0005 unit) and, each times |h| < 5e-4, of S, of the
+#   product s S or c S and of h itself: at most 0.0011 unit.
+#
+# So E_(k+1) <= (1 + eps) E_k + 0.0011, and by induction a phase after k
+# <= TURN_LIMIT turns is within 0.5 + k * TURN_ERROR units: (1 + eps)(0.5 +
+# k TURN_ERROR) + 0.0011 <= 0.5 + (k + 1) TURN_ERROR while eps * 0.8 <= 0.0019.
+# At TURN_LIMIT that is 0.8 unit, inside the one unit of _pair_term's
+# cancellation and tie tests, which therefore take turned phases as they
+# take direct ones.
+TURN_GUARD_DIGITS = 3
+TURN_ERROR = Decimal("0.003")
+TURN_LIMIT = 100
+# A step of at least this takes the direct kernel.
+MAX_TURN_STEP = Decimal("1e-3")
 
 _HALF = Decimal("0.5")
 _MINUS_HALF = Decimal("-0.5")
@@ -171,14 +210,20 @@ _RULES = {
 
 
 class Phase(NamedTuple):
-    """(c, s) at half a point, rounded to ``digits + PHASE_GUARD_DIGITS``.
+    """(c, s) at half a point, for sums at ``digits`` digits only.
 
-    It serves sums at ``digits`` digits only.
+    A direct phase (:func:`phases`) is rounded to ``digits +
+    PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
+    turns (:func:`turned_phases`) carries ``TURN_GUARD_DIGITS`` more
+    digits, and ``turns`` is its error bound: c and s are within 0.5 +
+    turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
+    times 1 (trig) or cosh at the half point (hyperbolic).
     """
 
     c: Decimal
     s: Decimal
     digits: int
+    turns: int = 0
 
 
 def phases(family: Family, points: Sequence[Real], digits: int) -> list[Phase | None]:
@@ -200,6 +245,51 @@ def phases(family: Family, points: Sequence[Real], digits: int) -> list[Phase | 
             out.append(None)
         else:
             out.append(Phase(c.dec, s.dec, digits))
+    return out
+
+
+def turned_phases(
+    family: Family,
+    old: Sequence[Real],
+    new: Sequence[Real],
+    old_phases: Sequence[Phase | None],
+    digits: int,
+) -> list[Phase | None]:
+    """The phases of the points ``new`` for sums at ``digits`` digits, from
+    ``old_phases``, the phases of the points ``old``.
+
+    A point that did not move keeps its phase.  One that moved by less
+    than ``MAX_TURN_STEP`` has its phase turned by the step; one whose
+    phase is None, serves other digits or has ``TURN_LIMIT`` turns, or
+    that moved further, takes :func:`phases`.
+    """
+    rule = _RULES[family]
+    if rule.pair is None:
+        return [None] * len(new)
+    trig = rule.sign < 0
+    w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
+    out = list(old_phases)
+    redo = []
+    for i, (a, b, ph) in enumerate(zip(old, new, old_phases)):
+        step = w.subtract(a.dec, b.dec)
+        if ph is None or ph.digits != digits:
+            redo.append(i)
+        elif step.is_zero():
+            continue
+        elif ph.turns >= TURN_LIMIT or step.copy_abs() >= MAX_TURN_STEP:
+            redo.append(i)
+        else:
+            c, s = ph.c, ph.s
+            try:
+                cd, sd = _small_pair_series(w.multiply(step, _HALF), trig, w)
+                ssd = w.multiply(s, sd)
+                out[i] = Phase(w.fma(c, cd, ssd if trig else ssd.copy_negate()),
+                               w.fma(s, cd, w.multiply(c, sd).copy_negate()),
+                               digits, ph.turns + 1)
+            except Overflow:
+                redo.append(i)
+    for i, ph in zip(redo, phases(family, [new[i] for i in redo], digits)):
+        out[i] = ph
     return out
 
 
@@ -225,8 +315,8 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
     def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
         if pb is None or not pa.digits == pb.digits == prec:
             return odd(ctx, d)
-        ca, sa, _ = pa
-        cb, sb, _ = pb
+        ca, sa, _, _ = pa
+        cb, sb, _, _ = pb
         try:
             cc = w.multiply(ca, cb)
             num = w.fma(sa, sb if sign < 0 else sb.copy_negate(), cc)  # c((a - b)/2)

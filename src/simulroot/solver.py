@@ -42,6 +42,7 @@ from .polys import (
     pairwise_log_derivatives,
     phases,
     root_phases,
+    turned_phases,
 )
 
 
@@ -192,19 +193,15 @@ def _advance(
     profile: MultiplicityProfile,
     chebyshev: bool,
     roots: Sequence[Phase | None],
+    own: Sequence[Phase | None],
     tolerance: Real,
     frozen: frozenset[int],
 ) -> tuple[EstimateVector, frozenset[int]]:
-    # ``roots`` are p's root_phases, which a solve computes once.  Returns
-    # the new estimates and the roots frozen after this sweep.
+    # ``roots`` are p's root_phases, which a solve computes once, and
+    # ``own`` the estimates' phases, which solve carries from sweep to
+    # sweep (all None for a coefficient form).  Returns the new estimates
+    # and the roots frozen after this sweep.
     family = family_of(p)
-    # A factored form's estimate phases serve m Newton-ratio terms each
-    # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
-    # terms, and there direct kernels are faster: one phase, at the
-    # phase's guard digits, costs more than one term's kernel.  Even
-    # 64-digit exponential solves with m = 4 (4 phases against 6 terms a
-    # sweep) took about 7% longer with phases on a 2-vCPU Xeon.
-    own = phases(family, estimates.x, estimates.digits) if roots else [None] * estimates.m
     new = list(estimates.x)
     froze = set(frozen)
     corrections = None
@@ -283,12 +280,26 @@ def solve(
     errors = [error_row(init)] if true_roots is not None else None
 
     current = init
+    previous = None
+    # A factored form's estimate phases serve m Newton-ratio terms each
+    # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
+    # terms, and there direct kernels are faster: one phase, at the
+    # phase's guard digits, costs more than one term's kernel.  Even
+    # 64-digit exponential solves with m = 4 (4 phases against 6 terms a
+    # sweep) took about 7% longer with phases on a 2-vCPU Xeon.
+    own: list[Phase | None] = [None] * init.m
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
     for _ in range(cfg.max_iters):
+        # Sweep 1 runs the phase kernel; later sweeps turn each phase by
+        # its estimate's last step, here rather than after a sweep, so the
+        # sweep that stops the solve turns none.
+        if roots:
+            own = (phases(family, current.x, current.digits) if previous is None
+                   else turned_phases(family, previous.x, current.x, own, current.digits))
         try:
-            nxt, frozen = _advance(p, current, profile, chebyshev, roots, tolerance, frozen)
+            nxt, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance, frozen)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)
@@ -298,7 +309,7 @@ def solve(
         steps.append(deltas)
         if errors is not None:
             errors.append(error_row(nxt))
-        current = nxt
+        previous, current = current, nxt
         # a frozen root's step is 0
         if max(deltas) <= tolerance:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import simulroot
-from simulroot import cli, polys
+from simulroot import cli, polys, solver
 from simulroot.numeric import make_real
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -114,6 +114,37 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     assert counted(lambda: pairwise(points)) == (m, 0)
     near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
     assert counted(lambda: pairwise(near)) == (2, 1)
+
+
+@pytest.mark.parametrize("expr,init,expected", [
+    ("sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3"), (3, 7, 9, 15)),
+    ("sinh((x+2)/2)^2*sinh((x-3)/2)^2", ("-1.5", "2.4"), (2, 6, 4, 8)),
+])
+def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, expected,
+                                                                   monkeypatch):
+    # cos_sin/cosh_sinh run through the rule's lambdas for p's m roots and
+    # the m estimates of sweep 1; later sweeps turn each estimate's phase
+    # by its last step and run the kernel only for a step of at least
+    # MAX_TURN_STEP, and the sweep that stops the solve turns none.  Each
+    # sweep ran the kernel for every estimate before: m (k + 1) in all,
+    # 24 and 14 calls here against 15 and 8.
+    calls = []
+    for name in ("cos_sin", "cosh_sinh"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda t, kernel=kernel: calls.append(t) or kernel(t))
+    spec = simulroot.expression_problem(expr, init)
+    turn = []
+    turned_phases = polys.turned_phases
+    monkeypatch.setattr(solver, "turned_phases", lambda *a: turn.append(a) or turned_phases(*a))
+    report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
+    assert report.converged
+    m, k = spec.profile().m, len(report.trace.step_sizes)
+    snaps = report.trace.snapshots
+    redos = sum(abs(a.dec - b.dec) >= polys.MAX_TURN_STEP
+                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
+    assert (m, k, redos, len(calls)) == expected
+    assert len(calls) == 2 * m + redos < m * (k + 1)
+    assert len(turn) == k - 1
 
 
 def test_the_traced_names_count_the_work_of_a_solve():

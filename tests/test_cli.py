@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -607,3 +610,17 @@ def test_threads_parsing_at_once_each_get_their_own_namespace():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+@pytest.mark.parametrize("module", ["simulroot", "simulroot.cli"])
+def test_the_module_forms_run_the_command(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("solve", "--expr", "(x-1)", "--init", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["2", "1.000000000000000000"]
+    assert run("solve", "--no-such-flag").returncode == 1

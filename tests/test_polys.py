@@ -458,16 +458,47 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
 HALF_ANGLE = [Family.TRIGONOMETRIC, Family.EXPONENTIAL]
 
 
-def pair_terms(family, digits, pairs, monkeypatch):
+def turn_step(rng) -> Decimal:
+    """A step a phase is turned by: 30% of them just below MAX_TURN_STEP,
+    the rest 1e-5 to 1e-40, either sign."""
+    exponent = -4 if rng.random() < 0.3 else -rng.randint(5, 40)
+    return Decimal(repr(rng.uniform(1, 9.9))).scaleb(exponent) * rng.choice((1, -1))
+
+
+def turned_along_paths(family, points, digits, rng, turns):
+    """The phases of ``points`` after ``turns`` turns each, from direct
+    phases at points a random path of turn steps away, with every phase
+    on the way: [(path points, their phases)] from the start."""
+    paths = [list(points)]
+    for _ in range(turns):
+        paths.append([x + R(str(turn_step(rng)), digits) for x in paths[-1]])
+    paths.reverse()
+    ph = polys.phases(family, paths[0], digits)
+    out = [(paths[0], ph)]
+    for old, new in zip(paths, paths[1:]):
+        ph = polys.turned_phases(family, old, new, ph, digits)
+        out.append((new, ph))
+    return out
+
+
+def pair_terms(family, digits, pairs, monkeypatch, turns=0):
     """(phase-kernel term, direct-kernel term, fell back) for each pair (a, b).
 
     The direct kernel is the family's odd(round(a - b)), and a term falls
-    back when the phase kernel calls it.
+    back when the phase kernel calls it.  The points' phases are direct,
+    or reached by ``turns`` turns each.
     """
     rule = polys._RULES[family]
     ctx = numeric._context(digits)
     points = [p for pair in pairs for p in pair]
-    ph = polys.phases(family, points, digits)
+    if turns:
+        unique = list(dict.fromkeys(points))
+        turned = turned_along_paths(family, unique, digits, random.Random(turns), turns)[-1][1]
+        assert all(q.turns == turns for q in turned)
+        by_point = dict(zip(unique, turned))
+        ph = [by_point[p] for p in points]
+    else:
+        ph = polys.phases(family, points, digits)
     name = "cot" if family is Family.TRIGONOMETRIC else "coth"
     kernel = getattr(polys, name)
     calls = []
@@ -502,9 +533,12 @@ def test_phase_kernel_equals_the_direct_kernel_on_seeded_pairs(family, digits, m
     points = [full_numeral(rng, digits) for _ in range(45)]
     points += [near(rng, points[i], -rng.randint(1, 40)) for i in range(19)]
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
-    results = pair_terms(family, digits, pairs, monkeypatch)
-    assert len(results) == 2016 and bit_for_bit(results)
-    assert sum(fell for *_, fell in results) < len(results) // 10
+    # the same with phases that were turned 12 times: within the bound of
+    # turned_phases, every term is still the direct kernel's bit for bit
+    for turns in (0, 12):
+        results = pair_terms(family, digits, pairs, monkeypatch, turns)
+        assert len(results) == 2016 and bit_for_bit(results), turns
+        assert sum(fell for *_, fell in results) < len(results) // 10, turns
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
@@ -637,3 +671,108 @@ def test_a_term_whose_rounding_is_in_doubt_takes_the_direct_kernel(family, monke
     results = pair_terms(family, 64, pairs, monkeypatch)
     assert bit_for_bit(results)
     assert all(fell == 1 for *_, fell in results)
+
+
+# -- turned phases -------------------------------------------------------
+
+
+def phase_error(family, x: Real, phase, digits) -> Decimal:
+    """The larger error of the phase's c and s at x/2 against a rerun at
+    2 digits + 20, in units of 10**(1 - digits - PHASE_GUARD_DIGITS) on the
+    phase's scale: 1 for trig, cosh(x/2) for the hyperbolic pair."""
+    prec = 2 * digits + 20
+    ctx = numeric._context(prec)
+    pair = numeric.cos_sin if family is Family.TRIGONOMETRIC else numeric.cosh_sinh
+    c, s = (t.dec for t in pair(Real(ctx.divide(x.dec, 2), prec)))
+    scale = Decimal(1) if family is Family.TRIGONOMETRIC else c
+    unit = ctx.multiply(scale, Decimal(1).scaleb(1 - digits - polys.PHASE_GUARD_DIGITS))
+    error = max(ctx.subtract(phase.c, c).copy_abs(), ctx.subtract(phase.s, s).copy_abs())
+    return ctx.divide(error, unit)
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_turned_phases_stay_within_their_carried_bound(family, digits):
+    # 60 turns of every point, with steps from just below MAX_TURN_STEP
+    # to 1e-40, at points near 0, of order 1, near a zero of cos(x/2) and,
+    # for the hyperbolic pair, where cosh(x/2) is 1e60 or past coth's far
+    # tail; every phase on the way must lie within 0.5 + turns * TURN_ERROR
+    # units, the direct phase's 0.5 with below 1e-8 of kernel error.  The
+    # turns' own recurrence is sharper: a turn grows the error it inherits
+    # by at most 1 + 1.001 MAX_TURN_STEP and adds at most TURN_ERROR.
+    rng = random.Random(digits + len(family.value))
+    points = [R("3e-30", digits), full_numeral(rng, digits), -full_numeral(rng, digits)]
+    if family is Family.TRIGONOMETRIC:
+        points += [numeric.pi(digits) + R("1e-20", digits), R("-1000.5", digits)]
+    else:
+        points += [R("276.5", digits), R(str(-12 * (digits + 30) // 5), digits)]
+    ctx = numeric._context(2 * digits + 20)
+    growth = 1 + Decimal("1.001") * polys.MAX_TURN_STEP
+    for turns, (at, ph) in enumerate(turned_along_paths(family, points, digits, rng, 60)):
+        assert [q.turns for q in ph] == [turns] * len(points)
+        errors = [phase_error(family, x, q, digits) for x, q in zip(at, ph)]
+        if turns == 0:
+            direct = errors
+            assert all(e > 0 for e in errors)
+        bound = Decimal("0.50000001") + turns * polys.TURN_ERROR
+        for x, error, start in zip(at, errors, direct):
+            assert error <= bound, (turns, x, error)
+            drift = ctx.fma(start, ctx.power(growth, turns), turns * polys.TURN_ERROR)
+            assert error <= drift, (turns, x, error)
+
+
+def test_an_unmoved_point_keeps_its_phase_object():
+    family, x, old = Family.TRIGONOMETRIC, R("0.7"), R("0.7001")
+    (direct,) = polys.phases(family, [x], 64)
+    (turned,) = polys.turned_phases(family, [old], [x], polys.phases(family, [old], 64), 64)
+    for ph in (direct, turned):
+        assert polys.turned_phases(family, [x], [x], [ph], 64)[0] is ph
+    assert turned.turns == 1
+
+
+def counted_pair_kernels(monkeypatch) -> list:
+    calls = []
+    for name in ("cos_sin", "cosh_sinh"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda t, kernel=kernel: calls.append(t) or kernel(t))
+    return calls
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_which_phases_take_the_direct_kernel(family, monkeypatch):
+    # a phase at TURN_LIMIT, one made for other digits and a step of
+    # MAX_TURN_STEP or more take the kernel; one turn short of the limit
+    # and a step just below the threshold turn
+    calls = counted_pair_kernels(monkeypatch)
+    old = [R(v) for v in ("0.5", "0.5", "1.5", "2.5", "-1", "-2")]
+    new = [old[0] - R("1e-9"), old[1] - R("1e-9"), old[2] - R("1e-9"),
+           old[3] - R(str(polys.MAX_TURN_STEP)), old[4] + R("0.000999"), old[5] + R("1e-30")]
+    direct = polys.phases(family, old, 64)
+    start = [direct[0]._replace(turns=polys.TURN_LIMIT),
+             direct[1]._replace(turns=polys.TURN_LIMIT - 1),
+             polys.phases(family, [old[2]], 65)[0], *direct[3:]]
+    calls.clear()
+    got = polys.turned_phases(family, old, new, start, 64)
+    assert len(calls) == 3
+    assert [ph.turns for ph in got] == [0, polys.TURN_LIMIT, 0, 0, 1, 1]
+    redone = polys.phases(family, [new[i] for i in (0, 2, 3)], 64)
+    assert [got[i] for i in (0, 2, 3)] == redone
+
+
+def test_an_overflowing_point_stays_on_the_direct_path(monkeypatch):
+    calls = counted_pair_kernels(monkeypatch)
+    family = Family.EXPONENTIAL
+    old = [R("1e20000"), R("1e20000"), R("-1e20000"), R("1")]
+    new = [old[0], R("0.9999999999e20000"), R("1"), R("1.0000001")]
+    start = polys.phases(family, old, 64)
+    assert [ph is None for ph in start] == [True, True, True, False]
+    calls.clear()
+    got = polys.turned_phases(family, old, new, start, 64)
+    assert len(calls) == 3
+    assert got[:2] == [None, None]
+    assert got[2] == polys.phases(family, [R("1")], 64)[0] and got[3].turns == 1
+
+
+def test_the_algebraic_family_has_no_phases_to_turn():
+    old, new = [R("1"), R("2")], [R("1.1"), R("2")]
+    assert polys.turned_phases(Family.ALGEBRAIC, old, new, [None, None], 64) == [None, None]
