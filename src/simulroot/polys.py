@@ -46,6 +46,14 @@ kernels measured faster.
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
 digits any operand carries; cot, coth and the function pairs stay numeric's.
+A log-derivative sum is one ``reduce`` of the context's add over a ``map``
+of its terms, and each rule gives the odd parts of a row of terms
+(``_Rule.odds``).  The algebraic odd part is the difference itself, so
+an algebraic sum runs no Python per term: m / (x - p) is a ``map`` of the
+context's subtract and divide, and a coincident point shows as the
+division's ``DivisionByZero``.  A half-angle term still takes one
+:func:`_pair_term` call.  A factored form keeps its roots' Decimals
+(``FactoredPoly.root_decs``), so a Newton ratio does not unpack them.
 
 A coefficient form cancels: near a root of multiplicity m its value is
 rounding noise once the point lies within about 10^(-digits/m) of the
@@ -71,7 +79,9 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence, Union
+from functools import cached_property, reduce
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .numeric import (
     Real,
@@ -190,22 +200,47 @@ class _Rule:
     half_angle: bool
     # (ctx, d) -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
     odd: Callable[[Context, Decimal], Decimal]
-    # (ctx, m, odd(d)) -> m * K(d), before halving; odd in its last argument
-    weigh: Callable[[Context, int, Decimal], Decimal]
+    # The context method that takes (m, odd(d)) to m * K(d), before
+    # halving; odd in its last argument.
+    weigh: str
+    # (rule, ctx, a, phase of a, points b, their phases) -> odd(a - b) for
+    # each b, in order (:func:`_differences` or :func:`_phased_odds`)
+    odds: Callable[..., Iterator[Decimal]]
     # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic.
     # c(a - b) = c(a) c(b) - sign s(a) s(b) and s(a - b) = s(a) c(b) - c(a) s(b).
     pair: Callable[[Real], tuple[Real, Real]] | None = None
     sign: int = 0
 
 
+def _differences(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
+                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> Iterator[Decimal]:
+    # The algebraic odd part is d itself, so the odds are the differences,
+    # taken at C level.  A zero one is a coincident point: the division
+    # that weighs it raises DivisionByZero.
+    return map(ctx.subtract, repeat(a), bs)
+
+
+def _phased_odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
+                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> Iterator[Decimal]:
+    # A half-angle odd part, from the phases of a and b where a has one
+    # (:func:`_pair_term`), else from the direct kernel.  A zero
+    # difference is the kernel's pole, raised as the algebraic one is.
+    term = None if pa is None else _pair_term(rule, ctx)
+    for b, pb in zip(bs, pbs):
+        d = ctx.subtract(a, b)
+        if d.is_zero():
+            raise DivisionByZero
+        yield rule.odd(ctx, d) if term is None else term(d, a, b, pa, pb)
+
+
 # The lambdas look the kernels up in this module at call time, so
 # rebinding their names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(False, lambda ctx, d: d, Context.divide),
+    Family.ALGEBRAIC: _Rule(False, lambda ctx, d: d, "divide", _differences),
     Family.TRIGONOMETRIC: _Rule(True, lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                                Context.multiply, lambda t: cos_sin(t), -1),
+                                "multiply", _phased_odds, lambda t: cos_sin(t), -1),
     Family.EXPONENTIAL: _Rule(True, lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                              Context.multiply, lambda t: cosh_sinh(t), 1),
+                              "multiply", _phased_odds, lambda t: cosh_sinh(t), 1),
 }
 
 
@@ -389,17 +424,32 @@ def log_derivative(
 
     A point equal to x raises :class:`CoincidentPointError`.
     """
-    rule = _RULES[family]
     ctx = _context(max(x.digits, *(p.digits for p in points)))
-    term = None if phase is None else _pair_term(rule, ctx)
-    total = Decimal(0)
-    for j, (p, m) in enumerate(zip(points, mults)):
-        d = ctx.subtract(x.dec, p.dec)
-        if d.is_zero():
-            raise CoincidentPointError(j)
-        k = rule.odd(ctx, d) if term is None else term(d, x.dec, p.dec, phase, point_phases[j])
-        total = ctx.add(total, rule.weigh(ctx, m, k))
-    return Real(ctx.divide(total, 2) if rule.half_angle else total, ctx.prec)
+    decs = [p.dec for p in points]
+    return Real(_log_derivative(_RULES[family], ctx, x.dec, phase, decs, point_phases, mults),
+                ctx.prec)
+
+
+def _log_derivative(
+    rule: _Rule,
+    ctx: Context,
+    x: Decimal,
+    phase: Phase | None,
+    points: Sequence[Decimal],
+    point_phases: Sequence[Phase | None],
+    mults: Sequence[int],
+) -> Decimal:
+    # :func:`log_derivative` on the points' Decimals, as one map and reduce
+    # over the family's odds.
+    weigh = getattr(ctx, rule.weigh)
+    try:
+        total = reduce(ctx.add, map(weigh, mults, rule.odds(rule, ctx, x, phase, points,
+                                                            point_phases)), 0)
+    except DivisionByZero:
+        if x not in points:
+            raise
+        raise CoincidentPointError(points.index(x)) from None
+    return ctx.divide(total, 2) if rule.half_angle else total
 
 
 def pairwise_log_derivatives(
@@ -412,25 +462,28 @@ def pairwise_log_derivatives(
     every i, from the points' :func:`phases`.
 
     K is odd, so each unordered pair {i, j} evaluates odd(p_i - p_j) once:
-    it adds m_j K to sum i and subtracts m_i K from sum j.  Every sum
-    takes its terms in ascending order of the other index, as
-    :func:`log_derivative` does, so the results are the same bit for bit.
-    A coincident pair raises :class:`CoincidentPointError` with ``at=i``.
+    it adds m_j K to sum i and subtracts m_i K from sum j.  Row i takes
+    the odds of p_i against every later point, adds their terms to sum i
+    and subtracts them from the later sums.  Every sum takes its terms in
+    ascending order of the other index, as :func:`log_derivative` does, so
+    the results are the same bit for bit.  A coincident pair raises
+    :class:`CoincidentPointError` with ``at=i``.
     """
     rule = _RULES[family]
     ctx = _context(max(p.digits for p in points))
-    term = _pair_term(rule, ctx)
-    sums = [Decimal(0)] * len(points)
-    for i, (p, m) in enumerate(zip(points, mults)):
-        pa = point_phases[i]
-        for j in range(i + 1, len(points)):
-            d = ctx.subtract(p.dec, points[j].dec)
-            if d.is_zero():
-                raise CoincidentPointError(j, at=i)
-            pb = point_phases[j]
-            k = rule.odd(ctx, d) if pa is None else term(d, p.dec, points[j].dec, pa, pb)
-            sums[i] = ctx.add(sums[i], rule.weigh(ctx, mults[j], k))
-            sums[j] = ctx.subtract(sums[j], rule.weigh(ctx, m, k))
+    weigh = getattr(ctx, rule.weigh)
+    decs = [p.dec for p in points]
+    sums = [Decimal(0)] * len(decs)
+    for i, (a, m) in enumerate(zip(decs, mults)):
+        rest = i + 1
+        try:
+            odds = list(rule.odds(rule, ctx, a, point_phases[i], decs[rest:], point_phases[rest:]))
+            sums[i] = reduce(ctx.add, map(weigh, mults[rest:], odds), sums[i])
+        except DivisionByZero:
+            if a not in decs[rest:]:
+                raise
+            raise CoincidentPointError(decs.index(a, rest), at=i) from None
+        sums[rest:] = map(ctx.subtract, sums[rest:], map(weigh, repeat(m), odds))
     return [Real(ctx.divide(t, 2) if rule.half_angle else t, ctx.prec) for t in sums]
 
 
@@ -497,6 +550,16 @@ class FactoredPoly:
     def degree(self) -> int:
         return mults_degree(self.family, sum(self.mults))
 
+    @cached_property
+    def root_decs(self) -> tuple[Decimal, ...]:
+        """The roots' Decimals, which every Newton ratio's sum runs on."""
+        return tuple(r.dec for r in self.roots)
+
+    @cached_property
+    def root_digits(self) -> int:
+        """The most digits any root carries."""
+        return max(r.digits for r in self.roots)
+
 
 Polynomial = Union[AlgebraicCoeffPoly, TrigExpCoeffPoly, FactoredPoly]
 
@@ -560,10 +623,11 @@ def _error_bound(mu: Decimal, digits: int) -> Real:
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
     """The :func:`phases` of a factored form's roots, for the Newton ratios
-    of estimates that carry ``digits`` digits; [] for other forms."""
-    if not isinstance(p, FactoredPoly):
+    of estimates that carry ``digits`` digits; [] for coefficient forms
+    and for the algebraic family, which has no phases."""
+    if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
-    return phases(p.family, p.roots, max(digits, *(r.digits for r in p.roots)))
+    return phases(p.family, p.roots, max(digits, p.root_digits))
 
 
 def newton_ratio(
@@ -579,15 +643,17 @@ def newton_ratio(
     the floor that raises :class:`DerivativeZeroError`.
     """
     if isinstance(p, FactoredPoly):
+        ctx = _context(max(x.digits, p.root_digits))
         try:
-            value = one(x.digits)
-            derivative = log_derivative(p.family, x, phase, p.roots, roots, p.mults)
+            total = _log_derivative(_RULES[p.family], ctx, x.dec, phase, p.root_decs, roots,
+                                    p.mults)
         except CoincidentPointError:
             return zero(x.digits), False
-        at_floor = False
-    else:
-        value, derivative, bound = eval_with_derivative(p, x)
-        at_floor = value.dec.copy_abs() <= bound.dec
+        if total.is_zero():
+            raise DerivativeZeroError(x)
+        return Real(ctx.divide(1, total), ctx.prec), False
+    value, derivative, bound = eval_with_derivative(p, x)
+    at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
         return zero(x.digits), at_floor
     if derivative.is_zero():

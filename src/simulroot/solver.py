@@ -22,6 +22,14 @@ bound of its rounding error freezes, as in MPSolve (Bini & Fiorentino
 estimate and gets no further Newton ratio, but still enters the other
 roots' corrections.  A factored form has no such floor and never
 freezes.
+
+A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
+estimate and :func:`correction_sum` once, and both return Reals.  The
+update, the at-floor step test and the step sizes then run on the
+Decimals inside: each operation is the context method, at the precision
+and in the order that the Real expression would use, so the results are
+the same bit for bit.  Reals are made only for the new estimates and
+their steps.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import Real, check_phase, first_equal_pair, ln, pi, ten_power
+from .numeric import Real, _context, check_phase, first_equal_pair, ln, pi, ten_power
 from .polys import (
     Family,
     Phase,
@@ -196,13 +204,18 @@ def _advance(
     own: Sequence[Phase | None],
     tolerance: Real,
     frozen: frozenset[int],
-) -> tuple[EstimateVector, frozenset[int]]:
+) -> tuple[EstimateVector, tuple[Real, ...], frozenset[int]]:
     # ``roots`` are p's root_phases, which a solve computes once, and
     # ``own`` the estimates' phases, which solve carries from sweep to
-    # sweep (all None for a coefficient form).  Returns the new estimates
-    # and the roots frozen after this sweep.
+    # sweep (all None where p has no root phases).  Returns the new
+    # estimates, each one's step |x_i' - x_i| and the roots frozen after
+    # this sweep.  Each Decimal operation is the one that the Real
+    # expression in the comment above it would run (Real's _binary): under
+    # the context at the most digits of its Real operands, with an int
+    # operand on the right.
     family = family_of(p)
     new = list(estimates.x)
+    steps: list[Real | None] = [None] * estimates.m
     froze = set(frozen)
     corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
@@ -215,20 +228,32 @@ def _advance(
                 continue
             if chebyshev:
                 corrections = corrections or correction_sum(family, estimates, profile, own)
-                bracket = 1 + ratio * corrections[i]
+                # 1 + ratio * C_i
+                digits = max(ratio.digits, corrections[i].digits)
+                ctx = _context(digits)
+                bracket = ctx.add(ctx.multiply(ratio.dec, corrections[i].dec), 1)
             else:
-                bracket = 1
-            xn = xi - mult * ratio * bracket
-            if at_floor and not abs(xn - xi) <= tolerance:
+                digits, bracket = ratio.digits, 1
+            # xi - mult * ratio * bracket
+            delta = _context(ratio.digits).multiply(ratio.dec, mult)
+            delta = _context(digits).multiply(delta, bracket)
+            ctx = _context(max(xi.digits, digits))
+            xn = ctx.subtract(xi.dec, delta)
+            size = ctx.subtract(xn, xi.dec).copy_abs()  # abs(xn - xi)
+            if at_floor and not size <= tolerance.dec:
                 froze.add(i)
                 continue
+            new[i] = Real(xn, ctx.prec)
             if family is Family.TRIGONOMETRIC:
-                check_phase(xn, "the new estimate")
-            new[i] = xn
+                check_phase(new[i], "the new estimate")
+            steps[i] = Real(size, ctx.prec)
         except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
+    # an estimate that did not move steps by abs(xi - xi), a zero
+    sizes = tuple(Real(_context(x.digits).subtract(x.dec, x.dec).copy_abs(), x.digits)
+                  if step is None else step for x, step in zip(estimates.x, steps))
     try:
-        return EstimateVector(tuple(new), estimates.k + 1), frozenset(froze)
+        return EstimateVector(tuple(new), estimates.k + 1), sizes, frozenset(froze)
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
 
@@ -299,19 +324,19 @@ def solve(
             own = (phases(family, current.x, current.digits) if previous is None
                    else turned_phases(family, previous.x, current.x, own, current.digits))
         try:
-            nxt, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance, frozen)
+            nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
+                                           frozen)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)
             break
-        deltas = tuple(abs(a - b) for a, b in zip(nxt.x, current.x))
         snapshots.append(nxt)
         steps.append(deltas)
         if errors is not None:
             errors.append(error_row(nxt))
         previous, current = current, nxt
         # a frozen root's step is 0
-        if max(deltas) <= tolerance:
+        if max(d.dec for d in deltas) <= tolerance.dec:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 

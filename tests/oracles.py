@@ -7,14 +7,14 @@ an exact-rational replay of the algebraic iteration.  None of it touches
 the package's decimal machinery, so these values are genuinely
 independent of the code under test.
 
-The one exception is the section on the ``polys`` loops: the inner
-loops of ``polys`` written as chains of ``Real`` operations, one
-operation per step.  The package runs the same operations on ``Decimal``
-under one context, so the tests hold the two equal bit for bit.  The
-same section holds the product rule on ``Real``, a reference value and
-derivative of a factored form, which the package never evaluates.  The
-last section expands planted roots into coefficient forms, again in
-Fractions.
+The exceptions are the sections on the ``polys`` loops and on the
+solver's update: the inner loops of ``polys``, and one sweep of
+``solve``, written as chains of ``Real`` operations, one operation per
+step.  The package runs the same operations on ``Decimal``, so the
+tests hold the two equal bit for bit.  The ``polys`` section also holds
+the product rule on ``Real``, a reference value and derivative of a
+factored form, which the package never evaluates.  The last section
+expands planted roots into coefficient forms, again in Fractions.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul, truediv
 
-from simulroot.numeric import cos_sin, cosh_sinh, cot, coth, one, zero
+from simulroot.numeric import check_phase, cos_sin, cosh_sinh, cot, coth, one, zero
+from simulroot.polys import Family, family_of, newton_ratio, phases, root_phases
+from simulroot.solver import CollisionError, EstimateVector, StepFailure, correction_sum
 
 
 def frac_sin(x: Fraction, digits: int = 80) -> Fraction:
@@ -301,6 +303,50 @@ def real_trig_exp_sum(family, a0, a, b, x):
         value = value + ak * c + bk * s
         derivative = derivative + k * (bk * c + sign * ak * s)
     return value, derivative
+
+
+# -- one sweep of the solver's update on Real arithmetic ---------------
+
+
+def real_sweep(p, estimates, profile, chebyshev, tolerance):
+    """The first sweep of ``solve`` from ``estimates``, its update written
+    as Real expressions: (new estimates, step sizes, frozen roots).
+
+    The Newton ratios and the corrections come from the package's kernels
+    (``newton_ratio`` and ``correction_sum``), which the sections above
+    check; a step that fails raises ``StepFailure`` as the sweep does.
+    """
+    family = family_of(p)
+    roots = root_phases(p, estimates.digits)
+    own = phases(family, estimates.x, estimates.digits) if roots else [None] * estimates.m
+    new = list(estimates.x)
+    froze = set()
+    corrections = None
+    for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
+        try:
+            ratio, at_floor = newton_ratio(p, xi, own[i], roots)
+            if ratio is None:
+                froze.add(i)
+                continue
+            if chebyshev:
+                corrections = corrections or correction_sum(family, estimates, profile, own)
+                bracket = 1 + ratio * corrections[i]
+            else:
+                bracket = 1
+            xn = xi - mult * ratio * bracket
+            if at_floor and not abs(xn - xi) <= tolerance:
+                froze.add(i)
+                continue
+            if family is Family.TRIGONOMETRIC:
+                check_phase(xn, "the new estimate")
+            new[i] = xn
+        except ArithmeticError as exc:
+            raise StepFailure(i, exc) from exc
+    try:
+        nxt = EstimateVector(tuple(new), estimates.k + 1)
+    except CollisionError as exc:
+        raise StepFailure(exc.indices[0], exc) from exc
+    return nxt, tuple(abs(a - b) for a, b in zip(nxt.x, estimates.x)), frozenset(froze)
 
 
 # -- coefficient forms from planted roots -------------------------------

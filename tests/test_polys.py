@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot import numeric, polys
-from simulroot.numeric import Real, make_real, ten_power
+from simulroot import cli, numeric, polys
+from simulroot.numeric import Real, make_real, one, ten_power, zero
 from simulroot.polys import (
     AlgebraicCoeffPoly,
     CoincidentPointError,
@@ -451,6 +451,72 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
     got = log_derivative_at(family, x, points, mults)
     assert got.digits == 100
     assert same(got, real_log_derivative(family, x, points, mults))
+
+
+# -- the algebraic sums as map/reduce -------------------------------------
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+@pytest.mark.parametrize("m", [1, 2, 9, 30])
+def test_algebraic_sums_match_the_real_arithmetic_reference(m, digits):
+    # The algebraic sums run as C-level map/reduce and the Newton ratio of a
+    # factored form on its cached root Decimals; both equal the Real loops.
+    rng = random.Random(1000 * m + digits)
+    points = [full_numeral(rng, digits) for _ in range(m)]
+    mults = [rng.randint(1, 3) for _ in points]
+    p = FactoredPoly(Family.ALGEBRAIC, tuple(points), tuple(mults))
+    assert polys.root_phases(p, digits) == []
+    for x in [full_numeral(rng, digits) for _ in range(3)]:
+        want = real_log_derivative("algebraic", x, points, mults)
+        assert same(log_derivative(Family.ALGEBRAIC, x, None, points, [None] * m, mults), want)
+        ratio, at_floor = newton_ratio(p, x, None, [])
+        assert same(ratio, one(digits) / want) and not at_floor
+    sums = pairwise_log_derivatives(Family.ALGEBRAIC, points, [None] * m, mults)
+    want = real_pairwise_log_derivatives("algebraic", points, mults)
+    assert len(sums) == len(want) == m
+    assert all(same(got, w) for got, w in zip(sums, want))
+
+
+def test_a_point_equal_to_a_root_gives_a_ratio_of_0():
+    rng = random.Random(5)
+    roots = [full_numeral(rng, 64) for _ in range(30)]
+    p = FactoredPoly(Family.ALGEBRAIC, tuple(roots), tuple(1 + j % 3 for j in range(30)))
+    for j in (0, 17, 29):
+        ratio, at_floor = newton_ratio(p, roots[j], None, [])
+        assert same(ratio, zero(64)) and not at_floor
+
+
+def first_equal(points):
+    """The first (i, j), i < j, with equal points in the order rows i and
+    then j run: the coincident pair a term loop meets first."""
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):
+            if a == points[j]:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_coincident_point_is_reported_at_the_first_equal_index(family):
+    rng = random.Random(11)
+    points = [full_numeral(rng, 64) for _ in range(12)]
+    points[9], points[11] = points[4], points[2]  # row 2 meets its copy before row 4
+    mults = [rng.randint(1, 3) for _ in points]
+    with pytest.raises(CoincidentPointError) as excinfo:
+        pairwise_at(family, points, mults)
+    assert (excinfo.value.at, excinfo.value.index) == first_equal(points) == (2, 11)
+    for x, index in ((points[4], 4), (points[2], 2), (points[11], 2)):
+        with pytest.raises(CoincidentPointError) as excinfo:
+            log_derivative_at(family, x, points, mults)
+        assert (excinfo.value.at, excinfo.value.index) == (None, index)
+
+
+def test_an_exactly_zero_sum_is_a_step_failure(capsys):
+    # 1/(0 - 1) + 1/(0 + 1) is exactly 0: no ratio, and no DivisionByZero
+    # taken for a coincident point
+    assert cli.main(["solve", "--expr", "(x-1)*(x+1)", "--init", "0,5"]) == 2
+    err = capsys.readouterr().err
+    assert "step failed for root index 0: derivative is zero at x = 0" in err
 
 
 # -- the phase kernel ----------------------------------------------------

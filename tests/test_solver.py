@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from simulroot.polys import (
     expand_algebraic,
     phases,
 )
+from simulroot import solver
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
@@ -26,6 +29,7 @@ from simulroot.solver import (
     RootStatus,
     SolveConfig,
     SolveReport,
+    StepFailure,
     StopReason,
     correction_sum,
     empirical_order,
@@ -38,6 +42,8 @@ from oracles import (
     algebraic_newton_step,
     frac_cot,
     frac_coth,
+    planted_coefficients,
+    real_sweep,
 )
 
 R = make_real
@@ -405,6 +411,89 @@ def test_a_sweep_that_leaves_the_phase_behind_is_a_step_failure():
     assert report.failure == (
         "step failed for root index 0: the new estimate has no digit of its phase left at 40 digits"
     )
+
+
+# -- one sweep against the Real-arithmetic reference ----------------------
+
+
+def planted(family, roots, mults, digits):
+    """The coefficient form of the planted roots at ``digits`` digits."""
+    coeffs = planted_coefficients(family, roots, mults, digits + 10)
+    if family == "algebraic":
+        return AlgebraicCoeffPoly(tuple(make_real(a, digits) for a in coeffs))
+    a0, a, b = coeffs
+    return TrigExpCoeffPoly(Family(family), make_real(a0, digits),
+                            tuple(make_real(v, digits) for v in a),
+                            tuple(make_real(v, digits) for v in b))
+
+
+def seeded_factored(m, digits):
+    """An algebraic factored form of m seeded roots, each started 0.01 off."""
+    rng = random.Random(m)
+    roots = [f"{j - m // 2}.{rng.randrange(10 ** 30):030d}" for j in range(m)]
+    mults = tuple(rng.randint(1, 3) for _ in roots)
+    poly = FactoredPoly(Family.ALGEBRAIC, tuple(make_real(r, digits) for r in roots), mults)
+    init = [str(Decimal(r) + Decimal(rng.choice(("0.01", "-0.01")))) for r in roots]
+    return poly, mults, init, digits
+
+
+# (polynomial, multiplicities, initial estimates, digits, roots frozen by
+# the sweep or None for a step failure)
+SWEEPS = {
+    "algebraic factored": (EXAMPLE_1, (2, 1, 3), ("-3", "0.1", "4"), 64, frozenset()),
+    "algebraic factored, m = 30": (*seeded_factored(30, 256), frozenset()),
+    "trigonometric factored": (EXAMPLE_2, (3, 2, 1), ("0.2", "1.7", "3"), 64, frozenset()),
+    "exponential factored": (EXAMPLE_3, (2, 2), ("-1.5", "3.4"), 64, frozenset()),
+    # x (x - 1) (x - 2)^3 with the triple root's estimate within its floor
+    "algebraic coefficients, a root at its floor": (
+        planted("algebraic", ["0", "1", "2"], [1, 1, 3], 64), (1, 1, 3),
+        ("0.1", "1.1", "2.000000000000000000001"), 64, frozenset({2})),
+    # (x - 1)^3, where p' rounds to 0 while p is within its floor
+    "algebraic coefficients, p' 0 at the floor": (
+        AlgebraicCoeffPoly((R("-3"), R("3"), R("-1"))), (3,),
+        ("0.99999999999999999999999999999999",), 64, frozenset({0})),
+    "trigonometric coefficients": (
+        planted("trigonometric", ["-1", "0.5", "2"], [1, 3, 2], 64), (1, 3, 2),
+        ("-1.02", "0.51", "2.03"), 64, frozenset()),
+    "exponential coefficients": (
+        planted("exponential", ["-1", "1"], [3, 1], 256), (3, 1), ("-1.01", "1.02"), 256,
+        frozenset()),
+    # the first sweep throws x_1 to |x| ~ 1e59998: no digit of its phase is left
+    "trigonometric coefficients, the phase left behind": (
+        TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("-1e30000", 40),
+                         (R("0.05", 40), R("1e-40", 40)), (R("7.4", 40), R("2.5", 40))),
+        (2, 2), ("0.5", "1"), 40, None),
+}
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_one_sweep_equals_the_real_arithmetic_reference(case, method):
+    poly, mults, init, digits, frozen = SWEEPS[case]
+    profile = MultiplicityProfile(mults)
+    start = EstimateVector(tuple(make_real(v, digits) for v in init))
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    tolerance = ten_power(6 - digits, digits)
+    chebyshev = method is Method.CHEBYSHEV
+    if frozen is None:
+        with pytest.raises(StepFailure) as excinfo:
+            real_sweep(poly, start, profile, chebyshev, tolerance)
+        assert report.stop_reason is StopReason.STEP_FAILURE
+        assert report.failure == str(excinfo.value)
+        return
+    snapshot, steps, want_frozen = real_sweep(poly, start, profile, chebyshev, tolerance)
+    assert report.failure is None and report.frozen == want_frozen == frozen
+    (got_steps,) = report.trace.step_sizes
+    for got, want in zip(report.trace.snapshots[1].x + got_steps, snapshot.x + steps):
+        assert got.dec.compare_total(want.dec) == 0 and got.digits == want.digits
+
+
+def test_an_algebraic_solve_makes_no_phases(monkeypatch):
+    calls = []
+    for name in ("phases", "turned_phases"):
+        monkeypatch.setattr(solver, name, lambda *a, name=name: calls.append(name))
+    report = solve(EXAMPLE_1, PROFILE_1, estimates("-3", "0.1", "4"))
+    assert report.converged and calls == []
 
 
 # -- the attainable-accuracy floor ----------------------------------------
