@@ -21,9 +21,10 @@ formula, cached per precision) carrying extra digits for large
 arguments.  sinh/cosh use the context's exp only past coth's far-tail
 cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
 return a whole pair from one kernel run.  ``polys`` takes every cot and
-coth of a factored form's log-derivative sums from such pairs, one per
-point, and calls cot or coth itself only for a term the pairs cannot
-give to full precision.  When a point moves by a small step, ``polys``
+coth of its log-derivative sums, and every pair at kx of a coefficient
+form's sums, from such pairs, one per point, and calls a kernel at the
+term's own argument only where the pairs cannot give it to full
+precision.  When a point moves by a small step, ``polys``
 turns its pair by the pair at half the step, which one short loop over
 both Taylor series gives without halving.
 """

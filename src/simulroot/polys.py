@@ -15,13 +15,14 @@ factored form is the reciprocal of its logarithmic derivative
 the same sums over the other estimates, all of them from one pairwise
 pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 
-A factored half-angle form runs no kernel per term.  Each point gets its
-phase, the pair (c, s) at half the point, from the kernel once
-(:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits than the sums; the
-solver keeps the roots' phases for a whole solve.  It keeps the
-estimates' phases too: after a step below ``MAX_TURN_STEP`` an estimate's
-phase is turned by the step, by angle subtraction with the pair at half
-the step from a short series (:func:`turned_phases`).  A turned phase
+A half-angle form, factored or in coefficient form, runs no kernel per
+term.  Each point gets its phase, the pair (c, s) at half the point, from
+the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
+than the sums; the solver keeps a factored form's roots' phases for a
+whole solve.  It keeps the estimates' phases too: after a step below
+``MAX_TURN_STEP`` an estimate's phase is turned by the step, by angle
+subtraction with the pair at half the step from a short series
+(:func:`turned_phases`).  A turned phase
 carries ``TURN_GUARD_DIGITS`` more digits, so that after up to
 ``TURN_LIMIT`` turns its error stays within the one that the pair terms
 below allow a direct phase.  A term comes from two phases by angle
@@ -39,9 +40,12 @@ other half, whose digits past the working precision lie within its
 error bound of a half unit (where rounding could go either way), that
 saturates at +/-1, or one of whose points has no phase (its kernel
 overflows) takes the direct kernel, numeric's cot or coth at u.  A
-coefficient form's estimates get no phases: it sums only their m(m - 1)/2
-pair terms, and for the small m of a coefficient form the direct
-kernels measured faster.
+coefficient form's sums need (c(kx), s(kx)), k = 1..n, at an estimate
+x: the double angle gives the pair at x from x's phase and the addition
+identities the pair at kx, which a first-order step moves to round(kx)
+and a tie test rounds, with a margin that grows with the pair's
+cancellation (:func:`_multiple_pairs`).  So each pair is the kernel's at
+round(kx) bit for bit.
 
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
@@ -139,6 +143,25 @@ TURN_ERROR = Decimal("0.003")
 TURN_LIMIT = 100
 # A step of at least this takes the direct kernel.
 MAX_TURN_STEP = Decimal("1e-3")
+
+# Multiple-angle pairs (:func:`_multiple_pairs`).  The pair at kx comes
+# from a phase (c, s) at x/2 by the double angle, c(x) = c^2 + sign s^2
+# and s(x) = 2 s c, and k - 1 steps of the addition identities, at the
+# phase's digits.  Count errors in the phase's units times the scale 1
+# (trig) or cosh(kx).  The phase's 0.8 unit gives at most 3.2 at x.  A
+# trig step is a rotation, which keeps the errors it inherits; a
+# hyperbolic step multiplies e^x and e^-x, whose relative errors add.  So
+# with their roundings the pair at kx is within 8k units, and the move to
+# u and its rounding add below 1.  The worst seen on seeded points at 64
+# and 256 digits, k up to 40, was 0.83k.  A value whose exponent lies
+# ``lost`` digits below its scale's carries that error 10**lost times
+# larger in units of its last working digit: at most 10**(lost - 9) for
+# k below 10**9.  numeric's kernel keeps an absolute error too: before
+# its rounding it lies within about 2e-10 * 10**lost of those units
+# (seeded points near the zeros of cos and sin at 64 and 256 digits; past
+# lost = 5 it reruns at more digits).  So the tie test takes a margin of
+# 10**(lost - TIE_MARGIN_DIGITS), and a value 7 or more digits below its
+# scale never passes it.
 
 _HALF = Decimal("0.5")
 _MINUS_HALF = Decimal("-0.5")
@@ -328,16 +351,18 @@ def turned_phases(
     return out
 
 
-def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal) -> Decimal | None:
-    """k rounded to ctx, or None where an error of 10**-TIE_MARGIN_DIGITS
-    of a unit in k's last working digit could round it the other way.
+def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int = 0) -> Decimal | None:
+    """k rounded to ctx, or None where an error of 10**(lost -
+    TIE_MARGIN_DIGITS) of a unit in k's last working digit could round it
+    the other way.
 
     Rounding to nearest splits only at half a unit, so the part of k that
     the rounding drops must stay that far from half a unit.
     """
     r = ctx.plus(k)
     dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted())
-    return None if dropped.copy_abs() >= _NEAR_HALF else r
+    near = _NEAR_HALF if not lost else _HALF - (_HALF - _NEAR_HALF).scaleb(lost)
+    return None if dropped.copy_abs() >= near else r
 
 
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
@@ -389,6 +414,67 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
         return odd(ctx, d) if k.copy_abs() == 1 else k
 
     return term
+
+
+def _multiple_pairs(
+    rule: _Rule, x: Real, phase: Phase | None, n: int
+) -> list[tuple[Decimal, Decimal]]:
+    """(c(kx), s(kx)) for k = 1..n, each equal to ``rule.pair(k * x)`` bit
+    for bit, from x's phase where it serves x's digits.
+
+    The double angle gives the pair at x from the phase, the addition
+    identities the pair at kx, and a first-order step moves it to u =
+    round(kx), the argument the kernel sees.  A pair whose step, its
+    cancellation or its rounding is in doubt, and every pair where the
+    phase is None, takes the kernel at u.
+    """
+    digits = x.digits
+    ctx = _context(digits)
+    sign = rule.sign
+    w = _context(digits + PHASE_GUARD_DIGITS)
+    out = []
+    c1 = None
+    if phase is not None and phase.digits == digits:
+        try:
+            ss = w.multiply(phase.s, phase.s)
+            c1 = w.fma(phase.c, phase.c, ss if sign > 0 else ss.copy_negate())
+            s1 = w.multiply(w.multiply(2, phase.s), phase.c)
+        except Overflow:
+            c1 = None
+    for k in range(1, n + 1):
+        pair = None
+        if c1 is not None:
+            try:
+                if k == 1:
+                    ck, sk = c1, s1
+                else:
+                    ss = w.multiply(sk, s1)
+                    ck, sk = (w.fma(ck, c1, ss if sign > 0 else ss.copy_negate()),
+                              w.fma(sk, c1, w.multiply(ck, s1)))
+                pair = _moved_pair(ctx, w, sign, x.dec, k, ck, sk)
+            except Overflow:
+                c1 = None
+        out.append(pair or tuple(t.dec for t in rule.pair(k * x)))
+    return out
+
+
+def _moved_pair(ctx: Context, w: Context, sign: int, x: Decimal, k: int, c: Decimal,
+                s: Decimal) -> tuple[Decimal, Decimal] | None:
+    # (c, s) at kx, moved to u = round(kx) and rounded to ctx, or None
+    # where that is in doubt.  The move is (c, s) += delta (sign s, c) with
+    # delta = u - kx, u as k * x rounds it, and it drops (c, s) delta^2 / 2:
+    # delta^2 must stay below a tenth of a unit.
+    delta = w.fma(x, -k, ctx.multiply(x, k))
+    if not delta.is_zero():
+        if 2 * (delta.adjusted() + 1) > -w.prec:
+            return None
+        c, s = w.fma(delta, s if sign > 0 else s.copy_negate(), c), w.fma(delta, c, s)
+    if c.is_zero() or s.is_zero():
+        return None
+    lost = max(c.adjusted(), 0) - min(c.adjusted(), s.adjusted())
+    c = _round_clear_of_ties(ctx, w, c, lost)
+    s = None if c is None else _round_clear_of_ties(ctx, w, s, lost)
+    return None if s is None else (c, s)
 
 
 def mults_degree(family: Family, total: int) -> int | None:
@@ -572,12 +658,19 @@ def family_of(p: Polynomial) -> Family:
 
 
 def eval_with_derivative(
-    p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real
+    p: AlgebraicCoeffPoly | TrigExpCoeffPoly, x: Real, phase: Phase | None = None
 ) -> tuple[Real, Real, Real]:
     """(p(x), p'(x), e) for a coefficient form, with e a bound on the
     rounding error of the computed p(x).
 
-    p(x) is the form's exact value at its stored coefficients and x.
+    p(x) is the form's exact value at its stored coefficients and x.  A
+    coefficient sum takes (c(kx), s(kx)), k = 1..n, as the kernel gives
+    them at k * x rounded to x's digits.  With x's :func:`phases` entry
+    it derives them from the phase and runs the kernel only for a pair
+    whose last digit the derivation leaves in doubt; without one it runs
+    the kernel n times.  The values, and so the results, are the same
+    bit for bit either way.
+
     Horner's bound is Higham's running one, 2u * mu with mu_k = |x| mu_(k-1)
     + |y_k| over the computed partial values y_k, at the unit roundoff u of
     the working precision.  A coefficient sum's covers, for each term, the
@@ -600,8 +693,8 @@ def eval_with_derivative(
         size = _BOUND.plus(x.dec.copy_abs())
         value, derivative = ctx.divide(p.a0.dec, 2), Decimal(0)
         mu = value.copy_abs()
-        for k, (a, b) in enumerate(zip(p.a, p.b), start=1):
-            c, s = (t.dec for t in rule.pair(k * x))
+        pairs = _multiple_pairs(rule, x, phase, p.degree)
+        for k, (a, b, (c, s)) in enumerate(zip(p.a, p.b, pairs), start=1):
             partial = ctx.add(value, ctx.multiply(a.dec, c))
             value = ctx.add(partial, ctx.multiply(b.dec, s))
             slope = ctx.add(ctx.multiply(b.dec, c), ctx.multiply(ctx.multiply(rule.sign, a.dec), s))
@@ -636,7 +729,9 @@ def newton_ratio(
     """(p(x)/p'(x), at_floor) from x's :func:`phases` and the :func:`root_phases` of p.
 
     The ratio is zero at an exact root, even a multiple one.  A factored
-    form takes the reciprocal of its logarithmic derivative.  ``at_floor``
+    form takes the reciprocal of its logarithmic derivative, and a
+    coefficient form evaluates p and p' by :func:`eval_with_derivative`
+    with x's phase; ``phase`` is None for the algebraic family.  ``at_floor``
     says that |p(x)| lies within the bound of :func:`eval_with_derivative`,
     so the value may be rounding noise; it is always False for a factored
     form.  Where p'(x) rounds to zero at the floor the ratio is None; off
@@ -652,7 +747,7 @@ def newton_ratio(
         if total.is_zero():
             raise DerivativeZeroError(x)
         return Real(ctx.divide(1, total), ctx.prec), False
-    value, derivative, bound = eval_with_derivative(p, x)
+    value, derivative, bound = eval_with_derivative(p, x, phase)
     at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
         return zero(x.digits), at_floor

@@ -207,7 +207,7 @@ def _advance(
 ) -> tuple[EstimateVector, tuple[Real, ...], frozenset[int]]:
     # ``roots`` are p's root_phases, which a solve computes once, and
     # ``own`` the estimates' phases, which solve carries from sweep to
-    # sweep (all None where p has no root phases).  Returns the new
+    # sweep (all None for the algebraic family).  Returns the new
     # estimates, each one's step |x_i' - x_i| and the roots frozen after
     # this sweep.  Each Decimal operation is the one that the Real
     # expression in the comment above it would run (Real's _binary): under
@@ -306,12 +306,9 @@ def solve(
 
     current = init
     previous = None
-    # A factored form's estimate phases serve m Newton-ratio terms each
-    # and the pair sums.  A coefficient form sums only the m(m - 1)/2 pair
-    # terms, and there direct kernels are faster: one phase, at the
-    # phase's guard digits, costs more than one term's kernel.  Even
-    # 64-digit exponential solves with m = 4 (4 phases against 6 terms a
-    # sweep) took about 7% longer with phases on a 2-vCPU Xeon.
+    # The estimates' phases serve every Newton ratio (the m terms of a
+    # factored form, or the n multiple-angle pairs of a coefficient form)
+    # and the pair sums; the algebraic family has none.
     own: list[Phase | None] = [None] * init.m
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
@@ -320,7 +317,7 @@ def solve(
         # Sweep 1 runs the phase kernel; later sweeps turn each phase by
         # its estimate's last step, here rather than after a sweep, so the
         # sweep that stops the solve turns none.
-        if roots:
+        if family is not Family.ALGEBRAIC:
             own = (phases(family, current.x, current.digits) if previous is None
                    else turned_phases(family, previous.x, current.x, own, current.digits))
         try:

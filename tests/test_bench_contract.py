@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,43 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
     assert (m, k, redos, len(calls)) == expected
     assert len(calls) == 2 * m + redos < m * (k + 1)
     assert len(turn) == k - 1
+
+
+@pytest.mark.parametrize("family,mults,digits,pair,odd,expected", [
+    ("trigonometric", (1, 1), 256, "cos_sin", "cot", (2, 7, 4, 0)),
+    ("exponential", (1, 1, 1, 1), 64, "cosh_sinh", "coth", (4, 5, 5, 0)),
+])
+def test_a_coefficient_form_runs_the_phase_kernel_only_where_a_phase_cannot_be_turned(
+        family, mults, digits, pair, odd, expected, monkeypatch):
+    # A benchmark coefficient-form solve: each Newton ratio derives
+    # (c(kx), s(kx)), k = 1..n, from its estimate's phase, and the pair
+    # terms of the correction pass come from the same phases.  The phase
+    # kernel runs for the m estimates of sweep 1 and for each later step
+    # of at least MAX_TURN_STEP; the kernel at x's own digits (a pair the
+    # phase cannot give) and cot/coth (a pair term it cannot give) run only
+    # on fallbacks, none here.  Each sweep ran n kernels per unfrozen
+    # estimate and m (m - 1)/2 cot/coth before: 14 and 7 here against 6,
+    # and 40 and 30 against 9.
+    calls = {pair: [], odd: []}
+    for name, seen in calls.items():
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda t, seen=seen, f=kernel: seen.append(t) or f(t))
+    workloads = _perfbench("workloads")
+    problem = workloads.coefficient_problem(random.Random(1), family, mults, digits)
+    spec = simulroot.parse_problem(problem["json"])
+    report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
+    assert report.stop_reason.value in ("tolerance", "accuracy_floor")
+    m, n, k = spec.profile().m, spec.poly.degree, len(report.trace.step_sizes)
+    snaps = report.trace.snapshots
+    redos = sum(abs(a.dec - b.dec) >= polys.MAX_TURN_STEP
+                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
+    phase_runs = sum(t.digits == digits + polys.PHASE_GUARD_DIGITS for t in calls[pair])
+    fallbacks = sum(t.digits == digits for t in calls[pair])
+    assert phase_runs + fallbacks == len(calls[pair])
+    assert (m, k, redos, fallbacks) == expected
+    assert phase_runs == m + redos
+    assert len(calls[odd]) == 0
+    assert len(calls[pair]) < k * m * n
 
 
 def test_the_traced_names_count_the_work_of_a_solve():

@@ -305,18 +305,24 @@ def test_central_difference_matches_derivative(family, point):
 @pytest.mark.parametrize("family", list(Family))
 def test_coefficient_form_runs_one_kernel_per_term(family, monkeypatch):
     # each term k needs (c(kx), s(kx)) and gets both from one kernel run,
-    # which sums one odd series
+    # which sums one odd series; given x's phase it runs none
     runs = []
     series = numeric._odd_series
     monkeypatch.setattr(numeric, "_odd_series", lambda *a: runs.append(a) or series(*a))
+    x = R("0.3")
     if family is Family.ALGEBRAIC:
         p = AlgebraicCoeffPoly((R("1"), R("-2")))
         expected = 0
     else:
         p = TrigExpCoeffPoly(family, R("1"), (R("0.5"), R("2")), (R("-1"), R("0.25")))
         expected = 2
-    eval_with_derivative(p, R("0.3"))
+    want = eval_with_derivative(p, x)
     assert len(runs) == expected
+    (phase,) = polys.phases(family, [x], x.digits)
+    runs.clear()
+    got = eval_with_derivative(p, x, phase)
+    assert len(runs) == 0
+    assert all(same(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -842,3 +848,88 @@ def test_an_overflowing_point_stays_on_the_direct_path(monkeypatch):
 def test_the_algebraic_family_has_no_phases_to_turn():
     old, new = [R("1"), R("2")], [R("1.1"), R("2")]
     assert polys.turned_phases(Family.ALGEBRAIC, old, new, [None, None], 64) == [None, None]
+
+
+# -- multiple-angle pairs from a phase ------------------------------------
+
+
+def multiple_angle_points(family, digits, rng) -> list[Real]:
+    """Seeded full-length points: most of order 1 to 4, where k * x needs
+    more digits than x has for most k; points near a zero of cos(kx) or
+    sin(kx) (trig) and near +/-pi; points near 0; and, for the hyperbolic
+    pair, points up to |x| = 20."""
+    points = [full_numeral(rng, digits) for _ in range(48)]
+    points += [R(f"{-x.dec if rng.random() < 0.5 else x.dec}e-{e}", digits)
+               for x, e in ((full_numeral(rng, digits), e) for e in (3, 30))]
+    if family is Family.TRIGONOMETRIC:
+        wide = numeric._context(digits + 30)
+        half_pi = wide.divide(numeric.pi(digits + 30).dec, 2)
+        for quarter in range(1, 9):
+            k = rng.randint(1, 8)
+            gap = Decimal(rng.choice((1, -1))).scaleb(-rng.randint(1, 25))
+            points.append(R(str(wide.divide(wide.fma(quarter, half_pi, gap), k)), digits))
+        points += [R(str(wide.fma(2 * sign, half_pi, Decimal(rng.choice((1, -1))).scaleb(-e))),
+                     digits) for sign, e in ((1, 2), (-1, 5))]
+    else:
+        points += [R(f"{rng.uniform(-20, 20):.15f}{rng.randrange(10 ** (digits - 17))}", digits)
+                   for _ in range(8)]
+    return points
+
+
+def multiple_pairs(family, points, digits, monkeypatch, turns=0, n=8):
+    """For each point x: (pairs from x's phase, ``rule.pair(k * x)`` for k =
+    1..n, kernel runs of the former).  The phases are direct, or reached
+    by ``turns`` turns each."""
+    rule = polys._RULES[family]
+    if turns:
+        ph = turned_along_paths(family, points, digits, random.Random(turns), turns)[-1][1]
+        assert all(q.turns == turns for q in ph)
+    else:
+        ph = polys.phases(family, points, digits)
+    calls = counted_pair_kernels(monkeypatch)
+    out = []
+    for x, phase in zip(points, ph):
+        calls.clear()
+        got = polys._multiple_pairs(rule, x, phase, n)
+        runs = len(calls)
+        want = [tuple(t.dec for t in rule.pair(k * x)) for k in range(1, n + 1)]
+        out.append((got, want, runs))
+    return out
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_pairs_from_a_phase_equal_the_kernel_bit_for_bit(family, digits, monkeypatch):
+    rng = random.Random(digits * 3 + len(family.value))
+    points = multiple_angle_points(family, digits, rng)
+    ctx, exact = numeric._context(digits), numeric._context(2 * digits)
+    # k * x rounds for about a third of the pairs, which take the step to u
+    moved = sum(ctx.multiply(x.dec, k) != exact.multiply(x.dec, k)
+                for x in points for k in range(1, 9))
+    assert moved > len(points) * 2
+    for turns in (0, 12):
+        results = multiple_pairs(family, points, digits, monkeypatch, turns)
+        for x, (got, want, _) in zip(points, results):
+            for k, (g, v) in enumerate(zip(got, want), start=1):
+                assert g[0].compare_total(v[0]) == 0 and g[1].compare_total(v[1]) == 0, (turns, x, k)
+        runs = sum(r for *_, r in results)
+        assert 0 < runs < len(points) * 8 // 10, turns
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_pair_whose_rounding_is_in_doubt_takes_the_kernel(family, monkeypatch):
+    # with no margin left, every rounding is in doubt; with no phase, or
+    # one for other digits, every pair runs the kernel
+    rng = random.Random(11)
+    points = [full_numeral(rng, 64) for _ in range(5)]
+    results = multiple_pairs(family, points, 64, monkeypatch, n=3)
+    assert sum(r for *_, r in results) == 0
+    monkeypatch.setattr(polys, "_NEAR_HALF", Decimal(0))
+    results = multiple_pairs(family, points, 64, monkeypatch, n=3)
+    assert all(got == want and runs == 3 for got, want, runs in results)
+    rule, x = polys._RULES[family], points[0]
+    calls = counted_pair_kernels(monkeypatch)
+    for phase in (None, polys.phases(family, [x], 65)[0]):
+        calls.clear()
+        polys._multiple_pairs(rule, x, phase, 3)
+        assert len(calls) == 3
