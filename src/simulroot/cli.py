@@ -30,7 +30,6 @@ import os
 import re
 import sys
 from dataclasses import replace
-from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .ingest import (
     render_theorem_report,
     render_trace,
 )
-from .numeric import DEFAULT_DIGITS, PoleError, make_real
+from .numeric import DEFAULT_DIGITS, PoleError, format_fixed, make_real
 from .polys import Family, mults_degree
 from .solver import (
     InsufficientDataError,
@@ -320,12 +319,8 @@ def cmd_order(args) -> int:
             continue
         any_order = True
         triple = ", ".join(str(e) for e in usable[-3:])
-        print(f"x{i+1}: order {_round_for_display(order)} from errors ({triple})")
+        print(f"x{i+1}: order {format_fixed(order, 3)} from errors ({triple})")
     return EXIT_OK if any_order else EXIT_NO_CONVERGENCE
-
-
-def _round_for_display(x) -> str:
-    return str(x.dec.quantize(Decimal("0.001")))
 
 
 def cmd_reproduce(args) -> int:

@@ -357,21 +357,28 @@ def _halving_steps(x: Decimal, prec: int) -> tuple[int, Context]:
     return k, _context(prec + (3 * k) // 10 + 3)
 
 
+def _cos_sin_lost(x: Decimal, c: Decimal, s: Decimal) -> int:
+    # The digits that (c, s) = (cos x, sin x) lose to the kernel's absolute
+    # error: near a zero of sin or cos other than x = 0, the reduction and
+    # the doublings keep an absolute error, so a value loses as many digits
+    # as its exponent lies below its scale (1 for cos, min(|x|, 1) for
+    # sin).  It reads only exponents, so it is the same for x and -x.
+    # Conditional expressions, not min and max: every pair term runs it.
+    e = x.adjusted()
+    lost, lost_cos = (e if e < 0 else 0) - s.adjusted(), -c.adjusted()
+    return lost if lost > lost_cos else lost_cos
+
+
 def _cos_sin_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    # Ziv's strategy.  Near a zero of sin or cos other than x = 0, the
-    # reduction and the doublings keep an absolute error, so the result
-    # loses as many digits as its exponent lies below the argument's
-    # scale (1 for cos, min(|x|, 1) for sin).  A pass absorbs half the
-    # guard digits and leaves the other half for rounding; when more were
-    # lost, the pass runs again with that many more digits, pi included.
-    # The test reads only exponents, so it is the same for x and -x.
+    # Ziv's strategy.  A pass absorbs half the guard digits and leaves the
+    # other half for rounding; when it lost more (_cos_sin_lost), the pass
+    # runs again with that many more digits, pi included.
     if x.is_zero():
         return _D1, x
-    scale = min(x.adjusted(), 0)
     absorbed = DEFAULT_GUARD_DIGITS // 2
     while True:
         c, s = _cos_sin_pass(x, prec)
-        lost = max(scale - s.adjusted(), -c.adjusted())
+        lost = _cos_sin_lost(x, c, s)
         if lost <= absorbed:
             return c, s
         prec += lost

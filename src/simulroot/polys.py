@@ -19,33 +19,23 @@ A half-angle form, factored or in coefficient form, runs no kernel per
 term.  Each point gets its phase, the pair (c, s) at half the point, from
 the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
 than the sums; the solver keeps a factored form's roots' phases for a
-whole solve.  It keeps the estimates' phases too: after a step below
-``MAX_TURN_STEP`` an estimate's phase is turned by the step, by angle
-subtraction with the pair at half the step from a short series
-(:func:`turned_phases`).  A turned phase
-carries ``TURN_GUARD_DIGITS`` more digits, so that after up to
-``TURN_LIMIT`` turns its error stays within the one that the pair terms
-below allow a direct phase.  A term comes from two phases by angle
-subtraction,
+whole solve, and the estimates' phases from sweep to sweep.  Every pair
+derived from phases is one or two angle subtractions (:func:`_minus`):
 
-    cot((a - b)/2) = (C_a C_b + S_a S_b) / (S_a C_b - C_a S_b)
-    coth((a - b)/2) = (Ch_a Ch_b - Sh_a Sh_b) / (Sh_a Ch_b - Ch_a Sh_b),
+* a turn, by the pair at half an estimate's step (:func:`turned_phases`);
+* cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
+* (c(kx), s(kx)), k = 1..n, from x's phase by the double angle and the
+  addition steps (:func:`_multiple_pairs`);
+* the move to u, the argument the kernel sees, round(round(a - b)/2) or
+  round(kx), by the first-order pair (1, -delta) at -delta = v - u.
 
-and is then moved to the argument the direct kernel sees, u =
-round(round(a - b)/2), to first order: K(u) = K(v) + (u - v)(sign -
-K(v)^2) with v = (a - b)/2.  Ziv's strategy makes the rounded term the
-direct kernel's result bit for bit: a term whose subtraction cancels
-more than half the guard digits, whose step to u is not accurate to the
-other half, whose digits past the working precision lie within its
-error bound of a half unit (where rounding could go either way), that
-saturates at +/-1, or one of whose points has no phase (its kernel
-overflows) takes the direct kernel, numeric's cot or coth at u.  A
-coefficient form's sums need (c(kx), s(kx)), k = 1..n, at an estimate
-x: the double angle gives the pair at x from x's phase and the addition
-identities the pair at kx, which a first-order step moves to round(kx)
-and a tie test rounds, with a margin that grows with the pair's
-cancellation (:func:`_multiple_pairs`).  So each pair is the kernel's at
-round(kx) bit for bit.
+One tie rule (:func:`_round_clear_of_ties`, Ziv's strategy) makes each
+value the kernel's at u bit for bit: it rounds a value only where its
+error bound, which grows with the digits the value or cot itself loses
+below its scale, holds no rounding boundary.  A value whose composition
+cancels more than half the guard digits, whose move or rounding is in
+doubt, that saturates at +/-1, or whose point has no phase (its kernel
+overflows) takes the kernel at u: numeric's cot, coth or pair.
 
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
@@ -83,13 +73,14 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .numeric import (
     Real,
     _context,
+    _cos_sin_lost,
     _small_pair_series,
     cos_sin,
     cosh_sinh,
@@ -104,26 +95,29 @@ from .numeric import (
 # half of them to cancellation; the other half keep its rounding exact.
 PHASE_GUARD_DIGITS = 20
 
-# An accepted pair term, before its last rounding, is within
+# One error account per composition of :func:`_minus` follows, in units
+# of 10**(1 - digits - PHASE_GUARD_DIGITS) times the scale that bounds a
+# phase's |c| and |s|: 1 for trig, cosh at the half point for the
+# hyperbolic pair.  A direct phase is within 0.5 + 1e-8 unit.
+#
+# A pair term (:func:`_pair_term`), before its last rounding, is within
 # 10**-TIE_MARGIN_DIGITS of a unit in its last working digit of the true
 # term.  The phases' rounding, magnified by at most
 # 10**(PHASE_GUARD_DIGITS // 2) of cancellation, gives a few 1e-9 of a
-# unit; the step to u and the division each add at most 1e-9.  The worst
-# seen on 6000 seeded pairs at 64 and 256 digits was 7e-10.
+# unit; the move to u and the division each add at most 1e-9.  The worst
+# seen on 6000 seeded pairs at 64 and 256 digits was 7e-10, and 2.5e-9
+# on 12000 more whose phases were direct or turned 12 times.  cot keeps
+# an absolute error: before its rounding it is within about 2e-10 *
+# 10**lost of a unit where it computes its pair ``lost`` digits below
+# their scale (numeric's ``_cos_sin_lost``), 1.5e-6 at lost = 5 on a
+# seeded pair with (a - b)/2 near 3 pi/2.  So the tie margin is
+# 10**(lost - TIE_MARGIN_DIGITS), with lost 0 for coth.
 TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
 
-# Turned phases (:func:`turned_phases`).  A turn moves a phase (c, s) at
-# x/2 to (x - delta)/2 by
-#
-#     c' = c C - sign s S,    s' = s C - c S,
-#
-# with (C, S) the pair at h = delta/2 from numeric's short series, all at
-# TURN_GUARD_DIGITS more digits than a direct phase.  Count errors in units
-# of 10**(1 - digits - PHASE_GUARD_DIGITS) times the phase's scale, which
-# bounds |c| and |s|: 1 for trig, cosh(x/2) for the hyperbolic pair.  A
-# direct phase is within 0.5 unit, plus below 1e-8 unit of its kernel's own
-# error, and one rounding at the turn's digits is at most 0.001 unit.  For
-# |delta| < MAX_TURN_STEP a turn
+# A turn (:func:`turned_phases`) moves a phase (c, s) at x/2 to (x -
+# delta)/2 by the pair (C, S) at h = delta/2 from numeric's short series,
+# all at TURN_GUARD_DIGITS more digits than a direct phase, where one
+# rounding is at most 0.001 unit.  For |delta| < MAX_TURN_STEP a turn
 #
 # * multiplies the errors E already in c and s by at most 1 + eps: by
 #   |C| + |S| <= 1 + |h| for trig, and by (C + |S|) e^|h| = e^|delta| for
@@ -144,22 +138,20 @@ TURN_LIMIT = 100
 # A step of at least this takes the direct kernel.
 MAX_TURN_STEP = Decimal("1e-3")
 
-# Multiple-angle pairs (:func:`_multiple_pairs`).  The pair at kx comes
-# from a phase (c, s) at x/2 by the double angle, c(x) = c^2 + sign s^2
-# and s(x) = 2 s c, and k - 1 steps of the addition identities, at the
-# phase's digits.  Count errors in the phase's units times the scale 1
-# (trig) or cosh(kx).  The phase's 0.8 unit gives at most 3.2 at x.  A
-# trig step is a rotation, which keeps the errors it inherits; a
-# hyperbolic step multiplies e^x and e^-x, whose relative errors add.  So
-# with their roundings the pair at kx is within 8k units, and the move to
-# u and its rounding add below 1.  The worst seen on seeded points at 64
-# and 256 digits, k up to 40, was 0.83k.  A value whose exponent lies
-# ``lost`` digits below its scale's carries that error 10**lost times
-# larger in units of its last working digit: at most 10**(lost - 9) for
-# k below 10**9.  numeric's kernel keeps an absolute error too: before
-# its rounding it lies within about 2e-10 * 10**lost of those units
-# (seeded points near the zeros of cos and sin at 64 and 256 digits; past
-# lost = 5 it reruns at more digits).  So the tie test takes a margin of
+# Multiple-angle pairs (:func:`_multiple_pairs`), at the phase's digits:
+# the phase and its mirror give the pair at x, and k - 1 addition steps
+# with the mirror of that the pair at kx, on the scale 1 (trig) or
+# cosh(kx).  The phase's 0.8 unit gives at most 3.2 at x.  A trig step
+# is a rotation, which keeps the errors it inherits; a hyperbolic step
+# multiplies e^x and e^-x, whose relative errors add.  So with their
+# roundings the pair at kx is within 8k units, and the move to u =
+# round(kx) and its rounding add below 1.  The worst seen on seeded
+# points at 64 and 256 digits, k up to 40, was 0.83k.  A value whose
+# exponent lies ``lost`` digits below its scale's carries that error
+# 10**lost times larger in units of its last working digit: at most
+# 10**(lost - 9) for k below 10**9.  The kernel keeps cot's absolute
+# error (seeded points near the zeros of cos and sin at 64 and 256
+# digits; past lost = 5 it reruns at more digits), so the tie margin is
 # 10**(lost - TIE_MARGIN_DIGITS), and a value 7 or more digits below its
 # scale never passes it.
 
@@ -218,19 +210,14 @@ class CoincidentPointError(ArithmeticError):
 
 @dataclass(frozen=True)
 class _Rule:
-    # Half-angle families have factors s((x - r)/2): multiplicities sum
-    # to 2n and the kernel is halved.
-    half_angle: bool
     # (ctx, d) -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
     odd: Callable[[Context, Decimal], Decimal]
-    # The context method that takes (m, odd(d)) to m * K(d), before
-    # halving; odd in its last argument.
-    weigh: str
     # (rule, ctx, a, phase of a, points b, their phases) -> odd(a - b) for
     # each b, in order (:func:`_differences` or :func:`_phased_odds`)
     odds: Callable[..., Iterator[Decimal]]
-    # t -> (c(t), s(t)) with c = s' and c' = sign * s; None for algebraic.
-    # c(a - b) = c(a) c(b) - sign s(a) s(b) and s(a - b) = s(a) c(b) - c(a) s(b).
+    # t -> (c(t), s(t)) with c = s' and c' = sign * s for the half-angle
+    # families, whose factors s((x - r)/2) have multiplicities summing to
+    # 2n and m K(d) = m odd(d) / 2; None for algebraic, where m K(d) = m / d.
     pair: Callable[[Real], tuple[Real, Real]] | None = None
     sign: int = 0
 
@@ -259,11 +246,11 @@ def _phased_odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
 # The lambdas look the kernels up in this module at call time, so
 # rebinding their names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(False, lambda ctx, d: d, "divide", _differences),
-    Family.TRIGONOMETRIC: _Rule(True, lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                                "multiply", _phased_odds, lambda t: cos_sin(t), -1),
-    Family.EXPONENTIAL: _Rule(True, lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                              "multiply", _phased_odds, lambda t: cosh_sinh(t), 1),
+    Family.ALGEBRAIC: _Rule(lambda ctx, d: d, _differences),
+    Family.TRIGONOMETRIC: _Rule(lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
+                                _phased_odds, lambda t: cos_sin(t), -1),
+    Family.EXPONENTIAL: _Rule(lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
+                              _phased_odds, lambda t: cosh_sinh(t), 1),
 }
 
 
@@ -310,7 +297,7 @@ def turned_phases(
     family: Family,
     old: Sequence[Real],
     new: Sequence[Real],
-    old_phases: Sequence[Phase | None],
+    old_phases: Sequence[Phase | None] | None,
     digits: int,
 ) -> list[Phase | None]:
     """The phases of the points ``new`` for sums at ``digits`` digits, from
@@ -319,16 +306,16 @@ def turned_phases(
     A point that did not move keeps its phase.  One that moved by less
     than ``MAX_TURN_STEP`` has its phase turned by the step; one whose
     phase is None, serves other digits or has ``TURN_LIMIT`` turns, or
-    that moved further, takes :func:`phases`.
+    that moved further, takes :func:`phases`, as every point does where
+    ``old_phases`` is None.  All None for the algebraic family.
     """
     rule = _RULES[family]
     if rule.pair is None:
         return [None] * len(new)
-    trig = rule.sign < 0
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    out = list(old_phases)
+    out = list(old_phases or [None] * len(new))
     redo = []
-    for i, (a, b, ph) in enumerate(zip(old, new, old_phases)):
+    for i, (a, b, ph) in enumerate(zip(old, new, out)):
         step = w.subtract(a.dec, b.dec)
         if ph is None or ph.digits != digits:
             redo.append(i)
@@ -337,13 +324,9 @@ def turned_phases(
         elif ph.turns >= TURN_LIMIT or step.copy_abs() >= MAX_TURN_STEP:
             redo.append(i)
         else:
-            c, s = ph.c, ph.s
             try:
-                cd, sd = _small_pair_series(w.multiply(step, _HALF), trig, w)
-                ssd = w.multiply(s, sd)
-                out[i] = Phase(w.fma(c, cd, ssd if trig else ssd.copy_negate()),
-                               w.fma(s, cd, w.multiply(c, sd).copy_negate()),
-                               digits, ph.turns + 1)
+                turn = _small_pair_series(w.multiply(step, _HALF), rule.sign < 0, w)
+                out[i] = Phase(*_minus(w, rule.sign, ph.c, ph.s, *turn), digits, ph.turns + 1)
             except Overflow:
                 redo.append(i)
     for i, ph in zip(redo, phases(family, [new[i] for i in redo], digits)):
@@ -351,18 +334,46 @@ def turned_phases(
     return out
 
 
-def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int = 0) -> Decimal | None:
+def _minus(w: Context, sign: int, c1: Decimal, s1: Decimal, c2: Decimal,
+           s2: Decimal) -> tuple[Decimal, Decimal]:
+    """The pair at t1 - t2 under w, from (c1, s1) at t1 and (c2, s2) at t2:
+    c1 c2 - sign s1 s2 and s1 c2 - c1 s2.  With the mirror (c2, -s2) it adds."""
+    ss = w.multiply(s1, s2)
+    return (w.fma(c1, c2, ss if sign < 0 else ss.copy_negate()),
+            w.fma(s1, c2, w.multiply(c1, s2).copy_negate()))
+
+
+def _moved(w: Context, sign: int, c: Decimal, s: Decimal,
+           delta: Decimal) -> tuple[Decimal, Decimal] | None:
+    # (c, s) at t moved to t + delta by the pair (1, -delta), or None where
+    # a value is 0 or the dropped (c, s) delta^2 / 2 could reach 0.1 ulp.
+    if not delta.is_zero():
+        if 2 * (delta.adjusted() + 1) > -w.prec:
+            return None
+        c, s = _minus(w, sign, c, s, 1, delta.copy_negate())
+    return None if c.is_zero() or s.is_zero() else (c, s)
+
+
+def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int) -> Decimal | None:
     """k rounded to ctx, or None where an error of 10**(lost -
     TIE_MARGIN_DIGITS) of a unit in k's last working digit could round it
     the other way.
 
     Rounding to nearest splits only at half a unit, so the part of k that
-    the rounding drops must stay that far from half a unit.
+    the rounding drops must stay that far from half a unit.  Every step
+    runs under ctx or w, so the thread's decimal context changes nothing.
     """
     r = ctx.plus(k)
-    dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted())
-    near = _NEAR_HALF if not lost else _HALF - (_HALF - _NEAR_HALF).scaleb(lost)
+    dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted(), w)
+    near = _near(_NEAR_HALF, lost) if lost else _NEAR_HALF
     return None if dropped.copy_abs() >= near else r
+
+
+@lru_cache(maxsize=None)
+def _near(near_half: Decimal, lost: int) -> Decimal:
+    # Half a unit less a tie margin 10**lost times that of near_half.
+    ctx = _context(PHASE_GUARD_DIGITS)
+    return ctx.subtract(_HALF, ctx.subtract(_HALF, near_half).scaleb(lost, ctx))
 
 
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
@@ -375,38 +386,32 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
     def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
         if pb is None or not pa.digits == pb.digits == prec:
             return odd(ctx, d)
-        ca, sa, _, _ = pa
-        cb, sb, _, _ = pb
+        t = w.subtract(a, b)
+        u = ctx.multiply(d, _HALF)
         try:
-            cc = w.multiply(ca, cb)
-            num = w.fma(sa, sb if sign < 0 else sb.copy_negate(), cc)  # c((a - b)/2)
-            den = w.fma(sa, cb, w.multiply(ca, sb).copy_negate())  # s((a - b)/2)
+            pair = _moved(w, sign, *_minus(w, sign, pa.c, pa.s, pb.c, pb.s),
+                          w.fma(t, _MINUS_HALF, u))
         except Overflow:
             return odd(ctx, d)
+        if pair is None:
+            return odd(ctx, d)
         # The phases are good to a unit in their last digit on the scale
-        # of C_a C_b, which is 1 for trig; num and den keep that error.
-        if num.is_zero() or den.is_zero():
+        # of C_a C_b, which is 1 for trig; c and s keep that error.  (Every
+        # term runs these tests: conditionals cost less than min and max.)
+        c, s = pair
+        low = c.adjusted() if c.adjusted() < s.adjusted() else s.adjusted()
+        top = 0 if sign < 0 else pa.c.adjusted() + pb.c.adjusted()
+        if sign > 0 and top - low >= half_guard:  # C_a C_b may have a digit more
+            top = w.multiply(pa.c, pb.c).adjusted()
+        if (top if top > 0 else 0) - low > half_guard:
             return odd(ctx, d)
-        if max(cc.adjusted(), 0) - min(num.adjusted(), den.adjusted()) > half_guard:
-            return odd(ctx, d)
-        k = w.divide(num, den)
-        # The term moves to u, the argument the direct kernel sees, along
-        # K' = sign - K^2 by delta = u - v, with v = t/2.  The rounding of
-        # t enters K scaled by |K| + 1/|K|, and the step drops (1 + K^2)
-        # delta^2: each must stay within half the guard digits.
-        t = w.subtract(a, b)
-        delta = w.fma(t, _MINUS_HALF, ctx.multiply(d, _HALF))
+        k = w.divide(c, s)
+        # The rounding of t enters K scaled by |K| + 1/|K|: it must stay
+        # within half the guard digits.
         scale = k.adjusted()
-        if max(scale + 1, -scale) + t.adjusted() + 1 > half_guard:
+        if (scale + 1 if scale >= 0 else -scale) + t.adjusted() + 1 > half_guard:
             return odd(ctx, d)
-        if not delta.is_zero():
-            if 2 * (max(scale, 0) + delta.adjusted() + 2) > -(prec + half_guard):
-                return odd(ctx, d)
-            k = w.fma(delta, w.subtract(sign, w.multiply(k, k)), k)
-        # Ziv's test: k is within 10**-TIE_MARGIN_DIGITS of a unit in the
-        # last working digit of the true term, so round it only where that
-        # interval holds no rounding boundary.
-        k = _round_clear_of_ties(ctx, w, k)
+        k = _round_clear_of_ties(ctx, w, k, _cos_sin_lost(u, c, s) if sign < 0 else 0)
         if k is None:
             return odd(ctx, d)
         # +/-1 is where coth saturates: the direct kernel decides its
@@ -420,13 +425,10 @@ def _multiple_pairs(
     rule: _Rule, x: Real, phase: Phase | None, n: int
 ) -> list[tuple[Decimal, Decimal]]:
     """(c(kx), s(kx)) for k = 1..n, each equal to ``rule.pair(k * x)`` bit
-    for bit, from x's phase where it serves x's digits.
-
-    The double angle gives the pair at x from the phase, the addition
-    identities the pair at kx, and a first-order step moves it to u =
-    round(kx), the argument the kernel sees.  A pair whose step, its
-    cancellation or its rounding is in doubt, and every pair where the
-    phase is None, takes the kernel at u.
+    for bit, from x's phase where it serves x's digits: the double angle
+    and the addition steps, moved to u = round(kx), the argument the kernel
+    sees.  A pair whose move or rounding is in doubt, and every pair where
+    the phase is None, takes the kernel at u.
     """
     digits = x.digits
     ctx = _context(digits)
@@ -436,45 +438,26 @@ def _multiple_pairs(
     c1 = None
     if phase is not None and phase.digits == digits:
         try:
-            ss = w.multiply(phase.s, phase.s)
-            c1 = w.fma(phase.c, phase.c, ss if sign > 0 else ss.copy_negate())
-            s1 = w.multiply(w.multiply(2, phase.s), phase.c)
+            c1, s1 = _minus(w, sign, phase.c, phase.s, phase.c, phase.s.copy_negate())
         except Overflow:
-            c1 = None
+            pass
     for k in range(1, n + 1):
         pair = None
         if c1 is not None:
             try:
-                if k == 1:
-                    ck, sk = c1, s1
-                else:
-                    ss = w.multiply(sk, s1)
-                    ck, sk = (w.fma(ck, c1, ss if sign > 0 else ss.copy_negate()),
-                              w.fma(sk, c1, w.multiply(ck, s1)))
-                pair = _moved_pair(ctx, w, sign, x.dec, k, ck, sk)
+                ck, sk = (c1, s1) if k == 1 else _minus(w, sign, ck, sk, c1, s1.copy_negate())
+                # u as k * x rounds it
+                pair = _moved(w, sign, ck, sk, w.fma(x.dec, -k, ctx.multiply(x.dec, k)))
             except Overflow:
                 c1 = None
+        if pair is not None:
+            c, s = pair
+            lost = max(c.adjusted(), 0) - min(c.adjusted(), s.adjusted())
+            c = _round_clear_of_ties(ctx, w, c, lost)
+            s = None if c is None else _round_clear_of_ties(ctx, w, s, lost)
+            pair = None if s is None else (c, s)
         out.append(pair or tuple(t.dec for t in rule.pair(k * x)))
     return out
-
-
-def _moved_pair(ctx: Context, w: Context, sign: int, x: Decimal, k: int, c: Decimal,
-                s: Decimal) -> tuple[Decimal, Decimal] | None:
-    # (c, s) at kx, moved to u = round(kx) and rounded to ctx, or None
-    # where that is in doubt.  The move is (c, s) += delta (sign s, c) with
-    # delta = u - kx, u as k * x rounds it, and it drops (c, s) delta^2 / 2:
-    # delta^2 must stay below a tenth of a unit.
-    delta = w.fma(x, -k, ctx.multiply(x, k))
-    if not delta.is_zero():
-        if 2 * (delta.adjusted() + 1) > -w.prec:
-            return None
-        c, s = w.fma(delta, s if sign > 0 else s.copy_negate(), c), w.fma(delta, c, s)
-    if c.is_zero() or s.is_zero():
-        return None
-    lost = max(c.adjusted(), 0) - min(c.adjusted(), s.adjusted())
-    c = _round_clear_of_ties(ctx, w, c, lost)
-    s = None if c is None else _round_clear_of_ties(ctx, w, s, lost)
-    return None if s is None else (c, s)
 
 
 def mults_degree(family: Family, total: int) -> int | None:
@@ -483,7 +466,7 @@ def mults_degree(family: Family, total: int) -> int | None:
     Algebraic: n = total.  Half-angle families: the multiplicities sum to
     2n, so n = total/2, and an odd total fits no degree (None).
     """
-    if not _RULES[family].half_angle:
+    if _RULES[family].pair is None:
         return total
     return None if total % 2 else total // 2
 
@@ -527,7 +510,7 @@ def _log_derivative(
 ) -> Decimal:
     # :func:`log_derivative` on the points' Decimals, as one map and reduce
     # over the family's odds.
-    weigh = getattr(ctx, rule.weigh)
+    weigh = ctx.divide if rule.pair is None else ctx.multiply
     try:
         total = reduce(ctx.add, map(weigh, mults, rule.odds(rule, ctx, x, phase, points,
                                                             point_phases)), 0)
@@ -535,7 +518,7 @@ def _log_derivative(
         if x not in points:
             raise
         raise CoincidentPointError(points.index(x)) from None
-    return ctx.divide(total, 2) if rule.half_angle else total
+    return total if rule.pair is None else ctx.divide(total, 2)
 
 
 def pairwise_log_derivatives(
@@ -557,7 +540,7 @@ def pairwise_log_derivatives(
     """
     rule = _RULES[family]
     ctx = _context(max(p.digits for p in points))
-    weigh = getattr(ctx, rule.weigh)
+    weigh = ctx.divide if rule.pair is None else ctx.multiply
     decs = [p.dec for p in points]
     sums = [Decimal(0)] * len(decs)
     for i, (a, m) in enumerate(zip(decs, mults)):
@@ -570,7 +553,7 @@ def pairwise_log_derivatives(
                 raise
             raise CoincidentPointError(decs.index(a, rest), at=i) from None
         sums[rest:] = map(ctx.subtract, sums[rest:], map(weigh, repeat(m), odds))
-    return [Real(ctx.divide(t, 2) if rule.half_angle else t, ctx.prec) for t in sums]
+    return [Real(t if rule.pair is None else ctx.divide(t, 2), ctx.prec) for t in sums]
 
 
 @dataclass(frozen=True)
@@ -599,7 +582,7 @@ class TrigExpCoeffPoly:
     b: tuple[Real, ...]
 
     def __post_init__(self):
-        if not _RULES[self.family].half_angle:
+        if _RULES[self.family].pair is None:
             raise UnsupportedFamilyError(f"{self.family.value} has no (a0, a, b) coefficient form")
         if len(self.a) < 1 or len(self.a) != len(self.b):
             raise ValueError(f"{self.family.value} polynomial needs equal-length a, b with degree >= 1")

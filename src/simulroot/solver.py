@@ -48,7 +48,6 @@ from .polys import (
     family_of,
     newton_ratio,
     pairwise_log_derivatives,
-    phases,
     root_phases,
     turned_phases,
 )
@@ -304,12 +303,11 @@ def solve(
     steps: list[tuple[Real, ...]] = []
     errors = [error_row(init)] if true_roots is not None else None
 
-    current = init
-    previous = None
+    current = previous = init
     # The estimates' phases serve every Newton ratio (the m terms of a
     # factored form, or the n multiple-angle pairs of a coefficient form)
     # and the pair sums; the algebraic family has none.
-    own: list[Phase | None] = [None] * init.m
+    own: list[Phase | None] | None = None
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
@@ -317,9 +315,7 @@ def solve(
         # Sweep 1 runs the phase kernel; later sweeps turn each phase by
         # its estimate's last step, here rather than after a sweep, so the
         # sweep that stops the solve turns none.
-        if family is not Family.ALGEBRAIC:
-            own = (phases(family, current.x, current.digits) if previous is None
-                   else turned_phases(family, previous.x, current.x, own, current.digits))
+        own = turned_phases(family, previous.x, current.x, own, current.digits)
         try:
             nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
                                            frozen)

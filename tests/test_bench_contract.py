@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import simulroot
-from simulroot import cli, polys, solver
+from simulroot import cli, polys
 from simulroot.numeric import make_real
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -134,9 +134,9 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
         kernel = getattr(polys, name)
         monkeypatch.setattr(polys, name, lambda t, kernel=kernel: calls.append(t) or kernel(t))
     spec = simulroot.expression_problem(expr, init)
-    turn = []
-    turned_phases = polys.turned_phases
-    monkeypatch.setattr(solver, "turned_phases", lambda *a: turn.append(a) or turned_phases(*a))
+    turns = []
+    series = polys._small_pair_series
+    monkeypatch.setattr(polys, "_small_pair_series", lambda *a: turns.append(a) or series(*a))
     report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
     assert report.converged
     m, k = spec.profile().m, len(report.trace.step_sizes)
@@ -145,7 +145,9 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
                 for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
     assert (m, k, redos, len(calls)) == expected
     assert len(calls) == 2 * m + redos < m * (k + 1)
-    assert len(turn) == k - 1
+    steps = sum(0 < abs(a.dec - b.dec) < polys.MAX_TURN_STEP
+                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
+    assert len(turns) == steps
 
 
 @pytest.mark.parametrize("family,mults,digits,pair,odd,expected", [

@@ -258,6 +258,18 @@ def test_order_on_reference_trace(capsys, tmp_path):
     assert first.startswith("x1: order 3.37")
 
 
+def test_order_prints_an_order_of_any_size(capsys, tmp_path):
+    # errors 1, 1 - 1e-40, 0.5: the order ln(0.5)/ln(1 - 1e-40) is about
+    # 7e39, more digits than the default decimal context keeps
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 64, "snapshots": [
+        {"k": 0, "x": ["1"]}, {"k": 1, "x": ["0." + "9" * 40]}, {"k": 2, "x": ["0.5"]}],
+        "step_sizes": [["1e-40"], ["0." + "4" + "9" * 39]]}))
+    code, out, err = run(capsys, "order", "--input", str(trace), "--true-roots", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("x1: order 6931471805599453094172321214581765680753.655 from errors")
+
+
 def test_order_insufficient_data_exits_2(capsys, tmp_path):
     vecs = (
         EstimateVector((R("0.5"),), k=0),

@@ -136,10 +136,14 @@ planted_files = spoiled(st.sampled_from(PLANTED).flatmap(lambda problem: st.tupl
     st.just(problem), st.lists(st.sampled_from(OFFSETS), min_size=3, max_size=3),
     st.sampled_from(DIGITS),
 ).map(lambda t: {**planted_file(t[0], t[1]), "digits": t[2]})))
-# estimates 10^-e of the true root 0, converging as e grows, or any numerals
+# estimates 10^-e of the true root 0, converging as e grows; a slow first
+# step from 1 to 1 - 10^-e, whose order of about 10^e has more digits than
+# the default decimal context keeps; or any numerals
 snapshots = st.one_of(
     st.lists(st.integers(0, 69), min_size=1, max_size=5, unique=True).map(
         lambda es: [{"k": k, "x": [f"1e-{e}"]} for k, e in enumerate(sorted(es))]),
+    st.tuples(st.integers(25, 60), st.integers(1, 69)).map(lambda t: [
+        {"k": 0, "x": ["1"]}, {"k": 1, "x": ["0." + "9" * t[0]]}, {"k": 2, "x": [f"1e-{t[1]}"]}]),
     st.lists(st.fixed_dictionaries({"k": st.integers(0, 5), "x": st.lists(
         numerals, min_size=1, max_size=1)}), min_size=1, max_size=5),
 )

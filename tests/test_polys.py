@@ -1,5 +1,6 @@
+import hashlib
 import random
-from decimal import Decimal
+from decimal import Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -684,6 +685,60 @@ def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
     assert 0 < sum(fell for *_, fell in results) < len(results)
 
 
+def test_a_term_that_cot_computes_below_its_scale_equals_cot_bit_for_bit():
+    # (a - b)/2 lies near 3 pi/2, where cot is -9e-5 and its own absolute
+    # error, 1.5e-6 of a unit before rounding, puts it past a tie that the
+    # pair term is 1.25e-7 of a unit clear of: the tie margin must grow
+    # with the digits cot loses
+    family = Family.TRIGONOMETRIC
+    points = [R("1.348052993467319852991785597720570864624504404276611412229988520"),
+              R("-8.076905072982821151596144552117937787967003793848706050694845257")]
+    got = pairwise_log_derivatives(family, points, polys.phases(family, points, 64), [1, 1])
+    want = pairwise_log_derivatives(family, points, [None, None], [1, 1])
+    assert all(same(g, v) for g, v in zip(got, want))
+    assert str(want[0]).endswith("685171")
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_pair_terms_near_the_zeros_of_cot_equal_the_kernel(digits, monkeypatch):
+    # (a - b)/2 within 1e-4 of -3 pi/2, -pi/2, pi/2 and 3 pi/2, where cot
+    # loses digits: past pi it reduces by 2 pi first
+    rng = random.Random(digits + 3)
+    wide = numeric._context(digits + 10)
+    half_pi = wide.divide(numeric.pi(digits + 10).dec, 2)
+    pairs = []
+    for quarter in (-3, -1, 1, 3):
+        for _ in range(25):
+            a = full_numeral(rng, digits)
+            gap = Decimal(repr(rng.uniform(-1, 1))).scaleb(-rng.randint(4, 12))
+            b = R(str(wide.subtract(a.dec, 2 * wide.fma(quarter, half_pi, gap))), digits)
+            pairs.append((a, b))
+    results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
+    assert bit_for_bit(results)
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_callers_decimal_context_reaches_no_phase_sum(family):
+    # the tie rule runs under the sums' own contexts: a thread context of
+    # 3 digits that traps every inexact result changes no pair term or pair
+    rng = random.Random(17)
+    points = [full_numeral(rng, 64) for _ in range(6)]
+    point_phases = polys.phases(family, points, 64)
+    a0, *ab = (full_numeral(rng, 64) for _ in range(7))
+    p = TrigExpCoeffPoly(family, a0, tuple(ab[:3]), tuple(ab[3:]))
+
+    def sums():
+        return (pairwise_log_derivatives(family, points, point_phases, [1, 2, 1, 3, 1, 2])
+                + list(eval_with_derivative(p, points[0], point_phases[0])))
+
+    want = sums()
+    with localcontext() as hostile:
+        hostile.prec = 3
+        hostile.traps[Inexact] = hostile.traps[Rounded] = True
+        got = sums()
+    assert all(same(g, v) for g, v in zip(got, want))
+
+
 def test_a_point_whose_phase_overflows_takes_the_direct_kernel():
     family = Family.EXPONENTIAL
     points = [R("1e20000"), R("-1e20000"), R("1"), R("-2.5")]
@@ -722,7 +777,7 @@ def test_a_term_within_its_error_bound_of_a_tie_is_not_rounded():
     ctx, w = numeric._context(8), numeric._context(8 + polys.PHASE_GUARD_DIGITS)
 
     def rounded(k):
-        return polys._round_clear_of_ties(ctx, w, Decimal(k))
+        return polys._round_clear_of_ties(ctx, w, Decimal(k), 0)
 
     for k in ["1.2345678500000000000", "1.2345678499999999999",
               "-1.2345678500000000099", "1.23456785E+40", "9.99999995"]:
@@ -848,6 +903,52 @@ def test_an_overflowing_point_stays_on_the_direct_path(monkeypatch):
 def test_the_algebraic_family_has_no_phases_to_turn():
     old, new = [R("1"), R("2")], [R("1.1"), R("2")]
     assert polys.turned_phases(Family.ALGEBRAIC, old, new, [None, None], 64) == [None, None]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_without_old_phases_every_point_takes_the_kernel(family):
+    # a solve's first sweep
+    points = [R("0.5"), R("-1.25"), R("3e-30")]
+    assert (polys.turned_phases(family, points, points, None, 64)
+            == polys.phases(family, points, 64))
+
+
+# SHA-256 of every (c, s, digits, turns) that turned_phases returns along
+# the seeded paths of test_turned_phases_are_pinned.  The error account
+# above TURN_GUARD_DIGITS derives each turn's error from its exact
+# operations, so a turn must stay bit for bit what it is.
+TURNED_PHASES_SHA256 = {
+    ("trigonometric", 64):
+        "66b57e31cc901d1cdd408c23db6f194b8428b965f7f6342010b57dccd26936f4",
+    ("trigonometric", 256):
+        "10c03745e35b35e4c4501c99e72d18318f9234c51c6a6aa658141222734691b7",
+    ("exponential", 64):
+        "4ed8712255fdc1c4dd239be116a3580e47b0e87cda1b9c0d5b7887553b3f498f",
+    ("exponential", 256):
+        "25cbee31bfd3b69ff03815e2261feab77b31d309aa09dad9012e83f795e0aeb4",
+}
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_turned_phases_are_pinned(family, digits):
+    # 12 steps of five points, one of which steps past MAX_TURN_STEP once
+    # and so reruns the kernel
+    rng = random.Random(digits * 5 + len(family.value))
+    paths = [[full_numeral(rng, digits) for _ in range(4)] + [R("3e-30", digits)]]
+    for turn in range(12):
+        steps = [turn_step(rng) for _ in paths[-1]]
+        if turn == 5:
+            steps[0] = 2 * polys.MAX_TURN_STEP
+        paths.append([x + R(str(step), digits) for x, step in zip(paths[-1], steps)])
+    ph = polys.phases(family, paths[0], digits)
+    digest = hashlib.sha256()
+    for old, new in zip(paths, paths[1:]):
+        ph = polys.turned_phases(family, old, new, ph, digits)
+        for q in ph:
+            digest.update(f"{q.c}|{q.s}|{q.digits}|{q.turns}\n".encode())
+    assert [q.turns for q in ph] == [6, 12, 12, 12, 12]
+    assert digest.hexdigest() == TURNED_PHASES_SHA256[family.value, digits]
 
 
 # -- multiple-angle pairs from a phase ------------------------------------

@@ -18,7 +18,7 @@ from simulroot.polys import (
     expand_algebraic,
     phases,
 )
-from simulroot import solver
+from simulroot import polys
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
@@ -489,9 +489,10 @@ def test_one_sweep_equals_the_real_arithmetic_reference(case, method):
 
 
 def test_an_algebraic_solve_makes_no_phases(monkeypatch):
+    # neither the phase kernel nor a turn's short series runs
     calls = []
-    for name in ("phases", "turned_phases"):
-        monkeypatch.setattr(solver, name, lambda *a, name=name: calls.append(name))
+    for name in ("cos_sin", "cosh_sinh", "_small_pair_series"):
+        monkeypatch.setattr(polys, name, lambda *a, name=name: calls.append(name))
     report = solve(EXAMPLE_1, PROFILE_1, estimates("-3", "0.1", "4"))
     assert report.converged and calls == []
 
