@@ -8,15 +8,26 @@ examples use::
     BASE    := '(' 'x' SIGN NUM ')'
              | 'sin' '(' '(' 'x' SIGN NUM ')' '/' '2' ')'
              | 'sinh' '(' '(' 'x' SIGN NUM ')' '/' '2' ')'
+    SIGN    := '+' | '-'
+    NUM     := DIGITS ('.' DIGITS)? | '.' DIGITS
+    INT     := DIGITS
 
-Whitespace is insignificant; NUM is an unsigned decimal numeral.  All
-numeric file I/O is decimal strings end to end, so parsing and printing
-at the same precision is byte-identical.
+The grammar lives in one table, ``_SHAPES``: each family's factor is
+written there once, as its pieces, and both parsing and printing read
+it.  Whitespace between pieces is insignificant and a power is at least
+1.  NUM is digits with an optional fraction and no exponent, and a
+printed shift is positional (``(x-0.0000001)``, never ``1E-7``), so
+printed output parses back.  A malformed expression raises
+ExpressionError, which names the position where it goes wrong; the CLI
+reports it as an input error (exit 1).  All numeric file I/O is decimal
+strings end to end, so parsing and printing at the same precision is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Sequence
@@ -56,140 +67,88 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-# The function that wraps each family's factor, f((x - r)/2), or none for
-# (x - r).  Parsing tries the names in this order, so "sinh" comes
-# before its prefix "sin", and the empty name matches last.
-_FACTOR_FUNCTION = {
-    Family.EXPONENTIAL: "sinh",
-    Family.TRIGONOMETRIC: "sin",
-    Family.ALGEBRAIC: "",
+# Each family's factor as the pieces it is written with: a literal, or
+# SIGN and NUM, the shift of x - r.  Parsing and printing both read this
+# table.  Parsing tries the families in this order, so "sinh" comes
+# before its prefix "sin".
+_SIGN, _NUM = "SIGN", "NUM"
+_SHAPES = {
+    Family.EXPONENTIAL: ("sinh", "(", "(", "x", _SIGN, _NUM, ")", "/", "2", ")"),
+    Family.TRIGONOMETRIC: ("sin", "(", "(", "x", _SIGN, _NUM, ")", "/", "2", ")"),
+    Family.ALGEBRAIC: ("(", "x", _SIGN, _NUM, ")"),
 }
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, message: str):
-        raise ExpressionError(self.text, self.pos, message)
-
-    def expect(self, literal: str):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            self.fail(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def match(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def number(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            frac_start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == frac_start:
-                self.fail("expected digits after decimal point")
-        if self.pos == start:
-            self.fail("expected a decimal numeral")
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+# A piece's pattern and the message for each of its groups.  Every group
+# matches empty where its piece is missing, so the first empty group
+# names the error and its start the position.  NUM's second group is the
+# fraction after a decimal point.
+_FIELDS = {
+    _SIGN: (r"(?P<sign>[+-]|)", "expected '+' or '-' after 'x'"),
+    _NUM: (
+        r"(?P<num>\d*\.(\d+|)|\d+|)",
+        "expected a decimal numeral",
+        "expected digits after decimal point",
+    ),
+}
+_POWER = (r"(?:\^\s*(?P<power>\d+|))?", "expected an integer")
 
 
-def _parse_shifted_x(sc: _Scanner) -> str:
-    sc.expect("(")
-    sc.expect("x")
-    sc.skip_ws()
-    if sc.peek() not in "+-":
-        sc.fail("expected '+' or '-' after 'x'")
-    sign = sc.text[sc.pos]
-    sc.pos += 1
-    num = sc.number()
-    sc.expect(")")
-    return sign + num
+def _grammar(shape: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    # A factor's pattern, each piece after whitespace, then the '*' that
+    # may follow it; and the message of each group before the '*'.
+    pieces = [_FIELDS.get(p) or (f"({re.escape(p)}|)", f"expected {p!r}") for p in shape]
+    pieces.append(_POWER)
+    pattern = "".join(r"\s*" + piece[0] for piece in pieces) + r"\s*(\*?)"
+    return pattern, tuple(message for piece in pieces for message in piece[1:])
 
 
-def _parse_factor(sc: _Scanner) -> tuple[Family, int, str, int]:
-    # (family, position where the factor starts, signed shift, power)
-    sc.skip_ws()
-    position = sc.pos
-    family = next(f for f, name in _FACTOR_FUNCTION.items() if sc.match(name))
-    if _FACTOR_FUNCTION[family]:
-        sc.expect("(")
-        shift = _parse_shifted_x(sc)
-        sc.expect("/")
-        sc.expect("2")
-        sc.expect(")")
-    else:
-        shift = _parse_shifted_x(sc)
-    power = 1
-    if sc.match("^"):
-        sc.skip_ws()
-        power_position = sc.pos
-        power = sc.integer()
-        if power < 1:
-            raise ExpressionError(sc.text, power_position, "factor power must be >= 1")
-    return family, position, shift, power
-
-
-def _negate_numeral(signed: str) -> str:
-    return signed[1:] if signed[0] == "-" else "-" + signed[1:]
+_GRAMMAR = {family: _grammar(shape) for family, shape in _SHAPES.items()}
 
 
 def parse_expression(text: str, digits: int = DEFAULT_DIGITS) -> FactoredPoly:
     """Parse a factored product into a FactoredPoly (root r = -shift)."""
-    sc = _Scanner(text)
-    factors = [_parse_factor(sc)]
-    while not sc.done():
-        sc.expect("*")
-        factors.append(_parse_factor(sc))
+    factors, pos = [], 0
+    while True:
+        # The first family whose first piece comes next, else the algebraic
+        # one, which then reports what is missing.
+        rest = text[pos:].lstrip()
+        family = next(
+            (f for f, shape in _SHAPES.items() if rest.startswith(shape[0])), Family.ALGEBRAIC
+        )
+        pattern, messages = _GRAMMAR[family]
+        m = re.compile(pattern).match(text, pos)  # compiled on first use, then cached by re
+        *groups, times = m.groups()
+        if "" in groups:
+            group = groups.index("") + 1
+            raise ExpressionError(text, m.start(group), messages[group - 1])
+        power = int(m["power"] or 1)
+        if power < 1:
+            raise ExpressionError(text, m.start("power"), "factor power must be >= 1")
+        root = m["num"] if m["sign"] == "-" else "-" + m["num"]
+        factors.append((family, m.start(1), root, power))
+        pos = m.end()
+        if not times:
+            if pos < len(text):
+                raise ExpressionError(text, pos, "expected '*'")
+            break
     family = factors[0][0]
     for other, position, _, _ in factors:
         if other is not family:
             raise ExpressionError(text, position, "mixed factor families in one product")
     return FactoredPoly(
         family=family,
-        roots=tuple(make_real(_negate_numeral(shift), digits) for _, _, shift, _ in factors),
+        roots=tuple(make_real(root, digits) for _, _, root, _ in factors),
         mults=tuple(power for _, _, _, power in factors),
     )
 
 
 def render_expression(f: FactoredPoly) -> str:
-    """Canonical print; parse_expression of the result round-trips."""
-    name = _FACTOR_FUNCTION[f.family]
+    """Canonical print, the shift in positional notation; parse_expression
+    of the result round-trips."""
     parts = []
     for root, mult in zip(f.roots, f.mults):
-        shift = ("+" + str(-root)) if root < 0 else ("-" + str(root))
-        base = f"{name}((x{shift})/2)" if name else f"(x{shift})"
+        fields = {_SIGN: "+" if root < 0 else "-", _NUM: f"{root.dec.copy_abs():f}"}
+        base = "".join(fields.get(piece, piece) for piece in _SHAPES[f.family])
         parts.append(base if mult == 1 else f"{base}^{mult}")
     return "*".join(parts)
 

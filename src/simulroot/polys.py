@@ -73,7 +73,7 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
@@ -365,15 +365,15 @@ def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int) -> Dec
     """
     r = ctx.plus(k)
     dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted(), w)
-    near = _near(_NEAR_HALF, lost) if lost else _NEAR_HALF
+    near = _near(lost) if lost else _NEAR_HALF
     return None if dropped.copy_abs() >= near else r
 
 
-@lru_cache(maxsize=None)
-def _near(near_half: Decimal, lost: int) -> Decimal:
-    # Half a unit less a tie margin 10**lost times that of near_half.
+def _near(lost: int) -> Decimal:
+    # Half a unit less a tie margin 10**lost times that of _NEAR_HALF,
+    # read at each call so that a patched _NEAR_HALF reaches every margin.
     ctx = _context(PHASE_GUARD_DIGITS)
-    return ctx.subtract(_HALF, ctx.subtract(_HALF, near_half).scaleb(lost, ctx))
+    return ctx.subtract(_HALF, ctx.subtract(_HALF, _NEAR_HALF).scaleb(lost, ctx))
 
 
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:

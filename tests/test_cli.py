@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings
 
 from simulroot import cli
 from simulroot.cli import main
-from simulroot.fixtures import EXAMPLE_1
-from simulroot.ingest import parse_trace, render_trace
+from simulroot.fixtures import EXAMPLE_1, EXAMPLES
+from simulroot.ingest import parse_expression, parse_trace, render_trace
 from simulroot.numeric import make_real, pi
 from simulroot.solver import (
     EstimateVector,
@@ -100,6 +100,22 @@ def test_solve_problem_file(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--input", str(path))
     assert code == 0
     assert "-2.000000000000000000" in out.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_a_truncated_expression_exits_1_on_both_routes(capsys, tmp_path, example):
+    text = EXAMPLES[example].expression
+    family = parse_expression(text).family.value
+    path = tmp_path / "problem.json"
+    for end in range(len(text)):
+        if text[end] in "^*":
+            continue  # text[:end] is a whole product of fewer factors
+        prefix = text[:end]
+        code, _, err = run(capsys, "solve", "--expr", prefix, "--init", "1")
+        assert code == 1 and "at position" in err, prefix
+        path.write_text(json.dumps({"family": family, "expr": prefix, "init": ["1"]}))
+        code, _, err = run(capsys, "solve", "--input", str(path))
+        assert code == 1 and err.startswith("error: $.expr: "), prefix
 
 
 def test_solve_exit_codes_from_stop_reasons():

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulroot.fixtures import EXAMPLES
 from simulroot.ingest import (
     ExpressionError,
     SchemaError,
@@ -115,7 +119,14 @@ def test_render_expression_round_trips_fixtures(text):
 
 
 root_strategy = st.lists(
-    st.integers(min_value=-8, max_value=8), min_size=2, max_size=4, unique=True
+    st.one_of(
+        st.integers(min_value=-8, max_value=8),
+        # decimals of exponent -12..+3, whose str() is 1E-7 or 1E+2
+        st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-12, 3)),
+    ),
+    min_size=2,
+    max_size=4,
+    unique_by=lambda r: Decimal(str(r)),
 )
 
 
@@ -137,6 +148,82 @@ def test_expression_round_trip_identity(roots, mults, family_name):
     assert again.family is poly.family
     assert again.roots == poly.roots
     assert again.mults == poly.mults
+
+
+def test_a_small_shift_prints_positionally_and_parses_back():
+    poly = parse_expression("(x-0.0000001)")
+    assert str(poly.roots[0]) == "1E-7"
+    text = render_expression(poly)
+    assert text == "(x-0.0000001)"
+    assert parse_expression(text).roots == poly.roots
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_every_truncated_fixture_expression_is_an_expression_error(example):
+    text = EXAMPLES[example].expression
+    for end in range(len(text)):
+        if text[end] in "^*":
+            continue  # text[:end] is a whole product of fewer factors
+        with pytest.raises(ExpressionError) as excinfo:
+            parse_expression(text[:end])
+        assert 0 <= excinfo.value.position <= end
+
+
+# The parser's answers on a seeded corpus: every prefix of the worked
+# examples' expressions, 5000 mutations of 1-3 characters of them, and
+# edge forms.  The hash was taken with the hand-written scanner that the
+# table of factor shapes replaced.  It raised IndexError where the text
+# ended right after an 'x', so those inputs (8 prefixes here) are left
+# out; the truncation test above covers them.
+PARSER_CORPUS_SHA256 = "b1849b56887a02d0b6b9a2343a30cd5387c1d14b842a0eee8b93684278202605"
+CORPUS_ALPHABET = "()+-*/^.x0123456789sinhe \t"
+EDGE_FORMS = (
+    "(x+1.)", "(x+.)", "(x+.5)", "(x-1.5.5)", "(x-00012.3400)", "(x+0)", "(x+1e5)",
+    "(x--1)", "(x - 1) ^ 02", "(x-1)^2^3", "(x+2)^0", "(x+2)^-1", "(x-1)**(x-2)",
+    "(x-1)*", "*", "  ", "\t(x-1)\n", "(X-1)", "sin((x-1)/20)", "sin((x-1)/2 )^ 2",
+    "sin h((x-1)/2)^2", "sinx", "SIN((x-1)/2)^2", "sinh ( ( x + 1 ) / 2 ) ^2",
+    "(x-1)*sin((x-2)/2)", "sin((x-1)/2)*sinh((x-2)/2)", "sinh((x-1)/2)^2*(x-2)",
+    "(x-1)*(x-1.0)", "sin((x-1)/2)", "(x-1)^99999999999999999999",
+)
+
+
+def parser_corpus() -> list[str]:
+    rng = random.Random(16)
+    expressions = [example.expression for _, example in sorted(EXAMPLES.items())]
+    corpus = [text[:end] for text in expressions for end in range(len(text) + 1)]
+    for _ in range(5000):
+        text = list(rng.choice(expressions))
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.randrange(3)
+            if edit == 0:
+                text[rng.randrange(len(text))] = rng.choice(CORPUS_ALPHABET)
+            elif edit == 1:
+                text.insert(rng.randrange(len(text) + 1), rng.choice(CORPUS_ALPHABET))
+            else:
+                del text[rng.randrange(len(text))]
+        corpus.append("".join(text))
+    return corpus + list(EDGE_FORMS)
+
+
+def parser_outcome(text: str) -> str | None:
+    try:
+        poly = parse_expression(text)
+    except ExpressionError as exc:
+        if exc.position == len(text) and "after 'x'" in str(exc):
+            return None
+        return f"{exc.position}|{exc}"
+    except ValueError as exc:  # a duplicate root, or an odd half-angle power sum
+        return f"{type(exc).__name__}|{exc}"
+    return f"{poly.family.value}|{','.join(map(str, poly.roots))}|{poly.mults}"
+
+
+def test_the_parser_answers_a_seeded_corpus_as_pinned():
+    digest = hashlib.sha256()
+    for text in parser_corpus():
+        outcome = parser_outcome(text)
+        if outcome is not None:
+            digest.update(f"{text!r}\t{outcome}\n".encode())
+    assert digest.hexdigest() == PARSER_CORPUS_SHA256
 
 
 EXAMPLE_PROBLEM = {

@@ -8,9 +8,10 @@ from the package again.
 import contextlib
 import io
 import re
+import textwrap
 from pathlib import Path
 
-from simulroot import make_real, parse_problem, solve
+from simulroot import ingest, make_real, parse_problem, solve
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,3 +39,8 @@ def test_problem_file_parses_and_solves():
     report = solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
     assert len(report.trace.snapshots) == spec.config.max_iters + 1 == 5
     assert _near(report.trace.final().x, ("-2", "1", "3"), "1e-12")
+
+
+def test_the_grammar_block_is_the_ingest_docstring_grammar():
+    grammar = ingest.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    assert _block("### Expression grammar", "") == textwrap.dedent(grammar) + "\n"
