@@ -9,9 +9,10 @@ Exit codes are a stable contract:
 
 The working precision is resolved once, in this order: ``--digits``, the
 environment variable ``SIMULROOT_DIGITS``, a problem file's own
-``digits`` (``solve --input``), and 64 decimal digits.  ``verify`` takes
-the degree from ``--mults``.  Any flag's value may start with a minus
-sign (``--init -3,0.1,4``).
+``digits`` (``solve --input``), and 64 decimal digits.  ``verify`` needs
+one multiplicity per ``--roots`` entry; the theorem checks take the
+degree from the multiplicities.  Any flag's value may start with a
+minus sign (``--init -3,0.1,4``).
 
 ``main`` may be called any number of times in one process.  It builds
 its parser on first use and shares it with every later call; nothing
@@ -42,7 +43,6 @@ from .ingest import (
     render_trace,
 )
 from .numeric import DEFAULT_DIGITS, PoleError, format_fixed, make_real
-from .polys import Family, mults_degree
 from .solver import (
     InsufficientDataError,
     Method,
@@ -64,8 +64,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFICATION = 3
-
-_THEOREM_FAMILY = {1: Family.ALGEBRAIC, 2: Family.TRIGONOMETRIC, 3: Family.EXPONENTIAL}
 
 # Every parse, schema, collision and separation error is a ValueError.
 _INPUT_ERRORS = (ValueError, PoleError, OSError)
@@ -269,29 +267,27 @@ def cmd_verify(args) -> int:
         raise UsageError("provide exactly one of --roots or --d")
     if args.roots is not None:
         roots = [make_real(s, digits) for s in _csv_strings(args.roots)]
+        if len(roots) != len(mults):
+            raise UsageError(
+                f"expected {len(roots)} multiplicities, one per root, got {len(mults)}"
+            )
         d = min_separation(roots)
         max_sep = max_separation(roots)
     else:
         d = make_real(args.d, digits)
         max_sep = make_real(args.max_sep, digits) if args.max_sep else None
 
-    family = _THEOREM_FAMILY[args.theorem]
-    n = mults_degree(family, sum(mults))
-    if n is None:
-        raise UsageError(
-            f"multiplicities sum to {sum(mults)}; the {family.value} degree needs an even sum"
-        )
     if args.theorem == 1:
-        report = check_theorem1(n, mults, d, c, q)
+        report = check_theorem1(mults, d, c, q)
     elif args.theorem == 2:
         if args.xi is None:
             raise UsageError("--theorem 2 requires --xi")
         if max_sep is None:
             raise UsageError("--theorem 2 requires --max-sep when --d is used")
         xi = make_real(args.xi, digits)
-        report = check_theorem2(n, mults, d, max_sep, c, q, xi)
+        report = check_theorem2(mults, d, max_sep, c, q, xi)
     else:
-        report = check_theorem3(n, mults, d, c, q)
+        report = check_theorem3(mults, d, c, q)
 
     if args.json:
         sys.stdout.write(render_theorem_report(report).decode())

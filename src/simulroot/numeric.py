@@ -211,14 +211,15 @@ def _numeral_error_position(text: str) -> tuple[int, str]:
 
 
 def make_real(text: str, digits: int = DEFAULT_DIGITS) -> Real:
-    """Parse a signed decimal numeral, correctly rounded to ``digits``."""
+    """Parse a signed decimal numeral, correctly rounded to ``digits``; a
+    ParseError when its magnitude lies past the decimal exponent range."""
     if not isinstance(text, str) or _NUMERAL.fullmatch(text) is None:
         pos, msg = _numeral_error_position(text if isinstance(text, str) else str(text))
         raise ParseError(str(text), pos, msg)
     try:
         # Real checks digits before a context of that precision is built.
         return Real(Decimal(text), digits).with_digits(digits)
-    except Overflow as exc:
+    except (Overflow, InvalidOperation) as exc:
         raise ParseError(text, len(text), "magnitude out of range") from exc
 
 

@@ -26,10 +26,12 @@ freezes.
 A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
 estimate and :func:`correction_sum` once, and both return Reals.  The
 update, the at-floor step test and the step sizes then run on the
-Decimals inside: each operation is the context method, at the precision
-and in the order that the Real expression would use, so the results are
-the same bit for bit.  Reals are made only for the new estimates and
-their steps.
+Decimals inside, every operation under one context at the estimates'
+precision (the most digits an estimate carries), in the order that the
+Real expression would use.  So a solve runs at its estimates' precision
+whatever digits the polynomial's coefficients carry, and the new
+estimates and their steps carry it too.  Reals are made only for the
+new estimates and their steps.
 """
 
 from __future__ import annotations
@@ -208,13 +210,13 @@ def _advance(
     # ``own`` the estimates' phases, which solve carries from sweep to
     # sweep (all None for the algebraic family).  Returns the new
     # estimates, each one's step |x_i' - x_i| and the roots frozen after
-    # this sweep.  Each Decimal operation is the one that the Real
-    # expression in the comment above it would run (Real's _binary): under
-    # the context at the most digits of its Real operands, with an int
-    # operand on the right.
+    # this sweep.  Every operation runs at the estimates' precision, with
+    # an int operand on the right.
     family = family_of(p)
+    ctx = _context(estimates.digits)
     new = list(estimates.x)
-    steps: list[Real | None] = [None] * estimates.m
+    # an estimate that does not move steps by abs(xi - xi), a zero
+    steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) for x in estimates.x]
     froze = set(frozen)
     corrections = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
@@ -225,19 +227,13 @@ def _advance(
             if ratio is None:  # p'(x_i) rounded to 0 at the floor
                 froze.add(i)
                 continue
+            bracket = 1
             if chebyshev:
                 corrections = corrections or correction_sum(family, estimates, profile, own)
                 # 1 + ratio * C_i
-                digits = max(ratio.digits, corrections[i].digits)
-                ctx = _context(digits)
                 bracket = ctx.add(ctx.multiply(ratio.dec, corrections[i].dec), 1)
-            else:
-                digits, bracket = ratio.digits, 1
             # xi - mult * ratio * bracket
-            delta = _context(ratio.digits).multiply(ratio.dec, mult)
-            delta = _context(digits).multiply(delta, bracket)
-            ctx = _context(max(xi.digits, digits))
-            xn = ctx.subtract(xi.dec, delta)
+            xn = ctx.subtract(xi.dec, ctx.multiply(ctx.multiply(ratio.dec, mult), bracket))
             size = ctx.subtract(xn, xi.dec).copy_abs()  # abs(xn - xi)
             if at_floor and not size <= tolerance.dec:
                 froze.add(i)
@@ -248,11 +244,8 @@ def _advance(
             steps[i] = Real(size, ctx.prec)
         except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
-    # an estimate that did not move steps by abs(xi - xi), a zero
-    sizes = tuple(Real(_context(x.digits).subtract(x.dec, x.dec).copy_abs(), x.digits)
-                  if step is None else step for x, step in zip(estimates.x, steps))
     try:
-        return EstimateVector(tuple(new), estimates.k + 1), sizes, frozenset(froze)
+        return EstimateVector(tuple(new), estimates.k + 1), tuple(steps), frozenset(froze)
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
 

@@ -2,11 +2,16 @@
 
 Each check evaluates the printed hypotheses of one convergence theorem
 (one per polynomial family) for given separation constants and reports
-every inequality's sides per root index.  Checks report failures, they
-never raise: a failed hypothesis is a result, not an error.  The one
-exception is an input error, a ValueError naming the quantity: one that
-leaves the decimal exponent range (it overflows, or a divisor underflows
-to zero), or a sine argument with no digit of its phase left.
+every inequality's sides per root index.  Each theorem's degree n comes
+from the multiplicities, the one input that fixes it, and one builder
+runs the per-root main inequality and assembles every report.  Checks
+report failures, they never raise: a failed hypothesis is a result, not
+an error.  The exceptions are input errors, each a ValueError:
+multiplicities that fit no polynomial of the family (not all positive
+integers, or an odd sum for a half-angle family), and a quantity, named
+in the message, that leaves the decimal exponent range (it overflows, or
+a divisor underflows to zero), or a sine argument with no digit of its
+phase left.
 
 The guaranteed error envelope is c * q^(3^k); :func:`error_bound`
 evaluates it, underflowing to zero when the exponent exhausts the
@@ -21,6 +26,8 @@ from decimal import DivisionByZero, InvalidOperation, Overflow
 from typing import Callable, Sequence
 
 from .numeric import Real, check_phase, cosh, one, pi, sin, sinh, zero
+from .polys import Family, mults_degree
+from .solver import MultiplicityProfile
 
 
 class UndefinedSeparationError(ValueError):
@@ -117,29 +124,48 @@ def _evaluate(quantity: str, compute: Callable[[], Real]) -> Real:
         raise ValueError(f"{quantity} divides by a term that underflows to zero") from exc
 
 
-def _main_inequality(
-    index: int,
-    mult: int,
-    lhs: Callable[[], Real],
-    rhs: Callable[[], Real],
+def _degree(family: Family, mults: Sequence[int]) -> int:
+    """Degree n of the ``family`` polynomial that ``mults`` fit; ValueError
+    unless they are positive integers, with an even sum for a half-angle family."""
+    MultiplicityProfile(tuple(mults))  # a non-empty tuple of positive integers
+    total = sum(mults)
+    n = mults_degree(family, total)
+    if n is None:
+        raise ValueError(
+            f"multiplicities sum to {total}; the {family.value} degree needs an even sum"
+        )
+    return n
+
+
+def _report(
+    theorem: int,
+    mults: Sequence[int],
+    global_checks: tuple[ConditionCheck, ...],
+    name: str,
+    lhs: Callable[[int], Real],
+    rhs: Callable[[int], Real],
+    params: SeparationParams,
     undefined: str | None = None,
-    name: str = "main inequality",
-) -> IndexChecks:
-    """Root ``index``'s check ``lhs() < rhs()``, each side through :func:`_evaluate`;
-    a failed check with reason ``undefined`` instead, when that is given."""
-    if undefined:
-        check = ConditionCheck(
-            name=name, lhs=None, rhs=None, relation="<", passed=False, reason=undefined
-        )
-    else:
-        where = f"for i={index + 1}"
-        check = _check(
-            name,
-            _evaluate(f"the main inequality's left side {where}", lhs),
-            "<",
-            _evaluate(f"the main inequality's right side {where}", rhs),
-        )
-    return IndexChecks(index=index, mult=mult, checks=(check,))
+    notes: tuple[str, ...] = (),
+) -> TheoremReport:
+    """The report of ``global_checks`` and, per root index i, the main
+    inequality ``name``: ``lhs(m_i) < rhs(m_i)``, each side through
+    :func:`_evaluate`, or a failed check with reason ``undefined`` when
+    that is given."""
+    per_index = []
+    for i, mult in enumerate(mults):
+        if undefined:
+            check = ConditionCheck(name, None, None, "<", False, undefined)
+        else:
+            where = f"for i={i + 1}"
+            check = _check(
+                name,
+                _evaluate(f"the main inequality's left side {where}", lambda: lhs(mult)),
+                "<",
+                _evaluate(f"the main inequality's right side {where}", lambda: rhs(mult)),
+            )
+        per_index.append(IndexChecks(i, mult, (check,)))
+    return TheoremReport(theorem, global_checks, tuple(per_index), notes, params)
 
 
 def _q_in_unit_interval(q: Real) -> ConditionCheck:
@@ -152,52 +178,36 @@ def _q_in_unit_interval(q: Real) -> ConditionCheck:
     )
 
 
-def check_theorem1(
-    n: int, mults: Sequence[int], d: Real, c: Real, q: Real
-) -> TheoremReport:
-    """Hypotheses for the algebraic family.
+def check_theorem1(mults: Sequence[int], d: Real, c: Real, q: Real) -> TheoremReport:
+    """Hypotheses for the algebraic family, of degree n = sum m_i.
 
     Per root index i: c^2 (n - m_i) < (m_i d - 2 n c)(d - 2c), alongside
     0 < q < 1, c > 0 and d - 2c > 0.
     """
+    n = _degree(Family.ALGEBRAIC, mults)
     gap = _evaluate("d - 2c", lambda: d - 2 * c)
     globals_ = (
         _q_in_unit_interval(q),
         _check("c > 0", c, ">", zero(c.digits)),
         _check("d - 2c > 0", gap, ">", zero(d.digits)),
     )
-    per_index = tuple(
-        _main_inequality(
-            i,
-            mult,
-            lambda: c * c * (n - mult),
-            lambda: (mult * d - 2 * n * c) * gap,
-            name="c^2 (n - m) < (m d - 2 n c)(d - 2c)",
-        )
-        for i, mult in enumerate(mults)
-    )
-    return TheoremReport(
-        theorem=1,
-        global_checks=globals_,
-        per_index=per_index,
-        params=SeparationParams(d=d, c=c, q=q),
+    return _report(
+        1, mults, globals_, "c^2 (n - m) < (m d - 2 n c)(d - 2c)",
+        lambda mult: c * c * (n - mult), lambda mult: (mult * d - 2 * n * c) * gap,
+        SeparationParams(d=d, c=c, q=q),
     )
 
 
 def check_theorem2(
-    n: int,
-    mults: Sequence[int],
-    d: Real,
-    max_sep: Real,
-    c: Real,
-    q: Real,
-    xi: Real,
+    mults: Sequence[int], d: Real, max_sep: Real, c: Real, q: Real, xi: Real
 ) -> TheoremReport:
-    """Hypotheses for the trigonometric family, exactly as printed.
+    """Hypotheses for the trigonometric family, of degree n = sum m_i / 2,
+    exactly as printed.
 
     A = min(|sin(xi/2)|, |sin(d/2 - c)|).  The main inequality is kept
     verbatim, including the suspicious (c/4)(m_i/4) fragment; see notes.
     """
+    n = _degree(Family.TRIGONOMETRIC, mults)
     gap = _evaluate("d - 2c", lambda: d - 2 * c)
     a_const = min(
         abs(sin(check_phase(xi / 2, "xi/2"))), abs(sin(check_phase(d / 2 - c, "d/2 - c")))
@@ -225,32 +235,23 @@ def check_theorem2(
         root_rhs = mult * (1 - (c * c) / 8) + (c / (2 * a_const)) * (n * 2 - mult)
         return root_rhs * root_rhs
 
-    undefined = "A = 0 makes the 1/A terms undefined" if a_const.is_zero() else None
-    per_index = tuple(
-        _main_inequality(i, mult, lambda: lhs(mult), lambda: rhs(mult), undefined)
-        for i, mult in enumerate(mults)
-    )
-    return TheoremReport(
-        theorem=2,
-        global_checks=globals_,
-        per_index=per_index,
-        notes=(
-            "main inequality implemented verbatim as printed, including the "
-            "(c/4)(m/4)(2n-m) fragment and the + sign in the squared bracket; "
-            "the printed form is suspected of typesetting defects",
-        ),
-        params=SeparationParams(d=d, c=c, q=q, max_sep=max_sep, xi=xi, a_const=a_const),
+    return _report(
+        2, mults, globals_, "main inequality", lhs, rhs,
+        SeparationParams(d=d, c=c, q=q, max_sep=max_sep, xi=xi, a_const=a_const),
+        "A = 0 makes the 1/A terms undefined" if a_const.is_zero() else None,
+        ("main inequality implemented verbatim as printed, including the "
+         "(c/4)(m/4)(2n-m) fragment and the + sign in the squared bracket; "
+         "the printed form is suspected of typesetting defects",),
     )
 
 
-def check_theorem3(
-    n: int, mults: Sequence[int], d: Real, c: Real, q: Real
-) -> TheoremReport:
-    """Hypotheses for the exponential family.
+def check_theorem3(mults: Sequence[int], d: Real, c: Real, q: Real) -> TheoremReport:
+    """Hypotheses for the exponential family, of degree n = sum m_i / 2.
 
     S = sinh((d - 2c)/2).  The ambiguous "S cosh^-1 c" term is read as
     S / cosh(c): the inverse function is undefined for c < 1.
     """
+    n = _degree(Family.EXPONENTIAL, mults)
     sinh_c = abs(_evaluate("sinh(c)", lambda: sinh(c)))
     cosh_c = _evaluate("cosh(c)", lambda: cosh(c))
     gap = _evaluate("d - 2c", lambda: d - 2 * c)
@@ -265,28 +266,17 @@ def check_theorem3(
             12 * one(c.digits),
         ),
     )
+    # S after the global checks, as printed: an overflow in both names the check.
     s_const = _evaluate("S = sinh((d - 2c)/2)", lambda: sinh(gap / 2))
-    undefined = None
-    if not s_const > 0:
-        undefined = f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined"
-    per_index = tuple(
-        _main_inequality(
-            i,
-            mult,
-            lambda: mult * mult * one(c.digits)
-            + (n / s_const) * (mult * c + sinh_c / s_const ** 3) * sinh_c
-            + (2 * n / (s_const * s_const)) * cosh_c,
-            lambda: mult + s_const / cosh_c,
-            undefined,
-        )
-        for i, mult in enumerate(mults)
-    )
-    return TheoremReport(
-        theorem=3,
-        global_checks=globals_,
-        per_index=per_index,
-        notes=("the ambiguous 'S cosh^-1 c' term is evaluated as S / cosh(c)",),
-        params=SeparationParams(d=d, c=c, q=q, s_const=s_const),
+    return _report(
+        3, mults, globals_, "main inequality",
+        lambda mult: mult * mult * one(c.digits)
+        + (n / s_const) * (mult * c + sinh_c / s_const ** 3) * sinh_c
+        + (2 * n / (s_const * s_const)) * cosh_c,
+        lambda mult: mult + s_const / cosh_c,
+        SeparationParams(d=d, c=c, q=q, s_const=s_const),
+        None if s_const > 0 else f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined",
+        ("the ambiguous 'S cosh^-1 c' term is evaluated as S / cosh(c)",),
     )
 
 

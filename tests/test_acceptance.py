@@ -157,14 +157,14 @@ def _accepted_constants(family, mults, d, max_sep, q):
     total = sum(mults)
     if family is Family.ALGEBRAIC:
         c = d / (4 * total)
-        checker = lambda c: check_theorem1(total, mults, d, c, q)
+        checker = lambda c: check_theorem1(mults, d, c, q)
     elif family is Family.TRIGONOMETRIC:
         xi = R("0.4")
         c = d / (8 * total)
-        checker = lambda c: check_theorem2(total // 2, mults, d, max_sep, c, q, xi)
+        checker = lambda c: check_theorem2(mults, d, max_sep, c, q, xi)
     else:
         c = R("0.05")
-        checker = lambda c: check_theorem3(total // 2, mults, d, c, q)
+        checker = lambda c: check_theorem3(mults, d, c, q)
     for _ in range(25):
         if checker(c).passed:
             return c

@@ -460,6 +460,58 @@ def test_order_on_a_trace_without_snapshots_exits_1(capsys, tmp_path):
     assert "$.snapshots: expected a non-empty array" in err
 
 
+PAST_RANGE = "1e999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["solve", "--expr", "(x-1)*(x-2)", "--init", f"0,{PAST_RANGE}"], None),
+        (["solve", "--expr", "(x-1)*(x-2)", "--init", "0,3", "--tolerance", PAST_RANGE], None),
+        (["solve", "--input", "{path}"],
+         {"family": "algebraic", "expr": "(x-1)*(x-2)", "init": ["0", "3"],
+          "tolerance": PAST_RANGE}),
+        (["solve", "--input", "{path}"],
+         {"family": "algebraic", "coefficients": {"a": ["-3", PAST_RANGE]}, "mults": [1, 1],
+          "init": ["0", "3"]}),
+        (["verify", "--theorem", "1", "--d", "1", "--mults", "1,1", "--c", PAST_RANGE,
+          "--q", "0.5"], None),
+        (["order", "--input", "{path}", "--true-roots", "0"],
+         {"digits": 64, "snapshots": [{"k": 0, "x": [PAST_RANGE]}], "step_sizes": []}),
+    ],
+)
+def test_an_exponent_past_the_decimal_range_exits_1_on_every_route(
+    capsys, tmp_path, argv, document
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *(token.replace("{path}", str(path)) for token in argv))
+    assert (code, out) == (1, "")
+    assert f"magnitude out of range at position {len(PAST_RANGE)} in '{PAST_RANGE}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["1", "--roots", "0,1", "--mults", "0,-1"],
+         "error: multiplicities must be a non-empty tuple of positive integers"),
+        (["1", "--d", "1", "--mults", "2,0"],
+         "error: multiplicities must be a non-empty tuple of positive integers"),
+        (["1", "--roots", "0,1", "--mults", "1,1,1"],
+         "usage error: expected 2 multiplicities, one per root, got 3"),
+        (["3", "--roots", "0,1,2", "--mults", "2,2"],
+         "usage error: expected 3 multiplicities, one per root, got 2"),
+        (["2", "--roots", "0,1", "--mults", "1,2", "--xi", "1"],
+         "error: multiplicities sum to 3; the trigonometric degree needs an even sum"),
+        (["3", "--d", "1", "--mults", "1,1,3"],
+         "error: multiplicities sum to 5; the exponential degree needs an even sum"),
+    ],
+)
+def test_verify_rejects_multiplicities_that_fit_no_polynomial(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--theorem", *argv, "--c", "0.1", "--q", "0.5")
+    assert (code, out, err) == (1, "", message + "\n")
+
+
 TRIG_PAIR = "sin((x-1)/2)*sin((x+1)/2)"
 
 

@@ -3,10 +3,10 @@
 Whatever the arguments, problem files and traces hold, ``cli.main``
 returns an exit code in {0, 1, 2, 3} and lets no exception escape.  Each
 input is a well-formed one with hostile leaves mixed in: exponents at the
-edge of the decimal range, NaN and Infinity, empty arrays, values of the
-wrong JSON type, duplicate estimates and estimates a period 2*pi apart,
-estimates whose pair terms fall back to the direct kernel, and the
-digits floor.  Coefficient forms of planted multiple roots, started near
+edge of the decimal range and past it, NaN and Infinity, empty arrays,
+values of the wrong JSON type, duplicate estimates and estimates a
+period 2*pi apart, estimates whose pair terms fall back to the direct
+kernel, and the digits floor.  Coefficient forms of planted multiple roots, started near
 them, reach the attainable-accuracy floor within the few sweeps allowed.  Runs stay small (at most 70 digits, at most 5
 iterations), and the examples are derandomized so the test is a stable
 gate.
@@ -27,6 +27,7 @@ ONE_PERIOD_ON = str(make_real("1.1", 70) + 2 * pi(70))
 ORDINARY = ("0", "1", "-2", "2.5", "3.4", "-1.5", "0.05", "0.5", "0.2", "1.1", "1e-40")
 HOSTILE = (
     "1e999999999999999990", "-1e999999999999999990", "1e-999999999999999990",
+    "1e999999999999999999999", "-1e1000000000000000000", "1e-2000000000000000000",
     "1e30000", "-1e30000", "NaN", "Infinity", "-Infinity", "", ONE_PERIOD_ON,
 )
 # (family, two-factor expression)

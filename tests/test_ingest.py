@@ -392,13 +392,28 @@ def test_render_trace_json_round_trip_is_byte_stable():
     assert parsed.trace.errors == report.trace.errors
 
 
+@pytest.mark.parametrize("poly_digits,init_digits", [(80, 64), (64, 80)])
+def test_a_solve_runs_at_its_estimates_precision_and_its_trace_round_trips(
+    poly_digits, init_digits
+):
+    poly = parse_expression("(x+2)^2*(x-1)*(x-3)^3", poly_digits)
+    init = EstimateVector(tuple(make_real(v, init_digits) for v in ("-3", "0.1", "4")))
+    report = solve(poly, MultiplicityProfile(poly.mults), init)
+    assert report.converged and len(report.trace.snapshots) > 2
+    assert {x.digits for snap in report.trace.snapshots for x in snap.x} == {init_digits}
+    assert {s.digits for row in report.trace.step_sizes for s in row} == {init_digits}
+    blob = render_trace(report, "json")
+    assert json.loads(blob)["digits"] == init_digits
+    assert render_trace(parse_trace(blob), "json") == blob
+
+
 def test_render_trace_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_trace(example_report(), "yaml")
 
 
 def test_render_theorem_report_is_json():
-    report = check_theorem1(6, (2, 1, 3), R("2"), R("0.05"), R("0.5"))
+    report = check_theorem1((2, 1, 3), R("2"), R("0.05"), R("0.5"))
     payload = json.loads(render_theorem_report(report))
     assert payload["theorem"] == 1
     assert payload["passed"] is True

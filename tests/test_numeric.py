@@ -68,6 +68,21 @@ def test_make_real_rejects_malformed_numerals(text, position):
     assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # exponents that no Decimal holds
+        "1e999999999999999999999", "1e1000000000000000000", "1e-2000000000000000000",
+        # a numeral that rounds up past the largest exponent
+        "9." + "9" * 70 + "e999999999999999999",
+    ],
+)
+def test_make_real_rejects_a_magnitude_out_of_range(text):
+    with pytest.raises(ParseError, match="magnitude out of range") as excinfo:
+        make_real(text)
+    assert excinfo.value.position == len(text)
+
+
 def test_digits_below_the_floor_are_rejected():
     with pytest.raises(ValueError, match="digits must be >= 30, got 29"):
         make_real("1", 29)

@@ -1,4 +1,4 @@
-"""README's library example and problem file run against the current API.
+"""README's library example, problem file and command lines run against the current API.
 
 The README documents how to build a precision, a problem and a solve;
 these tests run its code blocks as printed, so the README cannot drift
@@ -8,10 +8,11 @@ from the package again.
 import contextlib
 import io
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
-from simulroot import ingest, make_real, parse_problem, solve
+from simulroot import cli, ingest, make_real, parse_problem, solve
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -44,3 +45,13 @@ def test_problem_file_parses_and_solves():
 def test_the_grammar_block_is_the_ingest_docstring_grammar():
     grammar = ingest.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
     assert _block("### Expression grammar", "") == textwrap.dedent(grammar) + "\n"
+
+
+def test_command_lines_that_read_no_file_exit_0(monkeypatch):
+    monkeypatch.delenv("SIMULROOT_DIGITS", raising=False)
+    lines = [shlex.split(line) for line in _block("## Command line", "sh").splitlines()]
+    assert all(argv[0] == "simulroot" for argv in lines)
+    runs = [argv[1:] for argv in lines if "--input" not in argv]
+    assert [argv[0] for argv in runs] == ["solve", "verify", "verify", "reproduce"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert [cli.main(argv) for argv in runs] == [0] * len(runs)
