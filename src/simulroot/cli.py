@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--theorem", type=int, choices=[1, 2, 3], required=True)
     p_verify.add_argument("--roots", help="comma-separated true roots")
     p_verify.add_argument("--d", help="minimum pairwise root distance (alternative to --roots)")
-    p_verify.add_argument("--max-sep", help="maximum pairwise root distance (theorem 2)")
+    p_verify.add_argument("--max-sep", help="maximum pairwise root distance (theorem 2, with --d)")
     p_verify.add_argument("--mults", required=True)
     p_verify.add_argument("--c", required=True)
     p_verify.add_argument("--q", required=True)
@@ -265,6 +265,8 @@ def cmd_verify(args) -> int:
 
     if (args.roots is None) == (args.d is None):
         raise UsageError("provide exactly one of --roots or --d")
+    if args.roots is not None and args.max_sep is not None:
+        raise UsageError("--max-sep goes with --d; --roots gives the maximum separation")
     if args.roots is not None:
         roots = [make_real(s, digits) for s in _csv_strings(args.roots)]
         if len(roots) != len(mults):

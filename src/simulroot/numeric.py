@@ -26,7 +26,9 @@ form's sums, from such pairs, one per point, and calls a kernel at the
 term's own argument only where the pairs cannot give it to full
 precision.  When a point moves by a small step, ``polys``
 turns its pair by the pair at half the step, which one short loop over
-both Taylor series gives without halving.
+both Taylor series gives without halving; the same loop gives the pair
+behind cot or coth at half the difference of two points closer than
+2e-10, where their pairs would cancel.
 """
 
 from __future__ import annotations
@@ -212,15 +214,20 @@ def _numeral_error_position(text: str) -> tuple[int, str]:
 
 def make_real(text: str, digits: int = DEFAULT_DIGITS) -> Real:
     """Parse a signed decimal numeral, correctly rounded to ``digits``; a
-    ParseError when its magnitude lies past the decimal exponent range."""
+    ParseError when its magnitude lies past the decimal exponent range,
+    above it or so far below that a nonzero numeral rounds to 0."""
     if not isinstance(text, str) or _NUMERAL.fullmatch(text) is None:
         pos, msg = _numeral_error_position(text if isinstance(text, str) else str(text))
         raise ParseError(str(text), pos, msg)
     try:
+        exact = Decimal(text)
         # Real checks digits before a context of that precision is built.
-        return Real(Decimal(text), digits).with_digits(digits)
+        x = Real(exact, digits).with_digits(digits)
     except (Overflow, InvalidOperation) as exc:
         raise ParseError(text, len(text), "magnitude out of range") from exc
+    if x.is_zero() and not exact.is_zero():
+        raise ParseError(text, len(text), "magnitude out of range")
+    return x
 
 
 def zero(digits: int = DEFAULT_DIGITS) -> Real:
@@ -328,7 +335,8 @@ def _odd_series(t: Decimal, alternate: bool, ctx: Context) -> Decimal:
 
 def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decimal, Decimal]:
     # (cos t, sin t) (alternate) or (cosh t, sinh t) for a nonzero |t| below
-    # 1e-3 only, from both Taylor series in one loop and no halving:
+    # 1e-3 only: polys' turns, at half a step below 1e-3, and its near pair
+    # terms, at u below 1e-10.  Both Taylor series in one loop and no halving:
     # even_i = even_(i-1) (+/-t^2) / ((2i - 1)(2i)) and odd_i = even_i t / (2i + 1).
     # The tails are summed apart from the leading 1 and t, so each result
     # takes one rounding of its own size (0.5 ulp) plus the tails' rounding,

@@ -29,13 +29,21 @@ derived from phases is one or two angle subtractions (:func:`_minus`):
 * the move to u, the argument the kernel sees, round(round(a - b)/2) or
   round(kx), by the first-order pair (1, -delta) at -delta = v - u.
 
+A near pair, whose u = round(round(a - b)/2) lies below
+10**-(PHASE_GUARD_DIGITS // 2) in magnitude, would cancel more than half
+the guard digits in that subtraction; its term is instead the quotient
+of the pair at u itself from numeric's short series
+(``_small_pair_series``, the turns' series), at the phases' digits.
+
 One tie rule (:func:`_round_clear_of_ties`, Ziv's strategy) makes each
 value the kernel's at u bit for bit: it rounds a value only where its
 error bound, which grows with the digits the value or cot itself loses
-below its scale, holds no rounding boundary.  A value whose composition
-cancels more than half the guard digits, whose move or rounding is in
-doubt, that saturates at +/-1, or whose point has no phase (its kernel
-overflows) takes the kernel at u: numeric's cot, coth or pair.
+below its scale, holds no rounding boundary; near 0, cot and coth lose
+none.  A value whose composition cancels more than half the guard
+digits, whose move or rounding is in doubt, that saturates at +/-1, or
+whose point has no phase (its kernel overflows) takes the kernel at u:
+numeric's cot, coth or pair.  A near pair's term takes it only where its
+rounding is in doubt.
 
 The log-derivative sums, Horner and the coefficient sums take and return
 Reals but run on their ``Decimal`` values, under one context at the most
@@ -45,8 +53,9 @@ of its terms, and each rule gives the odd parts of a row of terms
 (``_Rule.odds``).  The algebraic odd part is the difference itself, so
 an algebraic sum runs no Python per term: m / (x - p) is a ``map`` of the
 context's subtract and divide, and a coincident point shows as the
-division's ``DivisionByZero``.  A half-angle term still takes one
-:func:`_pair_term` call.  A factored form keeps its roots' Decimals
+division's ``DivisionByZero``.  A half-angle row checks its differences
+for a zero once, then runs one ``map`` of a :func:`_pair_term` term over
+them.  A factored form keeps its roots' Decimals
 (``FactoredPoly.root_decs``), so a Newton ratio does not unpack them.
 
 A coefficient form cancels: near a root of multiplicity m its value is
@@ -73,9 +82,9 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .numeric import (
     Real,
@@ -111,7 +120,11 @@ PHASE_GUARD_DIGITS = 20
 # 10**lost of a unit where it computes its pair ``lost`` digits below
 # their scale (numeric's ``_cos_sin_lost``), 1.5e-6 at lost = 5 on a
 # seeded pair with (a - b)/2 near 3 pi/2.  So the tie margin is
-# 10**(lost - TIE_MARGIN_DIGITS), with lost 0 for coth.
+# 10**(lost - TIE_MARGIN_DIGITS), with lost 0 for coth.  A near pair's
+# term, the quotient of the short series' pair at u, is within a few units
+# of its last digit at the phases' digits, PHASE_GUARD_DIGITS below the
+# term's own, and cot, whose pair near 0 has a relative error, loses no
+# digit there: lost 0 for both.
 TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
 
 # A turn (:func:`turned_phases`) moves a phase (c, s) at x/2 to (x -
@@ -214,7 +227,7 @@ class _Rule:
     odd: Callable[[Context, Decimal], Decimal]
     # (rule, ctx, a, phase of a, points b, their phases) -> odd(a - b) for
     # each b, in order (:func:`_differences` or :func:`_phased_odds`)
-    odds: Callable[..., Iterator[Decimal]]
+    odds: Callable[..., Iterable[Decimal]]
     # t -> (c(t), s(t)) with c = s' and c' = sign * s for the half-angle
     # families, whose factors s((x - r)/2) have multiplicities summing to
     # 2n and m K(d) = m odd(d) / 2; None for algebraic, where m K(d) = m / d.
@@ -231,16 +244,17 @@ def _differences(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
 
 
 def _phased_odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
-                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> Iterator[Decimal]:
+                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> list[Decimal]:
     # A half-angle odd part, from the phases of a and b where a has one
     # (:func:`_pair_term`), else from the direct kernel.  A zero
-    # difference is the kernel's pole, raised as the algebraic one is.
-    term = None if pa is None else _pair_term(rule, ctx)
-    for b, pb in zip(bs, pbs):
-        d = ctx.subtract(a, b)
-        if d.is_zero():
-            raise DivisionByZero
-        yield rule.odd(ctx, d) if term is None else term(d, a, b, pa, pb)
+    # difference is the kernel's pole, raised as the algebraic one is, once
+    # for the whole row before any term runs.
+    ds = list(map(ctx.subtract, repeat(a), bs))
+    if not all(ds):
+        raise DivisionByZero
+    if pa is None:
+        return list(map(rule.odd, repeat(ctx), ds))
+    return list(map(_pair_term(rule, ctx), ds, repeat(a), bs, repeat(pa), pbs))
 
 
 # The lambdas look the kernels up in this module at call time, so
@@ -365,32 +379,45 @@ def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int) -> Dec
     """
     r = ctx.plus(k)
     dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted(), w)
-    near = _near(lost) if lost else _NEAR_HALF
-    return None if dropped.copy_abs() >= near else r
+    return None if dropped.copy_abs() >= _near(lost, _NEAR_HALF) else r
 
 
-def _near(lost: int) -> Decimal:
-    # Half a unit less a tie margin 10**lost times that of _NEAR_HALF,
-    # read at each call so that a patched _NEAR_HALF reaches every margin.
+@lru_cache(maxsize=None)
+def _near(lost: int, near_half: Decimal) -> Decimal:
+    # Half a unit less a tie margin 10**lost times that of near_half.  The
+    # callers pass _NEAR_HALF as read at each call, so that a patched
+    # _NEAR_HALF reaches every margin.
     ctx = _context(PHASE_GUARD_DIGITS)
-    return ctx.subtract(_HALF, ctx.subtract(_HALF, _NEAR_HALF).scaleb(lost, ctx))
+    return ctx.subtract(_HALF, ctx.subtract(_HALF, near_half).scaleb(lost, ctx))
 
 
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
-    """term(d, a, b, pa, pb) = ``rule.odd(ctx, d)`` for d = a - b rounded to ctx,
-    from the phases pa and pb of a and b where they carry enough digits."""
+    """term(d, a, b, pa, pb) = ``rule.odd(ctx, d)`` for d = a - b rounded to ctx:
+    from the short series at u = d/2 where |u| < 10**-(PHASE_GUARD_DIGITS //
+    2), else from the phases pa and pb of a and b where they carry enough
+    digits."""
     odd, sign, prec = rule.odd, rule.sign, ctx.prec
     half_guard = PHASE_GUARD_DIGITS // 2
     w = _context(prec + PHASE_GUARD_DIGITS)
+    halve, subtract, fma, divide = ctx.multiply, w.subtract, w.fma, w.divide
 
     def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
+        u = halve(d, _HALF)
+        if u.adjusted() < -half_guard:
+            # A near pair, whose phases would cancel more than half the
+            # guard.  u is the kernel's own argument and its pair from the
+            # series is good to a few units at w; near 0, cot and coth lose
+            # no digit below their scale.
+            try:
+                k = _round_clear_of_ties(ctx, w, divide(*_small_pair_series(u, sign < 0, w)), 0)
+            except (Overflow, DivisionByZero):  # |u| past the exponent range
+                k = None
+            return odd(ctx, d) if k is None else k
         if pb is None or not pa.digits == pb.digits == prec:
             return odd(ctx, d)
-        t = w.subtract(a, b)
-        u = ctx.multiply(d, _HALF)
+        t = subtract(a, b)
         try:
-            pair = _moved(w, sign, *_minus(w, sign, pa.c, pa.s, pb.c, pb.s),
-                          w.fma(t, _MINUS_HALF, u))
+            pair = _moved(w, sign, *_minus(w, sign, pa.c, pa.s, pb.c, pb.s), fma(t, _MINUS_HALF, u))
         except Overflow:
             return odd(ctx, d)
         if pair is None:
@@ -405,7 +432,7 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
             top = w.multiply(pa.c, pb.c).adjusted()
         if (top if top > 0 else 0) - low > half_guard:
             return odd(ctx, d)
-        k = w.divide(c, s)
+        k = divide(c, s)
         # The rounding of t enters K scaled by |K| + 1/|K|: it must stay
         # within half the guard digits.
         scale = k.adjusted()

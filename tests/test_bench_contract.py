@@ -85,7 +85,8 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     # The tracer counts numeric's functions by rebinding them in every
     # module that holds them, so polys calls its kernels through its own
     # module names: the phase kernel once per point, and cot/coth only for
-    # a pair term that falls back to the direct kernel.
+    # a pair term that falls back to the direct kernel.  A near pair, 1e-40
+    # apart, takes the short series at half its difference instead.
     pair = {"cot": "cos_sin", "coth": "cosh_sinh"}[kernel]
     calls = {pair: [], kernel: []}
     for name, seen in calls.items():
@@ -114,12 +115,12 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     assert counted(log_derivative) == (m + 1, 0)
     assert counted(lambda: pairwise(points)) == (m, 0)
     near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
-    assert counted(lambda: pairwise(near)) == (2, 1)
+    assert counted(lambda: pairwise(near)) == (2, 0)
 
 
 @pytest.mark.parametrize("expr,init,expected", [
-    ("sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3"), (3, 7, 9, 15)),
-    ("sinh((x+2)/2)^2*sinh((x-3)/2)^2", ("-1.5", "2.4"), (2, 6, 4, 8)),
+    ("sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3"), (3, 7, 9, 15, 7)),
+    ("sinh((x+2)/2)^2*sinh((x-3)/2)^2", ("-1.5", "2.4"), (2, 6, 4, 8, 4)),
 ])
 def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, expected,
                                                                    monkeypatch):
@@ -128,26 +129,34 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
     # by its last step and run the kernel only for a step of at least
     # MAX_TURN_STEP, and the sweep that stops the solve turns none.  Each
     # sweep ran the kernel for every estimate before: m (k + 1) in all,
-    # 24 and 14 calls here against 15 and 8.
+    # 24 and 14 calls here against 15 and 8.  The short series serves the
+    # turns, at TURN_GUARD_DIGITS more digits than a phase, and the near
+    # terms, K(x_i - r_i) once x_i lies within 2e-10 of r_i, at a phase's
+    # digits.
     calls = []
     for name in ("cos_sin", "cosh_sinh"):
         kernel = getattr(polys, name)
         monkeypatch.setattr(polys, name, lambda t, kernel=kernel: calls.append(t) or kernel(t))
     spec = simulroot.expression_problem(expr, init)
-    turns = []
+    series_calls = []
     series = polys._small_pair_series
-    monkeypatch.setattr(polys, "_small_pair_series", lambda *a: turns.append(a) or series(*a))
+    monkeypatch.setattr(polys, "_small_pair_series",
+                        lambda *a: series_calls.append(a[2].prec) or series(*a))
     report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
     assert report.converged
     m, k = spec.profile().m, len(report.trace.step_sizes)
     snaps = report.trace.snapshots
     redos = sum(abs(a.dec - b.dec) >= polys.MAX_TURN_STEP
                 for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
-    assert (m, k, redos, len(calls)) == expected
+    phase_prec = spec.init[0].digits + polys.PHASE_GUARD_DIGITS
+    turns = series_calls.count(phase_prec + polys.TURN_GUARD_DIGITS)
+    near = series_calls.count(phase_prec)
+    assert turns + near == len(series_calls)
+    assert (m, k, redos, len(calls), near) == expected
     assert len(calls) == 2 * m + redos < m * (k + 1)
     steps = sum(0 < abs(a.dec - b.dec) < polys.MAX_TURN_STEP
                 for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
-    assert len(turns) == steps
+    assert turns == steps
 
 
 @pytest.mark.parametrize("family,mults,digits,pair,odd,expected", [

@@ -490,6 +490,25 @@ def test_an_exponent_past_the_decimal_range_exits_1_on_every_route(
     assert f"magnitude out of range at position {len(PAST_RANGE)} in '{PAST_RANGE}'" in err
 
 
+@pytest.mark.parametrize("c", ["1e-1000000000000000070", "-1e-1000000000000000070"])
+def test_verify_rejects_a_nonzero_c_that_rounds_to_0(capsys, c):
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--d", "1", "--mults", "1,1",
+                         "--c", c, "--q", "0.5")
+    assert (code, out) == (1, "")
+    assert f"magnitude out of range at position {len(c)} in '{c}'" in err
+
+
+@pytest.mark.parametrize("theorem,extra", [("1", []), ("2", ["--xi", "1"]), ("3", [])])
+def test_verify_rejects_max_sep_with_roots(capsys, theorem, extra):
+    # the roots give their own maximum separation, so a given one would be
+    # replaced without a word
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--roots", "1,2,2.5",
+                         "--mults", "3,2,1", "--c", "0.05", "--q", "0.5", *extra,
+                         "--max-sep", "100")
+    assert (code, out, err) == (
+        1, "", "usage error: --max-sep goes with --d; --roots gives the maximum separation\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -28,6 +28,7 @@ ORDINARY = ("0", "1", "-2", "2.5", "3.4", "-1.5", "0.05", "0.5", "0.2", "1.1", "
 HOSTILE = (
     "1e999999999999999990", "-1e999999999999999990", "1e-999999999999999990",
     "1e999999999999999999999", "-1e1000000000000000000", "1e-2000000000000000000",
+    "1e-1000000000000000070", "-1e-1000000000000000070",
     "1e30000", "-1e30000", "NaN", "Infinity", "-Infinity", "", ONE_PERIOD_ON,
 )
 # (family, two-factor expression)

@@ -75,6 +75,8 @@ def test_make_real_rejects_malformed_numerals(text, position):
         "1e999999999999999999999", "1e1000000000000000000", "1e-2000000000000000000",
         # a numeral that rounds up past the largest exponent
         "9." + "9" * 70 + "e999999999999999999",
+        # nonzero numerals that round to 0 below the smallest subnormal
+        "1e-1000000000000000070", "-1e-1000000000000000070",
     ],
 )
 def test_make_real_rejects_a_magnitude_out_of_range(text):

@@ -618,20 +618,70 @@ def test_phase_kernel_equals_the_direct_kernel_on_seeded_pairs(family, digits, m
 @pytest.mark.parametrize("digits", [64, 256])
 def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
     # a term cancels about as many digits as the pair's separation has
-    # leading zeros, and takes the direct kernel once that is more than
-    # half the guard digits
+    # leading zeros; once u = round(a - b)/2 lies below 10**-(half the guard
+    # digits), its phases would cancel more than that, and it takes the
+    # short series at u instead: every pair 1e-11 or less apart (u at most
+    # 4.5e-11), and at 64 digits one of the two 1e-10 apart.  No term here
+    # falls back to the direct kernel.
     rng = random.Random(digits)
     exponents = [e for e in range(5, 61) for _ in range(2)]
     pairs = [(a, near(rng, a, -e)) for a, e in
              ((full_numeral(rng, digits), e) for e in exponents)]
+    series = []
+    original = polys._small_pair_series
+    monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
     results = pair_terms(family, digits, pairs, monkeypatch)
     assert bit_for_bit(results)
     half_guard = polys.PHASE_GUARD_DIGITS // 2
     for e, (*_, fell) in zip(exponents, results):
-        if e <= half_guard - 2:
-            assert fell == 0, e
-        elif e >= half_guard + 2:
-            assert fell == 1, e
+        assert fell == 0, e
+    assert len(series) == sum(e > half_guard for e in exponents) + (digits == 64) == 100 + (digits == 64)
+    assert {w.prec for *_, w in series} == {digits + polys.PHASE_GUARD_DIGITS}
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_near_pairs_run_no_halving_kernel(family, digits, monkeypatch):
+    # seeded pairs 1e-11 to 1e-60 apart around full-length points of
+    # either sign: every term is the direct kernel's bit for bit, and none
+    # runs numeric's halving kernels
+    rng = random.Random(11 * digits + len(family.value))
+    pairs = [(a, near(rng, a, -rng.randint(11, 60)))
+             for a in (full_numeral(rng, digits) for _ in range(60))]
+    rule, ctx = polys._RULES[family], numeric._context(digits)
+    point_phases = polys.phases(family, [p for pair in pairs for p in pair], digits)
+    runs = []
+    for name in ("_cos_sin_decimal", "_cosh_sinh_decimal"):
+        kernel = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda *a, kernel=kernel: runs.append(a) or kernel(*a))
+    term = polys._pair_term(rule, ctx)
+    got = [term(ctx.subtract(a.dec, b.dec), a.dec, b.dec, *point_phases[2 * i:2 * i + 2])
+           for i, (a, b) in enumerate(pairs)]
+    assert runs == []
+    monkeypatch.undo()
+    want = [rule.odd(ctx, ctx.subtract(a.dec, b.dec)) for a, b in pairs]
+    assert all(g.compare_total(v) == 0 for g, v in zip(got, want))
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_a_near_pair_whose_rounding_is_in_doubt_takes_the_kernel(family, digits, monkeypatch):
+    # u = 2^k 10^-e, with 5^k of digits + 1 digits: 1/u = 5^k 10^(e - k)
+    # ends in a 5 one digit past the precision, a tie, and cot u = 1/u -
+    # u/3 - ... or coth u = 1/u + u/3 + ... lies within 1e-100 of a unit
+    # of it, far inside the tie margin.  The short series reaches the tie
+    # test, which must send the term to the kernel.
+    k = next(k for k in range(1, 2000) if len(str(5 ** k)) == digits + 1)
+    e = k + digits // 2 + 12
+    u = Decimal(f"{2 ** k}E-{e}")
+    series = []
+    original = polys._small_pair_series
+    monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
+    results = pair_terms(family, digits, [(R(f"{2 ** (k + 1)}E-{e}", digits), R("0", digits))],
+                         monkeypatch)
+    assert bit_for_bit(results)
+    assert [fell for *_, fell in results] == [1]
+    assert [t for t, *_ in series] == [u]
 
 
 @pytest.mark.parametrize("digits", [64, 256])
@@ -762,13 +812,18 @@ def test_a_coincident_pair_is_reported_with_the_phase_kernel(family):
     assert (excinfo.value.at, excinfo.value.index) == (None, 1)
 
 
-def test_a_pair_1e_40_apart_reaches_cot_once(monkeypatch):
-    calls = []
+def test_a_pair_1e_40_apart_reaches_no_cot(monkeypatch):
+    # u = 5e-41: the term takes the short series at u, once, at the phases'
+    # digits, and cot never runs
+    calls, series = [], []
     monkeypatch.setattr(polys, "cot", lambda x, f=polys.cot: calls.append(x) or f(x))
+    original = polys._small_pair_series
+    monkeypatch.setattr(polys, "_small_pair_series",
+                        lambda *a: series.append(a[2].prec) or original(*a))
     a = full_numeral(random.Random(40), 64)
     b = R(str(a.dec + Decimal("1e-40")), 64)
     pairwise_at(Family.TRIGONOMETRIC, [a, b], [1, 1])
-    assert len(calls) == 1
+    assert (len(calls), series) == (0, [64 + polys.PHASE_GUARD_DIGITS])
 
 
 def test_a_term_within_its_error_bound_of_a_tie_is_not_rounded():
