@@ -13,7 +13,10 @@ where no correction pass runs.
 
 import hashlib
 import importlib.util
+import json
+import random
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,90 @@ def test_the_seeded_benchmark_traces_are_unchanged(workload):
 def test_the_seeded_newton_baseline_traces_are_unchanged(workload):
     assert (_trace_hash(workload, Method.NEWTON_BASELINE)
             == NEWTON_BASELINE_TRACE_SHA256[workload])
+
+
+# -- solves that start with estimates on their roots ----------------------
+#
+# An estimate exactly on its root gets a Newton ratio of 0.  The sweep
+# still writes it back at the working precision: a short numeral such as
+# ``1`` comes out as ``1.000…0``, which a sweep that skipped such a root
+# would not print.  These solves start some estimates on their roots, as
+# the root's own numeral, with its trailing zeros stripped, or padded to
+# the working digits, and stop after 1 to 4 sweeps, so the early sweeps
+# that do this rewriting weigh as much as the late ones.  Besides the
+# seeded benchmark problems, a few problems have roots 1, 0.5, 0 and -2.
+
+ON_ROOT_TRACE_SHA256 = {
+    ("algebraic_factored", Method.CHEBYSHEV):
+        "c19bb6cd1bd9364252f5ad92e6abf91c4948639426f66ffda4b3cd473d1d1fb8",
+    ("algebraic_factored", Method.NEWTON_BASELINE):
+        "0d4fef18c8f2a88b74e904ccdecdfad224a30078bcb7a7ca13161496f0cd5c16",
+    ("periodic_factored", Method.CHEBYSHEV):
+        "ea94136b56e2afe1849915e6ba541e27346de31c6d6b4b71b91643fd62bdbbe2",
+    ("periodic_factored", Method.NEWTON_BASELINE):
+        "347b5bda6876fc40405552c399cbe8d1035d7c637db1e32a341fc9fbf4862a73",
+    ("coefficient_form", Method.CHEBYSHEV):
+        "415040ecc16dcece1f0f0e5d1c03411109a121b786f52506e29a72180f5c0aa7",
+    ("coefficient_form", Method.NEWTON_BASELINE):
+        "60f362b4fdf62e0ec7ece828af417e6fc981796a0ea8a9342b93701d7f4db022",
+}
+
+SHORT_ROOTS = ("-2", "0", "0.5", "1")
+SHORT_MULTS = (1, 2, 1, 2)
+
+
+def _spelled(root: str, digits: int, how: int) -> str:
+    value = Decimal(root)
+    if how == 0:
+        return root
+    if how == 1:
+        return format(value.normalize(), "f")
+    # every one of ``digits`` significant digits written out
+    return format(value, f".{max(digits - 1 - value.adjusted(), 0)}f")
+
+
+def _on_root_problems(workload: str) -> list[bytes]:
+    module = _workloads()
+    problems = [p for r in (0, 1) for p in module.solve_round(1, workload, r)]
+    families = {"algebraic_factored": ("algebraic",),
+                "periodic_factored": ("trigonometric", "exponential"),
+                "coefficient_form": ("algebraic", "trigonometric", "exponential")}[workload]
+    for family in families:
+        for digits in (64, 256):
+            if workload == "coefficient_form":
+                roots = list(SHORT_ROOTS)
+                if family == "algebraic":
+                    coefficients = {"a": module._expand_algebraic(roots, SHORT_MULTS)}
+                else:
+                    coefficients = module._expand_periodic(family, roots, SHORT_MULTS, digits + 30)
+                payload = {"coefficients": coefficients}
+            else:
+                payload = {"expr": module.expression(family, list(SHORT_ROOTS), SHORT_MULTS)}
+            problems.append(module._problem(family, list(SHORT_ROOTS), SHORT_MULTS,
+                                            ["-1.9", "0.1", "0.6", "1.1"], digits, [], payload))
+    out = []
+    rng = random.Random(f"1:same-results-on-roots:{workload}")
+    for k, problem in enumerate(problems):
+        payload = json.loads(problem["json"])
+        init = payload["init"]
+        for i, root in enumerate(problem["roots"]):
+            if rng.random() < 0.6:
+                init[i] = _spelled(root, payload["digits"], rng.randrange(3))
+        payload["max_iters"] = 1 + k % 4
+        out.append(json.dumps(payload, sort_keys=True).encode())
+    return out
+
+
+def _on_root_hash(workload: str, method: Method) -> str:
+    traces = hashlib.sha256()
+    for data in _on_root_problems(workload):
+        spec = parse_problem(data)
+        config = replace(spec.solve_config(), method=method)
+        report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
+        traces.update(render_trace(report, "json"))
+    return traces.hexdigest()
+
+
+@pytest.mark.parametrize("workload,method", sorted(ON_ROOT_TRACE_SHA256))
+def test_solves_from_estimates_on_their_roots_are_unchanged(workload, method):
+    assert _on_root_hash(workload, method) == ON_ROOT_TRACE_SHA256[workload, method]
