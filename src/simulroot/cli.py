@@ -267,6 +267,11 @@ def cmd_verify(args) -> int:
         raise UsageError("provide exactly one of --roots or --d")
     if args.roots is not None and args.max_sep is not None:
         raise UsageError("--max-sep goes with --d; --roots gives the maximum separation")
+    if args.theorem != 2:
+        given = [flag for flag, value in (("--xi", args.xi), ("--max-sep", args.max_sep))
+                 if value is not None]
+        if given:
+            raise UsageError(f"--theorem {args.theorem} does not take {' or '.join(given)}")
     if args.roots is not None:
         roots = [make_real(s, digits) for s in _csv_strings(args.roots)]
         if len(roots) != len(mults):

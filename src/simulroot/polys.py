@@ -56,7 +56,9 @@ context's subtract and divide, and a coincident point shows as the
 division's ``DivisionByZero``.  A half-angle row checks its differences
 for a zero once, then runs one ``map`` of a :func:`_pair_term` term over
 them.  A factored form keeps its roots' Decimals
-(``FactoredPoly.root_decs``), so a Newton ratio does not unpack them.
+(``FactoredPoly.root_decs``), so a Newton ratio does not unpack them, and
+their set (``FactoredPoly.root_set``), so a Newton ratio at a root runs no
+term.
 
 A coefficient form cancels: near a root of multiplicity m its value is
 rounding noise once the point lies within about 10^(-digits/m) of the
@@ -518,7 +520,9 @@ def log_derivative(
     """sum_j m_j K(x - p_j) with the family kernel K, from the :func:`phases`
     of x and of the points.
 
-    A point equal to x raises :class:`CoincidentPointError`.
+    A point equal to x raises :class:`CoincidentPointError`.  A factored
+    form's Newton ratio runs this sum only off its roots: it finds x on a
+    root in ``FactoredPoly.root_set`` first, and runs no term there.
     """
     ctx = _context(max(x.digits, *(p.digits for p in points)))
     decs = [p.dec for p in points]
@@ -652,6 +656,11 @@ class FactoredPoly:
         return tuple(r.dec for r in self.roots)
 
     @cached_property
+    def root_set(self) -> frozenset[Decimal]:
+        """The roots' Decimals as a set: a Newton ratio finds x on a root in O(1)."""
+        return frozenset(self.root_decs)
+
+    @cached_property
     def root_digits(self) -> int:
         """The most digits any root carries."""
         return max(r.digits for r in self.roots)
@@ -739,7 +748,8 @@ def newton_ratio(
     """(p(x)/p'(x), at_floor) from x's :func:`phases` and the :func:`root_phases` of p.
 
     The ratio is zero at an exact root, even a multiple one.  A factored
-    form takes the reciprocal of its logarithmic derivative, and a
+    form finds x on a root in ``FactoredPoly.root_set`` and runs no term
+    there; elsewhere it takes the reciprocal of its logarithmic derivative.  A
     coefficient form evaluates p and p' by :func:`eval_with_derivative`
     with x's phase; ``phase`` is None for the algebraic family.  ``at_floor``
     says that |p(x)| lies within the bound of :func:`eval_with_derivative`,
@@ -748,12 +758,10 @@ def newton_ratio(
     the floor that raises :class:`DerivativeZeroError`.
     """
     if isinstance(p, FactoredPoly):
-        ctx = _context(max(x.digits, p.root_digits))
-        try:
-            total = _log_derivative(_RULES[p.family], ctx, x.dec, phase, p.root_decs, roots,
-                                    p.mults)
-        except CoincidentPointError:
+        if x.dec in p.root_set:
             return zero(x.digits), False
+        ctx = _context(max(x.digits, p.root_digits))
+        total = _log_derivative(_RULES[p.family], ctx, x.dec, phase, p.root_decs, roots, p.mults)
         if total.is_zero():
             raise DerivativeZeroError(x)
         return Real(ctx.divide(1, total), ctx.prec), False

@@ -24,14 +24,26 @@ roots' corrections.  A factored form has no such floor and never
 freezes.
 
 A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
-estimate and :func:`correction_sum` once, and both return Reals.  The
-update, the at-floor step test and the step sizes then run on the
-Decimals inside, every operation under one context at the estimates'
-precision (the most digits an estimate carries), in the order that the
-Real expression would use.  So a solve runs at its estimates' precision
-whatever digits the polynomial's coefficients carry, and the new
-estimates and their steps carry it too.  Reals are made only for the
-new estimates and their steps.
+estimate.  A root is settled when it is frozen, or when its ratio is 0
+and its estimate already carries every digit of the sweep's precision:
+its update x - 0E(b) then gives x back whatever the exponent b of its
+bracket, so the sweep leaves it as it is.  (A shorter estimate on its
+root, such as ``1``, still moves: the update writes it out as
+``1.000...0``.)  The sweep then calls :func:`correction_sum` once if
+any root is not settled, and not at all when every root is: the last
+sweep of a factored solve, whose estimates have all landed on their
+roots, makes no correction pass.  MPSolve
+likewise stops updating settled approximations.  A failure is reported
+for the first root, in root order, whose ratio, correction or update
+fails.
+
+Both calls return Reals.  The update, the at-floor step test and the
+step sizes then run on the Decimals inside, every operation under one
+context at the estimates' precision (the most digits an estimate
+carries), in the order that the Real expression would use.  So a solve
+runs at its estimates' precision whatever digits the polynomial's
+coefficients carry, and the new estimates and their steps carry it too.
+Reals are made only for the new estimates and their steps.
 """
 
 from __future__ import annotations
@@ -218,18 +230,33 @@ def _advance(
     # an estimate that does not move steps by abs(xi - xi), a zero
     steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) for x in estimates.x]
     froze = set(frozen)
-    corrections = None
+    # the roots that are not settled, by index, with their Newton ratios
+    moving: dict[int, tuple[Real, int, Real, bool]] = {}
+    failure = None
     for i, (xi, mult) in enumerate(zip(estimates.x, profile.mults)):
         if i in frozen:
             continue
         try:
             ratio, at_floor = newton_ratio(p, xi, own[i], roots)
-            if ratio is None:  # p'(x_i) rounded to 0 at the floor
-                froze.add(i)
-                continue
+        except ArithmeticError as exc:
+            # no later root can fail first; earlier ones may in their update
+            failure = StepFailure(i, exc)
+            break
+        if ratio is None:  # p'(x_i) rounded to 0 at the floor
+            froze.add(i)
+        elif not (ratio.is_zero() and xi.digits == ctx.prec
+                  and len(xi.dec.as_tuple().digits) == ctx.prec):  # not settled
+            moving[i] = xi, mult, ratio, at_floor
+    corrections = None
+    if chebyshev and moving:
+        try:
+            corrections = correction_sum(family, estimates, profile, own)
+        except ArithmeticError as exc:
+            raise StepFailure(next(iter(moving)), exc) from exc
+    for i, (xi, mult, ratio, at_floor) in moving.items():
+        try:
             bracket = 1
-            if chebyshev:
-                corrections = corrections or correction_sum(family, estimates, profile, own)
+            if corrections is not None:
                 # 1 + ratio * C_i
                 bracket = ctx.add(ctx.multiply(ratio.dec, corrections[i].dec), 1)
             # xi - mult * ratio * bracket
@@ -244,6 +271,8 @@ def _advance(
             steps[i] = Real(size, ctx.prec)
         except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
+    if failure is not None:
+        raise failure
     try:
         return EstimateVector(tuple(new), estimates.k + 1), tuple(steps), frozenset(froze)
     except CollisionError as exc:

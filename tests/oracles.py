@@ -315,6 +315,9 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
     The Newton ratios and the corrections come from the package's kernels
     (``newton_ratio`` and ``correction_sum``), which the sections above
     check; a step that fails raises ``StepFailure`` as the sweep does.
+    It keeps the rule that every root takes its ratio, its correction
+    from one full pass and its update, even where its estimate already
+    sits on a root, which ``solve`` skips.
     """
     family = family_of(p)
     roots = root_phases(p, estimates.digits)

@@ -509,6 +509,20 @@ def test_verify_rejects_max_sep_with_roots(capsys, theorem, extra):
         1, "", "usage error: --max-sep goes with --d; --roots gives the maximum separation\n")
 
 
+@pytest.mark.parametrize("theorem", ["1", "3"])
+@pytest.mark.parametrize("extra,named", [
+    (["--xi", "1"], "--xi"),
+    (["--max-sep", "5"], "--max-sep"),
+    (["--xi", "1", "--max-sep", "5"], "--xi or --max-sep"),
+])
+def test_verify_rejects_the_theorem_2_flags_for_theorems_1_and_3(capsys, theorem, extra, named):
+    # neither theorem reads xi or the maximum separation, so a given one
+    # would be dropped without a word
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--d", "1", "--mults", "2,2",
+                         "--c", "0.05", "--q", "0.5", *extra)
+    assert (code, out, err) == (1, "", f"usage error: --theorem {theorem} does not take {named}\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from decimal import Decimal, Inexact, Rounded, localcontext
@@ -360,6 +361,40 @@ def full_numeral(rng: random.Random, digits: int) -> Real:
 def same(got: Real, want: Real) -> bool:
     """Equal bit for bit: the same coefficient, exponent and precision."""
     return got.dec.compare_total(want.dec) == 0 and got.digits == want.digits
+
+
+# -- a Newton ratio on a root --------------------------------------------
+
+
+def counting_odds(family, monkeypatch) -> list[int]:
+    """Patch the family's rule so that each row of odds it runs appends
+    its number of terms to the returned list."""
+    rule = polys._RULES[family]
+    terms: list[int] = []
+
+    def odds(*args):
+        terms.append(len(args[4]))
+        return rule.odds(*args)
+
+    monkeypatch.setitem(polys._RULES, family, dataclasses.replace(rule, odds=odds))
+    return terms
+
+
+def test_a_newton_ratio_on_a_root_runs_no_term(monkeypatch):
+    rng = random.Random(5)
+    for family in Family:
+        roots = [full_numeral(rng, 64) for _ in range(30)]
+        p = FactoredPoly(family, tuple(roots), tuple(1 + j % 3 for j in range(30)))
+        root_phases = polys.root_phases(p, 64)
+        terms = counting_odds(family, monkeypatch)
+        for j in (0, 17, 29):
+            ratio, at_floor = newton_ratio(p, roots[j], polys.phases(family, [roots[j]], 64)[0],
+                                           root_phases)
+            assert same(ratio, zero(64)) and not at_floor
+        assert terms == []
+        x = full_numeral(rng, 64)
+        newton_ratio(p, x, polys.phases(family, [x], 64)[0], root_phases)
+        assert terms == [30]
 
 
 @pytest.mark.parametrize("family", list(Family))

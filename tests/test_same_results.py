@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from simulroot import parse_problem, render_trace, solve
+from simulroot import parse_problem, render_trace, solve, solver
 from simulroot.solver import Method
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -153,3 +153,31 @@ def _on_root_hash(workload: str, method: Method) -> str:
 @pytest.mark.parametrize("workload,method", sorted(ON_ROOT_TRACE_SHA256))
 def test_solves_from_estimates_on_their_roots_are_unchanged(workload, method):
     assert _on_root_hash(workload, method) == ON_ROOT_TRACE_SHA256[workload, method]
+
+
+# -- the work of the seeded solves ----------------------------------------
+
+
+@pytest.mark.parametrize("workload", ["algebraic_factored", "periodic_factored"])
+def test_the_last_sweep_of_a_seeded_factored_solve_runs_no_correction_pass(workload,
+                                                                           monkeypatch):
+    # The iteration converges cubically, so the last sweep finds every
+    # estimate on its root: every root is settled and no pass runs.
+    # Every earlier sweep moves some root and runs one.
+    passes = []
+    correction_sum = solver.correction_sum
+
+    def counted(family, estimates, profile, estimate_phases):
+        passes.append(estimates.k)
+        return correction_sum(family, estimates, profile, estimate_phases)
+
+    monkeypatch.setattr(solver, "correction_sum", counted)
+    for round_index in (0, 1):
+        for problem in _workloads().solve_round(1, workload, round_index):
+            spec = parse_problem(problem["json"])
+            passes.clear()
+            report = solve(spec.poly, spec.profile(), spec.initial_vector(), spec.solve_config())
+            sweeps = report.trace.step_sizes
+            assert report.converged
+            assert all(step.is_zero() for step in sweeps[-1])
+            assert passes == list(range(len(sweeps) - 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot.numeric import Real, make_real, pi, ten_power
+from simulroot.numeric import PhaseError, Real, make_real, pi, ten_power
 from simulroot.polys import (
     AlgebraicCoeffPoly,
     FactoredPoly,
@@ -18,7 +18,7 @@ from simulroot.polys import (
     expand_algebraic,
     phases,
 )
-from simulroot import polys
+from simulroot import polys, solver
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
@@ -486,6 +486,90 @@ def test_one_sweep_equals_the_real_arithmetic_reference(case, method):
     (got_steps,) = report.trace.step_sizes
     for got, want in zip(report.trace.snapshots[1].x + got_steps, snapshot.x + steps):
         assert got.dec.compare_total(want.dec) == 0 and got.digits == want.digits
+
+
+def on_root(root: str, digits: int) -> str:
+    """The root written out to ``digits`` significant digits."""
+    value = Decimal(root)
+    return format(value, f".{digits - 1 - value.adjusted()}f")
+
+
+def seeded_on_roots(m, digits):
+    """seeded_factored with every third estimate on its root, written out
+    or short by turns."""
+    poly, mults, init, digits = seeded_factored(m, digits)
+    init = list(init)
+    for j in range(0, m, 3):
+        root = str(poly.roots[j].dec)
+        init[j] = on_root(root, digits) if j % 2 else root[:6]
+    return poly, mults, tuple(init), digits
+
+
+# Vectors with estimates on their roots, short (``1``) and written out to
+# the working digits (``1.000…0``): the short ones still move, since the
+# update writes them out, and the written-out ones are settled.
+ON_ROOT_SWEEPS = {
+    "algebraic factored": (EXAMPLE_1, (2, 1, 3), ("-2", "0.1", on_root("3", 64)), 64),
+    "algebraic factored, every estimate settled": (
+        EXAMPLE_1, (2, 1, 3), tuple(on_root(r, 64) for r in ("-2", "1", "3")), 64),
+    "algebraic factored, m = 30": seeded_on_roots(30, 64),
+    "trigonometric factored": (EXAMPLE_2, (3, 2, 1), ("1", on_root("2", 64), "3"), 64),
+    "exponential factored": (EXAMPLE_3, (2, 2), (on_root("-2", 256), "3"), 256),
+    "algebraic coefficients": (
+        planted("algebraic", ["0", "1", "2"], [1, 1, 3], 64), (1, 1, 3),
+        ("0", on_root("1", 64), "2"), 64),
+    "trigonometric coefficients": (
+        planted("trigonometric", ["-1", "0.5", "2"], [1, 3, 2], 64), (1, 3, 2),
+        ("-1", on_root("0.5", 64), "2.03"), 64),
+}
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("case", sorted(ON_ROOT_SWEEPS))
+def test_a_sweep_from_estimates_on_their_roots_equals_the_full_correction_reference(case,
+                                                                                  method):
+    # the reference runs every root's ratio and a full correction pass
+    poly, mults, init, digits = ON_ROOT_SWEEPS[case]
+    profile = MultiplicityProfile(mults)
+    start = EstimateVector(tuple(make_real(v, digits) for v in init))
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    tolerance = ten_power(6 - digits, digits)
+    snapshot, steps, frozen = real_sweep(poly, start, profile, method is Method.CHEBYSHEV,
+                                         tolerance)
+    assert report.failure is None and report.frozen == frozen
+    (got_steps,) = report.trace.step_sizes
+    assert ([(str(x.dec), x.digits) for x in report.trace.snapshots[1].x + got_steps]
+            == [(str(x.dec), x.digits) for x in snapshot.x + steps])
+
+
+@pytest.mark.parametrize("ratio_fails,update_fails,named", [(2, 0, 0), (0, 2, 0), (1, 1, 1)])
+def test_a_sweep_reports_the_first_root_in_order_that_fails(ratio_fails, update_fails, named,
+                                                            monkeypatch):
+    # A sweep takes every Newton ratio before any update, yet the failure
+    # it reports is the first in root order, whichever step it came from.
+    init = estimates("0.2", "1.7", "3")
+    newton_ratio = solver.newton_ratio
+
+    def ratio(p, x, *args):
+        if x is init.x[ratio_fails]:
+            raise polys.DerivativeZeroError(x)
+        return newton_ratio(p, x, *args)
+
+    def check_phase(x, name):
+        if name == "the new estimate":
+            if len(updates) == update_fails:
+                raise PhaseError("no digit of its phase left")
+            updates.append(x)
+        return x
+
+    updates = []
+    monkeypatch.setattr(solver, "newton_ratio", ratio)
+    monkeypatch.setattr(solver, "check_phase", check_phase)
+    report = solve(EXAMPLE_2, MultiplicityProfile((3, 2, 1)), init, SolveConfig(max_iters=1))
+    assert report.stop_reason is StopReason.STEP_FAILURE
+    assert report.failure.startswith(f"step failed for root index {named}: ")
+    cause = "no digit" if update_fails < ratio_fails else "derivative is zero"
+    assert cause in report.failure
 
 
 def test_an_algebraic_solve_makes_no_phases(monkeypatch):

@@ -274,7 +274,7 @@ VERIFY_EDGES = [
     # xi/2 or d/2 - c with no digit of its phase left
     ["2", *D1, "--c", "0.05", "--q", "0.5", "--xi", "1e30000"],
     ["2", *D1, "--c", "1e999999999999999990", "--q", "0.5", "--xi", "1"],
-    # --d with and without --max-sep, and theorem 2 without --xi
+    # --d with and without --max-sep (theorems 1 and 3 take none), and theorem 2 without --xi
     ["2", "--d", "1", "--mults", "1,1", "--c", "0.05", "--q", "0.5", "--xi", "1"],
     ["2", "--roots", "1,2,2.5", "--mults", "3,2,1", "--c", "0.05", "--q", "0.5"],
     ["1", "--d", "2", "--max-sep", "5", "--mults", "2,1,3", "--c", "0.05", "--q", "0.5"],
@@ -284,7 +284,7 @@ VERIFY_EDGES = [
     ["2", "--roots", "1,2,2.5", "--mults", "3,2,1", "--c", "0.05", "--q", "0.5", "--xi", "1",
      "--digits", "100"],
 ] + [
-    # q at 0 and at 1
+    # q at 0 and at 1 (theorems 1 and 3 reject the --xi)
     [t, "--roots", "-2,1,3", "--mults", "2,2,2", "--c", "0.05", "--q", q, "--xi", "1"]
     for t in "123" for q in ("0", "1")
 ]
@@ -325,7 +325,10 @@ def verify_corpus() -> list[list[str]]:
     return [argv + json_flag for argv in calls for json_flag in ([], ["--json"])]
 
 
-VERIFY_CORPUS_SHA256 = "1dbe40d14722783f1839f5e80031b4e4ac7390da4ecca20b28ecfff8db2c39b9"
+# Retaken when theorems 1 and 3 began to reject --xi and --max-sep: the
+# 12 calls that pass them (4 --xi q-sweep entries and 2 --max-sep
+# entries, plain and with --json) now exit 1, and no other call changed.
+VERIFY_CORPUS_SHA256 = "8b1f9cec1a44ce4b319caf1a09e27d4f98cc7c9ad8a813bc4c0e7519e07668bd"
 
 
 def test_verify_output_over_the_seeded_corpus_is_pinned(monkeypatch):
