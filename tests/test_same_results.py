@@ -21,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from simulroot import parse_problem, render_trace, solve, solver
-from simulroot.solver import Method
+from simulroot import parse_expression, parse_problem, render_trace, solve, solver
+from simulroot.numeric import make_real
+from simulroot.polys import FactoredPoly, Family
+from simulroot.solver import EstimateVector, Method, MultiplicityProfile, SolveConfig
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -181,3 +183,74 @@ def test_the_last_sweep_of_a_seeded_factored_solve_runs_no_correction_pass(workl
             assert report.converged
             assert all(step.is_zero() for step in sweeps[-1])
             assert passes == list(range(len(sweeps) - 1))
+
+
+# -- solves whose phases come from the estimates' own positions -----------
+#
+# Factored half-angle solves whose estimates turn their phases from where
+# they were, or take the phase kernel: starts 0.4 to 0.6 from their roots;
+# a multiplicity off by one, so that an estimate keeps stepping 0.2 or
+# more; trig estimates converging a whole period away from their root;
+# roots parsed at 80 digits for 64-digit estimates, so the roots' phases
+# serve other digits; and exponential roots at 1e20000, whose phases
+# overflow.  Each entry is (expression, or the roots and powers of a form
+# the grammar cannot spell; the roots' digits; the multiplicities the
+# solve assumes; the initial estimates; max_iters).  Estimates carry the
+# roots' digits, or 64 where the roots carry 80.
+
+LONG_SHIFTS = ("1.234567890123456789012345678901234567890123456789012345678901234567",
+               "2.718281828459045235360287471352662497757247093699959574966967627724")
+
+OFF_ROOT_PROBLEMS = {
+    Family.TRIGONOMETRIC: [
+        ("sin((x-1)/2)^2*sin((x-2.5)/2)*sin((x+2)/2)", 64, (2, 1, 1), ("0.4", "3.1", "-1.4"), 50),
+        ("sin((x-1)/2)^2*sin((x-2.5)/2)*sin((x+2)/2)", 256, (2, 1, 1), ("0.4", "3.1", "-1.4"), 2),
+        ("sin((x-1)/2)^3*sin((x-2.5)/2)", 64, (2, 2), ("0.7", "2.9"), 8),
+        ("sin((x-1)/2)*sin((x-2)/2)^2*sin((x+1.5)/2)", 64, (1, 2, 1),
+         ("7.333185307", "2.02", "-7.803185307"), 50),
+        (f"sin((x-{LONG_SHIFTS[0]})/2)^2*sin((x+{LONG_SHIFTS[1]})/2)^2", 80, (2, 2),
+         ("1.3", "-2.6"), 50),
+    ],
+    Family.EXPONENTIAL: [
+        ("sinh((x-1)/2)^2*sinh((x-2.5)/2)*sinh((x+2)/2)", 64, (2, 1, 1),
+         ("0.7", "2.8", "-1.7"), 50),
+        ("sinh((x-1)/2)^2*sinh((x-2.5)/2)*sinh((x+2)/2)", 256, (2, 1, 1),
+         ("0.4", "3.1", "-1.4"), 4),
+        ("sinh((x-1)/2)^3*sinh((x+0.5)/2)", 64, (2, 2), ("0.7", "-0.2"), 8),
+        (f"sinh((x-{LONG_SHIFTS[0]})/2)^2*sinh((x+{LONG_SHIFTS[1]})/2)^2", 80, (2, 2),
+         ("1.3", "-2.6"), 50),
+        ((("1e20000", 1), ("1", 1), ("-2", 2)), 64, (1, 1, 2), ("1e20000", "1.3", "-2.2"), 50),
+        ((("1e20000", 1), ("1", 1), ("-2", 2)), 64, (1, 1, 2),
+         ("1.0000000001e20000", "1.3", "-2.2"), 50),
+    ],
+}
+
+OFF_ROOT_TRACE_SHA256 = {
+    (Family.TRIGONOMETRIC, Method.CHEBYSHEV):
+        "51bec2fdc686990f8d014d7639e66114a9cfc0948d3f8dadc12abfae8f0e4071",
+    (Family.TRIGONOMETRIC, Method.NEWTON_BASELINE):
+        "23ae15ecbdacb608b3eb11086e8816f1846df1d20b6d7b12cd3bc7384f25d792",
+    (Family.EXPONENTIAL, Method.CHEBYSHEV):
+        "2cc97fa3d3f7b89cd099bf809062d71fa7376145c9f33f033999d854b65e3ee7",
+    (Family.EXPONENTIAL, Method.NEWTON_BASELINE):
+        "4182d47b5827e0da5bffec9a5008cd0ec94ef601329db069755d142bbed38145",
+}
+
+
+def _off_root_poly(family: Family, form, digits: int) -> FactoredPoly:
+    if isinstance(form, str):
+        return parse_expression(form, digits)
+    return FactoredPoly(family, tuple(make_real(r, digits) for r, _ in form),
+                        tuple(power for _, power in form))
+
+
+@pytest.mark.parametrize("family,method", sorted(OFF_ROOT_TRACE_SHA256))
+def test_solves_from_estimates_off_their_roots_are_unchanged(family, method):
+    traces = hashlib.sha256()
+    for form, digits, mults, init, max_iters in OFF_ROOT_PROBLEMS[family]:
+        p = _off_root_poly(family, form, digits)
+        estimate_digits = 64 if digits == 80 else digits
+        estimates = EstimateVector(tuple(make_real(x, estimate_digits) for x in init))
+        config = SolveConfig(max_iters=max_iters, method=method)
+        traces.update(render_trace(solve(p, MultiplicityProfile(mults), estimates, config), "json"))
+    assert traces.hexdigest() == OFF_ROOT_TRACE_SHA256[family, method]
