@@ -22,7 +22,9 @@ than the sums; the solver keeps a factored form's roots' phases for a
 whole solve, and the estimates' phases from sweep to sweep.  Every pair
 derived from phases is one or two angle subtractions (:func:`_minus`):
 
-* a turn, by the pair at half an estimate's step (:func:`turned_phases`);
+* a turn, by the pair at half the distance from an estimate to the
+  nearer of its last position and its nearest root
+  (:func:`phase_anchors`, :func:`turned_phases`);
 * cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
 * (c(kx), s(kx)), k = 1..n, from x's phase by the double angle and the
   addition steps (:func:`_multiple_pairs`);
@@ -72,6 +74,7 @@ no bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -319,11 +322,14 @@ def turned_phases(
     """The phases of the points ``new`` for sums at ``digits`` digits, from
     ``old_phases``, the phases of the points ``old``.
 
-    A point that did not move keeps its phase.  One that moved by less
-    than ``MAX_TURN_STEP`` has its phase turned by the step; one whose
-    phase is None, serves other digits or has ``TURN_LIMIT`` turns, or
-    that moved further, takes :func:`phases`, as every point does where
-    ``old_phases`` is None.  All None for the algebraic family.
+    Each old point is a point whose phase is already known: a solve passes
+    the new point's last position or a root, whichever
+    :func:`phase_anchors` finds nearer.  A new point equal to its old point
+    keeps that phase object.  One less than ``MAX_TURN_STEP`` from it has
+    the phase turned by the difference; one whose old phase is None,
+    serves other digits or has ``TURN_LIMIT`` turns, or that lies further,
+    takes :func:`phases`, as every point does where ``old_phases`` is
+    None.  All None for the algebraic family.
     """
     rule = _RULES[family]
     if rule.pair is None:
@@ -656,6 +662,13 @@ class FactoredPoly:
         return tuple(r.dec for r in self.roots)
 
     @cached_property
+    def sorted_roots(self) -> tuple[tuple[Decimal, ...], tuple[int, ...]]:
+        """The roots' Decimals in ascending order, and the index in ``roots``
+        of each: a solve bisects them for the root nearest an estimate."""
+        order = tuple(sorted(range(len(self.root_decs)), key=self.root_decs.__getitem__))
+        return tuple(self.root_decs[i] for i in order), order
+
+    @cached_property
     def root_set(self) -> frozenset[Decimal]:
         """The roots' Decimals as a set: a Newton ratio finds x on a root in O(1)."""
         return frozenset(self.root_decs)
@@ -736,10 +749,57 @@ def _error_bound(mu: Decimal, digits: int) -> Real:
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
     """The :func:`phases` of a factored form's roots, for the Newton ratios
     of estimates that carry ``digits`` digits; [] for coefficient forms
-    and for the algebraic family, which has no phases."""
+    and for the algebraic family, which has no phases.
+
+    They serve the roots' digits where those are more.  Where they serve
+    the estimates' digits, an estimate's phase may also turn from its
+    nearest root's (:func:`phase_anchors`): a root-anchored phase is one
+    turn from a direct one, and an estimate on a root takes the root's
+    phase as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
     return phases(p.family, p.roots, max(digits, p.root_digits))
+
+
+def phase_anchors(
+    p: Polynomial,
+    roots: Sequence[Phase | None],
+    old: Sequence[Real],
+    new: Sequence[Real],
+    old_phases: Sequence[Phase | None] | None,
+    digits: int,
+) -> tuple[Sequence[Real], Sequence[Phase | None] | None]:
+    """The points, and their phases, that :func:`turned_phases` turns the
+    phases of the points ``new`` from, for sums at ``digits`` digits.
+
+    Each point's anchor is its ``old`` point with its phase in
+    ``old_phases``, or p's root nearest to it with its phase in ``roots``
+    (p's :func:`root_phases`) where that phase serves ``digits`` and the
+    root lies nearer than the old point, or the old point has no phase.  A
+    point on a root so keeps the root's phase object, and a point near its
+    root turns by its distance to the root, which is cubically smaller
+    than its last step once the iteration converges.  ``old`` and
+    ``old_phases`` as they are where ``roots`` is empty: for coefficient
+    forms and the algebraic family.
+    """
+    if not roots:
+        return old, old_phases
+    decs, order = p.sorted_roots
+    w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
+    points = list(old)
+    known = list(old_phases or [None] * len(new))
+    for i, x in enumerate(new):
+        # the nearer of the roots on either side of x
+        j = bisect_left(decs, x.dec)
+        if j == len(decs) or (j and w.subtract(x.dec, decs[j - 1]) < w.subtract(decs[j], x.dec)):
+            j -= 1
+        root = roots[order[j]]
+        if root is None or root.digits != digits:
+            continue
+        gap = w.subtract(x.dec, decs[j]).copy_abs()
+        if known[i] is None or gap < w.subtract(x.dec, points[i].dec).copy_abs():
+            points[i], known[i] = p.roots[order[j]], root
+    return points, known
 
 
 def newton_ratio(

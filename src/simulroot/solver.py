@@ -44,6 +44,20 @@ carries), in the order that the Real expression would use.  So a solve
 runs at its estimates' precision whatever digits the polynomial's
 coefficients carry, and the new estimates and their steps carry it too.
 Reals are made only for the new estimates and their steps.
+
+A trigonometric or exponential solve gives every estimate its phase,
+the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
+its Newton ratio and the pair sums, and a factored form's roots get
+theirs once per solve (:func:`~simulroot.polys.root_phases`).  Each sweep
+turns an estimate's phase from the nearest point whose phase it knows:
+the estimate's last position, or its nearest root whose phase serves the
+estimates' digits (:func:`~simulroot.polys.phase_anchors`).  The phase
+kernel runs only for an estimate with no such point within
+``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1: after it
+the cubic iteration leaves most estimates well within that of their
+roots.  An estimate on its root keeps the root's phase.  Coefficient
+forms have no root phases and turn each phase by its estimate's last
+step.
 """
 
 from __future__ import annotations
@@ -62,6 +76,7 @@ from .polys import (
     family_of,
     newton_ratio,
     pairwise_log_derivatives,
+    phase_anchors,
     root_phases,
     turned_phases,
 )
@@ -334,10 +349,14 @@ def solve(
     stop = StopReason.MAX_ITERS
     failure = None
     for _ in range(cfg.max_iters):
-        # Sweep 1 runs the phase kernel; later sweeps turn each phase by
-        # its estimate's last step, here rather than after a sweep, so the
-        # sweep that stops the solve turns none.
-        own = turned_phases(family, previous.x, current.x, own, current.digits)
+        # Each estimate's phase turns from the nearer of its last position
+        # and its nearest root with a phase, here rather than after a
+        # sweep, so the sweep that stops the solve turns none.  In sweep 1
+        # only a root can serve, and the kernel runs for an estimate with
+        # none within MAX_TURN_STEP.
+        anchors, anchor_phases = phase_anchors(p, roots, previous.x, current.x, own,
+                                               current.digits)
+        own = turned_phases(family, anchors, current.x, anchor_phases, current.digits)
         try:
             nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
                                            frozen)

@@ -10,7 +10,8 @@ independent of the code under test.
 The exceptions are the sections on the ``polys`` loops and on the
 solver's update: the inner loops of ``polys``, and one sweep of
 ``solve``, written as chains of ``Real`` operations, one operation per
-step.  The package runs the same operations on ``Decimal``, so the
+step, with the distances a solve turns its phases by, read off its
+trace.  The package runs the same operations on ``Decimal``, so the
 tests hold the two equal bit for bit.  The ``polys`` section also holds
 the product rule on ``Real``, a reference value and derivative of a
 factored form, which the package never evaluates.  The last section
@@ -350,6 +351,23 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
     return nxt, tuple(abs(a - b) for a, b in zip(nxt.x, estimates.x)), frozenset(froze)
+
+
+def known_phase_gaps(p, snapshots, sweeps):
+    """For each of a factored solve's first ``sweeps`` sweeps, each
+    estimate's distance to the nearest point whose phase the sweep knows:
+    a root of p, or from sweep 2 on the estimate's last position too.  A
+    sweep turns a phase by that distance, keeps it where it is 0 and runs
+    the phase kernel where it is MAX_TURN_STEP or more (while no root's
+    phase overflows or serves other digits)."""
+    gaps = []
+    for sweep, now in enumerate(snapshots[:sweeps]):
+        row = [min(abs(x.dec - r.dec) for r in p.roots) for x in now.x]
+        if sweep:
+            row = [min(gap, abs(x.dec - last.dec))
+                   for gap, x, last in zip(row, now.x, snapshots[sweep - 1].x)]
+        gaps.append(row)
+    return gaps
 
 
 # -- coefficient forms from planted roots -------------------------------

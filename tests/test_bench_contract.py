@@ -22,6 +22,8 @@ import simulroot
 from simulroot import cli, polys
 from simulroot.numeric import make_real
 
+from oracles import known_phase_gaps
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -119,17 +121,20 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
 
 
 @pytest.mark.parametrize("expr,init,expected", [
-    ("sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3"), (3, 7, 9, 15, 7)),
-    ("sinh((x+2)/2)^2*sinh((x-3)/2)^2", ("-1.5", "2.4"), (2, 6, 4, 8, 4)),
+    ("sin((x-1)/2)^3*sin((x-2)/2)^2*sin((x-2.5)/2)", ("0.2", "1.7", "3"), (3, 7, 6, 12, 7)),
+    ("sinh((x+2)/2)^2*sinh((x-3)/2)^2", ("-1.5", "2.4"), (2, 6, 2, 6, 4)),
 ])
 def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, expected,
                                                                    monkeypatch):
-    # cos_sin/cosh_sinh run through the rule's lambdas for p's m roots and
-    # the m estimates of sweep 1; later sweeps turn each estimate's phase
-    # by its last step and run the kernel only for a step of at least
-    # MAX_TURN_STEP, and the sweep that stops the solve turns none.  Each
-    # sweep ran the kernel for every estimate before: m (k + 1) in all,
-    # 24 and 14 calls here against 15 and 8.  The short series serves the
+    # cos_sin/cosh_sinh run through the rule's lambdas for p's m roots, the
+    # m estimates of sweep 1 (none starts within MAX_TURN_STEP of a root)
+    # and each later estimate with no known phase within MAX_TURN_STEP.
+    # A later sweep turns each estimate's phase from the nearer of its last
+    # position and its nearest root, and an estimate on its root keeps the
+    # root's phase; the sweep that stops the solve turns none.  A kernel
+    # run for every estimate in every sweep made m (k + 1) calls, 24 and 14
+    # here against 12 and 6, and turning from the last position alone
+    # made 9 and 4 later runs, 15 and 8 calls.  The short series serves the
     # turns, at TURN_GUARD_DIGITS more digits than a phase, and the near
     # terms, K(x_i - r_i) once x_i lies within 2e-10 of r_i, at a phase's
     # digits.
@@ -145,18 +150,17 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
     report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(), spec.config)
     assert report.converged
     m, k = spec.profile().m, len(report.trace.step_sizes)
-    snaps = report.trace.snapshots
-    redos = sum(abs(a.dec - b.dec) >= polys.MAX_TURN_STEP
-                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
+    first, *later = known_phase_gaps(spec.poly, report.trace.snapshots, k)
+    assert min(first) >= polys.MAX_TURN_STEP
+    gaps = [gap for row in later for gap in row]
+    redos = sum(gap >= polys.MAX_TURN_STEP for gap in gaps)
     phase_prec = spec.init[0].digits + polys.PHASE_GUARD_DIGITS
     turns = series_calls.count(phase_prec + polys.TURN_GUARD_DIGITS)
     near = series_calls.count(phase_prec)
     assert turns + near == len(series_calls)
     assert (m, k, redos, len(calls), near) == expected
     assert len(calls) == 2 * m + redos < m * (k + 1)
-    steps = sum(0 < abs(a.dec - b.dec) < polys.MAX_TURN_STEP
-                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
-    assert turns == steps
+    assert turns == sum(0 < gap < polys.MAX_TURN_STEP for gap in gaps)
 
 
 @pytest.mark.parametrize("family,mults,digits,pair,odd,expected", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulroot import cli, numeric, polys
+from simulroot import cli, numeric, polys, solver
 from simulroot.numeric import Real, make_real, one, ten_power, zero
 from simulroot.polys import (
     AlgebraicCoeffPoly,
@@ -1039,6 +1039,80 @@ def test_turned_phases_are_pinned(family, digits):
             digest.update(f"{q.c}|{q.s}|{q.digits}|{q.turns}\n".encode())
     assert [q.turns for q in ph] == [6, 12, 12, 12, 12]
     assert digest.hexdigest() == TURNED_PHASES_SHA256[family.value, digits]
+
+
+# -- phases a solve turns from its roots ---------------------------------
+
+
+def anchored_solve_problems(family, digits, rng):
+    """Seeded factored problems with four full-length roots near -2.5,
+    -0.8, 0.9 and 2.6: the first estimate starts on its root, the second
+    1e-4 from it and the rest 0.05 to 0.1 away, so that their phases turn
+    from the roots in sweep 1 and from sweep 2 on respectively."""
+    problems = []
+    for mults in ((1, 2, 1, 2), (3, 1, 1, 1), (2, 2, 2, 2), (1, 1, 1, 1)):
+        roots = [R(base, digits) + full_numeral(rng, digits) * R("0.01", digits)
+                 for base in ("-2.5", "-0.8", "0.9", "2.6")]
+        offsets = [R("0", digits), R("1e-4", digits)]
+        offsets += [R(repr(rng.uniform(0.05, 0.1)), digits) for _ in roots[2:]]
+        init = [r + rng.choice((1, -1)) * offset for r, offset in zip(roots, offsets)]
+        problems.append((FactoredPoly(family, tuple(roots), mults), mults, init))
+    return problems
+
+
+def phase_bound_violations(family, digits, monkeypatch, anchors=polys.phase_anchors):
+    """Every phase that ``solve`` hands a sweep of the seeded problems,
+    against a rerun at 2 digits + 20: [(x, turns, error)] for each phase
+    outside 0.5 + turns * TURN_ERROR units, with the phases of estimates
+    on a root and the phases turned at all counted.  ``anchors`` stands in
+    for :func:`polys.phase_anchors`."""
+    handed = []
+    advance = solver._advance
+
+    def recorded(p, estimates, profile, chebyshev, roots, own, *rest):
+        handed.append((p, estimates.x, own, roots))
+        return advance(p, estimates, profile, chebyshev, roots, own, *rest)
+
+    monkeypatch.setattr(solver, "_advance", recorded)
+    monkeypatch.setattr(solver, "phase_anchors", anchors)
+    rng = random.Random(digits * 7 + len(family.value))
+    for p, mults, init in anchored_solve_problems(family, digits, rng):
+        solver.solve(p, solver.MultiplicityProfile(mults), solver.EstimateVector(tuple(init)))
+    violations, on_root, turned = [], 0, 0
+    for p, xs, own, roots in handed:
+        for x, ph in zip(xs, own):
+            if x.dec in p.root_set:
+                assert ph is roots[p.root_decs.index(x.dec)]
+                on_root += 1
+            turned += ph.turns > 0
+            error = phase_error(family, x, ph, digits)
+            if error > Decimal("0.50000001") + ph.turns * polys.TURN_ERROR:
+                violations.append((x, ph.turns, error))
+    return violations, on_root, turned
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phases_a_solve_turns_from_its_roots_stay_within_their_bound(family, digits,
+                                                                     monkeypatch):
+    # An estimate's phase turns from its last position or from its nearest
+    # root, whichever is nearer; one on a root keeps that root's phase.
+    violations, on_root, turned = phase_bound_violations(family, digits, monkeypatch)
+    assert violations == []
+    assert on_root > 2 and turned > 8
+
+
+def test_a_turn_by_the_negated_gap_breaks_the_phase_bound(monkeypatch):
+    # The property above catches a turn from a root the wrong way: the
+    # root's phase moved by r - x instead of x - r, as though it were the
+    # phase of the mirror point 2x - r.
+    def mirrored(p, roots, old, new, old_phases, digits):
+        points, known = polys.phase_anchors(p, roots, old, new, old_phases, digits)
+        return [2 * x - a if a in p.roots and a != x else a for a, x in zip(points, new)], known
+
+    for family in HALF_ANGLE:
+        violations, *_ = phase_bound_violations(family, 64, monkeypatch, mirrored)
+        assert len(violations) > 4, family
 
 
 # -- multiple-angle pairs from a phase ------------------------------------

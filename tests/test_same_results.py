@@ -21,10 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from simulroot import parse_expression, parse_problem, render_trace, solve, solver
+from simulroot import parse_expression, parse_problem, polys, render_trace, solve, solver
 from simulroot.numeric import make_real
 from simulroot.polys import FactoredPoly, Family
 from simulroot.solver import EstimateVector, Method, MultiplicityProfile, SolveConfig
+
+from oracles import known_phase_gaps
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -183,6 +185,35 @@ def test_the_last_sweep_of_a_seeded_factored_solve_runs_no_correction_pass(workl
             assert report.converged
             assert all(step.is_zero() for step in sweeps[-1])
             assert passes == list(range(len(sweeps) - 1))
+
+
+def test_a_seeded_periodic_solve_runs_the_phase_kernel_for_its_roots_and_first_sweep(
+        monkeypatch):
+    # A sweep turns each estimate's phase from the nearer of its last
+    # position and its nearest root.  After sweep 1 every estimate but two
+    # (the first of an exponential m = 3 solve at 256 digits, in each
+    # round, about 2e-3 from its root after steps of 0.03 and 0.04) lies
+    # within MAX_TURN_STEP of its root, so the phase kernel runs for the
+    # roots, the estimates of sweep 1 and those two only.  Turning from the
+    # last position alone reran it 90 times after sweep 1 over these rounds.
+    calls = []
+    for name in ("cos_sin", "cosh_sinh"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name,
+                            lambda t, kernel=kernel: calls.append(t) or kernel(t))
+    roots = first_sweep = later = 0
+    for round_index in (0, 1):
+        for problem in _workloads().solve_round(1, "periodic_factored", round_index):
+            spec = parse_problem(problem["json"])
+            calls.clear()
+            report = solve(spec.poly, spec.profile(), spec.initial_vector(), spec.solve_config())
+            m, sweeps = spec.profile().m, len(report.trace.step_sizes)
+            first, *rest = known_phase_gaps(spec.poly, report.trace.snapshots, sweeps)
+            assert min(first) >= polys.MAX_TURN_STEP
+            redos = sum(gap >= polys.MAX_TURN_STEP for row in rest for gap in row)
+            assert len(calls) == 2 * m + redos
+            roots, first_sweep, later = roots + m, first_sweep + m, later + redos
+    assert (roots, first_sweep, later) == (88, 88, 2)
 
 
 # -- solves whose phases come from the estimates' own positions -----------
