@@ -8,7 +8,9 @@ generates (which it does without importing simulroot); a change that
 means to move a trace states why and pins the new hash.  The same solves
 under the multiplicity-Newton baseline are pinned too: that method
 evaluates the same Newton ratios, so a change to them shows there even
-where no correction pass runs.
+where no correction pass runs.  The coefficient-form solves are pinned
+one family at a time (keys ``coefficient_form/<family>``), so a change to
+one family's sums shows which family's traces it moves.
 """
 
 import hashlib
@@ -33,13 +35,23 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 TRACE_SHA256 = {
     "algebraic_factored": "ea431c4ef85ec5224c1b1f9f8212c59d385c15917f920bb5968d58983c5019ca",
     "periodic_factored": "9de4d855170de40cfc533691286d9ae6df40cbc2ae5ff6dbaa17357b1312bcf6",
-    "coefficient_form": "feb88998f340972d5ac1f268918c24465c27a2b78b54a7f6ef9ec50ca1631dfd",
+    "coefficient_form/algebraic":
+        "27457a086371e46c0a7d8fe2adae11112c1a7d1a92e48120dcaeb8f3ac22a81f",
+    "coefficient_form/trigonometric":
+        "5691784f4500ff6a3ddbc23036f3acd0cdfd1b2abb2f40c009a2931767a5476d",
+    "coefficient_form/exponential":
+        "7256f6ab9be98b3623618aa670ed3fa98566b0518ef012900d68da9dc387beb5",
 }
 
 NEWTON_BASELINE_TRACE_SHA256 = {
     "algebraic_factored": "24b6b6a47b397409d2ffd8e96003f98c0e328311c74cd21d249bdd2b35639293",
     "periodic_factored": "f21a88d21b50fefca14e4c48bf7744215daca7cfa6c58be5f86ac2c7a7fc0aae",
-    "coefficient_form": "c4e6dda0aa3bd9209f95385eeaafa7842ab57eb7a5781ea0bdfc00a9dd36016c",
+    "coefficient_form/algebraic":
+        "0cce59735c72f3707dfc36101ce418851aeedd020dc145e33319e0b55b3a54dc",
+    "coefficient_form/trigonometric":
+        "17145421a300fa6874ba81d0eaf4f86d94407f1ce9729ee1c076303eabd2bc3f",
+    "coefficient_form/exponential":
+        "916297932501914ee1d14eb15e9fc3fa1989a5fd24d94d75d97a606ae6ebf21e",
 }
 
 
@@ -50,14 +62,22 @@ def _workloads():
     return module
 
 
-def _trace_hash(workload: str, method: Method) -> str:
+def _of_family(key: str, problems: list[bytes]) -> list[bytes]:
+    """The problems that the pin ``key`` covers: all of them, or for
+    ``<workload>/<family>`` those of that family, in their order."""
+    _, _, family = key.partition("/")
+    return [data for data in problems if not family or json.loads(data)["family"] == family]
+
+
+def _trace_hash(key: str, method: Method) -> str:
+    workload = key.partition("/")[0]
+    problems = [p["json"] for r in (0, 1) for p in _workloads().solve_round(1, workload, r)]
     traces = hashlib.sha256()
-    for round_index in (0, 1):
-        for problem in _workloads().solve_round(1, workload, round_index):
-            spec = parse_problem(problem["json"])
-            config = replace(spec.solve_config(), method=method)
-            report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
-            traces.update(render_trace(report, "json"))
+    for data in _of_family(key, problems):
+        spec = parse_problem(data)
+        config = replace(spec.solve_config(), method=method)
+        report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
+        traces.update(render_trace(report, "json"))
     return traces.hexdigest()
 
 
@@ -92,10 +112,18 @@ ON_ROOT_TRACE_SHA256 = {
         "ea94136b56e2afe1849915e6ba541e27346de31c6d6b4b71b91643fd62bdbbe2",
     ("periodic_factored", Method.NEWTON_BASELINE):
         "347b5bda6876fc40405552c399cbe8d1035d7c637db1e32a341fc9fbf4862a73",
-    ("coefficient_form", Method.CHEBYSHEV):
-        "415040ecc16dcece1f0f0e5d1c03411109a121b786f52506e29a72180f5c0aa7",
-    ("coefficient_form", Method.NEWTON_BASELINE):
-        "60f362b4fdf62e0ec7ece828af417e6fc981796a0ea8a9342b93701d7f4db022",
+    ("coefficient_form/algebraic", Method.CHEBYSHEV):
+        "0f3f7bd293b4c0ee181fe152161bfc8979b595dbfeafd3a606ef833dbae9bbb0",
+    ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
+        "8d988868780a047a7969bcdae5b2472f330fb5e6dcb72e5913f1554d1974bf9f",
+    ("coefficient_form/trigonometric", Method.CHEBYSHEV):
+        "411c0ee5dae96aa64b2da9966b1e7e5024c2a398fd02f5bc0b6ed0bebf7288ce",
+    ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
+        "69ecdda11d3490c62c1066ac03aaae6d852ce1e36ffcdedd8ffc0b4335747f24",
+    ("coefficient_form/exponential", Method.CHEBYSHEV):
+        "5c257c235e8edac235583154da7149a699a360c89356a2de655993d83fff056d",
+    ("coefficient_form/exponential", Method.NEWTON_BASELINE):
+        "5cabb9ec2879f210ae3ca258fcd1c8af485f5e31231d1680ba3d6b0128573137",
 }
 
 SHORT_ROOTS = ("-2", "0", "0.5", "1")
@@ -144,9 +172,10 @@ def _on_root_problems(workload: str) -> list[bytes]:
     return out
 
 
-def _on_root_hash(workload: str, method: Method) -> str:
+def _on_root_hash(key: str, method: Method) -> str:
     traces = hashlib.sha256()
-    for data in _on_root_problems(workload):
+    # every problem draws from the rng before any is left out
+    for data in _of_family(key, _on_root_problems(key.partition("/")[0])):
         spec = parse_problem(data)
         config = replace(spec.solve_config(), method=method)
         report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
