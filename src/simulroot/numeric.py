@@ -21,14 +21,13 @@ formula, cached per precision) carrying extra digits for large
 arguments.  sinh/cosh use the context's exp only past coth's far-tail
 cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
 return a whole pair from one kernel run.  ``polys`` takes every cot and
-coth of its log-derivative sums, and every pair at kx of a coefficient
-form's sums, from such pairs, one per point, and calls a kernel at the
-term's own argument only where the pairs cannot give it to full
-precision.  When a point moves by a small step, ``polys``
-turns its pair by the pair at half the step, which one short loop over
-both Taylor series gives without halving; the same loop gives the pair
-behind cot or coth at half the difference of two points closer than
-2e-10, where their pairs would cancel.
+coth of its log-derivative sums, and a coefficient form's e^(ix) or e^x,
+from such pairs, one per point, and calls a kernel at a term's own
+argument only where the pairs cannot give it to full precision.  When a
+point moves by a small step, ``polys`` turns its pair by the pair at
+half the step, which one short loop over both Taylor series gives
+without halving; the same loop gives the pair behind cot or coth at half
+the difference of two points closer than 2e-10, where their pairs cancel.
 """
 
 from __future__ import annotations
@@ -93,6 +92,17 @@ def _context(prec: int) -> Context:
         Emax=MAX_EMAX,
         traps=[InvalidOperation, DivisionByZero, Overflow],
     )
+
+
+def in_words(quantity: str, exc: ArithmeticError) -> str:
+    """``exc`` said of ``quantity``: a trapped decimal signal in words, any
+    other error as its own text.  Every divisor is checked nonzero first,
+    so a zero one underflowed."""
+    if isinstance(exc, Overflow):
+        return f"{quantity} overflows the decimal exponent range"
+    if isinstance(exc, (DivisionByZero, InvalidOperation)):
+        return f"{quantity} divides by a term that underflows to zero"
+    return str(exc)
 
 
 @total_ordering

@@ -26,10 +26,8 @@ derived from phases is one or two angle subtractions (:func:`_minus`):
   nearer of its last position and its nearest root
   (:func:`phase_anchors`, :func:`turned_phases`);
 * cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
-* (c(kx), s(kx)), k = 1..n, from x's phase by the double angle and the
-  addition steps (:func:`_multiple_pairs`);
-* the move to u, the argument the kernel sees, round(round(a - b)/2) or
-  round(kx), by the first-order pair (1, -delta) at -delta = v - u.
+* the move to u, the argument the kernel sees, round(round(a - b)/2),
+  by the first-order pair (1, -delta) at -delta = v - u.
 
 A near pair, whose u = round(round(a - b)/2) lies below
 10**-(PHASE_GUARD_DIGITS // 2) in magnitude, would cancel more than half
@@ -38,18 +36,18 @@ of the pair at u itself from numeric's short series
 (``_small_pair_series``, the turns' series), at the phases' digits.
 
 One tie rule (:func:`_round_clear_of_ties`, Ziv's strategy) makes each
-value the kernel's at u bit for bit: it rounds a value only where its
-error bound, which grows with the digits the value or cot itself loses
+pair term the kernel's at u bit for bit: it rounds a term only where its
+error bound, which grows with the digits the term or cot itself loses
 below its scale, holds no rounding boundary; near 0, cot and coth lose
-none.  A value whose composition cancels more than half the guard
+none.  A term whose composition cancels more than half the guard
 digits, whose move or rounding is in doubt, that saturates at +/-1, or
 whose point has no phase (its kernel overflows) takes the kernel at u:
-numeric's cot, coth or pair.  A near pair's term takes it only where its
+numeric's cot or coth.  A near pair's term takes it only where its
 rounding is in doubt.
 
-The log-derivative sums, Horner and the coefficient sums take and return
-Reals but run on their ``Decimal`` values, under one context at the most
-digits any operand carries; cot, coth and the function pairs stay numeric's.
+The log-derivative sums and the Horner runs take and return Reals but
+run on their ``Decimal`` values, under one context at the most digits
+any operand carries; cot, coth and the function pairs stay numeric's.
 A log-derivative sum is one ``reduce`` of the context's add over a ``map``
 of its terms, and each rule gives the odd parts of a row of terms
 (``_Rule.odds``).  The algebraic odd part is the difference itself, so
@@ -62,14 +60,14 @@ them.  A factored form keeps its roots' Decimals
 their set (``FactoredPoly.root_set``), so a Newton ratio at a root runs no
 term.
 
-A coefficient form cancels: near a root of multiplicity m its value is
-rounding noise once the point lies within about 10^(-digits/m) of the
-root.  Horner and the coefficient sums therefore carry a running bound on
-their own rounding error in the same loop (Higham, *Accuracy and
-Stability of Numerical Algorithms*, Alg. 5.1), at a few digits rounded
-upward, and :func:`newton_ratio` says whether |p(x)| lies within
-it.  A factored form's log-derivative has no such cancellation and gets
-no bound.
+A coefficient form runs Horner in x, or in z = e^(ix) or e^x from x's
+phase.  It cancels: near a root of multiplicity m its value is rounding
+noise once the point lies within about 10^(-digits/m) of the root.
+Horner therefore carries a running bound on its own rounding error in
+the same loop (Higham, *Accuracy and Stability of Numerical Algorithms*,
+Alg. 5.1), at a few digits rounded upward, and :func:`newton_ratio` says
+whether |p(x)| lies within it.  A factored form's log-derivative has no
+such cancellation and gets no bound.
 """
 
 from __future__ import annotations
@@ -78,6 +76,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
+    MAX_PREC,
     MIN_EMIN,
     ROUND_CEILING,
     Context,
@@ -156,22 +155,19 @@ TURN_LIMIT = 100
 # A step of at least this takes the direct kernel.
 MAX_TURN_STEP = Decimal("1e-3")
 
-# Multiple-angle pairs (:func:`_multiple_pairs`), at the phase's digits:
-# the phase and its mirror give the pair at x, and k - 1 addition steps
-# with the mirror of that the pair at kx, on the scale 1 (trig) or
-# cosh(kx).  The phase's 0.8 unit gives at most 3.2 at x.  A trig step
-# is a rotation, which keeps the errors it inherits; a hyperbolic step
-# multiplies e^x and e^-x, whose relative errors add.  So with their
-# roundings the pair at kx is within 8k units, and the move to u =
-# round(kx) and its rounding add below 1.  The worst seen on seeded
-# points at 64 and 256 digits, k up to 40, was 0.83k.  A value whose
-# exponent lies ``lost`` digits below its scale's carries that error
-# 10**lost times larger in units of its last working digit: at most
-# 10**(lost - 9) for k below 10**9.  The kernel keeps cot's absolute
-# error (seeded points near the zeros of cos and sin at 64 and 256
-# digits; past lost = 5 it reruns at more digits), so the tie margin is
-# 10**(lost - TIE_MARGIN_DIGITS), and a value 7 or more digits below its
-# scale never passes it.
+# A sum in z (:func:`eval_with_derivative`) and its bound.  Horner runs
+# y_k = y_(k+1) z~ + g_k on the stored z~ with one fma per real part, two
+# per complex one: fl(y_r z_r + fl(g_r - y_i z_i)), fl(y_r z_i + fl(g_i +
+# y_i z_r)).  A rounded v~ is within u |v~| of v, so r_k = y~_k - y_k obeys
+# |r_k| <= |z~| |r_(k+1)| + u t_k, t_k the sum of the magnitudes of step
+# k's rounded parts: |r_0| <= u mu, mu = sum_k |z~|^k t_k (Higham, *Accuracy
+# and Stability of Numerical Algorithms*, Alg. 5.1 and 3.6).  The
+# exponential sum of two runs adds u |value|.  A phase at d digits is
+# within 0.8 units of 10**(1 - d - PHASE_GUARD_DIGITS); from it, (c + i s)^2
+# is within 3.8 units of e^(ix), (c + |s|)^2 within 4.7 relative units of
+# e^|x| and its reciprocal 5.2.  With u_z = 10 units, whose slack covers
+# (1 + 5.2 units)^k, z~ moves the exact sum by at most u_z nu, nu = sum_k
+# k |g_k| |z~|^k.  e = u mu + u_z nu, both sums run upward beside y.
 
 _HALF = Decimal("0.5")
 _MINUS_HALF = Decimal("-0.5")
@@ -187,6 +183,7 @@ _BOUND = Context(
     Emax=MAX_EMAX,
     traps=[InvalidOperation, DivisionByZero, Overflow],
 )
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)  # sums and halves, exact
 
 
 class Family(str, Enum):
@@ -456,45 +453,6 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
     return term
 
 
-def _multiple_pairs(
-    rule: _Rule, x: Real, phase: Phase | None, n: int
-) -> list[tuple[Decimal, Decimal]]:
-    """(c(kx), s(kx)) for k = 1..n, each equal to ``rule.pair(k * x)`` bit
-    for bit, from x's phase where it serves x's digits: the double angle
-    and the addition steps, moved to u = round(kx), the argument the kernel
-    sees.  A pair whose move or rounding is in doubt, and every pair where
-    the phase is None, takes the kernel at u.
-    """
-    digits = x.digits
-    ctx = _context(digits)
-    sign = rule.sign
-    w = _context(digits + PHASE_GUARD_DIGITS)
-    out = []
-    c1 = None
-    if phase is not None and phase.digits == digits:
-        try:
-            c1, s1 = _minus(w, sign, phase.c, phase.s, phase.c, phase.s.copy_negate())
-        except Overflow:
-            pass
-    for k in range(1, n + 1):
-        pair = None
-        if c1 is not None:
-            try:
-                ck, sk = (c1, s1) if k == 1 else _minus(w, sign, ck, sk, c1, s1.copy_negate())
-                # u as k * x rounds it
-                pair = _moved(w, sign, ck, sk, w.fma(x.dec, -k, ctx.multiply(x.dec, k)))
-            except Overflow:
-                c1 = None
-        if pair is not None:
-            c, s = pair
-            lost = max(c.adjusted(), 0) - min(c.adjusted(), s.adjusted())
-            c = _round_clear_of_ties(ctx, w, c, lost)
-            s = None if c is None else _round_clear_of_ties(ctx, w, s, lost)
-            pair = None if s is None else (c, s)
-        out.append(pair or tuple(t.dec for t in rule.pair(k * x)))
-    return out
-
-
 def mults_degree(family: Family, total: int) -> int | None:
     """Degree n of a ``family`` polynomial whose multiplicities sum to ``total``.
 
@@ -630,6 +588,21 @@ class TrigExpCoeffPoly:
     def degree(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def z_runs(self) -> tuple[tuple[tuple[Decimal, ...], ...], ...]:
+        """The exact g_k in z of :func:`eval_with_derivative`, highest first,
+        with k |g_k| rounded upward: trig a0/2, a_k - i b_k as (Re, Im) in
+        e^(ix); exponential a0/2, (a_k + b_k)/2 in e^x, 0, (a_k - b_k)/2 in e^-x."""
+        half = _EXACT.multiply(self.a0.dec, _HALF)
+        a, b = [v.dec for v in self.a], [v.dec for v in self.b]
+        if _RULES[self.family].sign < 0:
+            runs = [[(half, Decimal(0))] + [(ak, bk.copy_negate()) for ak, bk in zip(a, b)]]
+        else:
+            runs = [[(g,)] + [(_EXACT.multiply(op(ak, bk), _HALF),) for ak, bk in zip(a, b)]
+                    for g, op in ((half, _EXACT.add), (Decimal(0), _EXACT.subtract))]
+        return tuple(tuple((*g, _BOUND.multiply(k, reduce(_BOUND.add, map(Decimal.copy_abs, g))))
+                           for k, g in reversed(list(enumerate(run)))) for run in runs)
+
 
 @dataclass(frozen=True)
 class FactoredPoly:
@@ -696,19 +669,14 @@ def eval_with_derivative(
     rounding error of the computed p(x).
 
     p(x) is the form's exact value at its stored coefficients and x.  A
-    coefficient sum takes (c(kx), s(kx)), k = 1..n, as the kernel gives
-    them at k * x rounded to x's digits.  With x's :func:`phases` entry
-    it derives them from the phase and runs the kernel only for a pair
-    whose last digit the derivation leaves in doubt; without one it runs
-    the kernel n times.  The values, and so the results, are the same
-    bit for bit either way.
+    trigonometric or exponential form runs in z = e^(ix) or e^x
+    (:attr:`TrigExpCoeffPoly.z_runs`) from x's :func:`phases` entry, or from
+    the kernel where that is None or serves other digits (``Overflow`` if
+    it overflows).  A direct and a turned phase may give values within e.
 
-    Horner's bound is Higham's running one, 2u * mu with mu_k = |x| mu_(k-1)
-    + |y_k| over the computed partial values y_k, at the unit roundoff u of
-    the working precision.  A coefficient sum's covers, for each term, the
-    rounding of k x (moving c(kx) by up to |s(kx)| |kx| u, and s(kx) by
-    |c(kx)| |kx| u), of each function value (1 ulp, 2u), of each product
-    and of each addition; it is twice that first-order sum.
+    e is Higham's running bound at the working unit roundoff u: 2u * mu,
+    mu_k = |x| mu_(k-1) + |y_k| over the computed y_k; in z, see the
+    comment on sums in z.  p'(x) has no bound.
     """
     if isinstance(p, AlgebraicCoeffPoly):
         ctx = _context(max(x.digits, *(a.digits for a in p.coeffs)))
@@ -718,32 +686,56 @@ def eval_with_derivative(
             derivative = ctx.add(ctx.multiply(derivative, x.dec), value)
             value = ctx.add(ctx.multiply(value, x.dec), a.dec)
             mu = _BOUND.fma(size, mu, value.copy_abs())
-        return Real(value, ctx.prec), Real(derivative, ctx.prec), _error_bound(mu, ctx.prec)
-    if isinstance(p, TrigExpCoeffPoly):
-        rule = _RULES[p.family]
+        bound = _BOUND.scaleb(mu, 1 - ctx.prec)  # 2u * mu, u = 10^(1 - prec) / 2
+    elif isinstance(p, TrigExpCoeffPoly):
         ctx = _context(max(x.digits, p.a0.digits, *(c.digits for c in p.a + p.b)))
-        size = _BOUND.plus(x.dec.copy_abs())
-        value, derivative = ctx.divide(p.a0.dec, 2), Decimal(0)
-        mu = value.copy_abs()
-        pairs = _multiple_pairs(rule, x, phase, p.degree)
-        for k, (a, b, (c, s)) in enumerate(zip(p.a, p.b, pairs), start=1):
-            partial = ctx.add(value, ctx.multiply(a.dec, c))
-            value = ctx.add(partial, ctx.multiply(b.dec, s))
-            slope = ctx.add(ctx.multiply(b.dec, c), ctx.multiply(ctx.multiply(rule.sign, a.dec), s))
-            derivative = ctx.add(derivative, ctx.multiply(k, slope))
-            # |a| (3|c| + |kx| |s|) + |b| (3|s| + |kx| |c|) <= (|a| + |b|) (3 + |kx|) (|c| + |s|)
-            weight = _BOUND.add(a.dec.copy_abs(), b.dec.copy_abs())
-            pair = _BOUND.add(c.copy_abs(), s.copy_abs())
-            mu = _BOUND.fma(_BOUND.fma(k, size, 3), _BOUND.multiply(weight, pair), mu)
-            mu = _BOUND.add(_BOUND.add(mu, partial.copy_abs()), value.copy_abs())
-        # c(kx) and s(kx) carry x's digits, so u is x's unit roundoff or larger
-        return Real(value, ctx.prec), Real(derivative, ctx.prec), _error_bound(mu, x.digits)
-    raise UnsupportedFamilyError(f"not a coefficient form: {type(p).__name__}")
+        if phase is None or phase.digits != x.digits:
+            (phase,) = phases(p.family, [x], x.digits)
+            if phase is None:
+                raise Overflow(f"the phase of {x} overflows the decimal exponent range")
+        w = _context(x.digits + PHASE_GUARD_DIGITS)
+        u_z, c, s = _BOUND.scaleb(10, 1 - w.prec), phase.c, phase.s
+        if _RULES[p.family].sign < 0:
+            zr, zi = _minus(w, -1, c, s, c, s.copy_negate())
+            value, (dr, di), mu, nu = _complex_run(ctx, zr, zi, _BOUND.add(1, u_z), p.z_runs[0])
+            derivative = ctx.fma(zr, di, ctx.multiply(zi, dr)).copy_negate()  # Re(i z P'(z))
+        else:
+            big = w.multiply(t := w.add(c, s.copy_abs()), t)  # e^|x| = (c + |s|)^2
+            z, zinv = (w.divide(1, big), big) if s.is_signed() else (big, w.divide(1, big))
+            up, d_up, mu, nu = _real_run(ctx, z, p.z_runs[0])
+            down, d_down, mu_down, nu_down = _real_run(ctx, zinv, p.z_runs[1])
+            value = ctx.add(up, down)
+            derivative = ctx.fma(z, d_up, ctx.multiply(zinv, d_down).copy_negate())
+            mu, nu = _BOUND.add(_BOUND.add(mu, mu_down), value.copy_abs()), _BOUND.add(nu, nu_down)
+        bound = _BOUND.fma(nu, u_z, _BOUND.scaleb(_BOUND.multiply(mu, _HALF), 1 - ctx.prec))
+    else:
+        raise UnsupportedFamilyError(f"not a coefficient form: {type(p).__name__}")
+    return Real(value, ctx.prec), Real(derivative, ctx.prec), Real(bound, ctx.prec)
 
 
-def _error_bound(mu: Decimal, digits: int) -> Real:
-    # 2u * mu, with u = 10^(1 - digits) / 2 the unit roundoff at ``digits``
-    return Real(_BOUND.scaleb(mu, 1 - digits), digits)
+def _real_run(ctx: Context, z: Decimal, run: Sequence[tuple[Decimal, ...]]) -> tuple[Decimal, ...]:
+    # (P(z), P'(z), mu, nu) on a run of (g_k, k |g_k|)
+    fma, bound, size = ctx.fma, _BOUND.fma, _BOUND.plus(z)
+    (y, nu), *rest = run
+    d = mu = Decimal(0)
+    for g, weight in rest:
+        d, y = fma(d, z, y), fma(y, z, g)
+        mu, nu = bound(size, mu, y.copy_abs()), bound(size, nu, weight)
+    return y, d, mu, nu
+
+
+def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Sequence) -> tuple:
+    # (Re P(z), P'(z), mu, nu) on a run of (Re g_k, Im g_k, k |g_k|), |z| <= size
+    fma, bound, add, nzi = ctx.fma, _BOUND.fma, _BOUND.add, zi.copy_negate()
+    (yr, yi, nu), *rest = run
+    dr = di = mu = Decimal(0)
+    for gr, gi, weight in rest:
+        dr, di = fma(dr, zr, fma(di, nzi, yr)), fma(dr, zi, fma(di, zr, yi))
+        inner_r, inner_i = fma(yi, nzi, gr), fma(yi, zr, gi)
+        yr, yi = fma(yr, zr, inner_r), fma(yr, zi, inner_i)
+        mu = bound(size, mu, reduce(add, map(Decimal.copy_abs, (inner_r, inner_i, yr, yi))))
+        nu = bound(size, nu, weight)
+    return yr, (dr, di), mu, nu
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:

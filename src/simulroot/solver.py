@@ -67,7 +67,7 @@ from decimal import ROUND_HALF_EVEN
 from enum import Enum
 from typing import Sequence
 
-from .numeric import Real, _context, check_phase, first_equal_pair, ln, pi, ten_power
+from .numeric import Real, _context, check_phase, first_equal_pair, in_words, ln, pi, ten_power
 from .polys import (
     Family,
     Phase,
@@ -116,7 +116,7 @@ class StepFailure(RuntimeError):
     def __init__(self, index: int, cause: Exception):
         self.index = index
         self.cause = cause
-        super().__init__(f"step failed for root index {index}: {cause}")
+        super().__init__(f"step failed for root index {index}: {in_words('the step', cause)}")
 
 
 class InsufficientDataError(ValueError):
@@ -342,8 +342,8 @@ def solve(
 
     current = previous = init
     # The estimates' phases serve every Newton ratio (the m terms of a
-    # factored form, or the n multiple-angle pairs of a coefficient form)
-    # and the pair sums; the algebraic family has none.
+    # factored form, or z of a coefficient form) and the pair sums; the
+    # algebraic family has none.
     own: list[Phase | None] | None = None
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS

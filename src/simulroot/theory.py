@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from typing import Callable, Sequence
 
-from .numeric import Real, check_phase, cosh, one, pi, sin, sinh, zero
+from .numeric import Real, check_phase, cosh, in_words, one, pi, sin, sinh, zero
 from .polys import Family, mults_degree
 from .solver import MultiplicityProfile
 
@@ -117,11 +117,8 @@ def _check(name: str, lhs: Real, relation: str, rhs: Real) -> ConditionCheck:
 def _evaluate(quantity: str, compute: Callable[[], Real]) -> Real:
     try:
         return compute()
-    except Overflow as exc:
-        raise ValueError(f"{quantity} overflows the decimal exponent range") from exc
-    except (DivisionByZero, InvalidOperation) as exc:
-        # every divisor is checked nonzero, so one underflowed to zero
-        raise ValueError(f"{quantity} divides by a term that underflows to zero") from exc
+    except (Overflow, DivisionByZero, InvalidOperation) as exc:
+        raise ValueError(in_words(quantity, exc)) from exc
 
 
 def _degree(family: Family, mults: Sequence[int]) -> int:

@@ -346,6 +346,20 @@ def test_solve_far_start_exits_2_without_a_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_solve_names_an_overflowing_step_in_words(capsys, tmp_path):
+    # e^x at x = 1e30 overflows the decimal exponent range: the failure
+    # says so, not as the raw decimal signal's class
+    problem = {"family": "exponential", "digits": 64, "mults": [1, 1, 1, 1],
+               "coefficients": {"a0": "-1", "a": ["1", "0.5"], "b": ["0", "0.25"]},
+               "init": ["-1.1", "0.2", "0.9", "1e30"]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2
+    assert "<class" not in err
+    assert "root index 3: the step overflows the decimal exponent range" in err
+
+
 @pytest.mark.parametrize(
     "snapshot,path", [({"k": 0}, "$.snapshots[0].x"), ({"x": ["1"]}, "$.snapshots[0].k")]
 )

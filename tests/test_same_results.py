@@ -38,9 +38,9 @@ TRACE_SHA256 = {
     "coefficient_form/algebraic":
         "27457a086371e46c0a7d8fe2adae11112c1a7d1a92e48120dcaeb8f3ac22a81f",
     "coefficient_form/trigonometric":
-        "5691784f4500ff6a3ddbc23036f3acd0cdfd1b2abb2f40c009a2931767a5476d",
+        "4d9baf88426d792e52b5dc4205246a3af0ee603401c936def4e39d344fdb58d5",
     "coefficient_form/exponential":
-        "7256f6ab9be98b3623618aa670ed3fa98566b0518ef012900d68da9dc387beb5",
+        "0d05c6261ecd2139533af1a60dfd38697f5d3798723a1be931b558cb183c58b4",
 }
 
 NEWTON_BASELINE_TRACE_SHA256 = {
@@ -49,9 +49,9 @@ NEWTON_BASELINE_TRACE_SHA256 = {
     "coefficient_form/algebraic":
         "0cce59735c72f3707dfc36101ce418851aeedd020dc145e33319e0b55b3a54dc",
     "coefficient_form/trigonometric":
-        "17145421a300fa6874ba81d0eaf4f86d94407f1ce9729ee1c076303eabd2bc3f",
+        "d54349772cae069a2eae071cb9352ca5e5f902003c1573f8843fbfabded2d9d8",
     "coefficient_form/exponential":
-        "916297932501914ee1d14eb15e9fc3fa1989a5fd24d94d75d97a606ae6ebf21e",
+        "2a78ae17f765f9b239ac6d6bbacc1b4eda983e2d05cf5fccd297301574dad8f5",
 }
 
 
@@ -117,13 +117,13 @@ ON_ROOT_TRACE_SHA256 = {
     ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
         "8d988868780a047a7969bcdae5b2472f330fb5e6dcb72e5913f1554d1974bf9f",
     ("coefficient_form/trigonometric", Method.CHEBYSHEV):
-        "411c0ee5dae96aa64b2da9966b1e7e5024c2a398fd02f5bc0b6ed0bebf7288ce",
+        "04b789c868d4cf7d3a441905402624743aac30d452c5f1311aabed73b51c4678",
     ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
-        "69ecdda11d3490c62c1066ac03aaae6d852ce1e36ffcdedd8ffc0b4335747f24",
+        "fae34dc48692e02816dd2dc2e61cc01a9d51877035d38dc6f3c978a9c11a0cc0",
     ("coefficient_form/exponential", Method.CHEBYSHEV):
-        "5c257c235e8edac235583154da7149a699a360c89356a2de655993d83fff056d",
+        "531389c8a9c00df8276fca5879fc373dd4e2e1cbcf078dc3c814f86754c08b73",
     ("coefficient_form/exponential", Method.NEWTON_BASELINE):
-        "5cabb9ec2879f210ae3ca258fcd1c8af485f5e31231d1680ba3d6b0128573137",
+        "ffc2cfc038f3d6cb999dc67dd766b67f50ee9f8be424edc7f4dcb1a617f56481",
 }
 
 SHORT_ROOTS = ("-2", "0", "0.5", "1")

@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from fractions import Fraction
 
 import pytest
@@ -262,7 +262,14 @@ def test_solve_reports_arithmetic_errors_as_step_failures():
     profile = MultiplicityProfile((1, 1))
     report = solve(poly, profile, estimates("-1e25", "1e25"), SolveConfig(max_iters=5))
     assert report.stop_reason is StopReason.STEP_FAILURE
-    assert "index 0" in report.failure
+    assert report.failure == ("step failed for root index 0: "
+                              "the step overflows the decimal exponent range")
+    # eval_with_derivative raises it: the phase of 1e25 overflows
+    with pytest.raises(Overflow):
+        eval_with_derivative(poly, R("1e25"))
+    # a cause that is no decimal signal keeps its own text
+    cause = CollisionError(0, 1, R("2"))
+    assert str(StepFailure(1, cause)) == f"step failed for root index 1: {cause}"
 
 
 def test_solve_tracks_errors_when_roots_supplied():
