@@ -111,6 +111,8 @@ def frac_to_str(x: Fraction, places: int) -> str:
 
 
 def algebraic_newton_ratio(roots, mults, x: Fraction) -> Fraction:
+    if x in roots:  # p(x)/p'(x) is 0 on a root, even a multiple one
+        return Fraction(0)
     log_derivative = sum(Fraction(m) / (x - r) for m, r in zip(mults, roots))
     return 1 / log_derivative
 
@@ -135,11 +137,17 @@ def algebraic_newton_step(roots, mults, estimates):
     ]
 
 
-def algebraic_chebyshev_run(roots, mults, init, iterations):
-    """All iterates of the exact rational run, including the start."""
+def algebraic_chebyshev_run(roots, mults, init, iterations, places: int | None = None):
+    """All iterates of the exact rational run, including the start.
+
+    With ``places``, each iterate is rounded to a 10^-places grid before
+    the next step, which keeps the rationals small where the exact run's
+    denominators would grow without bound (many roots, many sweeps).
+    """
     snapshots = [list(init)]
     for _ in range(iterations):
-        snapshots.append(algebraic_chebyshev_step(roots, mults, snapshots[-1]))
+        step = algebraic_chebyshev_step(roots, mults, snapshots[-1])
+        snapshots.append(step if places is None else [round_to_grid(x, places) for x in step])
     return snapshots
 
 
@@ -221,6 +229,9 @@ def trig_chebyshev_run(roots, mults, init, iterations, places: int = 50):
     for _ in range(iterations):
         nxt = []
         for i, xi in enumerate(current):
+            if xi in roots:  # the Newton ratio is 0 on a root
+                nxt.append(xi)
+                continue
             log_derivative = sum(
                 Fraction(m) / 2 * half_cot((xi - r) / 2) for m, r in zip(mults, roots)
             )

@@ -38,12 +38,14 @@ from simulroot.solver import (
     wrap_to_standard_period,
 )
 from oracles import (
+    algebraic_chebyshev_run,
     algebraic_chebyshev_step,
     algebraic_newton_step,
     frac_cot,
     frac_coth,
     planted_coefficients,
     real_sweep,
+    trig_chebyshev_run,
 )
 
 R = make_real
@@ -666,3 +668,90 @@ def test_root_status_follows_the_frozen_roots_and_the_stop(stop, frozen, statuse
     trace = IterationTrace(snapshots=(estimates("1", "2"),), step_sizes=())
     report = SolveReport(trace=trace, stop_reason=stop, frozen=frozen)
     assert [status.value for status in report.root_status] == list(statuses)
+
+
+# -- the precision ladder against the exact iteration ---------------------
+#
+# A factored solve may run its early sweeps at fewer digits than its
+# estimates carry.  Each snapshot must then stay within 10^(10 - p_k) of
+# the exact iteration, p_k the digits the snapshot carries (its guard
+# digits are all a lower level may lose), and the final estimates must
+# equal those of the solve that runs every sweep at the estimates' digits
+# (``solver._level`` patched to return them), or lie within a unit in
+# their last digit of the exact iteration.  The exact iteration runs at
+# 2 * digits + 20: Fractions on a grid (algebraic), the grid replay
+# (trigonometric) and chained package sweeps (exponential).
+
+
+def ladder_problem(family, m, digits, long_roots):
+    """A seeded factored problem: roots spread as the benchmark's are, to 6
+    decimals or carrying all ``digits`` digits, multiplicities 1-3, each
+    estimate a quarter of the paper's convergence radius off its root."""
+    rng = random.Random(f"ladder:{family}:{m}:{digits}:{long_roots}")
+    if family == "trigonometric":
+        gap = 2 * math.pi / m
+        points = [-math.pi + (i + 0.5 + rng.uniform(-0.2, 0.2)) * gap for i in range(m)]
+    else:
+        points = [i - (m - 1) / 2 + rng.uniform(-0.2, 0.2) for i in range(m)]
+    roots = [f"{x:.6f}" + ("".join(rng.choice("0123456789") for _ in range(digits))
+                           if long_roots else "") for x in points]
+    mults = [1 + i % 3 for i in range(m)]
+    rng.shuffle(mults)
+    if family != "algebraic" and sum(mults) % 2:
+        mults[mults.index(max(mults))] -= 1
+    spread = sorted(points)
+    gaps = [b - a for a, b in zip(spread, spread[1:])]
+    if family == "trigonometric":
+        gaps.append(2 * math.pi - (spread[-1] - spread[0]))
+    offset = min(gaps) / (4 * sum(mults))
+    init = [f"{x + rng.choice((-1, 1)) * offset:.9f}" for x in points]
+    poly = FactoredPoly(Family(family), tuple(make_real(r, digits) for r in roots), tuple(mults))
+    return poly, MultiplicityProfile(tuple(mults)), EstimateVector(
+        tuple(make_real(x, digits) for x in init))
+
+
+def exact_iteration(poly, profile, init, sweeps, digits):
+    """The iterates of the Chebyshev-like iteration from ``init``, as
+    Fractions, at 2 * digits + 20."""
+    places = 2 * digits + 20
+    roots = [as_fraction(r) for r in poly.roots]
+    start = [as_fraction(x) for x in init.x]
+    if poly.family is Family.ALGEBRAIC:
+        return algebraic_chebyshev_run(roots, profile.mults, start, sweeps, places)
+    if poly.family is Family.TRIGONOMETRIC:
+        return trig_chebyshev_run(roots, profile.mults, start, sweeps, places)
+    fine = FactoredPoly(poly.family, tuple(make_real(str(r.dec), places) for r in poly.roots),
+                        poly.mults)
+    vec = EstimateVector(tuple(make_real(str(x.dec), places) for x in init.x))
+    rows = [start]
+    for _ in range(sweeps):
+        vec, _, _ = real_sweep(fine, vec, profile, True, ten_power(6 - places, places))
+        rows.append([as_fraction(x) for x in vec.x])
+    return rows
+
+
+LADDER_CASES = [(family, m, digits, long_roots)
+                for family in ("algebraic", "trigonometric", "exponential")
+                for m in (3, 6, 10) for digits in (64, 256) for long_roots in (False, True)]
+
+
+@pytest.mark.parametrize("family,m,digits,long_roots", LADDER_CASES)
+def test_the_precision_ladder_tracks_the_exact_iteration(family, m, digits, long_roots,
+                                                         monkeypatch):
+    poly, profile, init = ladder_problem(family, m, digits, long_roots)
+    report = solve(poly, profile, init)
+    assert report.stop_reason is StopReason.TOLERANCE
+    snapshots = report.trace.snapshots
+    exact = exact_iteration(poly, profile, init, len(snapshots) - 1, digits)
+    for snap, row in zip(snapshots, exact):
+        for x, truth in zip(snap.x, row):
+            scale = max(Fraction(1), abs(truth))
+            assert abs(as_fraction(x) - truth) <= Fraction(10) ** (10 - snap.digits) * scale
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top,
+                        raising=False)
+    full = solve(poly, profile, init)
+    assert full.stop_reason is StopReason.TOLERANCE
+    for x, y, truth in zip(report.trace.final().x, full.trace.final().x, exact[-1]):
+        if x != y:
+            ulp = Fraction(10) ** (x.dec.adjusted() - digits + 1)
+            assert abs(as_fraction(x) - truth) <= ulp
