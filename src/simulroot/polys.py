@@ -18,8 +18,9 @@ pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 A half-angle form, factored or in coefficient form, runs no kernel per
 term.  Each point gets its phase, the pair (c, s) at half the point, from
 the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
-than the sums; the solver keeps a factored form's roots' phases for a
-whole solve, and the estimates' phases from sweep to sweep.  Every pair
+than the sums; a factored form keeps its roots' phases per number of
+digits (:func:`root_phases`), and the solver the estimates' phases from
+sweep to sweep.  Every pair
 derived from phases is one or two angle subtractions (:func:`_minus`):
 
 * a turn, by the pair at half the distance from an estimate to the
@@ -58,7 +59,9 @@ for a zero once, then runs one ``map`` of a :func:`_pair_term` term over
 them.  A factored form keeps its roots' Decimals
 (``FactoredPoly.root_decs``), so a Newton ratio does not unpack them, and
 their set (``FactoredPoly.root_set``), so a Newton ratio at a root runs no
-term.
+term.  A Newton ratio runs at the digits of its point, on the form with
+its roots rounded to them (``FactoredPoly.at``, one per number of
+digits), whatever digits the roots carry.
 
 A coefficient form runs Horner in x, or in z = e^(ix) or e^x from x's
 phase.  It cancels: near a root of multiplicity m its value is rounding
@@ -275,9 +278,10 @@ class Phase(NamedTuple):
 
     A direct phase (:func:`phases`) is rounded to ``digits +
     PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
-    turns (:func:`turned_phases`) carries ``TURN_GUARD_DIGITS`` more
-    digits, and ``turns`` is its error bound: c and s are within 0.5 +
-    turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
+    turns (:func:`turned_phases`), or rounded down from a direct phase
+    for more digits (:func:`root_phases`), carries ``TURN_GUARD_DIGITS``
+    more digits, and ``turns`` is its error bound: c and s are within 0.5
+    + turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
     times 1 (trig) or cosh at the half point (hyperbolic).
     """
 
@@ -629,6 +633,35 @@ class FactoredPoly:
     def degree(self) -> int:
         return mults_degree(self.family, sum(self.mults))
 
+    def at(self, digits: int) -> FactoredPoly:
+        """This form with every root rounded to ``digits``: the form a sweep
+        at ``digits`` digits runs on, cached per digits, so that its
+        ``root_decs``, ``root_set`` and ``sorted_roots`` are made once per
+        level; the form itself where rounding moves no root.  Roots that
+        round to one value stay two factors."""
+        level = self._levels.get(digits)
+        if level is None:
+            decs = tuple(map(_context(digits).plus, self.root_decs))
+            level = self
+            if decs != self.root_decs:  # a root has more digits
+                level = object.__new__(FactoredPoly)  # no check for roots that met
+                roots = tuple(Real(d, digits) for d in decs)
+                for name, value in (("family", self.family), ("roots", roots),
+                                    ("mults", self.mults)):
+                    object.__setattr__(level, name, value)
+            self._levels[digits] = level
+        return level
+
+    @cached_property
+    def _levels(self) -> dict[int, FactoredPoly]:
+        # digits -> the form at them (:meth:`at`)
+        return {}
+
+    @cached_property
+    def _root_phases(self) -> dict[int, list[Phase | None]]:
+        # digits -> the phases of the roots at them (:func:`root_phases`)
+        return {}
+
     @cached_property
     def root_decs(self) -> tuple[Decimal, ...]:
         """The roots' Decimals, which every Newton ratio's sum runs on."""
@@ -645,11 +678,6 @@ class FactoredPoly:
     def root_set(self) -> frozenset[Decimal]:
         """The roots' Decimals as a set: a Newton ratio finds x on a root in O(1)."""
         return frozenset(self.root_decs)
-
-    @cached_property
-    def root_digits(self) -> int:
-        """The most digits any root carries."""
-        return max(r.digits for r in self.roots)
 
 
 Polynomial = Union[AlgebraicCoeffPoly, TrigExpCoeffPoly, FactoredPoly]
@@ -739,18 +767,35 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
-    """The :func:`phases` of a factored form's roots, for the Newton ratios
-    of estimates that carry ``digits`` digits; [] for coefficient forms
-    and for the algebraic family, which has no phases.
+    """The phases of the roots of ``p.at(digits)`` (:meth:`FactoredPoly.at`),
+    for the Newton ratios of estimates that carry ``digits`` digits; []
+    for coefficient forms and for the algebraic family, which has no
+    phases.  They are cached per digits on p.
 
-    They serve the roots' digits where those are more.  Where they serve
-    the estimates' digits, an estimate's phase may also turn from its
-    nearest root's (:func:`phase_anchors`): a root-anchored phase is one
-    turn from a direct one, and an estimate on a root takes the root's
-    phase as it is."""
+    The kernel runs once per form, at the first digits asked for or at more
+    than any asked for before (a solve asks for its estimates' digits
+    first).  Fewer digits take the phases of the most digits so far,
+    rounded to ``TURN_GUARD_DIGITS`` more digits than a direct phase:
+    within 0.051 units (a tenth of the direct phase's half unit, at
+    least, and the rounding), so with ``turns`` 0.  A root that
+    rounding to fewer digits moved has that phase turned by the move
+    (:func:`turned_phases`).  An estimate's phase may also turn from its
+    nearest root's (:func:`phase_anchors`), and an estimate on a root takes
+    the root's phase as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
-    return phases(p.family, p.roots, max(digits, p.root_digits))
+    known = p._root_phases
+    if digits not in known:
+        top = max(known, default=0)
+        level = p.at(digits)
+        if top < digits:
+            known[digits] = phases(p.family, level.roots, digits)
+        else:
+            w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
+            rounded = [None if ph is None else Phase(w.plus(ph.c), w.plus(ph.s), digits)
+                       for ph in known[top]]
+            known[digits] = turned_phases(p.family, p.at(top).roots, level.roots, rounded, digits)
+    return known[digits]
 
 
 def phase_anchors(
@@ -765,17 +810,19 @@ def phase_anchors(
     phases of the points ``new`` from, for sums at ``digits`` digits.
 
     Each point's anchor is its ``old`` point with its phase in
-    ``old_phases``, or p's root nearest to it with its phase in ``roots``
-    (p's :func:`root_phases`) where that phase serves ``digits`` and the
-    root lies nearer than the old point, or the old point has no phase.  A
-    point on a root so keeps the root's phase object, and a point near its
-    root turns by its distance to the root, which is cubically smaller
-    than its last step once the iteration converges.  ``old`` and
+    ``old_phases``, or the root of ``p.at(digits)`` nearest to it with its
+    phase in ``roots`` (p's :func:`root_phases`) where that phase serves
+    ``digits`` and the root lies nearer than the old point, or the old
+    point has no phase.  A point on a root so keeps the root's phase
+    object, and a point near its root turns by its distance to the root,
+    which is cubically smaller than its last step once the iteration
+    converges.  ``old`` and
     ``old_phases`` as they are where ``roots`` is empty: for coefficient
     forms and the algebraic family.
     """
     if not roots:
         return old, old_phases
+    p = p.at(digits)
     decs, order = p.sorted_roots
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
     points = list(old)
@@ -810,9 +857,10 @@ def newton_ratio(
     the floor that raises :class:`DerivativeZeroError`.
     """
     if isinstance(p, FactoredPoly):
+        p = p.at(x.digits)
         if x.dec in p.root_set:
             return zero(x.digits), False
-        ctx = _context(max(x.digits, p.root_digits))
+        ctx = _context(x.digits)
         total = _log_derivative(_RULES[p.family], ctx, x.dec, phase, p.root_decs, roots, p.mults)
         if total.is_zero():
             raise DerivativeZeroError(x)

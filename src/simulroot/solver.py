@@ -29,29 +29,41 @@ and its estimate already carries every digit of the sweep's precision:
 its update x - 0E(b) then gives x back whatever the exponent b of its
 bracket, so the sweep leaves it as it is.  (A shorter estimate on its
 root, such as ``1``, still moves: the update writes it out as
-``1.000...0``.)  The sweep then calls :func:`correction_sum` once if
-any root is not settled, and not at all when every root is: the last
-sweep of a factored solve, whose estimates have all landed on their
-roots, makes no correction pass.  MPSolve
-likewise stops updating settled approximations.  A failure is reported
-for the first root, in root order, whose ratio, correction or update
-fails.
+``1.000...0``.  One that a climb to a higher level finds on its root is
+written out to the level's digits, and so settled, at once.)  The sweep
+then calls :func:`correction_sum` once if any root is not settled, and
+not at all when every root is: the last sweep of a factored solve, whose
+estimates have all landed on their roots, makes no correction pass.
+MPSolve likewise stops updating settled approximations.  A failure is
+reported for the first root, in root order, whose ratio, correction or
+update fails.
 
 Both calls return Reals.  The update, the at-floor step test and the
 step sizes then run on the Decimals inside, every operation under one
-context at the estimates' precision (the most digits an estimate
-carries), in the order that the Real expression would use.  So a solve
-runs at its estimates' precision whatever digits the polynomial's
-coefficients carry, and the new estimates and their steps carry it too.
+context at the sweep's precision, its level, in the order that the Real
+expression would use; the new estimates and their steps carry it.
 Reals are made only for the new estimates and their steps.
+
+The iteration converges cubically, so the early sweeps of a solve cannot
+use every digit its estimates carry.  A factored solve therefore climbs a
+ladder of precisions (Brent 1976; MPSolve's adaptive precision): each
+sweep runs at the digits that show its estimates' next errors, from
+their last steps, as :func:`_level` states, and the top of the ladder is
+the estimates' digits whatever digits the roots carry.  The estimates,
+the roots (``FactoredPoly.at``) and the roots' phases are rounded to each
+level; the level never goes down, and only a sweep at the top may stop
+the solve, on the tolerance of the estimates' digits.  A coefficient
+form runs every sweep at the top: its at-floor test reads rounding noise
+at the working digits.
 
 A trigonometric or exponential solve gives every estimate its phase,
 the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
 its Newton ratio and the pair sums, and a factored form's roots get
-theirs once per solve (:func:`~simulroot.polys.root_phases`).  Each sweep
+theirs from one kernel run per solve, at the estimates' digits, rounded
+down to each level (:func:`~simulroot.polys.root_phases`).  Each sweep
 turns an estimate's phase from the nearest point whose phase it knows:
-the estimate's last position, or its nearest root whose phase serves the
-estimates' digits (:func:`~simulroot.polys.phase_anchors`).  The phase
+the estimate's last position, unless the level rose since, or its
+nearest root (:func:`~simulroot.polys.phase_anchors`).  The phase
 kernel runs only for an estimate with no such point within
 ``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1: after it
 the cubic iteration leaves most estimates well within that of their
@@ -62,13 +74,15 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from typing import Sequence
 
 from .numeric import Real, _context, check_phase, first_equal_pair, in_words, ln, pi, ten_power
 from .polys import (
+    FactoredPoly,
     Family,
     Phase,
     Polynomial,
@@ -80,6 +94,18 @@ from .polys import (
     root_phases,
     turned_phases,
 )
+
+
+# a number's leading digits, for its log10, whatever its exponent
+_LOG = Context(prec=17, Emin=MIN_EMIN, Emax=MAX_EMAX)
+# The lowest level of the precision ladder.  Up to about 64 digits a sweep
+# costs little more than at 30 (the decimal module's cost per operation
+# dominates), and a start at 30 leaves too little room between the digits
+# a fast estimate's next error needs and those a slow one's rounding holds.
+# A solve climbs only from more than twice this: at 128 digits a sweep at
+# 64 saves at most a third of one at the top, less on a small problem than
+# the climb costs (rounding, the rule, a phase restart per level).
+_LADDER_FLOOR = 64
 
 
 class Method(str, Enum):
@@ -305,7 +331,10 @@ def solve(
 
     A root converges when its step falls below the tolerance.  The default
     tolerance is 10^(6 - d), where d is the largest number of digits the
-    initial estimates carry.  In coefficient form a root also freezes when
+    initial estimates carry.  A factored form's sweeps climb from fewer
+    digits to d (:func:`_level`); only a sweep at d digits may stop the
+    solve, and the snapshots before it carry the digits their sweeps ran
+    at.  In coefficient form a root also freezes when
     |p(x_i)| lies within the rounding-error bound of its evaluation and
     its step would not meet the tolerance, or when p'(x_i) rounds to zero
     there: it keeps its estimate from then on.  The stop is ``TOLERANCE``
@@ -327,11 +356,13 @@ def solve(
         # Estimates 2*pi apart are one point of the circle: a collision.
         EstimateVector(tuple(wrap_to_standard_period(x) for x in init.x))
 
+    top = init.digits
     tolerance = cfg.step_tolerance
     if tolerance is None:
-        tolerance = _precision_floor(init.digits)
+        tolerance = _precision_floor(top)
     chebyshev = cfg.method is Method.CHEBYSHEV
-    roots = root_phases(p, init.digits)
+    # the root phases' one kernel run, which every level rounds down
+    roots = root_phases(p, top)
 
     def error_row(vec: EstimateVector):
         return tuple(abs(x - r) for x, r in zip(vec.x, true_roots))
@@ -348,15 +379,23 @@ def solve(
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
+    level = 0
+    step_logs: list[list[float]] = []  # log10 of the steps below the top
     for _ in range(cfg.max_iters):
+        rung = _level(p, current, step_logs, level, top)
+        if rung != level:
+            # a climb: the estimates and the roots' phases go to the new
+            # level, and the estimates' phases restart from their roots
+            level, own = rung, None
+            roots = root_phases(p, level)
+            current = _at_level(p, current, level)
         # Each estimate's phase turns from the nearer of its last position
         # and its nearest root with a phase, here rather than after a
         # sweep, so the sweep that stops the solve turns none.  In sweep 1
         # only a root can serve, and the kernel runs for an estimate with
         # none within MAX_TURN_STEP.
-        anchors, anchor_phases = phase_anchors(p, roots, previous.x, current.x, own,
-                                               current.digits)
-        own = turned_phases(family, anchors, current.x, anchor_phases, current.digits)
+        anchors, anchor_phases = phase_anchors(p, roots, previous.x, current.x, own, level)
+        own = turned_phases(family, anchors, current.x, anchor_phases, level)
         try:
             nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
                                            frozen)
@@ -366,11 +405,13 @@ def solve(
             break
         snapshots.append(nxt)
         steps.append(deltas)
+        if level < top:
+            step_logs.append([_log10(d.dec) for d in deltas])
         if errors is not None:
             errors.append(error_row(nxt))
         previous, current = current, nxt
-        # a frozen root's step is 0
-        if max(d.dec for d in deltas) <= tolerance.dec:
+        # Only the top level stops the solve; a frozen root's step is 0.
+        if level == top and max(d.dec for d in deltas) <= tolerance.dec:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 
@@ -380,6 +421,86 @@ def solve(
         errors=tuple(errors) if errors is not None else None,
     )
     return SolveReport(trace=trace, stop_reason=stop, failure=failure, frozen=frozen)
+
+
+def _level(p: Polynomial, estimates: EstimateVector, step_logs: Sequence[Sequence[float]],
+           last: int, top: int) -> int:
+    """The digits the next sweep runs at, its level on the precision ladder:
+    from the ``last`` level, the ``top`` (the estimates' digits) and the
+    log10 of each step of the sweeps below the top (-inf for a zero step).
+
+    Digits are counted against the largest |x_i|, so that a large estimate
+    keeps the digits of its phase; sweep 1 runs at 3s + 10, s the digits of
+    the largest |x_i|.  Later, each estimate's steps show how many digits
+    its error gains per sweep: gamma in the last sweep, which grows by the
+    iteration's order rho, the ratio of its last two gains (3 until it has
+    made three steps, and its first step counts as though the iteration
+    were cubic from a start that far off).  With d the digits of its last
+    step, its error now has about d + rho gamma digits, and the sweep's
+    output d + rho gamma + rho^2 gamma.  The sweep runs at the most
+    digits any output error has plus 10 guard digits, so that its
+    snapshot shows every error, but at no more than the last level plus
+    the least gain rho^2 gamma, less 3 for the constants: a sweep shrinks
+    the rounding of its input by about its gain, so its snapshot stays
+    within its guard digits of the exact iteration.  The level is at
+    least ``_LADDER_FLOOR`` and the last level, at most the top, and the
+    top wherever that is at most twice the floor.  Steps all zero give
+    the top, as does a level at which two estimates, or two roots of p,
+    would round to one value.  A coefficient form runs at the top from
+    sweep 1: its at-floor test reads rounding noise at the working digits.
+    """
+    if last == top or top <= 2 * _LADDER_FLOOR or not isinstance(p, FactoredPoly):
+        return top
+    largest = max(x.dec.copy_abs() for x in estimates.x)
+    size = _log10(largest) if largest else 0.0
+    if not step_logs:
+        want = 3 * size + 10
+    else:
+        deepest, least_gain = -math.inf, math.inf
+        for history in zip(*step_logs[-3:]):  # each estimate's last steps, oldest first
+            if history[-1] == -math.inf:  # on its root at the last level
+                continue
+            d = [size - t for t in history if t != -math.inf]
+            gamma = d[-1] - (d[-2] if len(d) > 1 else d[-1] / 3)
+            rho = 3.0
+            if len(d) > 2:
+                rho = min(max(gamma / (d[-2] - d[-3]), 1.0), 3.0) if d[-2] > d[-3] else 1.0
+            deepest = max(deepest, d[-1] + rho * gamma + rho * rho * gamma)
+            least_gain = min(least_gain, rho * rho * gamma)
+        if least_gain == math.inf:
+            return top
+        want = min(deepest + 10, last + least_gain - 3)
+    level = min(top, max(_LADDER_FLOOR, math.ceil(want), last))
+    if last < level < top:  # a sweep at the last level kept its estimates apart
+        ctx = _context(level)
+        if (len({ctx.plus(x.dec) for x in estimates.x}) < estimates.m
+                or len(p.at(level).root_set) < len(p.at(top).root_set)):
+            return top
+    return level
+
+
+def _log10(d: Decimal) -> float:
+    # log10 d for d >= 0, to float accuracy whatever d's exponent
+    if d.is_zero():
+        return -math.inf
+    e = d.adjusted()
+    return e + math.log10(float(d.scaleb(-e, _LOG)))
+
+
+def _at_level(p: Polynomial, estimates: EstimateVector, level: int) -> EstimateVector:
+    # Every estimate rounded to the level's digits; one on a root of p there
+    # is written out to all of them, so that it is settled at once.
+    if all(x.digits == level for x in estimates.x):
+        return estimates
+    ctx = _context(level)
+    roots = p.at(level).root_set if isinstance(p, FactoredPoly) else ()
+    out = []
+    for x in estimates.x:
+        y = ctx.plus(x.dec)
+        if y in roots:
+            y = ctx.quantize(y, Decimal((0, (1,), y.adjusted() + 1 - level)))
+        out.append(Real(y, level))
+    return EstimateVector(tuple(out), estimates.k)
 
 
 def _precision_floor(digits: int) -> Real:

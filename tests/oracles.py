@@ -23,8 +23,18 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul, truediv
 
-from simulroot.numeric import check_phase, cos_sin, cosh_sinh, cot, coth, one, zero
-from simulroot.polys import Family, family_of, newton_ratio, phases, root_phases
+from simulroot.numeric import (
+    check_phase,
+    cos_sin,
+    cosh_sinh,
+    cot,
+    coth,
+    make_real,
+    one,
+    ten_power,
+    zero,
+)
+from simulroot.polys import FactoredPoly, Family, family_of, newton_ratio, phases, root_phases
 from simulroot.solver import CollisionError, EstimateVector, StepFailure, correction_sum
 
 
@@ -364,19 +374,45 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
     return nxt, tuple(abs(a - b) for a, b in zip(nxt.x, estimates.x)), frozenset(froze)
 
 
+def exact_iteration(poly, profile, init, sweeps, digits):
+    """The iterates of a factored form's iteration from ``init``, as
+    Fractions, at 2 * digits + 20: Fractions on a grid (algebraic), the
+    grid replay (trigonometric) and a chain of :func:`real_sweep` calls
+    (exponential)."""
+    places = 2 * digits + 20
+    roots = [Fraction(r.dec) for r in poly.roots]
+    start = [Fraction(x.dec) for x in init.x]
+    if poly.family is Family.ALGEBRAIC:
+        return algebraic_chebyshev_run(roots, profile.mults, start, sweeps, places)
+    if poly.family is Family.TRIGONOMETRIC:
+        return trig_chebyshev_run(roots, profile.mults, start, sweeps, places)
+    fine = FactoredPoly(poly.family, tuple(make_real(str(r.dec), places) for r in poly.roots),
+                        poly.mults)
+    vec = EstimateVector(tuple(make_real(str(x.dec), places) for x in init.x))
+    rows = [start]
+    for _ in range(sweeps):
+        vec, _, _ = real_sweep(fine, vec, profile, True, ten_power(6 - places, places))
+        rows.append([Fraction(x.dec) for x in vec.x])
+    return rows
+
+
 def known_phase_gaps(p, snapshots, sweeps):
     """For each of a factored solve's first ``sweeps`` sweeps, each
     estimate's distance to the nearest point whose phase the sweep knows:
-    a root of p, or from sweep 2 on the estimate's last position too.  A
-    sweep turns a phase by that distance, keeps it where it is 0 and runs
-    the phase kernel where it is MAX_TURN_STEP or more (while no root's
-    phase overflows or serves other digits)."""
+    a root of p at the sweep's level (the digits of the snapshot it makes),
+    or from sweep 2 on the estimate's last position too, where the sweep
+    before ran at the same level (a climb restarts the phases from the
+    roots).  A sweep turns a phase by that distance, keeps it where it is
+    0 and runs the phase kernel where it is MAX_TURN_STEP or more (while no
+    root's phase overflows)."""
     gaps = []
-    for sweep, now in enumerate(snapshots[:sweeps]):
-        row = [min(abs(x.dec - r.dec) for r in p.roots) for x in now.x]
-        if sweep:
-            row = [min(gap, abs(x.dec - last.dec))
-                   for gap, x, last in zip(row, now.x, snapshots[sweep - 1].x)]
+    for sweep in range(sweeps):
+        level = snapshots[sweep + 1].digits
+        now = [x.with_digits(level).dec for x in snapshots[sweep].x]
+        row = [min(abs(x - r.dec) for r in p.at(level).roots) for x in now]
+        if sweep and snapshots[sweep].digits == level:
+            last = [x.with_digits(level).dec for x in snapshots[sweep - 1].x]
+            row = [min(gap, abs(x - y)) for gap, x, y in zip(row, now, last)]
         gaps.append(row)
     return gaps
 

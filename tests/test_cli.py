@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from simulroot import cli
+from simulroot import cli, solver
 from simulroot.cli import main
 from simulroot.fixtures import EXAMPLE_1, EXAMPLES
 from simulroot.ingest import parse_expression, parse_trace, render_trace
@@ -272,6 +272,31 @@ def test_order_on_reference_trace(capsys, tmp_path):
     assert code == 0
     first = out.strip().splitlines()[0]
     assert first.startswith("x1: order 3.37")
+
+
+def test_order_reads_a_trace_whose_snapshots_carry_fewer_digits(capsys, tmp_path, monkeypatch):
+    # A 256-digit factored solve climbs from fewer digits: its JSON trace
+    # keeps "digits": 256 while its early snapshots carry fewer.  The trace
+    # round-trips byte for byte, and order reads from it the orders that it
+    # reads from the trace of a solve whose every sweep runs at 256 digits.
+    argv = ["solve", "--expr", EXAMPLE_1.expression, "--init", ",".join(EXAMPLE_1.init),
+            "--digits", "256", "--format", "json"]
+    orders = []
+    for ladder in (True, False):
+        if not ladder:
+            monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+        code, blob, _ = run(capsys, *argv)
+        assert code == 0
+        report = parse_trace(blob)
+        assert render_trace(report, "json").decode() == blob
+        digits = [len(x.dec.as_tuple().digits) for x in report.trace.snapshots[1].x]
+        assert (max(digits) < 256) == ladder
+        path = tmp_path / f"trace-{ladder}.json"
+        path.write_text(blob)
+        code, out, err = run(capsys, "order", "--input", str(path), "--true-roots", "-2,1,3")
+        assert (code, err) == (0, "")
+        orders.append([line.split(" from ")[0] for line in out.splitlines()])
+    assert orders[0] == orders[1] == ["x1: order 3.000", "x2: order 2.895", "x3: order 2.894"]
 
 
 def test_order_prints_an_order_of_any_size(capsys, tmp_path):

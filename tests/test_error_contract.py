@@ -16,10 +16,12 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import planted_coefficients
+from simulroot import solver
 from simulroot.cli import main
 from simulroot.numeric import make_real, pi
 
@@ -204,9 +206,10 @@ cases = st.one_of(solve_expr, solve_edge, solve_file, verify, order)
 def run_case(tmp_path, case) -> tuple[int, str, str]:
     """Write the case's document and run ``main`` on its argv: (code, stdout, stderr)."""
     argv, document = case
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(document))
-    argv = [token.replace("{path}", str(path)) for token in argv]
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv = [token.replace("{path}", str(path)) for token in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -223,3 +226,19 @@ def run_case(tmp_path, case) -> tuple[int, str, str]:
 def test_every_run_exits_with_a_contract_code(tmp_path, case):
     code, _, _ = run_case(tmp_path, case)
     assert code in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_a_trig_solve_from_a_huge_estimate_reports_as_at_the_top_level(digits, monkeypatch):
+    # An estimate of magnitude 10^(digits - 10) keeps every digit of its
+    # phase: the ladder runs its sweeps at the estimates' digits from the
+    # first, so the solve stops, and fails or not, as one whose every sweep
+    # runs there, and writes the same trace.
+    argv = ["solve", "--expr", "sin((x-1)/2)*sin((x-2)/2)", "--init", f"3.7e{digits - 10},1.4",
+            "--digits", str(digits), "--format", "json"]
+    code, out, err = run_case(None, (argv, None))
+    trace = json.loads(out)
+    assert (code, err) == (2, "")
+    assert (trace["stop_reason"], trace["failure"], len(trace["snapshots"])) == ("max_iters", None, 51)
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+    assert run_case(None, (argv, None)) == (code, out, err)

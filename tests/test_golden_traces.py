@@ -15,11 +15,11 @@ from simulroot.ingest import render_trace
 
 GOLDEN = {
     (1, 64): "99293dc751a86479b4b0772791cbc949d0f551be3319aa7d35ef5e14f0b438a5",
-    (1, 256): "bd6ab83b85b443dbcb81baa921fa885e7a4243baf5e446615242052a1fb8e248",
+    (1, 256): "603d95c7d25a4d319fa203850bdd9a198897845b5b97c0d7fcfac974816a1217",
     (2, 64): "a5051dd2d8b0fdbc63e0bf1e88cf554b295b1c0c841886f04be2e0a13e0f96fc",
-    (2, 256): "dded7074ca7eb2951f2272fe1cb5738805fbdfa398374168e5da9643321272e5",
+    (2, 256): "a6b800046373fea016205ec709d1791cdc02195e726b67e8fbabbbed13f7a492",
     (3, 64): "66392ba4792eab56b25be399c057a52067def7db2e5038ae944ccad6b2734d1d",
-    (3, 256): "d171175f81d75ccbb8ae92b7b1e408330cc1487058414bc7e739e839ad1801fe",
+    (3, 256): "9f02ef7e0b37d534c1e922fd0df7cd18c1eef1404edec2b109410c2ac3c8efdd",
 }
 
 

@@ -1073,8 +1073,9 @@ def anchored_solve_problems(family, digits, rng):
 
 
 def phase_bound_violations(family, digits, monkeypatch, anchors=polys.phase_anchors):
-    """Every phase that ``solve`` hands a sweep of the seeded problems,
-    against a rerun at 2 digits + 20: [(x, turns, error)] for each phase
+    """Every phase that ``solve`` hands a sweep of the seeded problems, at
+    every level of the precision ladder, against a rerun at 2 * (the
+    phase's digits) + 20: [(x, turns, error)] for each phase
     outside 0.5 + turns * TURN_ERROR units, with the phases of estimates
     on a root and the phases turned at all counted.  ``anchors`` stands in
     for :func:`polys.phase_anchors`."""
@@ -1093,11 +1094,13 @@ def phase_bound_violations(family, digits, monkeypatch, anchors=polys.phase_anch
     violations, on_root, turned = [], 0, 0
     for p, xs, own, roots in handed:
         for x, ph in zip(xs, own):
-            if x.dec in p.root_set:
-                assert ph is roots[p.root_decs.index(x.dec)]
+            # a sweep sees p's roots rounded to its level, x's digits
+            level = p.at(x.digits)
+            if x.dec in level.root_set:
+                assert ph is roots[level.root_decs.index(x.dec)]
                 on_root += 1
             turned += ph.turns > 0
-            error = phase_error(family, x, ph, digits)
+            error = phase_error(family, x, ph, ph.digits)
             if error > Decimal("0.50000001") + ph.turns * polys.TURN_ERROR:
                 violations.append((x, ph.turns, error))
     return violations, on_root, turned

@@ -33,8 +33,8 @@ from oracles import known_phase_gaps
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 TRACE_SHA256 = {
-    "algebraic_factored": "ea431c4ef85ec5224c1b1f9f8212c59d385c15917f920bb5968d58983c5019ca",
-    "periodic_factored": "9de4d855170de40cfc533691286d9ae6df40cbc2ae5ff6dbaa17357b1312bcf6",
+    "algebraic_factored": "4dad5c019b847e7f54dcf80810aaa54178f078a94c2de36a509225e09fdf7cfc",
+    "periodic_factored": "f6942e593478eccb8e3e76e6cb84085f7e60585d704e9fff8e0e882d42734381",
     "coefficient_form/algebraic":
         "27457a086371e46c0a7d8fe2adae11112c1a7d1a92e48120dcaeb8f3ac22a81f",
     "coefficient_form/trigonometric":
@@ -44,8 +44,8 @@ TRACE_SHA256 = {
 }
 
 NEWTON_BASELINE_TRACE_SHA256 = {
-    "algebraic_factored": "24b6b6a47b397409d2ffd8e96003f98c0e328311c74cd21d249bdd2b35639293",
-    "periodic_factored": "f21a88d21b50fefca14e4c48bf7744215daca7cfa6c58be5f86ac2c7a7fc0aae",
+    "algebraic_factored": "10f753d99b7de97060aa538aae89db81d7de810aeea84fa58be9bbc617d8b561",
+    "periodic_factored": "19ebfa40d5129f33e1ab72dc9b8bf45ed686efe9c95a047fb650b3b25fa1921c",
     "coefficient_form/algebraic":
         "0cce59735c72f3707dfc36101ce418851aeedd020dc145e33319e0b55b3a54dc",
     "coefficient_form/trigonometric":
@@ -105,13 +105,13 @@ def test_the_seeded_newton_baseline_traces_are_unchanged(workload):
 
 ON_ROOT_TRACE_SHA256 = {
     ("algebraic_factored", Method.CHEBYSHEV):
-        "c19bb6cd1bd9364252f5ad92e6abf91c4948639426f66ffda4b3cd473d1d1fb8",
+        "bf268b720b76092c76508be9c9dd80244c4b419034eee9cb5935e4a04b900b30",
     ("algebraic_factored", Method.NEWTON_BASELINE):
-        "0d4fef18c8f2a88b74e904ccdecdfad224a30078bcb7a7ca13161496f0cd5c16",
+        "b03553fa1c01f42623535a573bb23c2305af56a61e4b3e9421e10e1a1a0d046d",
     ("periodic_factored", Method.CHEBYSHEV):
-        "ea94136b56e2afe1849915e6ba541e27346de31c6d6b4b71b91643fd62bdbbe2",
+        "e9ce4a32e21b38124a32e1198b2cce21da0c850383ce0f2fb81d6c6cef04698e",
     ("periodic_factored", Method.NEWTON_BASELINE):
-        "347b5bda6876fc40405552c399cbe8d1035d7c637db1e32a341fc9fbf4862a73",
+        "3f9a942798c36f8de6c9cc1c8d570262bd94804daf8b5bb76a18c40e921a057a",
     ("coefficient_form/algebraic", Method.CHEBYSHEV):
         "0f3f7bd293b4c0ee181fe152161bfc8979b595dbfeafd3a606ef833dbae9bbb0",
     ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
@@ -287,13 +287,13 @@ OFF_ROOT_PROBLEMS = {
 
 OFF_ROOT_TRACE_SHA256 = {
     (Family.TRIGONOMETRIC, Method.CHEBYSHEV):
-        "51bec2fdc686990f8d014d7639e66114a9cfc0948d3f8dadc12abfae8f0e4071",
+        "3d3aaa3d847ae591910580a54891d33b4d9e93dcf84fff27cb8ef9be46f45529",
     (Family.TRIGONOMETRIC, Method.NEWTON_BASELINE):
-        "23ae15ecbdacb608b3eb11086e8816f1846df1d20b6d7b12cd3bc7384f25d792",
+        "fe2c8a5e53dffed586d28c4b72640a5c8fc08a032c83d3759528232fb30d2e3a",
     (Family.EXPONENTIAL, Method.CHEBYSHEV):
-        "2cc97fa3d3f7b89cd099bf809062d71fa7376145c9f33f033999d854b65e3ee7",
+        "d21cada550f2dabd8a4a99f4b0ffe210aa53732697b99e64f7682b47b66c96f2",
     (Family.EXPONENTIAL, Method.NEWTON_BASELINE):
-        "4182d47b5827e0da5bffec9a5008cd0ec94ef601329db069755d142bbed38145",
+        "38fc850d18c7084f19c384d6c5f0f7e3e5ec86006a346948c36d358209859511",
 }
 
 

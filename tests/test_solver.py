@@ -19,6 +19,7 @@ from simulroot.polys import (
     phases,
 )
 from simulroot import polys, solver
+from simulroot.ingest import parse_expression, render_trace
 from simulroot.solver import (
     CollisionError,
     EstimateVector,
@@ -38,14 +39,13 @@ from simulroot.solver import (
     wrap_to_standard_period,
 )
 from oracles import (
-    algebraic_chebyshev_run,
     algebraic_chebyshev_step,
     algebraic_newton_step,
+    exact_iteration,
     frac_cot,
     frac_coth,
     planted_coefficients,
     real_sweep,
-    trig_chebyshev_run,
 )
 
 R = make_real
@@ -475,13 +475,22 @@ SWEEPS = {
 }
 
 
+def first_sweep(poly, profile, start, method):
+    """A solve's first sweep, and its start as the sweep saw it: rounded to
+    the digits the sweep ran at, the first level of its precision ladder,
+    and written out to all of them where it lies on a root."""
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    return report, solver._at_level(poly, start, report.trace.snapshots[-1].digits)
+
+
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("case", sorted(SWEEPS))
 def test_one_sweep_equals_the_real_arithmetic_reference(case, method):
     poly, mults, init, digits, frozen = SWEEPS[case]
     profile = MultiplicityProfile(mults)
     start = EstimateVector(tuple(make_real(v, digits) for v in init))
-    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    report, start = first_sweep(poly, profile, start, method)
+    digits = start.digits
     tolerance = ten_power(6 - digits, digits)
     chebyshev = method is Method.CHEBYSHEV
     if frozen is None:
@@ -541,7 +550,8 @@ def test_a_sweep_from_estimates_on_their_roots_equals_the_full_correction_refere
     poly, mults, init, digits = ON_ROOT_SWEEPS[case]
     profile = MultiplicityProfile(mults)
     start = EstimateVector(tuple(make_real(v, digits) for v in init))
-    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    report, start = first_sweep(poly, profile, start, method)
+    digits = start.digits
     tolerance = ten_power(6 - digits, digits)
     snapshot, steps, frozen = real_sweep(poly, start, profile, method is Method.CHEBYSHEV,
                                          tolerance)
@@ -678,9 +688,7 @@ def test_root_status_follows_the_frozen_roots_and_the_stop(stop, frozen, statuse
 # digits are all a lower level may lose), and the final estimates must
 # equal those of the solve that runs every sweep at the estimates' digits
 # (``solver._level`` patched to return them), or lie within a unit in
-# their last digit of the exact iteration.  The exact iteration runs at
-# 2 * digits + 20: Fractions on a grid (algebraic), the grid replay
-# (trigonometric) and chained package sweeps (exponential).
+# their last digit of the exact iteration (``oracles.exact_iteration``).
 
 
 def ladder_problem(family, m, digits, long_roots):
@@ -710,26 +718,6 @@ def ladder_problem(family, m, digits, long_roots):
         tuple(make_real(x, digits) for x in init))
 
 
-def exact_iteration(poly, profile, init, sweeps, digits):
-    """The iterates of the Chebyshev-like iteration from ``init``, as
-    Fractions, at 2 * digits + 20."""
-    places = 2 * digits + 20
-    roots = [as_fraction(r) for r in poly.roots]
-    start = [as_fraction(x) for x in init.x]
-    if poly.family is Family.ALGEBRAIC:
-        return algebraic_chebyshev_run(roots, profile.mults, start, sweeps, places)
-    if poly.family is Family.TRIGONOMETRIC:
-        return trig_chebyshev_run(roots, profile.mults, start, sweeps, places)
-    fine = FactoredPoly(poly.family, tuple(make_real(str(r.dec), places) for r in poly.roots),
-                        poly.mults)
-    vec = EstimateVector(tuple(make_real(str(x.dec), places) for x in init.x))
-    rows = [start]
-    for _ in range(sweeps):
-        vec, _, _ = real_sweep(fine, vec, profile, True, ten_power(6 - places, places))
-        rows.append([as_fraction(x) for x in vec.x])
-    return rows
-
-
 LADDER_CASES = [(family, m, digits, long_roots)
                 for family in ("algebraic", "trigonometric", "exponential")
                 for m in (3, 6, 10) for digits in (64, 256) for long_roots in (False, True)]
@@ -755,3 +743,25 @@ def test_the_precision_ladder_tracks_the_exact_iteration(family, m, digits, long
         if x != y:
             ulp = Fraction(10) ** (x.dec.adjusted() - digits + 1)
             assert abs(as_fraction(x) - truth) <= ulp
+
+
+def test_roots_with_more_digits_than_the_estimates_take_every_term_from_phases(monkeypatch):
+    # Six trig roots whose shifts carry 67 digits, parsed at 80 digits and
+    # solved from 64-digit estimates 0.02 off: the solve runs at the
+    # estimates' 64 digits with the roots rounded to them, so every pair
+    # term comes from the phases (no cot runs; with the roots' phases at 80
+    # digits all 162 terms took cot) and the solve equals that of the same
+    # expression parsed at 64 digits.
+    rng = random.Random(6)
+    shifts = [c + "".join(rng.choice("0123456789") for _ in range(66))
+              for c in ("-2.6", "-1.6", "-0.5", "0.5", "1.6", "2.6")]
+    expr = "*".join(f"sin((x{'+' + s[1:] if s.startswith('-') else '-' + s})/2)" for s in shifts)
+    init = EstimateVector(tuple(make_real(s, 30) + make_real("0.02", 30) for s in shifts))
+    init = EstimateVector(tuple(x.with_digits(64) for x in init.x))
+    calls = []
+    cot = polys.cot
+    monkeypatch.setattr(polys, "cot", lambda t: calls.append(t) or cot(t))
+    report = solve(parse_expression(expr, 80), MultiplicityProfile((1,) * 6), init)
+    assert report.converged and calls == []
+    short = solve(parse_expression(expr, 64), MultiplicityProfile((1,) * 6), init)
+    assert render_trace(report, "json") == render_trace(short, "json")
