@@ -20,8 +20,8 @@ term.  Each point gets its phase, the pair (c, s) at half the point, from
 the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
 than the sums; a factored form keeps its roots' phases per number of
 digits (:func:`root_phases`), and the solver the estimates' phases from
-sweep to sweep.  Every pair
-derived from phases is one or two angle subtractions (:func:`_minus`):
+sweep to sweep.  Every pair derived from phases is one or two angle
+subtractions (:func:`_minus`):
 
 * a turn, by the pair at half the distance from an estimate to the
   nearer of its last position and its nearest root
@@ -816,9 +816,8 @@ def phase_anchors(
     point has no phase.  A point on a root so keeps the root's phase
     object, and a point near its root turns by its distance to the root,
     which is cubically smaller than its last step once the iteration
-    converges.  ``old`` and
-    ``old_phases`` as they are where ``roots`` is empty: for coefficient
-    forms and the algebraic family.
+    converges.  ``old`` and ``old_phases`` as they are where ``roots`` is
+    empty: for coefficient forms and the algebraic family.
     """
     if not roots:
         return old, old_phases

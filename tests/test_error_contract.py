@@ -206,10 +206,9 @@ cases = st.one_of(solve_expr, solve_edge, solve_file, verify, order)
 def run_case(tmp_path, case) -> tuple[int, str, str]:
     """Write the case's document and run ``main`` on its argv: (code, stdout, stderr)."""
     argv, document = case
-    if document is not None:
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(document))
-        argv = [token.replace("{path}", str(path)) for token in argv]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    argv = [token.replace("{path}", str(path)) for token in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -229,16 +228,17 @@ def test_every_run_exits_with_a_contract_code(tmp_path, case):
 
 
 @pytest.mark.parametrize("digits", [64, 256])
-def test_a_trig_solve_from_a_huge_estimate_reports_as_at_the_top_level(digits, monkeypatch):
+def test_a_trig_solve_from_a_huge_estimate_reports_as_at_the_top_level(digits, tmp_path,
+                                                                      monkeypatch):
     # An estimate of magnitude 10^(digits - 10) keeps every digit of its
     # phase: the ladder runs its sweeps at the estimates' digits from the
     # first, so the solve stops, and fails or not, as one whose every sweep
     # runs there, and writes the same trace.
     argv = ["solve", "--expr", "sin((x-1)/2)*sin((x-2)/2)", "--init", f"3.7e{digits - 10},1.4",
             "--digits", str(digits), "--format", "json"]
-    code, out, err = run_case(None, (argv, None))
+    code, out, err = run_case(tmp_path, (argv, None))
     trace = json.loads(out)
     assert (code, err) == (2, "")
     assert (trace["stop_reason"], trace["failure"], len(trace["snapshots"])) == ("max_iters", None, 51)
     monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
-    assert run_case(None, (argv, None)) == (code, out, err)
+    assert run_case(tmp_path, (argv, None)) == (code, out, err)
