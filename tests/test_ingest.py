@@ -392,14 +392,14 @@ def test_render_trace_json_round_trip_is_byte_stable():
     assert parsed.trace.errors == report.trace.errors
 
 
-@pytest.mark.parametrize("poly_digits,init_digits", [(80, 64), (64, 80)])
+@pytest.mark.parametrize("poly_digits,init_digits", [(80, 64), (64, 80), (64, 256)])
 def test_a_solve_climbs_to_its_estimates_precision_and_its_trace_round_trips(
     poly_digits, init_digits
 ):
     # The sweeps climb to the estimates' digits, whatever the roots carry,
     # and each sweep's estimates and steps carry its level.  The JSON trace
     # keeps the estimates' digits and round-trips snapshots that carry fewer
-    # (the early sweeps of the 80-digit solve run at 64).
+    # (the early sweeps of the 256-digit solve).
     poly = parse_expression("(x+2)^2*(x-1)*(x-3)^3", poly_digits)
     init = EstimateVector(tuple(make_real(v, init_digits) for v in ("-3", "0.1", "4")))
     report = solve(poly, MultiplicityProfile(poly.mults), init)
