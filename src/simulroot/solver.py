@@ -45,16 +45,17 @@ expression would use; the new estimates and their steps carry it.
 Reals are made only for the new estimates and their steps.
 
 The iteration converges cubically, so the early sweeps of a solve cannot
-use every digit its estimates carry.  A factored solve therefore climbs a
-ladder of precisions (Brent 1976; MPSolve's adaptive precision): each
-sweep runs at the digits that show its estimates' next errors, from
-their last steps, as :func:`_level` states, and the top of the ladder is
-the estimates' digits whatever digits the roots carry.  The estimates,
-the roots (``FactoredPoly.at``) and the roots' phases are rounded to each
-level; the level never goes down, and only a sweep at the top may stop
-the solve, on the tolerance of the estimates' digits.  A coefficient
-form runs every sweep at the top: its at-floor test reads rounding noise
-at the working digits.
+use every digit its estimates carry.  A factored solve above 128 digits
+therefore climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
+precision): each sweep runs at the digits that show its estimates' next
+errors, from their last steps, as :func:`_level` states, and the top of
+the ladder is the estimates' digits whatever digits the roots carry.
+The estimates, the roots (``FactoredPoly.at``) and the roots' phases are
+rounded to each level; the level never goes down, and only a sweep at
+the top may stop the solve, on the tolerance of the estimates' digits.
+A coefficient form, whose at-floor test reads rounding noise at the
+working digits, and a solve at 128 digits or fewer run every sweep at
+the top.
 
 A trigonometric or exponential solve gives every estimate its phase,
 the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
@@ -331,10 +332,10 @@ def solve(
 
     A root converges when its step falls below the tolerance.  The default
     tolerance is 10^(6 - d), where d is the largest number of digits the
-    initial estimates carry.  A factored form's sweeps climb from fewer
-    digits to d (:func:`_level`); only a sweep at d digits may stop the
-    solve, and the snapshots before it carry the digits their sweeps ran
-    at.  In coefficient form a root also freezes when
+    initial estimates carry.  Above 128 digits a factored form's sweeps
+    climb from fewer digits to d (:func:`_level`); only a sweep at d
+    digits may stop the solve, and the snapshots before it carry the
+    digits their sweeps ran at.  In coefficient form a root also freezes when
     |p(x_i)| lies within the rounding-error bound of its evaluation and
     its step would not meet the tolerance, or when p'(x_i) rounds to zero
     there: it keeps its estimate from then on.  The stop is ``TOLERANCE``
