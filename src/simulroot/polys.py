@@ -18,10 +18,11 @@ pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 A half-angle form, factored or in coefficient form, runs no kernel per
 term.  Each point gets its phase, the pair (c, s) at half the point, from
 the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
-than the sums; a factored form keeps its roots' phases per number of
-digits (:func:`root_phases`), and the solver the estimates' phases from
-sweep to sweep.  Every pair derived from phases is one or two angle
-subtractions (:func:`_minus`):
+than the sums; the solver keeps a factored form's roots' phases for a
+whole solve, from one kernel run at the estimates' digits rounded down
+to each level (:func:`root_phases`, :func:`lower_root_phases`), and the
+estimates' phases from sweep to sweep.  Every pair derived from phases
+is one or two angle subtractions (:func:`_minus`):
 
 * a turn, by the pair at half the distance from an estimate to the
   nearer of its last position and its nearest root
@@ -279,7 +280,7 @@ class Phase(NamedTuple):
     A direct phase (:func:`phases`) is rounded to ``digits +
     PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
     turns (:func:`turned_phases`), or rounded down from a direct phase
-    for more digits (:func:`root_phases`), carries ``TURN_GUARD_DIGITS``
+    for more digits (:func:`lower_root_phases`), carries ``TURN_GUARD_DIGITS``
     more digits, and ``turns`` is its error bound: c and s are within 0.5
     + turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
     times 1 (trig) or cosh at the half point (hyperbolic).
@@ -658,11 +659,6 @@ class FactoredPoly:
         return {}
 
     @cached_property
-    def _root_phases(self) -> dict[int, list[Phase | None]]:
-        # digits -> the phases of the roots at them (:func:`root_phases`)
-        return {}
-
-    @cached_property
     def root_decs(self) -> tuple[Decimal, ...]:
         """The roots' Decimals, which every Newton ratio's sum runs on."""
         return tuple(r.dec for r in self.roots)
@@ -767,35 +763,34 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
-    """The phases of the roots of ``p.at(digits)`` (:meth:`FactoredPoly.at`),
-    for the Newton ratios of estimates that carry ``digits`` digits; []
-    for coefficient forms and for the algebraic family, which has no
-    phases.  They are cached per digits on p.
-
-    The kernel runs once per form, at the first digits asked for or at more
-    than any asked for before (a solve asks for its estimates' digits
-    first).  Fewer digits take the phases of the most digits so far,
-    rounded to ``TURN_GUARD_DIGITS`` more digits than a direct phase:
-    within 0.051 units (a tenth of the direct phase's half unit, at
-    least, and the rounding), so with ``turns`` 0.  A root that
-    rounding to fewer digits moved has that phase turned by the move
-    (:func:`turned_phases`).  An estimate's phase may also turn from its
-    nearest root's (:func:`phase_anchors`), and an estimate on a root takes
-    the root's phase as it is."""
+    """The :func:`phases` of the roots of ``p.at(digits)``
+    (:meth:`FactoredPoly.at`), for the Newton ratios of estimates that
+    carry ``digits`` digits; [] for coefficient forms and for the
+    algebraic family, which has no phases.  An estimate's phase may turn
+    from its nearest root's (:func:`phase_anchors`), and an estimate on a
+    root takes the root's phase as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
-    known = p._root_phases
-    if digits not in known:
-        top = max(known, default=0)
-        level = p.at(digits)
-        if top < digits:
-            known[digits] = phases(p.family, level.roots, digits)
-        else:
-            w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-            rounded = [None if ph is None else Phase(w.plus(ph.c), w.plus(ph.s), digits)
-                       for ph in known[top]]
-            known[digits] = turned_phases(p.family, p.at(top).roots, level.roots, rounded, digits)
-    return known[digits]
+    return phases(p.family, p.at(digits).roots, digits)
+
+
+def lower_root_phases(p: Polynomial, known: Sequence[Phase | None], top: int,
+                      digits: int) -> list[Phase | None]:
+    """The phases of the roots of ``p.at(digits)`` from ``known``, those of
+    ``p.at(top)`` (:func:`root_phases` at ``top`` digits, more than
+    ``digits``), so that a solve runs the kernel for its roots once.
+
+    Each is rounded to ``TURN_GUARD_DIGITS`` more digits than a direct
+    phase at ``digits``: within 0.051 units (a tenth of the direct phase's
+    half unit, at least, and the rounding), so with ``turns`` 0.  A root
+    that rounding to ``digits`` moved has that phase turned by the move
+    (:func:`turned_phases`)."""
+    if not known:
+        return []
+    w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
+    rounded = [None if ph is None else Phase(w.plus(ph.c), w.plus(ph.s), digits)
+               for ph in known]
+    return turned_phases(p.family, p.at(top).roots, p.at(digits).roots, rounded, digits)
 
 
 def phase_anchors(

@@ -51,8 +51,10 @@ precision): each sweep runs at the digits that show its estimates' next
 errors, from their last steps, as :func:`_level` states, and the top of
 the ladder is the estimates' digits whatever digits the roots carry.
 The estimates, the roots (``FactoredPoly.at``) and the roots' phases are
-rounded to each level; the level never goes down, and only a sweep at
-the top may stop the solve, on the tolerance of the estimates' digits.
+rounded to each level; the level never goes down.  The default
+tolerance, that of the estimates' digits, stops the solve only at the
+top; a coarser one that a lower level's digits resolve may stop it
+there, with estimates that carry that level's digits.
 A coefficient form, whose at-floor test reads rounding noise at the
 working digits, and a solve at 128 digits or fewer run every sweep at
 the top.
@@ -89,6 +91,7 @@ from .polys import (
     Polynomial,
     check_mults_fit,
     family_of,
+    lower_root_phases,
     newton_ratio,
     pairwise_log_derivatives,
     phase_anchors,
@@ -333,9 +336,10 @@ def solve(
     A root converges when its step falls below the tolerance.  The default
     tolerance is 10^(6 - d), where d is the largest number of digits the
     initial estimates carry.  Above 128 digits a factored form's sweeps
-    climb from fewer digits to d (:func:`_level`); only a sweep at d
-    digits may stop the solve, and the snapshots before it carry the
-    digits their sweeps ran at.  In coefficient form a root also freezes when
+    climb from fewer digits p to d (:func:`_level`), and each snapshot
+    carries the digits its sweep ran at.  A sweep at p < d digits stops
+    the solve only where the tolerance is no finer than 10^(6 - p), which
+    the default never is.  In coefficient form a root also freezes when
     |p(x_i)| lies within the rounding-error bound of its evaluation and
     its step would not meet the tolerance, or when p'(x_i) rounds to zero
     there: it keeps its estimate from then on.  The stop is ``TOLERANCE``
@@ -362,8 +366,8 @@ def solve(
     if tolerance is None:
         tolerance = _precision_floor(top)
     chebyshev = cfg.method is Method.CHEBYSHEV
-    # the root phases' one kernel run, which every level rounds down
-    roots = root_phases(p, top)
+    # the root phases' one kernel run, which every lower level rounds down
+    roots = top_roots = root_phases(p, top)
 
     def error_row(vec: EstimateVector):
         return tuple(abs(x - r) for x, r in zip(vec.x, true_roots))
@@ -380,7 +384,7 @@ def solve(
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
-    level = 0
+    level, stops = 0, True
     step_logs: list[list[float]] = []  # log10 of the steps below the top
     for _ in range(cfg.max_iters):
         rung = _level(p, current, step_logs, level, top)
@@ -388,8 +392,12 @@ def solve(
             # a climb: the estimates and the roots' phases go to the new
             # level, and the estimates' phases restart from their roots
             level, own = rung, None
-            roots = root_phases(p, level)
+            roots = top_roots if level == top else lower_root_phases(p, top_roots, top, level)
             current = _at_level(p, current, level)
+            # A level below the top may stop the solve only on a tolerance
+            # its own digits resolve, which the default (the top's floor)
+            # is not; below the top a zero step means "climb".
+            stops = level == top or _precision_floor(level).dec <= tolerance.dec
         # Each estimate's phase turns from the nearer of its last position
         # and its nearest root with a phase, here rather than after a
         # sweep, so the sweep that stops the solve turns none.  In sweep 1
@@ -411,8 +419,8 @@ def solve(
         if errors is not None:
             errors.append(error_row(nxt))
         previous, current = current, nxt
-        # Only the top level stops the solve; a frozen root's step is 0.
-        if level == top and max(d.dec for d in deltas) <= tolerance.dec:
+        # a frozen root's step is 0
+        if stops and max(d.dec for d in deltas) <= tolerance.dec:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -297,6 +298,33 @@ def test_order_reads_a_trace_whose_snapshots_carry_fewer_digits(capsys, tmp_path
         assert (code, err) == (0, "")
         orders.append([line.split(" from ")[0] for line in out.splitlines()])
     assert orders[0] == orders[1] == ["x1: order 3.000", "x2: order 2.895", "x3: order 2.894"]
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_a_coarse_tolerance_stops_a_256_digit_solve_below_the_top_level(capsys, example,
+                                                                        monkeypatch):
+    # --tolerance 1e-17 at 256 digits: the ladder's sweeps below 256 digits
+    # resolve steps of 1e-17, so the solve stops on the tolerance after the
+    # sweeps a solve whose every sweep runs at 256 digits takes, and exits
+    # 0 within that many --max-iters.  The last snapshot carries the digits
+    # of the level it stopped at and agrees with the full solve's to them.
+    case = EXAMPLES[example]
+    argv = ["solve", "--expr", case.expression, "--init", ",".join(case.init),
+            "--digits", "256", "--tolerance", "1e-17", "--format", "json"]
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+    code, blob, _ = run(capsys, *argv)
+    full = parse_trace(blob)
+    monkeypatch.undo()
+    sweeps = len(full.trace.snapshots) - 1
+    code, blob, _ = run(capsys, *argv, "--max-iters", str(sweeps))
+    report = parse_trace(blob)
+    assert code == 0 and report.stop_reason is full.stop_reason is StopReason.TOLERANCE
+    assert len(report.trace.snapshots) == sweeps + 1
+    last = report.trace.final().x
+    level = max(len(x.dec.as_tuple().digits) for x in last)
+    assert level < 256
+    for x, y in zip(last, full.trace.final().x):
+        assert abs(x.dec - y.dec) <= Decimal(10) ** (10 - level) * max(1, abs(y.dec))
 
 
 def test_order_prints_an_order_of_any_size(capsys, tmp_path):

@@ -396,7 +396,8 @@ def test_render_trace_json_round_trip_is_byte_stable():
 def test_a_solve_climbs_to_its_estimates_precision_and_its_trace_round_trips(
     poly_digits, init_digits
 ):
-    # The sweeps climb to the estimates' digits, whatever the roots carry,
+    # A solve at 128 digits or fewer runs every sweep at the estimates'
+    # digits, whatever the roots carry.  Above, the sweeps climb to them,
     # and each sweep's estimates and steps carry its level.  The JSON trace
     # keeps the estimates' digits and round-trips snapshots that carry fewer
     # (the early sweeps of the 256-digit solve).
@@ -404,10 +405,14 @@ def test_a_solve_climbs_to_its_estimates_precision_and_its_trace_round_trips(
     init = EstimateVector(tuple(make_real(v, init_digits) for v in ("-3", "0.1", "4")))
     report = solve(poly, MultiplicityProfile(poly.mults), init)
     assert report.converged and len(report.trace.snapshots) > 2
-    levels = [snap.digits for snap in report.trace.snapshots[1:]]
-    assert levels == sorted(levels) and levels[-1] == init_digits
-    for snap, row in zip(report.trace.snapshots[1:], report.trace.step_sizes):
-        assert {x.digits for x in snap.x + row} == {snap.digits}
+    if init_digits <= 128:
+        assert {x.digits for snap in report.trace.snapshots for x in snap.x} == {init_digits}
+        assert {s.digits for row in report.trace.step_sizes for s in row} == {init_digits}
+    else:
+        levels = [snap.digits for snap in report.trace.snapshots[1:]]
+        assert levels == sorted(levels) and levels[0] < levels[-1] == init_digits
+        for snap, row in zip(report.trace.snapshots[1:], report.trace.step_sizes):
+            assert {x.digits for x in snap.x + row} == {snap.digits}
     blob = render_trace(report, "json")
     assert json.loads(blob)["digits"] == init_digits
     assert render_trace(parse_trace(blob), "json") == blob

@@ -475,22 +475,21 @@ SWEEPS = {
 }
 
 
-def first_sweep(poly, profile, start, method):
-    """A solve's first sweep, and its start as the sweep saw it: rounded to
-    the digits the sweep ran at, the first level of its precision ladder,
-    and written out to all of them where it lies on a root."""
-    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
-    return report, solver._at_level(poly, start, report.trace.snapshots[-1].digits)
+def at_the_top(monkeypatch):
+    """Run every sweep at the estimates' digits, the top of the precision
+    ladder, as a solve at 128 digits or fewer does."""
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top,
+                        raising=False)  # a solve without the ladder has no _level
 
 
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("case", sorted(SWEEPS))
-def test_one_sweep_equals_the_real_arithmetic_reference(case, method):
+def test_one_sweep_equals_the_real_arithmetic_reference(case, method, monkeypatch):
+    at_the_top(monkeypatch)
     poly, mults, init, digits, frozen = SWEEPS[case]
     profile = MultiplicityProfile(mults)
     start = EstimateVector(tuple(make_real(v, digits) for v in init))
-    report, start = first_sweep(poly, profile, start, method)
-    digits = start.digits
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
     tolerance = ten_power(6 - digits, digits)
     chebyshev = method is Method.CHEBYSHEV
     if frozen is None:
@@ -544,18 +543,53 @@ ON_ROOT_SWEEPS = {
 
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("case", sorted(ON_ROOT_SWEEPS))
-def test_a_sweep_from_estimates_on_their_roots_equals_the_full_correction_reference(case,
-                                                                                  method):
+def test_a_sweep_from_estimates_on_their_roots_equals_the_full_correction_reference(
+        case, method, monkeypatch):
     # the reference runs every root's ratio and a full correction pass
+    at_the_top(monkeypatch)
     poly, mults, init, digits = ON_ROOT_SWEEPS[case]
     profile = MultiplicityProfile(mults)
     start = EstimateVector(tuple(make_real(v, digits) for v in init))
-    report, start = first_sweep(poly, profile, start, method)
-    digits = start.digits
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
     tolerance = ten_power(6 - digits, digits)
     snapshot, steps, frozen = real_sweep(poly, start, profile, method is Method.CHEBYSHEV,
                                          tolerance)
     assert report.failure is None and report.frozen == frozen
+    (got_steps,) = report.trace.step_sizes
+    assert ([(str(x.dec), x.digits) for x in report.trace.snapshots[1].x + got_steps]
+            == [(str(x.dec), x.digits) for x in snapshot.x + steps])
+
+
+def climbing_sweeps():
+    poly, mults, init, _ = seeded_factored(30, 256)
+    return {
+        "algebraic factored, m = 30": (poly, mults, lambda digits: init),
+        "exponential factored, an estimate on its root": (
+            EXAMPLE_3, (2, 2), lambda digits: (on_root("-2", digits), "3.4")),
+    }
+
+
+# 256-digit factored solves, whose first sweep runs below 256 digits: each
+# case's start written out for any number of digits
+CLIMBING_SWEEPS = climbing_sweeps()
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("case", sorted(CLIMBING_SWEEPS))
+def test_the_first_sweep_of_a_climbing_solve_equals_the_reference_at_its_level(case, method):
+    # The sweep equals the reference sweep from the start written to the
+    # digits the sweep ran at, an estimate on its root written out to all
+    # of them.
+    poly, mults, init = CLIMBING_SWEEPS[case]
+    profile = MultiplicityProfile(mults)
+    start = EstimateVector(tuple(make_real(v, 256) for v in init(256)))
+    report = solve(poly, profile, start, SolveConfig(max_iters=1, method=method))
+    level = report.trace.snapshots[1].digits
+    assert level < 256
+    start = EstimateVector(tuple(make_real(v, level) for v in init(level)))
+    snapshot, steps, frozen = real_sweep(poly, start, profile, method is Method.CHEBYSHEV,
+                                         ten_power(6 - level, level))
+    assert report.failure is None and report.frozen == frozen == frozenset()
     (got_steps,) = report.trace.step_sizes
     assert ([(str(x.dec), x.digits) for x in report.trace.snapshots[1].x + got_steps]
             == [(str(x.dec), x.digits) for x in snapshot.x + steps])
@@ -735,8 +769,7 @@ def test_the_precision_ladder_tracks_the_exact_iteration(family, m, digits, long
         for x, truth in zip(snap.x, row):
             scale = max(Fraction(1), abs(truth))
             assert abs(as_fraction(x) - truth) <= Fraction(10) ** (10 - snap.digits) * scale
-    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top,
-                        raising=False)
+    at_the_top(monkeypatch)
     full = solve(poly, profile, init)
     assert full.stop_reason is StopReason.TOLERANCE
     for x, y, truth in zip(report.trace.final().x, full.trace.final().x, exact[-1]):
@@ -765,3 +798,21 @@ def test_roots_with_more_digits_than_the_estimates_take_every_term_from_phases(m
     assert report.converged and calls == []
     short = solve(parse_expression(expr, 64), MultiplicityProfile((1,) * 6), init)
     assert render_trace(report, "json") == render_trace(short, "json")
+
+
+@pytest.mark.parametrize("family", ["trigonometric", "exponential"])
+def test_a_solve_does_not_depend_on_the_solves_before_it(family, monkeypatch):
+    # The roots' phases are kept per solve: a 64-digit solve hands its
+    # sweeps the kernel's phases at 64 digits, and writes the same trace,
+    # whether or not a 256-digit solve ran on the same form first.
+    poly, profile, init = ladder_problem(family, 6, 256, True)
+    short = EstimateVector(tuple(x.with_digits(64) for x in init.x))
+    fresh = FactoredPoly(poly.family, poly.roots, poly.mults)
+    solve(poly, profile, init)
+    handed = []
+    anchors = solver.phase_anchors
+    monkeypatch.setattr(solver, "phase_anchors",
+                        lambda p, roots, *args: handed.append(roots) or anchors(p, roots, *args))
+    report = solve(poly, profile, short)
+    assert handed and all(roots == phases(poly.family, poly.at(64).roots, 64) for roots in handed)
+    assert render_trace(report, "json") == render_trace(solve(fresh, profile, short), "json")
