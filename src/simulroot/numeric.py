@@ -11,12 +11,19 @@ one below ``MIN_DIGITS`` (30), the one place that floor is checked, and
 
 The elementary functions required by the iteration families (sin, cos,
 cot, sinh, cosh, coth) are evaluated with ``DEFAULT_GUARD_DIGITS`` extra
-digits, a constant, and rounded back to the argument's precision; near
-a zero of sin or cos, where cancellation eats the guard, the evaluation
-reruns with more digits (Ziv's strategy).  One argument-halving
-kernel per family gives both functions of a pair: it sums the odd
-Taylor series (sin or sinh) at x / 2^k, doubles back k times and takes
-one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
+digits, a constant.  Before its last rounding a value is within about
+2e-10 * 10**lost of a unit in its last digit, where the trig pair lies
+``lost`` digits below its scale (``_cos_sin_lost``; 0 for the hyperbolic
+pair), and it is then rounded once to the argument's precision.  That
+is faithful rounding, and correct rounding except that close to a tie:
+cot misrounds a value 1.25e-6 of a unit from a tie at lost = 5, which
+the pair term of ``polys`` rounds correctly
+(``tests/test_polys.py::test_a_term_that_cot_misrounds_is_correctly_rounded``).
+Near a zero of sin or cos, where cancellation eats more than half the
+guard, the evaluation reruns with more digits (Ziv's strategy).  One
+argument-halving kernel per family gives both functions of a pair: it
+sums the odd Taylor series (sin or sinh) at x / 2^k, doubles back k
+times and takes one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
 formula, cached per precision) carrying extra digits for large
 arguments.  sinh/cosh use the context's exp only past coth's far-tail
 cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
@@ -462,12 +469,14 @@ def _rounded_pair(pair: tuple[Decimal, Decimal], digits: int) -> tuple[Real, Rea
 
 
 def cos_sin(x: Real) -> tuple[Real, Real]:
-    """(cos x, sin x) from one kernel run, each rounded to x's precision."""
+    """(cos x, sin x) from one kernel run, each within about 2e-10 * 10**lost
+    of a unit before its one rounding to x's precision (see the module)."""
     return _rounded_pair(_cos_sin_decimal(x.dec, _working_prec(x)), x.digits)
 
 
 def cosh_sinh(x: Real) -> tuple[Real, Real]:
-    """(cosh x, sinh x) from one kernel run, each rounded to x's precision."""
+    """(cosh x, sinh x) from one kernel run, each within about 2e-10 of a
+    unit before its one rounding to x's precision (see the module)."""
     return _rounded_pair(_cosh_sinh_decimal(x.dec, _working_prec(x)), x.digits)
 
 

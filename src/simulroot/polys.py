@@ -37,15 +37,14 @@ the guard digits in that subtraction; its term is instead the quotient
 of the pair at u itself from numeric's short series
 (``_small_pair_series``, the turns' series), at the phases' digits.
 
-One tie rule (:func:`_round_clear_of_ties`, Ziv's strategy) makes each
-pair term the kernel's at u bit for bit: it rounds a term only where its
-error bound, which grows with the digits the term or cot itself loses
-below its scale, holds no rounding boundary; near 0, cot and coth lose
-none.  A term whose composition cancels more than half the guard
-digits, whose move or rounding is in doubt, that saturates at +/-1, or
-whose point has no phase (its kernel overflows) takes the kernel at u:
-numeric's cot or coth.  A near pair's term takes it only where its
-rounding is in doubt.
+Every pair term is the quotient of its pair at u rounded once to the
+sums' digits: within 0.5 + 1e-7 units of cot or coth at u (the error
+account after ``PHASE_GUARD_DIGITS``), so correctly rounded unless that
+value lies within 1e-7 of a unit of a tie.  A term whose composition
+cancels more than half the guard digits, whose t rounds too coarsely for
+its scale, whose move is in doubt, that saturates at +/-1, or whose
+point has no phase (its kernel overflows) takes the kernel at u:
+numeric's cot or coth.
 
 The log-derivative sums and the Horner runs take and return Reals but
 run on their ``Decimal`` values, under one context at the most digits
@@ -90,14 +89,13 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .numeric import (
     Real,
     _context,
-    _cos_sin_lost,
     _small_pair_series,
     cos_sin,
     cosh_sinh,
@@ -109,7 +107,8 @@ from .numeric import (
 )
 
 # Digits a phase carries beyond the sums it serves.  A pair term may lose
-# half of them to cancellation; the other half keep its rounding exact.
+# half of them to cancellation; the other half bound its error before its
+# one rounding.
 PHASE_GUARD_DIGITS = 20
 
 # One error account per composition of :func:`_minus` follows, in units
@@ -117,23 +116,19 @@ PHASE_GUARD_DIGITS = 20
 # phase's |c| and |s|: 1 for trig, cosh at the half point for the
 # hyperbolic pair.  A direct phase is within 0.5 + 1e-8 unit.
 #
-# A pair term (:func:`_pair_term`), before its last rounding, is within
-# 10**-TIE_MARGIN_DIGITS of a unit in its last working digit of the true
-# term.  The phases' rounding, magnified by at most
+# A pair term (:func:`_pair_term`) is the quotient c/s of a pair at u, the
+# kernel's argument, rounded once to the sums' digits.  Before that
+# rounding c/s is within 1e-7 of a unit in the term's last digit of cot or
+# coth at u.  On the phase path the phases' rounding, magnified by at most
 # 10**(PHASE_GUARD_DIGITS // 2) of cancellation, gives a few 1e-9 of a
-# unit; the move to u and the division each add at most 1e-9.  The worst
-# seen on 6000 seeded pairs at 64 and 256 digits was 7e-10, and 2.5e-9
-# on 12000 more whose phases were direct or turned 12 times.  cot keeps
-# an absolute error: before its rounding it is within about 2e-10 *
-# 10**lost of a unit where it computes its pair ``lost`` digits below
-# their scale (numeric's ``_cos_sin_lost``), 1.5e-6 at lost = 5 on a
-# seeded pair with (a - b)/2 near 3 pi/2.  So the tie margin is
-# 10**(lost - TIE_MARGIN_DIGITS), with lost 0 for coth.  A near pair's
-# term, the quotient of the short series' pair at u, is within a few units
-# of its last digit at the phases' digits, PHASE_GUARD_DIGITS below the
-# term's own, and cot, whose pair near 0 has a relative error, loses no
-# digit there: lost 0 for both.
-TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
+# unit, and the move to u adds at most 1e-9.  The worst seen on 6000
+# seeded pairs at 64 and 256 digits was 7e-10, and 2.5e-9 on 12000 more
+# whose phases were direct or turned 12 times.  A near pair's pair at u,
+# from the short series, is within a few units of its last digit at the
+# phases' digits, PHASE_GUARD_DIGITS below the term's own.  So a term is
+# within 0.5 + 1e-7 units of cot or coth at u: faithfully rounded
+# everywhere, and correctly rounded unless that value lies within 1e-7 of
+# a unit of a tie.
 
 # A turn (:func:`turned_phases`) moves a phase (c, s) at x/2 to (x -
 # delta)/2 by the pair (C, S) at h = delta/2 from numeric's short series,
@@ -150,9 +145,9 @@ TIE_MARGIN_DIGITS = PHASE_GUARD_DIGITS // 2 - 3
 # So E_(k+1) <= (1 + eps) E_k + 0.0011, and by induction a phase after k
 # <= TURN_LIMIT turns is within 0.5 + k * TURN_ERROR units: (1 + eps)(0.5 +
 # k TURN_ERROR) + 0.0011 <= 0.5 + (k + 1) TURN_ERROR while eps * 0.8 <= 0.0019.
-# At TURN_LIMIT that is 0.8 unit, inside the one unit of _pair_term's
-# cancellation and tie tests, which therefore take turned phases as they
-# take direct ones.
+# At TURN_LIMIT that is 0.8 unit, inside the one unit that _pair_term's
+# cancellation test and error account allow, so a pair term takes turned
+# phases as it takes direct ones.
 TURN_GUARD_DIGITS = 3
 TURN_ERROR = Decimal("0.003")
 TURN_LIMIT = 100
@@ -175,7 +170,6 @@ MAX_TURN_STEP = Decimal("1e-3")
 
 _HALF = Decimal("0.5")
 _MINUS_HALF = Decimal("-0.5")
-_NEAR_HALF = _HALF - Decimal(1).scaleb(-TIE_MARGIN_DIGITS)
 
 # Running error bounds are sums of magnitudes.  They need a few digits
 # only, and rounding every operation upward keeps each computed sum
@@ -378,51 +372,28 @@ def _moved(w: Context, sign: int, c: Decimal, s: Decimal,
     return None if c.is_zero() or s.is_zero() else (c, s)
 
 
-def _round_clear_of_ties(ctx: Context, w: Context, k: Decimal, lost: int) -> Decimal | None:
-    """k rounded to ctx, or None where an error of 10**(lost -
-    TIE_MARGIN_DIGITS) of a unit in k's last working digit could round it
-    the other way.
-
-    Rounding to nearest splits only at half a unit, so the part of k that
-    the rounding drops must stay that far from half a unit.  Every step
-    runs under ctx or w, so the thread's decimal context changes nothing.
-    """
-    r = ctx.plus(k)
-    dropped = w.subtract(k, r).scaleb(ctx.prec - 1 - k.adjusted(), w)
-    return None if dropped.copy_abs() >= _near(lost, _NEAR_HALF) else r
-
-
-@lru_cache(maxsize=None)
-def _near(lost: int, near_half: Decimal) -> Decimal:
-    # Half a unit less a tie margin 10**lost times that of near_half.  The
-    # callers pass _NEAR_HALF as read at each call, so that a patched
-    # _NEAR_HALF reaches every margin.
-    ctx = _context(PHASE_GUARD_DIGITS)
-    return ctx.subtract(_HALF, ctx.subtract(_HALF, near_half).scaleb(lost, ctx))
-
-
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
-    """term(d, a, b, pa, pb) = ``rule.odd(ctx, d)`` for d = a - b rounded to ctx:
-    from the short series at u = d/2 where |u| < 10**-(PHASE_GUARD_DIGITS //
-    2), else from the phases pa and pb of a and b where they carry enough
-    digits."""
+    """term(d, a, b, pa, pb) = cot or coth at u = d/2 rounded to ctx, for d =
+    a - b rounded to ctx, within 0.5 + 1e-7 units: the quotient of the pair
+    at u, rounded once to ctx.  The pair comes from the short series where
+    |u| < 10**-(PHASE_GUARD_DIGITS // 2), else from the phases pa and pb of
+    a and b.  Where neither serves, the term is ``rule.odd(ctx, d)``, the
+    kernel at u."""
     odd, sign, prec = rule.odd, rule.sign, ctx.prec
     half_guard = PHASE_GUARD_DIGITS // 2
     w = _context(prec + PHASE_GUARD_DIGITS)
-    halve, subtract, fma, divide = ctx.multiply, w.subtract, w.fma, w.divide
+    halve, divide, subtract, fma = ctx.multiply, ctx.divide, w.subtract, w.fma
 
     def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
         u = halve(d, _HALF)
         if u.adjusted() < -half_guard:
             # A near pair, whose phases would cancel more than half the
-            # guard.  u is the kernel's own argument and its pair from the
-            # series is good to a few units at w; near 0, cot and coth lose
-            # no digit below their scale.
+            # guard.  u is the kernel's own argument, and its pair from the
+            # series is good to a few units at w.
             try:
-                k = _round_clear_of_ties(ctx, w, divide(*_small_pair_series(u, sign < 0, w)), 0)
+                return divide(*_small_pair_series(u, sign < 0, w))
             except (Overflow, DivisionByZero):  # |u| past the exponent range
-                k = None
-            return odd(ctx, d) if k is None else k
+                return odd(ctx, d)
         if pb is None or not pa.digits == pb.digits == prec:
             return odd(ctx, d)
         t = subtract(a, b)
@@ -447,9 +418,6 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
         # within half the guard digits.
         scale = k.adjusted()
         if (scale + 1 if scale >= 0 else -scale) + t.adjusted() + 1 > half_guard:
-            return odd(ctx, d)
-        k = _round_clear_of_ties(ctx, w, k, _cos_sin_lost(u, c, s) if sign < 0 else 0)
-        if k is None:
             return odd(ctx, d)
         # +/-1 is where coth saturates: the direct kernel decides its
         # exponent, and past the far tail it runs no kernel.
@@ -534,8 +502,14 @@ def pairwise_log_derivatives(
     it adds m_j K to sum i and subtracts m_i K from sum j.  Row i takes
     the odds of p_i against every later point, adds their terms to sum i
     and subtracts them from the later sums.  Every sum takes its terms in
-    ascending order of the other index, as :func:`log_derivative` does, so
-    the results are the same bit for bit.  A coincident pair raises
+    ascending order of the other index, as :func:`log_derivative` does.
+    An algebraic or kernel term is odd bit for bit.  A phase term
+    (:func:`_pair_term`) is odd before its rounding only to within one unit
+    in the phases' last digit (:func:`_minus` on the swapped phases):
+    10**-PHASE_GUARD_DIGITS of a unit in the term's, times the cancellation
+    the term allows, at most 10**(PHASE_GUARD_DIGITS // 2).  So the results
+    equal the per-point sums bit for bit unless a term's quotient lies
+    that close to a rounding tie.  A coincident pair raises
     :class:`CoincidentPointError` with ``at=i``.
     """
     rule = _RULES[family]

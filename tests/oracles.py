@@ -21,6 +21,7 @@ expands planted roots into coefficient forms, again in Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import mul, truediv
 
 from simulroot.numeric import (
@@ -88,14 +89,6 @@ def frac_cosh(x: Fraction, digits: int = 80) -> Fraction:
         total += term
         i += 1
     return total
-
-
-def frac_cot(x: Fraction, digits: int = 80) -> Fraction:
-    return frac_cos(x, digits) / frac_sin(x, digits)
-
-
-def frac_coth(x: Fraction, digits: int = 80) -> Fraction:
-    return frac_cosh(x, digits) / frac_sinh(x, digits)
 
 
 def round_to_grid(x: Fraction, places: int) -> Fraction:
@@ -191,6 +184,54 @@ def grid_sin_cos(x: Fraction, places: int, sign: int = -1) -> tuple[Fraction, Fr
         c_total += c_term
         i += 1
     return Fraction(s_total, scale), Fraction(c_total, scale)
+
+
+def frac_cot(x: Fraction, digits: int = 80) -> Fraction:
+    """cot x to ``digits`` significant digits, for any nonzero x (:func:`_grid_cot`)."""
+    return _grid_cot(x, digits, -1)
+
+
+def frac_coth(x: Fraction, digits: int = 80) -> Fraction:
+    """coth x to ``digits`` significant digits, for any nonzero x (:func:`_grid_cot`)."""
+    return _grid_cot(x, digits, 1)
+
+
+def _grid_cot(x: Fraction, digits: int, sign: int) -> Fraction:
+    """c / s for a pair (s, c) on a grid, within a relative 10^-digits of
+    cot x (sign -1) or coth x (sign 1).
+
+    A trig x past 3 is first reduced by the nearest multiple of 2 pi, to r;
+    elsewhere r = x.  Both functions are odd, so the pair runs at |r|.  At
+    y = |r| / 2^k < 2^-10, s is the Taylor series of sin y or sinh y on a
+    10^-(places + k) grid and c = sqrt(1 + sign s^2); k doublings (s, c) ->
+    (2 s c, c^2 + sign s^2) take the pair back to |r|, in far fewer terms
+    than the series at |r|.  Every grid operation is within one unit.  A
+    trig doubling at most triples the pair's absolute error, and a
+    hyperbolic one doubles its relative error, so s and c are within 10^k
+    (terms + 2) units, or a relative 2^k 10^-(places + k) 2^11 (terms + 2).
+    Where the smaller of s and c is not 10^(digits + 4) times that bound,
+    the grid is made finer and the pair rerun.
+    """
+    if not x:
+        raise ZeroDivisionError("cot 0")
+    places = digits + 10
+    while True:
+        r = reduce_two_pi(x, places + 2) if sign < 0 and abs(x) > 3 else x
+        n, d = abs(r.numerator), r.denominator
+        k = (n * 1024 // d).bit_length()
+        scale = 10 ** (places + k)
+        term = s = n * scale // (d << k)
+        y2, i = s * s // scale, 1
+        while term:
+            term = sign * term * y2 // scale // ((2 * i) * (2 * i + 1))
+            s, i = s + term, i + 1
+        c = isqrt(scale * scale + sign * s * s)
+        for _ in range(k):
+            s, c = 2 * s * c // scale, (c * c + sign * s * s) // scale
+        short = digits + k + 5 - len(str(min(abs(s), abs(c))))
+        if short <= 0:
+            return Fraction(c, s) if r > 0 else Fraction(-c, s)
+        places += short + 5
 
 
 def grid_pi(places: int) -> Fraction:

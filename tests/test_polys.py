@@ -3,6 +3,7 @@ import hashlib
 import random
 from decimal import Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -602,11 +603,14 @@ def turned_along_paths(family, points, digits, rng, turns):
 
 
 def pair_terms(family, digits, pairs, monkeypatch, turns=0):
-    """(phase-kernel term, direct-kernel term, fell back) for each pair (a, b).
+    """(phase-kernel term, direct-kernel term, exact term, fell back) for
+    each pair (a, b).
 
     The direct kernel is the family's odd(round(a - b)), and a term falls
-    back when the phase kernel calls it.  The points' phases are direct,
-    or reached by ``turns`` turns each.
+    back when the phase kernel calls it.  The exact term is cot or coth at
+    the kernel's argument (:func:`exact_term`).  A term that fell back has
+    no exact term (None), and one that did not has no direct term.  The
+    points' phases are direct, or reached by ``turns`` turns each.
     """
     rule = polys._RULES[family]
     ctx = numeric._context(digits)
@@ -630,12 +634,59 @@ def pair_terms(family, digits, pairs, monkeypatch, turns=0):
         calls.clear()
         got = term(d, a.dec, b.dec, ph[2 * i], ph[2 * i + 1])
         fell_back = len(calls)
-        out.append((got, rule.odd(ctx, d), fell_back))
+        if fell_back:
+            out.append((got, rule.odd(ctx, d), None, fell_back))
+        else:
+            out.append((got, None, exact_term(family, ctx.divide(d, 2), digits), fell_back))
     return out
 
 
-def bit_for_bit(results) -> bool:
-    return all(got.compare_total(want) == 0 for got, want, _ in results)
+@lru_cache(maxsize=4096)  # a corpus runs again with turned phases
+def exact_term(family, u: Decimal, digits: int) -> Fraction:
+    """cot u or coth u from the oracle at 2 digits + 20 significant digits:
+    the exact pair term at the kernel's argument u = round(round(a - b)/2)."""
+    oracle = frac_cot if family is Family.TRIGONOMETRIC else frac_coth
+    return oracle(Fraction(u), 2 * digits + 20)
+
+
+# A pair term is within 0.5 + TIE_SLACK units of its exact value (the
+# error account after polys.PHASE_GUARD_DIGITS).
+TIE_SLACK = Fraction(1, 10**7)
+
+
+def correct_rounding(exact: Fraction, digits: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(unit, nearest, gap): a unit in the last of ``digits`` significant
+    digits of ``exact``, ``exact`` rounded to that unit (half even), and its
+    distance from the nearest tie in units."""
+    n, d = abs(exact.numerator), exact.denominator
+    top = len(str(n)) - len(str(d))  # floor(log10 |exact|) is top or top - 1
+    if n * 10 ** max(0, -top) < d * 10 ** max(0, top):
+        top -= 1
+    unit = Fraction(10) ** (top - digits + 1)
+    scaled = exact / unit
+    nearest = round(scaled)
+    return unit, nearest * unit, Fraction(1, 2) - abs(scaled - nearest)
+
+
+def breaches(results, digits: int) -> list[int]:
+    """The indices of the terms that break the pair-term contract.
+
+    A term that fell back must be the direct kernel's bit for bit.  Any
+    other must lie within 0.5 + TIE_SLACK units of the exact term, and equal
+    its correct rounding wherever the exact term lies more than TIE_SLACK
+    of a unit from a tie.
+    """
+    out = []
+    for i, (got, direct, exact, fell) in enumerate(results):
+        if fell:
+            kept = got.compare_total(direct) == 0
+        else:
+            unit, nearest, gap = correct_rounding(exact, digits)
+            kept = (abs(Fraction(got) - exact) <= (Fraction(1, 2) + TIE_SLACK) * unit
+                    and (gap <= TIE_SLACK or Fraction(got) == nearest))
+        if not kept:
+            out.append(i)
+    return out
 
 
 def near(rng, a: Real, exponent: int) -> Real:
@@ -646,7 +697,7 @@ def near(rng, a: Real, exponent: int) -> Real:
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 @pytest.mark.parametrize("digits", [64, 256])
-def test_phase_kernel_equals_the_direct_kernel_on_seeded_pairs(family, digits, monkeypatch):
+def test_phase_kernel_rounds_the_exact_term_on_seeded_pairs(family, digits, monkeypatch):
     # every pair of 64 full-length points: 2016 pairs, 30% of the points
     # 1e-1 to 1e-40 from another one
     rng = random.Random(digits + len(family.value))
@@ -654,11 +705,28 @@ def test_phase_kernel_equals_the_direct_kernel_on_seeded_pairs(family, digits, m
     points += [near(rng, points[i], -rng.randint(1, 40)) for i in range(19)]
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
     # the same with phases that were turned 12 times: within the bound of
-    # turned_phases, every term is still the direct kernel's bit for bit
+    # turned_phases, every term still keeps the contract
     for turns in (0, 12):
         results = pair_terms(family, digits, pairs, monkeypatch, turns)
-        assert len(results) == 2016 and bit_for_bit(results), turns
+        assert len(results) == 2016 and breaches(results, digits) == [], turns
         assert sum(fell for *_, fell in results) < len(results) // 10, turns
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_phase_term_one_unit_up_breaks_the_contract(family, monkeypatch):
+    # a phase path that returned next_plus of its term would break the
+    # contract on every term that took no kernel: one unit up from the
+    # correct rounding of a term clear of a tie
+    rng = random.Random(23)
+    pairs = [(full_numeral(rng, 64), full_numeral(rng, 64)) for _ in range(40)]
+    results = pair_terms(family, 64, pairs, monkeypatch)
+    assert breaches(results, 64) == []
+    ctx = numeric._context(64)
+    phased = [i for i, (*_, fell) in enumerate(results) if not fell]
+    assert len(phased) > 30
+    up = [(ctx.next_plus(got) if not fell else got, *rest, fell)
+          for got, *rest, fell in results]
+    assert breaches(up, 64) == phased
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
@@ -678,7 +746,7 @@ def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
     original = polys._small_pair_series
     monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
     results = pair_terms(family, digits, pairs, monkeypatch)
-    assert bit_for_bit(results)
+    assert breaches(results, digits) == []
     half_guard = polys.PHASE_GUARD_DIGITS // 2
     for e, (*_, fell) in zip(exponents, results):
         assert fell == 0, e
@@ -690,8 +758,8 @@ def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
 @pytest.mark.parametrize("digits", [64, 256])
 def test_near_pairs_run_no_halving_kernel(family, digits, monkeypatch):
     # seeded pairs 1e-11 to 1e-60 apart around full-length points of
-    # either sign: every term is the direct kernel's bit for bit, and none
-    # runs numeric's halving kernels
+    # either sign: every term keeps the contract, and none runs numeric's
+    # halving kernels
     rng = random.Random(11 * digits + len(family.value))
     pairs = [(a, near(rng, a, -rng.randint(11, 60)))
              for a in (full_numeral(rng, digits) for _ in range(60))]
@@ -705,19 +773,19 @@ def test_near_pairs_run_no_halving_kernel(family, digits, monkeypatch):
     got = [term(ctx.subtract(a.dec, b.dec), a.dec, b.dec, *point_phases[2 * i:2 * i + 2])
            for i, (a, b) in enumerate(pairs)]
     assert runs == []
-    monkeypatch.undo()
-    want = [rule.odd(ctx, ctx.subtract(a.dec, b.dec)) for a, b in pairs]
-    assert all(g.compare_total(v) == 0 for g, v in zip(got, want))
+    exact = [exact_term(family, ctx.divide(ctx.subtract(a.dec, b.dec), 2), digits)
+             for a, b in pairs]
+    assert breaches([(g, None, e, 0) for g, e in zip(got, exact)], digits) == []
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 @pytest.mark.parametrize("digits", [64, 256])
-def test_a_near_pair_whose_rounding_is_in_doubt_takes_the_kernel(family, digits, monkeypatch):
+def test_a_near_pair_a_hair_from_a_tie_takes_only_the_short_series(family, digits, monkeypatch):
     # u = 2^k 10^-e, with 5^k of digits + 1 digits: 1/u = 5^k 10^(e - k)
     # ends in a 5 one digit past the precision, a tie, and cot u = 1/u -
     # u/3 - ... or coth u = 1/u + u/3 + ... lies within 1e-100 of a unit
-    # of it, far inside the tie margin.  The short series reaches the tie
-    # test, which must send the term to the kernel.
+    # of it.  The term is the short series' quotient at u rounded once,
+    # with no kernel: within 0.5 + TIE_SLACK units of the exact term.
     k = next(k for k in range(1, 2000) if len(str(5 ** k)) == digits + 1)
     e = k + digits // 2 + 12
     u = Decimal(f"{2 ** k}E-{e}")
@@ -726,9 +794,12 @@ def test_a_near_pair_whose_rounding_is_in_doubt_takes_the_kernel(family, digits,
     monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
     results = pair_terms(family, digits, [(R(f"{2 ** (k + 1)}E-{e}", digits), R("0", digits))],
                          monkeypatch)
-    assert bit_for_bit(results)
-    assert [fell for *_, fell in results] == [1]
+    assert [fell for *_, fell in results] == [0]
     assert [t for t, *_ in series] == [u]
+    # the oracle resolves the exact term to within TIE_SLACK of the tie,
+    # where the contract asks for no more than faithful rounding
+    assert correct_rounding(results[0][2], digits)[2] < TIE_SLACK
+    assert breaches(results, digits) == []
 
 
 @pytest.mark.parametrize("digits", [64, 256])
@@ -743,7 +814,7 @@ def test_phase_kernel_across_the_period_boundary(digits, monkeypatch):
         b = R(str(-pi_ + Decimal(repr(rng.random())).scaleb(-rng.randint(1, 30))), digits)
         pairs += [(a, b), (b, a)]
     results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
-    assert bit_for_bit(results)
+    assert breaches(results, digits) == []
     assert 0 < sum(fell for *_, fell in results) < len(results)
 
 
@@ -761,7 +832,7 @@ def test_phase_kernel_past_the_far_tail(digits, monkeypatch):
         a = R(str(b.dec + 2 * half + Decimal(repr(rng.random()))), digits)
         pairs += [(a, b), (b, a)]
     results = pair_terms(Family.EXPONENTIAL, digits, pairs, monkeypatch)
-    assert bit_for_bit(results)
+    assert breaches(results, digits) == []
     assert any(got.compare_total(Decimal(1)) == 0 for got, *_ in results)
 
 
@@ -778,26 +849,30 @@ def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
 
     pairs = [(point(), point()) for _ in range(150)]
     results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
-    assert bit_for_bit(results)
+    assert breaches(results, digits) == []
     assert 0 < sum(fell for *_, fell in results) < len(results)
 
 
-def test_a_term_that_cot_computes_below_its_scale_equals_cot_bit_for_bit():
-    # (a - b)/2 lies near 3 pi/2, where cot is -9e-5 and its own absolute
-    # error, 1.5e-6 of a unit before rounding, puts it past a tie that the
-    # pair term is 1.25e-7 of a unit clear of: the tie margin must grow
-    # with the digits cot loses
+def test_a_term_that_cot_misrounds_is_correctly_rounded(monkeypatch):
+    # (a - b)/2 lies near 3 pi/2, where cot is -9e-5 and the exact term
+    # lies 1.25e-6 of a unit from a tie; cot's own absolute error, 1.5e-6
+    # of a unit before rounding, takes it past the tie.  The pair term,
+    # rounded once, ends ...70343 as the exact term rounds, and cot ends
+    # ...70342: halved in the sums, ...685172 and ...685171.
     family = Family.TRIGONOMETRIC
     points = [R("1.348052993467319852991785597720570864624504404276611412229988520"),
               R("-8.076905072982821151596144552117937787967003793848706050694845257")]
-    got = pairwise_log_derivatives(family, points, polys.phases(family, points, 64), [1, 1])
-    want = pairwise_log_derivatives(family, points, [None, None], [1, 1])
-    assert all(same(g, v) for g, v in zip(got, want))
-    assert str(want[0]).endswith("685171")
+    results = pair_terms(family, 64, [tuple(points)], monkeypatch)
+    (got, _, exact, fell), = results
+    assert fell == 0 and breaches(results, 64) == []
+    assert correct_rounding(exact, 64)[2] > TIE_SLACK and str(got).endswith("70343")
+    sums = pairwise_log_derivatives(family, points, polys.phases(family, points, 64), [1, 1])
+    kernel = pairwise_log_derivatives(family, points, [None, None], [1, 1])
+    assert str(sums[0]).endswith("685172") and str(kernel[0]).endswith("685171")
 
 
 @pytest.mark.parametrize("digits", [64, 256])
-def test_pair_terms_near_the_zeros_of_cot_equal_the_kernel(digits, monkeypatch):
+def test_pair_terms_near_the_zeros_of_cot_round_the_exact_term(digits, monkeypatch):
     # (a - b)/2 within 1e-4 of -3 pi/2, -pi/2, pi/2 and 3 pi/2, where cot
     # loses digits: past pi it reduces by 2 pi first
     rng = random.Random(digits + 3)
@@ -811,13 +886,13 @@ def test_pair_terms_near_the_zeros_of_cot_equal_the_kernel(digits, monkeypatch):
             b = R(str(wide.subtract(a.dec, 2 * wide.fma(quarter, half_pi, gap))), digits)
             pairs.append((a, b))
     results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
-    assert bit_for_bit(results)
+    assert breaches(results, digits) == []
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 def test_a_callers_decimal_context_reaches_no_phase_sum(family):
-    # the tie rule runs under the sums' own contexts: a thread context of
-    # 3 digits that traps every inexact result changes no pair term or pair
+    # every pair term and pair runs under the sums' own contexts: a thread
+    # context of 3 digits that traps every inexact result changes none
     rng = random.Random(17)
     points = [full_numeral(rng, 64) for _ in range(6)]
     point_phases = polys.phases(family, points, 64)
@@ -871,35 +946,6 @@ def test_a_pair_1e_40_apart_reaches_no_cot(monkeypatch):
     b = R(str(a.dec + Decimal("1e-40")), 64)
     pairwise_at(Family.TRIGONOMETRIC, [a, b], [1, 1])
     assert (len(calls), series) == (0, [64 + polys.PHASE_GUARD_DIGITS])
-
-
-def test_a_term_within_its_error_bound_of_a_tie_is_not_rounded():
-    # 8 digits kept: the part rounding drops must stay more than
-    # 10**-TIE_MARGIN_DIGITS of a unit away from half a unit
-    ctx, w = numeric._context(8), numeric._context(8 + polys.PHASE_GUARD_DIGITS)
-
-    def rounded(k):
-        return polys._round_clear_of_ties(ctx, w, Decimal(k), 0)
-
-    for k in ["1.2345678500000000000", "1.2345678499999999999",
-              "-1.2345678500000000099", "1.23456785E+40", "9.99999995"]:
-        assert rounded(k) is None, k
-    assert rounded("1.2345678499999") == Decimal("1.2345678")
-    assert rounded("1.2345678500001") == Decimal("1.2345679")
-    assert rounded("9.9999999700000") == Decimal("10.000000")
-    assert str(rounded("1.2345678")) == "1.2345678"
-    assert str(rounded("-2.5E-3")) == "-0.0025"
-
-
-@pytest.mark.parametrize("family", HALF_ANGLE)
-def test_a_term_whose_rounding_is_in_doubt_takes_the_direct_kernel(family, monkeypatch):
-    # with no margin left, every rounding is in doubt
-    monkeypatch.setattr(polys, "_NEAR_HALF", Decimal(0))
-    rng = random.Random(7)
-    pairs = [(full_numeral(rng, 64), full_numeral(rng, 64)) for _ in range(20)]
-    results = pair_terms(family, 64, pairs, monkeypatch)
-    assert bit_for_bit(results)
-    assert all(fell == 1 for *_, fell in results)
 
 
 # -- turned phases -------------------------------------------------------
