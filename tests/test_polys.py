@@ -779,6 +779,25 @@ def test_near_pairs_run_no_halving_kernel(family, digits, monkeypatch):
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_near_pair_term_one_unit_up_breaks_the_contract(family, monkeypatch):
+    # the short series' quotient is the other term that takes no kernel: a
+    # near-pair path that returned next_plus of its term would break the
+    # contract on every pair 1e-11 to 1e-60 apart
+    rng = random.Random(29)
+    pairs = [(a, near(rng, a, -rng.randint(11, 60)))
+             for a in (full_numeral(rng, 64) for _ in range(40))]
+    series = []
+    original = polys._small_pair_series
+    monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
+    results = pair_terms(family, 64, pairs, monkeypatch)
+    assert len(series) == len(pairs) and breaches(results, 64) == []
+    assert all(fell == 0 for *_, fell in results)
+    ctx = numeric._context(64)
+    up = [(ctx.next_plus(got), *rest) for got, *rest in results]
+    assert breaches(up, 64) == list(range(len(pairs)))
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
 @pytest.mark.parametrize("digits", [64, 256])
 def test_a_near_pair_a_hair_from_a_tie_takes_only_the_short_series(family, digits, monkeypatch):
     # u = 2^k 10^-e, with 5^k of digits + 1 digits: 1/u = 5^k 10^(e - k)
