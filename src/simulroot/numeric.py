@@ -2,11 +2,12 @@
 
 Every scalar a public function takes or returns is a :class:`Real`: an
 immutable decimal number that carries its working precision in decimal
-digits.  Inner loops (the kernels here, the sums in ``polys``) run on the
-``Decimal`` inside, under one cached ``decimal.Context`` per precision,
-so no process-wide precision is ever mutated and values are safe to
-share between threads.  A precision is a plain ``int``: ``Real`` rejects
-one below ``MIN_DIGITS`` (30), the one place that floor is checked, and
+digits.  Inner loops run on the ``Decimal`` inside (the sums in
+``polys``), under one cached ``decimal.Context`` per precision, or on
+Python ints (the halving kernels here, and pi), so no process-wide
+precision is ever mutated and values are safe to share between threads.
+A precision is a plain ``int``: ``Real`` rejects one below
+``MIN_DIGITS`` (30), the one place that floor is checked, and
 ``make_real`` parses at ``DEFAULT_DIGITS`` (64) unless told otherwise.
 
 The elementary functions required by the iteration families (sin, cos,
@@ -21,16 +22,26 @@ the pair term of ``polys`` rounds correctly
 (``tests/test_polys.py::test_a_term_that_cot_misrounds_is_correctly_rounded``).
 Near a zero of sin or cos, where cancellation eats more than half the
 guard, the evaluation reruns with more digits (Ziv's strategy).  One
-argument-halving kernel per family gives both functions of a pair: it
-sums the odd Taylor series (sin or sinh) at x / 2^k, doubles back k
-times and takes one square root.  sin/cos first reduce by 2*pi, with pi (Machin's
-formula, cached per precision) carrying extra digits for large
-arguments.  sinh/cosh use the context's exp only past coth's far-tail
-cut-off.  cot and coth are quotients of a pair; cos_sin and cosh_sinh
-return a whole pair from one kernel run.  ``polys`` takes every cot and
-coth of its log-derivative sums, and a coefficient form's e^(ix) or e^x,
-from such pairs, one per point, and calls a kernel at a term's own
-argument only where the pairs cannot give it to full precision.  When a
+argument-halving kernel per family gives both functions of a pair, on
+Python ints in binary fixed point at w fractional bits: one exact
+conversion in, the odd Taylor series (sin or sinh) at x / 2^k, one
+integer square root and k doublings, and one correctly rounded
+``Decimal`` division per value out.  w holds the bits of 10**prec at the
+working precision prec, k for the doublings, the bits that keep a small
+argument's values relative, and ``_GUARD_BITS`` (4), so the fixed point
+adds at most 2**(2 - 4), a quarter of a unit in the last digit at prec,
+2.5e-11 of a unit at the argument's precision; the rest of the 2e-10 is
+the reduction's and the roundings'.  Below 10**-((prec + 1)/2) the pair is
+(1, x) to a twentieth of a unit, which bounds w by about twice the bits
+of 10**prec for any argument.  sin/cos first reduce by 2*pi, with pi
+(Chudnovsky's series on ints, cached per precision) carrying extra
+digits for large arguments.  sinh/cosh use the context's exp only past
+coth's far-tail cut-off.  cot and coth are quotients of a pair; cos_sin
+and cosh_sinh return a whole pair from one kernel run.  ``polys`` takes
+every cot and coth of its log-derivative sums, and a coefficient form's
+e^(ix) or e^x, from such pairs, one per point, and calls a kernel at a
+term's own argument only where the pairs cannot give it to full
+precision.  When a
 point moves by a small step, ``polys`` turns its pair by the pair at
 half the step, which one short loop over both Taylor series gives
 without halving; the same loop gives the pair behind cot or coth at half
@@ -49,14 +60,15 @@ from decimal import (
     InvalidOperation,
     Overflow,
 )
-from decimal import MAX_EMAX, MIN_EMIN
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN
 from functools import lru_cache, total_ordering
-from math import frexp, isqrt
+from math import isqrt
 from typing import Sequence
 
 MIN_DIGITS = 30
 DEFAULT_DIGITS = 64
 DEFAULT_GUARD_DIGITS = 10
+_GUARD_BITS = 4
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
@@ -288,33 +300,31 @@ def ten_power(exponent: int, digits: int = DEFAULT_DIGITS) -> Real:
 # -- pi and series kernels --------------------------------------------
 
 
-def _atan_inverse_int(k: int, ctx: Context) -> Decimal:
-    # arctan(1/k) = sum (-1)^i / ((2i+1) k^(2i+1)), k >= 2
-    eps = _D1.scaleb(-(ctx.prec + 2))
-    power = ctx.divide(_D1, Decimal(k))
-    k2 = Decimal(k * k)
-    total = power
-    i = 1
-    while True:
-        power = ctx.divide(power, k2)
-        term = ctx.divide(power, Decimal(2 * i + 1))
-        if i % 2:
-            term = term.copy_negate()
-        total = ctx.add(total, term)
-        if term.copy_abs() <= eps:
-            return total
-        i += 1
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    # (P, Q, T) of terms a..b-1 of Chudnovsky's series, by binary splitting:
+    # T / Q = sum_i (-1)^i (6i)! (13591409 + 545140134 i) / ((3i)! i!^3 640320^(3i))
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:  # the ratio of term a to term a - 1 is -p / q; 640320^3 / 24 = 10939058860032000
+            p, q = (6 * a - 5) * (2 * a - 1) * (6 * a - 1), a ** 3 * 10939058860032000
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 @lru_cache(maxsize=None)
 def _pi_decimal(prec: int) -> Decimal:
-    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239)
-    ctx = _context(prec + 10)
-    val = ctx.subtract(
-        ctx.multiply(Decimal(16), _atan_inverse_int(5, ctx)),
-        ctx.multiply(Decimal(4), _atan_inverse_int(239, ctx)),
-    )
-    return _context(prec).plus(val)
+    # pi = 426880 sqrt(10005) Q / T (Chudnovsky 1988; each term adds 14.18
+    # digits), on ints to prec + 12 digits, then rounded once to prec
+    places = prec + 12
+    _, q, t = _chudnovsky(0, places // 14 + 2)
+    scale = 10 ** places
+    v = q * 426880 * isqrt(10005 * scale * scale) // t
+    return _context(prec).plus(Decimal(v).scaleb(-places, _context(MAX_PREC)))
 
 
 def pi(digits: int = DEFAULT_DIGITS) -> Real:
@@ -332,22 +342,6 @@ def _reduce_two_pi(x: Decimal, prec: int) -> Decimal:
     if n.is_zero():
         return x
     return ctx.fma(n.copy_negate(), two_pi, x)
-
-
-def _odd_series(t: Decimal, alternate: bool, ctx: Context) -> Decimal:
-    # sin t (alternate) or sinh t: term_i = term_{i-1} (+/-t^2) / ((2i)(2i+1))
-    stop = -(ctx.prec + 2)
-    t2 = ctx.multiply(t, t)
-    if alternate:
-        t2 = t2.copy_negate()
-    term = total = t
-    i = 1
-    while True:
-        term = ctx.divide(ctx.multiply(term, t2), (2 * i) * (2 * i + 1))
-        total = ctx.add(total, term)
-        if term.adjusted() < stop:
-            return total
-        i += 1
 
 
 def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decimal, Decimal]:
@@ -374,13 +368,69 @@ def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decim
         i += 1
 
 
-def _halving_steps(x: Decimal, prec: int) -> tuple[int, Context]:
-    # k = k0 + the binary exponent of x, so that |x / 2^k| < 2^-k0, with
-    # k0 ~ sqrt(prec)/1.5 balancing series terms against doublings.  The
-    # doublings amplify rounding errors by up to 2^k, which the
-    # 3k/10 + 3 extra digits absorb.
-    k = max(1, isqrt(prec) * 2 // 3 + frexp(float(x))[1])
-    return k, _context(prec + (3 * k) // 10 + 3)
+def _halving(t: Decimal, prec: int, squared: bool) -> tuple[int, int, int, int, Decimal]:
+    # (k, w, a, shift, one) for the argument-halving kernels: k halvings, w
+    # fractional bits, a = |t| / 2^k at w bits, and one = Decimal(2^f), f the
+    # bits that t was converted at and that the results convert back from,
+    # shift = f - w >= 0.  k = k0 + e, e the binary exponent of t (2^(e-1) <= |t| < 2^e),
+    # with k0 ~ sqrt(prec)/3 balancing series terms against doublings, so
+    # that |a| < 2^-k0; 1 when t is smaller.  w holds the bits of 10^prec,
+    # _GUARD_BITS, k for the doublings (each at most doubles the error), and
+    # the bits that keep a small value relative: -e for sin below 1, and
+    # 2(k - e) for q = sinh^2 a, which starts near a^2.  f is the same sum
+    # with e bounded from t's decimal exponent, which the callers' cut-off
+    # keeps above -prec/2 - 2, so f stays below about twice the bits of
+    # 10^prec, whatever the argument.
+    e10 = t.adjusted()
+    low = e10 * 3321928 // 1000000 - 1  # <= e
+    high = (e10 + 1) * 3321929 // 1000000 + 2  # >= e
+    k0 = isqrt(prec) // 3
+    bits = prec * 3322 // 1000 + _GUARD_BITS
+    k = max(1, k0 + high)
+    f = bits + k + (2 * (k - low) if squared else max(0, -low))
+    one = Decimal(1 << f)
+    fixed = int(_context(MAX_PREC).multiply(t.copy_abs(), one))  # exact, then floored
+    e = fixed.bit_length() - f
+    k = max(1, k0 + e)
+    w = bits + k + (2 * (k - e) if squared else max(0, -e))
+    return k, w, fixed >> (f - w + k), f - w, one
+
+
+def _fixed_series(a: int, w: int, alternate: bool) -> int:
+    # sin a (alternate) or sinh a at w fractional bits, for 0 <= a < 2^(w-1):
+    # a (1 + sum_i (-+y)^i / (2i + 1)!), y = a^2, by rectangular splitting
+    # (Smith 1989).  Term i goes into s[(i - 1) % 4] without its power of y,
+    # so four terms cost one multiplication, by y^4, and s[r] takes
+    # (-+y)^(r + 1) once at the end, in Horner's form.
+    y = a * a >> w
+    y4 = y * y >> w
+    y4 = y4 * y4 >> w
+    s0 = s1 = s2 = s3 = 0
+    term = 1 << w
+    i = 2
+    while term:
+        term //= i * (i + 1)
+        s0 += term
+        term //= (i + 2) * (i + 3)
+        s1 += term
+        term //= (i + 4) * (i + 5)
+        s2 += term
+        term //= (i + 6) * (i + 7)
+        s3 += term
+        term = term * y4 >> w
+        i += 8
+    if alternate:
+        s0, s2 = -s0, -s2
+    series = (((s3 * y >> w) + s2) * y >> w) + s1
+    series = ((series * y >> w) + s0) * y >> w
+    return a + (a * series >> w)
+
+
+def _from_fixed(n: int, shift: int, one: Decimal, prec: int) -> Decimal:
+    # n / 2^w, for one = Decimal(2^(w + shift)): one division,
+    # correctly rounded to 3 digits past prec, so that this rounding adds a
+    # thousandth of a unit at prec to the kernel's quarter
+    return _context(prec + 3).divide(Decimal(n << shift), one)
 
 
 def _cos_sin_lost(x: Decimal, c: Decimal, s: Decimal) -> int:
@@ -412,19 +462,22 @@ def _cos_sin_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
 
 
 def _cos_sin_pass(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    # Argument halving (Brent 1976): sin a from its series at a = t / 2^k,
-    # cos a = sqrt(1 - sin^2 a), then k doublings cos 2a = 1 - 2 sin^2 a,
-    # sin 2a = 2 sin a cos a.  Every step is odd in sin and even in cos,
-    # so sin(-x) = -sin(x) and cos(-x) = cos(x) exactly.
+    # Argument halving (Brent 1976) on ints at w fractional bits: sin a from
+    # its series at a = |t| / 2^k, cos a = sqrt(1 - sin^2 a), then k
+    # doublings cos 2a = 1 - 2 sin^2 a, sin 2a = 2 sin a cos a.  The pair is
+    # computed at |t| and sin takes t's sign, so sin(-x) = -sin(x) and
+    # cos(-x) = cos(x) exactly.
     t = _reduce_two_pi(x, prec) if x.copy_abs() > _pi_decimal(prec) else x
-    if t.is_zero():
+    if t.is_zero() or 2 * t.adjusted() < -prec - 2:
+        # below 10^-((prec + 1)/2), (1, t) is within a twentieth of a unit
         return _D1, t
-    k, ctx = _halving_steps(t, prec)
-    s = _odd_series(ctx.divide(t, 1 << k), True, ctx)
-    c = ctx.sqrt(ctx.subtract(1, ctx.multiply(s, s)))
+    k, w, s, shift, one = _halving(t, prec, False)
+    s = _fixed_series(s, w, True)
+    unit = 1 << w
+    c = isqrt((unit << w) - s * s)
     for _ in range(k):
-        s, c = ctx.multiply(2, ctx.multiply(s, c)), ctx.fma(-2, ctx.multiply(s, s), 1)
-    return c, s
+        s, c = s * c >> (w - 1), unit - (s * s >> (w - 1))
+    return _from_fixed(c, shift, one, prec), _from_fixed(s, shift, one, prec).copy_sign(t)
 
 
 def _far_tail(x: Decimal, prec: int) -> bool:
@@ -441,22 +494,24 @@ def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
         einv = ctx.divide(_D1, e)
         sh = ctx.divide(ctx.subtract(e, einv), _D2).copy_sign(x)
         return ctx.divide(ctx.add(e, einv), _D2), sh
-    if x.is_zero():
+    if x.is_zero() or 2 * x.adjusted() < -prec - 2:
+        # below 10^-((prec + 1)/2), (1, x) is within a twentieth of a unit
         return _D1, x
     # Argument halving on q = sinh^2, which has no cancellation to guard
-    # against: q(a) from the sinh series at a = x / 2^k, k - 1 doublings
+    # against: q(a) from the sinh series at a = |x| / 2^k, k - 1 doublings
     # q(2a) = 4 q (1 + q) up to q = sinh^2(x/2), then cosh x = 1 + 2q and
-    # sinh x = sign(x) sqrt(4q(1 + q)).  A doubling costs one
-    # multiplication fewer than the (cosh, sinh) form, and q is even, so
-    # sinh(-x) = -sinh(x) and cosh(-x) = cosh(x) exactly.
-    k, ctx = _halving_steps(x, prec)
-    s = _odd_series(ctx.divide(x, 1 << k), False, ctx)
-    q = ctx.multiply(s, s)
+    # sinh x = sign(x) sqrt(4q(1 + q)), all on ints at w fractional bits.  A
+    # doubling costs one multiplication fewer than the (cosh, sinh) form,
+    # and q is even, so sinh(-x) = -sinh(x) and cosh(-x) = cosh(x) exactly.
+    k, w, s, shift, one = _halving(x, prec, True)
+    s = _fixed_series(s, w, False)
+    q = s * s >> w
     for _ in range(k - 1):
-        q4 = ctx.multiply(4, q)
-        q = ctx.fma(q4, q, q4)
-    q4 = ctx.multiply(4, q)
-    return ctx.fma(2, q, 1), ctx.sqrt(ctx.fma(q4, q, q4)).copy_sign(x)
+        q4 = q << 2
+        q = (q4 * q >> w) + q4
+    unit = 1 << w
+    ch, sh = unit + (q << 1), isqrt((q << 2) * (unit + q))
+    return _from_fixed(ch, shift, one, prec), _from_fixed(sh, shift, one, prec).copy_sign(x)
 
 
 def _working_prec(x: Real) -> int:

@@ -272,8 +272,7 @@ def _advance(
     family = family_of(p)
     ctx = _context(estimates.digits)
     new = list(estimates.x)
-    # an estimate that does not move steps by abs(xi - xi), a zero
-    steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) for x in estimates.x]
+    steps: list[Real | None] = [None] * len(new)
     froze = set(frozen)
     # the roots that are not settled, by index, with their Newton ratios
     moving: dict[int, tuple[Real, int, Real, bool]] = {}
@@ -318,6 +317,9 @@ def _advance(
             raise StepFailure(i, exc) from exc
     if failure is not None:
         raise failure
+    # an estimate that does not move (frozen or settled) steps by abs(xi - xi), a zero
+    steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) if step is None else step
+             for x, step in zip(estimates.x, steps)]
     try:
         return EstimateVector(tuple(new), estimates.k + 1), tuple(steps), frozenset(froze)
     except CollisionError as exc:

@@ -237,7 +237,7 @@ def _grid_cot(x: Fraction, digits: int, sign: int) -> Fraction:
 def grid_pi(places: int) -> Fraction:
     """pi to about 10^-places by Gauss's formula
     pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239), in integer fixed
-    point (a different formula from the package's Machin series)."""
+    point (a different formula from the package's Chudnovsky series)."""
     scale = 10 ** (places + 5)
 
     def atan_inverse(k: int) -> int:

@@ -15,15 +15,19 @@ gate.
 import contextlib
 import io
 import json
+import time
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import planted_coefficients
+from oracles import frac_cot, frac_coth, grid_pi, grid_sin_cos, planted_coefficients
 from simulroot import solver
 from simulroot.cli import main
-from simulroot.numeric import make_real, pi
+from simulroot.numeric import Real, cos_sin, cosh_sinh, cot, coth, make_real, pi
 
 ONE_PERIOD_ON = str(make_real("1.1", 70) + 2 * pi(70))
 ORDINARY = ("0", "1", "-2", "2.5", "3.4", "-1.5", "0.05", "0.5", "0.2", "1.1", "1e-40")
@@ -242,3 +246,81 @@ def test_a_trig_solve_from_a_huge_estimate_reports_as_at_the_top_level(digits, t
     assert (trace["stop_reason"], trace["failure"], len(trace["snapshots"])) == ("max_iters", None, 51)
     monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
     assert run_case(tmp_path, (argv, None)) == (code, out, err)
+
+
+# -- the phase kernels at the hostile exponents ------------------------
+
+
+def _within(value: Real, exact: Fraction) -> bool:
+    # within half a unit and numeric's 2e-10 of a unit of exact's last digit
+    magnitude = Context(prec=40).divide(Decimal(exact.numerator), Decimal(exact.denominator))
+    unit = Fraction(10) ** (magnitude.adjusted() - value.digits + 1)
+    return abs(Fraction(value.dec) - exact) <= (Fraction(1, 2) + Fraction(2, 10 ** 10)) * unit
+
+
+@lru_cache(maxsize=None)
+def _two_pi(places: int) -> Fraction:
+    return 2 * grid_pi(places)
+
+
+def _hostile_expected(x: Real):
+    """The oracle's (cos_sin, cosh_sinh, cot, coth) at x, each a pair of
+    Fractions, a Fraction, an exact Decimal, or the error class raised where
+    no value exists: no context holds the digits that the phase of
+    1e999999999999999990 needs (ValueError), and a value past the exponent
+    range overflows."""
+    bounded = Context(prec=x.digits, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[Overflow])
+    e = x.dec.adjusted()
+    if e < -2 * x.digits:
+        # sin x = sinh x = x, cos x = cosh x = 1 and cot x = coth x = 1/x,
+        # each to well within a unit
+        pair = (Decimal(1), bounded.plus(x.dec))
+        try:
+            reciprocal = bounded.divide(1, x.dec)
+        except Overflow:
+            reciprocal = Overflow
+        return pair, pair, reciprocal, reciprocal
+    unit = Decimal(1).copy_sign(x.dec)
+    if e + x.digits > MAX_PREC - 20:
+        # the reduction by 2 pi would need a context of about e + digits digits
+        return ValueError, Overflow, ValueError, unit
+    places = 2 * x.digits + 20
+    exact = Fraction(x.dec)
+    two_pi = _two_pi(places + max(e, 0) + 5)
+    r = exact - round(exact / two_pi) * two_pi
+    s, c = grid_sin_cos(r, places)
+    if e > 18:  # e^|x| lies past 10^MAX_EMAX, and coth x is +/-1
+        return (c, s), Overflow, c / s, unit
+    sh, ch = grid_sin_cos(exact, places, sign=1)
+    return (c, s), (ch, sh), frac_cot(exact, places), frac_coth(exact, places)
+
+
+def _finite(text: str) -> bool:
+    # a numeral that a Decimal holds as a finite value
+    try:
+        return Decimal(text).is_finite()
+    except InvalidOperation:  # empty, or an exponent past what a Decimal holds
+        return False
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+@pytest.mark.parametrize("text", [t for t in HOSTILE if _finite(t)])
+def test_phase_kernels_at_hostile_exponents_give_the_oracle_or_its_error(text, digits):
+    # x held as given, not rounded to its digits; each call well under a second
+    x = Real(Decimal(text), digits)
+    for fn, expected in zip((cos_sin, cosh_sinh, cot, coth), _hostile_expected(x)):
+        start = time.perf_counter()
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                fn(x)
+        else:
+            got = fn(x)
+            if isinstance(expected, Decimal):
+                assert got.dec == expected, (fn.__name__, text)
+            elif isinstance(expected, tuple) and isinstance(expected[0], Decimal):
+                assert tuple(v.dec for v in got) == expected, (fn.__name__, text)
+            elif isinstance(expected, tuple):
+                assert all(_within(v, e) for v, e in zip(got, expected)), (fn.__name__, text)
+            else:
+                assert _within(got, expected), (fn.__name__, text)
+        assert time.perf_counter() - start < 0.5, (fn.__name__, text)

@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulroot.numeric import (
+    DEFAULT_GUARD_DIGITS,
     ParseError,
     PoleError,
     Real,
     cos,
+    cos_sin,
     cosh,
+    cosh_sinh,
     cot,
     coth,
     format_fixed,
@@ -27,6 +30,8 @@ from simulroot.numeric import _context, _cosh_sinh_decimal
 from oracles import (
     frac_cos,
     frac_cosh,
+    frac_cot,
+    frac_coth,
     frac_sin,
     frac_sinh,
     grid_sin_cos,
@@ -383,3 +388,96 @@ def test_kernels_are_odd_and_even_bit_for_bit():
         for x in _common_points(digits):
             assert str(coth(-x)) == str(-coth(x))
             assert str(sinh(-x)) == str(-sinh(x)) and str(cosh(-x)) == str(cosh(x))
+
+
+# -- the fixed-point kernels against the oracles at 2 * digits + 20 ----
+#
+# numeric's module docstring: before its one rounding a value is within
+# about 2e-10 * 10**lost of a unit in its last digit, lost being the digits
+# the trig pair lies below its scale (0 for the hyperbolic pair).  The
+# pairs are checked before that rounding, at the kernels' working
+# precision, and every public value after it.
+
+
+def _magnitude(v: Fraction) -> int:
+    # the decimal exponent of v's leading digit
+    return Context(prec=40).divide(Decimal(v.numerator), Decimal(v.denominator)).adjusted()
+
+
+def _units(value: Decimal, exact: Fraction, digits: int) -> Fraction:
+    # |value - exact| in units of exact's last digit at ``digits`` digits
+    return abs(Fraction(value) - exact) / Fraction(10) ** (_magnitude(exact) - digits + 1)
+
+
+def _kernel_points(digits: int) -> tuple[list[Real], list[Real]]:
+    """Seeded (trig, hyperbolic) arguments: near k pi/2, where cancellation
+    takes the rerun path; past pi up to 1e30; tiny ones, 1e-12 to 1e-60;
+    and on both sides of coth's far-tail cut-off."""
+    rng = random.Random(7 * digits)
+
+    def numeral(exponent: int) -> Real:
+        body = f"{rng.randint(1, 9)}.{rng.randrange(10 ** (digits - 1)):0{digits - 1}d}"
+        return make_real(f"{rng.choice('-+')}{body}e{exponent}", digits)
+
+    half_pi = pi(digits + 10) / 2
+    near = [(k * half_pi + rng.choice((1, -1)) * ten_power(-rng.randint(3, 40), digits + 10))
+            .with_digits(digits) for k in (1, 2, 3, 4, 5, -1, -2, -7)]
+    far = [numeral(e) for e in (0, 1, 3, 9, 17, 29)]
+    tiny = [numeral(-e) for e in (12, 20, 33, 47, 60)]
+    moderate = [numeral(-1), numeral(0), make_real(repr(rng.uniform(-5, 5)), digits)]
+    cut = (digits + DEFAULT_GUARD_DIGITS) * 11513 // 10000 + 2  # (prec ln 10 + ln 4) / 2
+    tail = [make_real(str(cut + Decimal(offset)), digits)
+            for offset in ("-0.5", "-1e-5", "1e-5", "0.5")]
+    tail += [-tail[0], -tail[3]]
+    return near + far[1:] + tiny + moderate, tiny + moderate + far[:2] + tail
+
+
+def _kernel_breaches(digits: int) -> list[tuple[str, str, float]]:
+    """Every (function, argument, units/bound) whose value misses the bound,
+    before the rounding (pairs) or after it (public values)."""
+    prec = digits + DEFAULT_GUARD_DIGITS
+    oracle = 2 * digits + 20
+    bound = Fraction(2, 10 ** 10)
+    breaches = []
+
+    def check(name, x, value, exact, lost, rounded):
+        allowed = bound * 10 ** lost + (Fraction(1, 2) if rounded else 0)
+        units = _units(value, exact, digits)
+        if units > allowed:
+            breaches.append((name, str(x), float(units / allowed)))
+
+    trig, hyperbolic = _kernel_points(digits)
+    for x in trig:
+        places = oracle + 80
+        r = reduce_two_pi(Fraction(x.dec), places + 5)
+        s, c = grid_sin_cos(r, places)
+        lost = max(min(x.dec.adjusted(), 0) - _magnitude(s), -_magnitude(c))
+        kernel = numeric._cos_sin_decimal(x.dec, prec)
+        check("cos (kernel)", x, kernel[0], c, lost, False)
+        check("sin (kernel)", x, kernel[1], s, lost, False)
+        public = cos_sin(x)
+        check("cos", x, public[0].dec, c, lost, True)
+        check("sin", x, public[1].dec, s, lost, True)
+        check("cot", x, cot(x).dec, frac_cot(Fraction(x.dec), oracle), lost, True)
+    for x in hyperbolic:
+        sh, ch = grid_sin_cos(Fraction(x.dec), oracle + 80, sign=1)
+        kernel = numeric._cosh_sinh_decimal(x.dec, prec)
+        check("cosh (kernel)", x, kernel[0], ch, 0, False)
+        check("sinh (kernel)", x, kernel[1], sh, 0, False)
+        public = cosh_sinh(x)
+        check("cosh", x, public[0].dec, ch, 0, True)
+        check("sinh", x, public[1].dec, sh, 0, True)
+        check("coth", x, coth(x).dec, frac_coth(Fraction(x.dec), oracle), 0, True)
+    return breaches
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_kernels_keep_the_documented_bound(digits):
+    assert _kernel_breaches(digits) == []
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_kernels_with_eight_fewer_guard_bits_break_the_bound(digits, monkeypatch):
+    # the mutation the property must catch: the fixed point's guard cut by 8
+    monkeypatch.setattr(numeric, "_GUARD_BITS", numeric._GUARD_BITS - 8)
+    assert _kernel_breaches(digits) != []

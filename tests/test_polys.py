@@ -308,11 +308,12 @@ def test_central_difference_matches_derivative(family, point):
 @pytest.mark.parametrize("family", list(Family))
 def test_coefficient_form_runs_one_kernel_without_a_phase(family, monkeypatch):
     # a half-angle sum takes z from x's phase: without one it runs the
-    # kernel once for it, which sums one odd series, and given one it runs
-    # none; the algebraic family has no phase
+    # kernel once for it, and given one it runs none; the algebraic family
+    # has no phase
     runs = []
-    series = numeric._odd_series
-    monkeypatch.setattr(numeric, "_odd_series", lambda *a: runs.append(a) or series(*a))
+    for name in ("_cos_sin_decimal", "_cosh_sinh_decimal"):
+        kernel = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda *a, kernel=kernel: runs.append(a) or kernel(*a))
     x = R("0.3")
     if family is Family.ALGEBRAIC:
         p = AlgebraicCoeffPoly((R("1"), R("-2")))
