@@ -17,9 +17,7 @@ digits, a constant.  Before its last rounding a value is within about
 ``lost`` digits below its scale (``_cos_sin_lost``; 0 for the hyperbolic
 pair), and it is then rounded once to the argument's precision.  That
 is faithful rounding, and correct rounding except that close to a tie:
-cot misrounds a value 1.25e-6 of a unit from a tie at lost = 5, which
-the pair term of ``polys`` rounds correctly
-(``tests/test_polys.py::test_a_term_that_cot_misrounds_is_correctly_rounded``).
+a value that lies within that error of a tie may round to either side.
 Near a zero of sin or cos, where cancellation eats more than half the
 guard, the evaluation reruns with more digits (Ziv's strategy).  One
 argument-halving kernel per family gives both functions of a pair, on
@@ -33,19 +31,21 @@ adds at most 2**(2 - 4), a quarter of a unit in the last digit at prec,
 2.5e-11 of a unit at the argument's precision; the rest of the 2e-10 is
 the reduction's and the roundings'.  Below 10**-((prec + 1)/2) the pair is
 (1, x) to a twentieth of a unit, which bounds w by about twice the bits
-of 10**prec for any argument.  sin/cos first reduce by 2*pi, with pi
-(Chudnovsky's series on ints, cached per precision) carrying extra
-digits for large arguments.  sinh/cosh use the context's exp only past
+of 10**prec for any argument.  sin/cos reduce an argument past pi by
+2*pi first, with pi (Chudnovsky's series on ints, cached per precision)
+carrying extra digits, one more than the argument has before its point;
+one whose reduction would need more than decimal's ``MAX_PREC`` digits
+raises :class:`PhaseError`.  sinh/cosh use the context's exp only past
 coth's far-tail cut-off.  cot and coth are quotients of a pair; cos_sin
 and cosh_sinh return a whole pair from one kernel run.  ``polys`` takes
 every cot and coth of its log-derivative sums, and a coefficient form's
 e^(ix) or e^x, from such pairs, one per point, and calls a kernel at a
 term's own argument only where the pairs cannot give it to full
-precision.  When a
-point moves by a small step, ``polys`` turns its pair by the pair at
-half the step, which one short loop over both Taylor series gives
-without halving; the same loop gives the pair behind cot or coth at half
-the difference of two points closer than 2e-10, where their pairs cancel.
+precision.  When a point moves by a small step, ``polys`` turns its pair
+by the pair at half the step, which one short loop over both Taylor
+series gives without halving; the same loop gives the pair behind cot or
+coth at half the difference of two points closer than 2e-10, where their
+pairs cancel.
 """
 
 from __future__ import annotations
@@ -332,10 +332,13 @@ def pi(digits: int = DEFAULT_DIGITS) -> Real:
 
 
 def _reduce_two_pi(x: Decimal, prec: int) -> Decimal:
-    # x minus the nearest multiple of 2*pi; fma keeps the cancellation exact.
-    # Beyond |x| >= 10, pi carries x.adjusted() + 2 more digits, so that
-    # n*2*pi is known to ~prec digits after the point (Ng 1992).
-    extra = x.adjusted() + 2 if x.adjusted() > 0 else 0
+    # x minus the nearest multiple of 2*pi, for |x| > pi; fma keeps the
+    # cancellation exact.  pi carries x.adjusted() + 2 more digits (one
+    # more than x has before its point), so that n*2*pi is known to ~prec
+    # digits after the point (Ng 1992).
+    extra = x.adjusted() + 2
+    if prec + extra > MAX_PREC:
+        raise PhaseError(f"the phase of {x} needs more than {MAX_PREC} digits")
     ctx = _context(prec + extra)
     two_pi = ctx.multiply(_D2, _pi_decimal(prec + extra))
     n = ctx.to_integral_value(ctx.divide(x, two_pi))

@@ -16,17 +16,18 @@ the same sums over the other estimates, all of them from one pairwise
 pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
 
 A half-angle form, factored or in coefficient form, runs no kernel per
-term.  Each point gets its phase, the pair (c, s) at half the point, from
-the kernel once (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits
-than the sums; the solver keeps a factored form's roots' phases for a
-whole solve, from one kernel run at the estimates' digits rounded down
-to each level (:func:`root_phases`, :func:`lower_root_phases`), and the
-estimates' phases from sweep to sweep.  Every pair derived from phases
-is one or two angle subtractions (:func:`_minus`):
+term.  Each point gets its phase (:class:`Phase`), the pair (c, s) at
+half the point, which knows its point, from the kernel once
+(:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits than the sums;
+the solver keeps a factored form's roots' phases for a whole solve, from
+one kernel run at the estimates' digits rounded down to each level
+(:func:`root_phases`, :func:`lower_root_phases`), and the estimates'
+phases from sweep to sweep.  One rule, :func:`turned_phases`, gives each
+sweep its phases.  Every pair derived from phases is one or two angle
+subtractions (:func:`_minus`):
 
 * a turn, by the pair at half the distance from an estimate to the
-  nearer of its last position and its nearest root
-  (:func:`phase_anchors`, :func:`turned_phases`);
+  nearer of its last position and its nearest root (:func:`turned_phases`);
 * cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
 * the move to u, the argument the kernel sees, round(round(a - b)/2),
   by the first-order pair (1, -delta) at -delta = v - u.
@@ -91,6 +92,7 @@ from decimal import (
 from enum import Enum
 from functools import cached_property, reduce
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .numeric import (
@@ -269,7 +271,8 @@ _RULES = {
 
 
 class Phase(NamedTuple):
-    """(c, s) at half a point, for sums at ``digits`` digits only.
+    """(c, s) at x/2, the phase of the point x, for sums at ``digits``
+    digits only.
 
     A direct phase (:func:`phases`) is rounded to ``digits +
     PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
@@ -280,6 +283,7 @@ class Phase(NamedTuple):
     times 1 (trig) or cosh at the half point (hyperbolic).
     """
 
+    x: Decimal
     c: Decimal
     s: Decimal
     digits: int
@@ -304,47 +308,61 @@ def phases(family: Family, points: Sequence[Real], digits: int) -> list[Phase | 
         except Overflow:
             out.append(None)
         else:
-            out.append(Phase(c.dec, s.dec, digits))
+            out.append(Phase(p.dec, c.dec, s.dec, digits))
     return out
 
 
 def turned_phases(
     family: Family,
-    old: Sequence[Real],
+    known: Sequence[Phase | None] | None,
     new: Sequence[Real],
-    old_phases: Sequence[Phase | None] | None,
     digits: int,
+    roots: Sequence[Phase | None] = (),
 ) -> list[Phase | None]:
-    """The phases of the points ``new`` for sums at ``digits`` digits, from
-    ``old_phases``, the phases of the points ``old``.
+    """The phases of the points ``new`` for sums at ``digits`` digits, each
+    from the nearest point whose phase is known.
 
-    Each old point is a point whose phase is already known: a solve passes
-    the new point's last position or a root, whichever
-    :func:`phase_anchors` finds nearer.  A new point equal to its old point
-    keeps that phase object.  One less than ``MAX_TURN_STEP`` from it has
-    the phase turned by the difference; one whose old phase is None,
-    serves other digits or has ``TURN_LIMIT`` turns, or that lies further,
-    takes :func:`phases`, as every point does where ``old_phases`` is
-    None.  All None for the algebraic family.
+    A new point's anchor is the nearer of two phases: its entry in
+    ``known`` (in a solve, the phase of its last position), and the phase
+    in ``roots`` (a factored form's :func:`root_phases`) nearest to it
+    among those that serve ``digits``; its own at equal distance, the
+    upper root midway between two.  A point equal to its anchor's point
+    keeps that phase object, so a point on a root keeps the root's.  One
+    less than ``MAX_TURN_STEP`` from it has the phase turned by the
+    difference; one whose anchor is None, serves other digits or has
+    ``TURN_LIMIT`` turns, or that lies further, takes :func:`phases`, as
+    every point does where ``known`` is None and ``roots`` empty.  All
+    None for the algebraic family.
     """
     rule = _RULES[family]
     if rule.pair is None:
         return [None] * len(new)
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    out = list(old_phases or [None] * len(new))
+    anchors = sorted((ph for ph in roots if ph is not None and ph.digits == digits),
+                     key=attrgetter("x"))
+    xs = [ph.x for ph in anchors]
+    out = list(known or [None] * len(new))
     redo = []
-    for i, (a, b, ph) in enumerate(zip(old, new, out)):
-        step = w.subtract(a.dec, b.dec)
+    for i, (b, ph) in enumerate(zip([x.dec for x in new], out)):
+        if xs:
+            # the nearer of the roots on either side of b, if nearer than ph
+            j = bisect_left(xs, b)
+            if j == len(xs) or (j and w.subtract(b, xs[j - 1]) < w.subtract(xs[j], b)):
+                j -= 1
+            if ph is None or w.subtract(b, xs[j]).copy_abs() < w.subtract(b, ph.x).copy_abs():
+                ph = anchors[j]
         if ph is None or ph.digits != digits:
             redo.append(i)
-        elif step.is_zero():
             continue
+        step = w.subtract(ph.x, b)
+        if step.is_zero():
+            out[i] = ph
         elif ph.turns >= TURN_LIMIT or step.copy_abs() >= MAX_TURN_STEP:
             redo.append(i)
         else:
             try:
                 turn = _small_pair_series(w.multiply(step, _HALF), rule.sign < 0, w)
-                out[i] = Phase(*_minus(w, rule.sign, ph.c, ph.s, *turn), digits, ph.turns + 1)
+                out[i] = Phase(b, *_minus(w, rule.sign, ph.c, ph.s, *turn), digits, ph.turns + 1)
             except Overflow:
                 redo.append(i)
     for i, ph in zip(redo, phases(family, [new[i] for i in redo], digits)):
@@ -611,9 +629,9 @@ class FactoredPoly:
     def at(self, digits: int) -> FactoredPoly:
         """This form with every root rounded to ``digits``: the form a sweep
         at ``digits`` digits runs on, cached per digits, so that its
-        ``root_decs``, ``root_set`` and ``sorted_roots`` are made once per
-        level; the form itself where rounding moves no root.  Roots that
-        round to one value stay two factors."""
+        ``root_decs`` and ``root_set`` are made once per level; the form
+        itself where rounding moves no root.  Roots that round to one value
+        stay two factors."""
         level = self._levels.get(digits)
         if level is None:
             decs = tuple(map(_context(digits).plus, self.root_decs))
@@ -636,13 +654,6 @@ class FactoredPoly:
     def root_decs(self) -> tuple[Decimal, ...]:
         """The roots' Decimals, which every Newton ratio's sum runs on."""
         return tuple(r.dec for r in self.roots)
-
-    @cached_property
-    def sorted_roots(self) -> tuple[tuple[Decimal, ...], tuple[int, ...]]:
-        """The roots' Decimals in ascending order, and the index in ``roots``
-        of each: a solve bisects them for the root nearest an estimate."""
-        order = tuple(sorted(range(len(self.root_decs)), key=self.root_decs.__getitem__))
-        return tuple(self.root_decs[i] for i in order), order
 
     @cached_property
     def root_set(self) -> frozenset[Decimal]:
@@ -740,19 +751,19 @@ def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
     """The :func:`phases` of the roots of ``p.at(digits)``
     (:meth:`FactoredPoly.at`), for the Newton ratios of estimates that
     carry ``digits`` digits; [] for coefficient forms and for the
-    algebraic family, which has no phases.  An estimate's phase may turn
-    from its nearest root's (:func:`phase_anchors`), and an estimate on a
-    root takes the root's phase as it is."""
+    algebraic family, which has no phases.  They are the ``roots`` of
+    :func:`turned_phases`: an estimate's phase may turn from its nearest
+    root's, and an estimate on a root takes the root's phase as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
     return phases(p.family, p.at(digits).roots, digits)
 
 
-def lower_root_phases(p: Polynomial, known: Sequence[Phase | None], top: int,
+def lower_root_phases(p: Polynomial, known: Sequence[Phase | None],
                       digits: int) -> list[Phase | None]:
-    """The phases of the roots of ``p.at(digits)`` from ``known``, those of
-    ``p.at(top)`` (:func:`root_phases` at ``top`` digits, more than
-    ``digits``), so that a solve runs the kernel for its roots once.
+    """The phases of the roots of ``p.at(digits)`` from ``known``, p's
+    :func:`root_phases` at more digits, so that a solve runs the kernel
+    for its roots once.
 
     Each is rounded to ``TURN_GUARD_DIGITS`` more digits than a direct
     phase at ``digits``: within 0.051 units (a tenth of the direct phase's
@@ -762,51 +773,9 @@ def lower_root_phases(p: Polynomial, known: Sequence[Phase | None], top: int,
     if not known:
         return []
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    rounded = [None if ph is None else Phase(w.plus(ph.c), w.plus(ph.s), digits)
+    rounded = [None if ph is None else Phase(ph.x, w.plus(ph.c), w.plus(ph.s), digits)
                for ph in known]
-    return turned_phases(p.family, p.at(top).roots, p.at(digits).roots, rounded, digits)
-
-
-def phase_anchors(
-    p: Polynomial,
-    roots: Sequence[Phase | None],
-    old: Sequence[Real],
-    new: Sequence[Real],
-    old_phases: Sequence[Phase | None] | None,
-    digits: int,
-) -> tuple[Sequence[Real], Sequence[Phase | None] | None]:
-    """The points, and their phases, that :func:`turned_phases` turns the
-    phases of the points ``new`` from, for sums at ``digits`` digits.
-
-    Each point's anchor is its ``old`` point with its phase in
-    ``old_phases``, or the root of ``p.at(digits)`` nearest to it with its
-    phase in ``roots`` (p's :func:`root_phases`) where that phase serves
-    ``digits`` and the root lies nearer than the old point, or the old
-    point has no phase.  A point on a root so keeps the root's phase
-    object, and a point near its root turns by its distance to the root,
-    which is cubically smaller than its last step once the iteration
-    converges.  ``old`` and ``old_phases`` as they are where ``roots`` is
-    empty: for coefficient forms and the algebraic family.
-    """
-    if not roots:
-        return old, old_phases
-    p = p.at(digits)
-    decs, order = p.sorted_roots
-    w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    points = list(old)
-    known = list(old_phases or [None] * len(new))
-    for i, x in enumerate(new):
-        # the nearer of the roots on either side of x
-        j = bisect_left(decs, x.dec)
-        if j == len(decs) or (j and w.subtract(x.dec, decs[j - 1]) < w.subtract(decs[j], x.dec)):
-            j -= 1
-        root = roots[order[j]]
-        if root is None or root.digits != digits:
-            continue
-        gap = w.subtract(x.dec, decs[j]).copy_abs()
-        if known[i] is None or gap < w.subtract(x.dec, points[i].dec).copy_abs():
-            points[i], known[i] = p.roots[order[j]], root
-    return points, known
+    return turned_phases(p.family, rounded, p.at(digits).roots, digits)
 
 
 def newton_ratio(

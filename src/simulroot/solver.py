@@ -64,13 +64,13 @@ the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
 its Newton ratio and the pair sums, and a factored form's roots get
 theirs from one kernel run per solve, at the estimates' digits, rounded
 down to each level (:func:`~simulroot.polys.root_phases`).  Each sweep
-turns an estimate's phase from the nearest point whose phase it knows:
-the estimate's last position, unless the level rose since, or its
-nearest root (:func:`~simulroot.polys.phase_anchors`).  The phase
-kernel runs only for an estimate with no such point within
-``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1: after it
-the cubic iteration leaves most estimates well within that of their
-roots.  An estimate on its root keeps the root's phase.  Coefficient
+makes one call, :func:`~simulroot.polys.turned_phases`, which turns an
+estimate's phase from the nearest point whose phase it knows: the
+estimate's last position, unless the level rose since, or its nearest
+root.  The phase kernel runs only for an estimate with no such point
+within ``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1:
+after it the cubic iteration leaves most estimates well within that of
+their roots.  An estimate on its root keeps the root's phase.  Coefficient
 forms have no root phases and turn each phase by its estimate's last
 step.
 """
@@ -94,7 +94,6 @@ from .polys import (
     lower_root_phases,
     newton_ratio,
     pairwise_log_derivatives,
-    phase_anchors,
     root_phases,
     turned_phases,
 )
@@ -378,7 +377,7 @@ def solve(
     steps: list[tuple[Real, ...]] = []
     errors = [error_row(init)] if true_roots is not None else None
 
-    current = previous = init
+    current = init
     # The estimates' phases serve every Newton ratio (the m terms of a
     # factored form, or z of a coefficient form) and the pair sums; the
     # algebraic family has none.
@@ -394,7 +393,7 @@ def solve(
             # a climb: the estimates and the roots' phases go to the new
             # level, and the estimates' phases restart from their roots
             level, own = rung, None
-            roots = top_roots if level == top else lower_root_phases(p, top_roots, top, level)
+            roots = top_roots if level == top else lower_root_phases(p, top_roots, level)
             current = _at_level(p, current, level)
             # A level below the top may stop the solve only on a tolerance
             # its own digits resolve, which the default (the top's floor)
@@ -405,8 +404,7 @@ def solve(
         # sweep, so the sweep that stops the solve turns none.  In sweep 1
         # only a root can serve, and the kernel runs for an estimate with
         # none within MAX_TURN_STEP.
-        anchors, anchor_phases = phase_anchors(p, roots, previous.x, current.x, own, level)
-        own = turned_phases(family, anchors, current.x, anchor_phases, level)
+        own = turned_phases(family, own, current.x, level, roots)
         try:
             nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
                                            frozen)
@@ -420,7 +418,7 @@ def solve(
             step_logs.append([_log10(d.dec) for d in deltas])
         if errors is not None:
             errors.append(error_row(nxt))
-        previous, current = current, nxt
+        current = nxt
         # a frozen root's step is 0
         if stops and max(d.dec for d in deltas) <= tolerance.dec:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE

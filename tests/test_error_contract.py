@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from oracles import frac_cot, frac_coth, grid_pi, grid_sin_cos, planted_coefficients
 from simulroot import solver
 from simulroot.cli import main
-from simulroot.numeric import Real, cos_sin, cosh_sinh, cot, coth, make_real, pi
+from simulroot.numeric import PhaseError, Real, cos_sin, cosh_sinh, cot, coth, make_real, pi
 
 ONE_PERIOD_ON = str(make_real("1.1", 70) + 2 * pi(70))
 ORDINARY = ("0", "1", "-2", "2.5", "3.4", "-1.5", "0.05", "0.5", "0.2", "1.1", "1e-40")
@@ -267,7 +267,7 @@ def _hostile_expected(x: Real):
     """The oracle's (cos_sin, cosh_sinh, cot, coth) at x, each a pair of
     Fractions, a Fraction, an exact Decimal, or the error class raised where
     no value exists: no context holds the digits that the phase of
-    1e999999999999999990 needs (ValueError), and a value past the exponent
+    1e999999999999999990 needs (PhaseError), and a value past the exponent
     range overflows."""
     bounded = Context(prec=x.digits, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[Overflow])
     e = x.dec.adjusted()
@@ -283,7 +283,7 @@ def _hostile_expected(x: Real):
     unit = Decimal(1).copy_sign(x.dec)
     if e + x.digits > MAX_PREC - 20:
         # the reduction by 2 pi would need a context of about e + digits digits
-        return ValueError, Overflow, ValueError, unit
+        return PhaseError, Overflow, PhaseError, unit
     places = 2 * x.digits + 20
     exact = Fraction(x.dec)
     two_pi = _two_pi(places + max(e, 0) + 5)

@@ -597,8 +597,8 @@ def turned_along_paths(family, points, digits, rng, turns):
     paths.reverse()
     ph = polys.phases(family, paths[0], digits)
     out = [(paths[0], ph)]
-    for old, new in zip(paths, paths[1:]):
-        ph = polys.turned_phases(family, old, new, ph, digits)
+    for new in paths[1:]:
+        ph = polys.turned_phases(family, ph, new, digits)
         out.append((new, ph))
     return out
 
@@ -873,22 +873,25 @@ def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
     assert 0 < sum(fell for *_, fell in results) < len(results)
 
 
-def test_a_term_that_cot_misrounds_is_correctly_rounded(monkeypatch):
+def test_a_term_near_a_tie_rounds_correctly_on_both_routes(monkeypatch):
     # (a - b)/2 lies near 3 pi/2, where cot is -9e-5 and the exact term
-    # lies 1.25e-6 of a unit from a tie; cot's own absolute error, 1.5e-6
-    # of a unit before rounding, takes it past the tie.  The pair term,
-    # rounded once, ends ...70343 as the exact term rounds, and cot ends
-    # ...70342: halved in the sums, ...685172 and ...685171.
+    # lies 1.25e-6 of a unit from a tie.  cot's error before its rounding,
+    # 2.6e-6 of a unit when its reduction took pi at the working digits,
+    # is 2.6e-7 with pi's two more.  So the pair term and cot both round
+    # it correctly, to ...70343: halved in the sums, ...685172.
     family = Family.TRIGONOMETRIC
     points = [R("1.348052993467319852991785597720570864624504404276611412229988520"),
               R("-8.076905072982821151596144552117937787967003793848706050694845257")]
     results = pair_terms(family, 64, [tuple(points)], monkeypatch)
     (got, _, exact, fell), = results
     assert fell == 0 and breaches(results, 64) == []
-    assert correct_rounding(exact, 64)[2] > TIE_SLACK and str(got).endswith("70343")
+    _, nearest, gap = correct_rounding(exact, 64)
+    assert gap > TIE_SLACK and str(got).endswith("70343")
+    ctx = numeric._context(64)
+    halved = ctx.divide(ctx.divide(nearest.numerator, nearest.denominator), 2)
     sums = pairwise_log_derivatives(family, points, polys.phases(family, points, 64), [1, 1])
     kernel = pairwise_log_derivatives(family, points, [None, None], [1, 1])
-    assert str(sums[0]).endswith("685172") and str(kernel[0]).endswith("685171")
+    assert sums[0].dec == kernel[0].dec == halved and str(halved).endswith("685172")
 
 
 @pytest.mark.parametrize("digits", [64, 256])
@@ -1019,10 +1022,41 @@ def test_turned_phases_stay_within_their_carried_bound(family, digits):
 def test_an_unmoved_point_keeps_its_phase_object():
     family, x, old = Family.TRIGONOMETRIC, R("0.7"), R("0.7001")
     (direct,) = polys.phases(family, [x], 64)
-    (turned,) = polys.turned_phases(family, [old], [x], polys.phases(family, [old], 64), 64)
+    (turned,) = polys.turned_phases(family, polys.phases(family, [old], 64), [x], 64)
     for ph in (direct, turned):
-        assert polys.turned_phases(family, [x], [x], [ph], 64)[0] is ph
+        assert polys.turned_phases(family, [ph], [x], 64)[0] is ph
     assert turned.turns == 1
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_point_turns_from_the_nearer_of_its_last_position_and_its_nearest_root(family):
+    # roots at -1, 0.5, 1, 1.001, 2 (no phase), 2.0013, 3 (a phase for 65
+    # digits) and 3.0013; the points 1e-4 from their last positions, 2e-4
+    # from a root, on a root, midway between two roots, and nearer a root
+    # that serves no phase than the next root, which is nearer than their
+    # last positions
+    at = [R(v) for v in ("-1", "0.5", "1", "1.001", "2", "2.0013", "3", "3.0013")]
+    roots = polys.phases(family, at, 64)
+    roots[4], roots[6] = None, polys.phases(family, [at[6]], 65)[0]
+    last = [R(v) for v in ("0.6", "0.52", "1.0005", "0.9", "1.999", "2.9")]
+    new = [R(v) for v in ("0.6001", "0.5002", "1", "1.0005", "2.0004", "3.0004")]
+    known = polys.phases(family, last, 64)
+
+    def turned_from(anchor, x):
+        return polys.turned_phases(family, [anchor], [x], 64)[0]
+
+    got = polys.turned_phases(family, known, new, 64, roots)
+    assert got[0] == turned_from(known[0], new[0]) and got[0].turns == 1
+    assert got[1] == turned_from(roots[1], new[1]) and got[1].turns == 1
+    assert got[2] is roots[2]
+    assert got[3] == turned_from(roots[3], new[3]) != turned_from(roots[2], new[3])
+    assert got[4:] == [turned_from(roots[5], new[4]), turned_from(roots[7], new[5])]
+    assert [ph.x for ph in got] == [x.dec for x in new]
+    # without roots, as for a coefficient form, each turns from its last
+    # position, or takes the kernel a step of MAX_TURN_STEP or more away
+    plain = polys.turned_phases(family, known, new, 64)
+    assert plain == [turned_from(k, x) for k, x in zip(known, new)]
+    assert [ph.turns for ph in plain] == [1, 0, 1, 0, 0, 0]
 
 
 def counted_pair_kernels(monkeypatch) -> list:
@@ -1047,7 +1081,7 @@ def test_which_phases_take_the_direct_kernel(family, monkeypatch):
              direct[1]._replace(turns=polys.TURN_LIMIT - 1),
              polys.phases(family, [old[2]], 65)[0], *direct[3:]]
     calls.clear()
-    got = polys.turned_phases(family, old, new, start, 64)
+    got = polys.turned_phases(family, start, new, 64)
     assert len(calls) == 3
     assert [ph.turns for ph in got] == [0, polys.TURN_LIMIT, 0, 0, 1, 1]
     redone = polys.phases(family, [new[i] for i in (0, 2, 3)], 64)
@@ -1062,22 +1096,22 @@ def test_an_overflowing_point_stays_on_the_direct_path(monkeypatch):
     start = polys.phases(family, old, 64)
     assert [ph is None for ph in start] == [True, True, True, False]
     calls.clear()
-    got = polys.turned_phases(family, old, new, start, 64)
+    got = polys.turned_phases(family, start, new, 64)
     assert len(calls) == 3
     assert got[:2] == [None, None]
     assert got[2] == polys.phases(family, [R("1")], 64)[0] and got[3].turns == 1
 
 
 def test_the_algebraic_family_has_no_phases_to_turn():
-    old, new = [R("1"), R("2")], [R("1.1"), R("2")]
-    assert polys.turned_phases(Family.ALGEBRAIC, old, new, [None, None], 64) == [None, None]
+    new = [R("1.1"), R("2")]
+    assert polys.turned_phases(Family.ALGEBRAIC, [None, None], new, 64) == [None, None]
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_without_old_phases_every_point_takes_the_kernel(family):
-    # a solve's first sweep
+    # a coefficient form's first sweep
     points = [R("0.5"), R("-1.25"), R("3e-30")]
-    assert (polys.turned_phases(family, points, points, None, 64)
+    assert (polys.turned_phases(family, None, points, 64)
             == polys.phases(family, points, 64))
 
 
@@ -1111,8 +1145,8 @@ def test_turned_phases_are_pinned(family, digits):
         paths.append([x + R(str(step), digits) for x, step in zip(paths[-1], steps)])
     ph = polys.phases(family, paths[0], digits)
     digest = hashlib.sha256()
-    for old, new in zip(paths, paths[1:]):
-        ph = polys.turned_phases(family, old, new, ph, digits)
+    for new in paths[1:]:
+        ph = polys.turned_phases(family, ph, new, digits)
         for q in ph:
             digest.update(f"{q.c}|{q.s}|{q.digits}|{q.turns}\n".encode())
     assert [q.turns for q in ph] == [6, 12, 12, 12, 12]
@@ -1138,13 +1172,13 @@ def anchored_solve_problems(family, digits, rng):
     return problems
 
 
-def phase_bound_violations(family, digits, monkeypatch, anchors=polys.phase_anchors):
+def phase_bound_violations(family, digits, monkeypatch, turned=polys.turned_phases):
     """Every phase that ``solve`` hands a sweep of the seeded problems, at
     every level of the precision ladder, against a rerun at 2 * (the
     phase's digits) + 20: [(x, turns, error)] for each phase
     outside 0.5 + turns * TURN_ERROR units, with the phases of estimates
-    on a root and the phases turned at all counted.  ``anchors`` stands in
-    for :func:`polys.phase_anchors`."""
+    on a root and the phases turned at all counted.  ``turned`` stands in
+    for :func:`polys.turned_phases` in ``solve``."""
     handed = []
     advance = solver._advance
 
@@ -1153,7 +1187,7 @@ def phase_bound_violations(family, digits, monkeypatch, anchors=polys.phase_anch
         return advance(p, estimates, profile, chebyshev, roots, own, *rest)
 
     monkeypatch.setattr(solver, "_advance", recorded)
-    monkeypatch.setattr(solver, "phase_anchors", anchors)
+    monkeypatch.setattr(solver, "turned_phases", turned)
     rng = random.Random(digits * 7 + len(family.value))
     for p, mults, init in anchored_solve_problems(family, digits, rng):
         solver.solve(p, solver.MultiplicityProfile(mults), solver.EstimateVector(tuple(init)))
@@ -1184,16 +1218,29 @@ def test_phases_a_solve_turns_from_its_roots_stay_within_their_bound(family, dig
 
 
 def test_a_turn_by_the_negated_gap_breaks_the_phase_bound(monkeypatch):
-    # The property above catches a turn from a root the wrong way: the
-    # root's phase moved by r - x instead of x - r, as though it were the
-    # phase of the mirror point 2x - r.
-    def mirrored(p, roots, old, new, old_phases, digits):
-        points, known = polys.phase_anchors(p, roots, old, new, old_phases, digits)
-        return [2 * x - a if a in p.roots and a != x else a for a, x in zip(points, new)], known
+    # The property above catches a turn from a root phase taken as the
+    # phase of another point: of the mirror point 2x - r, so that the
+    # phase turns by r - x instead of x - r, or of a point 1e-9 off the
+    # root.  Each point sees the roots so moved for itself; one on a root
+    # keeps the root's phase.
+    def moved(where):
+        def turned(family, known, new, digits, roots=()):
+            on_root = {q.x: q for q in roots if q is not None}
+            out = []
+            for x, ph in zip(new, known or [None] * len(new)):
+                wrong = [q and q._replace(x=where(x.dec, q.x)) for q in roots]
+                (ph,) = polys.turned_phases(family, [ph], [x], digits, wrong)
+                out.append(on_root.get(x.dec, ph))
+            return out
+        return turned
 
-    for family in HALF_ANGLE:
-        violations, *_ = phase_bound_violations(family, 64, monkeypatch, mirrored)
-        assert len(violations) > 4, family
+    exact = polys._EXACT
+    mirrored = moved(lambda x, r: exact.subtract(exact.multiply(2, x), r))
+    shifted = moved(lambda x, r: exact.add(r, Decimal("1e-9")))
+    for turned in (mirrored, shifted):
+        for family in HALF_ANGLE:
+            violations, *_ = phase_bound_violations(family, 64, monkeypatch, turned)
+            assert len(violations) > 4, family
 
 
 # -- coefficient sums in z ---------------------------------------------

@@ -810,9 +810,13 @@ def test_a_solve_does_not_depend_on_the_solves_before_it(family, monkeypatch):
     fresh = FactoredPoly(poly.family, poly.roots, poly.mults)
     solve(poly, profile, init)
     handed = []
-    anchors = solver.phase_anchors
-    monkeypatch.setattr(solver, "phase_anchors",
-                        lambda p, roots, *args: handed.append(roots) or anchors(p, roots, *args))
+    turned = solver.turned_phases
+
+    def recorded(family, known, new, digits, roots=()):
+        handed.append(roots)
+        return turned(family, known, new, digits, roots)
+
+    monkeypatch.setattr(solver, "turned_phases", recorded)
     report = solve(poly, profile, short)
     assert handed and all(roots == phases(poly.family, poly.at(64).roots, 64) for roots in handed)
     assert render_trace(report, "json") == render_trace(solve(fresh, profile, short), "json")
