@@ -10,10 +10,11 @@ plus a factored form whose factors are (x - r), sin((x - r)/2) or
 sinh((x - r)/2) raised to known multiplicities.  Every numeric rule that
 depends on the family lives in one table, ``_RULES``.  The Newton ratio of a
 factored form is the reciprocal of its logarithmic derivative
-``sum_j m_j K(x - r_j)``, with K(d) = 1/d, cot(d/2)/2 or coth(d/2)/2;
-:func:`log_derivative` is that kernel.  The solver's correction sums are
-the same sums over the other estimates, all of them from one pairwise
-pass (:func:`pairwise_log_derivatives`) that uses K's oddness.
+``sum_j m_j K(x - r_j)``, with K(d) = 1/d, cot(d/2)/2 or coth(d/2)/2,
+one ``map`` and ``reduce`` over its roots (``_log_derivative``).  The
+solver's correction sums are the same sums over the other estimates, all
+of them from one pairwise pass (:func:`pairwise_log_derivatives`) that
+uses K's oddness.
 
 A half-angle form, factored or in coefficient form, runs no kernel per
 term.  Each point gets its phase (:class:`Phase`), the pair (c, s) at
@@ -62,7 +63,10 @@ them.  A factored form keeps its roots' Decimals
 their set (``FactoredPoly.root_set``), so a Newton ratio at a root runs no
 term.  A Newton ratio runs at the digits of its point, on the form with
 its roots rounded to them (``FactoredPoly.at``, one per number of
-digits), whatever digits the roots carry.
+digits), whatever digits the roots carry.  A coefficient form's Newton
+ratio likewise runs on the form with its coefficients rounded to x's
+digits (``AlgebraicCoeffPoly.at``, ``TrigExpCoeffPoly.at``), whose sums in
+z are exact in the rounded coefficients.
 
 A coefficient form runs Horner in x, or in z = e^(ix) or e^x from x's
 phase.  It cancels: near a root of multiplicity m its value is rounding
@@ -464,27 +468,6 @@ def check_mults_fit(p: Polynomial, mults: Sequence[int]) -> None:
         )
 
 
-def log_derivative(
-    family: Family,
-    x: Real,
-    phase: Phase | None,
-    points: Sequence[Real],
-    point_phases: Sequence[Phase | None],
-    mults: Sequence[int],
-) -> Real:
-    """sum_j m_j K(x - p_j) with the family kernel K, from the :func:`phases`
-    of x and of the points.
-
-    A point equal to x raises :class:`CoincidentPointError`.  A factored
-    form's Newton ratio runs this sum only off its roots: it finds x on a
-    root in ``FactoredPoly.root_set`` first, and runs no term there.
-    """
-    ctx = _context(max(x.digits, *(p.digits for p in points)))
-    decs = [p.dec for p in points]
-    return Real(_log_derivative(_RULES[family], ctx, x.dec, phase, decs, point_phases, mults),
-                ctx.prec)
-
-
 def _log_derivative(
     rule: _Rule,
     ctx: Context,
@@ -494,8 +477,9 @@ def _log_derivative(
     point_phases: Sequence[Phase | None],
     mults: Sequence[int],
 ) -> Decimal:
-    # :func:`log_derivative` on the points' Decimals, as one map and reduce
-    # over the family's odds.
+    # sum_j m_j K(x - p_j), with K the family's kernel, from the phases of x
+    # and of the points, on their Decimals: one map and reduce over the
+    # family's odds.  A point equal to x raises CoincidentPointError.
     weigh = ctx.divide if rule.pair is None else ctx.multiply
     try:
         total = reduce(ctx.add, map(weigh, mults, rule.odds(rule, ctx, x, phase, points,
@@ -513,14 +497,15 @@ def pairwise_log_derivatives(
     point_phases: Sequence[Phase | None],
     mults: Sequence[int],
 ) -> list[Real]:
-    """:func:`log_derivative` at p_i over the points other than p_i, for
-    every i, from the points' :func:`phases`.
+    """sum_j m_j K(p_i - p_j) over the points other than p_i, for every i,
+    from the points' :func:`phases`: the sum of a factored form's Newton
+    ratio (``_log_derivative``) with the other points as roots.
 
     K is odd, so each unordered pair {i, j} evaluates odd(p_i - p_j) once:
     it adds m_j K to sum i and subtracts m_i K from sum j.  Row i takes
     the odds of p_i against every later point, adds their terms to sum i
     and subtracts them from the later sums.  Every sum takes its terms in
-    ascending order of the other index, as :func:`log_derivative` does.
+    ascending order of the other index, as ``_log_derivative`` does.
     An algebraic or kernel term is odd bit for bit.  A phase term
     (:func:`_pair_term`) is odd before its rounding only to within one unit
     in the phases' last digit (:func:`_minus` on the swapped phases):
@@ -563,6 +548,23 @@ class AlgebraicCoeffPoly:
     def degree(self) -> int:
         return len(self.coeffs)
 
+    def at(self, digits: int) -> AlgebraicCoeffPoly:
+        """This form with every coefficient rounded to ``digits``: the form a
+        sweep at ``digits`` digits runs on, cached per digits; the form
+        itself where every coefficient carries ``digits``."""
+        view = self._levels.get(digits)
+        if view is None:
+            view = self
+            if any(a.digits != digits for a in self.coeffs):
+                view = AlgebraicCoeffPoly(tuple(a.with_digits(digits) for a in self.coeffs))
+            self._levels[digits] = view
+        return view
+
+    @cached_property
+    def _levels(self) -> dict[int, AlgebraicCoeffPoly]:
+        # digits -> the form at them (:meth:`at`)
+        return {}
+
 
 @dataclass(frozen=True)
 class TrigExpCoeffPoly:
@@ -584,6 +586,25 @@ class TrigExpCoeffPoly:
     @property
     def degree(self) -> int:
         return len(self.a)
+
+    def at(self, digits: int) -> TrigExpCoeffPoly:
+        """This form with every coefficient rounded to ``digits``, as
+        :meth:`AlgebraicCoeffPoly.at`; its :attr:`z_runs` are exact in the
+        rounded coefficients."""
+        view = self._levels.get(digits)
+        if view is None:
+            view = self
+            if any(c.digits != digits for c in (self.a0, *self.a, *self.b)):
+                view = TrigExpCoeffPoly(self.family, self.a0.with_digits(digits),
+                                        tuple(a.with_digits(digits) for a in self.a),
+                                        tuple(b.with_digits(digits) for b in self.b))
+            self._levels[digits] = view
+        return view
+
+    @cached_property
+    def _levels(self) -> dict[int, TrigExpCoeffPoly]:
+        # digits -> the form at them (:meth:`at`)
+        return {}
 
     @cached_property
     def z_runs(self) -> tuple[tuple[tuple[Decimal, ...], ...], ...]:
@@ -787,9 +808,10 @@ def newton_ratio(
     form finds x on a root in ``FactoredPoly.root_set`` and runs no term
     there; elsewhere it takes the reciprocal of its logarithmic derivative.  A
     coefficient form evaluates p and p' by :func:`eval_with_derivative`
-    with x's phase; ``phase`` is None for the algebraic family.  ``at_floor``
-    says that |p(x)| lies within the bound of :func:`eval_with_derivative`,
-    so the value may be rounding noise; it is always False for a factored
+    with x's phase, on its coefficients rounded to x's digits (its ``at``
+    view); ``phase`` is None for the algebraic family.  ``at_floor`` says
+    that |p(x)| lies within the bound of :func:`eval_with_derivative`, so
+    the value may be rounding noise; it is always False for a factored
     form.  Where p'(x) rounds to zero at the floor the ratio is None; off
     the floor that raises :class:`DerivativeZeroError`.
     """
@@ -802,7 +824,7 @@ def newton_ratio(
         if total.is_zero():
             raise DerivativeZeroError(x)
         return Real(ctx.divide(1, total), ctx.prec), False
-    value, derivative, bound = eval_with_derivative(p, x, phase)
+    value, derivative, bound = eval_with_derivative(p.at(x.digits), x, phase)
     at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
         return zero(x.digits), at_floor

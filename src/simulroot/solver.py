@@ -17,11 +17,11 @@ converges when its step meets the tolerance.  In coefficient form a root
 of multiplicity m_i can be resolved only to about 10^(-digits/m_i), and
 below that the computed p(x_i) is rounding noise that can throw the
 estimate far off.  So a root whose |p(x_i)| lies within the running
-bound of its rounding error freezes, as in MPSolve (Bini & Fiorentino
-2000), unless its step already meets the tolerance: it keeps its
-estimate and gets no further Newton ratio, but still enters the other
-roots' corrections.  A factored form has no such floor and never
-freezes.
+bound of its rounding error at the estimates' digits freezes, as in
+MPSolve (Bini & Fiorentino 2000), unless its step already meets the
+tolerance: it keeps its estimate and gets no further Newton ratio, but
+still enters the other roots' corrections.  A factored form has no such
+floor and never freezes.
 
 A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
 estimate.  A root is settled when it is frozen, or when its ratio is 0
@@ -45,19 +45,24 @@ expression would use; the new estimates and their steps carry it.
 Reals are made only for the new estimates and their steps.
 
 The iteration converges cubically, so the early sweeps of a solve cannot
-use every digit its estimates carry.  A factored solve above 128 digits
-therefore climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
+use every digit its estimates carry.  A solve above 128 digits therefore
+climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
 precision): each sweep runs at the digits that show its estimates' next
 errors, from their last steps, as :func:`_level` states, and the top of
-the ladder is the estimates' digits whatever digits the roots carry.
-The estimates, the roots (``FactoredPoly.at``) and the roots' phases are
-rounded to each level; the level never goes down.  The default
-tolerance, that of the estimates' digits, stops the solve only at the
-top; a coarser one that a lower level's digits resolve may stop it
-there, with estimates that carry that level's digits.
-A coefficient form, whose at-floor test reads rounding noise at the
-working digits, and a solve at 128 digits or fewer run every sweep at
-the top.
+the ladder is the estimates' digits whatever digits the roots or the
+coefficients carry.  The estimates are rounded to each level, and so
+are a factored form's roots (``FactoredPoly.at``) and their phases, or a
+coefficient form's coefficients (``AlgebraicCoeffPoly.at``,
+``TrigExpCoeffPoly.at``); the level never goes down.  Rounded to p
+digits, a coefficient form's root of multiplicity m_i becomes a cluster
+about 10^(-p/m_i) wide, which the rule keeps below the estimate's next
+error.  Below the top, a root whose |p(x_i)| lies within the bound of
+its rounding error keeps its estimate for that sweep, and the next sweep
+runs at the top: only there does a root freeze.  The default tolerance,
+that of the estimates' digits, stops the solve only at the top; a
+coarser one that a lower level's digits resolve may stop it there, with
+estimates that carry that level's digits, but not in a sweep that held
+a root.  A solve at 128 digits or fewer runs every sweep at the top.
 
 A trigonometric or exponential solve gives every estimate its phase,
 the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
@@ -71,8 +76,8 @@ root.  The phase kernel runs only for an estimate with no such point
 within ``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1:
 after it the cubic iteration leaves most estimates well within that of
 their roots.  An estimate on its root keeps the root's phase.  Coefficient
-forms have no root phases and turn each phase by its estimate's last
-step.
+forms have no root phases: they turn each phase by its estimate's last
+step, and run the kernel for every estimate at each level they enter.
 """
 
 from __future__ import annotations
@@ -265,14 +270,14 @@ def _advance(
     # ``roots`` are p's root_phases, which a solve computes once, and
     # ``own`` the estimates' phases, which solve carries from sweep to
     # sweep (all None for the algebraic family).  Returns the new
-    # estimates, each one's step |x_i' - x_i| and the roots frozen after
-    # this sweep.  Every operation runs at the estimates' precision, with
-    # an int operand on the right.
+    # estimates, each one's step |x_i' - x_i| and the roots this sweep
+    # read at their floor, which keep their estimates.  Every operation
+    # runs at the estimates' precision, with an int operand on the right.
     family = family_of(p)
     ctx = _context(estimates.digits)
     new = list(estimates.x)
     steps: list[Real | None] = [None] * len(new)
-    froze = set(frozen)
+    floored = set()
     # the roots that are not settled, by index, with their Newton ratios
     moving: dict[int, tuple[Real, int, Real, bool]] = {}
     failure = None
@@ -286,7 +291,7 @@ def _advance(
             failure = StepFailure(i, exc)
             break
         if ratio is None:  # p'(x_i) rounded to 0 at the floor
-            froze.add(i)
+            floored.add(i)
         elif not (ratio.is_zero() and xi.digits == ctx.prec
                   and len(xi.dec.as_tuple().digits) == ctx.prec):  # not settled
             moving[i] = xi, mult, ratio, at_floor
@@ -306,7 +311,7 @@ def _advance(
             xn = ctx.subtract(xi.dec, ctx.multiply(ctx.multiply(ratio.dec, mult), bracket))
             size = ctx.subtract(xn, xi.dec).copy_abs()  # abs(xn - xi)
             if at_floor and not size <= tolerance.dec:
-                froze.add(i)
+                floored.add(i)
                 continue
             new[i] = Real(xn, ctx.prec)
             if family is Family.TRIGONOMETRIC:
@@ -316,11 +321,12 @@ def _advance(
             raise StepFailure(i, exc) from exc
     if failure is not None:
         raise failure
-    # an estimate that does not move (frozen or settled) steps by abs(xi - xi), a zero
+    # an estimate that does not move (frozen, settled or at its floor)
+    # steps by abs(xi - xi), a zero
     steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) if step is None else step
              for x, step in zip(estimates.x, steps)]
     try:
-        return EstimateVector(tuple(new), estimates.k + 1), tuple(steps), frozenset(froze)
+        return EstimateVector(tuple(new), estimates.k + 1), tuple(steps), frozenset(floored)
     except CollisionError as exc:
         raise StepFailure(exc.indices[0], exc) from exc
 
@@ -336,14 +342,16 @@ def solve(
 
     A root converges when its step falls below the tolerance.  The default
     tolerance is 10^(6 - d), where d is the largest number of digits the
-    initial estimates carry.  Above 128 digits a factored form's sweeps
-    climb from fewer digits p to d (:func:`_level`), and each snapshot
-    carries the digits its sweep ran at.  A sweep at p < d digits stops
-    the solve only where the tolerance is no finer than 10^(6 - p), which
-    the default never is.  In coefficient form a root also freezes when
-    |p(x_i)| lies within the rounding-error bound of its evaluation and
-    its step would not meet the tolerance, or when p'(x_i) rounds to zero
-    there: it keeps its estimate from then on.  The stop is ``TOLERANCE``
+    initial estimates carry.  Above 128 digits the sweeps climb from
+    fewer digits p to d (:func:`_level`), and each snapshot carries the
+    digits its sweep ran at.  A sweep at p < d digits stops the solve
+    only where the tolerance is no finer than 10^(6 - p), which the
+    default never is.  In coefficient form a root also freezes when, at d
+    digits, |p(x_i)| lies within the rounding-error bound of its
+    evaluation and its step would not meet the tolerance, or when p'(x_i)
+    rounds to zero there: it keeps its estimate from then on.  Such a
+    reading at p < d digits keeps the estimate for that sweep only, and
+    the next sweep runs at d.  The stop is ``TOLERANCE``
     when no root froze and ``ACCURACY_FLOOR`` otherwise; the report names
     the frozen roots.  Step failures (estimate collisions, stationary
     points off the floor, poles and any other arithmetic error) abort the
@@ -385,16 +393,18 @@ def solve(
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
-    level, stops = 0, True
+    level, stops, floored = 0, True, frozenset()
     step_logs: list[list[float]] = []  # log10 of the steps below the top
     for _ in range(cfg.max_iters):
-        rung = _level(p, current, step_logs, level, top)
+        # a root read at its floor below the top sends the solve to the top
+        rung = top if floored else _level(p, current, profile.mults, step_logs, level, top)
         if rung != level:
             # a climb: the estimates and the roots' phases go to the new
-            # level, and the estimates' phases restart from their roots
-            level, own = rung, None
+            # level (the top, where two estimates or roots meet below it),
+            # and the estimates' phases restart
+            current, own = _at_level(p, current, rung, top), None
+            level = current.digits
             roots = top_roots if level == top else lower_root_phases(p, top_roots, level)
-            current = _at_level(p, current, level)
             # A level below the top may stop the solve only on a tolerance
             # its own digits resolve, which the default (the top's floor)
             # is not; below the top a zero step means "climb".
@@ -406,8 +416,8 @@ def solve(
         # none within MAX_TURN_STEP.
         own = turned_phases(family, own, current.x, level, roots)
         try:
-            nxt, deltas, frozen = _advance(p, current, profile, chebyshev, roots, own, tolerance,
-                                           frozen)
+            nxt, deltas, floored = _advance(p, current, profile, chebyshev, roots, own, tolerance,
+                                            frozen)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)
@@ -419,6 +429,10 @@ def solve(
         if errors is not None:
             errors.append(error_row(nxt))
         current = nxt
+        if level == top:  # the top's floor is a root's attainable accuracy
+            frozen, floored = frozen | floored, frozenset()
+        elif floored:  # held below the top: the next sweep runs at the top
+            continue
         # a frozen root's step is 0
         if stops and max(d.dec for d in deltas) <= tolerance.dec:
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
@@ -432,11 +446,12 @@ def solve(
     return SolveReport(trace=trace, stop_reason=stop, failure=failure, frozen=frozen)
 
 
-def _level(p: Polynomial, estimates: EstimateVector, step_logs: Sequence[Sequence[float]],
-           last: int, top: int) -> int:
+def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
+           step_logs: Sequence[Sequence[float]], last: int, top: int) -> int:
     """The digits the next sweep runs at, its level on the precision ladder:
-    from the ``last`` level, the ``top`` (the estimates' digits) and the
-    log10 of each step of the sweeps below the top (-inf for a zero step).
+    from the ``last`` level, the ``top`` (the estimates' digits), the
+    estimates' multiplicities ``mults`` and the log10 of each step of the
+    sweeps below the top (-inf for a zero step).
 
     Digits are counted against the largest |x_i|, so that a large estimate
     keeps the digits of its phase; sweep 1 runs at 3s + 10, s the digits of
@@ -451,22 +466,34 @@ def _level(p: Polynomial, estimates: EstimateVector, step_logs: Sequence[Sequenc
     snapshot shows every error, but at no more than the last level plus
     the least gain rho^2 gamma, less 3 for the constants: a sweep shrinks
     the rounding of its input by about its gain, so its snapshot stays
-    within its guard digits of the exact iteration.  The level is at
-    least ``_LADDER_FLOOR`` and the last level, at most the top, and the
-    top wherever that is at most twice the floor.  Steps all zero give
-    the top, as does a level at which two estimates, or two roots of p,
-    would round to one value.  A coefficient form runs at the top from
-    sweep 1: its at-floor test reads rounding noise at the working digits.
+    within its guard digits of the exact iteration.
+
+    A coefficient form rounds its coefficients to the level, which splits
+    a root of multiplicity m_i into a cluster about 10^(-p/m_i) wide at p
+    digits.  So each estimate's output digits count m_i times, which keeps
+    the radius (10^10 10^-p)^(1/m_i) below its output error, and so does
+    its gain in the cap: a sweep shrinks the last level's radius by its
+    gain, as m_i times that many more digits would.  Sweep 1 runs at no
+    fewer than 10 max m_i + 10 digits.  A factored form has exact roots,
+    and every factor is 1.
+
+    The level is at least ``_LADDER_FLOOR`` and the last level, at most
+    the top, and the top wherever that is at most twice the floor.  Steps
+    all zero give the top, as does a level at which two estimates, or two
+    roots of p, would round to one value (:func:`_at_level`).
     """
-    if last == top or top <= 2 * _LADDER_FLOOR or not isinstance(p, FactoredPoly):
+    if last == top or top <= 2 * _LADDER_FLOOR:
         return top
+    if isinstance(p, FactoredPoly):
+        mults = [1] * estimates.m
     largest = max(x.dec.copy_abs() for x in estimates.x)
     size = _log10(largest) if largest else 0.0
     if not step_logs:
-        want = 3 * size + 10
+        want = max(3 * size, 10 * max(mults)) + 10
     else:
         deepest, least_gain = -math.inf, math.inf
-        for history in zip(*step_logs[-3:]):  # each estimate's last steps, oldest first
+        # each estimate's last steps, oldest first
+        for m, history in zip(mults, zip(*step_logs[-3:])):
             if history[-1] == -math.inf:  # on its root at the last level
                 continue
             d = [size - t for t in history if t != -math.inf]
@@ -474,18 +501,12 @@ def _level(p: Polynomial, estimates: EstimateVector, step_logs: Sequence[Sequenc
             rho = 3.0
             if len(d) > 2:
                 rho = min(max(gamma / (d[-2] - d[-3]), 1.0), 3.0) if d[-2] > d[-3] else 1.0
-            deepest = max(deepest, d[-1] + rho * gamma + rho * rho * gamma)
-            least_gain = min(least_gain, rho * rho * gamma)
+            deepest = max(deepest, m * (d[-1] + rho * gamma + rho * rho * gamma))
+            least_gain = min(least_gain, m * rho * rho * gamma)
         if least_gain == math.inf:
             return top
         want = min(deepest + 10, last + least_gain - 3)
-    level = min(top, max(_LADDER_FLOOR, math.ceil(want), last))
-    if last < level < top:  # a sweep at the last level kept its estimates apart
-        ctx = _context(level)
-        if (len({ctx.plus(x.dec) for x in estimates.x}) < estimates.m
-                or len(p.at(level).root_set) < len(p.at(top).root_set)):
-            return top
-    return level
+    return min(top, max(_LADDER_FLOOR, math.ceil(want), last))
 
 
 def _log10(d: Decimal) -> float:
@@ -496,20 +517,29 @@ def _log10(d: Decimal) -> float:
     return e + math.log10(float(d.scaleb(-e, _LOG)))
 
 
-def _at_level(p: Polynomial, estimates: EstimateVector, level: int) -> EstimateVector:
+def _at_level(p: Polynomial, estimates: EstimateVector, level: int, top: int) -> EstimateVector:
     # Every estimate rounded to the level's digits; one on a root of p there
-    # is written out to all of them, so that it is settled at once.
+    # is written out to all of them, so that it is settled at once.  Where
+    # two estimates, or two roots of p, would round to one value below the
+    # top, every estimate goes to the top instead.
     if all(x.digits == level for x in estimates.x):
         return estimates
     ctx = _context(level)
     roots = p.at(level).root_set if isinstance(p, FactoredPoly) else ()
+    if roots and len(roots) < len(p.at(top).root_set):
+        return _at_level(p, estimates, top, top)
     out = []
     for x in estimates.x:
         y = ctx.plus(x.dec)
         if y in roots:
             y = ctx.quantize(y, Decimal((0, (1,), y.adjusted() + 1 - level)))
         out.append(Real(y, level))
-    return EstimateVector(tuple(out), estimates.k)
+    try:
+        return EstimateVector(tuple(out), estimates.k)
+    except CollisionError:
+        if level == top:  # apart at the last level, so apart here
+            raise
+        return _at_level(p, estimates, top, top)
 
 
 def _precision_floor(digits: int) -> Real:

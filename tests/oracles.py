@@ -25,6 +25,8 @@ from math import isqrt
 from operator import mul, truediv
 
 from simulroot.numeric import (
+    Real,
+    _context,
     check_phase,
     cos_sin,
     cosh_sinh,
@@ -35,6 +37,7 @@ from simulroot.numeric import (
     ten_power,
     zero,
 )
+from simulroot import polys
 from simulroot.polys import FactoredPoly, Family, family_of, newton_ratio, phases, root_phases
 from simulroot.solver import CollisionError, EstimateVector, StepFailure, correction_sum
 
@@ -321,6 +324,17 @@ def real_log_derivative(family, x, points, mults):
     return total if family == "algebraic" else total / 2
 
 
+def log_derivative(family, x, phase, points, point_phases, mults):
+    """polys' own sum_j m_j K(x - p_j), the sum of a factored form's Newton
+    ratio, on Reals at the most digits any operand carries, from the
+    :func:`phases` of x and of the points: the per-point form that the
+    pairwise pass must match.  A point equal to x raises
+    ``CoincidentPointError``."""
+    ctx = _context(max(x.digits, *(p.digits for p in points)))
+    return Real(polys._log_derivative(polys._RULES[family], ctx, x.dec, phase,
+                                      [p.dec for p in points], point_phases, mults), ctx.prec)
+
+
 def real_pairwise_log_derivatives(family, points, mults):
     odd, weigh, _, _ = _REAL_RULES[family]
     sums = [zero(p.digits) for p in points]
@@ -416,19 +430,25 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
 
 
 def exact_iteration(poly, profile, init, sweeps, digits):
-    """The iterates of a factored form's iteration from ``init``, as
-    Fractions, at 2 * digits + 20: Fractions on a grid (algebraic), the
+    """The iterates of the iteration from ``init``, as Fractions, at 2 *
+    digits + 20: for a factored form, Fractions on a grid (algebraic), the
     grid replay (trigonometric) and a chain of :func:`real_sweep` calls
-    (exponential)."""
+    (exponential); for a coefficient form, a chain of :func:`real_sweep`
+    calls on its stored coefficients, which that many digits hold
+    exactly."""
     places = 2 * digits + 20
-    roots = [Fraction(r.dec) for r in poly.roots]
     start = [Fraction(x.dec) for x in init.x]
-    if poly.family is Family.ALGEBRAIC:
+    if not isinstance(poly, FactoredPoly):
+        fine = poly.at(places)
+    elif poly.family is Family.ALGEBRAIC:
+        roots = [Fraction(r.dec) for r in poly.roots]
         return algebraic_chebyshev_run(roots, profile.mults, start, sweeps, places)
-    if poly.family is Family.TRIGONOMETRIC:
+    elif poly.family is Family.TRIGONOMETRIC:
+        roots = [Fraction(r.dec) for r in poly.roots]
         return trig_chebyshev_run(roots, profile.mults, start, sweeps, places)
-    fine = FactoredPoly(poly.family, tuple(make_real(str(r.dec), places) for r in poly.roots),
-                        poly.mults)
+    else:
+        fine = FactoredPoly(poly.family,
+                            tuple(make_real(str(r.dec), places) for r in poly.roots), poly.mults)
     vec = EstimateVector(tuple(make_real(str(x.dec), places) for x in init.x))
     rows = [start]
     for _ in range(sweeps):

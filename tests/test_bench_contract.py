@@ -14,6 +14,7 @@ import importlib.util
 import io
 import json
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ import simulroot
 from simulroot import cli, polys
 from simulroot.numeric import make_real
 
-from oracles import known_phase_gaps
+from oracles import known_phase_gaps, log_derivative
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -106,15 +107,15 @@ def test_kernel_calls_go_through_the_names_the_tracer_rebinds(family, kernel, mo
     points = [make_real(str(j)) for j in range(m)]
     x = make_real("0.5")
 
-    def log_derivative():
+    def per_point():
         (phase,) = polys.phases(family, [x], 64)
-        polys.log_derivative(family, x, phase, points, polys.phases(family, points, 64), [1] * m)
+        log_derivative(family, x, phase, points, polys.phases(family, points, 64), [1] * m)
 
     def pairwise(points):
         point_phases = polys.phases(family, points, 64)
         polys.pairwise_log_derivatives(family, points, point_phases, [1] * len(points))
 
-    assert counted(log_derivative) == (m + 1, 0)
+    assert counted(per_point) == (m + 1, 0)
     assert counted(lambda: pairwise(points)) == (m, 0)
     near = [make_real("1"), make_real("1." + "0" * 39 + "1")]
     assert counted(lambda: pairwise(near)) == (2, 0)
@@ -164,20 +165,21 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
 
 
 @pytest.mark.parametrize("family,mults,digits,pair,odd,expected", [
-    ("trigonometric", (1, 1), 256, "cos_sin", "cot", (2, 7, 4, 0)),
-    ("exponential", (1, 1, 1, 1), 64, "cosh_sinh", "coth", (4, 5, 5, 0)),
+    ("trigonometric", (1, 1), 256, "cos_sin", "cot", (2, 7, 4, 4, 0)),
+    ("exponential", (1, 1, 1, 1), 64, "cosh_sinh", "coth", (4, 5, 1, 5, 0)),
 ])
 def test_a_coefficient_form_runs_the_phase_kernel_only_where_a_phase_cannot_be_turned(
         family, mults, digits, pair, odd, expected, monkeypatch):
     # A benchmark coefficient-form solve: each Newton ratio derives
     # (c(kx), s(kx)), k = 1..n, from its estimate's phase, and the pair
     # terms of the correction pass come from the same phases.  The phase
-    # kernel runs for the m estimates of sweep 1 and for each later step
-    # of at least MAX_TURN_STEP; the kernel at x's own digits (a pair the
-    # phase cannot give) and cot/coth (a pair term it cannot give) run only
-    # on fallbacks, none here.  Each sweep ran n kernels per unfrozen
-    # estimate and m (m - 1)/2 cot/coth before: 14 and 7 here against 6,
-    # and 40 and 30 against 9.
+    # kernel runs for the m estimates at each level the solve enters (sweep
+    # 1 and each climb of the precision ladder, at the level's digits) and,
+    # within a level, for each later step of at least MAX_TURN_STEP; the
+    # kernel at x's own digits (a pair the phase cannot give) and cot/coth
+    # (a pair term it cannot give) run only on fallbacks, none here.  Each
+    # sweep ran n kernels per unfrozen estimate and m (m - 1)/2 cot/coth
+    # before: 14 and 7 here against 12, and 40 and 30 against 9.
     calls = {pair: [], odd: []}
     for name, seen in calls.items():
         kernel = getattr(polys, name)
@@ -189,15 +191,54 @@ def test_a_coefficient_form_runs_the_phase_kernel_only_where_a_phase_cannot_be_t
     assert report.stop_reason.value in ("tolerance", "accuracy_floor")
     m, n, k = spec.profile().m, spec.poly.degree, len(report.trace.step_sizes)
     snaps = report.trace.snapshots
+    levels = [snap.digits for snap in snaps[1:]]  # each sweep's
+    # sweep j + 1 turns each phase by the step of sweep j, at one level
     redos = sum(abs(a.dec - b.dec) >= polys.MAX_TURN_STEP
-                for before, after in zip(snaps[:k - 1], snaps[1:k]) for a, b in zip(before.x, after.x))
-    phase_runs = sum(t.digits == digits + polys.PHASE_GUARD_DIGITS for t in calls[pair])
-    fallbacks = sum(t.digits == digits for t in calls[pair])
+                for j in range(1, k) if levels[j] == levels[j - 1]
+                for a, b in zip(snaps[j - 1].x, snaps[j].x))
+    phase_runs = sum(t.digits - polys.PHASE_GUARD_DIGITS in levels for t in calls[pair])
+    fallbacks = sum(t.digits in levels for t in calls[pair])
     assert phase_runs + fallbacks == len(calls[pair])
-    assert (m, k, redos, fallbacks) == expected
-    assert phase_runs == m + redos
+    assert (m, k, len(set(levels)), redos, fallbacks) == expected
+    assert phase_runs == m * len(set(levels)) + redos
     assert len(calls[odd]) == 0
     assert len(calls[pair]) < k * m * n
+
+
+# The most sweeps a solve of each coefficient-form row took, over seeds 1
+# and 7919, rounds 0-7, while every coefficient-form sweep ran at the
+# estimates' digits; the 256-digit rows now climb the precision ladder.
+COEFFICIENT_SWEEPS = {
+    ("algebraic", (1, 1, 1, 1, 1), 256): 7,
+    ("algebraic", (1, 2, 3, 1), 64): 5,
+    ("algebraic", (1, 2, 3, 1), 256): 7,
+    ("trigonometric", (1, 1), 256): 7,
+    ("trigonometric", (1, 3), 64): 5,
+    ("exponential", (1, 1, 1, 1), 64): 5,
+    ("exponential", (3, 1), 64): 6,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_every_coefficient_form_row_ends_within_its_bound_in_few_sweeps(seed):
+    # What op_tail_ms and ok_ratio read on coefficient_form: every final
+    # estimate within the bound the generator planted, in at most one
+    # sweep more than the row took at the top.
+    workloads = _perfbench("workloads")
+    assert set(COEFFICIENT_SWEEPS) == set(workloads.COEFFICIENT_STRATA)
+    two_pi = workloads.two_pi(256)
+    for round_index in (0, 1):
+        problems = workloads.solve_round(seed, "coefficient_form", round_index)
+        for row, problem in zip(workloads.COEFFICIENT_STRATA, problems):
+            spec = simulroot.parse_problem(problem["json"])
+            report = simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(),
+                                     spec.solve_config())
+            assert report.stop_reason.value in ("tolerance", "accuracy_floor"), row
+            assert len(report.trace.step_sizes) <= COEFFICIENT_SWEEPS[row] + 1, row
+            for x, root, bound in zip(report.trace.final().x, problem["roots"],
+                                      problem["bounds"]):
+                error = workloads.root_error(problem["family"], x.dec, root, two_pi)
+                assert error <= Decimal(bound), (row, root)
 
 
 def test_the_traced_names_count_the_work_of_a_solve():

@@ -285,7 +285,7 @@ def test_order_reads_a_trace_whose_snapshots_carry_fewer_digits(capsys, tmp_path
     orders = []
     for ladder in (True, False):
         if not ladder:
-            monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+            monkeypatch.setattr(solver, "_level", lambda p, estimates, mults, steps, last, top: top)
         code, blob, _ = run(capsys, *argv)
         assert code == 0
         report = parse_trace(blob)
@@ -311,7 +311,7 @@ def test_a_coarse_tolerance_stops_a_256_digit_solve_below_the_top_level(capsys, 
     case = EXAMPLES[example]
     argv = ["solve", "--expr", case.expression, "--init", ",".join(case.init),
             "--digits", "256", "--tolerance", "1e-17", "--format", "json"]
-    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, mults, steps, last, top: top)
     code, blob, _ = run(capsys, *argv)
     full = parse_trace(blob)
     monkeypatch.undo()

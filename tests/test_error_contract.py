@@ -244,7 +244,7 @@ def test_a_trig_solve_from_a_huge_estimate_reports_as_at_the_top_level(digits, t
     trace = json.loads(out)
     assert (code, err) == (2, "")
     assert (trace["stop_reason"], trace["failure"], len(trace["snapshots"])) == ("max_iters", None, 51)
-    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top)
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, mults, steps, last, top: top)
     assert run_case(tmp_path, (argv, None)) == (code, out, err)
 
 

@@ -21,7 +21,6 @@ from simulroot.polys import (
     TrigExpCoeffPoly,
     eval_with_derivative,
     expand_algebraic,
-    log_derivative,
     newton_ratio,
     pairwise_log_derivatives,
 )
@@ -32,6 +31,7 @@ from oracles import (
     frac_coth,
     frac_sin,
     frac_sinh,
+    log_derivative,
     planted_coefficients,
     real_eval_factored,
     real_horner,

@@ -36,9 +36,9 @@ TRACE_SHA256 = {
     "algebraic_factored": "4dad5c019b847e7f54dcf80810aaa54178f078a94c2de36a509225e09fdf7cfc",
     "periodic_factored": "f6942e593478eccb8e3e76e6cb84085f7e60585d704e9fff8e0e882d42734381",
     "coefficient_form/algebraic":
-        "27457a086371e46c0a7d8fe2adae11112c1a7d1a92e48120dcaeb8f3ac22a81f",
+        "248461c676155bd721b95a37ea15ef5739fb8c621e285e41250a295bfd1251c3",
     "coefficient_form/trigonometric":
-        "4d9baf88426d792e52b5dc4205246a3af0ee603401c936def4e39d344fdb58d5",
+        "b071e5a6a4df280c80c103ffb58541633ce6120b8e599c78fd247873097d03f3",
     "coefficient_form/exponential":
         "0d05c6261ecd2139533af1a60dfd38697f5d3798723a1be931b558cb183c58b4",
 }
@@ -47,9 +47,9 @@ NEWTON_BASELINE_TRACE_SHA256 = {
     "algebraic_factored": "10f753d99b7de97060aa538aae89db81d7de810aeea84fa58be9bbc617d8b561",
     "periodic_factored": "19ebfa40d5129f33e1ab72dc9b8bf45ed686efe9c95a047fb650b3b25fa1921c",
     "coefficient_form/algebraic":
-        "0cce59735c72f3707dfc36101ce418851aeedd020dc145e33319e0b55b3a54dc",
+        "7db7c5a224b1f039f8dd7d6110443fcd2f7cba14a6d01ebe823248582b8782cb",
     "coefficient_form/trigonometric":
-        "d54349772cae069a2eae071cb9352ca5e5f902003c1573f8843fbfabded2d9d8",
+        "86593416733f22d687fc49aeaf1f7c8791984f85a2a252a874d59bb3ae7e2b69",
     "coefficient_form/exponential":
         "2a78ae17f765f9b239ac6d6bbacc1b4eda983e2d05cf5fccd297301574dad8f5",
 }
@@ -113,17 +113,17 @@ ON_ROOT_TRACE_SHA256 = {
     ("periodic_factored", Method.NEWTON_BASELINE):
         "3f9a942798c36f8de6c9cc1c8d570262bd94804daf8b5bb76a18c40e921a057a",
     ("coefficient_form/algebraic", Method.CHEBYSHEV):
-        "0f3f7bd293b4c0ee181fe152161bfc8979b595dbfeafd3a606ef833dbae9bbb0",
+        "1b3ac34f85532c4d6beb191992efe735149b819153c354020e3c87a97b94bf30",
     ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
-        "8d988868780a047a7969bcdae5b2472f330fb5e6dcb72e5913f1554d1974bf9f",
+        "9445085b1d0c32c460ae31cb96046b9c739bfc104116e9abaa69ef5e1dfcf325",
     ("coefficient_form/trigonometric", Method.CHEBYSHEV):
-        "04b789c868d4cf7d3a441905402624743aac30d452c5f1311aabed73b51c4678",
+        "86ebe1ec3754211ed0159a8152e28cc7d758a8c473853f5607988eabb0fd9e1b",
     ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
-        "fae34dc48692e02816dd2dc2e61cc01a9d51877035d38dc6f3c978a9c11a0cc0",
+        "ded48ab927804dee45d5afadfcd88e7e59cbc3e21f1c069e07f123ff6c625962",
     ("coefficient_form/exponential", Method.CHEBYSHEV):
-        "531389c8a9c00df8276fca5879fc373dd4e2e1cbcf078dc3c814f86754c08b73",
+        "43830ca2cc81927307ea4c74a10fb4b6219f4096883b20dd4fb1867479a92a4e",
     ("coefficient_form/exponential", Method.NEWTON_BASELINE):
-        "ffc2cfc038f3d6cb999dc67dd766b67f50ee9f8be424edc7f4dcb1a617f56481",
+        "f96495bae455f4a07792e26c4f49905d6d2edd6c598dc02f644e1687d779e2b7",
 }
 
 SHORT_ROOTS = ("-2", "0", "0.5", "1")

@@ -478,7 +478,7 @@ SWEEPS = {
 def at_the_top(monkeypatch):
     """Run every sweep at the estimates' digits, the top of the precision
     ladder, as a solve at 128 digits or fewer does."""
-    monkeypatch.setattr(solver, "_level", lambda p, estimates, steps, last, top: top,
+    monkeypatch.setattr(solver, "_level", lambda p, estimates, mults, steps, last, top: top,
                         raising=False)  # a solve without the ladder has no _level
 
 
@@ -776,6 +776,112 @@ def test_the_precision_ladder_tracks_the_exact_iteration(family, m, digits, long
         if x != y:
             ulp = Fraction(10) ** (x.dec.adjusted() - digits + 1)
             assert abs(as_fraction(x) - truth) <= ulp
+
+
+NEAR_ONE = "1." + "0" * 99 + "1"  # 1 + 1e-100
+
+
+@pytest.mark.parametrize("roots,init,level", [
+    (("0", "3"), ("0.1", "2.9"), 64),
+    (("0", "3"), ("1", NEAR_ONE), 256),
+    (("1", NEAR_ONE), ("0.9", "1.2"), 256),
+])
+def test_a_level_at_which_two_estimates_or_roots_meet_is_the_top(roots, init, level):
+    # Sweep 1 of these 256-digit solves would run at 64 digits, where
+    # estimates, or roots, 1e-100 apart are one value: it runs at the top.
+    poly = FactoredPoly(Family.ALGEBRAIC, tuple(make_real(r, 256) for r in roots), (1, 1))
+    start = EstimateVector(tuple(make_real(x, 256) for x in init))
+    report = solve(poly, MultiplicityProfile((1, 1)), start, SolveConfig(max_iters=1))
+    assert [snap.digits for snap in report.trace.snapshots] == [256, level]
+
+
+def coefficient_ladder_problem(family, mults, digits, seed):
+    """A seeded coefficient form of planted roots (:func:`planted`) spread
+    and started as in :func:`ladder_problem`, with its planted roots."""
+    rng = random.Random(f"coefficient ladder:{family}:{mults}:{digits}:{seed}")
+    m = len(mults)
+    if family == "trigonometric":
+        low, gap = -math.pi, 2 * math.pi / m
+    else:
+        low, gap = -m / 2, 1.0
+    points = [low + (i + 0.5 + rng.uniform(-0.2, 0.2)) * gap for i in range(m)]
+    gaps = [b - a for a, b in zip(points, points[1:])]
+    if family == "trigonometric":
+        gaps.append(2 * math.pi - (points[-1] - points[0]))
+    offset = min(gaps) / (4 * sum(mults))
+    roots = [f"{x:.6f}" for x in points]
+    init = [f"{x + rng.choice((-1, 1)) * offset:.9f}" for x in points]
+    return (planted(family, roots, mults, digits), MultiplicityProfile(mults),
+            EstimateVector(tuple(make_real(x, digits) for x in init)), roots)
+
+
+# (family, multiplicities, digits, seed); in the last case the triple
+# root reads its floor at 121 digits, far below the top, and is held there
+COEFFICIENT_LADDER_CASES = [
+    (family, mults, digits, 0)
+    for family, simple, multiple in (("algebraic", (1, 1, 1, 1, 1), (1, 2, 3, 1)),
+                                     ("trigonometric", (1, 1), (1, 3)),
+                                     ("exponential", (1, 1, 1, 1), (3, 1)))
+    for mults in (simple, multiple) for digits in (64, 256)
+] + [("algebraic", (1, 2, 3, 1), 256, 48)]
+
+
+@pytest.mark.parametrize("family,mults,digits,seed", COEFFICIENT_LADDER_CASES)
+def test_the_precision_ladder_tracks_the_exact_iteration_on_a_coefficient_form(
+        family, mults, digits, seed, monkeypatch):
+    # The gate above, against the exact iteration on the stored
+    # coefficients, with two changes that multiple roots need.  A root of
+    # multiplicity m_i is known only to its cluster radius: rounding the
+    # coefficients to p digits splits it into m_i roots about 10^(-p/m_i)
+    # apart, and even the solve at the top strays from the exact iteration
+    # by more than 10^(10 - p) there (10^-30.8 against 10^-54 for a
+    # trigonometric triple root at 64 digits).  So its estimate is held to
+    # (10^(10 - p_k))^(1/m_i).  And the other roots' corrections carry
+    # that noise, times the square of their Newton ratios, into their own
+    # paths, so with a multiple root each sweep is held to the exact sweep
+    # from its own input, not to the exact path from the start.  A root
+    # that a sweep leaves where it was (held or frozen at its floor, or
+    # settled) is not compared: the exact sweep would run on into the
+    # cluster, where a step that assumes m_i throws it off.  A final that
+    # differs from the all-top solve's lies, for a simple root, within its
+    # attainable accuracy (|p~(x)| + e)/|p~'(x)| (e the bound of
+    # eval_with_derivative) and a unit in its last digit of the exact
+    # iteration; a multiple or frozen root, within the benchmark's bound
+    # (10^(10 - digits))^(1/m_i) of its planted root.
+    poly, profile, init, roots = coefficient_ladder_problem(family, mults, digits, seed)
+    report = solve(poly, profile, init)
+    assert report.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
+    snapshots = report.trace.snapshots
+    assert digits <= 128 or min(snap.digits for snap in snapshots) < digits
+    simple = set(mults) == {1}
+
+    def within(x, truth, m, p):
+        scale = max(Fraction(1), abs(truth))
+        return (abs(as_fraction(x) - truth) / scale) ** m <= Fraction(10) ** (10 - p)
+
+    for before, after in zip(snapshots, snapshots[1:]):
+        _, row = exact_iteration(poly, profile, before, 1, digits)
+        assert all(within(x, truth, m, after.digits)
+                   for x0, x, truth, m in zip(before.x, after.x, row, mults) if x != x0)
+    at_the_top(monkeypatch)
+    full = solve(poly, profile, init)
+    assert full.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
+    sweeps = max(len(snapshots), len(full.trace.snapshots)) - 1
+    exact = exact_iteration(poly, profile, init, sweeps, digits)
+    if simple:
+        for snap, row in zip(snapshots, exact):
+            assert all(within(x, truth, 1, snap.digits) for x, truth in zip(snap.x, row))
+    for i, (x, y, truth) in enumerate(zip(report.trace.final().x, full.trace.final().x,
+                                          exact[-1])):
+        if x == y:
+            continue
+        if mults[i] > 1 or i in report.frozen | full.frozen:
+            error = abs(as_fraction(x) - Fraction(roots[i]))
+            assert error ** mults[i] <= Fraction(10) ** (10 - digits)
+        else:
+            value, derivative, bound = map(as_fraction, eval_with_derivative(poly, x))
+            ulp = Fraction(10) ** (x.dec.adjusted() - digits + 1)
+            assert abs(as_fraction(x) - truth) <= (abs(value) + bound) / abs(derivative) + ulp
 
 
 def test_roots_with_more_digits_than_the_estimates_take_every_term_from_phases(monkeypatch):
