@@ -25,13 +25,17 @@ one kernel run at the estimates' digits rounded down to each level
 (:func:`root_phases`, :func:`lower_root_phases`), and the estimates'
 phases from sweep to sweep.  One rule, :func:`turned_phases`, gives each
 sweep its phases.  Every pair derived from phases is one or two angle
-subtractions (:func:`_minus`):
+subtractions, each the operations of :func:`_minus` in its order:
 
 * a turn, by the pair at half the distance from an estimate to the
   nearer of its last position and its nearest root (:func:`turned_phases`);
 * cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
 * the move to u, the argument the kernel sees, round(round(a - b)/2),
   by the first-order pair (1, -delta) at -delta = v - u.
+
+A turn calls :func:`_minus`; a pair term writes its subtraction and its
+move out in its own frame, where a multiply-add by 1 is the add it
+equals, since helper frames cost 14-20% of a 64-digit term.
 
 A near pair, whose u = round(round(a - b)/2) lies below
 10**-(PHASE_GUARD_DIGITS // 2) in magnitude, would cancel more than half
@@ -94,7 +98,7 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -117,8 +121,9 @@ from .numeric import (
 # one rounding.
 PHASE_GUARD_DIGITS = 20
 
-# One error account per composition of :func:`_minus` follows, in units
-# of 10**(1 - digits - PHASE_GUARD_DIGITS) times the scale that bounds a
+# One error account per composition of angle subtractions (:func:`_minus`,
+# or a pair term's copy of its operations) follows, in units of
+# 10**(1 - digits - PHASE_GUARD_DIGITS) times the scale that bounds a
 # phase's |c| and |s|: 1 for trig, cosh at the half point for the
 # hyperbolic pair.  A direct phase is within 0.5 + 1e-8 unit.
 #
@@ -208,11 +213,12 @@ class DuplicateRootError(ValueError):
 
 
 class DerivativeZeroError(ArithmeticError):
-    """p'(x) vanished where the Newton ratio needs it (p(x) != 0)."""
+    """p'(x), or a factored form's sum p'(x)/p(x), rounded to zero where the
+    Newton ratio needs it: p(x) != 0.  p'(x) itself need not be 0."""
 
     def __init__(self, x: Real):
         self.x = x
-        super().__init__(f"derivative is zero at x = {x} while the value is not")
+        super().__init__(f"derivative rounds to zero at x = {x} while the value is not zero")
 
 
 class CoincidentPointError(ArithmeticError):
@@ -383,28 +389,25 @@ def _minus(w: Context, sign: int, c1: Decimal, s1: Decimal, c2: Decimal,
             w.fma(s1, c2, w.multiply(c1, s2).copy_negate()))
 
 
-def _moved(w: Context, sign: int, c: Decimal, s: Decimal,
-           delta: Decimal) -> tuple[Decimal, Decimal] | None:
-    # (c, s) at t moved to t + delta by the pair (1, -delta), or None where
-    # a value is 0 or the dropped (c, s) delta^2 / 2 could reach 0.1 ulp.
-    if not delta.is_zero():
-        if 2 * (delta.adjusted() + 1) > -w.prec:
-            return None
-        c, s = _minus(w, sign, c, s, 1, delta.copy_negate())
-    return None if c.is_zero() or s.is_zero() else (c, s)
-
-
+@lru_cache(maxsize=None)
 def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
     """term(d, a, b, pa, pb) = cot or coth at u = d/2 rounded to ctx, for d =
     a - b rounded to ctx, within 0.5 + 1e-7 units: the quotient of the pair
     at u, rounded once to ctx.  The pair comes from the short series where
     |u| < 10**-(PHASE_GUARD_DIGITS // 2), else from the phases pa and pb of
     a and b.  Where neither serves, the term is ``rule.odd(ctx, d)``, the
-    kernel at u."""
-    odd, sign, prec = rule.odd, rule.sign, ctx.prec
+    kernel at u.
+
+    One term per (rule, ctx), which looks the kernels up at call time, as
+    the ``_RULES`` lambdas do.  It runs in one frame: its angle
+    subtraction and its move to u are :func:`_minus`'s operations in its
+    order, written out."""
+    odd, trig, prec = rule.odd, rule.sign < 0, ctx.prec
     half_guard = PHASE_GUARD_DIGITS // 2
     w = _context(prec + PHASE_GUARD_DIGITS)
-    halve, divide, subtract, fma = ctx.multiply, ctx.divide, w.subtract, w.fma
+    limit = -w.prec
+    halve, divide = ctx.multiply, ctx.divide
+    add, subtract, multiply, fma = w.add, w.subtract, w.multiply, w.fma
 
     def term(d: Decimal, a: Decimal, b: Decimal, pa: Phase, pb: Phase | None) -> Decimal:
         u = halve(d, _HALF)
@@ -413,26 +416,37 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
             # guard.  u is the kernel's own argument, and its pair from the
             # series is good to a few units at w.
             try:
-                return divide(*_small_pair_series(u, sign < 0, w))
+                return divide(*_small_pair_series(u, trig, w))
             except (Overflow, DivisionByZero):  # |u| past the exponent range
                 return odd(ctx, d)
         if pb is None or not pa.digits == pb.digits == prec:
             return odd(ctx, d)
         t = subtract(a, b)
+        # The pair at t/2 moves to u by the first-order pair (1, -delta),
+        # delta = u - t/2; the move is in doubt where the dropped (c, s)
+        # delta^2 / 2 could reach 0.1 ulp.
+        delta = fma(t, _MINUS_HALF, u)
+        moved = not delta.is_zero()
+        if moved and 2 * (delta.adjusted() + 1) > limit:
+            return odd(ctx, d)
         try:
-            pair = _moved(w, sign, *_minus(w, sign, pa.c, pa.s, pb.c, pb.s), fma(t, _MINUS_HALF, u))
+            ss = multiply(pa.s, pb.s)
+            c = fma(pa.c, pb.c, ss if trig else ss.copy_negate())
+            s = fma(pa.s, pb.c, multiply(pa.c, pb.s).copy_negate())
+            if moved:  # _minus with (1, -delta): -(s (-delta)) is s delta, exactly
+                sd = multiply(s, delta)
+                c, s = subtract(c, sd) if trig else add(c, sd), add(s, multiply(c, delta))
         except Overflow:
             return odd(ctx, d)
-        if pair is None:
+        if c.is_zero() or s.is_zero():
             return odd(ctx, d)
         # The phases are good to a unit in their last digit on the scale
         # of C_a C_b, which is 1 for trig; c and s keep that error.  (Every
         # term runs these tests: conditionals cost less than min and max.)
-        c, s = pair
         low = c.adjusted() if c.adjusted() < s.adjusted() else s.adjusted()
-        top = 0 if sign < 0 else pa.c.adjusted() + pb.c.adjusted()
-        if sign > 0 and top - low >= half_guard:  # C_a C_b may have a digit more
-            top = w.multiply(pa.c, pb.c).adjusted()
+        top = 0 if trig else pa.c.adjusted() + pb.c.adjusted()
+        if not trig and top - low >= half_guard:  # C_a C_b may have a digit more
+            top = multiply(pa.c, pb.c).adjusted()
         if (top if top > 0 else 0) - low > half_guard:
             return odd(ctx, d)
         k = divide(c, s)
@@ -508,7 +522,7 @@ def pairwise_log_derivatives(
     ascending order of the other index, as ``_log_derivative`` does.
     An algebraic or kernel term is odd bit for bit.  A phase term
     (:func:`_pair_term`) is odd before its rounding only to within one unit
-    in the phases' last digit (:func:`_minus` on the swapped phases):
+    in the phases' last digit (its angle subtraction on the swapped phases):
     10**-PHASE_GUARD_DIGITS of a unit in the term's, times the cancellation
     the term allows, at most 10**(PHASE_GUARD_DIGITS // 2).  So the results
     equal the per-point sums bit for bit unless a term's quotient lies

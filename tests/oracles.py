@@ -20,6 +20,7 @@ expands planted roots into coefficient forms, again in Fractions.
 
 from __future__ import annotations
 
+from decimal import Decimal, DivisionByZero, Overflow
 from fractions import Fraction
 from math import isqrt
 from operator import mul, truediv
@@ -333,6 +334,60 @@ def log_derivative(family, x, phase, points, point_phases, mults):
     ctx = _context(max(x.digits, *(p.digits for p in points)))
     return Real(polys._log_derivative(polys._RULES[family], ctx, x.dec, phase,
                                       [p.dec for p in points], point_phases, mults), ctx.prec)
+
+
+def _moved(w, sign, c, s, delta):
+    # (c, s) at t moved to t + delta by the pair (1, -delta), or None where
+    # a value is 0 or the dropped (c, s) delta^2 / 2 could reach 0.1 ulp.
+    if not delta.is_zero():
+        if 2 * (delta.adjusted() + 1) > -w.prec:
+            return None
+        c, s = polys._minus(w, sign, c, s, 1, delta.copy_negate())
+    return None if c.is_zero() or s.is_zero() else (c, s)
+
+
+def composed_pair_term(rule, ctx):
+    """``polys._pair_term(rule, ctx)`` composed of helper calls: the angle
+    subtraction of the two phases by ``polys._minus``, the move to u by a
+    second ``_minus`` with the pair (1, -delta), then one ``divide``.  The
+    package's term runs the same operations in one frame and must return
+    the same Decimal, bit for bit; this is the reference it is held to."""
+    odd, sign, prec = rule.odd, rule.sign, ctx.prec
+    half_guard = polys.PHASE_GUARD_DIGITS // 2
+    w = _context(prec + polys.PHASE_GUARD_DIGITS)
+    half, minus_half = Decimal("0.5"), Decimal("-0.5")
+
+    def term(d, a, b, pa, pb):
+        u = ctx.multiply(d, half)
+        if u.adjusted() < -half_guard:
+            try:
+                return ctx.divide(*polys._small_pair_series(u, sign < 0, w))
+            except (Overflow, DivisionByZero):
+                return odd(ctx, d)
+        if pb is None or not pa.digits == pb.digits == prec:
+            return odd(ctx, d)
+        t = w.subtract(a, b)
+        try:
+            pair = _moved(w, sign, *polys._minus(w, sign, pa.c, pa.s, pb.c, pb.s),
+                          w.fma(t, minus_half, u))
+        except Overflow:
+            return odd(ctx, d)
+        if pair is None:
+            return odd(ctx, d)
+        c, s = pair
+        low = min(c.adjusted(), s.adjusted())
+        top = 0 if sign < 0 else pa.c.adjusted() + pb.c.adjusted()
+        if sign > 0 and top - low >= half_guard:
+            top = w.multiply(pa.c, pb.c).adjusted()
+        if max(top, 0) - low > half_guard:
+            return odd(ctx, d)
+        k = ctx.divide(c, s)
+        scale = k.adjusted()
+        if (scale + 1 if scale >= 0 else -scale) + t.adjusted() + 1 > half_guard:
+            return odd(ctx, d)
+        return odd(ctx, d) if k.copy_abs() == 1 else k
+
+    return term
 
 
 def real_pairwise_log_derivatives(family, points, mults):

@@ -241,6 +241,42 @@ def test_every_coefficient_form_row_ends_within_its_bound_in_few_sweeps(seed):
                 assert error <= Decimal(bound), (row, root)
 
 
+@pytest.mark.parametrize("workload,expected", [
+    ("periodic_factored", (7964, 402, 1)),
+    ("coefficient_form", (348, 0, 0)),
+])
+def test_pair_terms_take_their_routes_as_counted_on_seed_1(workload, expected, monkeypatch):
+    # The pair terms of seed-1 rounds 0-3 (the Newton ratios of factored
+    # forms and every correction pass), the near pairs among them, which
+    # take the short series, and the cot/coth runs, which serve only a
+    # term that falls back: the work the half-angle workloads measure.
+    terms, near, kernels = [], [], []
+    pair_term = polys._pair_term
+
+    def counted_pair_term(rule, ctx):
+        term = pair_term(rule, ctx)
+
+        def counted(d, *args):
+            terms.append(d)
+            if ctx.multiply(d, Decimal("0.5")).adjusted() < -(polys.PHASE_GUARD_DIGITS // 2):
+                near.append(d)
+            return term(d, *args)
+
+        return counted
+
+    monkeypatch.setattr(polys, "_pair_term", counted_pair_term)
+    for name in ("cot", "coth"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda x, f=kernel: kernels.append(x) or f(x))
+    workloads = _perfbench("workloads")
+    for round_index in range(4):
+        for problem in workloads.solve_round(1, workload, round_index):
+            spec = simulroot.parse_problem(problem["json"])
+            simulroot.solve(spec.poly, spec.profile(), spec.initial_vector(),
+                            spec.solve_config())
+    assert (len(terms), len(near), len(kernels)) == expected
+
+
 def test_the_traced_names_count_the_work_of_a_solve():
     # The layer metrics count calls of the traced names, so each must be
     # the function a solve runs: a kernel that moved to another name

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from decimal import Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,7 @@ from simulroot.polys import (
     pairwise_log_derivatives,
 )
 from oracles import (
+    composed_pair_term,
     frac_cos,
     frac_cosh,
     frac_cot,
@@ -572,7 +574,16 @@ def test_an_exactly_zero_sum_is_a_step_failure(capsys):
     # taken for a coincident point
     assert cli.main(["solve", "--expr", "(x-1)*(x+1)", "--init", "0,5"]) == 2
     err = capsys.readouterr().err
-    assert "step failed for root index 0: derivative is zero at x = 0" in err
+    assert "step failed for root index 0: derivative rounds to zero at x = 0" in err
+
+
+def test_a_sum_that_rounds_to_zero_is_not_called_a_zero_derivative(capsys):
+    # at x = 1e-70, 1/(x - 1) + 1/(x + 1) = 2e-70 / (x^2 - 1) rounds to 0 at
+    # 64 digits, though p'(x) = 2e-70: the message says what happened
+    assert cli.main(["solve", "--expr", "(x-1)*(x+1)", "--init", "1e-70,2"]) == 2
+    err = capsys.readouterr().err
+    assert "root index 0: derivative rounds to zero at x = 1E-70" in err
+    assert "is zero" not in err
 
 
 # -- the phase kernel ----------------------------------------------------
@@ -603,6 +614,19 @@ def turned_along_paths(family, points, digits, rng, turns):
     return out
 
 
+def pair_phases(family, digits, pairs, turns=0):
+    """The phases of the points of ``pairs``, flattened: direct, or reached
+    by ``turns`` turns each."""
+    points = [p for pair in pairs for p in pair]
+    if not turns:
+        return polys.phases(family, points, digits)
+    unique = list(dict.fromkeys(points))
+    turned = turned_along_paths(family, unique, digits, random.Random(turns), turns)[-1][1]
+    assert all(q.turns == turns for q in turned)
+    by_point = dict(zip(unique, turned))
+    return [by_point[p] for p in points]
+
+
 def pair_terms(family, digits, pairs, monkeypatch, turns=0):
     """(phase-kernel term, direct-kernel term, exact term, fell back) for
     each pair (a, b).
@@ -615,15 +639,7 @@ def pair_terms(family, digits, pairs, monkeypatch, turns=0):
     """
     rule = polys._RULES[family]
     ctx = numeric._context(digits)
-    points = [p for pair in pairs for p in pair]
-    if turns:
-        unique = list(dict.fromkeys(points))
-        turned = turned_along_paths(family, unique, digits, random.Random(turns), turns)[-1][1]
-        assert all(q.turns == turns for q in turned)
-        by_point = dict(zip(unique, turned))
-        ph = [by_point[p] for p in points]
-    else:
-        ph = polys.phases(family, points, digits)
+    ph = pair_phases(family, digits, pairs, turns)
     name = "cot" if family is Family.TRIGONOMETRIC else "coth"
     kernel = getattr(polys, name)
     calls = []
@@ -696,15 +712,28 @@ def near(rng, a: Real, exponent: int) -> Real:
     return R(str(a.dec + gap if rng.random() < 0.5 else a.dec - gap), a.digits)
 
 
-@pytest.mark.parametrize("family", HALF_ANGLE)
-@pytest.mark.parametrize("digits", [64, 256])
-def test_phase_kernel_rounds_the_exact_term_on_seeded_pairs(family, digits, monkeypatch):
-    # every pair of 64 full-length points: 2016 pairs, 30% of the points
-    # 1e-1 to 1e-40 from another one
+def seeded_pairs(family, digits):
+    """Every pair of 64 full-length points: 2016 pairs, 30% of the points
+    1e-1 to 1e-40 from another one."""
     rng = random.Random(digits + len(family.value))
     points = [full_numeral(rng, digits) for _ in range(45)]
     points += [near(rng, points[i], -rng.randint(1, 40)) for i in range(19)]
-    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+    return [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+
+
+def near_pairs(digits):
+    """(exponents, pairs): two full-length pairs 10^-e apart for each e
+    from 5 to 60."""
+    rng = random.Random(digits)
+    exponents = [e for e in range(5, 61) for _ in range(2)]
+    return exponents, [(a, near(rng, a, -e)) for a, e in
+                       ((full_numeral(rng, digits), e) for e in exponents)]
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_rounds_the_exact_term_on_seeded_pairs(family, digits, monkeypatch):
+    pairs = seeded_pairs(family, digits)
     # the same with phases that were turned 12 times: within the bound of
     # turned_phases, every term still keeps the contract
     for turns in (0, 12):
@@ -739,10 +768,7 @@ def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
     # short series at u instead: every pair 1e-11 or less apart (u at most
     # 4.5e-11), and at 64 digits one of the two 1e-10 apart.  No term here
     # falls back to the direct kernel.
-    rng = random.Random(digits)
-    exponents = [e for e in range(5, 61) for _ in range(2)]
-    pairs = [(a, near(rng, a, -e)) for a, e in
-             ((full_numeral(rng, digits), e) for e in exponents)]
+    exponents, pairs = near_pairs(digits)
     series = []
     original = polys._small_pair_series
     monkeypatch.setattr(polys, "_small_pair_series", lambda *a: series.append(a) or original(*a))
@@ -753,6 +779,69 @@ def test_near_pairs_fall_back_to_the_direct_kernel(family, digits, monkeypatch):
         assert fell == 0, e
     assert len(series) == sum(e > half_guard for e in exponents) + (digits == 64) == 100 + (digits == 64)
     assert {w.prec for *_, w in series} == {digits + polys.PHASE_GUARD_DIGITS}
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+@pytest.mark.parametrize("digits", [64, 256])
+def test_the_one_frame_term_equals_the_composed_term_bit_for_bit(family, digits, monkeypatch):
+    # polys' term runs the angle subtraction and the move to u in its own
+    # frame; on the seeded and the near pairs above, and on points of
+    # mixed magnitudes, which take the kernel where the others never do,
+    # with direct phases and with phases turned 12 times, it returns the
+    # Decimal of the reference composed of _minus, the move and one
+    # divide.  Every route is taken: the near pair's series, the phases
+    # with and without a move, and the kernel.
+    rule, ctx = polys._RULES[family], numeric._context(digits)
+    w = numeric._context(digits + polys.PHASE_GUARD_DIGITS)
+    term, reference = polys._pair_term(rule, ctx), composed_pair_term(rule, ctx)
+    name = "cot" if family is Family.TRIGONOMETRIC else "coth"
+    kernel, calls = getattr(polys, name), []
+    monkeypatch.setattr(polys, name, lambda x: calls.append(x) or kernel(x))
+    routes = Counter()
+    corpora = [(pairs, turns) for pairs in (seeded_pairs(family, digits), near_pairs(digits)[1])
+               for turns in (0, 12)] + [(mixed_pairs(digits), 0)]
+    for pairs, turns in corpora:
+        ph = pair_phases(family, digits, pairs, turns)
+        for i, (a, b) in enumerate(pairs):
+            if ph[2 * i] is None:  # a row from a point with no phase runs no term
+                continue
+            d = ctx.subtract(a.dec, b.dec)
+            args = (d, a.dec, b.dec, ph[2 * i], ph[2 * i + 1])
+            calls.clear()
+            got = term(*args)
+            assert got.compare_total(reference(*args)) == 0, (a, b, turns)
+            u = ctx.multiply(d, Decimal("0.5"))
+            if calls:
+                routes["kernel"] += 1
+            elif u.adjusted() < -(polys.PHASE_GUARD_DIGITS // 2):
+                routes["near"] += 1
+            elif w.fma(w.subtract(a.dec, b.dec), Decimal("-0.5"), u).is_zero():
+                routes["no move"] += 1
+            else:
+                routes["move"] += 1
+    assert set(routes) == {"kernel", "near", "no move", "move"}, routes
+
+
+def test_a_cached_term_calls_the_kernels_bound_at_call_time(monkeypatch):
+    # one term serves every row at its digits, and it looks cot, coth and
+    # the short series up when it runs, as the _RULES lambdas do, so a
+    # name rebound after the term was built (perfbench's tracer, the
+    # counting tests) reaches every call
+    ctx = numeric._context(64)
+    terms = {family: polys._pair_term(polys._RULES[family], ctx) for family in HALF_ANGLE}
+    calls = []
+    for name in ("cot", "coth", "_small_pair_series"):
+        original = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *a, name=name, f=original: calls.append(name) or f(*a))
+    a, b = R("0.5"), R("0.5" + "0" * 39 + "1")  # a near pair: the short series
+    far = R("1e20000")  # no hyperbolic phase: the kernel
+    for family, kernel in zip(HALF_ANGLE, ("cot", "coth")):
+        term = polys._pair_term(polys._RULES[family], ctx)
+        assert term is terms[family]
+        calls.clear()
+        term(ctx.subtract(a.dec, b.dec), a.dec, b.dec, *polys.phases(family, [a, b], 64))
+        term(ctx.subtract(a.dec, far.dec), a.dec, far.dec, polys.phases(family, [a], 64)[0], None)
+        assert calls == ["_small_pair_series", kernel], family
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
@@ -856,10 +945,8 @@ def test_phase_kernel_past_the_far_tail(digits, monkeypatch):
     assert any(got.compare_total(Decimal(1)) == 0 for got, *_ in results)
 
 
-@pytest.mark.parametrize("digits", [64, 256])
-def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
-    # full-length points from 1e-40 to 1e30: far apart, the rounding of
-    # a - b at the phases' digits moves the term by many ulps
+def mixed_pairs(digits):
+    """150 pairs of full-length points from 1e-40 to 1e30, either sign."""
     rng = random.Random(digits)
 
     def point():
@@ -867,7 +954,14 @@ def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
         return R(f"{rng.choice('+-')}{rng.randint(1, 9)}.{fraction:0{digits - 1}d}"
                  f"e{rng.randint(-40, 30)}", digits)
 
-    pairs = [(point(), point()) for _ in range(150)]
+    return [(point(), point()) for _ in range(150)]
+
+
+@pytest.mark.parametrize("digits", [64, 256])
+def test_phase_kernel_on_trig_points_of_mixed_magnitudes(digits, monkeypatch):
+    # far apart, the rounding of a - b at the phases' digits moves the
+    # term by many ulps
+    pairs = mixed_pairs(digits)
     results = pair_terms(Family.TRIGONOMETRIC, digits, pairs, monkeypatch)
     assert breaches(results, digits) == []
     assert 0 < sum(fell for *_, fell in results) < len(results)
