@@ -40,7 +40,6 @@ from .solver import (
 from .theory import (
     ConditionCheck,
     IndexChecks,
-    SeparationParams,
     TheoremReport,
     UndefinedSeparationError,
     check_theorem1,

@@ -56,21 +56,19 @@ The log-derivative sums and the Horner runs take and return Reals but
 run on their ``Decimal`` values, under one context at the most digits
 any operand carries; cot, coth and the function pairs stay numeric's.
 A log-derivative sum is one ``reduce`` of the context's add over a ``map``
-of its terms, and each rule gives the odd parts of a row of terms
-(``_Rule.odds``).  The algebraic odd part is the difference itself, so
-an algebraic sum runs no Python per term: m / (x - p) is a ``map`` of the
-context's subtract and divide, and a coincident point shows as the
-division's ``DivisionByZero``.  A half-angle row checks its differences
-for a zero once, then runs one ``map`` of a :func:`_pair_term` term over
-them.  A factored form keeps its roots' Decimals
-(``FactoredPoly.root_decs``), so a Newton ratio does not unpack them, and
-their set (``FactoredPoly.root_set``), so a Newton ratio at a root runs no
-term.  A Newton ratio runs at the digits of its point, on the form with
-its roots rounded to them (``FactoredPoly.at``, one per number of
-digits), whatever digits the roots carry.  A coefficient form's Newton
-ratio likewise runs on the form with its coefficients rounded to x's
-digits (``AlgebraicCoeffPoly.at``, ``TrigExpCoeffPoly.at``), whose sums in
-z are exact in the rounded coefficients.
+of its terms, the odd parts of a row of differences (``_odds``).  The
+algebraic odd part is the difference itself, so an algebraic sum runs no
+Python per term: m / (x - p) is a ``map`` of the context's subtract and
+divide, and a coincident point shows as the division's
+``DivisionByZero``.  A half-angle row checks its differences for a zero
+once, then runs one ``map`` of a :func:`_pair_term` term over them.  A
+factored form keeps its roots' Decimals (``FactoredPoly.root_decs``), so a
+Newton ratio does not unpack them, and their set
+(``FactoredPoly.root_set``), so a Newton ratio at a root runs no term.  A
+Newton ratio runs at the digits of its point, on the form with its roots
+or coefficients rounded to them (its ``at``, one view per number of
+digits), whatever digits they carry; a coefficient form's sums in z are
+exact in the rounded coefficients.
 
 A coefficient form runs Horner in x, or in z = e^(ix) or e^x from x's
 phase.  It cancels: near a root of multiplicity m its value is rounding
@@ -78,14 +76,17 @@ noise once the point lies within about 10^(-digits/m) of the root.
 Horner therefore carries a running bound on its own rounding error in
 the same loop (Higham, *Accuracy and Stability of Numerical Algorithms*,
 Alg. 5.1), at a few digits rounded upward, and :func:`newton_ratio` says
-whether |p(x)| lies within it.  A factored form's log-derivative has no
-such cancellation and gets no bound.
+whether |p(x)| lies within it.  A factored form's log-derivative sum can
+cancel every digit too, near a critical point of p: (x - 1)(x + 1) at
+x = 1E-70 and 64 digits sums the terms -1 and +1 to 0, where p'/p is
+about -2E-70.  It carries no bound, so such a point stops the solve as
+a :class:`DerivativeZeroError` step failure, never as a freeze.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -101,7 +102,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .numeric import (
     Real,
@@ -237,9 +238,6 @@ class CoincidentPointError(ArithmeticError):
 class _Rule:
     # (ctx, d) -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
     odd: Callable[[Context, Decimal], Decimal]
-    # (rule, ctx, a, phase of a, points b, their phases) -> odd(a - b) for
-    # each b, in order (:func:`_differences` or :func:`_phased_odds`)
-    odds: Callable[..., Iterable[Decimal]]
     # t -> (c(t), s(t)) with c = s' and c' = sign * s for the half-angle
     # families, whose factors s((x - r)/2) have multiplicities summing to
     # 2n and m K(d) = m odd(d) / 2; None for algebraic, where m K(d) = m / d.
@@ -247,21 +245,18 @@ class _Rule:
     sign: int = 0
 
 
-def _differences(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
-                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> Iterator[Decimal]:
-    # The algebraic odd part is d itself, so the odds are the differences,
-    # taken at C level.  A zero one is a coincident point: the division
-    # that weighs it raises DivisionByZero.
-    return map(ctx.subtract, repeat(a), bs)
-
-
-def _phased_odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
-                 bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> list[Decimal]:
-    # A half-angle odd part, from the phases of a and b where a has one
-    # (:func:`_pair_term`), else from the direct kernel.  A zero
-    # difference is the kernel's pole, raised as the algebraic one is, once
-    # for the whole row before any term runs.
-    ds = list(map(ctx.subtract, repeat(a), bs))
+def _odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
+          bs: Sequence[Decimal], pbs: Sequence[Phase | None]) -> Iterable[Decimal]:
+    # odd(a - b) for each point b, in order.  The algebraic odd part is d
+    # itself, so its odds are the differences, a lazy map at C level, and a
+    # zero one is a coincident point: the division that weighs it raises
+    # DivisionByZero.  A half-angle row raises that once, before any term
+    # runs, and takes its odd parts from the phases of a and b where a has
+    # one (:func:`_pair_term`), else from the direct kernel.
+    ds = map(ctx.subtract, repeat(a), bs)
+    if rule.pair is None:
+        return ds
+    ds = list(ds)
     if not all(ds):
         raise DivisionByZero
     if pa is None:
@@ -272,11 +267,11 @@ def _phased_odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
 # The lambdas look the kernels up in this module at call time, so
 # rebinding their names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(lambda ctx, d: d, _differences),
+    Family.ALGEBRAIC: _Rule(lambda ctx, d: d),
     Family.TRIGONOMETRIC: _Rule(lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                                _phased_odds, lambda t: cos_sin(t), -1),
+                                lambda t: cos_sin(t), -1),
     Family.EXPONENTIAL: _Rule(lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,
-                              _phased_odds, lambda t: cosh_sinh(t), 1),
+                              lambda t: cosh_sinh(t), 1),
 }
 
 
@@ -496,8 +491,8 @@ def _log_derivative(
     # family's odds.  A point equal to x raises CoincidentPointError.
     weigh = ctx.divide if rule.pair is None else ctx.multiply
     try:
-        total = reduce(ctx.add, map(weigh, mults, rule.odds(rule, ctx, x, phase, points,
-                                                            point_phases)), 0)
+        total = reduce(ctx.add, map(weigh, mults, _odds(rule, ctx, x, phase, points,
+                                                        point_phases)), 0)
     except DivisionByZero:
         if x not in points:
             raise
@@ -537,7 +532,7 @@ def pairwise_log_derivatives(
     for i, (a, m) in enumerate(zip(decs, mults)):
         rest = i + 1
         try:
-            odds = list(rule.odds(rule, ctx, a, point_phases[i], decs[rest:], point_phases[rest:]))
+            odds = list(_odds(rule, ctx, a, point_phases[i], decs[rest:], point_phases[rest:]))
             sums[i] = reduce(ctx.add, map(weigh, mults[rest:], odds), sums[i])
         except DivisionByZero:
             if a not in decs[rest:]:
@@ -547,8 +542,43 @@ def pairwise_log_derivatives(
     return [Real(t if rule.pair is None else ctx.divide(t, 2), ctx.prec) for t in sums]
 
 
+class _Form:
+    """A polynomial form, whose ``at`` gives it at a level."""
+
+    def at(self, digits: int):
+        """This form with every Real field, itself or in a tuple, rounded to
+        ``digits``, cached per digits: the form a sweep at ``digits`` digits
+        runs on, whose cached properties (``root_decs``, ``root_set``,
+        ``z_runs``) are made once per level.  It is the form itself only
+        where every such Real already carries ``digits``: a coefficient
+        form's Horner run takes its context from the most digits it meets,
+        so a view carries the level's digits even where no value moves.
+        The view skips the constructor's checks, so roots that round to one
+        value stay two factors."""
+        view = self._levels.get(digits)
+        if view is None:
+            def rounded(v):
+                return v.with_digits(digits) if isinstance(v, Real) else v
+
+            values = {f.name: getattr(self, f.name) for f in fields(self)}
+            view = self
+            if any(isinstance(r, Real) and r.digits != digits
+                   for v in values.values() for r in (v if isinstance(v, tuple) else (v,))):
+                view = object.__new__(type(self))
+                for name, v in values.items():
+                    object.__setattr__(view, name, tuple(map(rounded, v))
+                                       if isinstance(v, tuple) else rounded(v))
+            self._levels[digits] = view
+        return view
+
+    @cached_property
+    def _levels(self) -> dict:
+        # digits -> the form at them (:meth:`at`)
+        return {}
+
+
 @dataclass(frozen=True)
-class AlgebraicCoeffPoly:
+class AlgebraicCoeffPoly(_Form):
     """Monic algebraic polynomial; coeffs are a_1..a_n (leading 1 implicit)."""
 
     coeffs: tuple[Real, ...]
@@ -562,26 +592,9 @@ class AlgebraicCoeffPoly:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def at(self, digits: int) -> AlgebraicCoeffPoly:
-        """This form with every coefficient rounded to ``digits``: the form a
-        sweep at ``digits`` digits runs on, cached per digits; the form
-        itself where every coefficient carries ``digits``."""
-        view = self._levels.get(digits)
-        if view is None:
-            view = self
-            if any(a.digits != digits for a in self.coeffs):
-                view = AlgebraicCoeffPoly(tuple(a.with_digits(digits) for a in self.coeffs))
-            self._levels[digits] = view
-        return view
-
-    @cached_property
-    def _levels(self) -> dict[int, AlgebraicCoeffPoly]:
-        # digits -> the form at them (:meth:`at`)
-        return {}
-
 
 @dataclass(frozen=True)
-class TrigExpCoeffPoly:
+class TrigExpCoeffPoly(_Form):
     """a0/2 + sum_k (a_k c(kx) + b_k s(kx)) with (c, s) = (cos, sin) or (cosh, sinh)."""
 
     family: Family
@@ -601,25 +614,6 @@ class TrigExpCoeffPoly:
     def degree(self) -> int:
         return len(self.a)
 
-    def at(self, digits: int) -> TrigExpCoeffPoly:
-        """This form with every coefficient rounded to ``digits``, as
-        :meth:`AlgebraicCoeffPoly.at`; its :attr:`z_runs` are exact in the
-        rounded coefficients."""
-        view = self._levels.get(digits)
-        if view is None:
-            view = self
-            if any(c.digits != digits for c in (self.a0, *self.a, *self.b)):
-                view = TrigExpCoeffPoly(self.family, self.a0.with_digits(digits),
-                                        tuple(a.with_digits(digits) for a in self.a),
-                                        tuple(b.with_digits(digits) for b in self.b))
-            self._levels[digits] = view
-        return view
-
-    @cached_property
-    def _levels(self) -> dict[int, TrigExpCoeffPoly]:
-        # digits -> the form at them (:meth:`at`)
-        return {}
-
     @cached_property
     def z_runs(self) -> tuple[tuple[tuple[Decimal, ...], ...], ...]:
         """The exact g_k in z of :func:`eval_with_derivative`, highest first,
@@ -637,7 +631,7 @@ class TrigExpCoeffPoly:
 
 
 @dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(_Form):
     """Product of family factors with known roots and multiplicities."""
 
     family: Family
@@ -660,30 +654,6 @@ class FactoredPoly:
     @property
     def degree(self) -> int:
         return mults_degree(self.family, sum(self.mults))
-
-    def at(self, digits: int) -> FactoredPoly:
-        """This form with every root rounded to ``digits``: the form a sweep
-        at ``digits`` digits runs on, cached per digits, so that its
-        ``root_decs`` and ``root_set`` are made once per level; the form
-        itself where rounding moves no root.  Roots that round to one value
-        stay two factors."""
-        level = self._levels.get(digits)
-        if level is None:
-            decs = tuple(map(_context(digits).plus, self.root_decs))
-            level = self
-            if decs != self.root_decs:  # a root has more digits
-                level = object.__new__(FactoredPoly)  # no check for roots that met
-                roots = tuple(Real(d, digits) for d in decs)
-                for name, value in (("family", self.family), ("roots", roots),
-                                    ("mults", self.mults)):
-                    object.__setattr__(level, name, value)
-            self._levels[digits] = level
-        return level
-
-    @cached_property
-    def _levels(self) -> dict[int, FactoredPoly]:
-        # digits -> the form at them (:meth:`at`)
-        return {}
 
     @cached_property
     def root_decs(self) -> tuple[Decimal, ...]:
@@ -783,12 +753,12 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
 
 
 def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
-    """The :func:`phases` of the roots of ``p.at(digits)``
-    (:meth:`FactoredPoly.at`), for the Newton ratios of estimates that
-    carry ``digits`` digits; [] for coefficient forms and for the
-    algebraic family, which has no phases.  They are the ``roots`` of
-    :func:`turned_phases`: an estimate's phase may turn from its nearest
-    root's, and an estimate on a root takes the root's phase as it is."""
+    """The :func:`phases` of the roots of ``p.at(digits)``, for the Newton
+    ratios of estimates that carry ``digits`` digits; [] for coefficient
+    forms and for the algebraic family, which has no phases.  They are the
+    ``roots`` of :func:`turned_phases`: an estimate's phase may turn from
+    its nearest root's, and an estimate on a root takes the root's phase
+    as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
     return phases(p.family, p.at(digits).roots, digits)

@@ -20,8 +20,11 @@ estimate far off.  So a root whose |p(x_i)| lies within the running
 bound of its rounding error at the estimates' digits freezes, as in
 MPSolve (Bini & Fiorentino 2000), unless its step already meets the
 tolerance: it keeps its estimate and gets no further Newton ratio, but
-still enters the other roots' corrections.  A factored form has no such
-floor and never freezes.
+still enters the other roots' corrections.  A factored form's sum has no
+such bound, so it never freezes: where its sum cancels every digit, near
+a critical point of p, the Newton ratio raises
+:class:`~simulroot.polys.DerivativeZeroError` and the solve stops on a
+step failure.
 
 A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
 estimate.  A root is settled when it is frozen, or when its ratio is 0
@@ -51,12 +54,11 @@ precision): each sweep runs at the digits that show its estimates' next
 errors, from their last steps, as :func:`_level` states, and the top of
 the ladder is the estimates' digits whatever digits the roots or the
 coefficients carry.  The estimates are rounded to each level, and so
-are a factored form's roots (``FactoredPoly.at``) and their phases, or a
-coefficient form's coefficients (``AlgebraicCoeffPoly.at``,
-``TrigExpCoeffPoly.at``); the level never goes down.  Rounded to p
-digits, a coefficient form's root of multiplicity m_i becomes a cluster
-about 10^(-p/m_i) wide, which the rule keeps below the estimate's next
-error.  Below the top, a root whose |p(x_i)| lies within the bound of
+are a factored form's roots and their phases, or a coefficient form's
+coefficients, in the form's one view per level (its ``at``); the level
+never goes down.  Rounded to p digits, a coefficient form's root of
+multiplicity m_i becomes a cluster about 10^(-p/m_i) wide, which the
+rule keeps below the estimate's next error.  Below the top, a root whose |p(x_i)| lies within the bound of
 its rounding error keeps its estimate for that sweep, and the next sweep
 runs at the top: only there does a root freeze.  The default tolerance,
 that of the estimates' digits, stops the solve only at the top; a

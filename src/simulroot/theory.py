@@ -58,25 +58,11 @@ class IndexChecks:
 
 
 @dataclass(frozen=True)
-class SeparationParams:
-    """Separation constants entering the hypothesis checks."""
-
-    d: Real
-    c: Real
-    q: Real
-    max_sep: Real | None = None  # trigonometric only
-    xi: Real | None = None  # trigonometric only
-    a_const: Real | None = None  # trigonometric, derived
-    s_const: Real | None = None  # exponential, derived
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     theorem: int
     global_checks: tuple[ConditionCheck, ...]
     per_index: tuple[IndexChecks, ...]
     notes: tuple[str, ...] = ()
-    params: SeparationParams | None = None
 
     @property
     def passed(self) -> bool:
@@ -141,7 +127,6 @@ def _report(
     name: str,
     lhs: Callable[[int], Real],
     rhs: Callable[[int], Real],
-    params: SeparationParams,
     undefined: str | None = None,
     notes: tuple[str, ...] = (),
 ) -> TheoremReport:
@@ -162,7 +147,7 @@ def _report(
                 _evaluate(f"the main inequality's right side {where}", lambda: rhs(mult)),
             )
         per_index.append(IndexChecks(i, mult, (check,)))
-    return TheoremReport(theorem, global_checks, tuple(per_index), notes, params)
+    return TheoremReport(theorem, global_checks, tuple(per_index), notes)
 
 
 def _q_in_unit_interval(q: Real) -> ConditionCheck:
@@ -191,7 +176,6 @@ def check_theorem1(mults: Sequence[int], d: Real, c: Real, q: Real) -> TheoremRe
     return _report(
         1, mults, globals_, "c^2 (n - m) < (m d - 2 n c)(d - 2c)",
         lambda mult: c * c * (n - mult), lambda mult: (mult * d - 2 * n * c) * gap,
-        SeparationParams(d=d, c=c, q=q),
     )
 
 
@@ -234,7 +218,6 @@ def check_theorem2(
 
     return _report(
         2, mults, globals_, "main inequality", lhs, rhs,
-        SeparationParams(d=d, c=c, q=q, max_sep=max_sep, xi=xi, a_const=a_const),
         "A = 0 makes the 1/A terms undefined" if a_const.is_zero() else None,
         ("main inequality implemented verbatim as printed, including the "
          "(c/4)(m/4)(2n-m) fragment and the + sign in the squared bracket; "
@@ -271,7 +254,6 @@ def check_theorem3(mults: Sequence[int], d: Real, c: Real, q: Real) -> TheoremRe
         + (n / s_const) * (mult * c + sinh_c / s_const ** 3) * sinh_c
         + (2 * n / (s_const * s_const)) * cosh_c,
         lambda mult: mult + s_const / cosh_c,
-        SeparationParams(d=d, c=c, q=q, s_const=s_const),
         None if s_const > 0 else f"S = sinh((d - 2c)/2) = {s_const} makes the 1/S terms undefined",
         ("the ambiguous 'S cosh^-1 c' term is evaluated as S / cosh(c)",),
     )

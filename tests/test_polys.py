@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -372,16 +371,17 @@ def same(got: Real, want: Real) -> bool:
 
 
 def counting_odds(family, monkeypatch) -> list[int]:
-    """Patch the family's rule so that each row of odds it runs appends
-    its number of terms to the returned list."""
-    rule = polys._RULES[family]
+    """Patch ``polys._odds`` so that each row of odds the family's rule
+    runs appends its number of terms to the returned list."""
+    odds, rule = polys._odds, polys._RULES[family]
     terms: list[int] = []
 
-    def odds(*args):
-        terms.append(len(args[4]))
-        return rule.odds(*args)
+    def counted(*args):
+        if args[0] is rule:
+            terms.append(len(args[4]))
+        return odds(*args)
 
-    monkeypatch.setitem(polys._RULES, family, dataclasses.replace(rule, odds=odds))
+    monkeypatch.setattr(polys, "_odds", counted)
     return terms
 
 
@@ -509,6 +509,75 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
     got = log_derivative_at(family, x, points, mults)
     assert got.digits == 100
     assert same(got, real_log_derivative(family, x, points, mults))
+
+
+# -- a form at a level ---------------------------------------------------
+
+
+def reals_of(p) -> tuple[Real, ...]:
+    if isinstance(p, AlgebraicCoeffPoly):
+        return p.coeffs
+    if isinstance(p, TrigExpCoeffPoly):
+        return (p.a0, *p.a, *p.b)
+    return p.roots
+
+
+def seeded_forms(rng, digits: int) -> list:
+    """One form of each kind, every Real of it at ``digits`` digits."""
+    reals = [full_numeral(rng, digits) for _ in range(9)]
+    return [
+        AlgebraicCoeffPoly(tuple(reals[:4])),
+        TrigExpCoeffPoly(Family.TRIGONOMETRIC, reals[0], tuple(reals[1:4]), tuple(reals[4:7])),
+        TrigExpCoeffPoly(Family.EXPONENTIAL, reals[2], tuple(reals[3:5]), tuple(reals[5:7])),
+        *(FactoredPoly(family, tuple(reals[:6]), (1, 2, 1, 1, 2, 1)) for family in Family),
+    ]
+
+
+def test_a_form_at_a_level_rounds_every_real_once_per_level():
+    for p in seeded_forms(random.Random(28), 256):
+        assert p.at(256) is p
+        view = p.at(64)
+        assert view is p.at(64) and view is not p and type(view) is type(p)
+        assert all(same(r, full.with_digits(64)) for r, full in zip(reals_of(view), reals_of(p)))
+        assert len(reals_of(view)) == len(reals_of(p))
+        assert view.family is p.family
+        assert view.at(64) is view
+
+
+def test_roots_that_meet_at_a_level_stay_two_factors():
+    rng = random.Random(29)
+    for family in Family:
+        r = full_numeral(rng, 256)
+        roots = (r, r + ten_power(-200, 256), full_numeral(rng, 256))
+        p = FactoredPoly(family, roots, (1, 2, 1))
+        view = p.at(64)  # no DuplicateRootError
+        assert view.roots[0] == view.roots[1]
+        assert len(view.roots) == 3 and view.mults == p.mults
+        assert len(view.root_set) == len(p.root_set) - 1 == 2
+        with pytest.raises(DuplicateRootError):
+            FactoredPoly(family, view.roots, view.mults)
+
+
+def short_coefficient_forms(digits: int) -> list:
+    a, b, c, d = (R(v, digits) for v in ("-3", "2", "1", "0.5"))
+    return [AlgebraicCoeffPoly((a, b)),
+            TrigExpCoeffPoly(Family.TRIGONOMETRIC, c, (a,), (b,)),
+            TrigExpCoeffPoly(Family.EXPONENTIAL, d, (a,), (b,))]
+
+
+def test_a_coefficient_form_with_short_values_still_runs_at_the_level():
+    # Rounding "-3" to 64 digits moves no value, but a view that kept the
+    # 256-digit labels would run Horner at 256 digits.
+    rng = random.Random(30)
+    for p, at_64 in zip(short_coefficient_forms(256), short_coefficient_forms(64)):
+        view = p.at(64)
+        assert view is not p and all(same(r, w) for r, w in zip(reals_of(view), reals_of(at_64)))
+        for _ in range(3):
+            x = full_numeral(rng, 64)
+            (phase,) = polys.phases(p.family, [x], 64)
+            ratio, _ = newton_ratio(p, x, phase, [])
+            assert ratio.digits == 64
+            assert same(ratio, newton_ratio(at_64, x, phase, [])[0])
 
 
 # -- the algebraic sums as map/reduce -------------------------------------

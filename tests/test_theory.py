@@ -54,7 +54,6 @@ def test_theorem1_fixture_constants_pass():
     assert row.mult == 1
     assert row.checks[0].lhs == R("0.0125")
     assert row.checks[0].rhs == R("2.66")
-    assert report.params.d == 2
 
 
 def test_theorem1_boundary_c_equals_half_d_fails():
@@ -107,7 +106,6 @@ def test_theorem2_fixture_constants():
         assert check.passed, check.name
     # A = min(|sin(0.5)|, |sin(0.2)|) = sin(0.2)
     a_oracle = frac_sin(Fraction(1, 5))
-    assert abs(as_fraction(report.params.a_const) - a_oracle) < Fraction(1, 10**60)
     c = Fraction(1, 20)
     for row in report.per_index:
         lhs, rhs = frac_theorem2_sides(3, row.mult, c, a_oracle)
@@ -156,7 +154,6 @@ def test_theorem3_fixture_constants_full_report():
     report = check_theorem3((2, 2), R("5"), R("0.05"), R("0.5"))
     assert report.passed
     s_oracle = frac_sinh(Fraction(49, 20))  # sinh((5 - 0.1)/2)
-    assert abs(as_fraction(report.params.s_const) - s_oracle) < Fraction(1, 10**58)
     c = Fraction(1, 20)
     sinh_c = frac_sinh(c)
     cosh_c = frac_cosh(c)
