@@ -226,33 +226,23 @@ def cmd_solve(args) -> int:
 
 
 def _format_side(value) -> str:
-    if value is None:
-        return "-"
     text = str(value)
     return text if len(text) <= 24 else f"{value.dec:.16E}"
 
 
 def _print_theorem_report(report) -> None:
     print(f"theorem {report.theorem}: {'PASS' if report.passed else 'FAIL'}")
-    for check in report.global_checks:
+    rows = [("", check) for check in report.global_checks]
+    rows += [(f"i={ic.index + 1} (mult {ic.mult}) ", check)
+             for ic in report.per_index for check in ic.checks]
+    for where, check in rows:
         if check.lhs is not None and check.rhs is not None:
             detail = f": {_format_side(check.lhs)} {check.relation} {_format_side(check.rhs)}"
         elif check.lhs is not None:
             detail = f": value {_format_side(check.lhs)}"
         else:
             detail = f": {check.reason}" if check.reason else ""
-        print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}{detail}")
-    for ic in report.per_index:
-        for check in ic.checks:
-            detail = (
-                f"{_format_side(check.lhs)} {check.relation} {_format_side(check.rhs)}"
-                if check.lhs is not None
-                else (check.reason or "")
-            )
-            print(
-                f"  [{'ok' if check.passed else 'FAIL'}] i={ic.index + 1} "
-                f"(mult {ic.mult}) {check.name}: {detail}"
-            )
+        print(f"  [{'ok' if check.passed else 'FAIL'}] {where}{check.name}{detail}")
     for note in report.notes:
         print(f"  note: {note}")
 

@@ -386,24 +386,16 @@ def render_trace(report: SolveReport, format: str = "table", places: int = 18) -
     also gives each root's status (a last ``status`` row in table and csv)."""
     trace = report.trace
     statuses = _status_entry(report).get("root_status")
-    if format == "table":
-        m = trace.snapshots[0].m
-        header = f"{'k':>4}  " + ", ".join(f"x{i+1}" for i in range(m))
-        lines = [header]
-        for snap in trace.snapshots:
-            row = ", ".join(format_fixed(x, places) for x in snap.x)
-            lines.append(f"{snap.k:>4}  {row}")
+    if format in ("table", "csv"):
+        if format == "table":
+            lead, sep, cell = "{:>4}  ", ", ", lambda x: format_fixed(x, places)
+        else:
+            lead, sep, cell = "{},", ",", str
+        rows = [("k", [f"x{i+1}" for i in range(trace.snapshots[0].m)])]
+        rows += [(snap.k, map(cell, snap.x)) for snap in trace.snapshots]
         if statuses:
-            lines.append("status  " + ", ".join(statuses))
-        return ("\n".join(lines) + "\n").encode()
-    if format == "csv":
-        m = trace.snapshots[0].m
-        lines = ["k," + ",".join(f"x{i+1}" for i in range(m))]
-        for snap in trace.snapshots:
-            lines.append(f"{snap.k}," + ",".join(str(x) for x in snap.x))
-        if statuses:
-            lines.append("status," + ",".join(statuses))
-        return ("\n".join(lines) + "\n").encode()
+            rows.append(("status", statuses))
+        return "".join(lead.format(label) + sep.join(cells) + "\n" for label, cells in rows).encode()
     if format == "json":
         digits = trace.snapshots[0].digits
         return (json.dumps(_report_to_dict(report, digits), indent=2) + "\n").encode()

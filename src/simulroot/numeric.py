@@ -66,6 +66,11 @@ from math import isqrt
 from typing import Sequence
 
 MIN_DIGITS = 30
+# The most digits a Real carries, a quarter of decimal's MAX_PREC: a phase
+# kernel's context adds guard digits to them, its reruns near a zero of sin
+# up to as many again, and its reduction by 2*pi the digits before the
+# point, fewer than the Real's, so every context stays within MAX_PREC.
+MAX_DIGITS = MAX_PREC // 4
 DEFAULT_DIGITS = 64
 DEFAULT_GUARD_DIGITS = 10
 _GUARD_BITS = 4
@@ -140,6 +145,8 @@ class Real:
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
+        if self.digits > MAX_DIGITS:
+            raise ValueError(f"digits must be <= {MAX_DIGITS}, got {self.digits}")
 
     # -- arithmetic ---------------------------------------------------
 

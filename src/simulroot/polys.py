@@ -22,10 +22,11 @@ half the point, which knows its point, from the kernel once
 (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits than the sums;
 the solver keeps a factored form's roots' phases for a whole solve, from
 one kernel run at the estimates' digits rounded down to each level
-(:func:`root_phases`, :func:`lower_root_phases`), and the estimates'
-phases from sweep to sweep.  One rule, :func:`turned_phases`, gives each
-sweep its phases.  Every pair derived from phases is one or two angle
-subtractions, each the operations of :func:`_minus` in its order:
+(:func:`root_phases`), and the estimates' phases from sweep to sweep.
+One rule, :func:`turned_phases`, gives every phase a solve uses, and
+takes as an anchor only a phase that serves the sums' digits.  Every
+pair derived from phases is one or two angle subtractions, each the
+operations of :func:`_minus` in its order:
 
 * a turn, by the pair at half the distance from an estimate to the
   nearer of its last position and its nearest root (:func:`turned_phases`);
@@ -282,10 +283,11 @@ class Phase(NamedTuple):
     A direct phase (:func:`phases`) is rounded to ``digits +
     PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
     turns (:func:`turned_phases`), or rounded down from a direct phase
-    for more digits (:func:`lower_root_phases`), carries ``TURN_GUARD_DIGITS``
-    more digits, and ``turns`` is its error bound: c and s are within 0.5
-    + turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
-    times 1 (trig) or cosh at the half point (hyperbolic).
+    for more digits (:func:`root_phases` with ``known``), carries
+    ``TURN_GUARD_DIGITS`` more digits, and ``turns`` is its error bound:
+    c and s are within 0.5 + turns * TURN_ERROR units of 10**(1 - digits
+    - PHASE_GUARD_DIGITS) times 1 (trig) or cosh at the half point
+    (hyperbolic).
     """
 
     x: Decimal
@@ -327,17 +329,18 @@ def turned_phases(
     """The phases of the points ``new`` for sums at ``digits`` digits, each
     from the nearest point whose phase is known.
 
-    A new point's anchor is the nearer of two phases: its entry in
-    ``known`` (in a solve, the phase of its last position), and the phase
-    in ``roots`` (a factored form's :func:`root_phases`) nearest to it
-    among those that serve ``digits``; its own at equal distance, the
-    upper root midway between two.  A point equal to its anchor's point
-    keeps that phase object, so a point on a root keeps the root's.  One
-    less than ``MAX_TURN_STEP`` from it has the phase turned by the
-    difference; one whose anchor is None, serves other digits or has
-    ``TURN_LIMIT`` turns, or that lies further, takes :func:`phases`, as
-    every point does where ``known`` is None and ``roots`` empty.  All
-    None for the algebraic family.
+    Only a phase that serves ``digits`` is known: one in ``known`` or
+    ``roots`` made for other digits counts as None.  A new point's anchor
+    is the nearer of two phases: its entry in ``known`` (in a solve, the
+    phase of its last position), and the phase in ``roots`` (a factored
+    form's :func:`root_phases`) nearest to it; its own at equal distance,
+    the upper root midway between two.  A point equal to its anchor's
+    point keeps that phase object, so a point on a root keeps the root's.
+    One less than ``MAX_TURN_STEP`` from it has the phase turned by the
+    difference; one without an anchor, whose anchor has ``TURN_LIMIT``
+    turns, or that lies further, takes :func:`phases`, as every point does
+    where ``known`` is None and ``roots`` empty.  All None for the
+    algebraic family.
     """
     rule = _RULES[family]
     if rule.pair is None:
@@ -346,7 +349,7 @@ def turned_phases(
     anchors = sorted((ph for ph in roots if ph is not None and ph.digits == digits),
                      key=attrgetter("x"))
     xs = [ph.x for ph in anchors]
-    out = list(known or [None] * len(new))
+    out = [ph if ph and ph.digits == digits else None for ph in known or [None] * len(new)]
     redo = []
     for i, (b, ph) in enumerate(zip([x.dec for x in new], out)):
         if xs:
@@ -356,7 +359,7 @@ def turned_phases(
                 j -= 1
             if ph is None or w.subtract(b, xs[j]).copy_abs() < w.subtract(b, ph.x).copy_abs():
                 ph = anchors[j]
-        if ph is None or ph.digits != digits:
+        if ph is None:
             redo.append(i)
             continue
         step = w.subtract(ph.x, b)
@@ -752,30 +755,23 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
     return yr, (dr, di), mu, nu
 
 
-def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
+def root_phases(p: Polynomial, digits: int,
+                known: Sequence[Phase | None] = ()) -> list[Phase | None]:
     """The :func:`phases` of the roots of ``p.at(digits)``, for the Newton
     ratios of estimates that carry ``digits`` digits; [] for coefficient
     forms and for the algebraic family, which has no phases.  They are the
     ``roots`` of :func:`turned_phases`: an estimate's phase may turn from
     its nearest root's, and an estimate on a root takes the root's phase
-    as it is."""
+    as it is.
+
+    Without ``known`` they come from the kernel.  ``known`` is p's
+    root_phases at more digits, so that a solve runs the kernel for its
+    roots once: each is rounded to ``TURN_GUARD_DIGITS`` more digits than
+    a direct phase at ``digits``, within 0.051 units (a tenth of the
+    direct phase's half unit, at least, and the rounding), so with
+    ``turns`` 0, and a root that rounding to ``digits`` moved has that
+    phase turned by the move."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
-        return []
-    return phases(p.family, p.at(digits).roots, digits)
-
-
-def lower_root_phases(p: Polynomial, known: Sequence[Phase | None],
-                      digits: int) -> list[Phase | None]:
-    """The phases of the roots of ``p.at(digits)`` from ``known``, p's
-    :func:`root_phases` at more digits, so that a solve runs the kernel
-    for its roots once.
-
-    Each is rounded to ``TURN_GUARD_DIGITS`` more digits than a direct
-    phase at ``digits``: within 0.051 units (a tenth of the direct phase's
-    half unit, at least, and the rounding), so with ``turns`` 0.  A root
-    that rounding to ``digits`` moved has that phase turned by the move
-    (:func:`turned_phases`)."""
-    if not known:
         return []
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
     rounded = [None if ph is None else Phase(ph.x, w.plus(ph.c), w.plus(ph.s), digits)

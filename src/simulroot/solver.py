@@ -51,7 +51,7 @@ The iteration converges cubically, so the early sweeps of a solve cannot
 use every digit its estimates carry.  A solve above 128 digits therefore
 climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
 precision): each sweep runs at the digits that show its estimates' next
-errors, from their last steps, as :func:`_level` states, and the top of
+errors, from the trace's last steps, as :func:`_level` states, and the top of
 the ladder is the estimates' digits whatever digits the roots or the
 coefficients carry.  The estimates are rounded to each level, and so
 are a factored form's roots and their phases, or a coefficient form's
@@ -98,7 +98,6 @@ from .polys import (
     Polynomial,
     check_mults_fit,
     family_of,
-    lower_root_phases,
     newton_ratio,
     pairwise_log_derivatives,
     root_phases,
@@ -294,8 +293,7 @@ def _advance(
             break
         if ratio is None:  # p'(x_i) rounded to 0 at the floor
             floored.add(i)
-        elif not (ratio.is_zero() and xi.digits == ctx.prec
-                  and len(xi.dec.as_tuple().digits) == ctx.prec):  # not settled
+        elif not (ratio.is_zero() and len(xi.dec.as_tuple().digits) == ctx.prec):  # not settled
             moving[i] = xi, mult, ratio, at_floor
     corrections = None
     if chebyshev and moving:
@@ -379,14 +377,8 @@ def solve(
     chebyshev = cfg.method is Method.CHEBYSHEV
     # the root phases' one kernel run, which every lower level rounds down
     roots = top_roots = root_phases(p, top)
-
-    def error_row(vec: EstimateVector):
-        return tuple(abs(x - r) for x, r in zip(vec.x, true_roots))
-
     snapshots = [init]
     steps: list[tuple[Real, ...]] = []
-    errors = [error_row(init)] if true_roots is not None else None
-
     current = init
     # The estimates' phases serve every Newton ratio (the m terms of a
     # factored form, or z of a coefficient form) and the pair sums; the
@@ -395,65 +387,57 @@ def solve(
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
-    level, stops, floored = 0, True, frozenset()
-    step_logs: list[list[float]] = []  # log10 of the steps below the top
+    level, floored = 0, frozenset()
     for _ in range(cfg.max_iters):
         # a root read at its floor below the top sends the solve to the top
-        rung = top if floored else _level(p, current, profile.mults, step_logs, level, top)
+        rung = top if floored else _level(p, current, profile.mults, steps, level, top)
         if rung != level:
             # a climb: the estimates and the roots' phases go to the new
-            # level (the top, where two estimates or roots meet below it),
-            # and the estimates' phases restart
-            current, own = _at_level(p, current, rung, top), None
+            # level (the top, where two estimates or roots meet below it)
+            current = _at_level(p, current, rung, top)
             level = current.digits
-            roots = top_roots if level == top else lower_root_phases(p, top_roots, level)
-            # A level below the top may stop the solve only on a tolerance
-            # its own digits resolve, which the default (the top's floor)
-            # is not; below the top a zero step means "climb".
-            stops = level == top or _precision_floor(level).dec <= tolerance.dec
+            roots = top_roots if level == top else root_phases(p, level, top_roots)
         # Each estimate's phase turns from the nearer of its last position
-        # and its nearest root with a phase, here rather than after a
-        # sweep, so the sweep that stops the solve turns none.  In sweep 1
-        # only a root can serve, and the kernel runs for an estimate with
-        # none within MAX_TURN_STEP.
+        # and its nearest root with a phase for the level, here rather than
+        # after a sweep, so the sweep that stops the solve turns none.  In
+        # sweep 1, and after a climb, only a root can serve, and the kernel
+        # runs for an estimate with none within MAX_TURN_STEP.
         own = turned_phases(family, own, current.x, level, roots)
         try:
-            nxt, deltas, floored = _advance(p, current, profile, chebyshev, roots, own, tolerance,
-                                            frozen)
+            current, deltas, floored = _advance(p, current, profile, chebyshev, roots, own,
+                                                tolerance, frozen)
         except StepFailure as exc:
             stop = StopReason.STEP_FAILURE
             failure = str(exc)
             break
-        snapshots.append(nxt)
+        snapshots.append(current)
         steps.append(deltas)
-        if level < top:
-            step_logs.append([_log10(d.dec) for d in deltas])
-        if errors is not None:
-            errors.append(error_row(nxt))
-        current = nxt
         if level == top:  # the top's floor is a root's attainable accuracy
             frozen, floored = frozen | floored, frozenset()
         elif floored:  # held below the top: the next sweep runs at the top
             continue
-        # a frozen root's step is 0
-        if stops and max(d.dec for d in deltas) <= tolerance.dec:
+        # A frozen root's step is 0.  A level below the top may stop the
+        # solve only on a tolerance its own digits resolve, which the
+        # default (the top's floor) is not; below the top a zero step
+        # means "climb".
+        if max(d.dec for d in deltas) <= tolerance.dec and (
+                level == top or _precision_floor(level).dec <= tolerance.dec):
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 
-    trace = IterationTrace(
-        snapshots=tuple(snapshots),
-        step_sizes=tuple(steps),
-        errors=tuple(errors) if errors is not None else None,
-    )
+    errors = None if true_roots is None else tuple(
+        tuple(abs(x - r) for x, r in zip(vec.x, true_roots)) for vec in snapshots)
+    trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=tuple(steps), errors=errors)
     return SolveReport(trace=trace, stop_reason=stop, failure=failure, frozen=frozen)
 
 
 def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
-           step_logs: Sequence[Sequence[float]], last: int, top: int) -> int:
+           steps: Sequence[Sequence[Real]], last: int, top: int) -> int:
     """The digits the next sweep runs at, its level on the precision ladder:
     from the ``last`` level, the ``top`` (the estimates' digits), the
-    estimates' multiplicities ``mults`` and the log10 of each step of the
-    sweeps below the top (-inf for a zero step).
+    estimates' multiplicities ``mults`` and the log10 of the nonzero steps
+    in the last three rows of the trace's ``steps``.  Below the top every
+    row comes from a sweep below it, since the level never goes down.
 
     Digits are counted against the largest |x_i|, so that a large estimate
     keeps the digits of its phase; sweep 1 runs at 3s + 10, s the digits of
@@ -490,15 +474,15 @@ def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
         mults = [1] * estimates.m
     largest = max(x.dec.copy_abs() for x in estimates.x)
     size = _log10(largest) if largest else 0.0
-    if not step_logs:
+    if not steps:
         want = max(3 * size, 10 * max(mults)) + 10
     else:
         deepest, least_gain = -math.inf, math.inf
         # each estimate's last steps, oldest first
-        for m, history in zip(mults, zip(*step_logs[-3:])):
-            if history[-1] == -math.inf:  # on its root at the last level
+        for m, history in zip(mults, zip(*steps[-3:])):
+            if not history[-1].dec:  # a zero step: on its root at the last level
                 continue
-            d = [size - t for t in history if t != -math.inf]
+            d = [size - _log10(t.dec) for t in history if t.dec]
             gamma = d[-1] - (d[-2] if len(d) > 1 else d[-1] / 3)
             rho = 3.0
             if len(d) > 2:
@@ -512,9 +496,7 @@ def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
 
 
 def _log10(d: Decimal) -> float:
-    # log10 d for d >= 0, to float accuracy whatever d's exponent
-    if d.is_zero():
-        return -math.inf
+    # log10 d for d > 0, to float accuracy whatever d's exponent
     e = d.adjusted()
     return e + math.log10(float(d.scaleb(-e, _LOG)))
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 import time
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings
 
 from simulroot import cli, solver
 from simulroot.cli import main
-from simulroot.fixtures import EXAMPLE_1, EXAMPLES
+from simulroot.fixtures import EXAMPLE_1, EXAMPLES, run_example
 from simulroot.ingest import parse_expression, parse_trace, render_trace
-from simulroot.numeric import make_real, pi
+from simulroot.numeric import MAX_DIGITS, make_real, pi
 from simulroot.solver import (
     EstimateVector,
     IterationTrace,
@@ -174,6 +174,149 @@ def test_solve_json_records_the_floor_and_reads_back(capsys, tmp_path):
     assert (doc["stop_reason"], doc["converged"]) == ("accuracy_floor", False)
     assert doc["root_status"] == ["converged", "frozen", "frozen"]
     assert render_trace(parse_trace(out), "json").decode() == out
+
+
+# The whole output of each report writer, byte for byte: the trace
+# writers on worked example 1 (64 digits) and on FROZEN_PROBLEM, whose
+# status row they add, and ``verify``'s text for each theorem.
+EXAMPLE_1_TABLE_18 = (
+    '   k  x1, x2, x3\n'
+    '   0  -3.000000000000000000, 0.100000000000000000, 4.000000000000000000\n'
+    '   1  -2.074075484632669383, 1.025215703994304145, 3.060848242666424485\n'
+    '   2  -2.000104622198420048, 0.999992663820262272, 3.000018360022861370\n'
+    '   3  -2.000000000000256952, 1.000000000000000236, 3.000000000000001703\n'
+    '   4  -2.000000000000000000, 1.000000000000000000, 3.000000000000000000\n'
+)
+EXAMPLE_1_TABLE_19 = (
+    '   k  x1, x2, x3\n'
+    '   0  -3.0000000000000000000, 0.1000000000000000000, 4.0000000000000000000\n'
+    '   1  -2.0740754846326693834, 1.0252157039943041447, 3.0608482426664244846\n'
+    '   2  -2.0001046221984200485, 0.9999926638202622722, 3.0000183600228613696\n'
+    '   3  -2.0000000000002569520, 1.0000000000000002360, 3.0000000000000017035\n'
+    '   4  -2.0000000000000000000, 1.0000000000000000000, 3.0000000000000000000\n'
+)
+EXAMPLE_1_CSV = (
+    'k,x1,x2,x3\n'
+    '0,-3,0.1,4\n'
+    '1,'
+    '-2.074075484632669383402521232433255893666450851201584339414251438,'
+    '1.025215703994304144720504807496507445735136463895583226800594731,'
+    '3.060848242666424484606302788120969939151757333575515393697211879\n'
+    '2,'
+    '-2.000104622198420048456100600797811169922890744313261894945908923,'
+    '0.9999926638202622722218134360871100219474466683068134996738147491,'
+    '3.000018360022861369568714180087686700144825519046781464463715464\n'
+    '3,'
+    '-2.000000000000256951994917537197950876037794787227278751410842406,'
+    '1.000000000000000235963937816039370800147562018725638474531297003,'
+    '3.000000000000001703488360097716378825180964801747374228157902579\n'
+    '4,'
+    '-2.000000000000000000000000000000000000003702231833619224047329077,'
+    '1.000000000000000000000000000000000000000000003117281839547051508,'
+    '3.000000000000000000000000000000000000000000020271621496673858365\n'
+)
+FROZEN_TABLE = (
+    '   k  x1, x2, x3\n'
+    '   0  0.050000000000000000, 1.040000000000000000, 1.960000000000000000\n'
+    '   1  0.002283854493478999, 1.000158122285165629, 1.999889204907892139\n'
+    '   2  0.000000147586009547, 0.999999999979499013, 1.999999999995420727\n'
+    '   3  0.000000000000000000, 1.000000000000000000, 2.000000000000000000\n'
+    '   4  0.000000000000000000, 1.000000000000000000, 2.000000000000000000\n'
+    '   5  0.000000000000000000, 1.000000000000000000, 2.000000000000000000\n'
+    '   6  0.000000000000000000, 1.000000000000000000, 2.000000000000000000\n'
+    'status  converged, frozen, frozen\n'
+)
+FROZEN_CSV = (
+    'k,x1,x2,x3\n'
+    '0,0.05,1.04,1.96\n'
+    '1,'
+    '0.00228385449347899903255578784771847149983776564375633043061705994,'
+    '1.000158122285165629481704064800890419040158341866796747712139616,'
+    '1.999889204907892138954231024214865376433344397315092373684882853\n'
+    '2,'
+    '1.47586009546875260049970028308227827846785493742700149032282E-7,'
+    '0.9999999999794990127240437646448381672815244629578635431313167669,'
+    '1.999999999995420726916800948590960664704242892103248592224472149\n'
+    '3,'
+    '3.93806503029757858059124494196982306404641539251040E-20,'
+    '0.9999999999999999999999999999689797686458469273866644428426382521,'
+    '1.999999999999999999999999999999742316518920611391714327341165858\n'
+    '4,'
+    '7.4814321081988312083122851E-58,'
+    '0.9999999999999999999999999999999998790058933307543506317021387697,'
+    '1.999999999999999999999999999999742316518920611391714327341165858\n'
+    '5,'
+    '-1E-121,'
+    '0.9999999999999999999999999999999998790058933307543506317021387697,'
+    '1.999999999999999999999999999999742316518920611391714327341165858\n'
+    '6,'
+    '0E-184,'
+    '0.9999999999999999999999999999999998790058933307543506317021387697,'
+    '1.999999999999999999999999999999742316518920611391714327341165858\n'
+    'status,converged,frozen,frozen\n'
+)
+VERIFY_THEOREM_1 = (
+    'theorem 1: PASS\n'
+    '  [ok] 0 < q < 1: value 0.5\n'
+    '  [ok] c > 0: 0.05 > 0\n'
+    '  [ok] d - 2c > 0: 1.90 > 0\n'
+    '  [ok] i=1 (mult 2) c^2 (n - m) < (m d - 2 n c)(d - 2c): 0.0100 < 6.4600\n'
+    '  [ok] i=2 (mult 1) c^2 (n - m) < (m d - 2 n c)(d - 2c): 0.0125 < 2.6600\n'
+    '  [ok] i=3 (mult 3) c^2 (n - m) < (m d - 2 n c)(d - 2c): 0.0075 < 10.2600\n'
+)
+VERIFY_THEOREM_2 = (
+    'theorem 2: FAIL\n'
+    '  [ok] 0 < q < 1: value 0.5\n'
+    '  [ok] c > 0: 0.1 > 0\n'
+    '  [ok] xi > 0: 1 > 0\n'
+    '  [ok] 2c < xi: 0.2 < 1\n'
+    '  [FAIL] d - 2c > 0: 0.0 > 0\n'
+    '  [ok] max separation < 2 pi - 2 xi: 1 < 4.2831853071795865E+0\n'
+    '  [FAIL] i=1 (mult 1) main inequality: A = 0 makes the 1/A terms undefined\n'
+    '  [FAIL] i=2 (mult 1) main inequality: A = 0 makes the 1/A terms undefined\n'
+    '  note: main inequality implemented verbatim as printed, including the (c/4)(m/4)(2n-m)'
+    ' fragment and the + sign in the squared bracket; the printed form is suspected of'
+    ' typesetting defects\n'
+)
+VERIFY_THEOREM_3 = (
+    'theorem 3: FAIL\n'
+    '  [FAIL] 0 < q < 1: value 1.5\n'
+    '  [ok] c > 0: 0.1 > 0\n'
+    '  [FAIL] d - 2c > 0: 0.0 > 0\n'
+    '  [ok] c |sinh c| + cosh c < 12: 1.0150208430577880E+0 < 12\n'
+    '  [FAIL] i=1 (mult 1) main inequality: S = sinh((d - 2c)/2) = 0.0'
+    ' makes the 1/S terms undefined\n'
+    '  [FAIL] i=2 (mult 1) main inequality: S = sinh((d - 2c)/2) = 0.0'
+    ' makes the 1/S terms undefined\n'
+    "  note: the ambiguous 'S cosh^-1 c' term is evaluated as S / cosh(c)\n"
+)
+
+
+@pytest.mark.parametrize("fmt,places,expected", [
+    ("table", 18, EXAMPLE_1_TABLE_18), ("table", 19, EXAMPLE_1_TABLE_19), ("csv", 18, EXAMPLE_1_CSV),
+])
+def test_the_trace_writers_print_worked_example_1_as_pinned(fmt, places, expected):
+    report = run_example(EXAMPLE_1, digits=64)
+    assert render_trace(report, fmt, places=places).decode() == expected
+
+
+@pytest.mark.parametrize("fmt,expected", [("table", FROZEN_TABLE), ("csv", FROZEN_CSV)])
+def test_the_trace_writers_print_a_solve_with_frozen_roots_as_pinned(capsys, tmp_path, fmt,
+                                                                     expected):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(FROZEN_PROBLEM))
+    assert run(capsys, "solve", "--input", str(path), "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv,code,expected", [
+    (["1", "--roots", "-2,1,3", "--mults", "2,1,3", "--c", "0.05", "--q", "0.5"], 0,
+     VERIFY_THEOREM_1),
+    (["2", "--d", "0.2", "--max-sep", "1", "--mults", "1,1", "--c", "0.1", "--q", "0.5",
+      "--xi", "1"], 3, VERIFY_THEOREM_2),
+    (["3", "--d", "0.2", "--mults", "1,1", "--c", "0.1", "--q", "1.5"], 3, VERIFY_THEOREM_3),
+])
+def test_verify_prints_each_theorem_as_pinned(capsys, argv, code, expected):
+    assert run(capsys, "verify", "--theorem", *argv) == (code, expected, "")
 
 
 def test_verify_theorem1_passes(capsys):
@@ -469,6 +612,27 @@ def test_digits_below_minimum_exits_1_on_every_route(capsys, tmp_path, argv, mes
     code, _, err = run(capsys, *argv, "--digits", "20")
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("digits", [MAX_PREC + 1, 2**63, 10**21])
+@pytest.mark.parametrize("route", ["flag", "environment", "problem file"])
+def test_digits_above_the_ceiling_exit_1_naming_it_on_every_route(capsys, monkeypatch, tmp_path,
+                                                                  route, digits):
+    # Each failed inside decimal before Real had a ceiling: an OverflowError
+    # traceback from 2**63 up, decimal's own range text below.
+    monkeypatch.delenv("SIMULROOT_DIGITS", raising=False)
+    argv, where = ["solve", "--expr", "(x-1)", "--init", "3"], ""
+    if route == "flag":
+        argv += ["--digits", str(digits)]
+    elif route == "environment":
+        monkeypatch.setenv("SIMULROOT_DIGITS", str(digits))
+    else:
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"family": "algebraic", "expr": "(x-1)", "init": ["3"],
+                                       "digits": digits}))
+        argv, where = ["solve", "--input", str(problem)], "$.digits: "
+    message = f"error: {where}digits must be <= {MAX_DIGITS}, got {digits}\n"
+    assert run(capsys, *argv) == (1, "", message)
 
 
 def test_order_on_trace_below_minimum_digits_exits_1(capsys, tmp_path):

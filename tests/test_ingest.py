@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from simulroot.ingest import (
     render_theorem_report,
     render_trace,
 )
-from simulroot.numeric import make_real
+from simulroot.numeric import MAX_DIGITS, make_real
 from simulroot.polys import DuplicateRootError, Family
 from simulroot.solver import (
     CollisionError,
@@ -265,6 +265,14 @@ def test_parse_problem_digits_minimum_and_override():
     with pytest.raises(SchemaError) as excinfo:
         parse_problem(json.dumps(EXAMPLE_PROBLEM), digits=29)
     assert "$.digits" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("digits", [MAX_PREC + 1, 2**63, 10**21])
+def test_parse_problem_reports_digits_above_the_ceiling_at_their_path(digits):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_problem(json.dumps(dict(EXAMPLE_PROBLEM, digits=digits)))
+    assert excinfo.value.path == "$.digits"
+    assert str(excinfo.value) == f"$.digits: digits must be <= {MAX_DIGITS}, got {digits}"
 
 
 def test_parse_problem_duplicate_initial_estimates():

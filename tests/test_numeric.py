@@ -1,5 +1,5 @@
 import random
-from decimal import Context, Decimal
+from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -95,6 +95,17 @@ def test_digits_below_the_floor_are_rejected():
         make_real("1", 29)
     with pytest.raises(ValueError, match="digits must be >= 30, got 0"):
         make_real("1", 0)
+
+
+def test_digits_above_the_ceiling_are_rejected():
+    # A kernel's context adds guard digits, Ziv reruns as many again and
+    # the reduction the digits before the point: all within MAX_PREC.
+    assert 3 * numeric.MAX_DIGITS + 100 <= MAX_PREC
+    assert Real(Decimal(1), numeric.MAX_DIGITS).digits == numeric.MAX_DIGITS
+    for digits in (numeric.MAX_DIGITS + 1, MAX_PREC + 1, 2**63, 10**21):
+        with pytest.raises(ValueError) as excinfo:
+            make_real("1", digits)
+        assert str(excinfo.value) == f"digits must be <= {numeric.MAX_DIGITS}, got {digits}"
 
 
 def test_string_round_trip_is_identity_within_precision():

@@ -1278,6 +1278,60 @@ def test_without_old_phases_every_point_takes_the_kernel(family):
             == polys.phases(family, points, 64))
 
 
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_root_phases_at_a_lower_level_round_and_turn_the_top_ones(family):
+    # Seeded 256-digit forms with full-length roots, which rounding to 64
+    # digits moves, and with 6-decimal roots, which it does not.  Each
+    # lowered phase is its 64-digit root's, rounded to TURN_GUARD_DIGITS
+    # more digits than a direct phase and turned once where the root moved:
+    # within 0.051 units of the direct phase at 200 digits unturned, 0.5 +
+    # TURN_ERROR turned.
+    rng = random.Random(29 + len(family.value))
+    carried = 64 + polys.PHASE_GUARD_DIGITS + polys.TURN_GUARD_DIGITS
+    unit = Decimal(1).scaleb(1 - 64 - polys.PHASE_GUARD_DIGITS)
+    ctx = numeric._context(220)
+    seen = Counter()
+    for short in (False, True) * 4:
+        if short:
+            roots = [R(f"{rng.uniform(-3, 3):.6f}", 256) for _ in range(6)]
+        else:
+            roots = [full_numeral(rng, 256) for _ in range(6)]
+        p = FactoredPoly(family, tuple(roots), (1,) * 6)
+        lowered = polys.root_phases(p, 64, polys.root_phases(p, 256))
+        for root, r, ph in zip(roots, p.at(64).roots, lowered):
+            moved = r.dec != root.dec
+            assert moved is not short
+            assert (ph.x, ph.digits, ph.turns) == (r.dec, 64, int(moved))
+            assert max(len(ph.c.as_tuple().digits), len(ph.s.as_tuple().digits)) <= carried
+            (direct,) = polys.phases(family, [r], 200)
+            scale = 1 if family is Family.TRIGONOMETRIC else direct.c
+            error = max(ctx.subtract(ph.c, direct.c).copy_abs(),
+                        ctx.subtract(ph.s, direct.s).copy_abs())
+            assert error <= Decimal("0.503" if moved else "0.051") * unit * scale
+            seen[moved] += 1
+    assert seen == {True: 24, False: 24}
+
+
+@pytest.mark.parametrize("family", HALF_ANGLE)
+def test_a_known_phase_for_other_digits_is_no_anchor(family, monkeypatch):
+    # A point's phase from its last position, made for 256 digits, serves
+    # no 64-digit sum, as a root phase for other digits does not: its
+    # nearest root's phase, 1e-4 away and itself turned once, is its anchor,
+    # and no kernel runs.
+    rng = random.Random(41 + len(family.value))
+    first = full_numeral(rng, 256)
+    p = FactoredPoly(family, (first, first + R("1.5", 256)), (1, 1))
+    roots = polys.root_phases(p, 64, polys.root_phases(p, 256))
+    x = p.at(64).roots[0] + R("1e-4")
+    known = polys.phases(family, [x.with_digits(256)], 256)
+    (from_root,) = polys.turned_phases(family, None, [x], 64, roots[:1])
+    calls = counted_pair_kernels(monkeypatch)
+    (got,) = polys.turned_phases(family, known, [x], 64, roots)
+    assert calls == []
+    assert roots[0].turns == 1
+    assert got == from_root and (got.digits, got.turns) == (64, roots[0].turns + 1)
+
+
 # SHA-256 of every (c, s, digits, turns) that turned_phases returns along
 # the seeded paths of test_turned_phases_are_pinned.  The error account
 # above TURN_GUARD_DIGITS derives each turn's error from its exact

@@ -55,3 +55,27 @@ def test_command_lines_that_read_no_file_exit_0(monkeypatch):
     assert [argv[0] for argv in runs] == ["solve", "verify", "verify", "reproduce"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert [cli.main(argv) for argv in runs] == [0] * len(runs)
+
+
+def test_the_convergence_orders_block_prints_the_orders_its_comments_state(monkeypatch, tmp_path):
+    # each line as the shell reads it; its `>` redirect lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SIMULROOT_DIGITS", raising=False)
+    block = _block("## Convergence orders", "sh").replace("\\\n", " ")
+    orders = {}
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "simulroot"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv[1:argv.index(">")] if ">" in argv else argv[1:]) == 0
+        if ">" in argv:
+            Path(argv[argv.index(">") + 1]).write_text(out.getvalue())
+        else:
+            found = re.findall(r"order (\S+) from errors", out.getvalue())
+            orders[line.split("#", 1)[1].strip()] = found
+    newton, chebyshev = orders
+    assert newton == "2.000 per root" and orders[newton] == ["2.000"] * 3
+    low, high = map(float, re.fullmatch(r"(\S+) to (\S+)", chebyshev).groups())
+    assert len(orders[chebyshev]) == 3
+    assert all(low <= float(v) <= high for v in orders[chebyshev])
