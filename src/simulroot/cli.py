@@ -42,7 +42,7 @@ from .ingest import (
     render_theorem_report,
     render_trace,
 )
-from .numeric import DEFAULT_DIGITS, PoleError, format_fixed, make_real
+from .numeric import DEFAULT_DIGITS, PoleError, _context, format_fixed, make_real
 from .solver import (
     InsufficientDataError,
     Method,
@@ -227,7 +227,8 @@ def cmd_solve(args) -> int:
 
 def _format_side(value) -> str:
     text = str(value)
-    return text if len(text) <= 24 else f"{value.dec:.16E}"
+    # rounded under its own context: a format spec rounds under the thread's
+    return text if len(text) <= 24 else f"{_context(17).plus(value.dec):.16E}"
 
 
 def _print_theorem_report(report) -> None:

@@ -555,13 +555,25 @@ class _Form:
         ``z_runs``) are made once per level.  It is the form itself only
         where every such Real already carries ``digits``: a coefficient
         form's Horner run takes its context from the most digits it meets,
-        so a view carries the level's digits even where no value moves.
+        so a view carries the level's digits even where no value moves.  A
+        Real whose Decimal rounding leaves as it is keeps that Decimal, and
+        where none moves the view shares the form's cached properties.
         The view skips the constructor's checks, so roots that round to one
         value stay two factors."""
         view = self._levels.get(digits)
         if view is None:
+            ctx = _context(digits)
+            kept = True
+
             def rounded(v):
-                return v.with_digits(digits) if isinstance(v, Real) else v
+                nonlocal kept
+                if not isinstance(v, Real):
+                    return v
+                dec = ctx.plus(v.dec)
+                if dec.compare_total(v.dec):
+                    kept = False
+                    return Real(dec, digits)
+                return Real(v.dec, digits)
 
             values = {f.name: getattr(self, f.name) for f in fields(self)}
             view = self
@@ -571,6 +583,10 @@ class _Form:
                 for name, v in values.items():
                     object.__setattr__(view, name, tuple(map(rounded, v))
                                        if isinstance(v, tuple) else rounded(v))
+                if kept:
+                    for name, attr in vars(type(self)).items():
+                        if isinstance(attr, cached_property):
+                            view.__dict__[name] = getattr(self, name)
             self._levels[digits] = view
         return view
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import simulroot
-from simulroot import cli, polys
+from simulroot import cli, numeric, polys
 from simulroot.numeric import make_real
 
 from oracles import known_phase_gaps, log_derivative
@@ -343,3 +343,32 @@ def test_cli_session_calls_are_independent_in_one_process(tmp_path):
     first, second = run_round(), run_round()
     assert [code for code, _ in first] == [op["expect"]["exit"] for op in ops]
     assert first == second
+
+
+def test_the_order_logs_of_seed_1_take_no_fallback(tmp_path, monkeypatch):
+    # Every ln that `order` takes over seed-1 rounds 0-3 of the CLI session
+    # is decided by Ziv's test on the fixed-point value, without a second
+    # evaluation by libmpdec's own ln.
+    rounded = []
+    ln_rounded = numeric._ln_rounded
+
+    def counted(x, digits):
+        rounded.append(ln_rounded(x, digits))
+        return rounded[-1]
+
+    monkeypatch.setattr(numeric, "_ln_rounded", counted)
+    workloads = _perfbench("workloads")
+    pool = workloads.cli_pool(1)
+    paths = []
+    for i, problem in enumerate(pool):
+        path = tmp_path / f"problem-{i}.json"
+        path.write_bytes(problem["json"])
+        paths.append(path.as_posix())
+    for round_index in range(4):
+        for op in workloads.cli_round(1, round_index, paths, pool, tmp_path.as_posix()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(op["argv"]) == op["expect"]["exit"], op["argv"]
+            if "writes" in op:
+                Path(op["writes"]).write_text(out.getvalue())
+    assert (len(rounded), sum(r is None for r in rounded)) == (48, 0)

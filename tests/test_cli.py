@@ -5,7 +5,8 @@ import subprocess
 import sys
 import threading
 import time
-from decimal import MAX_PREC, Decimal
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, ROUND_UP, Context, Decimal,
+                     Inexact, Rounded, Subnormal, Underflow, localcontext)
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from simulroot import cli, solver
 from simulroot.cli import main
 from simulroot.fixtures import EXAMPLE_1, EXAMPLES, run_example
 from simulroot.ingest import parse_expression, parse_trace, render_trace
-from simulroot.numeric import MAX_DIGITS, make_real, pi
+from simulroot.numeric import MAX_DIGITS, Real, ln, make_real, pi
 from simulroot.solver import (
     EstimateVector,
     IterationTrace,
@@ -317,6 +318,41 @@ def test_the_trace_writers_print_a_solve_with_frozen_roots_as_pinned(capsys, tmp
 ])
 def test_verify_prints_each_theorem_as_pinned(capsys, argv, code, expected):
     assert run(capsys, "verify", "--theorem", *argv) == (code, expected, "")
+
+
+@pytest.mark.parametrize("hostile", [
+    Context(prec=1, Emax=5, Emin=-5),
+    Context(prec=3, rounding=ROUND_FLOOR, traps=[Inexact, Rounded, Subnormal, Underflow]),
+    Context(prec=MAX_PREC, rounding=ROUND_UP, Emax=MAX_EMAX, Emin=MIN_EMIN, clamp=1),
+])
+def test_every_command_prints_the_same_under_any_thread_context(capsys, tmp_path, hostile):
+    # Every decimal operation names its own context, so the thread's
+    # context changes no output byte and lets no raw decimal signal out.
+    trace = tmp_path / "trace.json"
+    solve = ["solve", "--expr", "(x+2)^2*(x-1)*(x-3)^3", "--init", "-3,0.1,4", "--format"]
+    commands = [solve + ["table"], solve + ["csv"], solve + ["json"],
+                ["order", "--input", str(trace), "--true-roots", "-2,1,3"]]
+    commands += [["verify", "--theorem", *argv] for argv in (
+        ["1", "--roots", "-2,1,3", "--mults", "2,1,3", "--c", "0.05", "--q", "0.5"],
+        ["2", "--d", "0.2", "--max-sep", "1", "--mults", "1,1", "--c", "0.1", "--q", "0.5",
+         "--xi", "1"],
+        ["3", "--d", "0.2", "--mults", "1,1", "--c", "0.1", "--q", "1.5"])]
+    commands += [["reproduce", "--table", str(table)] for table in (1, 2, 3)]
+    logs = [Real(Decimal(x), digits) for x, digits in (
+        ("2", 30), ("1e-40", 64), ("0.99999999", 128), ("3.7e5000", 256))]
+
+    def outputs():
+        printed = []
+        for argv in commands:
+            printed.append(run(capsys, *argv))
+            if argv[-1] == "json":
+                trace.write_text(printed[-1][1])
+        return printed, [str(ln(x)) for x in logs]
+
+    want = outputs()
+    assert [code for code, _, _ in want[0]][-3:] == [3, 3, 0]
+    with localcontext(hostile):
+        assert outputs() == want
 
 
 def test_verify_theorem1_passes(capsys):

@@ -189,6 +189,73 @@ def test_ln_is_correctly_rounded(digits):
         assert ln(x).dec == expected and ln(x).digits == digits, x
 
 
+def _ln_corpus(digits: int) -> list[Decimal]:
+    # seeded full-length mantissas with exponents up to +-5000, 1 +- 10^-k
+    # for k up to 2 digits, powers of 10 and of 2, and 1 itself
+    rng = random.Random(digits)
+    big = digits > 256  # where libmpdec's ln, the reference, takes up to 0.4 s
+    xs = []
+    for _ in range(12 if big else 60):
+        mantissa = "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        xs.append(Decimal(f"{rng.randint(1, 9)}.{mantissa}e{rng.randint(-5000, 5000)}"))
+    exact = _context(MAX_PREC)
+    for k in [*range(1, 2 * digits, digits // 2 if big else max(1, digits // 16)), 2 * digits]:
+        step = Decimal(f"{rng.randint(1, 9)}e-{k}")
+        xs += [exact.add(1, step), exact.subtract(1, step)]
+    xs += [Decimal(10) ** e for e in (-5000, -300, -1, 1, 2, 300, 5000)]
+    xs += [exact.power(Decimal(2), e) for e in (-200, -3, -2, -1, 1, 2, 3, 200)]
+    return xs + [Decimal(1)]
+
+
+@pytest.mark.parametrize("digits", [30, 64, 128, 256, 1024])
+def test_ln_is_libmpdec_ln_bit_for_bit(digits):
+    ctx = _context(digits)
+    fallbacks = set()
+    for x in _ln_corpus(digits):
+        got, want = ln(Real(x, digits)).dec, ctx.ln(x)
+        assert got.compare_total(want) == 0 and str(got) == str(want), x
+        if numeric._ln_rounded(x, digits) is None:
+            fallbacks.add(x)
+    # 1, and 1 + 10^-digits where the corpus holds it (see the tie test)
+    near_tie = _context(MAX_PREC).add(1, Decimal(1).scaleb(-digits))
+    assert fallbacks <= {Decimal(1), near_tie} and Decimal(1) in fallbacks
+
+
+@pytest.mark.parametrize("digits", [30, 64, 128, 256])
+def test_the_fixed_point_ln_lies_within_its_bound(digits):
+    # |v - 2^w ln x| <= bound against libmpdec's ln to 30 digits more than
+    # 2^w has, so to 1e-25 units for |ln x| < 1e4
+    exact = _context(MAX_PREC)
+    for x in _ln_corpus(digits)[:-1]:
+        v, bound, w = numeric._ln_fixed(x, digits)
+        reference = _context(w * 302 // 1000 + 30).ln(x)
+        error = exact.subtract(Decimal(v), exact.multiply(reference, Decimal(1 << w)))
+        assert error.copy_abs() <= bound, x
+
+
+@pytest.mark.parametrize("digits", [30, 64, 128, 256, 1024])
+def test_ln_falls_back_to_libmpdec_next_to_a_tie(digits):
+    # T a tie of `digits` digits near 10^15 and x = exp(T) rounded to them:
+    # ln x = T + d, |d| <= 10^(1 - digits), within 10^-15 units of the tie,
+    # where only the fallback rounds to the right side.  ln(1 + 10^-digits)
+    # = 10^-digits - 10^-(2 digits) / 2 + 10^-(3 digits) / 3 - ... lies
+    # 10^-digits / 3 units above a tie; at 1024 digits libmpdec's ln takes
+    # 13 s there, so that case leaves it out.
+    rng = random.Random(digits)
+    ctx = _context(digits)
+    big = digits > 256
+    xs = [] if big else [_context(MAX_PREC).add(1, Decimal(1).scaleb(-digits))]
+    for _ in range(3 if big else 8):
+        mantissa = "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        xs.append(ctx.exp(Decimal(f"{rng.randint(1, 9)}.{mantissa}5e15")))
+    fallbacks = 0
+    for x in xs:
+        got, want = ln(Real(x, digits)).dec, ctx.ln(x)
+        assert got.compare_total(want) == 0 and str(got) == str(want), x
+        fallbacks += numeric._ln_rounded(x, digits) is None
+    assert fallbacks >= 1
+
+
 def test_first_equal_pair_is_the_first_pair_by_i_then_j():
     rng = random.Random(7)
     for _ in range(300):

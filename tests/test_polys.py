@@ -558,6 +558,21 @@ def test_roots_that_meet_at_a_level_stay_two_factors():
             FactoredPoly(family, view.roots, view.mults)
 
 
+def test_a_view_where_no_value_moves_shares_the_forms_decimals_and_sets():
+    for family in Family:
+        short = tuple(R(v, 256) for v in ("-1.25", "0.5", "3"))
+        p = FactoredPoly(family, short, (1, 2, 1))
+        view = p.at(64)
+        assert all(r.digits == 64 and r.dec is s.dec for r, s in zip(view.roots, short))
+        assert view.root_decs is p.root_decs and view.root_set is p.root_set
+        q = FactoredPoly(family, short + (full_numeral(random.Random(31), 256),), (1, 2, 1, 2))
+        view = q.at(64)
+        assert view.root_set is not q.root_set and view.root_set == frozenset(view.root_decs)
+        assert all(r.dec is s.dec for r, s in zip(view.roots, short))
+    z = TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("1", 256), (R("2", 256),), (R("-0.5", 256),))
+    assert z.at(64).z_runs is z.z_runs
+
+
 def short_coefficient_forms(digits: int) -> list:
     a, b, c, d = (R(v, digits) for v in ("-3", "2", "1", "0.5"))
     return [AlgebraicCoeffPoly((a, b)),

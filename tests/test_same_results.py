@@ -13,8 +13,10 @@ one family at a time (keys ``coefficient_form/<family>``), so a change to
 one family's sums shows which family's traces it moves.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import random
 from dataclasses import replace
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from simulroot import parse_expression, parse_problem, polys, render_trace, solve, solver
+from simulroot import cli, parse_expression, parse_problem, polys, render_trace, solve, solver
 from simulroot.numeric import make_real
 from simulroot.polys import FactoredPoly, Family
 from simulroot.solver import EstimateVector, Method, MultiplicityProfile, SolveConfig
@@ -90,6 +92,36 @@ def test_the_seeded_benchmark_traces_are_unchanged(workload):
 def test_the_seeded_newton_baseline_traces_are_unchanged(workload):
     assert (_trace_hash(workload, Method.NEWTON_BASELINE)
             == NEWTON_BASELINE_TRACE_SHA256[workload])
+
+
+# -- `order` over the CLI session's problem pool ----------------------------
+
+# sha256 of every `order` output (exit code and stdout) over the CLI
+# session's pool, from the json traces of its Chebyshev and Newton-baseline
+# solves, as the session calls them, taken with libmpdec's own ln.
+ORDER_SHA256 = {
+    1: "784962921078f85abc1df2d777b6683f78cd92feae8828cc553e34bd3a18c9cf",
+    7919: "646ccb9205d58005fc74439705b6f099f9a52954dd44b6cba3950d1ba14491f8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORDER_SHA256))
+def test_order_over_the_cli_session_pool_is_unchanged(seed, tmp_path):
+    outputs = hashlib.sha256()
+    for i, problem in enumerate(_workloads().cli_pool(seed)):
+        path, trace = tmp_path / "problem.json", tmp_path / "trace.json"
+        path.write_bytes(problem["json"])
+        for method in ([], ["--method", "newton_baseline"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["solve", "--input", str(path), "--format", "json", *method]) == 0
+            trace.write_text(out.getvalue())
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["order", "--input", str(trace),
+                                 "--true-roots", ",".join(problem["roots"])])
+            outputs.update(f"{i} {method} {code}\n{out.getvalue()}".encode())
+    assert outputs.hexdigest() == ORDER_SHA256[seed]
 
 
 # -- solves that start with estimates on their roots ----------------------
