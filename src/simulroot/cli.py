@@ -133,7 +133,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--method", choices=[m.value for m in Method], default=None)
     p_solve.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
-    p_verify = sub.add_parser("verify", help="check a convergence guarantee's hypotheses")
+    p_verify = sub.add_parser("verify", help="check a convergence theorem's printed hypotheses")
     p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--theorem", type=int, choices=[1, 2, 3], required=True)
     p_verify.add_argument("--roots", help="comma-separated true roots")

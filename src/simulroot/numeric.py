@@ -10,60 +10,65 @@ A precision is a plain ``int``: ``Real`` rejects one below
 ``MIN_DIGITS`` (30), the one place that floor is checked, and
 ``make_real`` parses at ``DEFAULT_DIGITS`` (64) unless told otherwise.
 
-The elementary functions required by the iteration families (sin, cos,
-cot, sinh, cosh, coth) are evaluated with ``DEFAULT_GUARD_DIGITS`` extra
-digits, a constant.  Before its last rounding a value is within about
-2e-10 * 10**lost of a unit in its last digit, where the trig pair lies
-``lost`` digits below its scale (``_cos_sin_lost``; 0 for the hyperbolic
-pair), and it is then rounded once to the argument's precision.  That
-is faithful rounding, and correct rounding except that close to a tie:
-a value that lies within that error of a tie may round to either side.
-Near a zero of sin or cos, where cancellation eats more than half the
-guard, the evaluation reruns with more digits (Ziv's strategy).  One
-argument-halving kernel per family gives both functions of a pair, on
-Python ints in binary fixed point at w fractional bits: one exact
-conversion in, the odd Taylor series (sin or sinh) at x / 2^k, one
-integer square root and k doublings, and one correctly rounded
-``Decimal`` division per value out.  w holds the bits of 10**prec at the
-working precision prec, k for the doublings, the bits that keep a small
-argument's values relative, and ``_GUARD_BITS`` (4), so the fixed point
-adds at most 2**(2 - 4), a quarter of a unit in the last digit at prec,
-2.5e-11 of a unit at the argument's precision; the rest of the 2e-10 is
-the reduction's and the roundings'.  Below 10**-((prec + 1)/2) the pair is
-(1, x) to a twentieth of a unit, which bounds w by about twice the bits
-of 10**prec for any argument.  sin/cos reduce an argument past pi by
-2*pi first, with pi (Chudnovsky's series on ints, cached per precision)
-carrying extra digits, one more than the argument has before its point;
-one whose reduction would need more than decimal's ``MAX_PREC`` digits
-raises :class:`PhaseError`.  sinh/cosh use the context's exp only past
-coth's far-tail cut-off.  cot and coth are quotients of a pair; cos_sin
-and cosh_sinh return a whole pair from one kernel run.  ``polys`` takes
-every cot and coth of its log-derivative sums, and a coefficient form's
-e^(ix) or e^x, from such pairs, one per point, and calls a kernel at a
-term's own argument only where the pairs cannot give it to full
-precision.  When a point moves by a small step, ``polys`` turns its pair
-by the pair at half the step, which one short loop over both Taylor
-series gives without halving; the same loop gives the pair behind cot or
-coth at half the difference of two points closer than 2e-10, where their
-pairs cancel.
+Every elementary function here (sin, cos, cot, sinh, cosh, coth, and ln
+for ``solver.empirical_order``) is correctly rounded, half even, to its
+argument's digits, by one rule (Ziv 1991; Muller, *Elementary
+Functions*).  A kernel on Python ints in binary fixed point gives each
+value as an integer interval (v, bound, w), |v - 2^w f(x)| <= bound, with
+an exact bound that covers every rounding and every truncated series;
+``_round_fixed`` rounds the two ends to the argument's digits from the
+remainder of one integer division, and where they differ the interval
+holds a rounding boundary, and ``_ziv`` runs the same kernel again at
+more bits, as many as the straddle's distance to the boundary asks and
+at least as many as the last rerun added.  f(x) is transcendental at
+every rational x the functions take (Lindemann-Weierstrass), ln 1 = 0
+aside, which ``ln`` returns as such, so it is never a tie and the loop
+ends.  A first pass works ``_GUARD_BITS`` (20) bits past the argument's
+digits, so it decides all but about one value in 10^4 (1 in 24000 at 64
+and 84 digits, on seeded full-length arguments below 100), and near a
+zero of sin or cos the straddle sizes its one rerun by the digits lost.
+The one libmpdec transcendental left on any path is e^|x| past coth's
+far tail (``_exp_tail`` says why), and its correctly rounded value
+enters the same test.  Two shortcuts stand outside the rule: below
+10^-(digits/2 + 6), (cos, sin) and (cosh, sinh) are (1, x) with x rounded
+to its digits, correct wherever x carries no more digits than its
+precision, as a Real made by ``make_real`` or by arithmetic does; and
+past the far tail coth is an exact +/-1.
 
-``ln`` (the logs of ``solver.empirical_order``) is correctly rounded,
-half even, and equals libmpdec's ``Context.ln`` bit for bit.  It runs on
-Python ints in binary fixed point too (Brent 1976): x = y * 10^E * 2^k with
-y in [3/4, 3/2), r integer square roots of y, and ln y = 2^(r+1)
-atanh(s) from the series in s = (y_r - 1)/(y_r + 1); ln 2 and ln 10 come
-from three Machin-like atanh series, cached per bit width on first use.
-The fixed-point value carries an exact integer bound on its error (the
-conversion, each square root, the division, the series and its tail, the
-scaling by 2^(r+1), and E ln 10 + k ln 2), at enough bits that the bound
-is about 2^-25 of a unit in the last digit; an argument near 1, whose log
-is small, gets the bits of its distance from 1 on top.  Ziv's test
-(Ziv 1991) rounds both ends of that interval once to the argument's
-digits: where they agree, that is the correctly rounded log; where they
-differ the interval holds a rounding boundary, and libmpdec's own ln
-decides, as it does at x = 1.  No digits cut-off sends larger arguments
-to libmpdec: measured from 30 to 16384 digits, the fixed point was 4 to 80
-times faster at every size.
+One argument-halving kernel per family gives both functions of a pair
+(Brent 1976): one exact conversion in, the odd Taylor series (sin or
+sinh) at x / 2^k by rectangular splitting, one integer square root and
+k doublings.  w holds the bits of 10**digits, the guard, k for the
+doublings and the bits that keep a small argument's values relative; a
+kernel's bound is about 2^(k + 4) units of 2^-w for the trig pair and
+under a relative 2^(4 - bits) for the hyperbolic one, and the errors
+measured on seeded arguments against a reference at 3 * digits + 80
+reach a fifth of the first and a tenth of the second.  sin/cos reduce an
+argument past pi by 2*pi first, with pi (Chudnovsky's series on ints,
+cached per precision) carrying extra digits, one more than the argument
+has before its point, and the reduction's error enters the bound; one
+whose reduction would need more than decimal's ``MAX_PREC`` digits
+raises :class:`PhaseError`.  cot and coth are the quotients of a pair,
+with the quotient's bound; below 2^-(bits/2) they are 1/x, from x's
+coefficient.  cos_sin and cosh_sinh return a whole pair from one kernel
+run.  ``polys`` takes every cot and
+coth of its log-derivative sums, and a coefficient form's e^(ix) or
+e^x, from such pairs, one per point, and calls a kernel at a term's own
+argument only where the pairs cannot give it to full precision.  When a
+point moves by a small step, ``polys`` turns its pair by the pair at
+half the step, which one short loop over both Taylor series gives
+without halving; the same loop gives the pair behind cot or coth at
+half the difference of two points closer than 2e-10, where their pairs
+cancel.
+
+``ln``'s kernel (Brent 1976) writes x = y * 10^E * 2^k with y in [3/4,
+3/2), takes r integer square roots of y and ln y = 2^(r+1) atanh(s) from
+the series in s = (y_r - 1)/(y_r + 1); ln 2 and ln 10 come from three
+Machin-like atanh series, cached per bit width on first use.  Its first
+pass, ``_ln_rounded``, works at enough bits that the bound is about
+2^-25 of a unit, more for an argument near 1, whose log is small.
+``ln`` equals libmpdec's own ln bit for bit, and ran 4 to 80 times
+faster than it from 30 to 16384 digits.
 """
 
 from __future__ import annotations
@@ -79,19 +84,19 @@ from decimal import (
     Overflow,
 )
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN
-from functools import lru_cache, total_ordering
+from functools import lru_cache, partial, total_ordering
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 MIN_DIGITS = 30
-# The most digits a Real carries, a quarter of decimal's MAX_PREC: a phase
-# kernel's context adds guard digits to them, its reruns near a zero of sin
-# up to as many again, and its reduction by 2*pi the digits before the
-# point, fewer than the Real's, so every context stays within MAX_PREC.
+# The most digits a Real carries, a quarter of decimal's MAX_PREC: a kernel's
+# Ziv reruns near a zero of sin or cos add the digits lost there, at most
+# about the Real's own, and a rerun sized past that at most doubles them;
+# its reduction by 2*pi adds the digits before the point, fewer than the
+# Real's, so every context stays within MAX_PREC.
 MAX_DIGITS = MAX_PREC // 4
 DEFAULT_DIGITS = 64
-DEFAULT_GUARD_DIGITS = 10
-_GUARD_BITS = 4
+_GUARD_BITS = 20
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
@@ -356,20 +361,24 @@ def pi(digits: int = DEFAULT_DIGITS) -> Real:
     return Real(_pi_decimal(digits), digits)
 
 
-def _reduce_two_pi(x: Decimal, prec: int) -> Decimal:
-    # x minus the nearest multiple of 2*pi, for |x| > pi; fma keeps the
-    # cancellation exact.  pi carries x.adjusted() + 2 more digits (one
-    # more than x has before its point), so that n*2*pi is known to ~prec
-    # digits after the point (Ng 1992).
+def _reduce_two_pi(x: Decimal, prec: int) -> tuple[Decimal, int | None]:
+    # (t, b): t = x minus the nearest multiple n 2 pi of 2 pi, within 2^b of
+    # its exact value, for |x| > pi; (x, None) for a smaller x.  fma keeps
+    # the cancellation exact; pi carries x.adjusted() + 2 more digits (one
+    # more than x has before its point), so that n 2 pi is known to ~prec
+    # digits after the point (Ng 1992).  At p digits pi is within 0.51 units
+    # of 10^(1 - p), and t, below 4, is rounded once: t is within (2|n| + 1)
+    # 10^(1 - p), below 2^b.
+    if x.copy_abs() <= _pi_decimal(prec):
+        return x, None
     extra = x.adjusted() + 2
     if prec + extra > MAX_PREC:
         raise PhaseError(f"the phase of {x} needs more than {MAX_PREC} digits")
     ctx = _context(prec + extra)
     two_pi = ctx.multiply(_D2, _pi_decimal(prec + extra))
     n = ctx.to_integral_value(ctx.divide(x, two_pi))
-    if n.is_zero():
-        return x
-    return ctx.fma(n.copy_negate(), two_pi, x)
+    return (ctx.fma(n.copy_negate(), two_pi, x),
+            (2 * abs(int(n)) + 1).bit_length() - (prec + extra - 1) * 3321 // 1000)
 
 
 def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decimal, Decimal]:
@@ -396,44 +405,38 @@ def _small_pair_series(t: Decimal, alternate: bool, ctx: Context) -> tuple[Decim
         i += 1
 
 
-def _halving(t: Decimal, prec: int, squared: bool) -> tuple[int, int, int, int, Decimal]:
-    # (k, w, a, shift, one) for the argument-halving kernels: k halvings, w
-    # fractional bits, a = |t| / 2^k at w bits, and one = Decimal(2^f), f the
-    # bits that t was converted at and that the results convert back from,
-    # shift = f - w >= 0.  k = k0 + e, e the binary exponent of t (2^(e-1) <= |t| < 2^e),
-    # with k0 ~ sqrt(prec)/3 balancing series terms against doublings, so
-    # that |a| < 2^-k0; 1 when t is smaller.  w holds the bits of 10^prec,
-    # _GUARD_BITS, k for the doublings (each at most doubles the error), and
-    # the bits that keep a small value relative: -e for sin below 1, and
-    # 2(k - e) for q = sinh^2 a, which starts near a^2.  f is the same sum
-    # with e bounded from t's decimal exponent, which the callers' cut-off
-    # keeps above -prec/2 - 2, so f stays below about twice the bits of
-    # 10^prec, whatever the argument.
-    e10 = t.adjusted()
-    low = e10 * 3321928 // 1000000 - 1  # <= e
-    high = (e10 + 1) * 3321929 // 1000000 + 2  # >= e
-    k0 = isqrt(prec) // 3
-    bits = prec * 3322 // 1000 + _GUARD_BITS
+def _halving(t: Decimal, bits: int, squared: bool) -> tuple[int, int, int]:
+    # (k, w, a) for the argument-halving kernels: k halvings, w fractional
+    # bits and a = floor(|t| 2^(w - k)).  k = k0 + e, e the binary exponent
+    # of t (2^(e-1) <= |t| < 2^e), with k0 ~ sqrt(bits/3)/3 balancing series
+    # terms against doublings, so that a < 2^(w - k0); 1 when t is smaller.
+    # w holds ``bits``, k for the doublings, and the bits that keep a small
+    # value relative: -e for sin below 1, and 2(k - e) for q = sinh^2 a,
+    # which starts near a^2.  t is converted exactly at f bits, the same sum
+    # with e bounded from t's decimal exponent, and floored.
+    low = t.adjusted() * 3321928 // 1000000 - 1  # <= e
+    high = (t.adjusted() + 1) * 3321929 // 1000000 + 2  # >= e
+    k0 = isqrt(bits // 3) // 3
     k = max(1, k0 + high)
     f = bits + k + (2 * (k - low) if squared else max(0, -low))
-    one = Decimal(1 << f)
-    fixed = int(_context(MAX_PREC).multiply(t.copy_abs(), one))  # exact, then floored
+    fixed = int(_context(MAX_PREC).multiply(t.copy_abs(), _binary_unit(f)))
     e = fixed.bit_length() - f
     k = max(1, k0 + e)
     w = bits + k + (2 * (k - e) if squared else max(0, -e))
-    return k, w, fixed >> (f - w + k), f - w, one
+    return k, w, fixed >> (f - w + k)
 
 
-def _fixed_series(a: int, w: int, alternate: bool) -> int:
-    # sin a (alternate) or sinh a at w fractional bits, for 0 <= a < 2^(w-1):
+def _fixed_series(a: int, w: int, alternate: bool) -> tuple[int, int]:
+    # (sin a or sinh a, its bound) at w fractional bits, for 0 <= a < 2^(w-1):
     # a (1 + sum_i (-+y)^i / (2i + 1)!), y = a^2, by rectangular splitting
-    # (Smith 1989).  Term i goes into s[(i - 1) % 4] without its power of y,
-    # so four terms cost one multiplication, by y^4, and s[r] takes
-    # (-+y)^(r + 1) once at the end, in Horner's form.
+    # (Smith 1989).  Odd terms go into s0 and even ones into s1 without their
+    # power of y, so two terms cost one multiplication, by y^2, and Horner's
+    # form gives the sum -+y (s0 -+ y s1).  Each pass of the loop floors
+    # three times and adds 4 to i, so the sum is within i units and the
+    # value within 2 + i a 2^-w.
     y = a * a >> w
-    y4 = y * y >> w
-    y4 = y4 * y4 >> w
-    s0 = s1 = s2 = s3 = 0
+    y2 = y * y >> w
+    s0 = s1 = 0
     term = 1 << w
     i = 2
     while term:
@@ -441,126 +444,171 @@ def _fixed_series(a: int, w: int, alternate: bool) -> int:
         s0 += term
         term //= (i + 2) * (i + 3)
         s1 += term
-        term //= (i + 4) * (i + 5)
-        s2 += term
-        term //= (i + 6) * (i + 7)
-        s3 += term
-        term = term * y4 >> w
-        i += 8
-    if alternate:
-        s0, s2 = -s0, -s2
-    series = (((s3 * y >> w) + s2) * y >> w) + s1
-    series = ((series * y >> w) + s0) * y >> w
-    return a + (a * series >> w)
+        term = term * y2 >> w
+        i += 4
+    series = ((s1 * y >> w) - s0 if alternate else (s1 * y >> w) + s0) * y >> w
+    return a + (a * series >> w), 2 + (i * a >> w)
 
 
-def _from_fixed(n: int, shift: int, one: Decimal, prec: int) -> Decimal:
-    # n / 2^w, for one = Decimal(2^(w + shift)): one division,
-    # correctly rounded to 3 digits past prec, so that this rounding adds a
-    # thousandth of a unit at prec to the kernel's quarter
-    return _context(prec + 3).divide(Decimal(n << shift), one)
-
-
-def _cos_sin_lost(x: Decimal, c: Decimal, s: Decimal) -> int:
-    # The digits that (c, s) = (cos x, sin x) lose to the kernel's absolute
-    # error: near a zero of sin or cos other than x = 0, the reduction and
-    # the doublings keep an absolute error, so a value loses as many digits
-    # as its exponent lies below its scale (1 for cos, min(|x|, 1) for
-    # sin).  It reads only exponents, so it is the same for x and -x.
-    # Conditional expressions, not min and max: every pair term runs it.
-    e = x.adjusted()
-    lost, lost_cos = (e if e < 0 else 0) - s.adjusted(), -c.adjusted()
-    return lost if lost > lost_cos else lost_cos
-
-
-def _cos_sin_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    # Ziv's strategy.  A pass absorbs half the guard digits and leaves the
-    # other half for rounding; when it lost more (_cos_sin_lost), the pass
-    # runs again with that many more digits, pi included.
-    if x.is_zero():
-        return _D1, x
-    absorbed = DEFAULT_GUARD_DIGITS // 2
-    while True:
-        c, s = _cos_sin_pass(x, prec)
-        lost = _cos_sin_lost(x, c, s)
-        if lost <= absorbed:
-            return c, s
-        prec += lost
-        absorbed += lost
-
-
-def _cos_sin_pass(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    # Argument halving (Brent 1976) on ints at w fractional bits: sin a from
-    # its series at a = |t| / 2^k, cos a = sqrt(1 - sin^2 a), then k
-    # doublings cos 2a = 1 - 2 sin^2 a, sin 2a = 2 sin a cos a.  The pair is
-    # computed at |t| and sin takes t's sign, so sin(-x) = -sin(x) and
-    # cos(-x) = cos(x) exactly.
-    t = _reduce_two_pi(x, prec) if x.copy_abs() > _pi_decimal(prec) else x
-    if t.is_zero() or 2 * t.adjusted() < -prec - 2:
-        # below 10^-((prec + 1)/2), (1, t) is within a twentieth of a unit
-        return _D1, t
-    k, w, s, shift, one = _halving(t, prec, False)
-    s = _fixed_series(s, w, True)
-    unit = 1 << w
-    c = isqrt((unit << w) - s * s)
+def _cos_sin_fixed(x: Decimal, digits: int, extra: int) -> tuple[tuple[int, int, int], ...]:
+    # ((c, bound, w), (s, bound, w)): cos x and sin x at w fractional bits,
+    # for x other than 0, by argument halving (Brent 1976) on ints: sin a from
+    # its series at a = |t| / 2^k, cos a = sqrt(1 - sin^2 a), then k doublings
+    # sin 2a = 2 sin a cos a, cos 2a = (cos a - sin a)(cos a + sin a).  A
+    # doubling is twice a rotation, so it doubles the error (c, s) has, and
+    # adds under 3 units; the pair starts within 2 sigma + 1 units of
+    # (cos, sin) at |t| / 2^k, sigma = 1 + the series' bound, so it ends
+    # within (2 sigma + 6) 2^k, plus the reduction's error.  The pair is computed at |t| and sin
+    # takes t's sign.
+    bits = digits * 3322 // 1000 + _GUARD_BITS + extra
+    t, b = _reduce_two_pi(x, bits * 302 // 1000 + 1)
+    k, w, a = _halving(t, bits, False)
+    s, bound = _fixed_series(a, w, True)
+    c = isqrt((1 << 2 * w) - s * s)
     for _ in range(k):
-        s, c = s * c >> (w - 1), unit - (s * s >> (w - 1))
-    return _from_fixed(c, shift, one, prec), _from_fixed(s, shift, one, prec).copy_sign(t)
+        s, c = s * c >> (w - 1), (c - s) * (c + s) >> w
+    bound = (2 * bound + 8 << k) + (0 if b is None else 1 << max(0, w + b))
+    return (c, bound, w), (s if t > 0 else -s, bound, w)
 
 
-def _far_tail(x: Decimal, prec: int) -> bool:
-    # e^(-2|x|) is below half an ulp at prec digits once
-    # |x| > (prec ln 10 + ln 4)/2, i.e. coth x = +/-1 exactly.
-    return x.copy_abs() > (prec * 11513) // 10000 + 2
+def _far_tail(x: Decimal, digits: int) -> bool:
+    # |x| > ((digits + 10) ln 10 + ln 4)/2, where e^(-2|x|) < 10^-(digits +
+    # 10)/4: coth x, which rounds to +/-1 from about digits ln(10) / 2 on,
+    # is +/-1 to ten more digits, and coth returns an exact +/-1
+    return x.copy_abs() > ((digits + 10) * 11513) // 10000 + 2
 
 
-def _cosh_sinh_decimal(x: Decimal, prec: int) -> tuple[Decimal, Decimal]:
-    if _far_tail(x, prec):
-        # past coth's cut-off; e^|x|, so that a huge x of either sign overflows
-        ctx = _context(prec)
-        e = ctx.exp(x.copy_abs())
-        einv = ctx.divide(_D1, e)
-        sh = ctx.divide(ctx.subtract(e, einv), _D2).copy_sign(x)
-        return ctx.divide(ctx.add(e, einv), _D2), sh
-    if x.is_zero() or 2 * x.adjusted() < -prec - 2:
-        # below 10^-((prec + 1)/2), (1, x) is within a twentieth of a unit
-        return _D1, x
-    # Argument halving on q = sinh^2, which has no cancellation to guard
-    # against: q(a) from the sinh series at a = |x| / 2^k, k - 1 doublings
-    # q(2a) = 4 q (1 + q) up to q = sinh^2(x/2), then cosh x = 1 + 2q and
-    # sinh x = sign(x) sqrt(4q(1 + q)), all on ints at w fractional bits.  A
-    # doubling costs one multiplication fewer than the (cosh, sinh) form,
-    # and q is even, so sinh(-x) = -sinh(x) and cosh(-x) = cosh(x) exactly.
-    k, w, s, shift, one = _halving(x, prec, True)
-    s = _fixed_series(s, w, False)
+def _cosh_sinh_fixed(x: Decimal, digits: int, extra: int) -> tuple[tuple[int, ...], ...]:
+    # ((ch, bound, w), (sh, bound, w)): cosh x and sinh x at w fractional
+    # bits, for x other than 0, by argument halving on q = sinh^2, which has
+    # no cancellation to guard against: q(a) from the sinh series at a =
+    # |x| / 2^k, k - 1 doublings q(2a) = 4 q (1 + q) up to q = sinh^2(x/2),
+    # then cosh x = 1 + 2q and sinh x = sign(x) sqrt(4q(1 + q)).  A doubling
+    # multiplies q's relative error by (1 + 2q)/(1 + q) < 2 and adds four
+    # units, and w's 2(k - e) bits keep q's first relative error within
+    # 2^(1 - k) (sigma + 2) 2^-bits, sigma the series' bound plus the
+    # conversion's; so both values are within (sigma + 4) 2^-bits of
+    # themselves, plus the square root's unit.  Past the far tail, from
+    # e^|x| (_exp_tail).
+    bits = digits * 3322 // 1000 + _GUARD_BITS + extra
+    if _far_tail(x, digits):
+        return _exp_tail(x, bits)
+    k, w, a = _halving(x, bits, True)
+    s, sigma = _fixed_series(a, w, False)
     q = s * s >> w
     for _ in range(k - 1):
-        q4 = q << 2
-        q = (q4 * q >> w) + q4
-    unit = 1 << w
-    ch, sh = unit + (q << 1), isqrt((q << 2) * (unit + q))
-    return _from_fixed(ch, shift, one, prec), _from_fixed(sh, shift, one, prec).copy_sign(x)
+        q = ((q * q >> w) + q) << 2
+    ch, sigma = (1 << w) + (q << 1), sigma + 6
+    sh = isqrt((q << 2) * (ch - q))
+    return (ch, (ch * sigma >> bits) + 2, w), (sh if x > 0 else -sh, (sh * sigma >> bits) + 2, w)
 
 
-def _working_prec(x: Real) -> int:
-    return x.digits + DEFAULT_GUARD_DIGITS
+def _exp_tail(x: Decimal, bits: int) -> tuple[tuple[int, ...], ...]:
+    # ((ch, bound, w, e), (sh, bound, w, e)): cosh x and sinh x as 10^e times
+    # values at w fractional bits, from E = e^|x| = V 10^e, V in [1, 10],
+    # which libmpdec's exp gives correctly rounded to p digits.  This is the
+    # one libmpdec transcendental left on any path: e^|x| here has more than
+    # |x| log2(e) integer bits, unbounded in x, where libmpdec scales by its
+    # exponent and raises decimal's Overflow once e^|x| leaves the exponent
+    # range, which polys reads as "no phase".  cosh and sinh are (V +- 10^(-2e)
+    # / V) 10^e / 2, with V within half a unit of 10^(1 - p) and the floors.
+    p = bits * 302 // 1000 + 2
+    big = _context(p).exp(x.copy_abs())
+    e = big.adjusted()
+    v = (int(big.scaleb(p - 1 - e, _context(p))) << bits) // 10 ** (p - 1)
+    inv = 0 if 2 * e * 3321 // 1000 >= bits else (1 << 2 * bits) // (v * 10 ** (2 * e))
+    return (v + inv, 4, bits + 1, e), (v - inv if x > 0 else inv - v, 4, bits + 1, e)
 
 
-def _rounded_pair(pair: tuple[Decimal, Decimal], digits: int) -> tuple[Real, Real]:
-    ctx = _context(digits)
-    return Real(ctx.plus(pair[0]), digits), Real(ctx.plus(pair[1]), digits)
+def _reciprocal(pair, x: Decimal, digits: int, extra: int) -> tuple[tuple[int, ...]]:
+    # ((v, bound, w),) or ((v, bound, w, e),): cot x (pair = _cos_sin_fixed)
+    # or coth x (_cosh_sinh_fixed), for x other than 0.  Below 2^-(bits/2),
+    # 1/x = 10^-e / m, x = m 10^e, within x^2/3 < 2^-bits of itself, 2 units,
+    # and its floor; elsewhere the quotient c/s of the pair, within (bc |s| +
+    # |c| bs) / (|s| (|s| - bs)) and its floor, or no bound where |s| <= bs.
+    bits = digits * 3322 // 1000 + _GUARD_BITS + extra
+    if -2 * (x.adjusted() + 1) * 3321 // 1000 >= bits:
+        e = x.as_tuple().exponent
+        m = int(x.scaleb(-e, _context(MAX_PREC)))
+        w = bits + m.bit_length()
+        return (((1 << w) // m, 4, w, -e),)
+    (c, bc, w), (s, bs, _) = pair(x, digits, extra)
+    if abs(s) <= bs:
+        return ((0, 1 << w, w),)
+    bound = ((bc * abs(s) + abs(c) * bs) << w) // (abs(s) * (abs(s) - bs)) + 2
+    return (((c << w) // s, bound, w),)
+
+
+# n -> 10^n
+_power_of_ten = lru_cache(maxsize=None)(partial(pow, 10))
+
+
+def _round_fixed(digits: int, v: int, bound: int, w: int, e: int = 0) -> Decimal | int:
+    # Ziv's test on y = v 10^e / 2^w, known within bound 10^e / 2^w: y
+    # rounded half even to ``digits`` digits where every value within the
+    # bound rounds the same, else the bits a rerun needs, sized from the
+    # straddle's distance to the rounding boundary.  For 2^(l-1) <= |v| 2^-w
+    # < 2^l, |y| has decimal exponent e + F or e + F + 1, F = floor((l - 1)
+    # log10 2), with log10 2 = 5553023288523357132 / 2^64 to 20 digits; so
+    # m, r = divmod(|v| 10^(digits - 1 - F), 2^w), in integers, gives m of
+    # digits or digits + 1 digits, and one fold by 10 leaves digits.  Each
+    # boundary lies half a unit from m, but a tenth of that below
+    # 10^(digits - 1), where the unit shrinks; scaleb takes a carry to
+    # 10^digits back to digits digits.
+    a = abs(v)
+    top = _power_of_ten(digits)
+    f = ((a.bit_length() - w - 1) * 5553023288523357132 >> 64) - digits + 1
+    if f < 0:
+        scale = _power_of_ten(-f)
+        n, d, bound = a * scale, 1 << w, bound * scale
+        m = n >> w
+        r = n - (m << w)
+    else:
+        d = _power_of_ten(f) << w
+        m, r = divmod(a, d)
+    if m >= top:
+        m, j = divmod(m, 10)
+        r, d, f = r + j * d, d * 10, f + 1
+    if 2 * r + (m & 1) > d:  # half even: d is even
+        m, r = m + 1, d - r
+    if 2 * (r + bound) >= d or m * 10 == top and 20 * (bound - r) >= d:
+        return (2 * bound // (d - 2 * r + 1)).bit_length() + _GUARD_BITS
+    return Decimal(m if v > 0 else -m).scaleb(e + f, _context(digits))
+
+
+def _ziv(digits: int, kernel: Callable[..., Sequence[tuple[int, ...]]], *args) -> list[Decimal]:
+    # The values of the intervals kernel(*args, extra) returns, each
+    # correctly rounded, half even, to ``digits`` digits (Ziv 1991): extra is
+    # 0 first; while an interval holds a rounding boundary, the kernel runs
+    # again with at least as many more bits as the last rerun added and as
+    # the straddle asks.  None of these values is ever a tie, so the loop ends.
+    extra = 0
+    while True:
+        out = [_round_fixed(digits, *interval) for interval in kernel(*args, extra)]
+        if int not in map(type, out):
+            return out
+        extra += max(extra, *(value for value in out if type(value) is int))
+
+
+def _pair(kernel, x: Real) -> tuple[Real, Real]:
+    if x.dec.is_zero() or 2 * x.dec.adjusted() < -x.digits - 12:
+        # below 10^-(digits/2 + 6), the pair is (1, x) within 10^-(digits +
+        # 12) of a unit, and 1 stays an exact 1
+        return Real(_D1, x.digits), Real(_context(x.digits).plus(x.dec), x.digits)
+    c, s = _ziv(x.digits, kernel, x.dec, x.digits)
+    return Real(c, x.digits), Real(s, x.digits)
 
 
 def cos_sin(x: Real) -> tuple[Real, Real]:
-    """(cos x, sin x) from one kernel run, each within about 2e-10 * 10**lost
-    of a unit before its one rounding to x's precision (see the module)."""
-    return _rounded_pair(_cos_sin_decimal(x.dec, _working_prec(x)), x.digits)
+    """(cos x, sin x) from one kernel run, each correctly rounded, half
+    even, to x's precision (see the module)."""
+    return _pair(_cos_sin_fixed, x)
 
 
 def cosh_sinh(x: Real) -> tuple[Real, Real]:
-    """(cosh x, sinh x) from one kernel run, each within about 2e-10 of a
-    unit before its one rounding to x's precision (see the module)."""
-    return _rounded_pair(_cosh_sinh_decimal(x.dec, _working_prec(x)), x.digits)
+    """(cosh x, sinh x) from one kernel run, each correctly rounded, half
+    even, to x's precision (see the module)."""
+    return _pair(_cosh_sinh_fixed, x)
 
 
 def sin(x: Real) -> Real:
@@ -572,11 +620,10 @@ def cos(x: Real) -> Real:
 
 
 def cot(x: Real) -> Real:
-    prec = _working_prec(x)
-    c, s = _cos_sin_decimal(x.dec, prec)
-    if s.is_zero():
+    """cot x correctly rounded, half even, to x's precision (see the module)."""
+    if x.is_zero():
         raise PoleError("cot", x)
-    return Real(_context(x.digits).plus(_context(prec).divide(c, s)), x.digits)
+    return Real(_ziv(x.digits, _reciprocal, _cos_sin_fixed, x.dec, x.digits)[0], x.digits)
 
 
 def sinh(x: Real) -> Real:
@@ -588,15 +635,12 @@ def cosh(x: Real) -> Real:
 
 
 def coth(x: Real) -> Real:
+    """coth x correctly rounded, half even, to x's precision (see the module)."""
     if x.is_zero():
         raise PoleError("coth", x)
-    prec = _working_prec(x)
-    # coth x = sign(x) (1 + 2 e^(-2|x|) + ...), and exp(x) would only
-    # overflow or underflow here.
-    if _far_tail(x.dec, prec):
+    if _far_tail(x.dec, x.digits):
         return Real(_D1.copy_sign(x.dec), x.digits)
-    ch, sh = _cosh_sinh_decimal(x.dec, prec)
-    return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
+    return Real(_ziv(x.digits, _reciprocal, _cosh_sinh_fixed, x.dec, x.digits)[0], x.digits)
 
 
 @lru_cache(maxsize=None)
@@ -629,35 +673,33 @@ def _ln2_ln10(w: int) -> tuple[int, int]:
     return (14 * a + 10 * b + 6 * c) >> g, (46 * a + 34 * b + 20 * c) >> g
 
 
-def _ln_fixed(x: Decimal, digits: int) -> tuple[int, int, int] | None:
+def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] | None:
     # (v, bound, w) with |v - 2^w ln x| <= bound, for a positive x other
     # than 1 (None there), at w fractional bits: those of 10^(digits + near)
-    # less one, one per root and 32 more, so that the bound is at most
-    # (J + 5) 2^-30 of a unit in the last of ``digits`` digits (Brent 1976).
-    # x = y 10^E 2^k with y in [3/4, 3/2), so that |ln x| >= 0.28 unless
-    # E = k = 0, where |ln x| >= |x - 1| / 1.5: the digits that x lies
-    # within 1 (``near``) buy bits, and no reduction cancels.  Then r
+    # less one, one per root, 32 more and ``extra`` (Ziv's reruns), so that
+    # the bound is at most (J + 5) 2^-(30 + extra) of a unit in the last of
+    # ``digits`` digits (Brent 1976).  x = y 10^E 2^k with y in [3/4, 3/2),
+    # so that |ln x| >= 0.28 unless E = k = 0, where |ln x| >= |x - 1| / 1.5:
+    # the digits that x lies within 1 (``near``) buy bits, and no reduction
+    # cancels.  Then r
     # integer square roots of y and ln y = 2^(r+1) atanh(s), s = (y_r - 1) /
-    # (y_r + 1), |s| < 0.2, its series in s^2 by rectangular splitting as in
-    # _fixed_series.  The bound, in units of 2^-w: the conversion of y and
+    # (y_r + 1), |s| < 0.2, its series in s^2 by rectangular splitting, four
+    # terms per multiplication.  The bound, in units of 2^-w: the conversion of y and
     # the roots, 1.34 * 2^(r+1); the division for s, 1.05 * 2^(r+1); the J
     # rounds of the series and its tail, (0.63 J + 1.77) * 2^(r+1), which
     # sum to below (J + 5) * 2^(r+1); and 2 for each ln 2 in k and each
     # ln 10 in E.
     e = x.adjusted()
-    near = 0
-    if -1 <= e <= 0:
-        gap = _context(digits).subtract(x, _D1)
-        if gap.is_zero():
-            return None
-        near = max(0, -gap.adjusted())
+    gap = _context(digits).subtract(x, _D1) if -1 <= e <= 0 else _D1
+    if gap.is_zero():
+        return None
+    near = max(0, -gap.adjusted())
     exact = _context(MAX_PREC)
     m = x.scaleb(-e, exact)
     if m >= 5:
-        e += 1
-        m = m.scaleb(-1, exact)
+        e, m = e + 1, m.scaleb(-1, exact)
     roots = isqrt(digits) // 4
-    w = (digits + near) * 3322 // 1000 + roots + 32
+    w = (digits + near) * 3322 // 1000 + roots + 32 + extra
     unit = 1 << w
     y = int(exact.multiply(m, _binary_unit(w)))  # floor(m 2^w), m in [1/2, 5)
     k = y.bit_length() - 1 - w
@@ -694,31 +736,20 @@ def _ln_fixed(x: Decimal, digits: int) -> tuple[int, int, int] | None:
 
 
 def _ln_rounded(x: Decimal, digits: int) -> Decimal | None:
-    # ln x correctly rounded to ``digits`` where Ziv's test decides: the
-    # ends of _ln_fixed's interval, each rounded once to ``digits``, agree,
-    # so the value between them rounds to the same.  None at x = 1 and on a
-    # straddle, where the interval holds a rounding boundary.  An exact end
-    # could round to fewer digits than an inexact ln carries; compare_total
-    # then tells them apart, and the result is None too.
-    fixed = _ln_fixed(x, digits)
-    if fixed is None:
-        return None
-    v, bound, w = fixed
-    ctx, unit = _context(digits), _binary_unit(w)
-    low = ctx.divide(Decimal(v - bound), unit)
-    if low.compare_total(ctx.divide(Decimal(v + bound), unit)):
-        return None
-    return low
+    # ln x correctly rounded to ``digits`` where the first pass of Ziv's
+    # test decides; None at x = 1 and on a straddle
+    value = x != 1 and _round_fixed(digits, *_ln_fixed(x, digits))
+    return value if type(value) is Decimal else None
 
 
 def ln(x: Real) -> Real:
-    """ln x correctly rounded, half even, to x's precision: bit for bit
-    what libmpdec's own ln gives (see the module)."""
+    """ln x correctly rounded, half even, to x's precision (see the module)."""
     if x <= 0:
         raise DomainError(f"ln requires a positive argument, got {x}")
     value = _ln_rounded(x.dec, x.digits)
     if value is None:
-        value = _context(x.digits).ln(x.dec)
+        value = _D0 if x == 1 else _ziv(
+            x.digits, lambda extra: (_ln_fixed(x.dec, x.digits, extra),))[0]
     return Real(value, x.digits)
 
 

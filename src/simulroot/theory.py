@@ -1,10 +1,17 @@
-"""Computable hypothesis checks for the three convergence guarantees.
+"""Computable checks of the printed hypotheses of the three convergence
+theorems.
 
 Each check evaluates the printed hypotheses of one convergence theorem
 (one per polynomial family) for given separation constants and reports
-every inequality's sides per root index.  Each theorem's degree n comes
-from the multiplicities, the one input that fixes it, and one builder
-runs the per-root main inequality and assembles every report.  Checks
+every inequality's sides per root index.  It tests the hypotheses as
+printed, and for theorems 2 and 3 those are not sufficient: constants
+that pass them can leave the error envelope, so a passing report for
+those two theorems is no guarantee (``tests/test_theory.py`` pins one
+case of each: theorem 2 with roots -2.321, -0.472, 0.607, mults 4, 3, 1,
+c = 0.19999999, q = 0.8, xi = 0.4, whose root 3 is 0.302 off after one
+sweep from within c q, against c q^3 = 0.102).  Each theorem's degree n
+comes from the multiplicities, the one input that fixes it, and one
+builder runs the per-root main inequality and assembles every report.  Checks
 report failures, they never raise: a failed hypothesis is a result, not
 an error.  The exceptions are input errors, each a ValueError:
 multiplicities that fit no polynomial of the family (not all positive
@@ -13,7 +20,7 @@ in the message, that leaves the decimal exponent range (it overflows, or
 a divisor underflows to zero), or a sine argument with no digit of its
 phase left.
 
-The guaranteed error envelope is c * q^(3^k); :func:`error_bound`
+The error envelope the theorems state is c * q^(3^k); :func:`error_bound`
 evaluates it, underflowing to zero when the exponent exhausts the
 representable range.
 """
@@ -260,7 +267,7 @@ def check_theorem3(mults: Sequence[int], d: Real, c: Real, q: Real) -> TheoremRe
 
 
 def error_bound(c: Real, q: Real, k: int) -> Real:
-    """The guaranteed envelope c * q^(3^k); underflows to exact zero."""
+    """The envelope c * q^(3^k) the theorems state; underflows to exact zero."""
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     if not (q > 0 and q < 1):

@@ -1,13 +1,16 @@
+import ast
+import math
 import random
+import time
 from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulroot.numeric import (
-    DEFAULT_GUARD_DIGITS,
     ParseError,
     PoleError,
     Real,
@@ -26,7 +29,7 @@ from simulroot.numeric import (
     ten_power,
 )
 from simulroot import numeric
-from simulroot.numeric import _context, _cosh_sinh_decimal
+from simulroot.numeric import _context
 from oracles import (
     frac_cos,
     frac_cosh,
@@ -38,6 +41,7 @@ from oracles import (
     reduce_two_pi,
     round_to_grid,
 )
+from test_polys import correct_rounding
 
 PI_80 = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862"
 
@@ -256,6 +260,46 @@ def test_ln_falls_back_to_libmpdec_next_to_a_tie(digits):
     assert fallbacks >= 1
 
 
+def test_ln_decides_a_straddle_next_to_one_in_fixed_point():
+    # ln(1 + 10^-1024) at 1024 digits lies 10^-1024/3 units above a tie: the
+    # first pass straddles, and the reruns at more bits decide it in well
+    # under a second.  The truth is the alternating series eps - eps^2/2 +
+    # eps^3/3 - ..., summed in Fractions until the first term left out lies
+    # below 10^-3 of a unit and below the sum's distance from a tie.
+    digits = 1024
+    eps = Fraction(1, 10 ** digits)
+    x = Real(_context(MAX_PREC).add(1, Decimal(1).scaleb(-digits)), digits)
+    assert numeric._ln_rounded(x.dec, digits) is None
+    start = time.perf_counter()
+    got = ln(x)
+    assert time.perf_counter() - start < 1
+    total, n = Fraction(0), 1
+    while True:
+        total += (-1) ** (n + 1) * eps ** n / n
+        n += 1
+        unit, nearest, gap = correct_rounding(total, digits)
+        if eps ** n / n < unit * min(gap, Fraction(1, 1000)):
+            break
+    assert Fraction(got.dec) == nearest and len(got.dec.as_tuple().digits) == digits
+
+
+def test_no_libmpdec_transcendental_outside_the_exp_tail():
+    # Every ln, exp and log10 of a Decimal or a Context in src/simulroot, by
+    # module and top-level function; math's log10 of a float is not one.
+    # The one left is e^|x| past coth's far tail (numeric._exp_tail's
+    # comment says why).
+    calls = []
+    for path in sorted(Path(numeric.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("ln", "exp", "log10")
+                        and not (isinstance(node.func.value, ast.Name)
+                                 and node.func.value.id == "math")):
+                    calls.append((path.stem, getattr(top, "name", None), node.func.attr))
+    assert calls == [("numeric", "_exp_tail", "exp")]
+
+
 def test_first_equal_pair_is_the_first_pair_by_i_then_j():
     rng = random.Random(7)
     for _ in range(300):
@@ -358,10 +402,10 @@ def test_series_results_are_pinned(fn, x, digits):
 
 
 def _coth_by_exp(x: Real) -> Real:
-    # cosh/sinh from the kernel: exp past coth's far-tail cut-off, argument
-    # halving below it
+    # cosh/sinh from the kernel entry: exp past coth's far-tail cut-off,
+    # argument halving below it
     prec = x.digits + 10
-    ch, sh = _cosh_sinh_decimal(x.dec, prec)
+    ch, sh = numeric._ziv(prec, numeric._cosh_sinh_fixed, x.dec, prec)
     return Real(_context(x.digits).plus(_context(prec).divide(ch, sh)), x.digits)
 
 
@@ -468,13 +512,13 @@ def test_kernels_are_odd_and_even_bit_for_bit():
             assert str(sinh(-x)) == str(-sinh(x)) and str(cosh(-x)) == str(cosh(x))
 
 
-# -- the fixed-point kernels against the oracles at 2 * digits + 20 ----
+# -- the kernels against the oracles at 2 * digits + 20 ----------------
 #
-# numeric's module docstring: before its one rounding a value is within
-# about 2e-10 * 10**lost of a unit in its last digit, lost being the digits
-# the trig pair lies below its scale (0 for the hyperbolic pair).  The
-# pairs are checked before that rounding, at the kernels' working
-# precision, and every public value after it.
+# numeric's module docstring: each kernel run gives integer intervals
+# (v, bound, w), |v - 2^w f(x)| <= bound, and each public value is f(x)
+# correctly rounded, half even, to x's digits.  Both are checked: every
+# interval against the oracle, and every public value against the oracle
+# rounded once.
 
 
 def _magnitude(v: Fraction) -> int:
@@ -482,15 +526,10 @@ def _magnitude(v: Fraction) -> int:
     return Context(prec=40).divide(Decimal(v.numerator), Decimal(v.denominator)).adjusted()
 
 
-def _units(value: Decimal, exact: Fraction, digits: int) -> Fraction:
-    # |value - exact| in units of exact's last digit at ``digits`` digits
-    return abs(Fraction(value) - exact) / Fraction(10) ** (_magnitude(exact) - digits + 1)
-
-
 def _kernel_points(digits: int) -> tuple[list[Real], list[Real]]:
-    """Seeded (trig, hyperbolic) arguments: near k pi/2, where cancellation
-    takes the rerun path; past pi up to 1e30; tiny ones, 1e-12 to 1e-60;
-    and on both sides of coth's far-tail cut-off."""
+    """Seeded (trig, hyperbolic) arguments: near k pi/2, where the first
+    pass loses digits to cancellation and reruns; past pi up to 1e30; tiny
+    ones, 1e-12 to 1e-60; and on both sides of coth's far-tail cut-off."""
     rng = random.Random(7 * digits)
 
     def numeral(exponent: int) -> Real:
@@ -503,49 +542,90 @@ def _kernel_points(digits: int) -> tuple[list[Real], list[Real]]:
     far = [numeral(e) for e in (0, 1, 3, 9, 17, 29)]
     tiny = [numeral(-e) for e in (12, 20, 33, 47, 60)]
     moderate = [numeral(-1), numeral(0), make_real(repr(rng.uniform(-5, 5)), digits)]
-    cut = (digits + DEFAULT_GUARD_DIGITS) * 11513 // 10000 + 2  # (prec ln 10 + ln 4) / 2
+    cut = next(h for h in range(2000) if numeric._far_tail(Decimal(h + 1), digits))
     tail = [make_real(str(cut + Decimal(offset)), digits)
             for offset in ("-0.5", "-1e-5", "1e-5", "0.5")]
     tail += [-tail[0], -tail[3]]
     return near + far[1:] + tiny + moderate, tiny + moderate + far[:2] + tail
 
 
-def _kernel_breaches(digits: int) -> list[tuple[str, str, float]]:
-    """Every (function, argument, units/bound) whose value misses the bound,
-    before the rounding (pairs) or after it (public values)."""
-    prec = digits + DEFAULT_GUARD_DIGITS
+# f, f', the inverse of f as a float, and the range of the ties
+_INVERSES = {
+    "sin": (sin, cos, math.asin, (1, 9)),
+    "cos": (cos, lambda x: -sin(x), math.acos, (1, 9)),
+    "cot": (cot, lambda x: -1 - cot(x) ** 2, lambda t: math.atan(1 / t), (2, 49)),
+    "sinh": (sinh, cosh, math.asinh, (10, 89)),
+    "cosh": (cosh, sinh, math.acosh, (20, 89)),
+    "coth": (coth, lambda x: 1 - coth(x) ** 2, lambda t: math.atanh(1 / t), (11, 49)),
+}
+
+
+def _near_ties(digits: int) -> list[tuple[str, Real]]:
+    """Seeded (name, x) with f(x) about 1e-13 units from a tie, built the way
+    ln's tie cases are: T a tie of ``digits`` digits and x = f^-1(T), here by
+    Newton's method at digits + 12 digits, all of which x keeps."""
+    rng = random.Random(13 * digits)
+    work = digits + 12
+    out = []
+    for name, (f, df, inverse, (low, high)) in _INVERSES.items():
+        for _ in range(4):
+            lead = rng.randint(low, high)
+            tail = rng.randrange(10 ** (digits - 2))
+            tie = Decimal(f"{lead // 10}.{lead % 10}{tail:0{digits - 2}d}5")
+            x = make_real(repr(inverse(float(tie))), work)
+            target = Real(tie, work)
+            for _ in range(7):
+                x = x - (f(x) - target) / df(x)
+            out.append((name, Real(x.dec, digits)))
+    return out
+
+
+def _kernel_breaches(digits: int) -> list[tuple[str, str]]:
+    """Every (function, argument) whose kernel interval misses the oracle, or
+    whose public value is not the oracle rounded once, half even."""
     oracle = 2 * digits + 20
-    bound = Fraction(2, 10 ** 10)
     breaches = []
 
-    def check(name, x, value, exact, lost, rounded):
-        allowed = bound * 10 ** lost + (Fraction(1, 2) if rounded else 0)
-        units = _units(value, exact, digits)
-        if units > allowed:
-            breaches.append((name, str(x), float(units / allowed)))
+    def check(name, x, value, exact, interval=None):
+        unit, nearest, gap = correct_rounding(exact, digits)
+        assert gap > Fraction(1, 10 ** 16), (name, str(x))  # the oracle decides
+        if Fraction(value.dec) != nearest or value.digits != digits:
+            breaches.append((name, str(x)))
+        if interval is not None:
+            v, bound, w, *e = interval
+            scale = Fraction(10) ** (e[0] if e else 0) / 2 ** w
+            if abs(v * scale - exact) > bound * scale + unit / 10 ** 12:
+                breaches.append((name + " (kernel)", str(x)))
 
-    trig, hyperbolic = _kernel_points(digits)
-    for x in trig:
+    def trig(x):
         places = oracle + 80
-        r = reduce_two_pi(Fraction(x.dec), places + 5)
-        s, c = grid_sin_cos(r, places)
-        lost = max(min(x.dec.adjusted(), 0) - _magnitude(s), -_magnitude(c))
-        kernel = numeric._cos_sin_decimal(x.dec, prec)
-        check("cos (kernel)", x, kernel[0], c, lost, False)
-        check("sin (kernel)", x, kernel[1], s, lost, False)
-        public = cos_sin(x)
-        check("cos", x, public[0].dec, c, lost, True)
-        check("sin", x, public[1].dec, s, lost, True)
-        check("cot", x, cot(x).dec, frac_cot(Fraction(x.dec), oracle), lost, True)
-    for x in hyperbolic:
+        s, c = grid_sin_cos(reduce_two_pi(Fraction(x.dec), places + 5), places)
+        return c, s
+
+    def hyperbolic(x):
         sh, ch = grid_sin_cos(Fraction(x.dec), oracle + 80, sign=1)
-        kernel = numeric._cosh_sinh_decimal(x.dec, prec)
-        check("cosh (kernel)", x, kernel[0], ch, 0, False)
-        check("sinh (kernel)", x, kernel[1], sh, 0, False)
-        public = cosh_sinh(x)
-        check("cosh", x, public[0].dec, ch, 0, True)
-        check("sinh", x, public[1].dec, sh, 0, True)
-        check("coth", x, coth(x).dec, frac_coth(Fraction(x.dec), oracle), 0, True)
+        return ch, sh
+
+    def checks(x, exact, pair, quotient, kernel, oracle_quotient, names):
+        # both values of the pair and their quotient, with the kernel's
+        # intervals; past the far tail coth is no quotient
+        for name, value, truth, interval in zip(names, pair(x), exact(x),
+                                                kernel(x.dec, digits, 0)):
+            check(name, x, value, truth, interval)
+        interval = None if numeric._far_tail(x.dec, digits) else numeric._reciprocal(
+            kernel, x.dec, digits, 0)[0]
+        check(names[2], x, quotient(x), oracle_quotient(Fraction(x.dec), oracle), interval)
+
+    trig_points, hyperbolic_points = _kernel_points(digits)
+    for x in trig_points:
+        checks(x, trig, cos_sin, cot, numeric._cos_sin_fixed, frac_cot, ("cos", "sin", "cot"))
+    for x in hyperbolic_points:
+        checks(x, hyperbolic, cosh_sinh, coth, numeric._cosh_sinh_fixed, frac_coth,
+               ("cosh", "sinh", "coth"))
+    for name, x in _near_ties(digits):
+        c, s = (trig if name in ("sin", "cos", "cot") else hyperbolic)(x)
+        exact = {"sin": s, "sinh": s, "cos": c, "cosh": c, "cot": c / s, "coth": c / s}[name]
+        check(name, x, getattr(numeric, name)(x), exact)
     return breaches
 
 
@@ -555,7 +635,35 @@ def test_kernels_keep_the_documented_bound(digits):
 
 
 @pytest.mark.parametrize("digits", [64, 256])
-def test_kernels_with_eight_fewer_guard_bits_break_the_bound(digits, monkeypatch):
-    # the mutation the property must catch: the fixed point's guard cut by 8
-    monkeypatch.setattr(numeric, "_GUARD_BITS", numeric._GUARD_BITS - 8)
+def test_rounding_the_value_alone_breaks_the_bound(digits, monkeypatch):
+    # the mutation the property must catch: Ziv's test with the interval's
+    # bound dropped, so that every value is rounded from its centre alone
+    round_fixed = numeric._round_fixed
+    monkeypatch.setattr(numeric, "_round_fixed",
+                        lambda digits, v, bound, *rest: round_fixed(digits, v, 0, *rest))
     assert _kernel_breaches(digits) != []
+
+
+def test_fewer_guard_bits_cost_only_reruns(monkeypatch):
+    # Under Ziv's test the guard sets how often a first pass straddles, not
+    # what a value rounds to: with 4 guard bits instead of 20 every value
+    # still equals the oracle rounded once, and more kernel runs rerun.
+    def reruns():
+        passes = []
+        ziv = numeric._ziv
+
+        def counted(digits, kernel, *args):
+            runs = []
+            out = ziv(digits, lambda *a: runs.append(a) or kernel(*a), *args)
+            passes.append(len(runs))
+            return out
+
+        monkeypatch.setattr(numeric, "_ziv", counted)
+        breaches = _kernel_breaches(64)
+        monkeypatch.setattr(numeric, "_ziv", ziv)
+        return breaches, sum(passes) - len(passes)
+
+    breaches, guarded = reruns()
+    monkeypatch.setattr(numeric, "_GUARD_BITS", 4)
+    fewer, unguarded = reruns()
+    assert breaches == fewer == [] and unguarded > guarded

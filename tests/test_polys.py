@@ -312,7 +312,7 @@ def test_coefficient_form_runs_one_kernel_without_a_phase(family, monkeypatch):
     # kernel once for it, and given one it runs none; the algebraic family
     # has no phase
     runs = []
-    for name in ("_cos_sin_decimal", "_cosh_sinh_decimal"):
+    for name in ("_cos_sin_fixed", "_cosh_sinh_fixed"):
         kernel = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda *a, kernel=kernel: runs.append(a) or kernel(*a))
     x = R("0.3")
@@ -940,7 +940,7 @@ def test_near_pairs_run_no_halving_kernel(family, digits, monkeypatch):
     rule, ctx = polys._RULES[family], numeric._context(digits)
     point_phases = polys.phases(family, [p for pair in pairs for p in pair], digits)
     runs = []
-    for name in ("_cos_sin_decimal", "_cosh_sinh_decimal"):
+    for name in ("_cos_sin_fixed", "_cosh_sinh_fixed"):
         kernel = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda *a, kernel=kernel: runs.append(a) or kernel(*a))
     term = polys._pair_term(rule, ctx)
@@ -1016,8 +1016,7 @@ def test_phase_kernel_past_the_far_tail(digits, monkeypatch):
     # coth((a - b)/2) rounds to +/-1 from about 1.15 digits on and is
     # exactly +/-1 past the far tail; the exponents must agree too
     rng = random.Random(digits)
-    prec = digits + numeric.DEFAULT_GUARD_DIGITS
-    tail = next(h for h in range(1000) if numeric._far_tail(Decimal(h), prec))
+    tail = next(h for h in range(1000) if numeric._far_tail(Decimal(h), digits))
     pairs = []
     for _ in range(40):
         b = full_numeral(rng, digits)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulroot import EstimateVector, FactoredPoly, MultiplicityProfile
 from simulroot.cli import main
+from simulroot.polys import Family
 from simulroot.numeric import Real, make_real
 from simulroot.theory import (
     UndefinedSeparationError,
@@ -21,7 +23,7 @@ from simulroot.theory import (
     max_separation,
     min_separation,
 )
-from oracles import frac_cosh, frac_sin, frac_sinh
+from oracles import exact_iteration, frac_cosh, frac_sin, frac_sinh
 
 R = make_real
 
@@ -340,3 +342,40 @@ def test_verify_output_over_the_seeded_corpus_is_pinned(monkeypatch):
         digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
     assert sum(codes.values()) == 2 * (900 + len(VERIFY_EDGES))
     assert digest.hexdigest() == VERIFY_CORPUS_SHA256, (digest.hexdigest(), codes)
+
+
+# Constants that `verify` accepts for theorems 2 and 3 (PASS, exit 0), and
+# starts zeta + 0.999 c q signs within c q of the roots, from which the exact
+# iteration leaves the envelope c q^(3^k): the printed hypotheses of these
+# two theorems are not sufficient.  (theorem, family, roots, mults, c, q,
+# xi, signs, the errors over the envelope as (sweep, root index, ratio).)
+ENVELOPE_COUNTEREXAMPLES = [
+    (2, Family.TRIGONOMETRIC, ("-2.321", "-0.472", "0.607"), (4, 3, 1), "0.19999999", "0.8",
+     "0.4", (-1, 1, -1), [(1, 2, "2.95"), (2, 2, "246.09"), (3, 2, "20992.49")]),
+    (3, Family.EXPONENTIAL, ("-7.989", "-3.346", "1.346"), (2, 1, 1), "0.474387", "0.5",
+     None, (1, 1, -1), [(1, 2, "1.25"), (2, 2, "1.30"), (3, 2, "1.17")]),
+]
+
+
+@pytest.mark.parametrize("theorem,family,roots,mults,c,q,xi,signs,over", ENVELOPE_COUNTEREXAMPLES)
+def test_verify_accepts_constants_whose_envelope_fails(theorem, family, roots, mults, c, q, xi,
+                                                       signs, over):
+    argv = ["verify", "--theorem", str(theorem), f"--roots={','.join(roots)}",
+            "--mults", ",".join(map(str, mults)), "--c", c, "--q", q]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + (["--xi", xi] if xi else [])) == 0
+    assert out.getvalue().startswith(f"theorem {theorem}: PASS\n")
+    digits, c, q = 64, R(c), R(q)
+    zeta = [R(r) for r in roots]
+    init = EstimateVector(tuple(z + R("0.999") * c * q * sign for z, sign in zip(zeta, signs)))
+    rows = exact_iteration(FactoredPoly(family, tuple(zeta), mults), MultiplicityProfile(mults),
+                           init, 3, digits)
+    seen = []
+    for k, row in enumerate(rows):
+        envelope = as_fraction(error_bound(c, q, k))
+        for i, (x, z) in enumerate(zip(row, zeta)):
+            assert k or abs(x - as_fraction(z)) < envelope  # every start lies inside it
+            if abs(x - as_fraction(z)) > envelope:
+                seen.append((k, i, f"{float(abs(x - as_fraction(z)) / envelope):.2f}"))
+    assert seen == over
