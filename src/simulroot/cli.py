@@ -182,8 +182,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _solve_exit_code(report: SolveReport) -> int:
-    # Every root converged, or froze at the accuracy its form allows.
-    if report.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR):
+    if report.stop_reason.settled:
         return EXIT_OK
     if report.stop_reason is StopReason.STEP_FAILURE:
         return EXIT_NO_CONVERGENCE

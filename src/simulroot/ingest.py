@@ -428,9 +428,8 @@ def parse_trace(data: bytes | str) -> SolveReport:
     if raw.get("converged", report.converged) is not report.converged:
         expected = json.dumps(report.converged)
         raise SchemaError("$.converged", f"expected {expected} for stop_reason {stop.value!r}")
-    settled = (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
-    if stop in settled and (stop is StopReason.ACCURACY_FLOOR) != bool(frozen):
-        expected = settled[bool(frozen)].value
+    if stop.settled and (stop is StopReason.ACCURACY_FLOOR) != bool(frozen):
+        expected = (StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE).value
         raise SchemaError("$.stop_reason", f"expected {expected!r}: root_status has {len(frozen)} frozen")
     for i, (status, derived) in enumerate(zip(statuses, report.root_status)):
         if status is not None and status is not derived:

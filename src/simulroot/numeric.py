@@ -65,8 +65,8 @@ cancel.
 3/2), takes r integer square roots of y and ln y = 2^(r+1) atanh(s) from
 the series in s = (y_r - 1)/(y_r + 1); ln 2 and ln 10 come from three
 Machin-like atanh series, cached per bit width on first use.  Its first
-pass, ``_ln_rounded``, works at enough bits that the bound is about
-2^-25 of a unit, more for an argument near 1, whose log is small.
+pass works at enough bits that the bound is about 2^-25 of a unit, more
+for an argument near 1, whose log is small.
 ``ln`` equals libmpdec's own ln bit for bit, and ran 4 to 80 times
 faster than it from 30 to 16384 digits.
 """
@@ -735,22 +735,13 @@ def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] |
     return v, bound, w
 
 
-def _ln_rounded(x: Decimal, digits: int) -> Decimal | None:
-    # ln x correctly rounded to ``digits`` where the first pass of Ziv's
-    # test decides; None at x = 1 and on a straddle
-    value = x != 1 and _round_fixed(digits, *_ln_fixed(x, digits))
-    return value if type(value) is Decimal else None
-
-
 def ln(x: Real) -> Real:
     """ln x correctly rounded, half even, to x's precision (see the module)."""
     if x <= 0:
         raise DomainError(f"ln requires a positive argument, got {x}")
-    value = _ln_rounded(x.dec, x.digits)
-    if value is None:
-        value = _D0 if x == 1 else _ziv(
-            x.digits, lambda extra: (_ln_fixed(x.dec, x.digits, extra),))[0]
-    return Real(value, x.digits)
+    if x == 1:
+        return Real(_D0, x.digits)
+    return Real(_ziv(x.digits, lambda extra: (_ln_fixed(x.dec, x.digits, extra),))[0], x.digits)
 
 
 def format_fixed(x: Real, places: int) -> str:

@@ -54,8 +54,9 @@ point has no phase (its kernel overflows) takes the kernel at u:
 numeric's cot or coth.
 
 The log-derivative sums and the Horner runs take and return Reals but
-run on their ``Decimal`` values, under one context at the most digits
-any operand carries; cot, coth and the function pairs stay numeric's.
+run on their ``Decimal`` values, under one context: a Newton ratio's at
+its point's digits, the pairwise pass's at the most digits any point
+carries; cot, coth and the function pairs stay numeric's.
 A log-derivative sum is one ``reduce`` of the context's add over a ``map``
 of its terms, the odd parts of a row of differences (``_odds``).  The
 algebraic odd part is the difference itself, so an algebraic sum runs no
@@ -66,10 +67,10 @@ once, then runs one ``map`` of a :func:`_pair_term` term over them.  A
 factored form keeps its roots' Decimals (``FactoredPoly.root_decs``), so a
 Newton ratio does not unpack them, and their set
 (``FactoredPoly.root_set``), so a Newton ratio at a root runs no term.  A
-Newton ratio runs at the digits of its point, on the form with its roots
-or coefficients rounded to them (its ``at``, one view per number of
-digits), whatever digits they carry; a coefficient form's sums in z are
-exact in the rounded coefficients.
+Newton ratio runs on the form as given, whatever digits its roots or
+coefficients carry: each operation rounds once to the point's digits,
+and a coefficient form's sums in z are exact in its coefficients.  No
+form is ever copied or rounded.
 
 A coefficient form runs Horner in x, or in z = e^(ix) or e^x from x's
 phase.  It cancels: near a root of multiplicity m its value is rounding
@@ -87,7 +88,7 @@ a :class:`DerivativeZeroError` step failure, never as a freeze.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -545,59 +546,8 @@ def pairwise_log_derivatives(
     return [Real(t if rule.pair is None else ctx.divide(t, 2), ctx.prec) for t in sums]
 
 
-class _Form:
-    """A polynomial form, whose ``at`` gives it at a level."""
-
-    def at(self, digits: int):
-        """This form with every Real field, itself or in a tuple, rounded to
-        ``digits``, cached per digits: the form a sweep at ``digits`` digits
-        runs on, whose cached properties (``root_decs``, ``root_set``,
-        ``z_runs``) are made once per level.  It is the form itself only
-        where every such Real already carries ``digits``: a coefficient
-        form's Horner run takes its context from the most digits it meets,
-        so a view carries the level's digits even where no value moves.  A
-        Real whose Decimal rounding leaves as it is keeps that Decimal, and
-        where none moves the view shares the form's cached properties.
-        The view skips the constructor's checks, so roots that round to one
-        value stay two factors."""
-        view = self._levels.get(digits)
-        if view is None:
-            ctx = _context(digits)
-            kept = True
-
-            def rounded(v):
-                nonlocal kept
-                if not isinstance(v, Real):
-                    return v
-                dec = ctx.plus(v.dec)
-                if dec.compare_total(v.dec):
-                    kept = False
-                    return Real(dec, digits)
-                return Real(v.dec, digits)
-
-            values = {f.name: getattr(self, f.name) for f in fields(self)}
-            view = self
-            if any(isinstance(r, Real) and r.digits != digits
-                   for v in values.values() for r in (v if isinstance(v, tuple) else (v,))):
-                view = object.__new__(type(self))
-                for name, v in values.items():
-                    object.__setattr__(view, name, tuple(map(rounded, v))
-                                       if isinstance(v, tuple) else rounded(v))
-                if kept:
-                    for name, attr in vars(type(self)).items():
-                        if isinstance(attr, cached_property):
-                            view.__dict__[name] = getattr(self, name)
-            self._levels[digits] = view
-        return view
-
-    @cached_property
-    def _levels(self) -> dict:
-        # digits -> the form at them (:meth:`at`)
-        return {}
-
-
 @dataclass(frozen=True)
-class AlgebraicCoeffPoly(_Form):
+class AlgebraicCoeffPoly:
     """Monic algebraic polynomial; coeffs are a_1..a_n (leading 1 implicit)."""
 
     coeffs: tuple[Real, ...]
@@ -613,7 +563,7 @@ class AlgebraicCoeffPoly(_Form):
 
 
 @dataclass(frozen=True)
-class TrigExpCoeffPoly(_Form):
+class TrigExpCoeffPoly:
     """a0/2 + sum_k (a_k c(kx) + b_k s(kx)) with (c, s) = (cos, sin) or (cosh, sinh)."""
 
     family: Family
@@ -650,7 +600,7 @@ class TrigExpCoeffPoly(_Form):
 
 
 @dataclass(frozen=True)
-class FactoredPoly(_Form):
+class FactoredPoly:
     """Product of family factors with known roots and multiplicities."""
 
     family: Family
@@ -701,7 +651,8 @@ def eval_with_derivative(
     """(p(x), p'(x), e) for a coefficient form, with e a bound on the
     rounding error of the computed p(x).
 
-    p(x) is the form's exact value at its stored coefficients and x.  A
+    p(x) is the form's exact value at its stored coefficients and x,
+    whatever digits they carry, computed at x's digits.  A
     trigonometric or exponential form runs in z = e^(ix) or e^x
     (:attr:`TrigExpCoeffPoly.z_runs`) from x's :func:`phases` entry, or from
     the kernel where that is None or serves other digits (``Overflow`` if
@@ -712,7 +663,7 @@ def eval_with_derivative(
     comment on sums in z.  p'(x) has no bound.
     """
     if isinstance(p, AlgebraicCoeffPoly):
-        ctx = _context(max(x.digits, *(a.digits for a in p.coeffs)))
+        ctx = _context(x.digits)
         size = _BOUND.plus(x.dec.copy_abs())
         value, derivative, mu = Decimal(1), Decimal(0), _HALF
         for a in p.coeffs:
@@ -721,7 +672,7 @@ def eval_with_derivative(
             mu = _BOUND.fma(size, mu, value.copy_abs())
         bound = _BOUND.scaleb(mu, 1 - ctx.prec)  # 2u * mu, u = 10^(1 - prec) / 2
     elif isinstance(p, TrigExpCoeffPoly):
-        ctx = _context(max(x.digits, p.a0.digits, *(c.digits for c in p.a + p.b)))
+        ctx = _context(x.digits)
         if phase is None or phase.digits != x.digits:
             (phase,) = phases(p.family, [x], x.digits)
             if phase is None:
@@ -773,7 +724,7 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
 
 def root_phases(p: Polynomial, digits: int,
                 known: Sequence[Phase | None] = ()) -> list[Phase | None]:
-    """The :func:`phases` of the roots of ``p.at(digits)``, for the Newton
+    """The :func:`phases` of p's roots, as p gives them, for the Newton
     ratios of estimates that carry ``digits`` digits; [] for coefficient
     forms and for the algebraic family, which has no phases.  They are the
     ``roots`` of :func:`turned_phases`: an estimate's phase may turn from
@@ -785,14 +736,14 @@ def root_phases(p: Polynomial, digits: int,
     roots once: each is rounded to ``TURN_GUARD_DIGITS`` more digits than
     a direct phase at ``digits``, within 0.051 units (a tenth of the
     direct phase's half unit, at least, and the rounding), so with
-    ``turns`` 0, and a root that rounding to ``digits`` moved has that
-    phase turned by the move."""
+    ``turns`` 0."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
+    if not known:
+        return phases(p.family, p.roots, digits)
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    rounded = [None if ph is None else Phase(ph.x, w.plus(ph.c), w.plus(ph.s), digits)
-               for ph in known]
-    return turned_phases(p.family, rounded, p.at(digits).roots, digits)
+    return [None if ph is None else Phase(ph.x, w.plus(ph.c), w.plus(ph.s), digits)
+            for ph in known]
 
 
 def newton_ratio(
@@ -804,15 +755,15 @@ def newton_ratio(
     form finds x on a root in ``FactoredPoly.root_set`` and runs no term
     there; elsewhere it takes the reciprocal of its logarithmic derivative.  A
     coefficient form evaluates p and p' by :func:`eval_with_derivative`
-    with x's phase, on its coefficients rounded to x's digits (its ``at``
-    view); ``phase`` is None for the algebraic family.  ``at_floor`` says
-    that |p(x)| lies within the bound of :func:`eval_with_derivative`, so
-    the value may be rounding noise; it is always False for a factored
-    form.  Where p'(x) rounds to zero at the floor the ratio is None; off
-    the floor that raises :class:`DerivativeZeroError`.
+    with x's phase.  Either runs at x's digits on the form as given,
+    whatever digits its roots or coefficients carry; ``phase`` is None
+    for the algebraic family.  ``at_floor`` says that |p(x)| lies within
+    the bound of :func:`eval_with_derivative`, so the value may be
+    rounding noise; it is always False for a factored form.  Where p'(x)
+    rounds to zero at the floor the ratio is None; off the floor that
+    raises :class:`DerivativeZeroError`.
     """
     if isinstance(p, FactoredPoly):
-        p = p.at(x.digits)
         if x.dec in p.root_set:
             return zero(x.digits), False
         ctx = _context(x.digits)
@@ -820,7 +771,7 @@ def newton_ratio(
         if total.is_zero():
             raise DerivativeZeroError(x)
         return Real(ctx.divide(1, total), ctx.prec), False
-    value, derivative, bound = eval_with_derivative(p.at(x.digits), x, phase)
+    value, derivative, bound = eval_with_derivative(p, x, phase)
     at_floor = value.dec.copy_abs() <= bound.dec
     if value.is_zero():
         return zero(x.digits), at_floor

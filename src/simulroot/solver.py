@@ -53,14 +53,18 @@ climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
 precision): each sweep runs at the digits that show its estimates' next
 errors, from the trace's last steps, as :func:`_level` states, and the top of
 the ladder is the estimates' digits whatever digits the roots or the
-coefficients carry.  The estimates are rounded to each level, and so
-are a factored form's roots and their phases, or a coefficient form's
-coefficients, in the form's one view per level (its ``at``); the level
-never goes down.  Rounded to p digits, a coefficient form's root of
-multiplicity m_i becomes a cluster about 10^(-p/m_i) wide, which the
-rule keeps below the estimate's next error.  Below the top, a root whose |p(x_i)| lies within the bound of
-its rounding error keeps its estimate for that sweep, and the next sweep
-runs at the top: only there does a root freeze.  The default tolerance,
+coefficients carry.  The level lives here alone: the estimates are
+rounded to each level, and a factored form's root phases are rounded
+down to it, but the form never is, since a Newton ratio runs at its
+estimate's digits on the form as given.  The level never goes down.
+Horner's rounding at p digits leaves a coefficient form's root of
+multiplicity m_i a cluster about 10^(-p/m_i) wide, which the rule keeps
+below the estimate's next error; and a level must keep any two
+estimates 10 digits apart, so that a cluster of roots it cannot tell
+apart does not draw two estimates into one.  Below the top, a root whose
+|p(x_i)| lies within the bound of its rounding error keeps its estimate
+for that sweep, and the next sweep runs at the top: only there does a
+root freeze.  The default tolerance,
 that of the estimates' digits, stops the solve only at the top; a
 coarser one that a lower level's digits resolve may stop it there, with
 estimates that carry that level's digits, but not in a sweep that held
@@ -128,6 +132,11 @@ class StopReason(str, Enum):
     ACCURACY_FLOOR = "accuracy_floor"
     MAX_ITERS = "max_iters"
     STEP_FAILURE = "step_failure"
+
+    @property
+    def settled(self) -> bool:
+        """Every root converged, or froze at the accuracy its form allows."""
+        return self in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
 
 
 class RootStatus(str, Enum):
@@ -241,8 +250,7 @@ class SolveReport:
     def root_status(self) -> tuple[RootStatus, ...]:
         """Each root's status: frozen, else converged when the solve stopped
         on its tolerance or at the floor, else unconverged."""
-        settled = self.stop_reason in (StopReason.TOLERANCE, StopReason.ACCURACY_FLOOR)
-        rest = RootStatus.CONVERGED if settled else RootStatus.UNCONVERGED
+        rest = RootStatus.CONVERGED if self.stop_reason.settled else RootStatus.UNCONVERGED
         m = self.trace.snapshots[0].m
         return tuple(RootStatus.FROZEN if i in self.frozen else rest for i in range(m))
 
@@ -392,9 +400,8 @@ def solve(
         # a root read at its floor below the top sends the solve to the top
         rung = top if floored else _level(p, current, profile.mults, steps, level, top)
         if rung != level:
-            # a climb: the estimates and the roots' phases go to the new
-            # level (the top, where two estimates or roots meet below it)
-            current = _at_level(p, current, rung, top)
+            # a climb: the estimates and the roots' phases go to the new level
+            current = _at_level(p, current, rung)
             level = current.digits
             roots = top_roots if level == top else root_phases(p, level, top_roots)
         # Each estimate's phase turns from the nearer of its last position
@@ -454,19 +461,21 @@ def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
     the rounding of its input by about its gain, so its snapshot stays
     within its guard digits of the exact iteration.
 
-    A coefficient form rounds its coefficients to the level, which splits
-    a root of multiplicity m_i into a cluster about 10^(-p/m_i) wide at p
+    A coefficient form's Horner run rounds at the level, which gives a
+    root of multiplicity m_i a cluster about 10^(-p/m_i) wide at p
     digits.  So each estimate's output digits count m_i times, which keeps
     the radius (10^10 10^-p)^(1/m_i) below its output error, and so does
     its gain in the cap: a sweep shrinks the last level's radius by its
     gain, as m_i times that many more digits would.  Sweep 1 runs at no
-    fewer than 10 max m_i + 10 digits.  A factored form has exact roots,
-    and every factor is 1.
+    fewer than 10 max m_i + 10 digits.  A factored form's log-derivative
+    sum has no such cluster, and every factor is 1.
 
     The level is at least ``_LADDER_FLOOR`` and the last level, at most
     the top, and the top wherever that is at most twice the floor.  Steps
-    all zero give the top, as does a level at which two estimates, or two
-    roots of p, would round to one value (:func:`_at_level`).
+    all zero give the top, as does a level at which two estimates agree
+    to all but 10 of its digits: a sweep there could draw both into one
+    root of a cluster that the level cannot tell apart, and two that
+    round to one value would collide.
     """
     if last == top or top <= 2 * _LADDER_FLOOR:
         return top
@@ -492,7 +501,11 @@ def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
         if least_gain == math.inf:
             return top
         want = min(deepest + 10, last + least_gain - 3)
-    return min(top, max(_LADDER_FLOOR, math.ceil(want), last))
+    level = min(top, max(_LADDER_FLOOR, math.ceil(want), last))
+    xs = sorted(x.dec for x in estimates.x)
+    if any(_LOG.subtract(b, a) <= largest.scaleb(10 - level, _LOG) for a, b in zip(xs, xs[1:])):
+        return top
+    return level
 
 
 def _log10(d: Decimal) -> float:
@@ -501,29 +514,21 @@ def _log10(d: Decimal) -> float:
     return e + math.log10(float(d.scaleb(-e, _LOG)))
 
 
-def _at_level(p: Polynomial, estimates: EstimateVector, level: int, top: int) -> EstimateVector:
-    # Every estimate rounded to the level's digits; one on a root of p there
-    # is written out to all of them, so that it is settled at once.  Where
-    # two estimates, or two roots of p, would round to one value below the
-    # top, every estimate goes to the top instead.
+def _at_level(p: Polynomial, estimates: EstimateVector, level: int) -> EstimateVector:
+    # Every estimate rounded to the level's digits, which keep any two apart
+    # (:func:`_level`); one on a root of p there is written out to all of
+    # them, so that it is settled at once.
     if all(x.digits == level for x in estimates.x):
         return estimates
     ctx = _context(level)
-    roots = p.at(level).root_set if isinstance(p, FactoredPoly) else ()
-    if roots and len(roots) < len(p.at(top).root_set):
-        return _at_level(p, estimates, top, top)
+    roots = p.root_set if isinstance(p, FactoredPoly) else ()
     out = []
     for x in estimates.x:
         y = ctx.plus(x.dec)
         if y in roots:
             y = ctx.quantize(y, Decimal((0, (1,), y.adjusted() + 1 - level)))
         out.append(Real(y, level))
-    try:
-        return EstimateVector(tuple(out), estimates.k)
-    except CollisionError:
-        if level == top:  # apart at the last level, so apart here
-            raise
-        return _at_level(p, estimates, top, top)
+    return EstimateVector(tuple(out), estimates.k)
 
 
 def _precision_floor(digits: int) -> Real:

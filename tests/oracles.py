@@ -490,11 +490,12 @@ def exact_iteration(poly, profile, init, sweeps, digits):
     grid replay (trigonometric) and a chain of :func:`real_sweep` calls
     (exponential); for a coefficient form, a chain of :func:`real_sweep`
     calls on its stored coefficients, which that many digits hold
-    exactly."""
+    exactly, from estimates that carry them, at whose digits a Newton
+    ratio runs."""
     places = 2 * digits + 20
     start = [Fraction(x.dec) for x in init.x]
     if not isinstance(poly, FactoredPoly):
-        fine = poly.at(places)
+        fine = poly
     elif poly.family is Family.ALGEBRAIC:
         roots = [Fraction(r.dec) for r in poly.roots]
         return algebraic_chebyshev_run(roots, profile.mults, start, sweeps, places)
@@ -515,17 +516,16 @@ def exact_iteration(poly, profile, init, sweeps, digits):
 def known_phase_gaps(p, snapshots, sweeps):
     """For each of a factored solve's first ``sweeps`` sweeps, each
     estimate's distance to the nearest point whose phase the sweep knows:
-    a root of p at the sweep's level (the digits of the snapshot it makes),
-    or from sweep 2 on the estimate's last position too, where the sweep
-    before ran at the same level (a climb restarts the phases from the
-    roots).  A sweep turns a phase by that distance, keeps it where it is
-    0 and runs the phase kernel where it is MAX_TURN_STEP or more (while no
-    root's phase overflows)."""
+    a root of p as given, or from sweep 2 on the estimate's last position
+    too, where the sweep before ran at the same level (a climb restarts the
+    phases from the roots).  A sweep turns a phase by that distance, keeps
+    it where it is 0 and runs the phase kernel where it is MAX_TURN_STEP or
+    more (while no root's phase overflows)."""
     gaps = []
     for sweep in range(sweeps):
         level = snapshots[sweep + 1].digits
         now = [x.with_digits(level).dec for x in snapshots[sweep].x]
-        row = [min(abs(x - r.dec) for r in p.at(level).roots) for x in now]
+        row = [min(abs(x - r.dec) for r in p.roots) for x in now]
         if sweep and snapshots[sweep].digits == level:
             last = [x.with_digits(level).dec for x in snapshots[sweep - 1].x]
             row = [min(gap, abs(x - y)) for gap, x, y in zip(row, now, last)]

@@ -347,16 +347,16 @@ def test_cli_session_calls_are_independent_in_one_process(tmp_path):
 
 def test_the_order_logs_of_seed_1_take_no_fallback(tmp_path, monkeypatch):
     # Every ln that `order` takes over seed-1 rounds 0-3 of the CLI session
-    # is decided by Ziv's test on the fixed-point value, without a second
-    # evaluation by libmpdec's own ln.
-    rounded = []
-    ln_rounded = numeric._ln_rounded
+    # is decided by the first pass of Ziv's test on the fixed-point value:
+    # no kernel run reruns at more bits.
+    extras = []
+    kernel = numeric._ln_fixed
 
-    def counted(x, digits):
-        rounded.append(ln_rounded(x, digits))
-        return rounded[-1]
+    def counted(x, digits, extra=0):
+        extras.append(extra)
+        return kernel(x, digits, extra)
 
-    monkeypatch.setattr(numeric, "_ln_rounded", counted)
+    monkeypatch.setattr(numeric, "_ln_fixed", counted)
     workloads = _perfbench("workloads")
     pool = workloads.cli_pool(1)
     paths = []
@@ -371,4 +371,4 @@ def test_the_order_logs_of_seed_1_take_no_fallback(tmp_path, monkeypatch):
                 assert cli.main(op["argv"]) == op["expect"]["exit"], op["argv"]
             if "writes" in op:
                 Path(op["writes"]).write_text(out.getvalue())
-    assert (len(rounded), sum(r is None for r in rounded)) == (48, 0)
+    assert (extras.count(0), len(extras) - extras.count(0)) == (48, 0)

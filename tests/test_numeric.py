@@ -211,18 +211,32 @@ def _ln_corpus(digits: int) -> list[Decimal]:
     return xs + [Decimal(1)]
 
 
+def ln_kernel_runs(monkeypatch) -> list[tuple[Decimal, int]]:
+    """(x, extra) of every ``_ln_fixed`` run that ``ln`` makes from now on:
+    extra is 0 on a first pass and positive on a rerun after a straddle."""
+    runs = []
+    kernel = numeric._ln_fixed
+
+    def recorded(x, digits, extra=0):
+        runs.append((x, extra))
+        return kernel(x, digits, extra)
+
+    monkeypatch.setattr(numeric, "_ln_fixed", recorded)
+    return runs
+
+
 @pytest.mark.parametrize("digits", [30, 64, 128, 256, 1024])
-def test_ln_is_libmpdec_ln_bit_for_bit(digits):
+def test_ln_is_libmpdec_ln_bit_for_bit(digits, monkeypatch):
     ctx = _context(digits)
-    fallbacks = set()
+    runs = ln_kernel_runs(monkeypatch)
     for x in _ln_corpus(digits):
         got, want = ln(Real(x, digits)).dec, ctx.ln(x)
         assert got.compare_total(want) == 0 and str(got) == str(want), x
-        if numeric._ln_rounded(x, digits) is None:
-            fallbacks.add(x)
-    # 1, and 1 + 10^-digits where the corpus holds it (see the tie test)
+    # only 1 + 10^-digits straddles, where the corpus holds it (see the tie
+    # test), and 1 runs no kernel
     near_tie = _context(MAX_PREC).add(1, Decimal(1).scaleb(-digits))
-    assert fallbacks <= {Decimal(1), near_tie} and Decimal(1) in fallbacks
+    assert {x for x, extra in runs if extra} <= {near_tie}
+    assert Decimal(1) not in {x for x, _ in runs}
 
 
 @pytest.mark.parametrize("digits", [30, 64, 128, 256])
@@ -238,13 +252,13 @@ def test_the_fixed_point_ln_lies_within_its_bound(digits):
 
 
 @pytest.mark.parametrize("digits", [30, 64, 128, 256, 1024])
-def test_ln_falls_back_to_libmpdec_next_to_a_tie(digits):
+def test_ln_reruns_its_kernel_next_to_a_tie(digits, monkeypatch):
     # T a tie of `digits` digits near 10^15 and x = exp(T) rounded to them:
     # ln x = T + d, |d| <= 10^(1 - digits), within 10^-15 units of the tie,
-    # where only the fallback rounds to the right side.  ln(1 + 10^-digits)
-    # = 10^-digits - 10^-(2 digits) / 2 + 10^-(3 digits) / 3 - ... lies
-    # 10^-digits / 3 units above a tie; at 1024 digits libmpdec's ln takes
-    # 13 s there, so that case leaves it out.
+    # where the first pass straddles and only a rerun rounds to the right
+    # side.  ln(1 + 10^-digits) = 10^-digits - 10^-(2 digits) / 2 +
+    # 10^-(3 digits) / 3 - ... lies 10^-digits / 3 units above a tie; at
+    # 1024 digits libmpdec's ln takes 13 s there, so that case leaves it out.
     rng = random.Random(digits)
     ctx = _context(digits)
     big = digits > 256
@@ -252,15 +266,14 @@ def test_ln_falls_back_to_libmpdec_next_to_a_tie(digits):
     for _ in range(3 if big else 8):
         mantissa = "".join(rng.choice("0123456789") for _ in range(digits - 1))
         xs.append(ctx.exp(Decimal(f"{rng.randint(1, 9)}.{mantissa}5e15")))
-    fallbacks = 0
+    runs = ln_kernel_runs(monkeypatch)
     for x in xs:
         got, want = ln(Real(x, digits)).dec, ctx.ln(x)
         assert got.compare_total(want) == 0 and str(got) == str(want), x
-        fallbacks += numeric._ln_rounded(x, digits) is None
-    assert fallbacks >= 1
+    assert len({x for x, extra in runs if extra}) >= 1
 
 
-def test_ln_decides_a_straddle_next_to_one_in_fixed_point():
+def test_ln_decides_a_straddle_next_to_one_in_fixed_point(monkeypatch):
     # ln(1 + 10^-1024) at 1024 digits lies 10^-1024/3 units above a tie: the
     # first pass straddles, and the reruns at more bits decide it in well
     # under a second.  The truth is the alternating series eps - eps^2/2 +
@@ -269,10 +282,11 @@ def test_ln_decides_a_straddle_next_to_one_in_fixed_point():
     digits = 1024
     eps = Fraction(1, 10 ** digits)
     x = Real(_context(MAX_PREC).add(1, Decimal(1).scaleb(-digits)), digits)
-    assert numeric._ln_rounded(x.dec, digits) is None
+    runs = ln_kernel_runs(monkeypatch)
     start = time.perf_counter()
     got = ln(x)
     assert time.perf_counter() - start < 1
+    assert runs[0] == (x.dec, 0) and len(runs) > 1
     total, n = Fraction(0), 1
     while True:
         total += (-1) ** (n + 1) * eps ** n / n

@@ -511,66 +511,7 @@ def test_mixed_precision_call_runs_at_the_most_digits(family):
     assert same(got, real_log_derivative(family, x, points, mults))
 
 
-# -- a form at a level ---------------------------------------------------
-
-
-def reals_of(p) -> tuple[Real, ...]:
-    if isinstance(p, AlgebraicCoeffPoly):
-        return p.coeffs
-    if isinstance(p, TrigExpCoeffPoly):
-        return (p.a0, *p.a, *p.b)
-    return p.roots
-
-
-def seeded_forms(rng, digits: int) -> list:
-    """One form of each kind, every Real of it at ``digits`` digits."""
-    reals = [full_numeral(rng, digits) for _ in range(9)]
-    return [
-        AlgebraicCoeffPoly(tuple(reals[:4])),
-        TrigExpCoeffPoly(Family.TRIGONOMETRIC, reals[0], tuple(reals[1:4]), tuple(reals[4:7])),
-        TrigExpCoeffPoly(Family.EXPONENTIAL, reals[2], tuple(reals[3:5]), tuple(reals[5:7])),
-        *(FactoredPoly(family, tuple(reals[:6]), (1, 2, 1, 1, 2, 1)) for family in Family),
-    ]
-
-
-def test_a_form_at_a_level_rounds_every_real_once_per_level():
-    for p in seeded_forms(random.Random(28), 256):
-        assert p.at(256) is p
-        view = p.at(64)
-        assert view is p.at(64) and view is not p and type(view) is type(p)
-        assert all(same(r, full.with_digits(64)) for r, full in zip(reals_of(view), reals_of(p)))
-        assert len(reals_of(view)) == len(reals_of(p))
-        assert view.family is p.family
-        assert view.at(64) is view
-
-
-def test_roots_that_meet_at_a_level_stay_two_factors():
-    rng = random.Random(29)
-    for family in Family:
-        r = full_numeral(rng, 256)
-        roots = (r, r + ten_power(-200, 256), full_numeral(rng, 256))
-        p = FactoredPoly(family, roots, (1, 2, 1))
-        view = p.at(64)  # no DuplicateRootError
-        assert view.roots[0] == view.roots[1]
-        assert len(view.roots) == 3 and view.mults == p.mults
-        assert len(view.root_set) == len(p.root_set) - 1 == 2
-        with pytest.raises(DuplicateRootError):
-            FactoredPoly(family, view.roots, view.mults)
-
-
-def test_a_view_where_no_value_moves_shares_the_forms_decimals_and_sets():
-    for family in Family:
-        short = tuple(R(v, 256) for v in ("-1.25", "0.5", "3"))
-        p = FactoredPoly(family, short, (1, 2, 1))
-        view = p.at(64)
-        assert all(r.digits == 64 and r.dec is s.dec for r, s in zip(view.roots, short))
-        assert view.root_decs is p.root_decs and view.root_set is p.root_set
-        q = FactoredPoly(family, short + (full_numeral(random.Random(31), 256),), (1, 2, 1, 2))
-        view = q.at(64)
-        assert view.root_set is not q.root_set and view.root_set == frozenset(view.root_decs)
-        assert all(r.dec is s.dec for r, s in zip(view.roots, short))
-    z = TrigExpCoeffPoly(Family.TRIGONOMETRIC, R("1", 256), (R("2", 256),), (R("-0.5", 256),))
-    assert z.at(64).z_runs is z.z_runs
+# -- a form as given, at its point's digits ------------------------------
 
 
 def short_coefficient_forms(digits: int) -> list:
@@ -581,12 +522,11 @@ def short_coefficient_forms(digits: int) -> list:
 
 
 def test_a_coefficient_form_with_short_values_still_runs_at_the_level():
-    # Rounding "-3" to 64 digits moves no value, but a view that kept the
-    # 256-digit labels would run Horner at 256 digits.
+    # A Newton ratio runs at its point's digits, whatever digits the
+    # coefficients carry: "-3" labelled with 256 digits gives the ratio of
+    # "-3" labelled with 64.
     rng = random.Random(30)
     for p, at_64 in zip(short_coefficient_forms(256), short_coefficient_forms(64)):
-        view = p.at(64)
-        assert view is not p and all(same(r, w) for r, w in zip(reals_of(view), reals_of(at_64)))
         for _ in range(3):
             x = full_numeral(rng, 64)
             (phase,) = polys.phases(p.family, [x], 64)
@@ -1293,18 +1233,17 @@ def test_without_old_phases_every_point_takes_the_kernel(family):
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
-def test_root_phases_at_a_lower_level_round_and_turn_the_top_ones(family):
-    # Seeded 256-digit forms with full-length roots, which rounding to 64
-    # digits moves, and with 6-decimal roots, which it does not.  Each
-    # lowered phase is its 64-digit root's, rounded to TURN_GUARD_DIGITS
-    # more digits than a direct phase and turned once where the root moved:
-    # within 0.051 units of the direct phase at 200 digits unturned, 0.5 +
-    # TURN_ERROR turned.
+def test_root_phases_at_a_lower_level_round_the_top_ones(family):
+    # Seeded 256-digit forms with full-length roots and with 6-decimal
+    # roots.  No root is rounded to a level: each lowered phase is its
+    # root's as given, rounded to TURN_GUARD_DIGITS more digits than a
+    # direct phase and never turned, within 0.051 units of the direct
+    # phase at 200 digits.
     rng = random.Random(29 + len(family.value))
     carried = 64 + polys.PHASE_GUARD_DIGITS + polys.TURN_GUARD_DIGITS
     unit = Decimal(1).scaleb(1 - 64 - polys.PHASE_GUARD_DIGITS)
     ctx = numeric._context(220)
-    seen = Counter()
+    seen = 0
     for short in (False, True) * 4:
         if short:
             roots = [R(f"{rng.uniform(-3, 3):.6f}", 256) for _ in range(6)]
@@ -1312,37 +1251,35 @@ def test_root_phases_at_a_lower_level_round_and_turn_the_top_ones(family):
             roots = [full_numeral(rng, 256) for _ in range(6)]
         p = FactoredPoly(family, tuple(roots), (1,) * 6)
         lowered = polys.root_phases(p, 64, polys.root_phases(p, 256))
-        for root, r, ph in zip(roots, p.at(64).roots, lowered):
-            moved = r.dec != root.dec
-            assert moved is not short
-            assert (ph.x, ph.digits, ph.turns) == (r.dec, 64, int(moved))
+        for root, ph in zip(roots, lowered):
+            assert (ph.x, ph.digits, ph.turns) == (root.dec, 64, 0)
             assert max(len(ph.c.as_tuple().digits), len(ph.s.as_tuple().digits)) <= carried
-            (direct,) = polys.phases(family, [r], 200)
+            (direct,) = polys.phases(family, [root], 200)
             scale = 1 if family is Family.TRIGONOMETRIC else direct.c
             error = max(ctx.subtract(ph.c, direct.c).copy_abs(),
                         ctx.subtract(ph.s, direct.s).copy_abs())
-            assert error <= Decimal("0.503" if moved else "0.051") * unit * scale
-            seen[moved] += 1
-    assert seen == {True: 24, False: 24}
+            assert error <= Decimal("0.051") * unit * scale
+            seen += 1
+    assert seen == 48
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 def test_a_known_phase_for_other_digits_is_no_anchor(family, monkeypatch):
     # A point's phase from its last position, made for 256 digits, serves
     # no 64-digit sum, as a root phase for other digits does not: its
-    # nearest root's phase, 1e-4 away and itself turned once, is its anchor,
-    # and no kernel runs.
+    # nearest root's phase, lowered from 256 digits and 1e-4 away, is its
+    # anchor, and no kernel runs.
     rng = random.Random(41 + len(family.value))
     first = full_numeral(rng, 256)
     p = FactoredPoly(family, (first, first + R("1.5", 256)), (1, 1))
     roots = polys.root_phases(p, 64, polys.root_phases(p, 256))
-    x = p.at(64).roots[0] + R("1e-4")
+    x = first.with_digits(64) + R("1e-4")
     known = polys.phases(family, [x.with_digits(256)], 256)
     (from_root,) = polys.turned_phases(family, None, [x], 64, roots[:1])
     calls = counted_pair_kernels(monkeypatch)
     (got,) = polys.turned_phases(family, known, [x], 64, roots)
     assert calls == []
-    assert roots[0].turns == 1
+    assert roots[0].turns == 0
     assert got == from_root and (got.digits, got.turns) == (64, roots[0].turns + 1)
 
 
@@ -1425,10 +1362,8 @@ def phase_bound_violations(family, digits, monkeypatch, turned=polys.turned_phas
     violations, on_root, turned = [], 0, 0
     for p, xs, own, roots in handed:
         for x, ph in zip(xs, own):
-            # a sweep sees p's roots rounded to its level, x's digits
-            level = p.at(x.digits)
-            if x.dec in level.root_set:
-                assert ph is roots[level.root_decs.index(x.dec)]
+            if x.dec in p.root_set:
+                assert ph is roots[p.root_decs.index(x.dec)]
                 on_root += 1
             turned += ph.turns > 0
             error = phase_error(family, x, ph, ph.digits)

@@ -40,7 +40,7 @@ TRACE_SHA256 = {
     "coefficient_form/algebraic":
         "248461c676155bd721b95a37ea15ef5739fb8c621e285e41250a295bfd1251c3",
     "coefficient_form/trigonometric":
-        "b071e5a6a4df280c80c103ffb58541633ce6120b8e599c78fd247873097d03f3",
+        "654086512bce053fa4c2737c7f78a4849ca83ea41d0f17654b08a6b8f9b8f3f1",
     "coefficient_form/exponential":
         "0d05c6261ecd2139533af1a60dfd38697f5d3798723a1be931b558cb183c58b4",
 }
@@ -51,7 +51,7 @@ NEWTON_BASELINE_TRACE_SHA256 = {
     "coefficient_form/algebraic":
         "7db7c5a224b1f039f8dd7d6110443fcd2f7cba14a6d01ebe823248582b8782cb",
     "coefficient_form/trigonometric":
-        "86593416733f22d687fc49aeaf1f7c8791984f85a2a252a874d59bb3ae7e2b69",
+        "f218a3e9430f542ad4f909e8355223d1e775da4eeeeed2d4889a4a75a0a4588b",
     "coefficient_form/exponential":
         "2a78ae17f765f9b239ac6d6bbacc1b4eda983e2d05cf5fccd297301574dad8f5",
 }
@@ -149,13 +149,13 @@ ON_ROOT_TRACE_SHA256 = {
     ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
         "9445085b1d0c32c460ae31cb96046b9c739bfc104116e9abaa69ef5e1dfcf325",
     ("coefficient_form/trigonometric", Method.CHEBYSHEV):
-        "86ebe1ec3754211ed0159a8152e28cc7d758a8c473853f5607988eabb0fd9e1b",
+        "37b69231678b89726dc5cd67d6351fbb4aee705f118df09fff32b02da3b71f79",
     ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
-        "ded48ab927804dee45d5afadfcd88e7e59cbc3e21f1c069e07f123ff6c625962",
+        "350eb45006867b81c7e02b2ba9d80e1a3e513fad5057d88e1841b8b167034245",
     ("coefficient_form/exponential", Method.CHEBYSHEV):
-        "43830ca2cc81927307ea4c74a10fb4b6219f4096883b20dd4fb1867479a92a4e",
+        "450914551206b3fd1017426b095cd987c676be3304dee649716dd6f68c48f667",
     ("coefficient_form/exponential", Method.NEWTON_BASELINE):
-        "f96495bae455f4a07792e26c4f49905d6d2edd6c598dc02f644e1687d779e2b7",
+        "fc16e9fd9d7bb8cf35bedf4f92ada22364d1cff776eaa0ec61e265c30d9ecc16",
 }
 
 SHORT_ROOTS = ("-2", "0", "0.5", "1")
@@ -283,8 +283,8 @@ def test_a_seeded_periodic_solve_runs_the_phase_kernel_for_its_roots_and_first_s
 # they were, or take the phase kernel: starts 0.4 to 0.6 from their roots;
 # a multiplicity off by one, so that an estimate keeps stepping 0.2 or
 # more; trig estimates converging a whole period away from their root;
-# roots parsed at 80 digits for 64-digit estimates, so the roots' phases
-# serve other digits; and exponential roots at 1e20000, whose phases
+# roots parsed at 80 digits for 64-digit estimates, whose Newton ratios
+# run on those roots as given; and exponential roots at 1e20000, whose phases
 # overflow.  Each entry is (expression, or the roots and powers of a form
 # the grammar cannot spell; the roots' digits; the multiplicities the
 # solve assumes; the initial estimates; max_iters).  Estimates carry the
@@ -319,13 +319,13 @@ OFF_ROOT_PROBLEMS = {
 
 OFF_ROOT_TRACE_SHA256 = {
     (Family.TRIGONOMETRIC, Method.CHEBYSHEV):
-        "3d3aaa3d847ae591910580a54891d33b4d9e93dcf84fff27cb8ef9be46f45529",
+        "3ff29427506159dde595fca879968aa4dfe176cc2300ae112f7f86461cbea74d",
     (Family.TRIGONOMETRIC, Method.NEWTON_BASELINE):
-        "fe2c8a5e53dffed586d28c4b72640a5c8fc08a032c83d3759528232fb30d2e3a",
+        "b14501d7363d3d6191f70beb571109d7d8df4f4e93e9bc5fc65f8f56724811f3",
     (Family.EXPONENTIAL, Method.CHEBYSHEV):
-        "d21cada550f2dabd8a4a99f4b0ffe210aa53732697b99e64f7682b47b66c96f2",
+        "a13b502949103aa78d050869fa064747b343a1bb03cf9c41179bc1903a922985",
     (Family.EXPONENTIAL, Method.NEWTON_BASELINE):
-        "38fc850d18c7084f19c384d6c5f0f7e3e5ec86006a346948c36d358209859511",
+        "d94ec55e1a0a1d425983e5e407b8c84216660e3a92338b6beb01edf38db5afca",
 }
 
 

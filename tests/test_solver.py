@@ -3,6 +3,7 @@ import random
 import time
 from decimal import Decimal, Overflow
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -784,15 +785,29 @@ NEAR_ONE = "1." + "0" * 99 + "1"  # 1 + 1e-100
 @pytest.mark.parametrize("roots,init,level", [
     (("0", "3"), ("0.1", "2.9"), 64),
     (("0", "3"), ("1", NEAR_ONE), 256),
-    (("1", NEAR_ONE), ("0.9", "1.2"), 256),
 ])
-def test_a_level_at_which_two_estimates_or_roots_meet_is_the_top(roots, init, level):
+def test_a_level_at_which_two_estimates_meet_is_the_top(roots, init, level):
     # Sweep 1 of these 256-digit solves would run at 64 digits, where
-    # estimates, or roots, 1e-100 apart are one value: it runs at the top.
+    # estimates 1e-100 apart are one value: it runs at the top.
     poly = FactoredPoly(Family.ALGEBRAIC, tuple(make_real(r, 256) for r in roots), (1, 1))
     start = EstimateVector(tuple(make_real(x, 256) for x in init))
     report = solve(poly, MultiplicityProfile((1, 1)), start, SolveConfig(max_iters=1))
     assert [snap.digits for snap in report.trace.snapshots] == [256, level]
+
+
+def test_roots_that_meet_at_a_level_leave_the_ladder_to_the_estimates():
+    # Roots 1 and 1 + 1e-100 are one value at 64 digits, but no root is
+    # rounded to a level, so sweep 1 runs there.  The estimates close in on
+    # the pair, which acts as a double root, by 3/8 per sweep; once two
+    # share all but 10 of the level's digits the solve climbs to the top,
+    # which tells the roots apart.  At 64 digits throughout they would meet.
+    poly = FactoredPoly(Family.ALGEBRAIC, (make_real("1", 256), make_real(NEAR_ONE, 256)), (1, 1))
+    start = EstimateVector((make_real("0.9", 256), make_real("1.2", 256)))
+    report = solve(poly, MultiplicityProfile((1, 1)), start, SolveConfig(max_iters=300))
+    levels = [snap.digits for snap in report.trace.snapshots]
+    assert levels[:2] == [256, 64] and levels[-1] == 256
+    assert report.stop_reason is StopReason.TOLERANCE
+    assert sorted(report.trace.final().x) == list(poly.roots)
 
 
 def coefficient_ladder_problem(family, mults, digits, seed):
@@ -887,10 +902,11 @@ def test_the_precision_ladder_tracks_the_exact_iteration_on_a_coefficient_form(
 def test_roots_with_more_digits_than_the_estimates_take_every_term_from_phases(monkeypatch):
     # Six trig roots whose shifts carry 67 digits, parsed at 80 digits and
     # solved from 64-digit estimates 0.02 off: the solve runs at the
-    # estimates' 64 digits with the roots rounded to them, so every pair
-    # term comes from the phases (no cot runs; with the roots' phases at 80
-    # digits all 162 terms took cot) and the solve equals that of the same
-    # expression parsed at 64 digits.
+    # estimates' 64 digits on the roots as given, so every pair term comes
+    # from the phases (no cot runs; with the roots' phases at 80 digits all
+    # 162 terms took cot).  It takes as many sweeps as the same expression
+    # parsed at 64 digits, whose roots are rounded, and ends on equal
+    # estimates; the sweeps between may differ in their last digit.
     rng = random.Random(6)
     shifts = [c + "".join(rng.choice("0123456789") for _ in range(66))
               for c in ("-2.6", "-1.6", "-0.5", "0.5", "1.6", "2.6")]
@@ -903,7 +919,48 @@ def test_roots_with_more_digits_than_the_estimates_take_every_term_from_phases(m
     report = solve(parse_expression(expr, 80), MultiplicityProfile((1,) * 6), init)
     assert report.converged and calls == []
     short = solve(parse_expression(expr, 64), MultiplicityProfile((1,) * 6), init)
-    assert render_trace(report, "json") == render_trace(short, "json")
+    assert len(report.trace.snapshots) == len(short.trace.snapshots)
+    assert report.trace.final().x == short.trace.final().x
+
+
+def counted_property(monkeypatch, cls, name, made):
+    """Replace the cached property ``name`` of ``cls`` by one that appends
+    its name to ``made`` each time it is computed."""
+    compute = vars(cls)[name].func
+
+    def counted(self):
+        made.append(name)
+        return compute(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+@pytest.mark.parametrize("form", ["factored", "coefficient"])
+def test_a_climbing_solve_hands_every_newton_ratio_the_callers_form(form, monkeypatch):
+    # No solve copies or rounds its form: a 256-digit solve that climbs
+    # the ladder runs every Newton ratio on the form it was given, whose
+    # cached Decimals it makes once, whatever the level.  The factored
+    # form's roots carry all 256 digits, so rounding them would move them.
+    if form == "factored":
+        poly, profile, init = ladder_problem("trigonometric", 6, 256, True)
+        names = ["root_decs", "root_set"]
+    else:
+        poly, profile, init, _ = coefficient_ladder_problem("trigonometric", (1, 1), 256, 0)
+        names = ["z_runs"]
+    made = []
+    for name in names:
+        counted_property(monkeypatch, type(poly), name, made)
+    handed = []
+    newton_ratio = solver.newton_ratio
+    monkeypatch.setattr(solver, "newton_ratio", lambda p, *args: handed.append(p)
+                        or newton_ratio(p, *args))
+    report = solve(poly, profile, init)
+    assert report.stop_reason is StopReason.TOLERANCE
+    assert len({snap.digits for snap in report.trace.snapshots}) > 1
+    assert handed and all(p is poly for p in handed)
+    assert sorted(made) == names
 
 
 @pytest.mark.parametrize("family", ["trigonometric", "exponential"])
@@ -924,5 +981,5 @@ def test_a_solve_does_not_depend_on_the_solves_before_it(family, monkeypatch):
 
     monkeypatch.setattr(solver, "turned_phases", recorded)
     report = solve(poly, profile, short)
-    assert handed and all(roots == phases(poly.family, poly.at(64).roots, 64) for roots in handed)
+    assert handed and all(roots == phases(poly.family, poly.roots, 64) for roots in handed)
     assert render_trace(report, "json") == render_trace(solve(fresh, profile, short), "json")
