@@ -270,13 +270,17 @@ def _string_list(value: Any, path: str) -> list[str]:
     return [_as_decimal_string(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
 
 
-def _real_rows(value: Any, path: str, digits: int) -> tuple[tuple[Real, ...], ...]:
+def _real_rows(value: Any, path: str, digits: int, rows: int, m: int) -> tuple[tuple[Real, ...], ...]:
+    # ``rows`` rows of m values each
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array")
-    return tuple(
-        tuple(make_real(s, digits) for s in _string_list(row, f"{path}[{k}]"))
-        for k, row in enumerate(value)
-    )
+    out = [_string_list(row, f"{path}[{k}]") for k, row in enumerate(value)]
+    if len(out) != rows:
+        raise SchemaError(path, f"expected {rows} rows, got {len(out)}")
+    for k, row in enumerate(out):
+        if len(row) != m:
+            raise SchemaError(f"{path}[{k}]", f"expected {m} values, got {len(row)}")
+    return tuple(tuple(make_real(s, digits) for s in row) for row in out)
 
 
 def _parse_coefficients(family: Family, obj: Any, path: str, digits: int) -> Polynomial:
@@ -417,12 +421,14 @@ def parse_trace(data: bytes | str) -> SolveReport:
             snapshots.append(EstimateVector(xs, k=k))
         except CollisionError as exc:
             raise SchemaError(f"{path}.x", str(exc)) from exc
-    step_sizes = _real_rows(_get(raw, "step_sizes", "$"), "$.step_sizes", digits)
+    # one row of step sizes per sweep, and of errors per snapshot
+    n, m = len(snapshots), snapshots[0].m
+    step_sizes = _real_rows(_get(raw, "step_sizes", "$"), "$.step_sizes", digits, n - 1, m)
     errors_raw = raw.get("errors")
-    errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits)
+    errors = None if errors_raw is None else _real_rows(errors_raw, "$.errors", digits, n, m)
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=step_sizes, errors=errors)
     stop = _member(StopReason, raw.get("stop_reason", StopReason.MAX_ITERS.value), "$.stop_reason")
-    statuses = _root_statuses(raw.get("root_status"), snapshots[0].m)
+    statuses = _root_statuses(raw.get("root_status"), m)
     frozen = frozenset(i for i, status in enumerate(statuses) if status is RootStatus.FROZEN)
     report = SolveReport(trace=trace, stop_reason=stop, failure=raw.get("failure"), frozen=frozen)
     if raw.get("converged", report.converged) is not report.converged:

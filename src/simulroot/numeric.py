@@ -648,18 +648,27 @@ def _binary_unit(w: int) -> Decimal:
     return Decimal(1 << w)
 
 
-def _acoth(n: int, w: int) -> int:
-    # atanh(1/n) = sum_i n^-(2i+1) / (2i + 1) at w fractional bits, within
-    # 2N + 3 units for N terms: each power and each term floors once.
-    power = (1 << w) // n
-    total = power
-    n2 = n * n
-    i = 3
+def _atanh_fixed(s: int, w: int) -> tuple[int, int]:
+    # (v, J + 5), v = 2^w atanh(s 2^-w) for |s| < 0.2 2^w at w fractional
+    # bits, from its series in s^2 by rectangular splitting, four terms per
+    # multiplication, in J rounds.  The rounds and the tail are within
+    # (0.63 J + 1.77) units of 2^-w, and J + 5 leaves 3.2 units more for
+    # the error that s brings, which atanh grows by at most 1.05.
+    z = s * s >> w
+    z2 = z * z >> w
+    z3 = z2 * z >> w
+    z4 = z2 * z2 >> w
+    s0 = s1 = s2 = s3 = 0
+    power = 1 << w
+    i = 1
     while power:
-        power //= n2
-        total += power // i
-        i += 2
-    return total
+        s0 += power // i
+        s1 += power // (i + 2)
+        s2 += power // (i + 4)
+        s3 += power // (i + 6)
+        power = power * z4 >> w
+        i += 8
+    return s * (s0 + ((z * s1 + z2 * s2 + z3 * s3) >> w)) >> w, i // 8 + 5
 
 
 @lru_cache(maxsize=None)
@@ -667,9 +676,11 @@ def _ln2_ln10(w: int) -> tuple[int, int]:
     # ln 2 and ln 10 at w fractional bits, each within 2 units, from three
     # atanh series shared by both: ln 2 = 14 acoth 31 + 10 acoth 49 +
     # 6 acoth 161 and ln 10 = 46 acoth 31 + 34 acoth 49 + 20 acoth 161,
-    # summed at g more bits, which hold the terms' errors to a fifth of a unit.
+    # acoth n = atanh(1/n).  Each series, on 1/n floored, is within J + 5
+    # units at g = w.bit_length() + 8 more bits, which keep each constant
+    # within 2 units.
     g = w.bit_length() + 8
-    a, b, c = (_acoth(n, w + g) for n in (31, 49, 161))
+    a, b, c = (_atanh_fixed((1 << (w + g)) // n, w + g)[0] for n in (31, 49, 161))
     return (14 * a + 10 * b + 6 * c) >> g, (46 * a + 34 * b + 20 * c) >> g
 
 
@@ -681,14 +692,12 @@ def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] |
     # ``digits`` digits (Brent 1976).  x = y 10^E 2^k with y in [3/4, 3/2),
     # so that |ln x| >= 0.28 unless E = k = 0, where |ln x| >= |x - 1| / 1.5:
     # the digits that x lies within 1 (``near``) buy bits, and no reduction
-    # cancels.  Then r
-    # integer square roots of y and ln y = 2^(r+1) atanh(s), s = (y_r - 1) /
-    # (y_r + 1), |s| < 0.2, its series in s^2 by rectangular splitting, four
-    # terms per multiplication.  The bound, in units of 2^-w: the conversion of y and
-    # the roots, 1.34 * 2^(r+1); the division for s, 1.05 * 2^(r+1); the J
-    # rounds of the series and its tail, (0.63 J + 1.77) * 2^(r+1), which
-    # sum to below (J + 5) * 2^(r+1); and 2 for each ln 2 in k and each
-    # ln 10 in E.
+    # cancels.  Then r integer square roots of y and ln y = 2^(r+1)
+    # atanh(s), s = (y_r - 1) / (y_r + 1), |s| < 0.2 (:func:`_atanh_fixed`).
+    # The bound, in units of 2^-w: the conversion of y and the roots, 1.34
+    # * 2^(r+1); the division for s, 1.05 * 2^(r+1); the J rounds of the
+    # series and its tail, (0.63 J + 1.77) * 2^(r+1), which sum to below
+    # (J + 5) * 2^(r+1); and 2 for each ln 2 in k and each ln 10 in E.
     e = x.adjusted()
     gap = _context(digits).subtract(x, _D1) if -1 <= e <= 0 else _D1
     if gap.is_zero():
@@ -710,24 +719,8 @@ def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] |
     r = min(roots, max(0, roots + 2 - w + abs(y - unit).bit_length()))
     for _ in range(r):
         y = isqrt(y << w)
-    s = ((y - unit) << w) // (y + unit)
-    z = s * s >> w
-    z2 = z * z >> w
-    z3 = z2 * z >> w
-    z4 = z2 * z2 >> w
-    s0 = s1 = s2 = s3 = 0
-    power = unit
-    i = 1
-    while power:
-        s0 += power // i
-        s1 += power // (i + 2)
-        s2 += power // (i + 4)
-        s3 += power // (i + 6)
-        power = power * z4 >> w
-        i += 8
-    series = s0 + ((z * s1 + z2 * s2 + z3 * s3) >> w)
-    v = (s * series >> w) << (r + 1)
-    bound = (i // 8 + 5) << (r + 1)
+    v, bound = _atanh_fixed(((y - unit) << w) // (y + unit), w)
+    v, bound = v << (r + 1), bound << (r + 1)
     if k or e:
         ln2, ln10 = _ln2_ln10(w)
         v += k * ln2 + e * ln10

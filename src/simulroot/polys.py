@@ -20,16 +20,17 @@ A half-angle form, factored or in coefficient form, runs no kernel per
 term.  Each point gets its phase (:class:`Phase`), the pair (c, s) at
 half the point, which knows its point, from the kernel once
 (:func:`phases`), at ``PHASE_GUARD_DIGITS`` more digits than the sums;
-the solver keeps a factored form's roots' phases for a whole solve, from
-one kernel run at the estimates' digits rounded down to each level
-(:func:`root_phases`), and the estimates' phases from sweep to sweep.
-One rule, :func:`turned_phases`, gives every phase a solve uses, and
-takes as an anchor only a phase that serves the sums' digits.  Every
-pair derived from phases is one or two angle subtractions, each the
-operations of :func:`_minus` in its order:
+a phase made for d digits serves every sum at d digits or fewer.  The
+solver keeps a factored form's roots' phases for a whole solve, from one
+kernel run at the estimates' digits (:func:`root_phases`), and the
+estimates' phases from sweep to sweep.  One rule, :func:`turned_phases`,
+gives every phase a solve uses: each from the nearest phase in one pool
+that serves the sums' digits.  Every pair derived from phases is one or
+two angle subtractions, each the operations of :func:`_minus` in its
+order:
 
 * a turn, by the pair at half the distance from an estimate to the
-  nearer of its last position and its nearest root (:func:`turned_phases`);
+  nearest point of the pool (:func:`turned_phases`);
 * cot or coth at (a - b)/2, from the phases of a and b (:func:`_pair_term`);
 * the move to u, the argument the kernel sees, round(round(a - b)/2),
   by the first-order pair (1, -delta) at -delta = v - u.
@@ -103,7 +104,6 @@ from decimal import (
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .numeric import (
@@ -279,16 +279,15 @@ _RULES = {
 
 class Phase(NamedTuple):
     """(c, s) at x/2, the phase of the point x, for sums at ``digits``
-    digits only.
+    digits or fewer: ``digits`` is the most it serves.
 
     A direct phase (:func:`phases`) is rounded to ``digits +
     PHASE_GUARD_DIGITS`` and has ``turns`` 0.  One reached by ``turns``
-    turns (:func:`turned_phases`), or rounded down from a direct phase
-    for more digits (:func:`root_phases` with ``known``), carries
-    ``TURN_GUARD_DIGITS`` more digits, and ``turns`` is its error bound:
-    c and s are within 0.5 + turns * TURN_ERROR units of 10**(1 - digits
-    - PHASE_GUARD_DIGITS) times 1 (trig) or cosh at the half point
-    (hyperbolic).
+    turns (:func:`turned_phases`) carries ``TURN_GUARD_DIGITS`` more
+    digits, and ``turns`` is its error bound: c and s are within 0.5 +
+    turns * TURN_ERROR units of 10**(1 - digits - PHASE_GUARD_DIGITS)
+    times 1 (trig) or cosh at the half point (hyperbolic).  For sums at
+    fewer digits that error is a smaller share of a larger unit.
     """
 
     x: Decimal
@@ -322,58 +321,48 @@ def phases(family: Family, points: Sequence[Real], digits: int) -> list[Phase | 
 
 def turned_phases(
     family: Family,
-    known: Sequence[Phase | None] | None,
+    known: Sequence[Phase | None],
     new: Sequence[Real],
     digits: int,
-    roots: Sequence[Phase | None] = (),
 ) -> list[Phase | None]:
     """The phases of the points ``new`` for sums at ``digits`` digits, each
-    from the nearest point whose phase is known.
+    from the nearest point in the pool ``known`` whose phase serves them.
 
-    Only a phase that serves ``digits`` is known: one in ``known`` or
-    ``roots`` made for other digits counts as None.  A new point's anchor
-    is the nearer of two phases: its entry in ``known`` (in a solve, the
-    phase of its last position), and the phase in ``roots`` (a factored
-    form's :func:`root_phases`) nearest to it; its own at equal distance,
-    the upper root midway between two.  A point equal to its anchor's
-    point keeps that phase object, so a point on a root keeps the root's.
-    One less than ``MAX_TURN_STEP`` from it has the phase turned by the
+    A phase serves sums at its ``digits`` or fewer; a None serves none.  In
+    a solve the pool is a factored form's :func:`root_phases` and the
+    phases of the estimates' last positions.  Of two serving phases at
+    equal distance from a point the upper is its anchor, and of several at
+    one point the first in ``known``.  A point equal to its anchor's point
+    keeps that phase object, so a point on a root keeps the root's.  One
+    less than ``MAX_TURN_STEP`` from it has the phase turned by the
     difference; one without an anchor, whose anchor has ``TURN_LIMIT``
     turns, or that lies further, takes :func:`phases`, as every point does
-    where ``known`` is None and ``roots`` empty.  All None for the
-    algebraic family.
+    where the pool is empty.  All None for the algebraic family.
     """
     rule = _RULES[family]
     if rule.pair is None:
         return [None] * len(new)
     w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    anchors = sorted((ph for ph in roots if ph is not None and ph.digits == digits),
-                     key=attrgetter("x"))
-    xs = [ph.x for ph in anchors]
-    out = [ph if ph and ph.digits == digits else None for ph in known or [None] * len(new)]
-    redo = []
-    for i, (b, ph) in enumerate(zip([x.dec for x in new], out)):
-        if xs:
-            # the nearer of the roots on either side of b, if nearer than ph
+    anchors = {ph.x: ph for ph in reversed(known) if ph is not None and ph.digits >= digits}
+    xs = sorted(anchors)
+    out: list[Phase | None] = [None] * len(new)
+    if xs:
+        for i, b in enumerate(x.dec for x in new):
+            # the nearer of the serving phases on either side of b
             j = bisect_left(xs, b)
             if j == len(xs) or (j and w.subtract(b, xs[j - 1]) < w.subtract(xs[j], b)):
                 j -= 1
-            if ph is None or w.subtract(b, xs[j]).copy_abs() < w.subtract(b, ph.x).copy_abs():
-                ph = anchors[j]
-        if ph is None:
-            redo.append(i)
-            continue
-        step = w.subtract(ph.x, b)
-        if step.is_zero():
-            out[i] = ph
-        elif ph.turns >= TURN_LIMIT or step.copy_abs() >= MAX_TURN_STEP:
-            redo.append(i)
-        else:
-            try:
-                turn = _small_pair_series(w.multiply(step, _HALF), rule.sign < 0, w)
-                out[i] = Phase(b, *_minus(w, rule.sign, ph.c, ph.s, *turn), digits, ph.turns + 1)
-            except Overflow:
-                redo.append(i)
+            ph = anchors[xs[j]]
+            step = w.subtract(ph.x, b)
+            if step.is_zero():
+                out[i] = ph
+            elif ph.turns < TURN_LIMIT and step.copy_abs() < MAX_TURN_STEP:
+                try:
+                    turn = _small_pair_series(w.multiply(step, _HALF), rule.sign < 0, w)
+                    out[i] = Phase(b, *_minus(w, rule.sign, ph.c, ph.s, *turn), digits, ph.turns + 1)
+                except Overflow:
+                    pass  # the kernel's, below
+    redo = [i for i, ph in enumerate(out) if ph is None]
     for i, ph in zip(redo, phases(family, [new[i] for i in redo], digits)):
         out[i] = ph
     return out
@@ -418,7 +407,7 @@ def _pair_term(rule: _Rule, ctx: Context) -> Callable[..., Decimal]:
                 return divide(*_small_pair_series(u, trig, w))
             except (Overflow, DivisionByZero):  # |u| past the exponent range
                 return odd(ctx, d)
-        if pb is None or not pa.digits == pb.digits == prec:
+        if pb is None or pa.digits < prec or pb.digits < prec:
             return odd(ctx, d)
         t = subtract(a, b)
         # The pair at t/2 moves to u by the first-order pair (1, -delta),
@@ -655,7 +644,7 @@ def eval_with_derivative(
     whatever digits they carry, computed at x's digits.  A
     trigonometric or exponential form runs in z = e^(ix) or e^x
     (:attr:`TrigExpCoeffPoly.z_runs`) from x's :func:`phases` entry, or from
-    the kernel where that is None or serves other digits (``Overflow`` if
+    the kernel where that is None or serves fewer digits (``Overflow`` if
     it overflows).  A direct and a turned phase may give values within e.
 
     e is Higham's running bound at the working unit roundoff u: 2u * mu,
@@ -673,7 +662,7 @@ def eval_with_derivative(
         bound = _BOUND.scaleb(mu, 1 - ctx.prec)  # 2u * mu, u = 10^(1 - prec) / 2
     elif isinstance(p, TrigExpCoeffPoly):
         ctx = _context(x.digits)
-        if phase is None or phase.digits != x.digits:
+        if phase is None or phase.digits < x.digits:
             (phase,) = phases(p.family, [x], x.digits)
             if phase is None:
                 raise Overflow(f"the phase of {x} overflows the decimal exponent range")
@@ -722,28 +711,17 @@ def _complex_run(ctx: Context, zr: Decimal, zi: Decimal, size: Decimal, run: Seq
     return yr, (dr, di), mu, nu
 
 
-def root_phases(p: Polynomial, digits: int,
-                known: Sequence[Phase | None] = ()) -> list[Phase | None]:
-    """The :func:`phases` of p's roots, as p gives them, for the Newton
-    ratios of estimates that carry ``digits`` digits; [] for coefficient
-    forms and for the algebraic family, which has no phases.  They are the
-    ``roots`` of :func:`turned_phases`: an estimate's phase may turn from
-    its nearest root's, and an estimate on a root takes the root's phase
-    as it is.
-
-    Without ``known`` they come from the kernel.  ``known`` is p's
-    root_phases at more digits, so that a solve runs the kernel for its
-    roots once: each is rounded to ``TURN_GUARD_DIGITS`` more digits than
-    a direct phase at ``digits``, within 0.051 units (a tenth of the
-    direct phase's half unit, at least, and the rounding), so with
-    ``turns`` 0."""
+def root_phases(p: Polynomial, digits: int) -> list[Phase | None]:
+    """The :func:`phases` of p's roots, as p gives them, for sums at
+    ``digits`` digits or fewer; [] for coefficient forms and for the
+    algebraic family, which has no phases.  A solve makes them once, at
+    its estimates' digits, and pools them with its estimates' phases for
+    :func:`turned_phases`: an estimate's phase may turn from its nearest
+    root's at every level, and an estimate on a root takes the root's
+    phase as it is."""
     if not isinstance(p, FactoredPoly) or _RULES[p.family].pair is None:
         return []
-    if not known:
-        return phases(p.family, p.roots, digits)
-    w = _context(digits + PHASE_GUARD_DIGITS + TURN_GUARD_DIGITS)
-    return [None if ph is None else Phase(ph.x, w.plus(ph.c), w.plus(ph.s), digits)
-            for ph in known]
+    return phases(p.family, p.roots, digits)
 
 
 def newton_ratio(

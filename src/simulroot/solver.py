@@ -54,9 +54,9 @@ precision): each sweep runs at the digits that show its estimates' next
 errors, from the trace's last steps, as :func:`_level` states, and the top of
 the ladder is the estimates' digits whatever digits the roots or the
 coefficients carry.  The level lives here alone: the estimates are
-rounded to each level, and a factored form's root phases are rounded
-down to it, but the form never is, since a Newton ratio runs at its
-estimate's digits on the form as given.  The level never goes down.
+rounded to each level, but the form never is, since a Newton ratio runs
+at its estimate's digits on the form as given, and neither are the root
+phases, which serve every level.  The level never goes down.
 Horner's rounding at p digits leaves a coefficient form's root of
 multiplicity m_i a cluster about 10^(-p/m_i) wide, which the rule keeps
 below the estimate's next error; and a level must keep any two
@@ -73,12 +73,13 @@ a root.  A solve at 128 digits or fewer runs every sweep at the top.
 A trigonometric or exponential solve gives every estimate its phase,
 the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
 its Newton ratio and the pair sums, and a factored form's roots get
-theirs from one kernel run per solve, at the estimates' digits, rounded
-down to each level (:func:`~simulroot.polys.root_phases`).  Each sweep
-makes one call, :func:`~simulroot.polys.turned_phases`, which turns an
-estimate's phase from the nearest point whose phase it knows: the
-estimate's last position, unless the level rose since, or its nearest
-root.  The phase kernel runs only for an estimate with no such point
+theirs from one kernel run per solve, at the estimates' digits
+(:func:`~simulroot.polys.root_phases`): a phase made for d digits serves
+every sum at d digits or fewer.  Each sweep makes one call,
+:func:`~simulroot.polys.turned_phases`, which turns an estimate's phase
+from the nearest point of one pool whose phase serves the level: the
+roots and the estimates' last positions, unless the level rose since.
+The phase kernel runs only for an estimate with no such point
 within ``MAX_TURN_STEP``, in a factored solve mostly those of sweep 1:
 after it the cubic iteration leaves most estimates well within that of
 their roots.  An estimate on its root keeps the root's phase.  Coefficient
@@ -117,7 +118,7 @@ _LOG = Context(prec=17, Emin=MIN_EMIN, Emax=MAX_EMAX)
 # a fast estimate's next error needs and those a slow one's rounding holds.
 # A solve climbs only from more than twice this: at 128 digits a sweep at
 # 64 saves at most a third of one at the top, less on a small problem than
-# the climb costs (rounding, the rule, a phase restart per level).
+# the climb costs (rounding, the rule, the estimates' phase restart).
 _LADDER_FLOOR = 64
 
 
@@ -383,15 +384,15 @@ def solve(
     if tolerance is None:
         tolerance = _precision_floor(top)
     chebyshev = cfg.method is Method.CHEBYSHEV
-    # the root phases' one kernel run, which every lower level rounds down
-    roots = top_roots = root_phases(p, top)
+    # the root phases' one kernel run, which serves every level
+    roots = root_phases(p, top)
     snapshots = [init]
     steps: list[tuple[Real, ...]] = []
     current = init
     # The estimates' phases serve every Newton ratio (the m terms of a
     # factored form, or z of a coefficient form) and the pair sums; the
     # algebraic family has none.
-    own: list[Phase | None] | None = None
+    own: list[Phase | None] = []
     frozen: frozenset[int] = frozenset()
     stop = StopReason.MAX_ITERS
     failure = None
@@ -399,17 +400,15 @@ def solve(
     for _ in range(cfg.max_iters):
         # a root read at its floor below the top sends the solve to the top
         rung = top if floored else _level(p, current, profile.mults, steps, level, top)
-        if rung != level:
-            # a climb: the estimates and the roots' phases go to the new level
+        if rung != level:  # a climb: the estimates go to the new level
             current = _at_level(p, current, rung)
             level = current.digits
-            roots = top_roots if level == top else root_phases(p, level, top_roots)
-        # Each estimate's phase turns from the nearer of its last position
-        # and its nearest root with a phase for the level, here rather than
+        # Each estimate's phase turns from the nearest of the roots' and the
+        # estimates' last phases that serves the level, here rather than
         # after a sweep, so the sweep that stops the solve turns none.  In
-        # sweep 1, and after a climb, only a root can serve, and the kernel
+        # sweep 1, and after a climb, only a root's can serve, and the kernel
         # runs for an estimate with none within MAX_TURN_STEP.
-        own = turned_phases(family, own, current.x, level, roots)
+        own = turned_phases(family, [*roots, *own], current.x, level)
         try:
             current, deltas, floored = _advance(p, current, profile, chebyshev, roots, own,
                                                 tolerance, frozen)

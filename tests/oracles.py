@@ -364,7 +364,7 @@ def composed_pair_term(rule, ctx):
                 return ctx.divide(*polys._small_pair_series(u, sign < 0, w))
             except (Overflow, DivisionByZero):
                 return odd(ctx, d)
-        if pb is None or not pa.digits == pb.digits == prec:
+        if pb is None or pa.digits < prec or pb.digits < prec:
             return odd(ctx, d)
         t = w.subtract(a, b)
         try:
@@ -516,20 +516,19 @@ def exact_iteration(poly, profile, init, sweeps, digits):
 def known_phase_gaps(p, snapshots, sweeps):
     """For each of a factored solve's first ``sweeps`` sweeps, each
     estimate's distance to the nearest point whose phase the sweep knows:
-    a root of p as given, or from sweep 2 on the estimate's last position
+    a root of p as given, or from sweep 2 on an estimate's last position
     too, where the sweep before ran at the same level (a climb restarts the
-    phases from the roots).  A sweep turns a phase by that distance, keeps
-    it where it is 0 and runs the phase kernel where it is MAX_TURN_STEP or
-    more (while no root's phase overflows)."""
+    estimates' phases from the roots').  A sweep turns a phase by that
+    distance, keeps it where it is 0 and runs the phase kernel where it is
+    MAX_TURN_STEP or more (while no root's phase overflows)."""
     gaps = []
     for sweep in range(sweeps):
         level = snapshots[sweep + 1].digits
         now = [x.with_digits(level).dec for x in snapshots[sweep].x]
-        row = [min(abs(x - r.dec) for r in p.roots) for x in now]
+        known = [r.dec for r in p.roots]
         if sweep and snapshots[sweep].digits == level:
-            last = [x.with_digits(level).dec for x in snapshots[sweep - 1].x]
-            row = [min(gap, abs(x - y)) for gap, x, y in zip(row, now, last)]
-        gaps.append(row)
+            known += [x.with_digits(level).dec for x in snapshots[sweep - 1].x]
+        gaps.append([min(abs(x - y) for y in known) for x in now])
     return gaps
 
 

@@ -130,9 +130,9 @@ def test_the_phase_kernel_runs_only_where_a_phase_cannot_be_turned(expr, init, e
     # cos_sin/cosh_sinh run through the rule's lambdas for p's m roots, the
     # m estimates of sweep 1 (none starts within MAX_TURN_STEP of a root)
     # and each later estimate with no known phase within MAX_TURN_STEP.
-    # A later sweep turns each estimate's phase from the nearer of its last
-    # position and its nearest root, and an estimate on its root keeps the
-    # root's phase; the sweep that stops the solve turns none.  A kernel
+    # A later sweep turns each estimate's phase from the nearest of the
+    # roots and the estimates' last positions, and an estimate on its root
+    # keeps the root's phase; the sweep that stops the solve turns none.  A kernel
     # run for every estimate in every sweep made m (k + 1) calls, 24 and 14
     # here against 12 and 6, and turning from the last position alone
     # made 9 and 4 later runs, 15 and 8 calls.  The short series serves the

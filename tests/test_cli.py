@@ -603,6 +603,18 @@ def test_order_on_snapshot_missing_a_field_exits_1(capsys, tmp_path, snapshot, p
     assert path in err and "missing required field" in err
 
 
+def test_order_on_rows_that_do_not_fit_the_snapshots_exits_1(capsys, tmp_path):
+    # 7 snapshots of 2 estimates take 6 rows of step sizes and 7 of errors
+    snapshots = [{"k": k, "x": [str(k), str(k + 10)]} for k in range(7)]
+    trace = tmp_path / "trace.json"
+    for rows, path in (({"step_sizes": [["1"]], "errors": [["1", "2", "3"]]}, "$.step_sizes"),
+                       ({"step_sizes": [["1", "2"]] * 6, "errors": [["1", "2", "3"]]}, "$.errors")):
+        trace.write_text(json.dumps({"digits": 64, "snapshots": snapshots, **rows}))
+        code, _, err = run(capsys, "order", "--input", str(trace), "--true-roots", "1,2")
+        assert code == 1
+        assert f"{path}: expected" in err
+
+
 def test_solve_input_digits_override(capsys, tmp_path):
     problem = {
         "family": "algebraic",

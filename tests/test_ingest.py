@@ -499,6 +499,34 @@ def test_parse_trace_rejects_an_unknown_stop_reason_with_a_path(stop_reason):
     assert excinfo.value.path == "$.stop_reason"
 
 
+SEVEN_SNAPSHOTS = {"digits": 64, "snapshots": [{"k": k, "x": [str(k), str(k + 10)]}
+                                               for k in range(7)]}
+TWO_BY_SIX = [["1", "2"]] * 6
+
+
+@pytest.mark.parametrize(
+    "rows,path,message",
+    [
+        ({"step_sizes": [["1"]]}, "$.step_sizes", "expected 6 rows, got 1"),
+        ({"step_sizes": TWO_BY_SIX * 2}, "$.step_sizes", "expected 6 rows, got 12"),
+        ({"step_sizes": [*TWO_BY_SIX[:3], ["1", "2", "3"], *TWO_BY_SIX[:2]]},
+         "$.step_sizes[3]", "expected 2 values, got 3"),
+        ({"step_sizes": TWO_BY_SIX, "errors": [["1", "2", "3"]]}, "$.errors",
+         "expected 7 rows, got 1"),
+        ({"step_sizes": TWO_BY_SIX, "errors": TWO_BY_SIX}, "$.errors", "expected 7 rows, got 6"),
+        ({"step_sizes": TWO_BY_SIX, "errors": [*TWO_BY_SIX, ["1"]]}, "$.errors[6]",
+         "expected 2 values, got 1"),
+    ],
+)
+def test_parse_trace_rejects_rows_that_do_not_fit_the_snapshots(rows, path, message):
+    # one row of step sizes per sweep and of errors per snapshot, each with
+    # a value per estimate
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps({**SEVEN_SNAPSHOTS, **rows}))
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 def test_parse_trace_derives_converged_from_the_stop_reason():
     assert parse_trace(json.dumps({**ONE_SNAPSHOT, "stop_reason": "tolerance"})).converged
     assert not parse_trace(json.dumps(ONE_SNAPSHOT)).converged

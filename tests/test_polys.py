@@ -1146,34 +1146,39 @@ def test_an_unmoved_point_keeps_its_phase_object():
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
-def test_a_point_turns_from_the_nearer_of_its_last_position_and_its_nearest_root(family):
-    # roots at -1, 0.5, 1, 1.001, 2 (no phase), 2.0013, 3 (a phase for 65
-    # digits) and 3.0013; the points 1e-4 from their last positions, 2e-4
-    # from a root, on a root, midway between two roots, and nearer a root
-    # that serves no phase than the next root, which is nearer than their
-    # last positions
+def test_a_point_turns_from_the_nearest_serving_phase_in_its_pool(family):
+    # roots at -1, 0.5, 1, 1.001, 2 (no phase), 2.0013 (a phase for 65
+    # digits), 3 (a phase for 63 digits) and 3.0013; the points 1e-4 from
+    # their last positions, 2e-4 from a root, on a root, midway between two
+    # roots, nearer a root that serves no phase than the next root, which
+    # is nearer than their last positions, and 2e-4 from another point's
+    # last position
     at = [R(v) for v in ("-1", "0.5", "1", "1.001", "2", "2.0013", "3", "3.0013")]
     roots = polys.phases(family, at, 64)
-    roots[4], roots[6] = None, polys.phases(family, [at[6]], 65)[0]
-    last = [R(v) for v in ("0.6", "0.52", "1.0005", "0.9", "1.999", "2.9")]
-    new = [R(v) for v in ("0.6001", "0.5002", "1", "1.0005", "2.0004", "3.0004")]
+    roots[4] = None
+    roots[5], roots[6] = (polys.phases(family, [at[i]], d)[0] for i, d in ((5, 65), (6, 63)))
+    last = [R(v) for v in ("0.6", "0.52", "0.9995", "0.9", "1.999", "2.9", "-0.5")]
+    new = [R(v) for v in ("0.6001", "0.5002", "1", "1.0005", "2.0004", "3.0004", "0.9002")]
     known = polys.phases(family, last, 64)
 
     def turned_from(anchor, x):
         return polys.turned_phases(family, [anchor], [x], 64)[0]
 
-    got = polys.turned_phases(family, known, new, 64, roots)
+    got = polys.turned_phases(family, [*roots, *known], new, 64)
     assert got[0] == turned_from(known[0], new[0]) and got[0].turns == 1
     assert got[1] == turned_from(roots[1], new[1]) and got[1].turns == 1
     assert got[2] is roots[2]
     assert got[3] == turned_from(roots[3], new[3]) != turned_from(roots[2], new[3])
-    assert got[4:] == [turned_from(roots[5], new[4]), turned_from(roots[7], new[5])]
+    assert got[4:6] == [turned_from(roots[5], new[4]), turned_from(roots[7], new[5])]
+    assert got[6] == turned_from(known[3], new[6]) and got[6].turns == 1
     assert [ph.x for ph in got] == [x.dec for x in new]
-    # without roots, as for a coefficient form, each turns from its last
-    # position, or takes the kernel a step of MAX_TURN_STEP or more away
+    assert {ph.digits for ph in got} == {64}
+    # without roots, as for a coefficient form, each turns from the nearest
+    # last position, or takes the kernel a step of MAX_TURN_STEP or more away
     plain = polys.turned_phases(family, known, new, 64)
-    assert plain == [turned_from(k, x) for k, x in zip(known, new)]
-    assert [ph.turns for ph in plain] == [1, 0, 1, 0, 0, 0]
+    assert plain[:6] == [turned_from(k, x) for k, x in zip(known, new[:6])]
+    assert plain[6] == got[6]
+    assert [ph.turns for ph in plain] == [1, 0, 1, 0, 0, 0, 1]
 
 
 def counted_pair_kernels(monkeypatch) -> list:
@@ -1186,37 +1191,43 @@ def counted_pair_kernels(monkeypatch) -> list:
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
 def test_which_phases_take_the_direct_kernel(family, monkeypatch):
-    # a phase at TURN_LIMIT, one made for other digits and a step of
-    # MAX_TURN_STEP or more take the kernel; one turn short of the limit
-    # and a step just below the threshold turn
+    # a phase at TURN_LIMIT, one made for fewer digits and a step of
+    # MAX_TURN_STEP or more take the kernel; one turn short of the limit,
+    # one made for more digits and a step just below the threshold turn
     calls = counted_pair_kernels(monkeypatch)
-    old = [R(v) for v in ("0.5", "0.5", "1.5", "2.5", "-1", "-2")]
+    old = [R(v) for v in ("0.5", "1", "1.5", "2.5", "-1", "-2", "3")]
     new = [old[0] - R("1e-9"), old[1] - R("1e-9"), old[2] - R("1e-9"),
-           old[3] - R(str(polys.MAX_TURN_STEP)), old[4] + R("0.000999"), old[5] + R("1e-30")]
+           old[3] - R(str(polys.MAX_TURN_STEP)), old[4] + R("0.000999"), old[5] + R("1e-30"),
+           old[6] - R("1e-9")]
     direct = polys.phases(family, old, 64)
     start = [direct[0]._replace(turns=polys.TURN_LIMIT),
              direct[1]._replace(turns=polys.TURN_LIMIT - 1),
-             polys.phases(family, [old[2]], 65)[0], *direct[3:]]
+             polys.phases(family, [old[2]], 63)[0], *direct[3:6],
+             polys.phases(family, [old[6]], 65)[0]]
     calls.clear()
     got = polys.turned_phases(family, start, new, 64)
     assert len(calls) == 3
-    assert [ph.turns for ph in got] == [0, polys.TURN_LIMIT, 0, 0, 1, 1]
+    assert [ph.turns for ph in got] == [0, polys.TURN_LIMIT, 0, 0, 1, 1, 1]
+    assert {ph.digits for ph in got} == {64}
     redone = polys.phases(family, [new[i] for i in (0, 2, 3)], 64)
     assert [got[i] for i in (0, 2, 3)] == redone
 
 
 def test_an_overflowing_point_stays_on_the_direct_path(monkeypatch):
+    # a point whose phase overflows is no anchor: the points at and next to
+    # it take the kernel and overflow again, and one far from every
+    # serving phase takes the kernel
     calls = counted_pair_kernels(monkeypatch)
     family = Family.EXPONENTIAL
     old = [R("1e20000"), R("1e20000"), R("-1e20000"), R("1")]
-    new = [old[0], R("0.9999999999e20000"), R("1"), R("1.0000001")]
+    new = [old[0], R("0.9999999999e20000"), R("2"), R("1.0000001")]
     start = polys.phases(family, old, 64)
     assert [ph is None for ph in start] == [True, True, True, False]
     calls.clear()
     got = polys.turned_phases(family, start, new, 64)
     assert len(calls) == 3
     assert got[:2] == [None, None]
-    assert got[2] == polys.phases(family, [R("1")], 64)[0] and got[3].turns == 1
+    assert got[2] == polys.phases(family, [R("2")], 64)[0] and got[3].turns == 1
 
 
 def test_the_algebraic_family_has_no_phases_to_turn():
@@ -1226,61 +1237,34 @@ def test_the_algebraic_family_has_no_phases_to_turn():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_without_old_phases_every_point_takes_the_kernel(family):
-    # a coefficient form's first sweep
+    # a coefficient form's first sweep, whose pool is empty
     points = [R("0.5"), R("-1.25"), R("3e-30")]
-    assert (polys.turned_phases(family, None, points, 64)
+    assert (polys.turned_phases(family, [], points, 64)
             == polys.phases(family, points, 64))
 
 
 @pytest.mark.parametrize("family", HALF_ANGLE)
-def test_root_phases_at_a_lower_level_round_the_top_ones(family):
-    # Seeded 256-digit forms with full-length roots and with 6-decimal
-    # roots.  No root is rounded to a level: each lowered phase is its
-    # root's as given, rounded to TURN_GUARD_DIGITS more digits than a
-    # direct phase and never turned, within 0.051 units of the direct
-    # phase at 200 digits.
-    rng = random.Random(29 + len(family.value))
-    carried = 64 + polys.PHASE_GUARD_DIGITS + polys.TURN_GUARD_DIGITS
-    unit = Decimal(1).scaleb(1 - 64 - polys.PHASE_GUARD_DIGITS)
-    ctx = numeric._context(220)
-    seen = 0
-    for short in (False, True) * 4:
-        if short:
-            roots = [R(f"{rng.uniform(-3, 3):.6f}", 256) for _ in range(6)]
-        else:
-            roots = [full_numeral(rng, 256) for _ in range(6)]
-        p = FactoredPoly(family, tuple(roots), (1,) * 6)
-        lowered = polys.root_phases(p, 64, polys.root_phases(p, 256))
-        for root, ph in zip(roots, lowered):
-            assert (ph.x, ph.digits, ph.turns) == (root.dec, 64, 0)
-            assert max(len(ph.c.as_tuple().digits), len(ph.s.as_tuple().digits)) <= carried
-            (direct,) = polys.phases(family, [root], 200)
-            scale = 1 if family is Family.TRIGONOMETRIC else direct.c
-            error = max(ctx.subtract(ph.c, direct.c).copy_abs(),
-                        ctx.subtract(ph.s, direct.s).copy_abs())
-            assert error <= Decimal("0.051") * unit * scale
-            seen += 1
-    assert seen == 48
-
-
-@pytest.mark.parametrize("family", HALF_ANGLE)
-def test_a_known_phase_for_other_digits_is_no_anchor(family, monkeypatch):
-    # A point's phase from its last position, made for 256 digits, serves
-    # no 64-digit sum, as a root phase for other digits does not: its
-    # nearest root's phase, lowered from 256 digits and 1e-4 away, is its
-    # anchor, and no kernel runs.
+def test_a_known_phase_for_fewer_digits_is_no_anchor_and_one_for_more_is(family, monkeypatch):
+    # A phase made for d digits serves every sum at d digits or fewer.  At
+    # x itself, a phase made for 63 digits serves no 64-digit sum: the
+    # root's phase 1e-4 away, made for 256 digits, is x's anchor, and no
+    # kernel runs.  A phase made at x for 256 digits is kept as it is.
     rng = random.Random(41 + len(family.value))
     first = full_numeral(rng, 256)
     p = FactoredPoly(family, (first, first + R("1.5", 256)), (1, 1))
-    roots = polys.root_phases(p, 64, polys.root_phases(p, 256))
+    roots = polys.root_phases(p, 256)
     x = first.with_digits(64) + R("1e-4")
-    known = polys.phases(family, [x.with_digits(256)], 256)
-    (from_root,) = polys.turned_phases(family, None, [x], 64, roots[:1])
+    (fewer,), (more,) = (polys.phases(family, [x], d) for d in (63, 256))
+    (from_root,) = polys.turned_phases(family, roots[:1], [x], 64)
     calls = counted_pair_kernels(monkeypatch)
-    (got,) = polys.turned_phases(family, known, [x], 64, roots)
+    (got,) = polys.turned_phases(family, [fewer, *roots], [x], 64)
     assert calls == []
     assert roots[0].turns == 0
     assert got == from_root and (got.digits, got.turns) == (64, roots[0].turns + 1)
+    assert polys.turned_phases(family, [fewer, more, *roots], [x], 64)[0] is more
+    (alone,) = polys.turned_phases(family, [fewer], [x], 64)
+    assert len(calls) == 1
+    assert alone == polys.phases(family, [x], 64)[0] and alone.digits == 64
 
 
 # SHA-256 of every (c, s, digits, turns) that turned_phases returns along
@@ -1376,27 +1360,28 @@ def phase_bound_violations(family, digits, monkeypatch, turned=polys.turned_phas
 @pytest.mark.parametrize("digits", [64, 256])
 def test_phases_a_solve_turns_from_its_roots_stay_within_their_bound(family, digits,
                                                                      monkeypatch):
-    # An estimate's phase turns from its last position or from its nearest
-    # root, whichever is nearer; one on a root keeps that root's phase.
+    # An estimate's phase turns from the nearest point of its pool, the
+    # roots and the estimates' last positions; one on a root keeps that
+    # root's phase, made for the top's digits, at every level.
     violations, on_root, turned = phase_bound_violations(family, digits, monkeypatch)
     assert violations == []
     assert on_root > 2 and turned > 8
 
 
 def test_a_turn_by_the_negated_gap_breaks_the_phase_bound(monkeypatch):
-    # The property above catches a turn from a root phase taken as the
+    # The property above catches a turn from a pool phase taken as the
     # phase of another point: of the mirror point 2x - r, so that the
-    # phase turns by r - x instead of x - r, or of a point 1e-9 off the
-    # root.  Each point sees the roots so moved for itself; one on a root
-    # keeps the root's phase.
+    # phase turns by r - x instead of x - r, or of a point 1e-9 off r.
+    # Each point sees the pool so moved for itself; one on a point of the
+    # pool keeps that point's serving phase, a root's first.
     def moved(where):
-        def turned(family, known, new, digits, roots=()):
-            on_root = {q.x: q for q in roots if q is not None}
+        def turned(family, known, new, digits):
+            kept = {q.x: q for q in reversed(known) if q is not None and q.digits >= digits}
             out = []
-            for x, ph in zip(new, known or [None] * len(new)):
-                wrong = [q and q._replace(x=where(x.dec, q.x)) for q in roots]
-                (ph,) = polys.turned_phases(family, [ph], [x], digits, wrong)
-                out.append(on_root.get(x.dec, ph))
+            for x in new:
+                wrong = [q and q._replace(x=where(x.dec, q.x)) for q in known]
+                (ph,) = polys.turned_phases(family, wrong, [x], digits)
+                out.append(kept.get(x.dec, ph))
             return out
         return turned
 

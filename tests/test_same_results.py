@@ -250,8 +250,8 @@ def test_the_last_sweep_of_a_seeded_factored_solve_runs_no_correction_pass(workl
 
 def test_a_seeded_periodic_solve_runs_the_phase_kernel_for_its_roots_and_first_sweep(
         monkeypatch):
-    # A sweep turns each estimate's phase from the nearer of its last
-    # position and its nearest root.  After sweep 1 every estimate but two
+    # A sweep turns each estimate's phase from the nearest of the roots and
+    # the estimates' last positions.  After sweep 1 every estimate but two
     # (the first of an exponential m = 3 solve at 256 digits, in each
     # round, about 2e-3 from its root after steps of 0.03 and 0.04) lies
     # within MAX_TURN_STEP of its root, so the phase kernel runs for the

@@ -975,11 +975,41 @@ def test_a_solve_does_not_depend_on_the_solves_before_it(family, monkeypatch):
     handed = []
     turned = solver.turned_phases
 
-    def recorded(family, known, new, digits, roots=()):
-        handed.append(roots)
-        return turned(family, known, new, digits, roots)
+    def recorded(family, known, new, digits):
+        handed.append(known[:len(poly.roots)])
+        return turned(family, known, new, digits)
 
     monkeypatch.setattr(solver, "turned_phases", recorded)
     report = solve(poly, profile, short)
     assert handed and all(roots == phases(poly.family, poly.roots, 64) for roots in handed)
     assert render_trace(report, "json") == render_trace(solve(fresh, profile, short), "json")
+
+
+@pytest.mark.parametrize("family", ["trigonometric", "exponential"])
+def test_a_climbing_solve_makes_its_root_phases_once_and_pools_them_at_every_level(
+        family, monkeypatch):
+    # A phase made for d digits serves every sum at d digits or fewer: a
+    # 256-digit factored solve that climbs the ladder runs the phase kernel
+    # for its roots once, at 256 digits, and every sweep's pool starts with
+    # those same phase objects, whatever the sweep's level.
+    poly, profile, init = ladder_problem(family, 6, 256, True)
+    made = []
+    kernel = polys.phases
+    monkeypatch.setattr(polys, "phases", lambda family, points, digits: made.append(
+        (points, digits)) or kernel(family, points, digits))
+    pools, levels = [], []
+    turned = solver.turned_phases
+
+    def recorded(family, known, new, digits):
+        pools.append(known[:len(poly.roots)])
+        levels.append(digits)
+        return turned(family, known, new, digits)
+
+    monkeypatch.setattr(solver, "turned_phases", recorded)
+    report = solve(poly, profile, init)
+    assert report.stop_reason is StopReason.TOLERANCE
+    assert len(set(levels)) > 1 and min(levels) < 256 == max(levels)
+    assert [digits for points, digits in made if points is poly.roots] == [256]
+    first = pools[0]
+    assert first == kernel(poly.family, poly.roots, 256)
+    assert all(a is b for pool in pools for a, b in zip(pool, first, strict=True))

@@ -1,6 +1,7 @@
 """A scan of the package's source on its syntax trees alone: no module
-imports a name it does not use, and every module-level private name is
-used somewhere in the package.  Both catch what a deletion leaves behind."""
+imports a name it does not use, every module-level private name is used
+somewhere in the package, and every parameter is read.  Each catches
+what a deletion leaves behind."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,38 @@ def test_every_private_module_name_is_used_in_the_package():
               if d.startswith("_") and not d.startswith("__")
               and not any(d in names for j, names in enumerate(read) if j != k)]
     assert unused == []
+
+
+def _unread_parameters(node: ast.AST, path: str) -> list[str]:
+    """``path.f(p)`` for each parameter p, other than self and cls, that
+    the body of a ``def`` or lambda f under ``node`` never reads; a read in
+    a nested function counts.  A lambda is named by what holds it."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        name = path
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{path}.{child.name}"
+        elif isinstance(child, ast.Assign) and isinstance(child.targets[0], ast.Name):
+            name = f"{path}.{child.targets[0].id}"
+        elif isinstance(child, ast.Lambda):
+            name = f"{path}.<lambda>"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {n.id for statement in body for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+        out += _unread_parameters(child, name)
+    return out
+
+
+def test_every_parameter_is_read():
+    # Two signatures are fixed from outside: argparse calls exit(status,
+    # message), and every odd part in polys._RULES takes (ctx, d), which
+    # the algebraic one, d itself, needs no context for.
+    unread = [hit for name, tree in _modules().items()
+              for hit in _unread_parameters(tree, name.removesuffix(".py"))]
+    assert unread == ["cli._Parser.exit(status)", "cli._Parser.exit(message)",
+                      "polys._RULES.<lambda>(ctx)"]
