@@ -51,6 +51,7 @@ from .solver import (
     empirical_order,
     pre_floor_errors,
     solve,
+    true_errors,
 )
 from .theory import (
     check_theorem1,
@@ -302,8 +303,7 @@ def cmd_order(args) -> int:
         raise UsageError(f"expected {m} true roots, got {len(true_roots)}")
 
     any_order = False
-    for i in range(m):
-        errors = [abs(snap.x[i] - true_roots[i]) for snap in report.trace.snapshots]
+    for i, errors in enumerate(zip(*true_errors(report.trace.snapshots, true_roots))):
         usable = pre_floor_errors(errors, digits)
         try:
             order = empirical_order(usable)

@@ -417,6 +417,9 @@ def parse_trace(data: bytes | str) -> SolveReport:
         if snapshots and len(xs) != snapshots[0].m:
             raise SchemaError(f"{path}.x", f"expected {snapshots[0].m} estimates, got {len(xs)}")
         k = _as_int(_get(snap, "k", path), f"{path}.k")
+        want = snapshots[0].k + i if snapshots else max(k, 0)  # past 0 if a solve resumed
+        if k != want:
+            raise SchemaError(f"{path}.k", f"expected {want}, got {k}")
         try:
             snapshots.append(EstimateVector(xs, k=k))
         except CollisionError as exc:

@@ -126,7 +126,7 @@ class DomainError(ValueError):
 
 
 class PhaseError(ValueError, ArithmeticError):
-    """No digit of a value's phase (its residue mod 2*pi) is left."""
+    """No digit of a value's phase is left (:func:`check_phase`)."""
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +315,9 @@ def first_equal_pair(values: Sequence[Real]) -> tuple[int, int] | None:
 
 def check_phase(x: Real, name: str) -> Real:
     """x itself, or a PhaseError naming it ``name`` once |x| >= 10^digits:
-    x's last digit then lies above its units place, so no digit of x mod
-    2*pi is left."""
+    x's last digit then lies above its units place, so no digit is left of
+    x mod 2*pi, a trigonometric phase, nor of an O(1) step or distance, on
+    which an exponential one rests: a step from x rounds to 0."""
     if x.dec.adjusted() >= x.digits:
         raise PhaseError(f"{name} has no digit of its phase left at {x.digits} digits")
     return x
@@ -684,9 +685,9 @@ def _ln2_ln10(w: int) -> tuple[int, int]:
     return (14 * a + 10 * b + 6 * c) >> g, (46 * a + 34 * b + 20 * c) >> g
 
 
-def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] | None:
+def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int]:
     # (v, bound, w) with |v - 2^w ln x| <= bound, for a positive x other
-    # than 1 (None there), at w fractional bits: those of 10^(digits + near)
+    # than 1, at w fractional bits: those of 10^(digits + near)
     # less one, one per root, 32 more and ``extra`` (Ziv's reruns), so that
     # the bound is at most (J + 5) 2^-(30 + extra) of a unit in the last of
     # ``digits`` digits (Brent 1976).  x = y 10^E 2^k with y in [3/4, 3/2),
@@ -700,8 +701,6 @@ def _ln_fixed(x: Decimal, digits: int, extra: int = 0) -> tuple[int, int, int] |
     # (J + 5) * 2^(r+1); and 2 for each ln 2 in k and each ln 10 in E.
     e = x.adjusted()
     gap = _context(digits).subtract(x, _D1) if -1 <= e <= 0 else _D1
-    if gap.is_zero():
-        return None
     near = max(0, -gap.adjusted())
     exact = _context(MAX_PREC)
     m = x.scaleb(-e, exact)

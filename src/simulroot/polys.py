@@ -238,8 +238,8 @@ class CoincidentPointError(ArithmeticError):
 
 @dataclass(frozen=True)
 class _Rule:
-    # (ctx, d) -> the odd part of the kernel: d, cot(d/2) or coth(d/2)
-    odd: Callable[[Context, Decimal], Decimal]
+    # (ctx, d) -> cot(d/2) or coth(d/2), the kernel's odd part; None for algebraic (d)
+    odd: Callable[[Context, Decimal], Decimal] | None
     # t -> (c(t), s(t)) with c = s' and c' = sign * s for the half-angle
     # families, whose factors s((x - r)/2) have multiplicities summing to
     # 2n and m K(d) = m odd(d) / 2; None for algebraic, where m K(d) = m / d.
@@ -269,7 +269,7 @@ def _odds(rule: _Rule, ctx: Context, a: Decimal, pa: Phase | None,
 # The lambdas look the kernels up in this module at call time, so
 # rebinding their names (as perfbench's tracer does) reaches every call.
 _RULES = {
-    Family.ALGEBRAIC: _Rule(lambda ctx, d: d),
+    Family.ALGEBRAIC: _Rule(None),
     Family.TRIGONOMETRIC: _Rule(lambda ctx, d: cot(Real(ctx.divide(d, 2), ctx.prec)).dec,
                                 lambda t: cos_sin(t), -1),
     Family.EXPONENTIAL: _Rule(lambda ctx, d: coth(Real(ctx.divide(d, 2), ctx.prec)).dec,

@@ -27,48 +27,41 @@ a critical point of p, the Newton ratio raises
 step failure.
 
 A sweep calls :func:`~simulroot.polys.newton_ratio` once per unfrozen
-estimate.  A root is settled when it is frozen, or when its ratio is 0
-and its estimate already carries every digit of the sweep's precision:
-its update x - 0E(b) then gives x back whatever the exponent b of its
-bracket, so the sweep leaves it as it is.  (A shorter estimate on its
-root, such as ``1``, still moves: the update writes it out as
-``1.000...0``.  One that a climb to a higher level finds on its root is
-written out to the level's digits, and so settled, at once.)  The sweep
-then calls :func:`correction_sum` once if any root is not settled, and
-not at all when every root is: the last sweep of a factored solve, whose
-estimates have all landed on their roots, makes no correction pass.
-MPSolve likewise stops updating settled approximations.  A failure is
-reported for the first root, in root order, whose ratio, correction or
-update fails.
+estimate.  A root is settled when it is frozen or its ratio is 0, where
+the update x - m * 0 * (1 + 0 * C) gives x back: the sweep leaves it as
+it is, and calls :func:`correction_sum` once if any root is not settled,
+never when every root is, as in the last sweep of a factored solve,
+whose estimates have all landed on their roots.  MPSolve likewise stops
+updating settled approximations.  A failure is reported for the first
+root, in root order, whose ratio, correction or update fails.
 
 Both calls return Reals.  The update, the at-floor step test and the
 step sizes then run on the Decimals inside, every operation under one
 context at the sweep's precision, its level, in the order that the Real
-expression would use; the new estimates and their steps carry it.
-Reals are made only for the new estimates and their steps.
+expression would use; Reals are made only for the new estimates and
+their steps, which carry that precision.
 
 The iteration converges cubically, so the early sweeps of a solve cannot
 use every digit its estimates carry.  A solve above 128 digits therefore
 climbs a ladder of precisions (Brent 1976; MPSolve's adaptive
 precision): each sweep runs at the digits that show its estimates' next
-errors, from the trace's last steps, as :func:`_level` states, and the top of
-the ladder is the estimates' digits whatever digits the roots or the
-coefficients carry.  The level lives here alone: the estimates are
+errors, from the trace's last steps (:func:`_level`), up to the top, the
+estimates' digits, whatever digits the roots or the coefficients carry.
+The level never goes down and lives here alone: the estimates are
 rounded to each level, but the form never is, since a Newton ratio runs
 at its estimate's digits on the form as given, and neither are the root
-phases, which serve every level.  The level never goes down.
-Horner's rounding at p digits leaves a coefficient form's root of
-multiplicity m_i a cluster about 10^(-p/m_i) wide, which the rule keeps
-below the estimate's next error; and a level must keep any two
-estimates 10 digits apart, so that a cluster of roots it cannot tell
-apart does not draw two estimates into one.  Below the top, a root whose
-|p(x_i)| lies within the bound of its rounding error keeps its estimate
-for that sweep, and the next sweep runs at the top: only there does a
-root freeze.  The default tolerance,
-that of the estimates' digits, stops the solve only at the top; a
-coarser one that a lower level's digits resolve may stop it there, with
-estimates that carry that level's digits, but not in a sweep that held
-a root.  A solve at 128 digits or fewer runs every sweep at the top.
+phases, which serve every level.  Horner's rounding at p digits leaves a
+coefficient form's root of multiplicity m_i a cluster about 10^(-p/m_i)
+wide, which the rule keeps below the estimate's next error; and a level
+must keep any two estimates 10 digits apart, so that a cluster of roots
+it cannot tell apart does not draw two estimates into one.  Below the
+top, a root whose |p(x_i)| lies within the bound of its rounding error
+keeps its estimate for that sweep, and the next sweep runs at the top:
+only there does a root freeze.  The default tolerance, that of the
+estimates' digits, stops the solve only at the top; a coarser one that a
+lower level's digits resolve may stop it there, with estimates that
+carry that level's digits, but not in a sweep that held a root.  A solve
+at 128 digits or fewer runs every sweep at the top.
 
 A trigonometric or exponential solve gives every estimate its phase,
 the pair (c, s) at half its value (:func:`~simulroot.polys.phases`), for
@@ -302,7 +295,7 @@ def _advance(
             break
         if ratio is None:  # p'(x_i) rounded to 0 at the floor
             floored.add(i)
-        elif not (ratio.is_zero() and len(xi.dec.as_tuple().digits) == ctx.prec):  # not settled
+        elif not ratio.is_zero():  # not settled
             moving[i] = xi, mult, ratio, at_floor
     corrections = None
     if chebyshev and moving:
@@ -323,15 +316,14 @@ def _advance(
                 floored.add(i)
                 continue
             new[i] = Real(xn, ctx.prec)
-            if family is Family.TRIGONOMETRIC:
+            if family is not Family.ALGEBRAIC:
                 check_phase(new[i], "the new estimate")
             steps[i] = Real(size, ctx.prec)
         except ArithmeticError as exc:
             raise StepFailure(i, exc) from exc
     if failure is not None:
         raise failure
-    # an estimate that does not move (frozen, settled or at its floor)
-    # steps by abs(xi - xi), a zero
+    # a frozen, settled or floored estimate steps by abs(xi - xi), a zero
     steps = [Real(ctx.subtract(x.dec, x.dec).copy_abs(), ctx.prec) if step is None else step
              for x, step in zip(estimates.x, steps)]
     try:
@@ -360,13 +352,14 @@ def solve(
     evaluation and its step would not meet the tolerance, or when p'(x_i)
     rounds to zero there: it keeps its estimate from then on.  Such a
     reading at p < d digits keeps the estimate for that sweep only, and
-    the next sweep runs at d.  The stop is ``TOLERANCE``
-    when no root froze and ``ACCURACY_FLOOR`` otherwise; the report names
-    the frozen roots.  Step failures (estimate collisions, stationary
-    points off the floor, poles and any other arithmetic error) abort the
+    the next sweep runs at d.  The stop is ``TOLERANCE`` when no root
+    froze and ``ACCURACY_FLOOR`` otherwise; the report names the frozen
+    roots.  Step failures (estimate collisions, stationary points off the
+    floor, poles, a new trigonometric or exponential estimate with no
+    digit of its phase left, and any other arithmetic error) abort the
     run and are reported, never thrown or patched around.  When
     ``true_roots`` is given the trace also records |x_i^[k] - x_i| per
-    iteration.
+    iteration (:func:`true_errors`).
     """
     cfg = cfg or SolveConfig()
     family = family_of(p)
@@ -380,9 +373,7 @@ def solve(
         EstimateVector(tuple(wrap_to_standard_period(x) for x in init.x))
 
     top = init.digits
-    tolerance = cfg.step_tolerance
-    if tolerance is None:
-        tolerance = _precision_floor(top)
+    tolerance = cfg.step_tolerance or _precision_floor(top)
     chebyshev = cfg.method is Method.CHEBYSHEV
     # the root phases' one kernel run, which serves every level
     roots = root_phases(p, top)
@@ -394,15 +385,14 @@ def solve(
     # algebraic family has none.
     own: list[Phase | None] = []
     frozen: frozenset[int] = frozenset()
-    stop = StopReason.MAX_ITERS
-    failure = None
+    stop, failure = StopReason.MAX_ITERS, None
     level, floored = 0, frozenset()
     for _ in range(cfg.max_iters):
         # a root read at its floor below the top sends the solve to the top
         rung = top if floored else _level(p, current, profile.mults, steps, level, top)
-        if rung != level:  # a climb: the estimates go to the new level
-            current = _at_level(p, current, rung)
-            level = current.digits
+        if rung != level and any(x.digits != rung for x in current.x):
+            current = EstimateVector(tuple(x.with_digits(rung) for x in current.x), current.k)
+        level = rung
         # Each estimate's phase turns from the nearest of the roots' and the
         # estimates' last phases that serves the level, here rather than
         # after a sweep, so the sweep that stops the solve turns none.  In
@@ -431,10 +421,21 @@ def solve(
             stop = StopReason.ACCURACY_FLOOR if frozen else StopReason.TOLERANCE
             break
 
-    errors = None if true_roots is None else tuple(
-        tuple(abs(x - r) for x, r in zip(vec.x, true_roots)) for vec in snapshots)
+    errors = None if true_roots is None else true_errors(snapshots, true_roots)
     trace = IterationTrace(snapshots=tuple(snapshots), step_sizes=tuple(steps), errors=errors)
     return SolveReport(trace=trace, stop_reason=stop, failure=failure, frozen=frozen)
+
+
+def true_errors(snapshots: Sequence[EstimateVector],
+                true_roots: Sequence[Real]) -> tuple[tuple[Real, ...], ...]:
+    """Each snapshot's |x_i - r_i|; a ValueError, in words, where one overflows."""
+    def error(i: int, x: Real, r: Real) -> Real:
+        try:
+            return abs(x - r)
+        except ArithmeticError as exc:
+            raise ValueError(in_words(f"the error of x{i + 1}", exc)) from exc
+    return tuple(tuple(map(error, range(len(true_roots)), vec.x, true_roots))
+                 for vec in snapshots)
 
 
 def _level(p: Polynomial, estimates: EstimateVector, mults: Sequence[int],
@@ -511,23 +512,6 @@ def _log10(d: Decimal) -> float:
     # log10 d for d > 0, to float accuracy whatever d's exponent
     e = d.adjusted()
     return e + math.log10(float(d.scaleb(-e, _LOG)))
-
-
-def _at_level(p: Polynomial, estimates: EstimateVector, level: int) -> EstimateVector:
-    # Every estimate rounded to the level's digits, which keep any two apart
-    # (:func:`_level`); one on a root of p there is written out to all of
-    # them, so that it is settled at once.
-    if all(x.digits == level for x in estimates.x):
-        return estimates
-    ctx = _context(level)
-    roots = p.root_set if isinstance(p, FactoredPoly) else ()
-    out = []
-    for x in estimates.x:
-        y = ctx.plus(x.dec)
-        if y in roots:
-            y = ctx.quantize(y, Decimal((0, (1,), y.adjusted() + 1 - level)))
-        out.append(Real(y, level))
-    return EstimateVector(tuple(out), estimates.k)
 
 
 def _precision_floor(digits: int) -> Real:

@@ -447,9 +447,9 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
     The Newton ratios and the corrections come from the package's kernels
     (``newton_ratio`` and ``correction_sum``), which the sections above
     check; a step that fails raises ``StepFailure`` as the sweep does.
-    It keeps the rule that every root takes its ratio, its correction
-    from one full pass and its update, even where its estimate already
-    sits on a root, which ``solve`` skips.
+    Every root takes its ratio; a root whose ratio is 0 is settled and
+    keeps its estimate, whatever digits its numeral carries, and every
+    other root takes its correction from one full pass and its update.
     """
     family = family_of(p)
     roots = root_phases(p, estimates.digits)
@@ -462,6 +462,8 @@ def real_sweep(p, estimates, profile, chebyshev, tolerance):
             ratio, at_floor = newton_ratio(p, xi, own[i], roots)
             if ratio is None:
                 froze.add(i)
+                continue
+            if ratio.is_zero():
                 continue
             if chebyshev:
                 corrections = corrections or correction_sum(family, estimates, profile, own)

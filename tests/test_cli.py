@@ -578,6 +578,15 @@ def test_solve_far_start_exits_2_without_a_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_solve_from_an_exponential_start_with_no_units_digit_exits_2(capsys):
+    # the O(1) step from 1e300 rounds away at 64 digits: a step failure,
+    # not a zero step that meets the tolerance
+    code, _, err = run(capsys, "solve", "--expr", "sinh((x-1)/2)^2", "--init", "1e300")
+    assert code == 2
+    assert ("root index 0: the new estimate has no digit of its phase left at 64 digits"
+            in err)
+
+
 def test_solve_names_an_overflowing_step_in_words(capsys, tmp_path):
     # e^x at x = 1e30 overflows the decimal exponent range: the failure
     # says so, not as the raw decimal signal's class
@@ -613,6 +622,27 @@ def test_order_on_rows_that_do_not_fit_the_snapshots_exits_1(capsys, tmp_path):
         code, _, err = run(capsys, "order", "--input", str(trace), "--true-roots", "1,2")
         assert code == 1
         assert f"{path}: expected" in err
+
+
+def test_order_on_snapshots_that_do_not_count_up_by_one_exits_1(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 64, "snapshots": [
+        {"k": 7, "x": ["1"]}, {"k": -2, "x": ["0.5"]}], "step_sizes": [["0.5"]]}))
+    code, out, err = run(capsys, "order", "--input", str(trace), "--true-roots", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: $.snapshots[1].k: expected 8, got -2\n"
+
+
+def test_order_on_errors_that_overflow_exits_1(capsys, tmp_path):
+    # |x1 - r1| lies past the decimal exponent range
+    huge = "9e999999999999999999"
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"digits": 64, "snapshots": [
+        {"k": 0, "x": [f"-{huge}", "2.5"]}, {"k": 1, "x": [f"-{huge}", "2"]}],
+        "step_sizes": [["0", "0.5"]]}))
+    code, out, err = run(capsys, "order", "--input", str(trace), "--true-roots", f"{huge},2")
+    assert (code, out) == (1, "")
+    assert err == "error: the error of x1 overflows the decimal exponent range\n"
 
 
 def test_solve_input_digits_override(capsys, tmp_path):

@@ -400,6 +400,17 @@ def test_render_trace_json_round_trip_is_byte_stable():
     assert parsed.trace.errors == report.trace.errors
 
 
+def test_the_trace_of_a_resumed_solve_round_trips():
+    # a solve that resumes from another's last snapshot counts on from its k
+    poly = parse_expression("(x+2)^2*(x-1)*(x-3)^3", 64)
+    first = solve(poly, MultiplicityProfile(poly.mults), EstimateVector(
+        tuple(make_real(v, 64) for v in ("-3", "0.1", "4"))), SolveConfig(max_iters=2))
+    report = solve(poly, MultiplicityProfile(poly.mults), first.trace.final())
+    assert [snap.k for snap in report.trace.snapshots][:2] == [2, 3]
+    blob = render_trace(report, "json")
+    assert render_trace(parse_trace(blob), "json") == blob
+
+
 @pytest.mark.parametrize("poly_digits,init_digits", [(80, 64), (64, 80), (64, 256)])
 def test_a_solve_climbs_to_its_estimates_precision_and_its_trace_round_trips(
     poly_digits, init_digits
@@ -478,6 +489,23 @@ def test_parse_trace_rejects_coinciding_estimates_with_a_path(snapshots, path, m
     with pytest.raises(SchemaError) as excinfo:
         parse_trace(json.dumps({**ONE_SNAPSHOT, "snapshots": snapshots}))
     assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "ks,path,message",
+    [
+        ((7, -2), "$.snapshots[1].k", "expected 8, got -2"),
+        ((-1, 0), "$.snapshots[0].k", "expected 0, got -1"),
+        ((0, 2), "$.snapshots[1].k", "expected 1, got 2"),
+        ((0, 0), "$.snapshots[1].k", "expected 1, got 0"),
+    ],
+)
+def test_parse_trace_rejects_snapshots_that_do_not_count_up_by_one_with_a_path(ks, path, message):
+    snapshots = [{"k": k, "x": [str(i)]} for i, k in enumerate(ks)]
+    doc = {**ONE_SNAPSHOT, "snapshots": snapshots, "step_sizes": [["1"]]}
+    with pytest.raises(SchemaError) as excinfo:
+        parse_trace(json.dumps(doc))
     assert str(excinfo.value) == f"{path}: {message}"
 
 

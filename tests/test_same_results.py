@@ -10,7 +10,10 @@ under the multiplicity-Newton baseline are pinned too: that method
 evaluates the same Newton ratios, so a change to them shows there even
 where no correction pass runs.  The coefficient-form solves are pinned
 one family at a time (keys ``coefficient_form/<family>``), so a change to
-one family's sums shows which family's traces it moves.
+one family's sums shows which family's traces it moves.  Beside each
+trace hash a value hash (:class:`_Digests`) pins the same solves' values
+alone, so a change that writes some numeral otherwise but keeps every
+value moves the first and not the second.
 """
 
 import contextlib
@@ -20,7 +23,7 @@ import io
 import json
 import random
 from dataclasses import replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from pathlib import Path
 
 import pytest
@@ -35,10 +38,10 @@ from oracles import known_phase_gaps
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 TRACE_SHA256 = {
-    "algebraic_factored": "4dad5c019b847e7f54dcf80810aaa54178f078a94c2de36a509225e09fdf7cfc",
-    "periodic_factored": "f6942e593478eccb8e3e76e6cb84085f7e60585d704e9fff8e0e882d42734381",
+    "algebraic_factored": "3e54cf3e0b3114946671c76b723970fa3b2f183972686748995b7fde98e7818e",
+    "periodic_factored": "558c81fa798ba9480700c5e7a0604440052acf4138416e7eabdacee3318f729c",
     "coefficient_form/algebraic":
-        "248461c676155bd721b95a37ea15ef5739fb8c621e285e41250a295bfd1251c3",
+        "f87ea14e5c2e70a83193bd2d4717646866fed826a6944b4a4c4f7b621ddc3100",
     "coefficient_form/trigonometric":
         "654086512bce053fa4c2737c7f78a4849ca83ea41d0f17654b08a6b8f9b8f3f1",
     "coefficient_form/exponential":
@@ -46,14 +49,38 @@ TRACE_SHA256 = {
 }
 
 NEWTON_BASELINE_TRACE_SHA256 = {
-    "algebraic_factored": "10f753d99b7de97060aa538aae89db81d7de810aeea84fa58be9bbc617d8b561",
-    "periodic_factored": "19ebfa40d5129f33e1ab72dc9b8bf45ed686efe9c95a047fb650b3b25fa1921c",
+    "algebraic_factored": "2791f9c0de039f730418bd935960af54f9683c38f0a466ee55f568d44f9e2d0e",
+    "periodic_factored": "e52fae140f95894993b42998630bed42a4bddc874e81103215f48e23824c9a42",
     "coefficient_form/algebraic":
         "7db7c5a224b1f039f8dd7d6110443fcd2f7cba14a6d01ebe823248582b8782cb",
     "coefficient_form/trigonometric":
         "f218a3e9430f542ad4f909e8355223d1e775da4eeeeed2d4889a4a75a0a4588b",
     "coefficient_form/exponential":
         "2a78ae17f765f9b239ac6d6bbacc1b4eda983e2d05cf5fccd297301574dad8f5",
+}
+
+
+# the same solves' values (:class:`_Digests`)
+VALUE_SHA256 = {
+    "algebraic_factored": "1b89570d253ad3fce82763f283bb9ffe5431db165fdc4cb9794cae867084f0af",
+    "periodic_factored": "e794d09fa9d68ef929b1732bb0b15d6c43bf7bb62752d727c4ba9a23f8c5091c",
+    "coefficient_form/algebraic":
+        "0e185df9146d153436c5140406ccd6689ac3e3c0faa1efbfaea1472901bbd1c1",
+    "coefficient_form/trigonometric":
+        "46f825cacd3e65f9d8b3da94685af23c34cc1ecbb409b246d0c349f6f0b3edf3",
+    "coefficient_form/exponential":
+        "ed66ead2ce8b1b8b3994c187557ffa89fe64606680d7bca6d12ff84136e33871",
+}
+
+NEWTON_BASELINE_VALUE_SHA256 = {
+    "algebraic_factored": "6ce2fc145f79bd3afed6626bfb19df5e62a9acfab8656d4ebcd3460ad5e45abe",
+    "periodic_factored": "f3f884603707e5bf160216d408edc656c9bde72f38bb43272bff592e55384a65",
+    "coefficient_form/algebraic":
+        "f0fff84412b7163fd7338b06bd9195b0215be7c19fb1d5aa25bac3a3d5057241",
+    "coefficient_form/trigonometric":
+        "c00105dc9c09b3bf2d1c92bee06db25f80046d33528d997fc50c66143d8e4981",
+    "coefficient_form/exponential":
+        "a5cc1c8affa4d3c6c9faeb1e5dd459ad25752f1382936e6072b42682d8b28fb0",
 }
 
 
@@ -64,6 +91,32 @@ def _workloads():
     return module
 
 
+# every value exact, whatever its exponent
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
+class _Digests:
+    """sha256 of a run of reports' JSON traces, and of their values alone:
+    the stop reason, the failure, each root's status and every snapshot and
+    step, each number ``normalize``d, so that two numerals of one value
+    (``1.5`` and ``1.500…0``) count as one.  A change that keeps the values
+    but writes some numerals otherwise moves the first digest only."""
+
+    def __init__(self):
+        self.traces, self.values = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, report) -> None:
+        self.traces.update(render_trace(report, "json"))
+        rows = [[str(x.dec.normalize(_EXACT)) for x in row]
+                for row in (*(vec.x for vec in report.trace.snapshots), *report.trace.step_sizes)]
+        self.values.update(json.dumps([report.stop_reason.value, report.failure,
+                                       [status.value for status in report.root_status],
+                                       rows]).encode())
+
+    def hexdigests(self) -> tuple[str, str]:
+        return self.traces.hexdigest(), self.values.hexdigest()
+
+
 def _of_family(key: str, problems: list[bytes]) -> list[bytes]:
     """The problems that the pin ``key`` covers: all of them, or for
     ``<workload>/<family>`` those of that family, in their order."""
@@ -71,27 +124,31 @@ def _of_family(key: str, problems: list[bytes]) -> list[bytes]:
     return [data for data in problems if not family or json.loads(data)["family"] == family]
 
 
-def _trace_hash(key: str, method: Method) -> str:
-    workload = key.partition("/")[0]
-    problems = [p["json"] for r in (0, 1) for p in _workloads().solve_round(1, workload, r)]
-    traces = hashlib.sha256()
-    for data in _of_family(key, problems):
+def _solve_all(problems: list[bytes], method: Method) -> tuple[str, str]:
+    digests = _Digests()
+    for data in problems:
         spec = parse_problem(data)
         config = replace(spec.solve_config(), method=method)
-        report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
-        traces.update(render_trace(report, "json"))
-    return traces.hexdigest()
+        digests.update(solve(spec.poly, spec.profile(), spec.initial_vector(), config))
+    return digests.hexdigests()
+
+
+def _trace_hashes(key: str, method: Method) -> tuple[str, str]:
+    workload = key.partition("/")[0]
+    problems = [p["json"] for r in (0, 1) for p in _workloads().solve_round(1, workload, r)]
+    return _solve_all(_of_family(key, problems), method)
 
 
 @pytest.mark.parametrize("workload", sorted(TRACE_SHA256))
 def test_the_seeded_benchmark_traces_are_unchanged(workload):
-    assert _trace_hash(workload, Method.CHEBYSHEV) == TRACE_SHA256[workload]
+    assert (_trace_hashes(workload, Method.CHEBYSHEV)
+            == (TRACE_SHA256[workload], VALUE_SHA256[workload]))
 
 
 @pytest.mark.parametrize("workload", sorted(NEWTON_BASELINE_TRACE_SHA256))
 def test_the_seeded_newton_baseline_traces_are_unchanged(workload):
-    assert (_trace_hash(workload, Method.NEWTON_BASELINE)
-            == NEWTON_BASELINE_TRACE_SHA256[workload])
+    assert (_trace_hashes(workload, Method.NEWTON_BASELINE)
+            == (NEWTON_BASELINE_TRACE_SHA256[workload], NEWTON_BASELINE_VALUE_SHA256[workload]))
 
 
 # -- `order` over the CLI session's problem pool ----------------------------
@@ -126,26 +183,26 @@ def test_order_over_the_cli_session_pool_is_unchanged(seed, tmp_path):
 
 # -- solves that start with estimates on their roots ----------------------
 #
-# An estimate exactly on its root gets a Newton ratio of 0.  The sweep
-# still writes it back at the working precision: a short numeral such as
-# ``1`` comes out as ``1.000…0``, which a sweep that skipped such a root
-# would not print.  These solves start some estimates on their roots, as
-# the root's own numeral, with its trailing zeros stripped, or padded to
-# the working digits, and stop after 1 to 4 sweeps, so the early sweeps
-# that do this rewriting weigh as much as the late ones.  Besides the
+# An estimate exactly on its root gets a Newton ratio of 0, and the sweep
+# leaves it as it is: a short numeral such as ``1`` stays ``1``, where an
+# update would write it out as ``1.000…0``.  These solves start some
+# estimates on their roots, as the root's own numeral, with its trailing
+# zeros stripped, or padded to the working digits, and stop after 1 to 4
+# sweeps, so the early sweeps, where such numerals still show, weigh as
+# much as the late ones.  Besides the
 # seeded benchmark problems, a few problems have roots 1, 0.5, 0 and -2.
 
 ON_ROOT_TRACE_SHA256 = {
     ("algebraic_factored", Method.CHEBYSHEV):
-        "bf268b720b76092c76508be9c9dd80244c4b419034eee9cb5935e4a04b900b30",
+        "6db106fc353e0b4fded497d7f00129421662a54be05891a59e6d4e6597415ffb",
     ("algebraic_factored", Method.NEWTON_BASELINE):
-        "b03553fa1c01f42623535a573bb23c2305af56a61e4b3e9421e10e1a1a0d046d",
+        "6d6b5ca60cfce94e37b06c3378eca478d2d558153485958afe5d937103dbd4ce",
     ("periodic_factored", Method.CHEBYSHEV):
-        "e9ce4a32e21b38124a32e1198b2cce21da0c850383ce0f2fb81d6c6cef04698e",
+        "1a32894af047da59ed61526b2f73d39a94343eb263ca5a05aaedb67f00a89b06",
     ("periodic_factored", Method.NEWTON_BASELINE):
-        "3f9a942798c36f8de6c9cc1c8d570262bd94804daf8b5bb76a18c40e921a057a",
+        "291098a20854e9da529c0d9586dcabd7a146e4058a3fa108c5be03e4fba9ece9",
     ("coefficient_form/algebraic", Method.CHEBYSHEV):
-        "1b3ac34f85532c4d6beb191992efe735149b819153c354020e3c87a97b94bf30",
+        "ff3730358492116804974c27bb8798f96bfa8308ba3536fa7e22aa01c079accf",
     ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
         "9445085b1d0c32c460ae31cb96046b9c739bfc104116e9abaa69ef5e1dfcf325",
     ("coefficient_form/trigonometric", Method.CHEBYSHEV):
@@ -153,9 +210,32 @@ ON_ROOT_TRACE_SHA256 = {
     ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
         "350eb45006867b81c7e02b2ba9d80e1a3e513fad5057d88e1841b8b167034245",
     ("coefficient_form/exponential", Method.CHEBYSHEV):
-        "450914551206b3fd1017426b095cd987c676be3304dee649716dd6f68c48f667",
+        "0b6d0f995b4a18b00b7a6216de5957e35d1aa78a2dc18fa334a8aa3ec1eb6264",
     ("coefficient_form/exponential", Method.NEWTON_BASELINE):
         "fc16e9fd9d7bb8cf35bedf4f92ada22364d1cff776eaa0ec61e265c30d9ecc16",
+}
+
+ON_ROOT_VALUE_SHA256 = {
+    ("algebraic_factored", Method.CHEBYSHEV):
+        "5a1993d0b6723e364a8800b027d724c62f139ccc686a6ac91c6dcdc0d9fd0fd9",
+    ("algebraic_factored", Method.NEWTON_BASELINE):
+        "ccecf274c9a520a226c6f72a7c63df7c18231d9ad653e6c9872fab1034eac8c2",
+    ("periodic_factored", Method.CHEBYSHEV):
+        "66c98896f3ffba1474dd46d8e300f3612c1f44c47715456d0ac3efd27ff46938",
+    ("periodic_factored", Method.NEWTON_BASELINE):
+        "6da5de35ccfb89d36bc9c6421d3e67eefc2c8330e9f3bf16bbe4f6460ec851b1",
+    ("coefficient_form/algebraic", Method.CHEBYSHEV):
+        "3238929c1cd24731930fa3705833403ce1d850c663ca8f9c3d5794bcb457bd6e",
+    ("coefficient_form/algebraic", Method.NEWTON_BASELINE):
+        "ba4a4be8c519952d47da85213304f4acaa5d20efa2fb44acd0fe367af9c889e2",
+    ("coefficient_form/trigonometric", Method.CHEBYSHEV):
+        "cd3bdf0f265c170c450efcdd5c3e2d2c274528fe5c907e16cec5a63674e5af30",
+    ("coefficient_form/trigonometric", Method.NEWTON_BASELINE):
+        "8c63966c89f9d74f8c38f0e8e4e08b4e4be2ae85097b26efdc006b0b31472c18",
+    ("coefficient_form/exponential", Method.CHEBYSHEV):
+        "8965812a930e053c15dcedf6bcadd1005cd9475ce0990392483c763b35f93b3b",
+    ("coefficient_form/exponential", Method.NEWTON_BASELINE):
+        "0fed83984bf8332f0b3085be3da8706285f9c6c0f5eade00658ed20703c212b2",
 }
 
 SHORT_ROOTS = ("-2", "0", "0.5", "1")
@@ -204,20 +284,12 @@ def _on_root_problems(workload: str) -> list[bytes]:
     return out
 
 
-def _on_root_hash(key: str, method: Method) -> str:
-    traces = hashlib.sha256()
-    # every problem draws from the rng before any is left out
-    for data in _of_family(key, _on_root_problems(key.partition("/")[0])):
-        spec = parse_problem(data)
-        config = replace(spec.solve_config(), method=method)
-        report = solve(spec.poly, spec.profile(), spec.initial_vector(), config)
-        traces.update(render_trace(report, "json"))
-    return traces.hexdigest()
-
-
 @pytest.mark.parametrize("workload,method", sorted(ON_ROOT_TRACE_SHA256))
 def test_solves_from_estimates_on_their_roots_are_unchanged(workload, method):
-    assert _on_root_hash(workload, method) == ON_ROOT_TRACE_SHA256[workload, method]
+    # every problem draws from the rng before any is left out
+    problems = _of_family(workload, _on_root_problems(workload.partition("/")[0]))
+    assert (_solve_all(problems, method)
+            == (ON_ROOT_TRACE_SHA256[workload, method], ON_ROOT_VALUE_SHA256[workload, method]))
 
 
 # -- the work of the seeded solves ----------------------------------------
@@ -285,7 +357,8 @@ def test_a_seeded_periodic_solve_runs_the_phase_kernel_for_its_roots_and_first_s
 # more; trig estimates converging a whole period away from their root;
 # roots parsed at 80 digits for 64-digit estimates, whose Newton ratios
 # run on those roots as given; and exponential roots at 1e20000, whose phases
-# overflow.  Each entry is (expression, or the roots and powers of a form
+# overflow: an estimate on such a root is settled, and one 1e19990 from it
+# steps to where no units digit is left, a step failure.  Each entry is (expression, or the roots and powers of a form
 # the grammar cannot spell; the roots' digits; the multiplicities the
 # solve assumes; the initial estimates; max_iters).  Estimates carry the
 # roots' digits, or 64 where the roots carry 80.
@@ -323,9 +396,21 @@ OFF_ROOT_TRACE_SHA256 = {
     (Family.TRIGONOMETRIC, Method.NEWTON_BASELINE):
         "b14501d7363d3d6191f70beb571109d7d8df4f4e93e9bc5fc65f8f56724811f3",
     (Family.EXPONENTIAL, Method.CHEBYSHEV):
-        "a13b502949103aa78d050869fa064747b343a1bb03cf9c41179bc1903a922985",
+        "56b33d3038c146b24ffbb60d38940f3eb022fda4bb2fca16bf3338e16014959a",
     (Family.EXPONENTIAL, Method.NEWTON_BASELINE):
-        "d94ec55e1a0a1d425983e5e407b8c84216660e3a92338b6beb01edf38db5afca",
+        "9bde30ddfd9d1b8ee2ff9010ff0430d57d153046354d0d6311cc1a453f8f3c42",
+}
+
+
+OFF_ROOT_VALUE_SHA256 = {
+    (Family.TRIGONOMETRIC, Method.CHEBYSHEV):
+        "2b1c83a6947a7b07695097667644855fd02921a583500affbb57e493141fbadb",
+    (Family.TRIGONOMETRIC, Method.NEWTON_BASELINE):
+        "7dfa8a96da962df9a632b9f0ba8a2f58c61c023d678f5f1829fc1c88d824ed4c",
+    (Family.EXPONENTIAL, Method.CHEBYSHEV):
+        "769764d4ffcedcbd11174dc5d705fe47cf258ac99e672d81c7cf692f020c2385",
+    (Family.EXPONENTIAL, Method.NEWTON_BASELINE):
+        "a40a7bc113135c19b7527cc8b86347f26a6942344e59710130714c13c6865e49",
 }
 
 
@@ -338,11 +423,12 @@ def _off_root_poly(family: Family, form, digits: int) -> FactoredPoly:
 
 @pytest.mark.parametrize("family,method", sorted(OFF_ROOT_TRACE_SHA256))
 def test_solves_from_estimates_off_their_roots_are_unchanged(family, method):
-    traces = hashlib.sha256()
+    digests = _Digests()
     for form, digits, mults, init, max_iters in OFF_ROOT_PROBLEMS[family]:
         p = _off_root_poly(family, form, digits)
         estimate_digits = 64 if digits == 80 else digits
         estimates = EstimateVector(tuple(make_real(x, estimate_digits) for x in init))
         config = SolveConfig(max_iters=max_iters, method=method)
-        traces.update(render_trace(solve(p, MultiplicityProfile(mults), estimates, config), "json"))
-    assert traces.hexdigest() == OFF_ROOT_TRACE_SHA256[family, method]
+        digests.update(solve(p, MultiplicityProfile(mults), estimates, config))
+    assert (digests.hexdigests()
+            == (OFF_ROOT_TRACE_SHA256[family, method], OFF_ROOT_VALUE_SHA256[family, method]))

@@ -289,6 +289,17 @@ def test_solve_tracks_errors_when_roots_supplied():
     assert max(report.trace.max_errors()[1:]) < R("0.1")
 
 
+def test_solve_raises_a_value_error_where_an_error_overflows():
+    # |x1 - r1| lies past the decimal exponent range, as a wrong true root
+    # far from a huge estimate makes it
+    huge = "9e999999999999999999"
+    poly = factored("algebraic", [f"-{huge}", "2"], [1, 1])
+    init = EstimateVector((R("-9.1e999999999999999999"), R("2.5")))
+    with pytest.raises(ValueError, match="^the error of x1 overflows the decimal exponent range$"):
+        solve(poly, MultiplicityProfile((1, 1)), init, SolveConfig(max_iters=2),
+              true_roots=(R(huge), R("2")))
+
+
 def test_solve_validates_profile_against_polynomial():
     with pytest.raises(ValueError):
         solve(
@@ -388,13 +399,24 @@ def test_wrap_to_standard_period_needs_a_digit_of_phase():
             wrap_to_standard_period(R(x))
 
 
-@pytest.mark.parametrize("family", ["algebraic", "exponential"])
-def test_solve_leaves_huge_algebraic_and_exponential_estimates_alone(family):
-    poly = factored(family, ["1", "-1"], [1, 1])
+def test_solve_leaves_huge_algebraic_estimates_alone():
+    poly = factored("algebraic", ["1", "-1"], [1, 1])
     init = EstimateVector((R("1e20000"), R("2")))
     report = solve(poly, MultiplicityProfile((1, 1)), init, SolveConfig(max_iters=2))
     assert report.stop_reason is StopReason.MAX_ITERS
     assert len(report.trace.snapshots) == 3
+
+
+def test_a_huge_exponential_estimate_whose_step_leaves_no_units_digit_is_a_step_failure():
+    # Its O(1) step rounds away at 1e20000: a zero step would meet the
+    # tolerance and stop the solve with x1 off its root and root -1 unfound.
+    poly = factored("exponential", ["1", "-1"], [1, 1])
+    init = EstimateVector((R("1e20000"), R("2")))
+    report = solve(poly, MultiplicityProfile((1, 1)), init)
+    assert report.stop_reason is StopReason.STEP_FAILURE
+    assert report.failure == ("step failed for root index 0: the new estimate has no digit "
+                              "of its phase left at 64 digits")
+    assert len(report.trace.snapshots) == 1
 
 
 @pytest.mark.parametrize("periods", [1, -3])
@@ -524,8 +546,8 @@ def seeded_on_roots(m, digits):
 
 
 # Vectors with estimates on their roots, short (``1``) and written out to
-# the working digits (``1.000…0``): the short ones still move, since the
-# update writes them out, and the written-out ones are settled.
+# the working digits (``1.000…0``): either is settled, and keeps its
+# numeral.
 ON_ROOT_SWEEPS = {
     "algebraic factored": (EXAMPLE_1, (2, 1, 3), ("-2", "0.1", on_root("3", 64)), 64),
     "algebraic factored, every estimate settled": (

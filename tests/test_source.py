@@ -88,10 +88,7 @@ def _unread_parameters(node: ast.AST, path: str) -> list[str]:
 
 
 def test_every_parameter_is_read():
-    # Two signatures are fixed from outside: argparse calls exit(status,
-    # message), and every odd part in polys._RULES takes (ctx, d), which
-    # the algebraic one, d itself, needs no context for.
+    # One signature is fixed from outside: argparse calls exit(status, message).
     unread = [hit for name, tree in _modules().items()
               for hit in _unread_parameters(tree, name.removesuffix(".py"))]
-    assert unread == ["cli._Parser.exit(status)", "cli._Parser.exit(message)",
-                      "polys._RULES.<lambda>(ctx)"]
+    assert unread == ["cli._Parser.exit(status)", "cli._Parser.exit(message)"]
